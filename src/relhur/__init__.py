@@ -15,11 +15,7 @@ Layout:
     dirac_states        bispinor fields and the dispersion functional
     hydrogen            hydrogen-like ions: closed form and oracle
     hopfion             the localized packet family gamma_H(a)
-    kernels             compiled tridiagonal kernels with pure fallback
     cli                 the `relhur` command-line tool
-
-Set REL_HUR_PURE=1 before import to force the pure-Python eigensolver
-kernels; `relhur.BACKEND` reports which one is active.
 """
 
 from .specfun import (
@@ -94,7 +90,6 @@ from .hopfion import (
     gamma_h,
     gamma_h_curve,
 )
-from .kernels import BACKEND
 
 __version__ = "0.1.0"
 
@@ -119,6 +114,5 @@ __all__ = [
     "HopfionState", "SweepTable", "momentum_bispinor", "density",
     "norm_const", "norm_bessel_ratio", "amplitude_pair",
     "gamma_h", "gamma_h_curve",
-    "BACKEND",
     "__version__",
 ]

@@ -13,19 +13,14 @@ exactly `param,gamma,err_est`) or JSON with 12 significant digits, both
 serialized manually so identical invocations are byte-identical.  Exit
 codes: 0 success, 1 numerical failure or failed verify anchor, 2 usage
 error (bad flags, out-of-domain parameters, unwritable output).
-
-REL_HUR_THREADS caps thread parallelism for sweep grids; output order is
-by parameter regardless of completion order.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import hopfion as _hopfion
 from . import hydrogen as _hydrogen
@@ -81,22 +76,6 @@ def _csv_doc(rows: Sequence[tuple[object, object, object]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("REL_HUR_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _ordered_map(fn: Callable, xs: Sequence) -> list:
-    n = min(_worker_count(), len(xs))
-    if n <= 1:
-        return [fn(x) for x in xs]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, xs))  # map preserves argument order
-
-
 def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise _UsageError(f"{name} must be finite, got {value!r}")
@@ -143,8 +122,7 @@ def _cmd_sweep(args) -> tuple[str, int]:
     ds = _grid(args.d_min, args.d_max, args.points, args.log)
     if ds[0] < 0.0:
         raise _UsageError("--d-min must be non-negative")
-    reps = _ordered_map(
-        lambda d: _bound.gamma_bound_report(d, tol=BOUND_TOL), ds)
+    reps = [_bound.gamma_bound_report(d, tol=BOUND_TOL) for d in ds]
     rows = [(r.d, r.gamma, r.est_error) for r in reps]
     fmt = args.format or "csv"
     if fmt == "csv":
@@ -199,8 +177,7 @@ def _cmd_hopfion(args) -> tuple[str, int]:
         raise _UsageError("provide either --a or all of --a-min/--a-max/--points")
     a_grid = _grid(args.a_min, args.a_max, args.points, log=False)
     cfg = QuadConfig()
-    reps = _ordered_map(
-        lambda a: _hopfion.gamma_h(_hopfion.HopfionState(a), cfg), a_grid)
+    reps = [_hopfion.gamma_h(_hopfion.HopfionState(a), cfg) for a in a_grid]
     rows = [(a, r.gamma, cfg.rel_tol * r.gamma)
             for a, r in zip(a_grid, reps)]
     fmt = args.format or "csv"

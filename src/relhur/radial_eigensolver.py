@@ -3,9 +3,12 @@
 The substitution u = q f turns the operator into -u'' + V u = 2g u with
 u(0) = 0, which discretizes to a symmetric tridiagonal matrix on a uniform
 grid with Dirichlet truncation at q_max.  The lowest eigenvalue comes from
-Sturm-sequence bisection (see kernels), refined by Richardson extrapolation
-over three nested grids; the quoted error estimate is the difference of the
-two extrapolants reduced by the next-order factor.
+LAPACK's Sturm-sequence bisection (stebz, through
+scipy.linalg.eigh_tridiagonal) to an explicit absolute width, refined by
+Richardson extrapolation over three nested grids; the quoted error estimate
+is the difference of the two extrapolants reduced by the next-order factor,
+plus half the bisection width.  The finest grid's eigenvector comes from the
+same call, by LAPACK inverse iteration (stein).
 
 Potentials may carry a c/q^2 singularity at the origin (c > -1/4, else the
 operator is unbounded below).  For c > 0 a generic difference stencil through
@@ -17,8 +20,10 @@ lattice form chosen to annihilate the exact near-origin solution u ~ q^{s+1}:
 
 which restores clean O(h^2) convergence and lets Richardson do its job.
 
-Normalization integrates u^2 with Simpson's rule on [h, q_max] plus an exact
-power-law head on [0, h] (u ~ q^{s+1} there), meeting the 1e-8 contract.
+Potentials and moment weights are evaluated once on the whole grid array.
+Normalization integrates u^2 with a composite Simpson rule on [h, q_max]
+plus an exact power-law head on [0, h] (u ~ q^{s+1} there), meeting the
+1e-8 contract.
 """
 
 from __future__ import annotations
@@ -28,10 +33,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.linalg import solve_banded
-
-from . import kernels
+from scipy.linalg import eigh_tridiagonal
 
 
 class SolverError(RuntimeError):
@@ -42,12 +44,13 @@ class SolverError(RuntimeError):
 class RadialPotential:
     """A radial potential with declared origin behavior.
 
-    evaluate(q) must be finite for q > 0; singular_strength is the
-    coefficient c of the 1/q^2 term as q -> 0 (0 for regular potentials);
-    confinement documents the required V(q) -> q^2 growth at infinity.
+    evaluate(q) takes an array of q > 0 and returns V elementwise, finite
+    everywhere; singular_strength is the coefficient c of the 1/q^2 term as
+    q -> 0 (0 for regular potentials); confinement documents the required
+    V(q) -> q^2 growth at infinity.
     """
 
-    evaluate: Callable[[float], float]
+    evaluate: Callable[[np.ndarray], np.ndarray]
     singular_strength: float = 0.0
     confinement: str = "V(q) -> q^2 as q -> infinity"
 
@@ -78,9 +81,28 @@ def _origin_exponent(c: float) -> float:
     return 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * c))
 
 
+def _on_grid(fn: Callable, grid: np.ndarray) -> np.ndarray:
+    """fn evaluated on the grid array; a scalar result is broadcast."""
+    return np.broadcast_to(np.asarray(fn(grid), dtype=np.float64), grid.shape)
+
+
+def _simpson(y: np.ndarray, h: float) -> float:
+    """Composite Simpson rule for samples y (at least 3) spaced h apart.
+
+    An even sample count leaves one interval over, closed with the same
+    third-order end correction (Cartwright) as scipy.integrate.simpson.
+    """
+    tail = 0.0
+    if y.size % 2 == 0:
+        tail = h * (5.0 / 12.0 * y[-1] + 2.0 / 3.0 * y[-2] - 1.0 / 12.0 * y[-3])
+        y = y[:-1]
+    inner = 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()
+    return float(h / 3.0 * (y[0] + inner + y[-1]) + tail)
+
+
 def _build_diagonal(pot: RadialPotential, grid: np.ndarray, h: float) -> np.ndarray:
     c = pot.singular_strength
-    v = np.array([pot.evaluate(float(q)) for q in grid])
+    v = _on_grid(pot.evaluate, grid)
     if not np.all(np.isfinite(v)):
         raise SolverError("potential evaluated to a non-finite value on the grid")
     if c > 0.0:
@@ -93,61 +115,28 @@ def _build_diagonal(pot: RadialPotential, grid: np.ndarray, h: float) -> np.ndar
 
 
 def _lowest_lambda(pot: RadialPotential, q_max: float, nn: int,
-                   lam_tol: float) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """Lowest eigenvalue of the u-form matrix on an nn-interval grid."""
+                   lam_tol: float, vector: bool = False):
+    """Lowest eigenvalue of the u-form matrix on an nn-interval grid.
+
+    Bisection stops at absolute width lam_tol.  With vector=True, also
+    returns the grid and the eigenvector, signed positive.
+    """
     h = q_max / nn
     grid = h * np.arange(1, nn)
     diag = _build_diagonal(pot, grid, h)
-    off2 = np.full(nn - 2, 1.0 / h**4)
-
-    # Gershgorin guarantees no eigenvalue below min(diag) - 2/h^2.
-    lo = float(diag.min()) - 2.0 / (h * h) - 1.0
-
-    # A positive trial state gives a Rayleigh quotient >= lambda_min,
-    # so hi = RQ + eps always brackets the bottom of the spectrum.
-    s = _origin_exponent(max(pot.singular_strength, 0.0))
-    trial = grid ** (s + 1.0) * np.exp(-0.5 * grid * grid)
-    a_trial = diag * trial
-    a_trial[:-1] -= trial[1:] / (h * h)
-    a_trial[1:] -= trial[:-1] / (h * h)
-    rq = float(trial @ a_trial) / float(trial @ trial)
-    hi = rq + 1e-6 * max(1.0, abs(rq))
-
-    lam = kernels.bisect_lowest(diag, off2, lo, hi, lam_tol)
-    return lam, grid, diag, h
-
-
-def _inverse_iteration(diag: np.ndarray, h: float, sigma: float,
-                       start: np.ndarray) -> np.ndarray:
-    """Eigenvector for the eigenvalue near sigma, via two banded solves."""
-    n = diag.size
-    off = -1.0 / (h * h)
-    shift = sigma
-    for attempt in range(4):
-        ab = np.zeros((3, n))
-        ab[0, 1:] = off
-        ab[1, :] = diag - shift
-        ab[2, :-1] = off
-        w = start / np.linalg.norm(start)
-        ok = True
-        for _ in range(2):
-            try:
-                w = solve_banded((1, 1), ab, w)
-            except np.linalg.LinAlgError:
-                ok = False
-                break
-            norm = np.linalg.norm(w)
-            if not np.isfinite(norm) or norm == 0.0:
-                ok = False
-                break
-            w = w / norm
-        if ok and np.all(np.isfinite(w)):
-            if w[int(np.argmax(np.abs(w)))] < 0.0:
-                w = -w
-            return w
-        # Exact singularity: nudge the shift and retry.
-        shift = sigma + (attempt + 1) * 1e-10 * max(1.0, abs(sigma))
-    raise SolverError("inverse iteration failed to produce an eigenvector")
+    off = np.full(nn - 2, -1.0 / (h * h))
+    try:
+        out = eigh_tridiagonal(diag, off, eigvals_only=not vector, select="i",
+                               select_range=(0, 0), tol=lam_tol)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"tridiagonal eigensolve failed: {exc}") from exc
+    if not vector:
+        return float(out[0])
+    lam, vecs = out
+    u = vecs[:, 0]
+    if u[int(np.argmax(np.abs(u)))] < 0.0:
+        u = -u
+    return float(lam[0]), grid, u
 
 
 def ground_state(pot: RadialPotential, q_max: float = 10.0, n: int = 4000,
@@ -171,9 +160,9 @@ def ground_state(pot: RadialPotential, q_max: float = 10.0, n: int = 4000,
     n2 = 2 * (n // 2)  # even so the n/2 grid is an integer count
     lam_tol = max(2e-2 * tol, 1e-12)
 
-    lam_half, _, _, _ = _lowest_lambda(pot, q_max, n2 // 2, lam_tol)
-    lam_base, _, _, _ = _lowest_lambda(pot, q_max, n2, lam_tol)
-    lam_fine, grid, diag, h = _lowest_lambda(pot, q_max, 2 * n2, lam_tol)
+    lam_half = _lowest_lambda(pot, q_max, n2 // 2, lam_tol)
+    lam_base = _lowest_lambda(pot, q_max, n2, lam_tol)
+    lam_fine, grid, u = _lowest_lambda(pot, q_max, 2 * n2, lam_tol, vector=True)
 
     g_half, g_base, g_fine = 0.5 * lam_half, 0.5 * lam_base, 0.5 * lam_fine
     extrap_coarse = (4.0 * g_base - g_half) / 3.0
@@ -187,15 +176,12 @@ def ground_state(pot: RadialPotential, q_max: float = 10.0, n: int = 4000,
             f"grid-refinement comparison estimates error {est_error:.3e} "
             f"> tol {tol:.3e}; increase n or q_max")
 
-    s = _origin_exponent(max(pot.singular_strength, 0.0))
-    start = grid ** (s + 1.0) * np.exp(-0.5 * grid * grid)
-    u = _inverse_iteration(diag, h, lam_fine, start)
-
     # Normalize int u^2 dq = 1: exact power head on [0,h], Simpson beyond.
-    p = s + 1.0
+    h = float(grid[0])  # the grid is h, 2h, ..., q_max - h
+    p = _origin_exponent(max(pot.singular_strength, 0.0)) + 1.0
     u_sq = u * u
     head = u_sq[0] * h / (2.0 * p + 1.0)
-    body = simpson(np.append(u_sq, 0.0), x=np.append(grid, q_max))
+    body = _simpson(np.append(u_sq, 0.0), h)
     norm_sq = head + body
     if not (norm_sq > 0.0) or not math.isfinite(norm_sq):
         raise SolverError("eigenfunction normalization integral is invalid")
@@ -210,7 +196,7 @@ def ground_state(pot: RadialPotential, q_max: float = 10.0, n: int = 4000,
     )
 
 
-def _probe_weight_exponent(weight: Callable[[float], float]) -> float:
+def _probe_weight_exponent(weight: Callable) -> float:
     """Estimated power of weight(q) ~ q^beta near the origin."""
     qa, qb = 1e-3, 1e-4
     wa, wb = weight(qa), weight(qb)
@@ -224,10 +210,12 @@ def _probe_weight_exponent(weight: Callable[[float], float]) -> float:
     return beta
 
 
-def moment(res: EigenResult, weight: Callable[[float], float]) -> float:
+def moment(res: EigenResult, weight: Callable) -> float:
     """Integral of weight(q) f(q)^2 q^2 dq for a normalized EigenResult.
 
-    Weights more singular than 1/q^2 at the origin are rejected.
+    weight is called with two floats near the origin and once with the grid
+    array; a scalar result on the grid is broadcast.  Weights more singular
+    than 1/q^2 at the origin are rejected.
     """
     beta = _probe_weight_exponent(weight)
     if beta < -2.0 - 1e-6:
@@ -235,12 +223,11 @@ def moment(res: EigenResult, weight: Callable[[float], float]) -> float:
 
     grid = res.grid
     u_sq = (res.f_values * grid) ** 2
-    w = np.array([weight(float(q)) for q in grid])
+    w = _on_grid(weight, grid)
     if not np.all(np.isfinite(w)):
         raise ValueError("weight evaluated to a non-finite value on the grid")
 
-    h = float(grid[1] - grid[0])
-    q_max = res.diagnostics.q_max
+    h = float(grid[0])
     # Head exponent: u^2 ~ q^{2p}, weight ~ q^beta on [0, h].
     p = math.log(max(u_sq[1], 1e-300) / max(u_sq[0], 1e-300)) / (2.0 * math.log(2.0))
     p = min(max(p, 0.25), 4.0)
@@ -248,5 +235,5 @@ def moment(res: EigenResult, weight: Callable[[float], float]) -> float:
     if combined <= 0.1:
         raise ValueError("weight too singular against this eigenfunction")
     head = w[0] * u_sq[0] * h / combined
-    body = simpson(np.append(w * u_sq, 0.0), x=np.append(grid, q_max))
+    body = _simpson(np.append(w * u_sq, 0.0), h)
     return float(head + body)

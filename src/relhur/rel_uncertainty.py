@@ -11,9 +11,11 @@ The potential is
 
 evaluated here in the cancellation-free form
 d^2/(w (1+w)) + d^2/(4 w^4) + q^2 with w = sqrt(1+d^2 q^2), which is exact
-for all q and avoids the 1/q^2 - 1/q^2 loss of digits at small d*q.  The
-two 1/q^2 singularities cancel for every finite d; only d = INFINITY keeps
-a genuine 1/q^2 core with unit strength.
+for all q and avoids the 1/q^2 - 1/q^2 loss of digits at small d*q.  It is
+computed in e = 1/d, a = hypot(e, q) = w/d and r = e/a <= 1 as
+(1/a^2)/(1 + r) + (r/a)^2/4 + q^2, so no intermediate overflows for any
+finite d.  The two 1/q^2 singularities cancel for every finite d; only
+d = INFINITY keeps a genuine 1/q^2 core with unit strength.
 
 The limiting eigenfunctions are exp(-q^2/2) (d = 0) and
 q^s exp(-q^2/2) with s = (sqrt(5)-1)/2 (d = INFINITY); the residual
@@ -25,6 +27,7 @@ float roundoff.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -48,18 +51,27 @@ def _check_d(d: float) -> float:
     return d
 
 
-def potential_v(q: float, d: float) -> float:
-    """Effective radial potential V(q; d); q > 0 required."""
+def potential_v(q: float | np.ndarray, d: float) -> float | np.ndarray:
+    """Effective radial potential V(q; d) for a float or an array of q > 0.
+
+    A float q gives a float, an array gives an array of the same shape.
+    """
     d = _check_d(d)
-    q = float(q)
-    if not (q > 0.0) or not math.isfinite(q):
+    q = np.asarray(q, dtype=np.float64)
+    if not np.all(q > 0.0) or not np.all(np.isfinite(q)):
         raise ValueError("q must be positive and finite")
     if d == 0.0:
-        return q * q
-    if math.isinf(d):
-        return 1.0 / (q * q) + q * q
-    w = math.sqrt(1.0 + (d * q) ** 2)
-    return d * d / (w * (1.0 + w)) + d * d / (4.0 * w ** 4) + q * q
+        v = q * q
+    elif math.isinf(d):
+        v = 1.0 / (q * q) + q * q
+    else:
+        # w = d a with a = hypot(e, q) and e = 1/d, capped where 1/d
+        # overflows (V is q^2 to double precision there); r = e/a <= 1
+        e = min(1.0 / d, sys.float_info.max)
+        a = np.hypot(e, q)
+        r = e / a
+        v = (1.0 / a / a) / (1.0 + r) + 0.25 * (r / a) ** 2 + q * q
+    return float(v) if v.ndim == 0 else v
 
 
 def singular_strength(d: float) -> float:
@@ -81,7 +93,7 @@ def _solver_points(d: float) -> int:
     # The finite-d potential has a bump of width ~1/d near the origin;
     # keep at least ~30 grid cells across it.
     if math.isfinite(d) and d > 4.0:
-        return min(32000, max(4000, int(800.0 * d)))
+        return max(4000, int(800.0 * min(d, 40.0)))
     return 4000
 
 

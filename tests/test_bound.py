@@ -1,16 +1,16 @@
 """The uncertainty bound gamma(d): anchors, monotonicity, regression values.
 
 The d = 1 regression is pinned two ways: a frozen number from a dense
-tridiagonal eigensolve (20000 interior points, q_max = 12, scipy
-eigvalsh_tridiagonal) and a live rerun of that same oracle, so the test
-catches drift in either the solver or the frozen constant.
+tridiagonal eigensolve (20000 interior points, q_max = 12) and a live rerun
+of that oracle, so the test catches drift in either the solver or the
+frozen constant.  The live oracle is a NumPy Sturm-sequence multisection
+that lives only here, independent of the production kernel (LAPACK stebz).
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eigvalsh_tridiagonal
 
 from relhur import (
     GAMMA_AT_0,
@@ -59,6 +59,24 @@ def test_potential_domain_error():
         potential_v(0.0, 1.0)
     with pytest.raises(ValueError):
         potential_v(-1.0, 1.0)
+    with pytest.raises(ValueError):
+        potential_v(np.array([1.0, 0.0]), 1.0)
+    with pytest.raises(ValueError):
+        potential_v(np.array([1.0, math.inf]), 1.0)
+    with pytest.raises(ValueError):
+        potential_v(math.nan, 1.0)
+
+
+@pytest.mark.parametrize("d", [5e-324, 1e-310, 1e-3, 1.0, 45.0, 1e200, 1.7e308])
+def test_potential_array_overflow_free(d):
+    q = np.geomspace(1e-4, 10.0, 500)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        v = potential_v(q, d)
+        scalars = [potential_v(float(x), d) for x in q]
+    assert isinstance(scalars[0], float)
+    assert v.shape == q.shape
+    assert v.tolist() == scalars
+    assert np.all(np.isfinite(v))
 
 
 def test_singular_strength():
@@ -84,14 +102,56 @@ def test_dense_matrix_regression_frozen():
     assert gamma_bound(1.0) == pytest.approx(DENSE_GAMMA_D1, abs=1e-6)
 
 
+def _sturm_counts(diag, off2, xs):
+    """Eigenvalues below each shift in xs: one LDL^T pivot sweep for all.
+
+    off2 holds the squared off-diagonal; pivots smaller than pivmin are
+    replaced by -pivmin, as in LAPACK's dstebz.
+    """
+    pivmin = np.finfo(np.float64).tiny * max(1.0, float(off2.max()))
+    t = diag[0] - xs
+    np.copyto(t, -pivmin, where=np.abs(t) < pivmin)
+    cnt = (t < 0.0).astype(np.int64)
+    for i in range(1, diag.shape[0]):
+        t = diag[i] - xs - off2[i - 1] / t
+        np.copyto(t, -pivmin, where=np.abs(t) < pivmin)
+        cnt += t < 0.0
+    return cnt
+
+
+def _sturm_lowest(diag, off2, lo, hi, tol, batch=63):
+    """Smallest eigenvalue in [lo, hi], multisected to width tol.
+
+    Each round probes batch interior shifts in one sweep, so the bracket
+    shrinks by batch + 1 per sweep.
+    """
+    while hi - lo > tol:
+        xs = np.linspace(lo, hi, batch + 2)[1:-1]
+        if xs[0] <= lo or xs[-1] >= hi:
+            break  # bracket at float resolution
+        hits = np.nonzero(_sturm_counts(diag, off2, xs) >= 1)[0]
+        if hits.size == 0:
+            lo = float(xs[-1])
+        else:
+            j = int(hits[0])
+            hi = float(xs[j])
+            if j > 0:
+                lo = float(xs[j - 1])
+    return 0.5 * (lo + hi)
+
+
 def test_dense_matrix_regression_live():
-    # independent route: assemble -u'' + V u = 2 gamma u and diagonalize
+    # independent route: assemble -u'' + V u = 2 gamma u and multisect
     n, q_max = 20000, 12.0
     h = q_max / (n + 1)
     q = np.arange(1, n + 1) * h
     diag = 2.0 / h ** 2 + np.array([potential_v(float(x), 1.0) for x in q])
-    off = np.full(n - 1, -1.0 / h ** 2)
-    lam = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
+    off2 = np.full(n - 1, 1.0 / h ** 4)
+    # Gershgorin: every eigenvalue lies within 2/h^2 of the diagonal range
+    lo = float(diag.min()) - 2.0 / h ** 2
+    hi = float(diag.max()) + 2.0 / h ** 2
+    assert _sturm_counts(diag, off2, np.array([lo, hi])).tolist() == [0, n]
+    lam = _sturm_lowest(diag, off2, lo, hi, tol=1e-10)
     assert lam / 2.0 == pytest.approx(DENSE_GAMMA_D1, abs=1e-8)
     assert gamma_bound(1.0) == pytest.approx(lam / 2.0, abs=1e-6)
 

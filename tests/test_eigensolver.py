@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from relhur import (
     EigenResult,
@@ -19,6 +20,7 @@ from relhur import (
     ground_state,
     moment,
 )
+from relhur.radial_eigensolver import _simpson
 
 S_ULTRA = 0.5 * (math.sqrt(5.0) - 1.0)
 TOL = 1e-7
@@ -144,3 +146,13 @@ def test_diagnostics_fields():
     assert res.diagnostics.grid_size >= 200
     assert res.diagnostics.q_max == pytest.approx(10.0)
     assert 0.0 <= res.diagnostics.est_error <= TOL
+
+
+@pytest.mark.parametrize("points", [3, 4, 5, 6, 101, 1000, 8001])
+def test_simpson_matches_scipy(points):
+    # odd counts are plain composite Simpson, even counts add the end
+    # correction; both must agree with scipy's rule on a uniform grid
+    x = np.linspace(0.1, 7.0, points)
+    h = float(x[1] - x[0])
+    for y in (np.exp(-x * x) * x ** 1.5, np.cos(3.0 * x) + x ** 3):
+        assert _simpson(y, h) == pytest.approx(simpson(y, dx=h), rel=1e-14)
