@@ -9,7 +9,8 @@ localized free-electron packet.
 Layout:
 
     specfun             gamma function and modified Bessel K0, K1, K2
-    quadrature          adaptive Gauss-Kronrod panels on [0, inf) and 2D
+    quadrature          adaptive panels of paired Gauss-Legendre rules
+                        (G15 value, G7 error) on [0, inf) and 2D
     radial_eigensolver  lowest eigenvalue of radial Schrodinger operators
     rel_uncertainty     the bound curve gamma(d) and its two limits
     dirac_states        bispinor fields and the dispersion functional

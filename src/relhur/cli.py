@@ -326,6 +326,11 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"relhur {args.subcommand}: numerical failure in "
               f"quadrature: {exc}", file=sys.stderr)
         return 1
+    except ArithmeticError as exc:
+        # includes the hydrogen oracle's failed symmetry checks
+        print(f"relhur {args.subcommand}: numerical failure: {exc}",
+              file=sys.stderr)
+        return 1
     except ValueError as exc:
         # out-of-domain parameters (includes hydrogen.DivergenceError)
         print(f"relhur {args.subcommand}: {exc}", file=sys.stderr)

@@ -5,9 +5,8 @@ The state's four momentum-space components are
     (1, 0, (E - p_z)/m, -(p_x + i p_y)/m) * e^{-a E} / E,
 
 with m = 1 internally and the width a in Compton-wavelength units.  Its
-density simplifies to (2/m^2) e^{-2aE} (E - p_z)/E; the fast path using
-that form is verified once per process against the component-wise sum at
-seeded random points before first use.
+density simplifies to (2/m^2) e^{-2aE} (E - p_z)/E; the quadratures use
+that form directly, and the tests check it against the component-wise sum.
 
 Dispersions are computed from direct analytic momentum-gradients of the
 explicit components (Parseval: <r^2> = integral of sum |grad_p psi|^2),
@@ -17,8 +16,10 @@ positive-energy bispinor basis is exported through amplitude_pair() so the
 general dispersion functional can serve as an independent cross-check.
 
 The azimuthal dependence of every integrand lives in explicit e^{i k phi}
-factors with |k| <= 2, so an 8-node trapezoid in phi is exact and the
-remaining (p, theta) integral goes to the adaptive 2D quadrature.
+factors with |k| <= 2, so an 8-node trapezoid in phi is exact; it is
+evaluated on the whole (theta, phi) grid of a quadrature panel in one
+broadcast NumPy pass, and the remaining (p, theta) integral goes to the
+adaptive 2D quadrature.
 """
 
 from __future__ import annotations
@@ -58,29 +59,21 @@ class SweepTable:
     limit_gamma: float = 1.5
 
 
-def _components(a: float, p: float, theta, phi: float):
-    """The four components at (p, theta, phi); theta may be an array."""
+def _components(a: float, p: float, theta, phi):
+    """The four components at (p, theta, phi), shape (4,) + the broadcast
+    shape of theta and phi."""
     e = math.hypot(1.0, p)
     ct = np.cos(theta)
     st = np.sin(theta)
     h = math.exp(-a * e) / e
-    eiphi = complex(math.cos(phi), math.sin(phi))
-    c0 = h * np.ones_like(ct, dtype=complex)
-    c1 = np.zeros_like(c0)
-    c2 = h * (e - p * ct) + 0j
-    c3 = -h * p * st * eiphi
-    return np.array([c0, c1, c2, c3])
+    eiphi = np.cos(phi) + 1j * np.sin(phi)
+    return np.stack(np.broadcast_arrays(h + 0j, 0j, h * (e - p * ct),
+                                        -h * p * st * eiphi))
 
 
 def momentum_bispinor(state: HopfionState, pt: MomentumPoint) -> Bispinor:
     """Unnormalized momentum-space components at a point."""
-    comps = _components(state.a, pt.p, np.array([pt.theta]), pt.phi)
-    return Bispinor(components=comps[:, 0])
-
-
-def _density_direct(a: float, p: float, theta: float, phi: float) -> float:
-    comps = _components(a, p, np.array([theta]), phi)
-    return float(np.sum(np.abs(comps[:, 0]) ** 2))
+    return Bispinor(components=_components(state.a, pt.p, pt.theta, pt.phi))
 
 
 def _density_fast(a: float, p: float, theta) -> np.ndarray | float:
@@ -88,37 +81,13 @@ def _density_fast(a: float, p: float, theta) -> np.ndarray | float:
     return 2.0 * math.exp(-2.0 * a * e) * (e - p * np.cos(theta)) / e
 
 
-_fast_path_checked = False
-
-
-def _check_fast_path() -> None:
-    """One-time verification of the simplified density at random points."""
-    global _fast_path_checked
-    if _fast_path_checked:
-        return
-    rng = np.random.default_rng(20260814)
-    for _ in range(100):
-        a = rng.uniform(0.1, 5.0)
-        p = rng.uniform(0.0, 8.0)
-        theta = rng.uniform(0.0, math.pi)
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        direct = _density_direct(a, p, theta, phi)
-        fast = float(_density_fast(a, p, theta))
-        if abs(fast - direct) > 1e-12 * max(direct, 1e-300):
-            raise AssertionError(
-                "simplified hopfion density disagrees with component sum")
-    _fast_path_checked = True
-
-
 def density(state: HopfionState, pt: MomentumPoint) -> float:
     """Momentum-space density summed over the four components."""
-    _check_fast_path()
     return float(_density_fast(state.a, pt.p, pt.theta))
 
 
 def norm_const(state: HopfionState, cfg: QuadConfig = QuadConfig()) -> float:
     """Squared norm integral of the unnormalized components (i.e. N^{-2})."""
-    _check_fast_path()
     cfg = cfg.validated()
     a = state.a
     # the integral scales like e^{-2a}; shrink abs_tol with it so the
@@ -196,7 +165,6 @@ def amplitude_pair(state: HopfionState) -> AmplitudePair:
         f_plus=f_plus, f_minus=f_minus,
         partials_plus=(dp_plus, dt_plus, df_plus),
         partials_minus=(dp_minus, dt_minus, df_minus),
-        phi_independent=False,
     )
 
 
@@ -212,12 +180,13 @@ def gamma_h(state: HopfionState,
     a = state.a
     if not (A_MIN <= a <= A_MAX):
         raise ValueError(f"a must lie in [{A_MIN}, {A_MAX}]")
-    _check_fast_path()
     cfg = cfg.validated()
     cfg = dataclasses.replace(cfg, decay_scale=_decay_scale(a))
 
     phis = np.linspace(0.0, 2.0 * math.pi, _N_PHI, endpoint=False)
     w_phi = 2.0 * math.pi / _N_PHI
+    cp, sp = np.cos(phis), np.sin(phis)
+    eiphi = cp + 1j * sp
 
     def rows(p: float, thetas: np.ndarray) -> np.ndarray:
         e = math.hypot(1.0, p)
@@ -247,34 +216,25 @@ def gamma_h(state: HopfionState,
         out[5] = 2.0 * math.pi * p ** 3 * st * ct * dens
         # <p_x>, <p_y> vanish analytically (density phi-independent); the
         # 8-node phi sum below reproduces that to roundoff for <r>.
-        for phi in phis:
-            psi = _components(a, p, thetas, phi)
-            eiphi = complex(math.cos(phi), math.sin(phi))
-            dpsi_p = np.array([
-                dh + 0j * ct,
-                np.zeros_like(ct, dtype=complex),
-                d_p2 + 0j,
-                -st * eiphi * (dh * p + h),
-            ])
-            dpsi_t = np.array([
-                np.zeros_like(ct, dtype=complex),
-                np.zeros_like(ct, dtype=complex),
-                d_t2 + 0j,
-                -h * p * ct * eiphi,
-            ])
-            dpsi_f = np.array([
-                np.zeros_like(ct, dtype=complex),
-                np.zeros_like(ct, dtype=complex),
-                np.zeros_like(ct, dtype=complex),
-                -1j * h * p * st * eiphi,
-            ])
-            a_p = -np.sum(np.conj(psi) * dpsi_p, axis=0).imag
-            a_t = -np.sum(np.conj(psi) * dpsi_t, axis=0).imag / p
-            a_f = -np.sum(np.conj(psi) * dpsi_f, axis=0).imag / (p * st)
-            cp, sp = math.cos(phi), math.sin(phi)
-            out[6] += w_phi * p * p * st * (a_p * st * cp + a_t * ct * cp - a_f * sp)
-            out[7] += w_phi * p * p * st * (a_p * st * sp + a_t * ct * sp + a_f * cp)
-            out[8] += w_phi * p * p * st * (a_p * ct - a_t * st)
+        # Gradients of the components on the (theta, phi) grid, shape
+        # (d_p / d_theta / d_phi, component, theta, phi).
+        ct2, st2 = ct[:, None], st[:, None]
+        psi = _components(a, p, thetas[:, None], phis)
+        dpsi = np.zeros((3,) + psi.shape, dtype=complex)
+        dpsi[0, 0] = dh
+        dpsi[0, 2] = d_p2[:, None]
+        dpsi[0, 3] = -st2 * eiphi * (dh * p + h)
+        dpsi[1, 2] = d_t2[:, None]
+        dpsi[1, 3] = -h * p * ct2 * eiphi
+        dpsi[2, 3] = -1j * h * p * st2 * eiphi
+        a_p, a_t, a_f = -np.sum(np.conj(psi) * dpsi, axis=1).imag
+        a_t = a_t / p
+        a_f = a_f / (p * st2)
+        out[6] = w_phi * p * p * st * np.sum(
+            a_p * st2 * cp + a_t * ct2 * cp - a_f * sp, axis=1)
+        out[7] = w_phi * p * p * st * np.sum(
+            a_p * st2 * sp + a_t * ct2 * sp + a_f * cp, axis=1)
+        out[8] = w_phi * p * p * st * np.sum(a_p * ct2 - a_t * st2, axis=1)
         return out
 
     vals, errs, _ = _integrate_2d_rows(rows, cfg, 9, control_rows=[0, 1, 2])

@@ -1,18 +1,20 @@
 """Adaptive quadrature over [0, inf) and [0, inf) x [0, pi].
 
-Panels carry an embedded Gauss pair: the 15-point Gauss-Legendre value is
-kept, the 7-point value supplies the error estimate |G15 - G7|.  All nodes
-are interior, so integrable endpoint behaviour (up to x**-0.5 at the
-origin) never gets evaluated at the singular point itself.
+Each panel carries two separate Gauss-Legendre rules: the 15-point value is
+kept, the 7-point value supplies the error estimate |G15 - G7|.  The rules
+share no nodes, so a panel costs 22 evaluations, made in one call of the
+integrand on the concatenated G15 + G7 abscissae.  All nodes are interior,
+so integrable endpoint behaviour (up to x**-0.5 at the origin) never gets
+evaluated at the singular point itself.
 
 The half line is folded onto t in [0, 1) with
 
     x = decay_scale * t / (1 - t),    dx = decay_scale / (1 - t)**2 dt
 
 so a decay_scale matched to the integrand's natural width keeps the panel
-count small.  Integrands are called with numpy arrays of abscissae and are
-expected to evaluate elementwise; plain scalar callables are detected and
-wrapped.
+count small.  Integrands are called once per panel with a numpy array of
+the panel's 22 abscissae and are expected to evaluate elementwise; the
+public entry points also accept plain scalar callables and wrap them.
 
 The 2D rule is a tensor product: adaptive panels along the radial axis,
 and for every radial node an adaptive sweep over the angular interval
@@ -37,6 +39,8 @@ __all__ = [
 
 _G15_NODES, _G15_WEIGHTS = np.polynomial.legendre.leggauss(15)
 _G7_NODES, _G7_WEIGHTS = np.polynomial.legendre.leggauss(7)
+_PANEL_NODES = np.concatenate([_G15_NODES, _G7_NODES])
+_N15 = _G15_NODES.size
 
 THETA_MAX = math.pi
 
@@ -109,23 +113,23 @@ def _as_vectorized(f):
 
 
 def _panel_eval(fvec, a, b, n_rows):
-    """One panel: G15 value and |G15 - G7| estimate, both shape (n_rows,)."""
+    """One panel: G15 value and |G15 - G7| estimate, both shape (n_rows,).
+
+    The integrand is called once, on the 15 + 7 nodes side by side.
+    """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    x15 = mid + half * _G15_NODES
-    x7 = mid + half * _G7_NODES
-    y15 = np.atleast_2d(fvec(x15))
-    y7 = np.atleast_2d(fvec(x7))
-    if not (np.all(np.isfinite(y15)) and np.all(np.isfinite(y7))):
+    y = np.atleast_2d(fvec(mid + half * _PANEL_NODES))
+    if not np.all(np.isfinite(y)):
         raise QuadratureError(
             f"integrand returned a non-finite value inside [{a:g}, {b:g}]"
         )
-    i15 = half * (y15 @ _G15_WEIGHTS)
-    i7 = half * (y7 @ _G7_WEIGHTS)
-    err = np.abs(i15 - i7)
-    if i15.shape[0] != n_rows or i7.shape[0] != n_rows:
-        raise ValueError("integrand returned an unexpected number of rows")
-    return i15, err, x15.size + x7.size
+    if y.shape != (n_rows, _PANEL_NODES.size):
+        raise ValueError(f"integrand returned shape {y.shape}, expected "
+                         f"({n_rows}, {_PANEL_NODES.size})")
+    i15 = half * (y[:, :_N15] @ _G15_WEIGHTS)
+    i7 = half * (y[:, _N15:] @ _G7_WEIGHTS)
+    return i15, np.abs(i15 - i7), _PANEL_NODES.size
 
 
 def _adaptive_rows(fvec, a, b, abs_tol, rel_tol, max_subdivisions, n_rows,

@@ -6,6 +6,7 @@ installed console script end to end through a real subprocess.
 
 import json
 import math
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -188,6 +189,26 @@ def test_usage_errors_exit_2(capsys, argv):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["hydrogen", "--Z", "80", "--oracle"],
+    ["verify"],
+])
+def test_oracle_arithmetic_error_exits_1(capsys, monkeypatch, argv):
+    import relhur.hydrogen
+
+    def broken(*args, **kwargs):
+        raise ArithmeticError("<z> = 1.000e-03 violates the "
+                              "spherical-symmetry check")
+
+    monkeypatch.setattr(relhur.hydrogen, "oracle_gamma", broken)
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (f"relhur {argv[0]}: numerical failure: <z> = "
+                            "1.000e-03 violates the spherical-symmetry check\n")
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
@@ -210,3 +231,15 @@ def test_import_skips_scipy_integrate():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout == "False\n"
+
+
+def test_library_source_draws_no_random_numbers():
+    # results must not depend on hidden random state: no RNG in src/relhur
+    import relhur
+
+    src = pathlib.Path(relhur.__file__).parent
+    hits = [f"{path.name}: {pattern}"
+            for path in sorted(src.glob("*.py"))
+            for pattern in ("import random", "np.random", "default_rng")
+            if pattern in path.read_text()]
+    assert hits == []

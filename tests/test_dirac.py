@@ -200,20 +200,62 @@ def test_gamma_above_three_halves():
         assert rep.gamma > 1.5
 
 
-def test_phi_dependent_amplitude_consistency():
-    # e^{i phi} sin(theta) spin-down partner exercises the general phi path;
-    # the declared-flag run and the probed run must agree exactly
-    def f_minus(p, thetas, phi):
-        return (np.sin(thetas) * p * math.exp(-0.5 * p * p)
-                * complex(math.cos(phi), math.sin(phi)))
+def _phi_dependent_minus(p, thetas, phi):
+    return np.sin(thetas) * p * math.exp(-0.5 * p * p) * np.exp(1j * phi)
 
-    amp_probe = AmplitudePair(f_plus=_gaussian, f_minus=f_minus)
-    amp_flag = AmplitudePair(f_plus=_gaussian, f_minus=f_minus,
-                             phi_independent=False)
-    rep1 = dispersion_functional(amp_probe)
-    rep2 = dispersion_functional(amp_flag)
-    assert rep1.gamma == rep2.gamma
-    assert rep1.gamma > 1.5
+
+def test_phi_dependent_amplitude_consistency():
+    # an e^{i phi} sin(theta) spin-down partner exercises the phi sum; a
+    # rotation about z by beta, f'_s(p, theta, phi) = e^{-i s beta/2}
+    # f_s(p, theta, phi - beta), must leave the dispersions unchanged and
+    # rotate <p> by R_z(beta).  The spin phase is part of the rotation: a
+    # bare phi shift is not a symmetry of the state.
+    beta = 0.7
+
+    def rotated(f, s):
+        phase = np.exp(-0.5j * s * beta)
+        return lambda p, thetas, phi: phase * f(p, thetas, phi - beta)
+
+    base = dispersion_functional(
+        AmplitudePair(f_plus=_gaussian, f_minus=_phi_dependent_minus))
+    rot = dispersion_functional(
+        AmplitudePair(f_plus=rotated(_gaussian, +1),
+                      f_minus=rotated(_phi_dependent_minus, -1)))
+    assert rot.norm_sq == pytest.approx(base.norm_sq, rel=1e-10)
+    assert rot.delta_r_sq == pytest.approx(base.delta_r_sq, rel=1e-10)
+    assert rot.delta_p_sq == pytest.approx(base.delta_p_sq, rel=1e-10)
+    c, s = math.cos(beta), math.sin(beta)
+    r_z = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    assert np.max(np.abs(rot.mean_p - r_z @ base.mean_p)) <= 1e-12
+    assert base.gamma > 1.5
+
+
+def test_phi_free_amplitude_broadcasts():
+    # a phi-free amplitude may return (n_theta, 1); the report must not
+    # depend on whether it does or returns the full (n_theta, n_phi) grid
+    def column(p, thetas, phi):
+        return np.exp(-0.5 * p * p - 0.3 * np.cos(thetas)) + 0j * thetas
+
+    def grid(p, thetas, phi):
+        return column(p, thetas, phi) + 0.0 * phi
+
+    narrow = dispersion_functional(AmplitudePair(f_plus=column))
+    wide = dispersion_functional(AmplitudePair(f_plus=grid))
+    assert column(1.0, np.zeros((3, 1)), np.zeros((1, 64))).shape == (3, 1)
+    for field in ("norm_sq", "delta_r_sq", "delta_p_sq", "gamma"):
+        assert getattr(narrow, field) == getattr(wide, field)
+    assert np.array_equal(narrow.mean_p, wide.mean_p)
+    assert np.array_equal(narrow.mean_r, wide.mean_r)
+
+
+@pytest.mark.parametrize("bad", [
+    lambda p, th, ph: np.ones(3, dtype=complex),
+    lambda p, th, ph: np.ones((th.shape[0] + 1, 1), dtype=complex),
+    lambda p, th, ph: np.ones(th.shape[0], dtype=complex),
+])
+def test_rejects_amplitude_of_wrong_shape(bad):
+    with pytest.raises(ValueError, match="broadcast"):
+        dispersion_functional(AmplitudePair(f_plus=bad))
 
 
 def test_rejects_empty_pair():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from relhur import (
+    AmplitudePair,
     HopfionState,
     MomentumPoint,
     QuadConfig,
@@ -118,6 +119,18 @@ def test_amplitude_route_matches_direct():
     assert amp_rep.delta_r_sq == pytest.approx(direct.delta_r_sq, rel=1e-8)
     assert amp_rep.delta_p_sq == pytest.approx(direct.delta_p_sq, rel=1e-8)
     assert amp_rep.mean_p[2] == pytest.approx(direct.mean_p[2], abs=1e-9)
+
+
+def test_numeric_partials_match_analytic():
+    # the same phi-dependent amplitudes without their analytic partials go
+    # through the functional's central differences on the broadcast grid
+    amp = amplitude_pair(HopfionState(1.0))
+    analytic = dispersion_functional(amp)
+    numeric = dispersion_functional(
+        AmplitudePair(f_plus=amp.f_plus, f_minus=amp.f_minus))
+    assert numeric.norm_sq == pytest.approx(analytic.norm_sq, rel=1e-9)
+    assert numeric.delta_r_sq == pytest.approx(analytic.delta_r_sq, rel=1e-9)
+    assert numeric.delta_p_sq == pytest.approx(analytic.delta_p_sq, rel=1e-9)
 
 
 def test_amplitude_partials_match_central_differences():

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -118,3 +119,30 @@ def test_determinism():
     assert r1.value == r2.value
     assert r1.est_abs_error == r2.est_abs_error
     assert r1.evaluations == r2.evaluations
+
+
+def test_one_integrand_call_per_panel():
+    # each panel evaluates its G15 and G7 nodes in a single call
+    calls = []
+
+    def counted(xs):
+        calls.append(xs.size)
+        return np.exp(-xs) / np.sqrt(xs)
+
+    res = integrate_semi_infinite(counted, CFG)
+    assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-8)
+    assert set(calls) == {22}
+    assert len(calls) > 1
+    assert len(calls) == res.evaluations // 22
+    assert res.evaluations % 22 == 0
+
+    def counted_2d(p, ths):
+        calls.append(ths.size)
+        return math.exp(-p) * np.ones_like(ths)
+
+    calls.clear()
+    res = integrate_2d(counted_2d, CFG)
+    assert res.value == pytest.approx(math.pi, rel=1e-9)
+    assert set(calls) == {22}
+    assert len(calls) == res.evaluations // 22
+    assert res.evaluations % 22 == 0
