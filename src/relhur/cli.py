@@ -76,6 +76,15 @@ def _csv_doc(rows: Sequence[tuple[object, object, object]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _grid_doc(rows: Sequence[tuple[float, float, float]],
+              fmt: str | None) -> str:
+    """(param, gamma, err_est) rows over a grid: CSV unless fmt is json."""
+    if fmt == "json":
+        return _json_rows([[("param", p), ("gamma", g), ("err_est", e)]
+                           for p, g, e in rows])
+    return _csv_doc(rows)
+
+
 def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise _UsageError(f"{name} must be finite, got {value!r}")
@@ -124,13 +133,7 @@ def _cmd_sweep(args) -> tuple[str, int]:
         raise _UsageError("--d-min must be non-negative")
     reps = [_bound.gamma_bound_report(d, tol=BOUND_TOL) for d in ds]
     rows = [(r.d, r.gamma, r.est_error) for r in reps]
-    fmt = args.format or "csv"
-    if fmt == "csv":
-        doc = _csv_doc(rows)
-    else:
-        doc = _json_rows([[("param", p), ("gamma", g), ("err_est", e)]
-                          for p, g, e in rows])
-    return doc, 0
+    return _grid_doc(rows, args.format), 0
 
 
 def _cmd_hydrogen(args) -> tuple[str, int]:
@@ -157,14 +160,14 @@ def _cmd_hydrogen(args) -> tuple[str, int]:
 def _cmd_hopfion(args) -> tuple[str, int]:
     curve_flags = (args.a_min is not None, args.a_max is not None,
                    args.points is not None)
+    rel_tol = QuadConfig().rel_tol
     if args.a is not None:
         if any(curve_flags):
             raise _UsageError("--a conflicts with --a-min/--a-max/--points")
         a = _require_finite("--a", args.a)
         rep = _hopfion.gamma_h(_hopfion.HopfionState(a))
         fmt = args.format or "json"
-        cfg = QuadConfig()
-        err = cfg.rel_tol * rep.gamma
+        err = rel_tol * rep.gamma
         if fmt == "json":
             doc = _json_doc([("a", a), ("gamma", rep.gamma),
                              ("delta_r_sq", rep.delta_r_sq),
@@ -176,17 +179,9 @@ def _cmd_hopfion(args) -> tuple[str, int]:
     if not all(curve_flags):
         raise _UsageError("provide either --a or all of --a-min/--a-max/--points")
     a_grid = _grid(args.a_min, args.a_max, args.points, log=False)
-    cfg = QuadConfig()
-    reps = [_hopfion.gamma_h(_hopfion.HopfionState(a), cfg) for a in a_grid]
-    rows = [(a, r.gamma, cfg.rel_tol * r.gamma)
-            for a, r in zip(a_grid, reps)]
-    fmt = args.format or "csv"
-    if fmt == "csv":
-        doc = _csv_doc(rows)
-    else:
-        doc = _json_rows([[("param", p), ("gamma", g), ("err_est", e)]
-                          for p, g, e in rows])
-    return doc, 0
+    reps = [_hopfion.gamma_h(_hopfion.HopfionState(a)) for a in a_grid]
+    rows = [(a, r.gamma, rel_tol * r.gamma) for a, r in zip(a_grid, reps)]
+    return _grid_doc(rows, args.format), 0
 
 
 def _verify_rows(strict: bool) -> list[tuple[str, float, float, float, bool]]:

@@ -43,7 +43,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .quadrature import QuadConfig, _integrate_2d_rows
+from .quadrature import QuadConfig, integrate_2d
 
 _N_PHI = 64
 
@@ -312,7 +312,7 @@ def dispersion_functional(amp: AmplitudePair, cfg: QuadConfig = QuadConfig(),
         out[8] = phi_sum(p * p * st * (a_p * ct - a_t * st))
         return out
 
-    vals, errs, n_evals = _integrate_2d_rows(rows, cfg, 9, control_rows=[0, 1, 2])
+    vals = integrate_2d(rows, cfg, control_rows=[0, 1, 2]).value
 
     norm_sq = float(vals[0])
     if not (norm_sq > 0.0) or not math.isfinite(norm_sq):

@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dirac_states import AmplitudePair, Bispinor, DispersionReport, MomentumPoint
-from .quadrature import QuadConfig, _integrate_2d_rows
+from .quadrature import QuadConfig, integrate_2d
 from .specfun import bessel_k
 
 _N_PHI = 8
@@ -97,10 +97,9 @@ def norm_const(state: HopfionState, cfg: QuadConfig = QuadConfig()) -> float:
                               abs_tol=cfg.abs_tol * min(1.0, abs_scale))
 
     def rows(p, thetas):
-        return (p * p * np.sin(thetas) * _density_fast(a, p, thetas))[None, :]
+        return p * p * np.sin(thetas) * _density_fast(a, p, thetas)
 
-    vals, errs, _ = _integrate_2d_rows(rows, cfg, 1)
-    return float(2.0 * math.pi * vals[0])
+    return float(2.0 * math.pi * integrate_2d(rows, cfg).value)
 
 
 def norm_bessel_ratio(state: HopfionState,
@@ -237,7 +236,7 @@ def gamma_h(state: HopfionState,
         out[8] = w_phi * p * p * st * np.sum(a_p * ct2 - a_t * st2, axis=1)
         return out
 
-    vals, errs, _ = _integrate_2d_rows(rows, cfg, 9, control_rows=[0, 1, 2])
+    vals = integrate_2d(rows, cfg, control_rows=[0, 1, 2]).value
     norm_sq = float(vals[0])
     if not (norm_sq > 0.0) or not math.isfinite(norm_sq):
         raise ValueError("hopfion norm integral is invalid")

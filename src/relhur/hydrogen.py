@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dirac_states import Bispinor, DispersionReport
-from .quadrature import QuadConfig, _integrate_2d_rows
+from .quadrature import QuadConfig, integrate_2d
 from .specfun import gamma_fn
 
 ALPHA_FS = 7.2973525693e-3  # CODATA 2018 fine-structure constant
@@ -245,7 +245,7 @@ def oracle_gamma(gamma_c: float, cfg: QuadConfig = QuadConfig()) -> DispersionRe
         out[4] = two_pi * n_sq * r * b * pz * st
         return out
 
-    vals, errs, _ = _integrate_2d_rows(rows, cfg, 5, control_rows=[0, 1, 2])
+    vals = integrate_2d(rows, cfg, control_rows=[0, 1, 2]).value
     norm = float(vals[0])
     if not (norm > 0.0) or not math.isfinite(norm):
         raise ArithmeticError("normalization integral came out invalid")

@@ -13,8 +13,10 @@ The half line is folded onto t in [0, 1) with
 
 so a decay_scale matched to the integrand's natural width keeps the panel
 count small.  Integrands are called once per panel with a numpy array of
-the panel's 22 abscissae and are expected to evaluate elementwise; the
-public entry points also accept plain scalar callables and wrap them.
+the panel's 22 abscissae and return shape (22,), or (n_rows, 22) to
+integrate n_rows functions on the same panels; any other shape raises
+ValueError.  The row count is read from the output, and results take the
+shape of one output column.
 
 The 2D rule is a tensor product: adaptive panels along the radial axis,
 and for every radial node an adaptive sweep over the angular interval
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -64,16 +66,21 @@ class QuadConfig:
 
 @dataclass(frozen=True)
 class QuadResult:
-    value: float
-    est_abs_error: float
+    """value and est_abs_error are shaped like one column of the integrand's
+    output: a NumPy float for an (n,) integrand, an (n_rows,) array for an
+    (n_rows, n) one."""
+
+    value: np.floating | np.ndarray
+    est_abs_error: np.floating | np.ndarray
     evaluations: int
 
 
 class QuadratureError(RuntimeError):
     """Raised when the panel budget runs out before tolerances are met.
 
-    At the public entry points, best carries the partial QuadResult
-    accumulated so far (None when no sound whole-domain estimate exists).
+    best carries the partial QuadResult accumulated so far, or None when no
+    whole-domain estimate exists (a non-finite integrand value, or an inner
+    theta sweep of integrate_2d that ran out of panels).
     """
 
     def __init__(self, message, best=None):
@@ -81,84 +88,70 @@ class QuadratureError(RuntimeError):
         self.best = best
 
 
-def _reraise_with_best(exc: "QuadratureError", expect_rows: int, row: int = 0):
-    """Re-raise with the internal row tuple converted to a QuadResult."""
-    best = None
-    if isinstance(exc.best, tuple) and len(exc.best) == 3:
-        total, toterr, n_evals = exc.best
-        total = np.atleast_1d(np.asarray(total, dtype=float))
-        toterr = np.atleast_1d(np.asarray(toterr, dtype=float))
-        # a tuple with fewer rows came from an inner sub-integral and does
-        # not estimate the whole domain
-        if total.shape[0] >= expect_rows:
-            best = QuadResult(value=float(total[row]),
-                              est_abs_error=float(toterr[row]),
-                              evaluations=int(n_evals))
-    raise QuadratureError(str(exc), best=best) from exc
+def _checked(y, n: int) -> np.ndarray:
+    """The integrand's return value for n nodes; shape (n,) or (n_rows, n)."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim not in (1, 2) or y.shape[-1] != n:
+        raise ValueError(f"integrand returned shape {y.shape}, expected "
+                         f"({n},) or (n_rows, {n})")
+    return y
 
 
-def _as_vectorized(f):
-    """Accept either array-aware or scalar callables."""
-
-    def call(xs):
-        try:
-            out = np.asarray(f(xs), dtype=float)
-            if out.shape == xs.shape:
-                return out
-        except (TypeError, ValueError):
-            pass
-        return np.array([float(f(x)) for x in xs], dtype=float)
-
-    return call
-
-
-def _panel_eval(fvec, a, b, n_rows):
-    """One panel: G15 value and |G15 - G7| estimate, both shape (n_rows,).
+def _panel_eval(fvec, a, b):
+    """One panel: G15 value and |G15 - G7| estimate, both shape (n_rows,),
+    and the shape of one column of fvec's output.
 
     The integrand is called once, on the 15 + 7 nodes side by side.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    y = np.atleast_2d(fvec(mid + half * _PANEL_NODES))
+    y = fvec(mid + half * _PANEL_NODES)
     if not np.all(np.isfinite(y)):
         raise QuadratureError(
             f"integrand returned a non-finite value inside [{a:g}, {b:g}]"
         )
-    if y.shape != (n_rows, _PANEL_NODES.size):
-        raise ValueError(f"integrand returned shape {y.shape}, expected "
-                         f"({n_rows}, {_PANEL_NODES.size})")
-    i15 = half * (y[:, :_N15] @ _G15_WEIGHTS)
-    i7 = half * (y[:, _N15:] @ _G7_WEIGHTS)
-    return i15, np.abs(i15 - i7), _PANEL_NODES.size
+    rows = np.atleast_2d(y)
+    i15 = half * (rows[:, :_N15] @ _G15_WEIGHTS)
+    i7 = half * (rows[:, _N15:] @ _G7_WEIGHTS)
+    return i15, np.abs(i15 - i7), y.shape[:-1]
 
 
-def _adaptive_rows(fvec, a, b, abs_tol, rel_tol, max_subdivisions, n_rows,
-                   control_rows=None):
-    """Adaptive bisection of [a, b] for a row-vector integrand.
+def _column(x: np.ndarray, col: tuple):
+    """Row totals x of shape (n_rows,) in the shape col of one column."""
+    return x if col else x[0]
 
-    fvec(xs) -> array (n_rows, len(xs)).  Refinement is driven by the rows
-    listed in control_rows (default: all); the remaining rows ride along.
-    Returns (value, err, n_evals) with value/err of shape (n_rows,).
+
+def _adaptive(fvec, a, b, abs_tol, rel_tol, max_subdivisions,
+              control_rows=slice(None)):
+    """Adaptive bisection of [a, b] for an integrand fvec(xs) of shape
+    (n,) or (n_rows, n).
+
+    Refinement is driven by the rows that control_rows (a list of row
+    indices or a slice) selects; the remaining rows ride along.  Returns
+    (value, err, n_evals), value and err shaped like one column of fvec's
+    output.  On an exhausted budget the QuadratureError carries the same
+    triple, accumulated so far, in best.
     """
-    if control_rows is None:
-        control_rows = list(range(n_rows))
-    val, err, n_evals = _panel_eval(fvec, a, b, n_rows)
+    val, err, col = _panel_eval(fvec, a, b)
+    n_evals = _PANEL_NODES.size
+    if isinstance(control_rows, slice):
+        control_rows = range(val.size)[control_rows]
     panels = [(a, b, val, err)]
     while True:
-        total = np.zeros(n_rows)
-        toterr = np.zeros(n_rows)
+        total = np.zeros(val.size)
+        toterr = np.zeros(val.size)
         # fixed summation order keeps reruns byte-identical
         for pa, _, pv, pe in sorted(panels, key=lambda p: p[0]):
             total += pv
             toterr += pe
         bound = np.maximum(abs_tol, rel_tol * np.abs(total))
         if all(toterr[r] <= bound[r] for r in control_rows):
-            return total, toterr, n_evals
+            return _column(total, col), _column(toterr, col), n_evals
         if len(panels) >= max_subdivisions:
             raise QuadratureError(
                 f"exceeded {max_subdivisions} panels on [{a:g}, {b:g}] "
                 f"(abs_tol={abs_tol:g}, rel_tol={rel_tol:g})",
-                best=(total, toterr, n_evals),
+                best=(_column(total, col), _column(toterr, col), n_evals),
             )
         worst_i = 0
         worst_key = (-1.0, 0.0)
@@ -169,95 +162,94 @@ def _adaptive_rows(fvec, a, b, abs_tol, rel_tol, max_subdivisions, n_rows,
                 worst_i = i
         pa, pb, _, _ = panels.pop(worst_i)
         pm = 0.5 * (pa + pb)
-        v1, e1, n1 = _panel_eval(fvec, pa, pm, n_rows)
-        v2, e2, n2 = _panel_eval(fvec, pm, pb, n_rows)
-        n_evals += n1 + n2
+        v1, e1, _ = _panel_eval(fvec, pa, pm)
+        v2, e2, _ = _panel_eval(fvec, pm, pb)
+        n_evals += 2 * _PANEL_NODES.size
         panels.append((pa, pm, v1, e1))
         panels.append((pm, pb, v2, e2))
 
 
-def _semi_infinite_rows(fvec, cfg, n_rows, control_rows=None):
-    """Vector version of the half-line integral. fvec(xs) -> (n_rows, n)."""
+def _semi_infinite(f, cfg, control_rows=slice(None)):
+    """_adaptive over the half line, folded onto [0, 1)."""
     scale = cfg.decay_scale
 
     def mapped(ts):
         xs = scale * ts / (1.0 - ts)
         jac = scale / (1.0 - ts) ** 2
-        return np.atleast_2d(fvec(xs)) * jac
+        return _checked(f(xs), ts.size) * jac
 
-    # seed with two panels so the mapped tail is resolved early
-    return _adaptive_rows(
-        mapped, 0.0, 1.0, cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions,
-        n_rows, control_rows,
-    )
+    return _adaptive(mapped, 0.0, 1.0, cfg.abs_tol, cfg.rel_tol,
+                     cfg.max_subdivisions, control_rows)
 
 
 def integrate_semi_infinite(f: Callable, cfg: QuadConfig = QuadConfig()) -> QuadResult:
     """Integral of f over [0, inf).
 
-    f may have an integrable singularity at 0 no stronger than x**-0.5 and
-    must decay at least exponentially at infinity.
+    f is called with an array xs of abscissae and returns shape (len(xs),),
+    or (n_rows, len(xs)) for several integrands at once; any other shape
+    raises ValueError.  f may have an integrable singularity at 0 no
+    stronger than x**-0.5 and must decay at least exponentially at infinity.
     """
     cfg = cfg.validated()
-    fv = _as_vectorized(f)
     try:
-        val, err, n = _semi_infinite_rows(lambda xs: fv(xs)[None, :], cfg, 1)
+        return QuadResult(*_semi_infinite(f, cfg))
     except QuadratureError as exc:
-        _reraise_with_best(exc, 1)
-    return QuadResult(value=float(val[0]), est_abs_error=float(err[0]),
-                      evaluations=n)
+        if exc.best is not None:
+            exc.best = QuadResult(*exc.best)
+        raise
 
 
-def _integrate_2d_rows(f2, cfg, n_rows, control_rows=None):
-    """Tensor-product integral of a row-vector integrand over
-    [0, inf) x [0, THETA_MAX].  f2(p_scalar, thetas) -> (n_rows, len(thetas))."""
-    if control_rows is None:
-        control_rows = list(range(n_rows))
-    inner_abs = 0.1 * cfg.abs_tol
-    inner_rel = 0.1 * cfg.rel_tol
-    evals = [0]
-
-    def outer(ps):
-        cols = []
-        for p in ps:
-            v, e, n = _adaptive_rows(
-                lambda ths, p=p: f2(p, ths),
-                0.0, THETA_MAX, inner_abs, inner_rel, cfg.max_subdivisions,
-                n_rows, control_rows,
-            )
-            evals[0] += n
-            cols.append(np.concatenate([v, [float(np.max(e))]]))
-        return np.array(cols).T  # (n_rows + 1, len(ps))
-
-    val, err, n_outer = _semi_infinite_rows(
-        outer, cfg, n_rows + 1, control_rows=list(control_rows),
-    )
-    # the appended row integrates the inner error estimates over p
-    inner_err = abs(val[n_rows]) + err[n_rows]
-    return val[:n_rows], err[:n_rows] + inner_err, evals[0]
-
-
-def integrate_2d(f: Callable, cfg: QuadConfig = QuadConfig()) -> QuadResult:
+def integrate_2d(f: Callable, cfg: QuadConfig = QuadConfig(),
+                 control_rows: Sequence[int] | None = None) -> QuadResult:
     """Integral of f(p, theta) over p in [0, inf), theta in [0, pi].
 
     The measure is plain dp dtheta; any p**2 sin(theta) weight belongs to
     the integrand.  f is called with a scalar p and an array of thetas and
-    must evaluate elementwise.
+    returns shape (len(thetas),), or (n_rows, len(thetas)) for several
+    integrals at once; any other shape raises ValueError.  Refinement on
+    both axes is driven by the rows listed in control_rows (default: all);
+    the others are integrated on the same panels.  The reported error adds
+    the integral of the inner theta-sweep errors over p.
     """
     cfg = cfg.validated()
+    inner_abs = 0.1 * cfg.abs_tol
+    inner_rel = 0.1 * cfg.rel_tol
+    # the outer sweep's last row, the integrated inner error estimates,
+    # never drives refinement
+    inner_control = slice(None) if control_rows is None else control_rows
+    outer_control = slice(-1) if control_rows is None else control_rows
+    evals = 0
+    col = ()
 
-    def f2(p, ths):
-        try:
-            out = np.asarray(f(p, ths), dtype=float)
-        except (TypeError, ValueError):
-            out = None
-        if out is None or out.shape != ths.shape:
-            out = np.array([float(f(p, t)) for t in ths], dtype=float)
-        return out[None, :]
+    def outer(ps):
+        nonlocal evals, col
+        vals, errs = [], []
+        for p in ps:
+            try:
+                v, e, n = _adaptive(
+                    lambda ths, p=p: _checked(f(p, ths), ths.size),
+                    0.0, THETA_MAX, inner_abs, inner_rel,
+                    cfg.max_subdivisions, inner_control,
+                )
+            except QuadratureError as exc:
+                exc.best = None  # one theta sweep is no whole-domain estimate
+                raise
+            evals += n
+            vals.append(v)
+            errs.append(e.max())
+        col = np.shape(v)
+        return np.column_stack((vals, errs)).T  # (n_rows + 1, len(ps))
+
+    def result(val, err, _):
+        # the last row integrates the inner error estimates over p
+        inner_err = abs(val[-1]) + err[-1]
+        return QuadResult(value=_column(val[:-1], col),
+                          est_abs_error=_column(err[:-1] + inner_err, col),
+                          evaluations=evals)
 
     try:
-        val, err, n = _integrate_2d_rows(f2, cfg, 1)
+        return result(*_semi_infinite(outer, cfg, outer_control))
     except QuadratureError as exc:
-        _reraise_with_best(exc, 2)  # outer rows: value + inner-error row
-    return QuadResult(value=float(val[0]), est_abs_error=float(err[0]),
-                      evaluations=n)
+        if exc.best is not None:
+            exc.best = result(*exc.best)
+        raise

@@ -20,7 +20,8 @@ lattice form chosen to annihilate the exact near-origin solution u ~ q^{s+1}:
 
 which restores clean O(h^2) convergence and lets Richardson do its job.
 
-Potentials and moment weights are evaluated once on the whole grid array.
+Potentials and moment weights are evaluated once on the whole grid array
+and must return an array of the grid's shape.
 Normalization integrates u^2 with a composite Simpson rule on [h, q_max]
 plus an exact power-law head on [0, h] (u ~ q^{s+1} there), meeting the
 1e-8 contract.
@@ -44,15 +45,15 @@ class SolverError(RuntimeError):
 class RadialPotential:
     """A radial potential with declared origin behavior.
 
-    evaluate(q) takes an array of q > 0 and returns V elementwise, finite
-    everywhere; singular_strength is the coefficient c of the 1/q^2 term as
-    q -> 0 (0 for regular potentials); confinement documents the required
-    V(q) -> q^2 growth at infinity.
+    evaluate(q) takes an array of q > 0 and returns V of the same shape,
+    finite everywhere (any other shape raises ValueError); singular_strength
+    is the coefficient c of the 1/q^2 term as q -> 0 (0 for regular
+    potentials).  V must grow like q^2 as q -> infinity, so the ground state
+    is confined and the Dirichlet truncation at q_max is harmless.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     singular_strength: float = 0.0
-    confinement: str = "V(q) -> q^2 as q -> infinity"
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,12 @@ def _origin_exponent(c: float) -> float:
 
 
 def _on_grid(fn: Callable, grid: np.ndarray) -> np.ndarray:
-    """fn evaluated on the grid array; a scalar result is broadcast."""
-    return np.broadcast_to(np.asarray(fn(grid), dtype=np.float64), grid.shape)
+    """fn evaluated on the grid array, which must return the grid's shape."""
+    v = np.asarray(fn(grid), dtype=np.float64)
+    if v.shape != grid.shape:
+        raise ValueError(f"function returned shape {v.shape} on a grid of "
+                         f"shape {grid.shape}")
+    return v
 
 
 def _simpson(y: np.ndarray, h: float) -> float:
@@ -196,31 +201,14 @@ def ground_state(pot: RadialPotential, q_max: float = 10.0, n: int = 4000,
     )
 
 
-def _probe_weight_exponent(weight: Callable) -> float:
-    """Estimated power of weight(q) ~ q^beta near the origin."""
-    qa, qb = 1e-3, 1e-4
-    wa, wb = weight(qa), weight(qb)
-    if not (math.isfinite(wa) and math.isfinite(wb)):
-        raise ValueError("weight is non-finite near the origin")
-    if wa == 0.0 or wb == 0.0:
-        return 0.0
-    beta = (math.log(abs(wb)) - math.log(abs(wa))) / (math.log(qb) - math.log(qa))
-    if abs(beta) < 1e-3:
-        return 0.0
-    return beta
-
-
 def moment(res: EigenResult, weight: Callable) -> float:
     """Integral of weight(q) f(q)^2 q^2 dq for a normalized EigenResult.
 
-    weight is called with two floats near the origin and once with the grid
-    array; a scalar result on the grid is broadcast.  Weights more singular
-    than 1/q^2 at the origin are rejected.
+    weight is called once, with the grid array, and must return an array of
+    the grid's shape (else ValueError).  Its power weight ~ q^beta at the
+    origin is read from the first two grid points; weights more singular
+    than 1/q^2 there are rejected.
     """
-    beta = _probe_weight_exponent(weight)
-    if beta < -2.0 - 1e-6:
-        raise ValueError("weight singular stronger than 1/q^2")
-
     grid = res.grid
     u_sq = (res.f_values * grid) ** 2
     w = _on_grid(weight, grid)
@@ -228,7 +216,12 @@ def moment(res: EigenResult, weight: Callable) -> float:
         raise ValueError("weight evaluated to a non-finite value on the grid")
 
     h = float(grid[0])
-    # Head exponent: u^2 ~ q^{2p}, weight ~ q^beta on [0, h].
+    # Head exponents from q = h, 2h: u^2 ~ q^{2p}, weight ~ q^beta on [0, h].
+    beta = 0.0
+    if w[0] != 0.0 and w[1] != 0.0:
+        beta = math.log(abs(w[1] / w[0])) / math.log(2.0)
+    if beta < -2.0 - 1e-6:
+        raise ValueError("weight singular stronger than 1/q^2")
     p = math.log(max(u_sq[1], 1e-300) / max(u_sq[0], 1e-300)) / (2.0 * math.log(2.0))
     p = min(max(p, 0.25), 4.0)
     combined = beta + 2.0 * p + 1.0

@@ -169,6 +169,25 @@ def test_strictness_and_approach():
     assert all(a < b for a, b in zip(gammas, gammas[1:]))
 
 
+@pytest.mark.parametrize("d", [0.01, 0.025, 0.05])
+def test_small_d_expansion(d):
+    # first-order perturbation of the Gaussian ground state:
+    # gamma(d) = 3/2 + 3 d^2 / 8 + O(d^4)
+    g = gamma_bound(d, tol=1e-8)
+    assert abs((g - 1.5) / d ** 2 - 3.0 / 8.0) <= d * d
+
+
+@pytest.mark.parametrize("d", [1e3, 1e4])
+def test_large_d_expansion(d):
+    # gamma(d) = GAMMA_AT_INF - C1 / d + O(d^-2) with
+    # C1 = Gamma(s) / (2 Gamma(s + 3/2)), s = (sqrt(5) - 1) / 2.  At d = 1e5
+    # the solver's own error (about 2.6e-9 in gamma) swamps the O(d^-2) term.
+    s = 0.5 * (math.sqrt(5.0) - 1.0)
+    c1 = math.gamma(s) / (2.0 * math.gamma(s + 1.5))
+    g = gamma_bound(d, tol=1e-8)
+    assert abs(d * (GAMMA_AT_INF - g) / c1 - 1.0) <= 3.0 / d
+
+
 def test_monotone_log_grid():
     ds = np.geomspace(1e-2, 1e2, 9)
     gs = [gamma_bound(float(d)) for d in ds]

@@ -243,3 +243,19 @@ def test_library_source_draws_no_random_numbers():
             for pattern in ("import random", "np.random", "default_rng")
             if pattern in path.read_text()]
     assert hits == []
+
+
+def test_library_imports_no_private_names_from_siblings():
+    # a module's underscore names are its own; siblings use its public API
+    import ast
+
+    import relhur
+
+    src = pathlib.Path(relhur.__file__).parent
+    hits = [f"{path.name}: {alias.name}"
+            for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").startswith("relhur"))
+            for alias in node.names if alias.name.startswith("_")]
+    assert hits == []

@@ -52,7 +52,14 @@ def test_centrifugal_anchor():
 
 def test_normalization_and_unit_moment():
     res = ground_state(_oscillator(), tol=TOL)
-    assert moment(res, lambda q: 1.0) == pytest.approx(1.0, abs=1e-8)
+    assert moment(res, np.ones_like) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_moment_rejects_scalar_weight():
+    # weights are evaluated on the grid array and must return its shape
+    res = ground_state(_oscillator(), tol=TOL)
+    with pytest.raises(ValueError, match="shape"):
+        moment(res, lambda q: 1.0)
 
 
 def test_oscillator_second_moment():

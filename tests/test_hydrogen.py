@@ -201,11 +201,12 @@ def test_density_normalized_z80():
     # direct Compton-unit integration of the bispinor density
     state = CoulombState(Z=80)
 
-    def density(r, theta):
-        if r <= 0.0:
-            return 0.0
-        c = ground_bispinor(state, r, theta, 0.0).components
-        return float(np.sum(np.abs(c) ** 2)) * r * r * math.sin(theta)
+    def density(r, thetas):
+        out = np.empty_like(thetas)
+        for i, theta in enumerate(thetas):
+            c = ground_bispinor(state, r, theta, 0.0).components
+            out[i] = float(np.sum(np.abs(c) ** 2)) * r * r * math.sin(theta)
+        return out
 
     from relhur import QuadConfig
     res = integrate_2d(density, QuadConfig(decay_scale=1.0 / state.momentum_scale))

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from relhur import (
     QuadConfig,
     QuadratureError,
+    QuadResult,
     bessel_k,
     integrate_2d,
     integrate_semi_infinite,
@@ -22,14 +23,14 @@ def _tolerance(cfg, value):
 
 
 def test_exponential_unit_integral():
-    res = integrate_semi_infinite(lambda x: math.exp(-x), CFG)
+    res = integrate_semi_infinite(lambda x: np.exp(-x), CFG)
     assert abs(res.value - 1.0) <= _tolerance(CFG, 1.0)
     assert res.est_abs_error >= 0.0
     assert res.evaluations > 0
 
 
 def test_gaussian_second_moment():
-    res = integrate_semi_infinite(lambda x: x * x * math.exp(-x * x), CFG)
+    res = integrate_semi_infinite(lambda x: x * x * np.exp(-x * x), CFG)
     assert res.value == pytest.approx(math.sqrt(math.pi) / 4.0, abs=1e-10)
 
 
@@ -43,25 +44,25 @@ def test_relativistic_moment_matches_bessel():
     assert abs(ref - k_form) <= 1e-9 * k_form + err
 
     res = integrate_semi_infinite(
-        lambda p: p * p * math.exp(-beta * math.hypot(1.0, p)),
+        lambda p: p * p * np.exp(-beta * np.hypot(1.0, p)),
         QuadConfig(decay_scale=1.0))
     assert res.value == pytest.approx(0.5 * bessel_k(2, 2.0), rel=1e-9)
 
 
 def test_2d_separable_gaussian():
-    res = integrate_2d(lambda p, th: p * p * math.sin(th) * math.exp(-p * p),
+    res = integrate_2d(lambda p, th: p * p * np.sin(th) * np.exp(-p * p),
                        CFG)
     assert res.value == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-9)
 
 
 def test_2d_theta_measure():
-    res = integrate_2d(lambda p, th: math.exp(-p), CFG)
+    res = integrate_2d(lambda p, th: np.full_like(th, math.exp(-p)), CFG)
     assert res.value == pytest.approx(math.pi, rel=1e-9)
 
 
 def test_linearity():
-    f = lambda x: math.exp(-x)
-    g = lambda x: x * math.exp(-x * x)
+    f = lambda x: np.exp(-x)
+    g = lambda x: x * np.exp(-x * x)
     a, b = 3.0, -2.0
     lhs = integrate_semi_infinite(lambda x: a * f(x) + b * g(x), CFG)
     fa = integrate_semi_infinite(f, CFG)
@@ -73,14 +74,14 @@ def test_linearity():
 
 
 def test_positivity():
-    res = integrate_semi_infinite(lambda x: x * math.exp(-3.0 * x), CFG)
+    res = integrate_semi_infinite(lambda x: x * np.exp(-3.0 * x), CFG)
     assert res.value > 0.0
 
 
 def test_refinement_never_hurts():
     # halving tolerances must not move the result away from the oracle
     oracle = math.sqrt(math.pi) / 4.0
-    f = lambda x: x * x * math.exp(-x * x)
+    f = lambda x: x * x * np.exp(-x * x)
     loose = integrate_semi_infinite(f, QuadConfig(abs_tol=1e-6, rel_tol=1e-5))
     tight = integrate_semi_infinite(f, QuadConfig(abs_tol=5e-7, rel_tol=5e-6))
     assert abs(tight.value - oracle) <= abs(loose.value - oracle) + 1e-15
@@ -88,14 +89,14 @@ def test_refinement_never_hurts():
 
 def test_integrable_endpoint_singularity():
     # q^{-1/2} e^{-q}: Gamma(1/2) = sqrt(pi)
-    res = integrate_semi_infinite(lambda q: math.exp(-q) / math.sqrt(q), CFG)
+    res = integrate_semi_infinite(lambda q: np.exp(-q) / np.sqrt(q), CFG)
     assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-8)
 
 
 def test_nonconvergence_carries_best_estimate():
     cfg = QuadConfig(abs_tol=1e-10, rel_tol=1e-9, max_subdivisions=1)
     with pytest.raises(QuadratureError) as exc_info:
-        integrate_semi_infinite(lambda q: math.exp(-q) / math.sqrt(q), cfg)
+        integrate_semi_infinite(lambda q: np.exp(-q) / np.sqrt(q), cfg)
     best = exc_info.value.best
     assert best is not None
     assert best.value == pytest.approx(math.sqrt(math.pi), rel=0.2)
@@ -113,7 +114,7 @@ def test_config_validation():
 
 
 def test_determinism():
-    f = lambda x: x * x * math.exp(-x * x)
+    f = lambda x: x * x * np.exp(-x * x)
     r1 = integrate_semi_infinite(f, CFG)
     r2 = integrate_semi_infinite(f, CFG)
     assert r1.value == r2.value
@@ -146,3 +147,73 @@ def test_one_integrand_call_per_panel():
     assert set(calls) == {22}
     assert len(calls) == res.evaluations // 22
     assert res.evaluations % 22 == 0
+
+
+_MISSHAPEN = {
+    "reducing": lambda xs: np.sum(np.exp(-xs)),
+    "column": lambda xs: np.exp(-xs)[:, None],
+    "rows_of_columns": lambda xs: np.stack([np.exp(-xs)] * 2)[:, :, None],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MISSHAPEN))
+def test_semi_infinite_rejects_misshapen_integrand(name):
+    with pytest.raises(ValueError, match="shape"):
+        integrate_semi_infinite(_MISSHAPEN[name], CFG)
+
+
+@pytest.mark.parametrize("name", sorted(_MISSHAPEN))
+def test_2d_rejects_misshapen_integrand(name):
+    with pytest.raises(ValueError, match="shape"):
+        integrate_2d(lambda p, th: math.exp(-p) * _MISSHAPEN[name](th), CFG)
+
+
+def test_one_row_gives_a_float_and_rows_give_arrays():
+    res = integrate_semi_infinite(lambda x: np.exp(-x), CFG)
+    assert isinstance(res.value, np.floating)
+    assert isinstance(res.est_abs_error, np.floating)
+
+    res = integrate_semi_infinite(
+        lambda x: np.stack([np.exp(-x), x * np.exp(-x)]), CFG)
+    assert res.value.shape == res.est_abs_error.shape == (2,)
+    assert res.value == pytest.approx([1.0, 1.0], rel=1e-9)
+
+
+def test_2d_rows_and_control_rows():
+    def two(p, th):
+        return np.stack([np.full_like(th, math.exp(-p)),
+                         p * p * np.sin(th) * np.exp(-p * p)])
+
+    res = integrate_2d(two, CFG)
+    assert res.value.shape == res.est_abs_error.shape == (2,)
+    assert res.value == pytest.approx([math.pi, math.sqrt(math.pi) / 2.0],
+                                      rel=1e-9)
+    # a row left out of control_rows rides along on the other row's panels
+    alone = integrate_2d(lambda p, th: two(p, th)[0], CFG)
+    led = integrate_2d(two, CFG, control_rows=[0])
+    assert led.evaluations == alone.evaluations
+    assert led.value[0] == pytest.approx(alone.value, rel=1e-14)
+
+
+def test_2d_outer_budget_carries_whole_domain_best():
+    calls = []
+
+    def f(p, th):
+        calls.append(th.size)
+        return np.full_like(th, math.exp(-p) / math.sqrt(p))
+
+    cfg = QuadConfig(abs_tol=1e-10, rel_tol=1e-9, max_subdivisions=1)
+    with pytest.raises(QuadratureError) as exc_info:
+        integrate_2d(f, cfg)
+    best = exc_info.value.best
+    assert isinstance(best, QuadResult)
+    assert best.value == pytest.approx(math.pi ** 1.5, rel=0.2)
+    assert best.est_abs_error > 0.0
+    assert best.evaluations == sum(calls)
+
+
+def test_2d_inner_budget_carries_no_best():
+    cfg = QuadConfig(abs_tol=1e-10, rel_tol=1e-9, max_subdivisions=1)
+    with pytest.raises(QuadratureError) as exc_info:
+        integrate_2d(lambda p, th: math.exp(-p) / np.sqrt(th), cfg)
+    assert exc_info.value.best is None
