@@ -4,7 +4,7 @@ The package computes the state-independent lower bound gamma(d) on the
 dimensionless dispersion product of a free Dirac electron, where d is the
 inverse localization scale in Compton units, together with the two physical
 families the bound is compared against: hydrogen-like ground states and a
-localized free-electron packet.
+localized free-electron packet.  It depends on NumPy alone.
 
 Layout:
 
@@ -12,6 +12,7 @@ Layout:
     quadrature          adaptive panels of paired Gauss-Legendre rules
                         (G15 value, G7 error) on [0, inf) and 2D
     radial_eigensolver  lowest eigenvalue of radial Schrodinger operators
+                        by Chebyshev collocation (NumPy only)
     rel_uncertainty     the bound curve gamma(d) and its two limits
     dirac_states        bispinor fields and the dispersion functional
     hydrogen            hydrogen-like ions: closed form and oracle
@@ -46,6 +47,8 @@ from .rel_uncertainty import (
     GAMMA_AT_0,
     GAMMA_AT_INF,
     ULTRA_EXPONENT,
+    ULTRA_C1,
+    D_SWITCH,
     potential_v,
     singular_strength,
     make_potential,
@@ -102,6 +105,7 @@ __all__ = [
     "RadialPotential", "EigenDiagnostics", "EigenResult", "SolverError",
     "ground_state", "moment",
     "INFINITY", "GAMMA_AT_0", "GAMMA_AT_INF", "ULTRA_EXPONENT",
+    "ULTRA_C1", "D_SWITCH",
     "potential_v", "singular_strength", "make_potential",
     "gamma_bound", "gamma_bound_report", "BoundReport", "BoundCurve",
     "sweep", "gaussian_limit_residual", "ultrarelativistic_limit_residual",

@@ -25,11 +25,12 @@ from typing import Sequence
 from . import hopfion as _hopfion
 from . import hydrogen as _hydrogen
 from . import rel_uncertainty as _bound
-from .quadrature import QuadConfig, QuadratureError
+from .quadrature import QuadratureError
 from .radial_eigensolver import SolverError
 from .specfun import bessel_k
 
 BOUND_TOL = 1e-7
+MAX_POINTS = 10000  # grid points per sweep or curve
 _CSV_HEADER = "param,gamma,err_est"
 
 
@@ -92,8 +93,8 @@ def _require_finite(name: str, value: float) -> float:
 
 
 def _grid(lo: float, hi: float, points: int, log: bool) -> list[float]:
-    if points < 2:
-        raise _UsageError("--points must be at least 2")
+    if not 2 <= points <= MAX_POINTS:
+        raise _UsageError(f"--points must lie in [2, {MAX_POINTS}]")
     _require_finite("--d-min/--a-min", lo)
     _require_finite("--d-max/--a-max", hi)
     if not hi > lo:
@@ -101,8 +102,11 @@ def _grid(lo: float, hi: float, points: int, log: bool) -> list[float]:
     if log:
         if not lo > 0.0:
             raise _UsageError("--log needs a positive lower end")
-        ratio = (hi / lo) ** (1.0 / (points - 1))
-        out = [lo * ratio ** i for i in range(points)]
+        # in logs, so that hi / lo may exceed the float range
+        log_lo = math.log(lo)
+        step = (math.log(hi) - log_lo) / (points - 1)
+        out = [math.exp(log_lo + step * i) for i in range(points)]
+        out[0] = lo
     else:
         step = (hi - lo) / (points - 1)
         out = [lo + step * i for i in range(points)]
@@ -160,27 +164,25 @@ def _cmd_hydrogen(args) -> tuple[str, int]:
 def _cmd_hopfion(args) -> tuple[str, int]:
     curve_flags = (args.a_min is not None, args.a_max is not None,
                    args.points is not None)
-    rel_tol = QuadConfig().rel_tol
     if args.a is not None:
         if any(curve_flags):
             raise _UsageError("--a conflicts with --a-min/--a-max/--points")
         a = _require_finite("--a", args.a)
         rep = _hopfion.gamma_h(_hopfion.HopfionState(a))
         fmt = args.format or "json"
-        err = rel_tol * rep.gamma
         if fmt == "json":
             doc = _json_doc([("a", a), ("gamma", rep.gamma),
                              ("delta_r_sq", rep.delta_r_sq),
                              ("delta_p_sq", rep.delta_p_sq),
-                             ("err_est", err)])
+                             ("err_est", rep.err_est)])
         else:
-            doc = _csv_doc([(a, rep.gamma, err)])
+            doc = _csv_doc([(a, rep.gamma, rep.err_est)])
         return doc, 0
     if not all(curve_flags):
         raise _UsageError("provide either --a or all of --a-min/--a-max/--points")
     a_grid = _grid(args.a_min, args.a_max, args.points, log=False)
     reps = [_hopfion.gamma_h(_hopfion.HopfionState(a)) for a in a_grid]
-    rows = [(a, r.gamma, rel_tol * r.gamma) for a, r in zip(a_grid, reps)]
+    rows = [(a, r.gamma, r.err_est) for a, r in zip(a_grid, reps)]
     return _grid_doc(rows, args.format), 0
 
 
@@ -209,6 +211,16 @@ def _verify_rows(strict: bool) -> list[tuple[str, float, float, float, bool]]:
         rows.append(("nonrel_limit_residual", r0, 0.0, 1e-10, r0 <= 1e-10))
         ri = _bound.ultrarelativistic_limit_residual(_bound.GAMMA_AT_INF)
         rows.append(("ultra_limit_residual", ri, 0.0, 1e-10, ri <= 1e-10))
+        # both ends of the curve against their expansions, with the
+        # O(d^4) and O(1/d^2) allowances of tests/test_bound.py
+        c1 = _bound.ULTRA_C1
+        for name, d, target, tol in (
+                ("bound_small_d_expansion", 0.01, 1.5 + 0.375 * 0.01 ** 2,
+                 0.01 ** 4),
+                ("bound_large_d_expansion", 1e4,
+                 _bound.GAMMA_AT_INF - c1 / 1e4, 3.0 * c1 / 1e4 ** 2)):
+            g = _bound.gamma_bound(d, tol=1e-8)
+            rows.append((name, g, target, tol, abs(g - target) <= tol))
         ratio1 = _hopfion.norm_bessel_ratio(_hopfion.HopfionState(1.0))
         ratio2 = _hopfion.norm_bessel_ratio(_hopfion.HopfionState(2.0))
         rdev = abs(ratio1 / ratio2 - 1.0)

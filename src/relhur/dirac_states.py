@@ -166,12 +166,52 @@ class AmplitudePair:
 
 @dataclass(frozen=True)
 class DispersionReport:
+    """Dispersions of a state; err_est is the quadrature's error estimate
+    carried into gamma (see from_integrals)."""
+
     norm_sq: float
     mean_r: np.ndarray
     mean_p: np.ndarray
     delta_r_sq: float
     delta_p_sq: float
     gamma: float
+    err_est: float
+
+    @classmethod
+    def from_integrals(cls, vals, errs) -> "DispersionReport":
+        """Report from nine integrals over the unnormalized state and their
+        estimated absolute errors.
+
+        Rows: 0 norm, 1 p-second-moment, 2 r-second-moment, 3..5 <p> and
+        6..8 <r> components.  err_est propagates errs to first order, in
+        absolute values, through the normalization, the mean subtraction
+        and gamma = sqrt(delta_r_sq delta_p_sq).
+        """
+        norm_sq = float(vals[0])
+        if not (norm_sq > 0.0) or not math.isfinite(norm_sq):
+            raise ValueError("state is not normalizable (norm integral invalid)")
+        mean_p = np.array(vals[3:6]) / norm_sq
+        mean_r = np.array(vals[6:9]) / norm_sq
+        second_p = float(vals[1]) / norm_sq
+        second_r = float(vals[2]) / norm_sq
+        delta_p_sq = second_p - float(mean_p @ mean_p)
+        delta_r_sq = second_r - float(mean_r @ mean_r)
+        if delta_p_sq <= 0.0 or delta_r_sq <= 0.0:
+            raise ValueError("dispersions came out non-positive; state invalid "
+                             "or quadrature tolerance too loose")
+        errs = np.abs(np.asarray(errs, dtype=float))
+
+        def spread_err(second, mean, e_second, e_mean):
+            # d(S/N - |M|^2/N^2) = (dS - (S/N - 2|m|^2) dN - 2 m.dM) / N
+            return (e_second + abs(second - 2.0 * float(mean @ mean)) * errs[0]
+                    + 2.0 * float(np.abs(mean) @ e_mean)) / norm_sq
+
+        gamma = math.sqrt(delta_r_sq * delta_p_sq)
+        rel_p = spread_err(second_p, mean_p, errs[1], errs[3:6]) / delta_p_sq
+        rel_r = spread_err(second_r, mean_r, errs[2], errs[6:9]) / delta_r_sq
+        return cls(norm_sq=norm_sq, mean_r=mean_r, mean_p=mean_p,
+                   delta_r_sq=delta_r_sq, delta_p_sq=delta_p_sq, gamma=gamma,
+                   err_est=0.5 * gamma * (rel_p + rel_r))
 
 
 def _on_grid(out, shape: tuple[int, int]) -> np.ndarray:
@@ -312,25 +352,5 @@ def dispersion_functional(amp: AmplitudePair, cfg: QuadConfig = QuadConfig(),
         out[8] = phi_sum(p * p * st * (a_p * ct - a_t * st))
         return out
 
-    vals = integrate_2d(rows, cfg, control_rows=[0, 1, 2]).value
-
-    norm_sq = float(vals[0])
-    if not (norm_sq > 0.0) or not math.isfinite(norm_sq):
-        raise ValueError("amplitude is not normalizable (norm integral invalid)")
-    mean_p = np.array(vals[3:6]) / norm_sq
-    mean_r = np.array(vals[6:9]) / norm_sq
-    second_p = float(vals[1]) / norm_sq
-    second_r = float(vals[2]) / norm_sq
-    delta_p_sq = second_p - float(mean_p @ mean_p)
-    delta_r_sq = second_r - float(mean_r @ mean_r)
-    if delta_p_sq <= 0.0 or delta_r_sq <= 0.0:
-        raise ValueError("dispersions came out non-positive; state invalid "
-                         "or quadrature tolerance too loose")
-    return DispersionReport(
-        norm_sq=norm_sq,
-        mean_r=mean_r,
-        mean_p=mean_p,
-        delta_r_sq=delta_r_sq,
-        delta_p_sq=delta_p_sq,
-        gamma=math.sqrt(delta_r_sq * delta_p_sq),
-    )
+    res = integrate_2d(rows, cfg, control_rows=[0, 1, 2])
+    return DispersionReport.from_integrals(res.value, res.est_abs_error)

@@ -236,21 +236,8 @@ def gamma_h(state: HopfionState,
         out[8] = w_phi * p * p * st * np.sum(a_p * ct2 - a_t * st2, axis=1)
         return out
 
-    vals = integrate_2d(rows, cfg, control_rows=[0, 1, 2]).value
-    norm_sq = float(vals[0])
-    if not (norm_sq > 0.0) or not math.isfinite(norm_sq):
-        raise ValueError("hopfion norm integral is invalid")
-    mean_p = np.array(vals[3:6]) / norm_sq
-    mean_r = np.array(vals[6:9]) / norm_sq
-    delta_p_sq = float(vals[1]) / norm_sq - float(mean_p @ mean_p)
-    delta_r_sq = float(vals[2]) / norm_sq - float(mean_r @ mean_r)
-    if delta_p_sq <= 0.0 or delta_r_sq <= 0.0:
-        raise ValueError("hopfion dispersions came out non-positive")
-    return DispersionReport(
-        norm_sq=norm_sq, mean_r=mean_r, mean_p=mean_p,
-        delta_r_sq=delta_r_sq, delta_p_sq=delta_p_sq,
-        gamma=math.sqrt(delta_r_sq * delta_p_sq),
-    )
+    res = integrate_2d(rows, cfg, control_rows=[0, 1, 2])
+    return DispersionReport.from_integrals(res.value, res.est_abs_error)
 
 
 def gamma_h_curve(a_values: Sequence[float] | Iterable[float],

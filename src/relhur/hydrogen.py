@@ -204,9 +204,11 @@ def oracle_gamma(gamma_c: float, cfg: QuadConfig = QuadConfig()) -> DispersionRe
     n_sq = 2.0 ** (2.0 * g) * (1.0 + g) / (4.0 * math.pi * gamma_fn(1.0 + 2.0 * g))
     two_pi = 2.0 * math.pi
 
-    # rows: 0 norm, 1 <r^2>, 2 momentum gradient integral, 3 <z>, 4 <p_z>
+    # rows in the DispersionReport.from_integrals layout: 0 norm,
+    # 1 momentum gradient integral, 2 <r^2>, 5 <p_z>, 8 <z>; <p_x>, <p_y>,
+    # <x>, <y> vanish identically in the phi integral
     def rows(t: float, thetas: np.ndarray) -> np.ndarray:
-        out = np.zeros((5, thetas.size))
+        out = np.zeros((9, thetas.size))
         if t <= 0.0:
             return out
         log_t = math.log(t)
@@ -223,7 +225,7 @@ def oracle_gamma(gamma_c: float, cfg: QuadConfig = QuadConfig()) -> DispersionRe
         wp = (g - 1.0) - r  # w' = wp * w / r
 
         out[0] = two_pi * n_sq * r * r * b * dens_ang * st
-        out[1] = two_pi * n_sq * r ** 4 * b * dens_ang * st
+        out[2] = two_pi * n_sq * r ** 4 * b * dens_ang * st
         # sum over components of |d_r psi|^2 r^2 + |d_theta psi|^2
         #   + |d_phi psi|^2 / sin^2(theta), all times dr/dt e^(-2r)
         grad = (wp * wp * np.ones_like(st)      # upper component, radial
@@ -232,8 +234,8 @@ def oracle_gamma(gamma_c: float, cfg: QuadConfig = QuadConfig()) -> DispersionRe
                 + k_sq * st * st * wp * wp      # -i k sin e^(i phi), radial
                 + k_sq * ct * ct                # -i k sin e^(i phi), polar
                 + k_sq)                         # -i k sin e^(i phi), azimuthal
-        out[2] = two_pi * n_sq * grad * b * st
-        out[3] = two_pi * n_sq * r ** 3 * b * dens_ang * ct * st
+        out[1] = two_pi * n_sq * grad * b * st
+        out[8] = two_pi * n_sq * r ** 3 * b * dens_ang * ct * st
         # Im(sum psi* d_z psi): complex angular amplitudes per unit radial w
         amp = np.array([np.ones_like(st) + 0.0j,
                         1j * k * ct,
@@ -242,31 +244,23 @@ def oracle_gamma(gamma_c: float, cfg: QuadConfig = QuadConfig()) -> DispersionRe
                          -1j * k * st,
                          -1j * k * ct])
         pz = (np.conj(amp) * (ct * wp * amp - st * damp)).sum(axis=0).imag
-        out[4] = two_pi * n_sq * r * b * pz * st
+        out[5] = two_pi * n_sq * r * b * pz * st
         return out
 
-    vals = integrate_2d(rows, cfg, control_rows=[0, 1, 2]).value
+    res = integrate_2d(rows, cfg, control_rows=[0, 1, 2])
+    vals = res.value
     norm = float(vals[0])
     if not (norm > 0.0) or not math.isfinite(norm):
         raise ArithmeticError("normalization integral came out invalid")
-    z1 = float(vals[3]) / norm
-    pz1 = float(vals[4]) / norm
+    z1 = float(vals[8]) / norm
+    pz1 = float(vals[5]) / norm
     if abs(z1) > 1e-8:
         raise ArithmeticError(
             f"<z> = {z1:.3e} violates the spherical-symmetry check")
     if abs(pz1) > 1e-8:
         raise ArithmeticError(
             f"<p_z> = {pz1:.3e} violates the reality check")
-    delta_r_sq = float(vals[1]) / norm - z1 * z1
-    delta_p_sq = float(vals[2]) / norm - pz1 * pz1
-    return DispersionReport(
-        norm_sq=norm,
-        mean_r=np.array([0.0, 0.0, z1]),
-        mean_p=np.array([0.0, 0.0, pz1]),
-        delta_r_sq=delta_r_sq,
-        delta_p_sq=delta_p_sq,
-        gamma=math.sqrt(delta_r_sq * delta_p_sq),
-    )
+    return DispersionReport.from_integrals(vals, res.est_abs_error)
 
 
 def quadrature_oracle(state: CoulombState,

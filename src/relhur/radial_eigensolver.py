@@ -1,30 +1,26 @@
 """Ground-state solver for radial operators (1/2)(-f'' - (2/q)f' + V(q)f) = g f.
 
-The substitution u = q f turns the operator into -u'' + V u = 2g u with
-u(0) = 0, which discretizes to a symmetric tridiagonal matrix on a uniform
-grid with Dirichlet truncation at q_max.  The lowest eigenvalue comes from
-LAPACK's Sturm-sequence bisection (stebz, through
-scipy.linalg.eigh_tridiagonal) to an explicit absolute width, refined by
-Richardson extrapolation over three nested grids; the quoted error estimate
-is the difference of the two extrapolants reduced by the next-order factor,
-plus half the bisection width.  The finest grid's eigenvector comes from the
-same call, by LAPACK inverse iteration (stein).
+Chebyshev collocation after Trefethen, Spectral Methods in MATLAB (SIAM
+2000), ch. 11.  With f = q^s g, where s(s+1) = c is the strength of the
+potential's c/q^2 core, the operator turns into
 
-Potentials may carry a c/q^2 singularity at the origin (c > -1/4, else the
-operator is unbounded below).  For c > 0 a generic difference stencil through
-the singularity degrades convergence to O(h^{2s+1}) with
-s = (-1 + sqrt(1+4c))/2, so the c/q^2 part of the diagonal is replaced by a
-lattice form chosen to annihilate the exact near-origin solution u ~ q^{s+1}:
+    -g'' - (2(s+1)/q) g' + (V - c/q^2) g = 2 g_eig g,
 
-    cent_i = ((1 + 1/i)^{s+1} + (1 - 1/i)^{s+1} - 2) / h^2
+whose solution g is smooth and even in q.  g is collocated on the
+Chebyshev-Lobatto points x_j = cos(j pi/N), N odd, mapped to
+q = Q sinh(bx)/sinh(b) with b = asinh(Q origin_scale) (capped), which
+clusters nodes where the potential varies near the origin.  Odd N puts no
+node at q = 0; folding the even extension onto the positive nodes leaves a
+((N-1)/2)^2 matrix with Dirichlet conditions at q = +-Q.  The quoted error
+estimate is the measured gap to a second solve at N - 32, plus the
+rounding measured by solving the transposed matrix.  Normalization and
+moments use Clenshaw-Curtis weights on the mapped nodes.
 
-which restores clean O(h^2) convergence and lets Richardson do its job.
-
-Potentials and moment weights are evaluated once on the whole grid array
-and must return an array of the grid's shape.
-Normalization integrates u^2 with a composite Simpson rule on [h, q_max]
-plus an exact power-law head on [0, h] (u ~ q^{s+1} there), meeting the
-1e-8 contract.
+The differentiation matrices are built elementwise, and the default blocks
+(47 and 63 rows) stay below the sizes at which OpenBLAS threads the
+level-2 kernels inside LAPACK's dgeev, so a solve does not wait on BLAS
+threads on a busy machine.  Potentials and moment weights are evaluated once on the whole node
+array and must return an array of its shape.
 """
 
 from __future__ import annotations
@@ -34,7 +30,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+
+_COARSE_STEP = 32   # the coarse solve has degree N - 32
+_B_MAX = 20.0       # cap on the map's stretch b
 
 
 class SolverError(RuntimeError):
@@ -48,32 +46,43 @@ class RadialPotential:
     evaluate(q) takes an array of q > 0 and returns V of the same shape,
     finite everywhere (any other shape raises ValueError); singular_strength
     is the coefficient c of the 1/q^2 term as q -> 0 (0 for regular
-    potentials).  V must grow like q^2 as q -> infinity, so the ground state
-    is confined and the Dirichlet truncation at q_max is harmless.
+    potentials); origin_scale is the inverse width of structure in V near
+    the origin, where the solver clusters its nodes (0: none).  V must grow
+    like q^2 as q -> infinity, so the ground state is confined and the
+    Dirichlet truncation at q_max is harmless.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     singular_strength: float = 0.0
+    origin_scale: float = 0.0
 
 
 @dataclass(frozen=True)
 class EigenDiagnostics:
+    """grid_size nodes on (0, q_max); resolutions are the coarse and fine
+    Chebyshev degrees N solved and gammas their eigenvalues; est_error is
+    their gap plus the fine solve's rounding."""
+
     grid_size: int
     q_max: float
     est_error: float
+    resolutions: tuple[int, int]
+    gammas: tuple[float, float]
 
 
 @dataclass(frozen=True)
 class EigenResult:
     """Ground state: eigenvalue gamma and normalized eigenfunction samples.
 
-    f_values holds f = u/q on the interior grid, normalized so that
-    the integral of f^2 q^2 dq over (0, infinity) equals 1.
+    f_values holds f on the ascending nodes in grid, normalized so that
+    the integral of f^2 q^2 dq over (0, infinity) equals 1; sum(weights * F)
+    over grid approximates the integral of F over (0, q_max).
     """
 
     gamma: float
     grid: np.ndarray
     f_values: np.ndarray
+    weights: np.ndarray
     diagnostics: EigenDiagnostics
 
 
@@ -91,113 +100,113 @@ def _on_grid(fn: Callable, grid: np.ndarray) -> np.ndarray:
     return v
 
 
-def _simpson(y: np.ndarray, h: float) -> float:
-    """Composite Simpson rule for samples y (at least 3) spaced h apart.
+def _cheb(n: int):
+    """Points cos(j pi/n), first and second differentiation matrices and
+    Clenshaw-Curtis weights on [-1, 1], for odd n.
 
-    An even sample count leaves one interval over, closed with the same
-    third-order end correction (Cartwright) as scipy.integrate.simpson.
+    The matrices follow Weideman & Reddy (ACM TOMS 26, 2000) elementwise,
+    with diagonals from the negative-sum trick.
     """
-    tail = 0.0
-    if y.size % 2 == 0:
-        tail = h * (5.0 / 12.0 * y[-1] + 2.0 / 3.0 * y[-2] - 1.0 / 12.0 * y[-3])
-        y = y[:-1]
-    inner = 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()
-    return float(h / 3.0 * (y[0] + inner + y[-1]) + tail)
+    j = np.arange(n + 1)
+    theta = np.pi * j / n
+    x = np.cos(theta)
+    c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
+    ratio = c[:, None] / c[None, :]
+    inv_dx = 1.0 / (x[:, None] - x[None, :] + np.eye(n + 1))
+    np.fill_diagonal(inv_dx, 0.0)
+    d1 = ratio * inv_dx
+    np.fill_diagonal(d1, -d1.sum(axis=1))
+    d2 = 2.0 * inv_dx * (ratio * np.diag(d1)[:, None] - d1)
+    np.fill_diagonal(d2, 0.0)
+    np.fill_diagonal(d2, -d2.sum(axis=1))
+    k = np.arange(1, (n - 1) // 2 + 1)
+    w = 2.0 / n * (1.0 - np.sum(2.0 * np.cos(2.0 * np.outer(theta, k))
+                                / (4.0 * k * k - 1.0), axis=1))
+    w[[0, n]] = 1.0 / (n * n)
+    return x, d1, d2, w
 
 
-def _build_diagonal(pot: RadialPotential, grid: np.ndarray, h: float) -> np.ndarray:
-    c = pot.singular_strength
-    v = _on_grid(pot.evaluate, grid)
+def _collocate(pot: RadialPotential, s: float, q_max: float, n: int,
+               vector: bool = False):
+    """Lowest eigenvalue of the folded degree-n collocation matrix.
+
+    With vector=True, also returns the ascending positive nodes, g on them
+    (signed positive) and the nodes' quadrature weights on (0, q_max).
+    """
+    x, d1, d2, w = _cheb(n)
+    # a c/q^2 core leaves f^2 q^2 = q^(2s+2) g^2 rough at q = 0, which
+    # Clenshaw-Curtis resolves poorly; stretch b >= 8 shrinks that region
+    b_min = 8.0 if pot.singular_strength else 1e-8
+    b = min(max(math.asinh(pot.origin_scale * q_max), b_min), _B_MAX)
+    q = q_max * np.sinh(b * x) / math.sinh(b)
+    dq = q_max * b * np.cosh(b * x) / math.sinh(b)        # dq/dx
+    pos = np.arange((n - 1) // 2, 0, -1)                   # q ascending
+    qp, dqp = q[pos], dq[pos]
+    v = _on_grid(pot.evaluate, qp) - pot.singular_strength / (qp * qp)
     if not np.all(np.isfinite(v)):
         raise SolverError("potential evaluated to a non-finite value on the grid")
-    if c > 0.0:
-        s = _origin_exponent(c)
-        idx = np.arange(1, grid.size + 1, dtype=np.float64)
-        cent = ((1.0 + 1.0 / idx) ** (s + 1.0)
-                + (1.0 - 1.0 / idx) ** (s + 1.0) - 2.0) / (h * h)
-        v = v - c / (grid * grid) + cent
-    return 2.0 / (h * h) + v
-
-
-def _lowest_lambda(pot: RadialPotential, q_max: float, nn: int,
-                   lam_tol: float, vector: bool = False):
-    """Lowest eigenvalue of the u-form matrix on an nn-interval grid.
-
-    Bisection stops at absolute width lam_tol.  With vector=True, also
-    returns the grid and the eigenvector, signed positive.
-    """
-    h = q_max / nn
-    grid = h * np.arange(1, nn)
-    diag = _build_diagonal(pot, grid, h)
-    off = np.full(nn - 2, -1.0 / (h * h))
+    # d/dq = D/q' and d2/dq2 = D2/q'^2 - (q''/q'^3) D, with q'' = b^2 q
+    first = (b * b * qp / dqp - 2.0 * (s + 1.0) * dqp / qp) / (dqp * dqp)
+    op = -d2[pos] / (dqp * dqp)[:, None] + first[:, None] * d1[pos]
+    block = op[:, pos] + op[:, n - pos]
+    block[np.diag_indices_from(block)] += v
     try:
-        out = eigh_tridiagonal(diag, off, eigvals_only=not vector, select="i",
-                               select_range=(0, 0), tol=lam_tol)
+        if not vector:
+            return 0.5 * float(np.min(np.linalg.eigvals(block).real))
+        lam, vecs = np.linalg.eig(block)
     except np.linalg.LinAlgError as exc:
-        raise SolverError(f"tridiagonal eigensolve failed: {exc}") from exc
-    if not vector:
-        return float(out[0])
-    lam, vecs = out
-    u = vecs[:, 0]
-    if u[int(np.argmax(np.abs(u)))] < 0.0:
-        u = -u
-    return float(lam[0]), grid, u
+        raise SolverError(f"collocation eigensolve failed: {exc}") from exc
+    i = int(np.argmin(lam.real))
+    g = vecs[:, i].real
+    if g[int(np.argmax(np.abs(g)))] < 0.0:
+        g = -g
+    # the same eigenvalue from the transpose differs only by rounding
+    lam_t = float(np.min(np.linalg.eigvals(block.T).real))
+    return (0.5 * float(lam[i].real), 0.5 * abs(float(lam[i].real) - lam_t),
+            qp, g, w[pos] * dqp)
 
 
-def ground_state(pot: RadialPotential, q_max: float = 10.0, n: int = 4000,
+def ground_state(pot: RadialPotential, q_max: float = 10.0, n: int = 127,
                  tol: float = 1e-7) -> EigenResult:
     """Lowest eigenvalue and nodeless eigenfunction of the radial operator.
 
-    Solves on three nested grids (n/2, n, 2n intervals) and Richardson-
-    extrapolates; raises SolverError when the internal refinement comparison
-    cannot certify an absolute eigenvalue error <= tol.
+    Collocates at Chebyshev degree n (odd, >= 63) and n - 32; raises
+    SolverError when est_error, their gap plus the rounding, exceeds tol.
     """
     if pot.singular_strength < -0.25:
         raise ValueError(
             "singular_strength < -1/4: operator unbounded below")
     if not (q_max > 0.0) or not math.isfinite(q_max):
         raise ValueError("q_max must be positive and finite")
-    if n < 200:
-        raise ValueError("n must be at least 200")
+    if not (pot.origin_scale >= 0.0):
+        raise ValueError("origin_scale must be non-negative")
+    if n % 2 == 0 or n < 63:
+        raise ValueError("n must be odd and at least 63")
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
 
-    n2 = 2 * (n // 2)  # even so the n/2 grid is an integer count
-    lam_tol = max(2e-2 * tol, 1e-12)
-
-    lam_half = _lowest_lambda(pot, q_max, n2 // 2, lam_tol)
-    lam_base = _lowest_lambda(pot, q_max, n2, lam_tol)
-    lam_fine, grid, u = _lowest_lambda(pot, q_max, 2 * n2, lam_tol, vector=True)
-
-    g_half, g_base, g_fine = 0.5 * lam_half, 0.5 * lam_base, 0.5 * lam_fine
-    extrap_coarse = (4.0 * g_base - g_half) / 3.0
-    extrap = (4.0 * g_fine - g_base) / 3.0
-    # Both extrapolants carry O(h^4) errors in roughly 16:1 ratio; their gap
-    # over 8 bounds the finer one with a 2x margin for imperfect order.
-    # The bisection width enters additively.
-    est_error = abs(extrap - extrap_coarse) / 8.0 + 0.5 * lam_tol
-    if est_error > tol:
+    s = _origin_exponent(pot.singular_strength)
+    coarse = _collocate(pot, s, q_max, n - _COARSE_STEP)
+    gamma, rounding, grid, g, weights = _collocate(pot, s, q_max, n, vector=True)
+    est_error = abs(gamma - coarse) + rounding
+    if not est_error <= tol:
         raise SolverError(
-            f"grid-refinement comparison estimates error {est_error:.3e} "
-            f"> tol {tol:.3e}; increase n or q_max")
+            f"resolutions {n - _COARSE_STEP} and {n} differ by "
+            f"{est_error:.3e} > tol {tol:.3e}")
 
-    # Normalize int u^2 dq = 1: exact power head on [0,h], Simpson beyond.
-    h = float(grid[0])  # the grid is h, 2h, ..., q_max - h
-    p = _origin_exponent(max(pot.singular_strength, 0.0)) + 1.0
-    u_sq = u * u
-    head = u_sq[0] * h / (2.0 * p + 1.0)
-    body = _simpson(np.append(u_sq, 0.0), h)
-    norm_sq = head + body
+    f = grid ** s * g
+    norm_sq = float(np.sum(weights * (f * grid) ** 2))
     if not (norm_sq > 0.0) or not math.isfinite(norm_sq):
         raise SolverError("eigenfunction normalization integral is invalid")
-    u = u / math.sqrt(norm_sq)
 
     return EigenResult(
-        gamma=extrap,
+        gamma=gamma,
         grid=grid,
-        f_values=u / grid,
-        diagnostics=EigenDiagnostics(grid_size=grid.size, q_max=q_max,
-                                     est_error=est_error),
+        f_values=f / math.sqrt(norm_sq),
+        weights=weights,
+        diagnostics=EigenDiagnostics(
+            grid_size=grid.size, q_max=q_max, est_error=est_error,
+            resolutions=(n - _COARSE_STEP, n), gammas=(coarse, gamma)),
     )
 
 
@@ -205,28 +214,16 @@ def moment(res: EigenResult, weight: Callable) -> float:
     """Integral of weight(q) f(q)^2 q^2 dq for a normalized EigenResult.
 
     weight is called once, with the grid array, and must return an array of
-    the grid's shape (else ValueError).  Its power weight ~ q^beta at the
-    origin is read from the first two grid points; weights more singular
-    than 1/q^2 there are rejected.
+    the grid's shape (else ValueError); the rule is spectrally accurate for
+    weights that are smooth functions of q^2.  Weights more singular than 1/q^2
+    at the origin, where q^2 weight(q) grows toward q = 0 across the two
+    innermost nodes, are rejected.
     """
     grid = res.grid
-    u_sq = (res.f_values * grid) ** 2
     w = _on_grid(weight, grid)
     if not np.all(np.isfinite(w)):
         raise ValueError("weight evaluated to a non-finite value on the grid")
-
-    h = float(grid[0])
-    # Head exponents from q = h, 2h: u^2 ~ q^{2p}, weight ~ q^beta on [0, h].
-    beta = 0.0
-    if w[0] != 0.0 and w[1] != 0.0:
-        beta = math.log(abs(w[1] / w[0])) / math.log(2.0)
-    if beta < -2.0 - 1e-6:
+    inner = np.abs(w[:2]) * grid[:2] ** 2
+    if inner[0] > inner[1] * (1.0 + 1e-6):
         raise ValueError("weight singular stronger than 1/q^2")
-    p = math.log(max(u_sq[1], 1e-300) / max(u_sq[0], 1e-300)) / (2.0 * math.log(2.0))
-    p = min(max(p, 0.25), 4.0)
-    combined = beta + 2.0 * p + 1.0
-    if combined <= 0.1:
-        raise ValueError("weight too singular against this eigenfunction")
-    head = w[0] * u_sq[0] * h / combined
-    body = _simpson(np.append(w * u_sq, 0.0), h)
-    return float(head + body)
+    return float(np.sum(res.weights * w * (res.f_values * grid) ** 2))

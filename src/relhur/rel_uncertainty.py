@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .radial_eigensolver import (EigenResult, RadialPotential, SolverError,
+from .radial_eigensolver import (EigenResult, RadialPotential,
                                  ground_state, moment)
 
 INFINITY = math.inf
@@ -42,6 +42,10 @@ GAMMA_AT_0 = 1.5
 GAMMA_AT_INF = 1.0 + 0.5 * math.sqrt(5.0)
 
 ULTRA_EXPONENT = 0.5 * (math.sqrt(5.0) - 1.0)
+# first-order coefficient of gamma(d) = GAMMA_AT_INF - ULTRA_C1/d + O(1/d^2)
+ULTRA_C1 = math.gamma(ULTRA_EXPONENT) / (2.0 * math.gamma(ULTRA_EXPONENT + 1.5))
+# above D_SWITCH gamma(d) comes from that expansion, not from a solve
+D_SWITCH = 1e5
 
 
 def _check_d(d: float) -> float:
@@ -86,24 +90,22 @@ def make_potential(d: float) -> RadialPotential:
     return RadialPotential(
         evaluate=lambda q: potential_v(q, d),
         singular_strength=singular_strength(d),
+        origin_scale=d if math.isfinite(d) else 0.0,
     )
 
 
-def _solver_points(d: float) -> int:
-    # The finite-d potential has a bump of width ~1/d near the origin;
-    # keep at least ~30 grid cells across it.
-    if math.isfinite(d) and d > 4.0:
-        return max(4000, int(800.0 * min(d, 40.0)))
-    return 4000
-
-
 def _solve(d: float, tol: float) -> EigenResult:
-    pot = make_potential(d)
-    n = _solver_points(d)
-    try:
-        return ground_state(pot, q_max=10.0, n=n, tol=tol)
-    except SolverError:
-        return ground_state(pot, q_max=10.0, n=min(2 * n, 64000), tol=tol)
+    if d <= D_SWITCH or math.isinf(d):
+        return ground_state(make_potential(d), q_max=10.0, tol=tol)
+    # gamma(d) = GAMMA_AT_INF - C1/d + O(1/d^2).  The remainder is measured
+    # against the collocation at D_SWITCH and scaled by (D_SWITCH/d)^2; the
+    # eigenfunction is the d = INFINITY one.
+    at_switch = ground_state(make_potential(D_SWITCH), q_max=10.0, tol=tol)
+    remainder = (abs(at_switch.gamma - GAMMA_AT_INF + ULTRA_C1 / D_SWITCH)
+                 + at_switch.diagnostics.est_error)
+    res = ground_state(make_potential(INFINITY), q_max=10.0, tol=tol)
+    diag = replace(res.diagnostics, est_error=remainder * (D_SWITCH / d) ** 2)
+    return replace(res, gamma=GAMMA_AT_INF - ULTRA_C1 / d, diagnostics=diag)
 
 
 def gamma_bound(d: float, tol: float = 1e-7) -> float:

@@ -4,7 +4,7 @@ The d = 1 regression is pinned two ways: a frozen number from a dense
 tridiagonal eigensolve (20000 interior points, q_max = 12) and a live rerun
 of that oracle, so the test catches drift in either the solver or the
 frozen constant.  The live oracle is a NumPy Sturm-sequence multisection
-that lives only here, independent of the production kernel (LAPACK stebz).
+that lives only here, independent of the production Chebyshev collocation.
 """
 
 import math
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from relhur import (
+    D_SWITCH,
     GAMMA_AT_0,
     GAMMA_AT_INF,
     INFINITY,
@@ -20,6 +21,7 @@ from relhur import (
     gamma_bound,
     gamma_bound_report,
     gaussian_limit_residual,
+    ground_state,
     make_potential,
     potential_v,
     singular_strength,
@@ -177,15 +179,68 @@ def test_small_d_expansion(d):
     assert abs((g - 1.5) / d ** 2 - 3.0 / 8.0) <= d * d
 
 
-@pytest.mark.parametrize("d", [1e3, 1e4])
-def test_large_d_expansion(d):
-    # gamma(d) = GAMMA_AT_INF - C1 / d + O(d^-2) with
-    # C1 = Gamma(s) / (2 Gamma(s + 3/2)), s = (sqrt(5) - 1) / 2.  At d = 1e5
-    # the solver's own error (about 2.6e-9 in gamma) swamps the O(d^-2) term.
+def _c1():
+    # C1 = Gamma(s) / (2 Gamma(s + 3/2)), s = (sqrt(5) - 1) / 2
     s = 0.5 * (math.sqrt(5.0) - 1.0)
-    c1 = math.gamma(s) / (2.0 * math.gamma(s + 1.5))
+    return math.gamma(s) / (2.0 * math.gamma(s + 1.5))
+
+
+@pytest.mark.parametrize("d", [1e3, 1e4, 1e5])
+def test_large_d_expansion(d):
+    # gamma(d) = GAMMA_AT_INF - C1 / d + O(d^-2)
+    c1 = _c1()
     g = gamma_bound(d, tol=1e-8)
     assert abs(d * (GAMMA_AT_INF - g) / c1 - 1.0) <= 3.0 / d
+
+
+def _one_sided_oracle(d, n, q_max=10.0):
+    """gamma(d) from -u'' + V u = 2 gamma u with u = q f = 0 at q = 0 and
+    at q_max, by Chebyshev collocation on the half line itself.
+
+    Independent of the production solver's f = q^s g substitution and its
+    even folding: the unknown is u, the grid has a node at the origin, and
+    the second derivative is the square of the first-derivative matrix.
+    """
+    x = np.cos(np.pi * np.arange(n + 1) / n)
+    c = np.r_[2.0, np.ones(n - 1), 2.0] * (-1.0) ** np.arange(n + 1)
+    d1 = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n + 1))
+    d1 -= np.diag(d1.sum(axis=1))
+    # q = q_max sinh(b t) / sinh(b) on t = (x + 1) / 2 in [0, 1]
+    b = math.asinh(d * q_max)
+    t = 0.5 * (x + 1.0)
+    q = q_max * np.sinh(b * t) / math.sinh(b)
+    dq = 0.5 * q_max * b * np.cosh(b * t) / math.sinh(b)
+    d2q = 0.25 * b * b * q
+    op = -(d1 @ d1) / dq[:, None] ** 2 + (d2q / dq ** 3)[:, None] * d1
+    inner = slice(1, n)
+    op = op[inner, inner] + np.diag(potential_v(q[inner], d))
+    return 0.5 * float(np.min(np.linalg.eigvals(op).real))
+
+
+@pytest.mark.parametrize("d", [40.0, 100.0, 1e5])
+def test_error_bars_hold_at_large_d(d):
+    # |gamma - gamma_ref| <= est_error against independent references: the
+    # one-sided oracle at d = 40 and 100 (widened by its own spread between
+    # two resolutions), the expansion GAMMA_AT_INF - C1/d at d = 1e5
+    rep = gamma_bound_report(d, tol=1e-8)
+    if d < 1e3:
+        ref = _one_sided_oracle(d, 128)
+        spread = abs(ref - _one_sided_oracle(d, 96))
+        assert spread < 1e-10
+    else:
+        ref, spread = GAMMA_AT_INF - _c1() / d, 0.0
+    assert abs(rep.gamma - ref) <= rep.est_error + spread
+
+
+def test_expansion_branch_error_bar():
+    # above D_SWITCH gamma is the expansion; its est_error, measured at
+    # D_SWITCH, must cover the gap to a finer collocation at this d
+    d = 2.0 * D_SWITCH
+    rep = gamma_bound_report(d, tol=1e-8)
+    fine = ground_state(make_potential(d), n=191, tol=1e-6)
+    assert rep.gamma == GAMMA_AT_INF - _c1() / d
+    assert 0.0 < rep.est_error <= 1e-8
+    assert abs(rep.gamma - fine.gamma) <= rep.est_error
 
 
 def test_monotone_log_grid():

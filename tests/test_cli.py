@@ -12,6 +12,8 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from relhur.cli import run
 
@@ -43,6 +45,15 @@ def test_bound_huge_scale(capsys, d_text):
     doc = json.loads(out)
     assert doc["d"] == float(d_text)
     assert abs(doc["gamma"] - (1.0 + 0.5 * math.sqrt(5.0))) <= 1e-6
+
+
+@pytest.mark.parametrize("d_text", ["5e-324", "1e-310"])
+def test_bound_subnormal_scale(capsys, d_text):
+    code, out = _capture(capsys, ["bound", "--d", d_text])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["d"] == float(d_text)
+    assert abs(doc["gamma"] - 1.5) <= 1e-6
 
 
 def test_bound_infinite_scale(capsys):
@@ -225,12 +236,15 @@ def test_console_script_end_to_end(tmp_path):
 
 
 def test_import_skips_scipy_integrate():
+    # relhur runs on NumPy alone: no scipy module at all after import
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, relhur.cli; print('scipy.integrate' in sys.modules)"],
+         "import sys, relhur.cli; print('scipy.integrate' in sys.modules); "
+         "print(sorted(m for m in sys.modules "
+         "if m == 'scipy' or m.startswith('scipy.')))"],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False\n[]\n"
 
 
 def test_library_source_draws_no_random_numbers():
@@ -259,3 +273,40 @@ def test_library_imports_no_private_names_from_siblings():
             and (node.level > 0 or (node.module or "").startswith("relhur"))
             for alias in node.names if alias.name.startswith("_")]
     assert hits == []
+
+
+_EDGE_FLOATS = [5e-324, -5e-324, 1e-310, 1.7e308, -1.7e308, math.inf,
+                -math.inf, math.nan, 0.0, -0.0, -1.0, 1e5, 1.0000001e5]
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+# small counts run; the rest must be refused before any work is done
+_INTS = st.one_of(st.integers(-3, 6),
+                  st.sampled_from([10 ** 5, 2 ** 63, -2 ** 63, 10 ** 400]))
+
+
+def _flag(name, value):
+    return f"--{name}={value!r}"
+
+
+_ARGV = st.one_of(
+    st.tuples(st.just("bound"), _FLOATS.map(lambda d: _flag("d", d))),
+    st.just(("bound", "--d-inf")),
+    st.tuples(st.just("sweep"), _FLOATS.map(lambda d: _flag("d-min", d)),
+              _FLOATS.map(lambda d: _flag("d-max", d)),
+              _INTS.map(lambda n: _flag("points", n)),
+              st.sampled_from(["--log", "--format=csv", "--format=json"])),
+    st.tuples(st.just("hydrogen"), _INTS.map(lambda z: _flag("Z", z)),
+              _FLOATS.map(lambda a: _flag("alpha", a)),
+              st.sampled_from(["--oracle", "--format=csv", "--format=json"])),
+)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_ARGV)
+def test_cli_property_no_traceback(capsys, argv):
+    # every input gives a document or a one-line error, with exit 0, 1 or 2
+    code = run(list(argv))
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in captured.err + captured.out
+    assert (captured.out != "") == (code == 0)

@@ -12,15 +12,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import quad
+from scipy.interpolate import BarycentricInterpolator
 
 from relhur import (
     EigenResult,
     RadialPotential,
     ground_state,
+    make_potential,
     moment,
 )
-from relhur.radial_eigensolver import _simpson
 
 S_ULTRA = 0.5 * (math.sqrt(5.0) - 1.0)
 TOL = 1e-7
@@ -90,10 +91,17 @@ def test_moment_rejects_stronger_singularity():
 
 def test_rayleigh_quotient_consistency():
     res = ground_state(_oscillator(), tol=TOL)
-    h = float(res.grid[1] - res.grid[0])
-    # extend to q = 0 (u = 0 there) so the kinetic head is not dropped
-    q = np.concatenate([[0.0], res.grid])
-    u = np.concatenate([[0.0], res.grid * res.f_values])
+    q_max = res.diagnostics.q_max
+    # u = q f is odd and vanishes at +-q_max; on the mirrored nodes its
+    # polynomial interpolant is spectrally accurate, so sample it on a
+    # uniform grid and take the same trapezoid + gradient proxy there
+    nodes = np.concatenate([[-q_max], -res.grid[::-1], res.grid, [q_max]])
+    u_nodes = res.grid * res.f_values
+    u_fn = BarycentricInterpolator(
+        nodes, np.concatenate([[0.0], -u_nodes[::-1], u_nodes, [0.0]]))
+    q = np.linspace(0.0, q_max, 8001)
+    h = float(q[1] - q[0])
+    u = u_fn(q)
     du = np.gradient(u, h)
     # (1/2)[ int (u')^2 + int V u^2 ] with int u^2 = 1
     kinetic = np.trapezoid(du * du, q)
@@ -117,9 +125,14 @@ def test_variational_upper_bound():
 
 
 def test_grid_convergence():
-    g1 = ground_state(_oscillator(), n=2000, tol=1e-6).gamma
-    g2 = ground_state(_oscillator(), n=4000, tol=1e-6).gamma
-    assert abs(g2 - g1) < 1e-6
+    # d = 1e5, the largest d solved by collocation, needs the most nodes:
+    # the error against a degree-191 solve falls as the degree grows
+    pot = make_potential(1e5)
+    ref = ground_state(pot, n=191, tol=1e-6).gamma
+    errs = [abs(ground_state(pot, n=n, tol=1.0).gamma - ref)
+            for n in (63, 95, 127)]
+    assert errs[0] > errs[1] > errs[2]
+    assert errs[2] < 1e-10
 
 
 def test_ground_state_nodeless():
@@ -143,23 +156,41 @@ def test_rejects_unbounded_below():
 
 
 def test_rejects_tiny_grid():
-    with pytest.raises(ValueError):
-        ground_state(_oscillator(), n=100, tol=TOL)
+    # under-resolved (below degree 63, whose coarse solve has degree 31)
+    # or even, which would put a node on the origin
+    for n in (31, 61, 64, 128):
+        with pytest.raises(ValueError):
+            ground_state(_oscillator(), n=n, tol=TOL)
 
 
 def test_diagnostics_fields():
     res = ground_state(_oscillator(), tol=TOL)
     assert isinstance(res, EigenResult)
-    assert res.diagnostics.grid_size >= 200
-    assert res.diagnostics.q_max == pytest.approx(10.0)
-    assert 0.0 <= res.diagnostics.est_error <= TOL
+    diag = res.diagnostics
+    assert diag.grid_size == res.grid.size == res.f_values.size == 63
+    assert diag.q_max == pytest.approx(10.0)
+    assert diag.resolutions == (95, 127)
+    assert diag.gammas[1] == res.gamma
+    assert abs(diag.gammas[1] - diag.gammas[0]) <= diag.est_error <= TOL
+    assert np.all(np.diff(res.grid) > 0.0) and res.grid[-1] < 10.0
 
 
-@pytest.mark.parametrize("points", [3, 4, 5, 6, 101, 1000, 8001])
-def test_simpson_matches_scipy(points):
-    # odd counts are plain composite Simpson, even counts add the end
-    # correction; both must agree with scipy's rule on a uniform grid
-    x = np.linspace(0.1, 7.0, points)
-    h = float(x[1] - x[0])
-    for y in (np.exp(-x * x) * x ** 1.5, np.cos(3.0 * x) + x ** 3):
-        assert _simpson(y, h) == pytest.approx(simpson(y, dx=h), rel=1e-14)
+def _quad_cases():
+    return [("regular", _oscillator()), ("singular", _singular(1.0))] + [
+        (f"d={d:g}", make_potential(d)) for d in (1e-4, 1.0, 45.0, 100.0, 1e5)]
+
+
+@pytest.mark.parametrize("label,pot", _quad_cases(),
+                         ids=[c[0] for c in _quad_cases()])
+def test_quadrature_weights_match_scipy(label, pot):
+    # the normalization and moment rule on the solver's own mapped nodes
+    # must agree with scipy's adaptive quad on integrands that are smooth,
+    # even in q and vary on the unit scale, as f^2 q^2 weight(q) does for
+    # weights in q^2
+    res = ground_state(pot, tol=TOL)
+    q = res.grid
+    for fn in (lambda x: np.exp(-x * x) * x ** 2,
+               lambda x: np.cos(x) * np.exp(-0.5 * x * x) * x ** 4):
+        ref = quad(fn, 0.0, 10.0, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+        assert float(np.sum(res.weights * fn(q))) == pytest.approx(
+            ref, rel=1e-9, abs=1e-12)

@@ -110,6 +110,18 @@ def test_gamma_frozen_dual_config():
     assert tight.gamma == pytest.approx(rep.gamma, abs=1e-5)
 
 
+@pytest.mark.parametrize("a", [1.0, 15.0])
+def test_err_est_bounds_tighter_run(a):
+    # err_est carries the quadrature's own row estimates into gamma; a run
+    # at far tighter tolerances must land inside it.  At a = 15 the
+    # unnormalized integrals sit below the default abs_tol, so the default
+    # run is loose and err_est says so.
+    rep = gamma_h(HopfionState(a))
+    tight = gamma_h(HopfionState(a), QuadConfig(abs_tol=1e-300, rel_tol=1e-12))
+    assert abs(rep.gamma - tight.gamma) <= rep.err_est
+    assert 0.0 < tight.err_est <= 1e-9
+
+
 def test_amplitude_route_matches_direct():
     # decomposition onto spin amplitudes + general functional vs direct
     # component gradients; fully independent derivative code paths
