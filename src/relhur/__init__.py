@@ -9,8 +9,8 @@ localized free-electron packet.  It depends on NumPy alone.
 Layout:
 
     specfun             gamma function and modified Bessel K0, K1, K2
-    quadrature          adaptive panels of paired Gauss-Legendre rules
-                        (G15 value, G7 error) on [0, inf) and 2D
+    quadrature          adaptive panels of the nested Gauss-Kronrod pair
+                        (K15 value, |K15 - G7| error) on [0, inf) and 2D
     radial_eigensolver  lowest eigenvalue of radial Schrodinger operators
                         by Chebyshev collocation (NumPy only)
     rel_uncertainty     the bound curve gamma(d) and its two limits

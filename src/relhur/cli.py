@@ -30,6 +30,7 @@ from .radial_eigensolver import SolverError
 from .specfun import bessel_k
 
 BOUND_TOL = 1e-7
+ORACLE_REL_TOL = 1e-6  # hydrogen oracle against the closed form
 MAX_POINTS = 10000  # grid points per sweep or curve
 _CSV_HEADER = "param,gamma,err_est"
 
@@ -152,6 +153,10 @@ def _cmd_hydrogen(args) -> tuple[str, int]:
     if args.oracle:
         rep = _hydrogen.quadrature_oracle(state)
         err = abs(rep.gamma - closed) / closed
+        if not err <= ORACLE_REL_TOL:
+            raise ArithmeticError(
+                f"oracle gamma {_fmt(rep.gamma)} differs from the closed form "
+                f"{_fmt(closed)} by {err:.3g} relative (> {ORACLE_REL_TOL:g})")
         pairs += [("gamma_oracle", rep.gamma), ("rel_diff", err)]
     fmt = args.format or "json"
     if fmt == "json":
@@ -199,8 +204,8 @@ def _verify_rows(strict: bool) -> list[tuple[str, float, float, float, bool]]:
     # of the actual wave function, which is the meaningful self-check
     closed = _hydrogen.product_closed_gamma(1.0)
     oracle = _hydrogen.oracle_gamma(1.0).gamma
-    rows.append(("hydrogen_closed_vs_oracle", oracle, closed,
-                 1e-6, abs(oracle - closed) / closed <= 1e-6))
+    rows.append(("hydrogen_closed_vs_oracle", oracle, closed, ORACLE_REL_TOL,
+                 abs(oracle - closed) / closed <= ORACLE_REL_TOL))
     dev = 0.0
     for x in (1e-3, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 200.0):
         k2 = bessel_k(2, x)

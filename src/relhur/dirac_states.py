@@ -27,12 +27,14 @@ analytic bispinor partials; <p> needs only the amplitude density.  Both
 means are always computed and subtracted from the second moments.
 
 The phi integral is a 64-node trapezoid, spectrally accurate for smooth
-periodic integrands.  Every integrand call of the 2D quadrature (one scalar
-p, one panel of thetas) evaluates amplitudes, partials and bispinors on the
-whole (theta, phi) grid in one broadcast NumPy pass: amplitudes are called
-as f(p, thetas[:, None], phis[None, :]) and return complex values that
-broadcast to (n_theta, n_phi).  An amplitude that does not depend on phi
-may return shape (n_theta, 1); any other shape raises ValueError.
+periodic integrands.  Every integrand call of the 2D quadrature (the p
+nodes of a radial panel and the nodes of one theta panel) evaluates
+amplitudes, partials and bispinors on the whole (p, theta, phi) grid in one
+broadcast NumPy pass: amplitudes are called as
+f(ps[:, None, None], thetas[None, :, None], phis[None, None, :]) and return
+complex values that broadcast to (n_p, n_theta, n_phi).  An amplitude that
+does not depend on phi may return size 1 on the phi axis; any other shape
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .quadrature import QuadConfig, integrate_2d
 
 _N_PHI = 64
 
-AmpFunc = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+AmpFunc = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -88,25 +90,26 @@ def _check_spin(s: int) -> int:
     return s
 
 
-def _bispinor_block(p: float, theta, phi, mass: float):
-    """Weyl bispinors and their analytic partials on a (theta, phi) grid.
+def _bispinor_block(p, theta, phi, mass: float):
+    """Weyl bispinors and their analytic partials on a (p, theta, phi) grid.
 
-    theta and phi broadcast against each other (for example thetas[:, None]
-    and phis[None, :]).  Returns u of shape (2, 4) + the broadcast shape,
-    and its partials (d_p, d_theta, d_phi) stacked along a leading axis,
-    shape (3, 2, 4) + the broadcast shape.  On the spin axis, index 0 is
-    spin +1 and index 1 is spin -1.
+    p, theta and phi broadcast against each other (for example
+    ps[:, None, None], thetas[None, :, None] and phis[None, None, :]).
+    Returns u of shape (2, 4) + the broadcast shape, and its partials
+    (d_p, d_theta, d_phi) stacked along a leading axis, shape
+    (3, 2, 4) + the broadcast shape.  On the spin axis, index 0 is spin +1
+    and index 1 is spin -1.
     """
-    e = math.hypot(mass, p)
+    e = np.hypot(mass, p)
     ct, st = np.cos(theta), np.sin(theta)
     pz = p * ct
     eiphi = np.cos(phi) + 1j * np.sin(phi)
     pxy = p * st * eiphi  # p_x + i p_y
     big = mass + e
-    d = math.sqrt(4.0 * e * big)
+    d = np.sqrt(4.0 * e * big)
     # d(ln D)/dp; E' = p/E
     dlnd = 0.5 * (p / e) * (1.0 / e + 1.0 / big)
-    shape = np.broadcast_shapes(np.shape(theta), np.shape(phi))
+    shape = np.broadcast_shapes(np.shape(p), np.shape(theta), np.shape(phi))
     out = np.empty((4, 8) + shape, dtype=complex)
 
     def fill(k, *comps):  # spin +1 components, then spin -1 components
@@ -123,8 +126,8 @@ def _bispinor_block(p: float, theta, phi, mass: float):
          -1j * np.conj(pxy), 0.0, 1j * np.conj(pxy), 0.0)
     # the real and imaginary parts divided by the real d: the values of a
     # complex division, at a fraction of its cost
-    parts = out.view(float)
-    parts /= d
+    parts = out.view(float).reshape(out.shape + (2,))
+    parts /= d[..., None]
     out = out.reshape((4, 2, 4) + shape)
     u, du = out[0], out[1:]
     du[0] -= u * dlnd
@@ -149,13 +152,15 @@ def bispinor_partials(pt: MomentumPoint, s: int) -> tuple[Bispinor, Bispinor, Bi
 class AmplitudePair:
     """Momentum-space amplitudes f(p, theta, phi) for the two spin signs.
 
-    Each amplitude is called as f(p, thetas[:, None], phis[None, :]) with a
-    scalar p, a column of thetas and a row of phis, and returns complex
-    values that broadcast to (n_theta, n_phi); an amplitude that does not
-    depend on phi may return shape (n_theta, 1).  f_minus may be None for a
-    pure spin-up state.  partials_* optionally supply analytic
-    (d_p, d_theta, d_phi) with the same calling convention; otherwise
-    central differences with one Richardson pass are used.
+    Each amplitude is called on a (p, theta, phi) grid as
+    f(ps[:, None, None], thetas[None, :, None], phis[None, None, :]) and
+    returns complex values that broadcast to (n_p, n_theta, n_phi); an
+    amplitude that does not depend on phi may return size 1 on the phi
+    axis.  Use NumPy functions of p, not math ones: p is an array.
+    f_minus may be None for a pure spin-up state.  partials_* optionally
+    supply analytic (d_p, d_theta, d_phi) with the same calling
+    convention; otherwise central differences with one Richardson pass are
+    used, with a step per p node.
     """
 
     f_plus: Optional[AmpFunc]
@@ -214,14 +219,15 @@ class DispersionReport:
                    err_est=0.5 * gamma * (rel_p + rel_r))
 
 
-def _on_grid(out, shape: tuple[int, int]) -> np.ndarray:
+def _on_grid(out, shape: tuple[int, int, int]) -> np.ndarray:
     """An amplitude's output as a complex array of the grid shape."""
     out = np.asarray(out, dtype=complex)
     try:
         return np.broadcast_to(out, shape)
     except ValueError:
         raise ValueError(f"amplitude returned shape {out.shape}, which does "
-                         f"not broadcast to (n_theta, n_phi) = {shape}") from None
+                         f"not broadcast to (n_p, n_theta, n_phi) = {shape}"
+                         ) from None
 
 
 class _Amplitude:
@@ -239,9 +245,8 @@ class _Amplitude:
         # the coordinate domain.
         fn = self.fn
         if axis == 0:
-            h = max(1e-5, 1e-5 * p)
-            if p - h <= 0.0:
-                h = 0.5 * p
+            h = np.maximum(1e-5, 1e-5 * p)
+            h = np.where(p - h <= 0.0, 0.5 * p, h)
             probe = lambda hh: (fn(p + hh, thetas, phis)
                                 - fn(p - hh, thetas, phis)) / (2.0 * hh)
         elif axis == 1:
@@ -260,8 +265,9 @@ class _Amplitude:
         return (4.0 * d2 - d1) / 3.0
 
     def evaluate(self, p, thetas, phis):
-        """Value, d_p, d_theta and d_phi stacked, shape (4, n_theta, n_phi)."""
-        shape = (thetas.shape[0], phis.shape[1])
+        """Value, d_p, d_theta and d_phi stacked, shape
+        (4, n_p, n_theta, n_phi)."""
+        shape = (p.shape[0], thetas.shape[1], phis.shape[2])
         if self.fn is None:
             return np.zeros((4,) + shape, dtype=complex)
         if self.partials is not None:
@@ -292,7 +298,7 @@ def dispersion_functional(amp: AmplitudePair, cfg: QuadConfig = QuadConfig(),
     # (|k| <= 3) into every integrand even when the amplitudes carry none,
     # so phi is always a trapezoid sum, spectrally accurate for smooth
     # periodic amplitudes.
-    phis = np.linspace(0.0, 2.0 * math.pi, _N_PHI, endpoint=False)[None, :]
+    phis = np.linspace(0.0, 2.0 * math.pi, _N_PHI, endpoint=False)[None, None, :]
     w_phi = 2.0 * math.pi / _N_PHI
     cp, sp = np.cos(phis), np.sin(phis)
     e_mphi = np.exp(-1j * phis)
@@ -302,15 +308,16 @@ def dispersion_functional(amp: AmplitudePair, cfg: QuadConfig = QuadConfig(),
 
     # rows: 0 norm, 1 p-second-moment, 2 r-second-moment,
     #       3..5 <p> components, 6..8 <r> components
-    def rows(p: float, thetas: np.ndarray) -> np.ndarray:
-        th = thetas[:, None]
+    def rows(p: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        # grid axes (p, theta, phi); the phi sum drops the last
+        p, th = p[..., None], thetas[..., None]
         st = np.sin(th)
         ct = np.cos(th)
-        e = math.hypot(mass, p)
+        e = np.hypot(mass, p)
         rel = 1.0 - mass / e  # (1 - m/E)
         coef_f = rel + (mass * p) ** 2 / (4.0 * e ** 4)
 
-        # fg: (value / d_p / d_theta / d_phi, spin, theta, phi)
+        # fg: (value / d_p / d_theta / d_phi, spin, p, theta, phi)
         fg = np.stack([s.evaluate(p, th, phis) for s in spins], axis=1)
         fp, fm = fg[0]
         g = fg[1:]
@@ -318,7 +325,7 @@ def dispersion_functional(amp: AmplitudePair, cfg: QuadConfig = QuadConfig(),
         dens = np.abs(fp) ** 2 + np.abs(fm) ** 2
         grad_sq = np.sum(np.abs(g) ** 2, axis=1)
 
-        out = np.empty((9, thetas.size))
+        out = np.empty((9,) + dens.shape[:-1])
         out[0] = phi_sum(p * p * st * dens)
         out[1] = phi_sum(p ** 4 * st * dens)
 

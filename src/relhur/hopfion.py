@@ -17,7 +17,7 @@ general dispersion functional can serve as an independent cross-check.
 
 The azimuthal dependence of every integrand lives in explicit e^{i k phi}
 factors with |k| <= 2, so an 8-node trapezoid in phi is exact; it is
-evaluated on the whole (theta, phi) grid of a quadrature panel in one
+evaluated on the whole (p, theta, phi) grid of a quadrature panel in one
 broadcast NumPy pass, and the remaining (p, theta) integral goes to the
 adaptive 2D quadrature.
 """
@@ -59,13 +59,13 @@ class SweepTable:
     limit_gamma: float = 1.5
 
 
-def _components(a: float, p: float, theta, phi):
+def _components(a: float, p, theta, phi):
     """The four components at (p, theta, phi), shape (4,) + the broadcast
-    shape of theta and phi."""
-    e = math.hypot(1.0, p)
+    shape of p, theta and phi."""
+    e = np.hypot(1.0, p)
     ct = np.cos(theta)
     st = np.sin(theta)
-    h = math.exp(-a * e) / e
+    h = np.exp(-a * e) / e
     eiphi = np.cos(phi) + 1j * np.sin(phi)
     return np.stack(np.broadcast_arrays(h + 0j, 0j, h * (e - p * ct),
                                         -h * p * st * eiphi))
@@ -76,9 +76,9 @@ def momentum_bispinor(state: HopfionState, pt: MomentumPoint) -> Bispinor:
     return Bispinor(components=_components(state.a, pt.p, pt.theta, pt.phi))
 
 
-def _density_fast(a: float, p: float, theta) -> np.ndarray | float:
-    e = math.hypot(1.0, p)
-    return 2.0 * math.exp(-2.0 * a * e) * (e - p * np.cos(theta)) / e
+def _density_fast(a: float, p, theta) -> np.ndarray:
+    e = np.hypot(1.0, p)
+    return 2.0 * np.exp(-2.0 * a * e) * (e - p * np.cos(theta)) / e
 
 
 def density(state: HopfionState, pt: MomentumPoint) -> float:
@@ -88,13 +88,8 @@ def density(state: HopfionState, pt: MomentumPoint) -> float:
 
 def norm_const(state: HopfionState, cfg: QuadConfig = QuadConfig()) -> float:
     """Squared norm integral of the unnormalized components (i.e. N^{-2})."""
-    cfg = cfg.validated()
     a = state.a
-    # the integral scales like e^{-2a}; shrink abs_tol with it so the
-    # relative contract holds at large widths too
-    abs_scale = max(math.exp(-2.0 * a), 1e-300)
-    cfg = dataclasses.replace(cfg, decay_scale=_decay_scale(a),
-                              abs_tol=cfg.abs_tol * min(1.0, abs_scale))
+    cfg = _scaled(cfg, a)
 
     def rows(p, thetas):
         return p * p * np.sin(thetas) * _density_fast(a, p, thetas)
@@ -125,23 +120,23 @@ def amplitude_pair(state: HopfionState) -> AmplitudePair:
     """
     a = state.a
 
-    def g(p: float) -> float:
-        e = math.hypot(1.0, p)
-        return math.exp(-a * e) / math.sqrt(e * (e + 1.0))
+    def g(p):
+        e = np.hypot(1.0, p)
+        return np.exp(-a * e) / np.sqrt(e * (e + 1.0))
 
-    def dg(p: float) -> float:
-        e = math.hypot(1.0, p)
+    def dg(p):
+        e = np.hypot(1.0, p)
         ep = p / e
         return g(p) * (-a * ep - ep / (2.0 * e) - ep / (2.0 * (e + 1.0)))
 
     def f_plus(p, th, phi):
-        return (1.0 + math.hypot(1.0, p) - p * np.cos(th)) * g(p) + 0j
+        return (1.0 + np.hypot(1.0, p) - p * np.cos(th)) * g(p) + 0j
 
     def f_minus(p, th, phi):
         return -p * np.sin(th) * np.exp(1j * phi) * g(p)
 
     def dp_plus(p, th, phi):
-        e = math.hypot(1.0, p)
+        e = np.hypot(1.0, p)
         return ((p / e - np.cos(th)) * g(p)
                 + (1.0 + e - p * np.cos(th)) * dg(p)) + 0j
 
@@ -167,10 +162,19 @@ def amplitude_pair(state: HopfionState) -> AmplitudePair:
     )
 
 
-def _decay_scale(a: float) -> float:
-    # e^{-2aE} decays on the scale max of 1/(2a) (relativistic) and
-    # 1/sqrt(2a) (Gaussian-like for p << 1); cover both regimes.
-    return 1.0 / (2.0 * a) + 1.0 / math.sqrt(2.0 * a)
+def _scaled(cfg: QuadConfig, a: float) -> QuadConfig:
+    """cfg fitted to width a.
+
+    e^{-2aE} decays on the scale max of 1/(2a) (relativistic) and
+    1/sqrt(2a) (Gaussian-like for p << 1); decay_scale covers both
+    regimes.  The integrals scale like e^{-2a}, so abs_tol shrinks with
+    them and the relative contract holds at large widths too; it stops at
+    the smallest positive float, where a tiny abs_tol would underflow.
+    """
+    cfg = cfg.validated()
+    return dataclasses.replace(
+        cfg, decay_scale=1.0 / (2.0 * a) + 1.0 / math.sqrt(2.0 * a),
+        abs_tol=max(cfg.abs_tol * math.exp(-2.0 * a), math.ulp(0.0)))
 
 
 def gamma_h(state: HopfionState,
@@ -179,19 +183,20 @@ def gamma_h(state: HopfionState,
     a = state.a
     if not (A_MIN <= a <= A_MAX):
         raise ValueError(f"a must lie in [{A_MIN}, {A_MAX}]")
-    cfg = cfg.validated()
-    cfg = dataclasses.replace(cfg, decay_scale=_decay_scale(a))
+    cfg = _scaled(cfg, a)
 
     phis = np.linspace(0.0, 2.0 * math.pi, _N_PHI, endpoint=False)
     w_phi = 2.0 * math.pi / _N_PHI
     cp, sp = np.cos(phis), np.sin(phis)
     eiphi = cp + 1j * sp
 
-    def rows(p: float, thetas: np.ndarray) -> np.ndarray:
-        e = math.hypot(1.0, p)
+    def rows(p: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        # a trailing phi axis on every array; the phi-free rows drop it
+        p, thetas = p[..., None], thetas[..., None]
+        e = np.hypot(1.0, p)
         ep = p / e
         ct, st = np.cos(thetas), np.sin(thetas)
-        h = math.exp(-a * e) / e
+        h = np.exp(-a * e) / e
         dh = -h * ep * (a + 1.0 / e)
         dens = _density_fast(a, p, thetas)
 
@@ -208,32 +213,30 @@ def gamma_h(state: HopfionState,
                    + d_t2 * d_t2 + d_t3 * d_t3
                    + (d_f3 * d_f3) / (st * st))
 
-        out = np.zeros((9, thetas.size))
-        out[0] = 2.0 * math.pi * p * p * st * dens
-        out[1] = 2.0 * math.pi * p ** 4 * st * dens
-        out[2] = 2.0 * math.pi * st * grad_sq
-        out[5] = 2.0 * math.pi * p ** 3 * st * ct * dens
+        out = np.zeros((9,) + dens.shape[:-1])
+        out[0] = (2.0 * math.pi * p * p * st * dens)[..., 0]
+        out[1] = (2.0 * math.pi * p ** 4 * st * dens)[..., 0]
+        out[2] = (2.0 * math.pi * st * grad_sq)[..., 0]
+        out[5] = (2.0 * math.pi * p ** 3 * st * ct * dens)[..., 0]
         # <p_x>, <p_y> vanish analytically (density phi-independent); the
         # 8-node phi sum below reproduces that to roundoff for <r>.
-        # Gradients of the components on the (theta, phi) grid, shape
-        # (d_p / d_theta / d_phi, component, theta, phi).
-        ct2, st2 = ct[:, None], st[:, None]
-        psi = _components(a, p, thetas[:, None], phis)
+        # Gradients of the components on the (p, theta, phi) grid, shape
+        # (d_p / d_theta / d_phi, component, p, theta, phi).
+        psi = _components(a, p, thetas, phis)
         dpsi = np.zeros((3,) + psi.shape, dtype=complex)
         dpsi[0, 0] = dh
-        dpsi[0, 2] = d_p2[:, None]
-        dpsi[0, 3] = -st2 * eiphi * (dh * p + h)
-        dpsi[1, 2] = d_t2[:, None]
-        dpsi[1, 3] = -h * p * ct2 * eiphi
-        dpsi[2, 3] = -1j * h * p * st2 * eiphi
+        dpsi[0, 2] = d_p2
+        dpsi[0, 3] = -st * eiphi * (dh * p + h)
+        dpsi[1, 2] = d_t2
+        dpsi[1, 3] = -h * p * ct * eiphi
+        dpsi[2, 3] = -1j * h * p * st * eiphi
         a_p, a_t, a_f = -np.sum(np.conj(psi) * dpsi, axis=1).imag
         a_t = a_t / p
-        a_f = a_f / (p * st2)
-        out[6] = w_phi * p * p * st * np.sum(
-            a_p * st2 * cp + a_t * ct2 * cp - a_f * sp, axis=1)
-        out[7] = w_phi * p * p * st * np.sum(
-            a_p * st2 * sp + a_t * ct2 * sp + a_f * cp, axis=1)
-        out[8] = w_phi * p * p * st * np.sum(a_p * ct2 - a_t * st2, axis=1)
+        a_f = a_f / (p * st)
+        w = (w_phi * p * p * st)[..., 0]
+        out[6] = w * np.sum(a_p * st * cp + a_t * ct * cp - a_f * sp, axis=-1)
+        out[7] = w * np.sum(a_p * st * sp + a_t * ct * sp + a_f * cp, axis=-1)
+        out[8] = w * np.sum(a_p * ct - a_t * st, axis=-1)
         return out
 
     res = integrate_2d(rows, cfg, control_rows=[0, 1, 2])

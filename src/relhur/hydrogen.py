@@ -70,6 +70,8 @@ class CoulombState:
             raise ValueError("Z must be a positive integer")
         if self.Z < 1:
             raise ValueError("Z must be a positive integer")
+        if self.Z > sys.float_info.max:  # exact int/float comparison
+            raise ValueError("Z exceeds the float range")
         if not (self.alpha > 0.0) or not math.isfinite(self.alpha):
             raise ValueError("alpha must be a positive finite real")
         za = self.alpha * self.Z
@@ -184,7 +186,11 @@ def oracle_gamma(gamma_c: float, cfg: QuadConfig = QuadConfig()) -> DispersionRe
     alpha*Z and momenta by 1/(alpha Z), so the product is unchanged and
     the integrands stay O(1) all the way to g = 1.  The substitution
     r = t^(1/(2g-1)) maps the r^(2g-2) origin singularity of the momentum
-    integrand to exactly t^0, so the panels see a bounded integrand.
+    integrand to exactly t^0, so the panels see a bounded integrand; it
+    is evaluated on whole (t, theta) grids of quadrature nodes.  Close
+    to g = 1/2 the quadrature can converge to a wrong value while err_est
+    stays small (g = 0.501: 36% off; g = 0.502: exact), so
+    `relhur hydrogen --oracle` compares it with the closed form.
 
     <r> = 0 by spherical symmetry of the density and <p> = 0 by reality
     of the radial profile; both are recomputed and checked, not assumed.
@@ -207,23 +213,22 @@ def oracle_gamma(gamma_c: float, cfg: QuadConfig = QuadConfig()) -> DispersionRe
     # rows in the DispersionReport.from_integrals layout: 0 norm,
     # 1 momentum gradient integral, 2 <r^2>, 5 <p_z>, 8 <z>; <p_x>, <p_y>,
     # <x>, <y> vanish identically in the phi integral
-    def rows(t: float, thetas: np.ndarray) -> np.ndarray:
-        out = np.zeros((9, thetas.size))
-        if t <= 0.0:
-            return out
-        log_t = math.log(t)
-        log_r = mu * log_t
-        if log_r > math.log(500.0):
-            # e^(-2r) underflows every row to exact zero out here
-            return out
-        r = math.exp(log_r)
+    def rows(t: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        # nodes at t <= 0, and beyond r = 500 where e^(-2r) underflows every
+        # row to exact zero, are masked to zero
+        log_t = np.log(np.where(t > 0.0, t, 1.0))
+        live = (t > 0.0) & (mu * log_t <= math.log(500.0))
+        log_t = np.where(live, log_t, 0.0)
+        r = np.exp(mu * log_t)
         # b = r^(2g-2) e^(-2r) * dr/dt; the exponent of t cancels exactly
-        b = math.exp(log_mu + (mu * (2.0 * g - 1.0) - 1.0) * log_t - 2.0 * r)
+        b = np.where(live, np.exp(log_mu + (mu * (2.0 * g - 1.0) - 1.0) * log_t
+                                  - 2.0 * r), 0.0)
         st = np.sin(thetas)
         ct = np.cos(thetas)
         dens_ang = 1.0 + k_sq * ct * ct + k_sq * st * st
         wp = (g - 1.0) - r  # w' = wp * w / r
 
+        out = np.zeros((9,) + np.broadcast_shapes(t.shape, thetas.shape))
         out[0] = two_pi * n_sq * r * r * b * dens_ang * st
         out[2] = two_pi * n_sq * r ** 4 * b * dens_ang * st
         # sum over components of |d_r psi|^2 r^2 + |d_theta psi|^2

@@ -1,11 +1,12 @@
 """Adaptive quadrature over [0, inf) and [0, inf) x [0, pi].
 
-Each panel carries two separate Gauss-Legendre rules: the 15-point value is
-kept, the 7-point value supplies the error estimate |G15 - G7|.  The rules
-share no nodes, so a panel costs 22 evaluations, made in one call of the
-integrand on the concatenated G15 + G7 abscissae.  All nodes are interior,
-so integrable endpoint behaviour (up to x**-0.5 at the origin) never gets
-evaluated at the singular point itself.
+Each panel carries QUADPACK's nested Gauss-Kronrod pair (qk15; Piessens et
+al., QUADPACK, 1983): the 15-point Kronrod value is kept, and the 7-point
+Gauss rule on its odd nodes supplies the error estimate |K15 - G7|.  The
+rules share their nodes, so a panel costs 15 evaluations, made in one call
+of the integrand.  All nodes are interior, so integrable endpoint
+behaviour (up to x**-0.5 at the origin) never gets evaluated at the
+singular point itself.
 
 The half line is folded onto t in [0, 1) with
 
@@ -13,14 +14,17 @@ The half line is folded onto t in [0, 1) with
 
 so a decay_scale matched to the integrand's natural width keeps the panel
 count small.  Integrands are called once per panel with a numpy array of
-the panel's 22 abscissae and return shape (22,), or (n_rows, 22) to
+the panel's 15 abscissae and return shape (15,), or (n_rows, 15) to
 integrate n_rows functions on the same panels; any other shape raises
 ValueError.  The row count is read from the output, and results take the
 shape of one output column.
 
-The 2D rule is a tensor product: adaptive panels along the radial axis,
-and for every radial node an adaptive sweep over the angular interval
-[0, pi].  Angular error estimates are propagated into the reported total.
+The 2D rule is a tensor product: adaptive panels along the radial axis p,
+and for every p node an adaptive sweep over the angular interval [0, pi].
+The integrand is called once per radial panel, on the 15 x 15 grid of its
+p nodes and the first angular panel's nodes; only the p nodes whose first
+angular panel misses the inner tolerance are refined further, one p value
+at a time.  Angular error estimates are propagated into the reported total.
 """
 
 from __future__ import annotations
@@ -39,10 +43,26 @@ __all__ = [
     "integrate_2d",
 ]
 
-_G15_NODES, _G15_WEIGHTS = np.polynomial.legendre.leggauss(15)
-_G7_NODES, _G7_WEIGHTS = np.polynomial.legendre.leggauss(7)
-_PANEL_NODES = np.concatenate([_G15_NODES, _G7_NODES])
-_N15 = _G15_NODES.size
+# qk15 for x >= 0, descending: Kronrod nodes and weights, and the Gauss
+# weights of the odd-indexed nodes (0.949..., 0.741..., 0.405..., 0)
+_XK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+       0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+       0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+       0.207784955007898467600689403773245, 0.0)
+_WK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+       0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+       0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+       0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+
+_NODES = np.array([-x for x in _XK[:-1]] + list(_XK[::-1]))  # ascending
+_K15_WEIGHTS = np.array(_WK[:-1] + _WK[::-1])
+_G7_WEIGHTS = np.zeros(_NODES.size)
+_G7_WEIGHTS[1::2] = _WG[:-1] + _WG[::-1]
+# one product gives the K15 value and the K15 - G7 difference
+_RULE = np.stack([_K15_WEIGHTS, _K15_WEIGHTS - _G7_WEIGHTS], axis=1)
+_N = _NODES.size
 
 THETA_MAX = math.pi
 
@@ -67,8 +87,8 @@ class QuadConfig:
 @dataclass(frozen=True)
 class QuadResult:
     """value and est_abs_error are shaped like one column of the integrand's
-    output: a NumPy float for an (n,) integrand, an (n_rows,) array for an
-    (n_rows, n) one."""
+    output: a NumPy float for a one-row integrand, an (n_rows,) array for
+    an n_rows one."""
 
     value: np.floating | np.ndarray
     est_abs_error: np.floating | np.ndarray
@@ -88,32 +108,37 @@ class QuadratureError(RuntimeError):
         self.best = best
 
 
-def _checked(y, n: int) -> np.ndarray:
-    """The integrand's return value for n nodes; shape (n,) or (n_rows, n)."""
+def _checked(y, *grid: int) -> np.ndarray:
+    """The integrand's return value on a node grid of shape grid: that
+    shape, or (n_rows,) + grid."""
     y = np.asarray(y, dtype=float)
-    if y.ndim not in (1, 2) or y.shape[-1] != n:
+    if y.shape[-len(grid):] != grid or y.ndim > len(grid) + 1:
         raise ValueError(f"integrand returned shape {y.shape}, expected "
-                         f"({n},) or (n_rows, {n})")
+                         f"{grid} or (n_rows, {', '.join(map(str, grid))})")
     return y
 
 
-def _panel_eval(fvec, a, b):
-    """One panel: G15 value and |G15 - G7| estimate, both shape (n_rows,),
-    and the shape of one column of fvec's output.
-
-    The integrand is called once, on the 15 + 7 nodes side by side.
-    """
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    y = fvec(mid + half * _PANEL_NODES)
+def _rule(y, a, b):
+    """K15 value and |K15 - G7| estimate over [a, b] along the last axis of
+    y, which holds the integrand at the panel's 15 nodes."""
     if not np.all(np.isfinite(y)):
         raise QuadratureError(
             f"integrand returned a non-finite value inside [{a:g}, {b:g}]"
         )
-    rows = np.atleast_2d(y)
-    i15 = half * (rows[:, :_N15] @ _G15_WEIGHTS)
-    i7 = half * (rows[:, _N15:] @ _G7_WEIGHTS)
-    return i15, np.abs(i15 - i7), y.shape[:-1]
+    both = 0.5 * (b - a) * (y @ _RULE)
+    return both[..., 0], np.abs(both[..., 1])
+
+
+def _nodes(a, b):
+    return 0.5 * (a + b) + 0.5 * (b - a) * _NODES
+
+
+def _panel_eval(fvec, a, b):
+    """One panel: K15 value and |K15 - G7| estimate, both shape (n_rows,),
+    and the shape of one column of fvec's output."""
+    y = fvec(_nodes(a, b))
+    val, err = _rule(np.atleast_2d(y), a, b)
+    return val, err, y.shape[:-1]
 
 
 def _column(x: np.ndarray, col: tuple):
@@ -122,18 +147,22 @@ def _column(x: np.ndarray, col: tuple):
 
 
 def _adaptive(fvec, a, b, abs_tol, rel_tol, max_subdivisions,
-              control_rows=slice(None)):
+              control_rows=slice(None), first=None):
     """Adaptive bisection of [a, b] for an integrand fvec(xs) of shape
     (n,) or (n_rows, n).
 
     Refinement is driven by the rows that control_rows (a list of row
-    indices or a slice) selects; the remaining rows ride along.  Returns
-    (value, err, n_evals), value and err shaped like one column of fvec's
-    output.  On an exhausted budget the QuadratureError carries the same
-    triple, accumulated so far, in best.
+    indices or a slice) selects; the remaining rows ride along.  first, a
+    (value, err, col) triple of _panel_eval on [a, b] computed elsewhere,
+    spares that evaluation.  Returns (value, err, n_evals), value and err
+    shaped like one column of fvec's output.  On an exhausted budget the
+    QuadratureError carries the same triple, accumulated so far, in best.
     """
-    val, err, col = _panel_eval(fvec, a, b)
-    n_evals = _PANEL_NODES.size
+    if first is None:
+        val, err, col = _panel_eval(fvec, a, b)
+        n_evals = _N
+    else:
+        (val, err, col), n_evals = first, 0
     if isinstance(control_rows, slice):
         control_rows = range(val.size)[control_rows]
     panels = [(a, b, val, err)]
@@ -164,7 +193,7 @@ def _adaptive(fvec, a, b, abs_tol, rel_tol, max_subdivisions,
         pm = 0.5 * (pa + pb)
         v1, e1, _ = _panel_eval(fvec, pa, pm)
         v2, e2, _ = _panel_eval(fvec, pm, pb)
-        n_evals += 2 * _PANEL_NODES.size
+        n_evals += 2 * _N
         panels.append((pa, pm, v1, e1))
         panels.append((pm, pb, v2, e2))
 
@@ -204,41 +233,49 @@ def integrate_2d(f: Callable, cfg: QuadConfig = QuadConfig(),
     """Integral of f(p, theta) over p in [0, inf), theta in [0, pi].
 
     The measure is plain dp dtheta; any p**2 sin(theta) weight belongs to
-    the integrand.  f is called with a scalar p and an array of thetas and
-    returns shape (len(thetas),), or (n_rows, len(thetas)) for several
-    integrals at once; any other shape raises ValueError.  Refinement on
-    both axes is driven by the rows listed in control_rows (default: all);
-    the others are integrated on the same panels.  The reported error adds
-    the integral of the inner theta-sweep errors over p.
+    the integrand.  f is called as f(ps[:, None], thetas[None, :]), once
+    per radial panel on its 15 p nodes and the 15 nodes of the whole
+    angular interval, and then once per further angular panel for each p
+    node whose first angular panel missed the inner tolerance (a single p,
+    n_p = 1).  It returns shape (n_p, n_theta), or (n_rows, n_p, n_theta)
+    for several integrals at once; any other shape raises ValueError.
+    Refinement on both axes is driven by the rows listed in control_rows
+    (default: all); the others are integrated on the same panels.  The
+    reported error adds the integral of the inner theta-sweep errors over p.
     """
     cfg = cfg.validated()
     inner_abs = 0.1 * cfg.abs_tol
     inner_rel = 0.1 * cfg.rel_tol
     # the outer sweep's last row, the integrated inner error estimates,
     # never drives refinement
-    inner_control = slice(None) if control_rows is None else control_rows
+    inner_control = slice(None) if control_rows is None else list(control_rows)
     outer_control = slice(-1) if control_rows is None else control_rows
+    thetas = _nodes(0.0, THETA_MAX)[None, :]
     evals = 0
     col = ()
 
     def outer(ps):
         nonlocal evals, col
-        vals, errs = [], []
-        for p in ps:
-            try:
-                v, e, n = _adaptive(
-                    lambda ths, p=p: _checked(f(p, ths), ths.size),
+        y = _checked(f(ps[:, None], thetas), ps.size, _N)
+        evals += ps.size * _N
+        col = y.shape[:-2]
+        try:
+            vals, errs = _rule(y.reshape(-1, ps.size, _N), 0.0, THETA_MAX)
+            bound = np.maximum(inner_abs, inner_rel * np.abs(vals))
+            missed = np.any(errs[inner_control] > bound[inner_control], axis=0)
+            for i in np.flatnonzero(missed):
+                p = ps[i:i + 1, None]
+                vals[:, i], errs[:, i], n = _adaptive(
+                    lambda ths: _checked(f(p, ths[None, :]), 1, ths.size)[..., 0, :],
                     0.0, THETA_MAX, inner_abs, inner_rel,
                     cfg.max_subdivisions, inner_control,
+                    first=(vals[:, i], errs[:, i], col),
                 )
-            except QuadratureError as exc:
-                exc.best = None  # one theta sweep is no whole-domain estimate
-                raise
-            evals += n
-            vals.append(v)
-            errs.append(e.max())
-        col = np.shape(v)
-        return np.column_stack((vals, errs)).T  # (n_rows + 1, len(ps))
+                evals += n
+        except QuadratureError as exc:
+            exc.best = None  # one theta sweep is no whole-domain estimate
+            raise
+        return np.vstack((vals, errs.max(axis=0)))  # (n_rows + 1, len(ps))
 
     def result(val, err, _):
         # the last row integrates the inner error estimates over p

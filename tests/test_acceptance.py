@@ -198,7 +198,7 @@ def test_criterion_8_special_functions():
 
 def test_criterion_9_property_suite():
     def gaussian(p, th, phi):
-        return np.full_like(th, math.exp(-0.5 * p * p), dtype=complex)
+        return np.exp(-0.5 * p * p) * np.ones_like(th, dtype=complex)
 
     base = dispersion_functional(AmplitudePair(f_plus=gaussian))
     phase = complex(math.cos(1.1), math.sin(1.1))
@@ -208,8 +208,8 @@ def test_criterion_9_property_suite():
                 and abs(rot.norm_sq - base.norm_sq) <= 1e-9 * base.norm_sq)
 
     def ultra(p, th, phi):
-        return np.full_like(th, p ** S_ULTRA * math.exp(-0.5 * p * p),
-                            dtype=complex)
+        return (p ** S_ULTRA * np.exp(-0.5 * p * p)
+                * np.ones_like(th, dtype=complex))
 
     lam = 2.0
     rep0 = dispersion_functional(AmplitudePair(f_plus=ultra), mass=0.0)

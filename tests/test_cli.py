@@ -220,6 +220,35 @@ def test_oracle_arithmetic_error_exits_1(capsys, monkeypatch, argv):
     assert "Traceback" not in captured.err + captured.out
 
 
+def test_hydrogen_oracle_mismatch_exits_1(capsys):
+    # gamma_c = 0.50004: the oracle misses the closed form by far more than
+    # the 1e-6 it is held to, so no document is printed
+    code = run(["hydrogen", "--Z", "1", "--alpha", "0.866", "--oracle"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("relhur hydrogen: numerical failure: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["hydrogen", "--Z", "118", "--oracle"],
+    ["hydrogen", "--Z", "1", "--alpha", "0.85", "--oracle"],
+])
+def test_hydrogen_oracle_near_divergence_exits_0(capsys, argv):
+    code, out = _capture(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["rel_diff"] <= 1e-6
+
+
+def test_hydrogen_z_beyond_float_range_exits_2(capsys):
+    code = run(["hydrogen", "--Z", str(10 ** 400)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "relhur hydrogen: Z exceeds the float range\n"
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()

@@ -36,7 +36,7 @@ def _random_points(n):
 
 
 def _gaussian(p, thetas, phi):
-    return np.full_like(thetas, math.exp(-0.5 * p * p), dtype=complex)
+    return np.exp(-0.5 * p * p) * np.ones_like(thetas, dtype=complex)
 
 
 def test_momentum_point_validation():
@@ -116,8 +116,8 @@ def test_nonrelativistic_gamma_anchor():
 
 def test_massless_gamma_anchor():
     def amp(p, thetas, phi):
-        val = p ** S_ULTRA * math.exp(-0.5 * p * p)
-        return np.full_like(thetas, val, dtype=complex)
+        val = p ** S_ULTRA * np.exp(-0.5 * p * p)
+        return val * np.ones_like(thetas, dtype=complex)
 
     rep = dispersion_functional(AmplitudePair(f_plus=amp), mass=0.0)
     assert rep.gamma == pytest.approx(1.0 + 0.5 * math.sqrt(5.0), abs=1e-5)
@@ -149,8 +149,8 @@ def test_phase_covariance():
 @pytest.mark.parametrize("lam", [0.5, 2.0])
 def test_massless_scaling_invariance(lam):
     def base(p, thetas, phi):
-        val = p ** S_ULTRA * math.exp(-0.5 * p * p)
-        return np.full_like(thetas, val, dtype=complex)
+        val = p ** S_ULTRA * np.exp(-0.5 * p * p)
+        return val * np.ones_like(thetas, dtype=complex)
 
     def scaled(p, thetas, phi):
         return base(p / lam, thetas, phi)
@@ -201,7 +201,7 @@ def test_gamma_above_three_halves():
 
 
 def _phi_dependent_minus(p, thetas, phi):
-    return np.sin(thetas) * p * math.exp(-0.5 * p * p) * np.exp(1j * phi)
+    return np.sin(thetas) * p * np.exp(-0.5 * p * p) * np.exp(1j * phi)
 
 
 def test_phi_dependent_amplitude_consistency():
@@ -231,8 +231,9 @@ def test_phi_dependent_amplitude_consistency():
 
 
 def test_phi_free_amplitude_broadcasts():
-    # a phi-free amplitude may return (n_theta, 1); the report must not
-    # depend on whether it does or returns the full (n_theta, n_phi) grid
+    # a phi-free amplitude may return (n_p, n_theta, 1); the report must
+    # not depend on whether it does or returns the full
+    # (n_p, n_theta, n_phi) grid
     def column(p, thetas, phi):
         return np.exp(-0.5 * p * p - 0.3 * np.cos(thetas)) + 0j * thetas
 
@@ -241,7 +242,8 @@ def test_phi_free_amplitude_broadcasts():
 
     narrow = dispersion_functional(AmplitudePair(f_plus=column))
     wide = dispersion_functional(AmplitudePair(f_plus=grid))
-    assert column(1.0, np.zeros((3, 1)), np.zeros((1, 64))).shape == (3, 1)
+    assert column(np.ones((2, 1, 1)), np.zeros((1, 3, 1)),
+                  np.zeros((1, 1, 64))).shape == (2, 3, 1)
     for field in ("norm_sq", "delta_r_sq", "delta_p_sq", "gamma"):
         assert getattr(narrow, field) == getattr(wide, field)
     assert np.array_equal(narrow.mean_p, wide.mean_p)
@@ -250,8 +252,9 @@ def test_phi_free_amplitude_broadcasts():
 
 @pytest.mark.parametrize("bad", [
     lambda p, th, ph: np.ones(3, dtype=complex),
-    lambda p, th, ph: np.ones((th.shape[0] + 1, 1), dtype=complex),
-    lambda p, th, ph: np.ones(th.shape[0], dtype=complex),
+    lambda p, th, ph: np.ones((th.shape[1] + 1, 1), dtype=complex),
+    lambda p, th, ph: np.ones(th.shape[1], dtype=complex),
+    lambda p, th, ph: np.ones((p.shape[0] + 1, 1, 1), dtype=complex),
 ])
 def test_rejects_amplitude_of_wrong_shape(bad):
     with pytest.raises(ValueError, match="broadcast"):

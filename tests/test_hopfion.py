@@ -110,12 +110,12 @@ def test_gamma_frozen_dual_config():
     assert tight.gamma == pytest.approx(rep.gamma, abs=1e-5)
 
 
-@pytest.mark.parametrize("a", [1.0, 15.0])
+@pytest.mark.parametrize("a", [1.0, 15.0, 50.0])
 def test_err_est_bounds_tighter_run(a):
     # err_est carries the quadrature's own row estimates into gamma; a run
-    # at far tighter tolerances must land inside it.  At a = 15 the
-    # unnormalized integrals sit below the default abs_tol, so the default
-    # run is loose and err_est says so.
+    # at far tighter tolerances must land inside it.  At a = 15 and 50 the
+    # unnormalized integrals sit far below the default abs_tol, which
+    # therefore scales with them.
     rep = gamma_h(HopfionState(a))
     tight = gamma_h(HopfionState(a), QuadConfig(abs_tol=1e-300, rel_tol=1e-12))
     assert abs(rep.gamma - tight.gamma) <= rep.err_est
@@ -194,10 +194,17 @@ def test_curve_strictly_decreasing():
 
 
 def test_curve_tail_approaches_limit():
+    # gamma_H(a) - 3/2 falls like 1/a: a (gamma_H(a) - 3/2) rises slowly
+    # (measured 0.6066, 0.6156, 0.6212), and gamma_H(50) is converged
     table = gamma_h_curve([10.0, 20.0, 50.0])
     gs = [g for _, g in table.rows]
     assert gs[0] > gs[1] > gs[2]
-    assert gs[2] - 1.5 < 0.01
+    scaled = [a * (g - 1.5) for a, g in table.rows]
+    assert scaled[0] < scaled[1] < scaled[2]
+    assert all(0.60 <= s <= 0.63 for s in scaled)
+    tight = gamma_h(HopfionState(50.0),
+                    QuadConfig(abs_tol=1e-300, rel_tol=1e-12))
+    assert gs[2] == pytest.approx(tight.gamma, rel=1e-9)
 
 
 def test_single_point_curve_degenerates():

@@ -201,9 +201,11 @@ def test_density_normalized_z80():
     # direct Compton-unit integration of the bispinor density
     state = CoulombState(Z=80)
 
-    def density(r, thetas):
-        out = np.empty_like(thetas)
-        for i, theta in enumerate(thetas):
+    def density(rs, thetas):
+        rs, thetas = np.broadcast_arrays(rs, thetas)
+        out = np.empty(rs.shape)
+        for i in np.ndindex(rs.shape):
+            r, theta = float(rs[i]), float(thetas[i])
             c = ground_bispinor(state, r, theta, 0.0).components
             out[i] = float(np.sum(np.abs(c) ** 2)) * r * r * math.sin(theta)
         return out

@@ -14,6 +14,7 @@ from relhur import (
     integrate_2d,
     integrate_semi_infinite,
 )
+from relhur.quadrature import _G7_WEIGHTS, _K15_WEIGHTS, _NODES
 
 CFG = QuadConfig()
 
@@ -56,7 +57,7 @@ def test_2d_separable_gaussian():
 
 
 def test_2d_theta_measure():
-    res = integrate_2d(lambda p, th: np.full_like(th, math.exp(-p)), CFG)
+    res = integrate_2d(lambda p, th: np.exp(-p) * np.ones_like(th), CFG)
     assert res.value == pytest.approx(math.pi, rel=1e-9)
 
 
@@ -122,8 +123,24 @@ def test_determinism():
     assert r1.evaluations == r2.evaluations
 
 
+def test_kronrod_rule_degree_of_exactness():
+    # K15 integrates x^k exactly on [-1, 1] up to degree 3 * 7 + 1 = 22
+    for k in range(23):
+        exact = (1.0 + (-1.0) ** k) / (k + 1.0)
+        assert abs(_K15_WEIGHTS @ _NODES ** k - exact) <= 1e-15
+    assert abs(_K15_WEIGHTS @ _NODES ** 24 - 2.0 / 25.0) > 1e-10
+
+
+def test_gauss_rule_nested_on_odd_kronrod_nodes():
+    nodes, weights = np.polynomial.legendre.leggauss(7)
+    assert np.all(_G7_WEIGHTS[::2] == 0.0)
+    assert np.max(np.abs(_NODES[1::2] - nodes)) <= 1e-15
+    assert np.max(np.abs(_G7_WEIGHTS[1::2] - weights)) <= 1e-15
+
+
 def test_one_integrand_call_per_panel():
-    # each panel evaluates its G15 and G7 nodes in a single call
+    # each panel evaluates its 15 Kronrod nodes, the Gauss nodes among
+    # them, in a single call
     calls = []
 
     def counted(xs):
@@ -132,24 +149,46 @@ def test_one_integrand_call_per_panel():
 
     res = integrate_semi_infinite(counted, CFG)
     assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-8)
-    assert set(calls) == {22}
+    assert set(calls) == {15}
     assert len(calls) > 1
-    assert len(calls) == res.evaluations // 22
-    assert res.evaluations % 22 == 0
+    assert len(calls) == res.evaluations // 15
+    assert res.evaluations % 15 == 0
 
+    # 2D: one call per radial panel, on its 15 p nodes x 15 theta nodes,
+    # as many calls as the radial integral alone has panels
     def counted_2d(p, ths):
-        calls.append(ths.size)
-        return math.exp(-p) * np.ones_like(ths)
+        calls.append(np.broadcast_shapes(p.shape, ths.shape))
+        return np.exp(-p) * np.ones_like(ths)
 
     calls.clear()
     res = integrate_2d(counted_2d, CFG)
     assert res.value == pytest.approx(math.pi, rel=1e-9)
-    assert set(calls) == {22}
-    assert len(calls) == res.evaluations // 22
-    assert res.evaluations % 22 == 0
+    assert set(calls) == {(15, 15)}
+    assert len(calls) == res.evaluations // 225
+    assert res.evaluations % 225 == 0
+    radial = integrate_semi_infinite(lambda p: math.pi * np.exp(-p), CFG)
+    assert len(calls) == radial.evaluations // 15
 
 
-_MISSHAPEN = {
+def test_2d_refines_theta_only_where_the_first_panel_misses():
+    # k e^{-k theta} / (1 - e^{-k pi}) integrates to 1 over theta for every
+    # k; with k = 40 / (1 + p^2) the first theta panel resolves it at large
+    # p and misses it at small p, so only some p nodes of a panel refine
+    batched, refined = set(), set()
+
+    def f(p, th):
+        (batched if p.size > 1 else refined).update(p.ravel().tolist())
+        k = 40.0 / (1.0 + p * p)
+        return np.exp(-p) * k * np.exp(-k * th) / -np.expm1(-k * math.pi)
+
+    res = integrate_2d(f, CFG)
+    assert res.value == pytest.approx(1.0, rel=1e-9)
+    assert abs(res.value - 1.0) <= res.est_abs_error
+    assert refined and refined < batched
+    assert max(refined) < max(batched)
+
+
+_MISSHAPEN = {  # on the nodes of one panel
     "reducing": lambda xs: np.sum(np.exp(-xs)),
     "column": lambda xs: np.exp(-xs)[:, None],
     "rows_of_columns": lambda xs: np.stack([np.exp(-xs)] * 2)[:, :, None],
@@ -162,10 +201,19 @@ def test_semi_infinite_rejects_misshapen_integrand(name):
         integrate_semi_infinite(_MISSHAPEN[name], CFG)
 
 
-@pytest.mark.parametrize("name", sorted(_MISSHAPEN))
+_MISSHAPEN_2D = {  # on the (n_p, n_theta) grid of p and theta nodes
+    "reducing": lambda p, th: np.sum(np.exp(-p - th)),
+    "column": lambda p, th: np.exp(-p - th)[..., None],
+    "rows_of_columns": lambda p, th: np.stack([np.exp(-p - th)] * 2)[..., None],
+    "p_only": lambda p, th: np.exp(-p),
+    "theta_only": lambda p, th: np.exp(-th),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MISSHAPEN_2D))
 def test_2d_rejects_misshapen_integrand(name):
     with pytest.raises(ValueError, match="shape"):
-        integrate_2d(lambda p, th: math.exp(-p) * _MISSHAPEN[name](th), CFG)
+        integrate_2d(_MISSHAPEN_2D[name], CFG)
 
 
 def test_one_row_gives_a_float_and_rows_give_arrays():
@@ -181,7 +229,7 @@ def test_one_row_gives_a_float_and_rows_give_arrays():
 
 def test_2d_rows_and_control_rows():
     def two(p, th):
-        return np.stack([np.full_like(th, math.exp(-p)),
+        return np.stack([np.exp(-p) * np.ones_like(th),
                          p * p * np.sin(th) * np.exp(-p * p)])
 
     res = integrate_2d(two, CFG)
@@ -199,8 +247,8 @@ def test_2d_outer_budget_carries_whole_domain_best():
     calls = []
 
     def f(p, th):
-        calls.append(th.size)
-        return np.full_like(th, math.exp(-p) / math.sqrt(p))
+        calls.append(p.size * th.size)
+        return np.exp(-p) / np.sqrt(p) * np.ones_like(th)
 
     cfg = QuadConfig(abs_tol=1e-10, rel_tol=1e-9, max_subdivisions=1)
     with pytest.raises(QuadratureError) as exc_info:
@@ -215,5 +263,5 @@ def test_2d_outer_budget_carries_whole_domain_best():
 def test_2d_inner_budget_carries_no_best():
     cfg = QuadConfig(abs_tol=1e-10, rel_tol=1e-9, max_subdivisions=1)
     with pytest.raises(QuadratureError) as exc_info:
-        integrate_2d(lambda p, th: math.exp(-p) / np.sqrt(th), cfg)
+        integrate_2d(lambda p, th: np.exp(-p) / np.sqrt(th), cfg)
     assert exc_info.value.best is None
