@@ -21,15 +21,27 @@ relative minus between the two pieces follows from the bispinor connection
 u(s)* . d_theta u(s') being antisymmetric in the spin indices while the
 phi connection is Hermitian; it is checked in the tests against a
 derivative-free evaluation of the same state.  First
-moments <r> come from the identity r psi ~ i grad_p acting on the full
-4-component momentum wave function sum_s u(p,s) f(p,s), which brings in the
-analytic bispinor partials; <p> needs only the amplitude density.  Both
-means are always computed and subtracted from the second moments.
+moments <r> come from the identity r psi ~ i grad_p acting on the
+4-component momentum wave function psi = sum_s u(p,s) f(p,s).  As the u(s)
+are orthonormal,
+
+    psi* . d psi = sum_s f_s* d f_s + sum_{s's} f_{s'}* A[s',s] f_s,
+
+with the spin connection A = <u(s')|d u(s)> in closed form (rel = 1 - m/E):
+
+    A_p = 0,
+    A_theta = (rel/2) [[0, e^{-i phi}], [-e^{i phi}, 0]],
+    A_phi = i (rel/2) [[sin^2, -sin cos e^{-i phi}],
+                       [-sin cos e^{i phi}, -sin^2]],
+
+so the <r> rows need the amplitudes and their partials only, never a
+bispinor on the grid; <p> needs only the amplitude density.  Both means are
+always computed and subtracted from the second moments.
 
 The phi integral is a 64-node trapezoid, spectrally accurate for smooth
 periodic integrands.  Every integrand call of the 2D quadrature (the p
 nodes of a radial panel and the nodes of one theta panel) evaluates
-amplitudes, partials and bispinors on the whole (p, theta, phi) grid in one
+amplitudes and their partials on the whole (p, theta, phi) grid in one
 broadcast NumPy pass: amplitudes are called as
 f(ps[:, None, None], thetas[None, :, None], phis[None, None, :]) and return
 complex values that broadcast to (n_p, n_theta, n_phi).  An amplitude that
@@ -45,7 +57,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .quadrature import QuadConfig, integrate_2d
+from .quadrature import QuadConfig, QuadResult, integrate_2d
 
 _N_PHI = 64
 
@@ -90,22 +102,22 @@ def _check_spin(s: int) -> int:
     return s
 
 
-def _bispinor_block(p, theta, phi, mass: float):
-    """Weyl bispinors and their analytic partials on a (p, theta, phi) grid.
+def _bispinor_block(p, theta, phi):
+    """Weyl bispinors (m = 1) and their analytic partials on a grid.
 
-    p, theta and phi broadcast against each other (for example
-    ps[:, None, None], thetas[None, :, None] and phis[None, None, :]).
-    Returns u of shape (2, 4) + the broadcast shape, and its partials
-    (d_p, d_theta, d_phi) stacked along a leading axis, shape
-    (3, 2, 4) + the broadcast shape.  On the spin axis, index 0 is spin +1
-    and index 1 is spin -1.
+    p, theta and phi broadcast against each other.  Returns u of shape
+    (2, 4) + the broadcast shape, and its partials (d_p, d_theta, d_phi)
+    stacked along a leading axis, shape (3, 2, 4) + the broadcast shape.
+    On the spin axis, index 0 is spin +1 and index 1 is spin -1.  Only the
+    pointwise bispinor_u and bispinor_partials use it: the dispersion
+    functional needs no bispinor, only their closed-form connection.
     """
-    e = np.hypot(mass, p)
+    e = np.hypot(1.0, p)
     ct, st = np.cos(theta), np.sin(theta)
     pz = p * ct
     eiphi = np.cos(phi) + 1j * np.sin(phi)
     pxy = p * st * eiphi  # p_x + i p_y
-    big = mass + e
+    big = 1.0 + e
     d = np.sqrt(4.0 * e * big)
     # d(ln D)/dp; E' = p/E
     dlnd = 0.5 * (p / e) * (1.0 / e + 1.0 / big)
@@ -137,14 +149,14 @@ def _bispinor_block(p, theta, phi, mass: float):
 def bispinor_u(pt: MomentumPoint, s: int) -> Bispinor:
     """Orthonormal positive-energy Weyl bispinor u(p, s), m = 1."""
     _check_spin(s)
-    u, _ = _bispinor_block(pt.p, pt.theta, pt.phi, 1.0)
+    u, _ = _bispinor_block(pt.p, pt.theta, pt.phi)
     return Bispinor(components=u[(1 - s) // 2])
 
 
 def bispinor_partials(pt: MomentumPoint, s: int) -> tuple[Bispinor, Bispinor, Bispinor]:
     """Analytic (d_p, d_theta, d_phi) of u(p, s) at a point, m = 1."""
     _check_spin(s)
-    _, du = _bispinor_block(pt.p, pt.theta, pt.phi, 1.0)
+    _, du = _bispinor_block(pt.p, pt.theta, pt.phi)
     return tuple(Bispinor(components=d) for d in du[:, (1 - s) // 2])
 
 
@@ -172,7 +184,8 @@ class AmplitudePair:
 @dataclass(frozen=True)
 class DispersionReport:
     """Dispersions of a state; err_est is the quadrature's error estimate
-    carried into gamma (see from_integrals)."""
+    carried into gamma (see from_integrals), evaluations the number of
+    (p, theta) points at which the quadrature evaluated the integrand."""
 
     norm_sq: float
     mean_r: np.ndarray
@@ -181,17 +194,20 @@ class DispersionReport:
     delta_p_sq: float
     gamma: float
     err_est: float
+    evaluations: int
 
     @classmethod
-    def from_integrals(cls, vals, errs) -> "DispersionReport":
-        """Report from nine integrals over the unnormalized state and their
-        estimated absolute errors.
+    def from_integrals(cls, res: QuadResult) -> "DispersionReport":
+        """Report from the QuadResult of nine integrals over the
+        unnormalized state.
 
         Rows: 0 norm, 1 p-second-moment, 2 r-second-moment, 3..5 <p> and
-        6..8 <r> components.  err_est propagates errs to first order, in
-        absolute values, through the normalization, the mean subtraction
-        and gamma = sqrt(delta_r_sq delta_p_sq).
+        6..8 <r> components.  err_est propagates the estimated absolute
+        errors to first order, in absolute values, through the
+        normalization, the mean subtraction and
+        gamma = sqrt(delta_r_sq delta_p_sq).
         """
+        vals = res.value
         norm_sq = float(vals[0])
         if not (norm_sq > 0.0) or not math.isfinite(norm_sq):
             raise ValueError("state is not normalizable (norm integral invalid)")
@@ -204,7 +220,7 @@ class DispersionReport:
         if delta_p_sq <= 0.0 or delta_r_sq <= 0.0:
             raise ValueError("dispersions came out non-positive; state invalid "
                              "or quadrature tolerance too loose")
-        errs = np.abs(np.asarray(errs, dtype=float))
+        errs = np.abs(np.asarray(res.est_abs_error, dtype=float))
 
         def spread_err(second, mean, e_second, e_mean):
             # d(S/N - |M|^2/N^2) = (dS - (S/N - 2|m|^2) dN - 2 m.dM) / N
@@ -216,7 +232,8 @@ class DispersionReport:
         rel_r = spread_err(second_r, mean_r, errs[2], errs[6:9]) / delta_r_sq
         return cls(norm_sq=norm_sq, mean_r=mean_r, mean_p=mean_p,
                    delta_r_sq=delta_r_sq, delta_p_sq=delta_p_sq, gamma=gamma,
-                   err_est=0.5 * gamma * (rel_p + rel_r))
+                   err_est=0.5 * gamma * (rel_p + rel_r),
+                   evaluations=res.evaluations)
 
 
 def _on_grid(out, shape: tuple[int, int, int]) -> np.ndarray:
@@ -265,17 +282,16 @@ class _Amplitude:
         return (4.0 * d2 - d1) / 3.0
 
     def evaluate(self, p, thetas, phis):
-        """Value, d_p, d_theta and d_phi stacked, shape
-        (4, n_p, n_theta, n_phi)."""
-        shape = (p.shape[0], thetas.shape[1], phis.shape[2])
+        """[value, d_p, d_theta, d_phi], each broadcast to
+        (n_p, n_theta, n_phi); a missing spin gives size-1 zeros."""
         if self.fn is None:
-            return np.zeros((4,) + shape, dtype=complex)
+            return [np.zeros((1, 1, 1), dtype=complex)] * 4
+        shape = (p.shape[0], thetas.shape[1], phis.shape[2])
         if self.partials is not None:
             grads = [g(p, thetas, phis) for g in self.partials]
         else:
             grads = [self._numeric_partial(p, thetas, phis, ax) for ax in range(3)]
-        return np.stack([_on_grid(v, shape)
-                         for v in [self.fn(p, thetas, phis)] + grads])
+        return [_on_grid(v, shape) for v in [self.fn(p, thetas, phis)] + grads]
 
 
 def dispersion_functional(amp: AmplitudePair, cfg: QuadConfig = QuadConfig(),
@@ -294,22 +310,25 @@ def dispersion_functional(amp: AmplitudePair, cfg: QuadConfig = QuadConfig(),
     spins = (_Amplitude(amp.f_plus, amp.partials_plus),
              _Amplitude(amp.f_minus, amp.partials_minus))
 
-    # The bispinors and frame vectors put explicit e^{i k phi} factors
-    # (|k| <= 3) into every integrand even when the amplitudes carry none,
-    # so phi is always a trapezoid sum, spectrally accurate for smooth
-    # periodic amplitudes.
-    phis = np.linspace(0.0, 2.0 * math.pi, _N_PHI, endpoint=False)[None, None, :]
-    w_phi = 2.0 * math.pi / _N_PHI
-    cp, sp = np.cos(phis), np.sin(phis)
+    # The spin connection and frame vectors put explicit e^{i k phi}
+    # factors (|k| <= 2) into the integrands even when the amplitudes carry
+    # none, so phi is always a trapezoid sum, spectrally accurate for
+    # smooth periodic amplitudes.
+    phis = np.linspace(0.0, 2.0 * math.pi, _N_PHI, endpoint=False)
+    w_phi = (2.0 * math.pi / _N_PHI) * np.stack(
+        [np.ones(_N_PHI), np.cos(phis), np.sin(phis)], axis=1)
+    phis = phis[None, None, :]
     e_mphi = np.exp(-1j * phis)
 
-    def phi_sum(x):
-        return w_phi * np.sum(x, axis=-1)
+    def moments(x):
+        """The phi sums of x, plain and weighted by cos(phi) and sin(phi),
+        each of shape (n_p, n_theta, 1), from one matrix product."""
+        return np.moveaxis(x @ w_phi, -1, 0)[..., None]
 
     # rows: 0 norm, 1 p-second-moment, 2 r-second-moment,
     #       3..5 <p> components, 6..8 <r> components
     def rows(p: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        # grid axes (p, theta, phi); the phi sum drops the last
+        # grid axes (p, theta, phi); the phi moments keep the last, size 1
         p, th = p[..., None], thetas[..., None]
         st = np.sin(th)
         ct = np.cos(th)
@@ -317,47 +336,45 @@ def dispersion_functional(amp: AmplitudePair, cfg: QuadConfig = QuadConfig(),
         rel = 1.0 - mass / e  # (1 - m/E)
         coef_f = rel + (mass * p) ** 2 / (4.0 * e ** 4)
 
-        # fg: (value / d_p / d_theta / d_phi, spin, p, theta, phi)
-        fg = np.stack([s.evaluate(p, th, phis) for s in spins], axis=1)
-        fp, fm = fg[0]
-        g = fg[1:]
-        gp, gm = g[:, 0], g[:, 1]
-        dens = np.abs(fp) ** 2 + np.abs(fm) ** 2
-        grad_sq = np.sum(np.abs(g) ** 2, axis=1)
+        (fp, *gp), (fm, *gm) = (s.evaluate(p, th, phis) for s in spins)
+        dens_p, dens_m = np.abs(fp) ** 2, np.abs(fm) ** 2
+        dens = dens_p + dens_m
+        grad_sq = [np.abs(a) ** 2 + np.abs(b) ** 2 for a, b in zip(gp, gm)]
+        # Im(f_s* d_k f_s) per spin, k = p, theta, phi
+        im_p = [(np.conj(fp) * d).imag for d in gp]
+        im_m = [(np.conj(fm) * d).imag for d in gm]
 
-        out = np.empty((9,) + dens.shape[:-1])
-        out[0] = phi_sum(p * p * st * dens)
-        out[1] = phi_sum(p ** 4 * st * dens)
-
-        r2 = (p * p * grad_sq[0] + grad_sq[1] + grad_sq[2] / st ** 2
-              + coef_f * dens
-              + rel * ((np.conj(fp) * gp[2]).imag - (np.conj(fm) * gm[2]).imag))
         # antisymmetrized theta and phi derivatives between the spins
-        anti_t, anti_f = np.conj(fp) * gm[1:] - fm * np.conj(gp[1:])
+        anti_t, anti_f = (np.conj(fp) * b - fm * np.conj(a)
+                          for a, b in zip(gp[1:], gm[1:]))
         # relative minus: theta connection between spins is antisymmetric
         cross = (1j * (ct / st) * anti_f - anti_t) * e_mphi
-        out[2] = phi_sum(st * (r2 + rel * cross.real))
+        r2 = (p * p * grad_sq[0] + grad_sq[1] + grad_sq[2] / st ** 2
+              + coef_f * dens + rel * (im_p[2] - im_m[2] + cross.real))
 
-        for k, n_k in enumerate((st * cp, st * sp, ct)):
-            out[3 + k] = phi_sum(p ** 3 * st * n_k * dens)
+        # <r> = Re conj(psi) . i grad_p psi, Cartesian components via the
+        # spherical frame vectors.  With z = f+* f- e^{-i phi}, the spin
+        # connection of the module docstring adds -rel Im z to the theta
+        # component, -(rel/2)(sin^2 (|f+|^2 - |f-|^2) - 2 sin cos Re z) to
+        # the phi component and nothing to the p component.
+        z = np.conj(fp) * fm * e_mphi
+        a_p, a_t, a_f = (-(a + b) for a, b in zip(im_p, im_m))
+        a_t = a_t - rel * z.imag
+        a_f = a_f - 0.5 * rel * (st * st * (dens_p - dens_m)
+                                 - 2.0 * st * ct * z.real)
 
-        # <r> = Re conj(psi) . i grad_p psi, Cartesian components via
-        # the spherical frame vectors.
-        u, du = _bispinor_block(p, th, phis, mass)
-        conj_psi = np.conj(u[0] * fp + u[1] * fm)
-        # one derivative axis at a time: a temporary holding all three is
-        # large enough that malloc hands it back to the OS on every call,
-        # and re-faulting its pages doubled the cost of this function
-        a_p, a_t, a_f = (
-            -np.sum(conj_psi * (du[k, 0] * fp + u[0] * gp[k]
-                                + du[k, 1] * fm + u[1] * gm[k]), axis=0).imag
-            for k in range(3))
-        a_t = a_t / p
-        a_f = a_f / (p * st)
-        out[6] = phi_sum(p * p * st * (a_p * st * cp + a_t * ct * cp - a_f * sp))
-        out[7] = phi_sum(p * p * st * (a_p * st * sp + a_t * ct * sp + a_f * cp))
-        out[8] = phi_sum(p * p * st * (a_p * ct - a_t * st))
-        return out
+        n, n_c, n_s = moments(dens)
+        ap, ap_c, ap_s = moments(a_p)
+        at, at_c, at_s = moments(a_t) / p
+        af, af_c, af_s = moments(a_f) / (p * st)
+        w = p * p * st
+        return np.stack([
+            w * n, w * p * p * n, st * moments(r2)[0],
+            w * p * st * n_c, w * p * st * n_s, w * p * ct * n,
+            w * (st * ap_c + ct * at_c - af_s),
+            w * (st * ap_s + ct * at_s + af_c),
+            w * (ct * ap - st * at),
+        ])[..., 0]
 
-    res = integrate_2d(rows, cfg, control_rows=[0, 1, 2])
-    return DispersionReport.from_integrals(res.value, res.est_abs_error)
+    return DispersionReport.from_integrals(
+        integrate_2d(rows, cfg, control_rows=[0, 1, 2]))

@@ -239,8 +239,8 @@ def gamma_h(state: HopfionState,
         out[8] = w * np.sum(a_p * ct - a_t * st, axis=-1)
         return out
 
-    res = integrate_2d(rows, cfg, control_rows=[0, 1, 2])
-    return DispersionReport.from_integrals(res.value, res.est_abs_error)
+    return DispersionReport.from_integrals(
+        integrate_2d(rows, cfg, control_rows=[0, 1, 2]))
 
 
 def gamma_h_curve(a_values: Sequence[float] | Iterable[float],

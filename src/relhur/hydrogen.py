@@ -265,7 +265,7 @@ def oracle_gamma(gamma_c: float, cfg: QuadConfig = QuadConfig()) -> DispersionRe
     if abs(pz1) > 1e-8:
         raise ArithmeticError(
             f"<p_z> = {pz1:.3e} violates the reality check")
-    return DispersionReport.from_integrals(vals, res.est_abs_error)
+    return DispersionReport.from_integrals(res)
 
 
 def quadrature_oracle(state: CoulombState,

@@ -240,16 +240,18 @@ def integrate_2d(f: Callable, cfg: QuadConfig = QuadConfig(),
     n_p = 1).  It returns shape (n_p, n_theta), or (n_rows, n_p, n_theta)
     for several integrals at once; any other shape raises ValueError.
     Refinement on both axes is driven by the rows listed in control_rows
-    (default: all); the others are integrated on the same panels.  The
-    reported error adds the integral of the inner theta-sweep errors over p.
+    (default: all); the others are integrated on the same panels.  Each
+    row's reported error adds the integral over p of its own inner
+    theta-sweep errors.
     """
     cfg = cfg.validated()
     inner_abs = 0.1 * cfg.abs_tol
     inner_rel = 0.1 * cfg.rel_tol
-    # the outer sweep's last row, the integrated inner error estimates,
-    # never drives refinement
+    # the outer sweep integrates row r at 2r and its inner error estimates
+    # at 2r + 1, which never drive refinement
     inner_control = slice(None) if control_rows is None else list(control_rows)
-    outer_control = slice(-1) if control_rows is None else control_rows
+    outer_control = (slice(None, None, 2) if control_rows is None
+                     else [2 * r for r in control_rows])
     thetas = _nodes(0.0, THETA_MAX)[None, :]
     evals = 0
     col = ()
@@ -275,13 +277,13 @@ def integrate_2d(f: Callable, cfg: QuadConfig = QuadConfig(),
         except QuadratureError as exc:
             exc.best = None  # one theta sweep is no whole-domain estimate
             raise
-        return np.vstack((vals, errs.max(axis=0)))  # (n_rows + 1, len(ps))
+        # (2 n_rows, len(ps)): each row followed by its inner error
+        return np.stack((vals, errs), axis=1).reshape(-1, ps.size)
 
     def result(val, err, _):
-        # the last row integrates the inner error estimates over p
-        inner_err = abs(val[-1]) + err[-1]
-        return QuadResult(value=_column(val[:-1], col),
-                          est_abs_error=_column(err[:-1] + inner_err, col),
+        inner_err = np.abs(val[1::2]) + err[1::2]
+        return QuadResult(value=_column(val[::2], col),
+                          est_abs_error=_column(err[::2] + inner_err, col),
                           evaluations=evals)
 
     try:

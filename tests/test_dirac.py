@@ -14,6 +14,8 @@ from scipy.integrate import quad
 from relhur import (
     AmplitudePair,
     Bispinor,
+    CoulombState,
+    HopfionState,
     MomentumPoint,
     QuadConfig,
     QuadratureError,
@@ -21,7 +23,10 @@ from relhur import (
     bispinor_u,
     dispersion_functional,
     gamma_bound,
+    gamma_h,
+    oracle_gamma,
 )
+from relhur import dirac_states, hopfion, hydrogen
 
 S_ULTRA = 0.5 * (math.sqrt(5.0) - 1.0)
 RNG = np.random.default_rng(20250814)
@@ -96,6 +101,181 @@ def test_partials_match_central_differences():
             num = (bispinor_u(MomentumPoint(*hi), +1).components
                    - bispinor_u(MomentumPoint(*lo), +1).components) / (2 * h)
             assert np.max(np.abs(analytic.components - num)) < 1e-8
+
+
+def test_spin_connection_closed_form():
+    # <u(s')|d_k u(s)> from the public bispinors (m = 1) against the closed
+    # form that dispersion_functional uses for its <r> rows
+    for p in (0.05, 0.7, 3.0, 12.0):
+        for theta in (0.3, 1.2, 2.8):
+            for phi in (0.0, 1.9, 4.6):
+                pt = MomentumPoint(p, theta, phi)
+                u = [bispinor_u(pt, s).components for s in (+1, -1)]
+                du = [bispinor_partials(pt, s) for s in (+1, -1)]
+                conn = np.array([[[np.vdot(u[i], du[j][k].components)
+                                   for j in range(2)] for i in range(2)]
+                                 for k in range(3)])
+                half = 0.5 * (1.0 - 1.0 / pt.energy)
+                st, ct = math.sin(theta), math.cos(theta)
+                e = complex(math.cos(phi), math.sin(phi))
+                expected = np.array([
+                    np.zeros((2, 2)),
+                    half * np.array([[0.0, 1.0 / e], [-e, 0.0]]),
+                    1j * half * np.array([[st * st, -st * ct / e],
+                                          [-st * ct * e, -st * st]]),
+                ])
+                assert np.max(np.abs(conn - expected)) <= 1e-14
+
+
+def _bispinors(p, theta, phi, mass):
+    # Weyl bispinors of mass m and their analytic partials on a broadcast
+    # grid: u of shape (2, 4) + grid, du of shape (3, 2, 4) + grid
+    e = np.hypot(mass, p)
+    ct, st = np.cos(theta), np.sin(theta)
+    eiphi = np.exp(1j * phi)
+    pz, pxy = p * ct, p * st * eiphi
+    big = mass + e
+    d = np.sqrt(4.0 * e * big)
+    dlnd = 0.5 * (p / e) * (1.0 / e + 1.0 / big)
+    shape = np.broadcast_shapes(np.shape(p), np.shape(theta), np.shape(phi))
+
+    def block(*comps):
+        return np.stack([np.broadcast_to(c, shape) for c in comps]
+                        ).reshape((2, 4) + shape) / d
+
+    u = block(big + pz, pxy, big - pz, -pxy,
+              np.conj(pxy), big - pz, -np.conj(pxy), big + pz)
+    du = np.stack([
+        block(p / e + ct, st * eiphi, p / e - ct, -st * eiphi,
+              st / eiphi, p / e - ct, -st / eiphi, p / e + ct) - u * dlnd,
+        block(-p * st, pz * eiphi, p * st, -pz * eiphi,
+              pz / eiphi, p * st, -pz / eiphi, -p * st),
+        block(0.0, 1j * pxy, 0.0, -1j * pxy,
+              -1j * np.conj(pxy), 0.0, 1j * np.conj(pxy), 0.0),
+    ])
+    return u, du
+
+
+def _four_component_r_rows(amp, mass, p, thetas):
+    # the <r> rows 6..8 of dispersion_functional, on its 64-node phi grid,
+    # from the 4-component psi = sum_s u(s) f_s: <r> = Re psi* . i grad_p psi
+    phis = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)[None, None, :]
+    p, th = p[..., None], thetas[..., None]
+    f = [amp.f_plus(p, th, phis), amp.f_minus(p, th, phis)]
+    g = [[d(p, th, phis) for d in parts]
+         for parts in (amp.partials_plus, amp.partials_minus)]
+    u, du = _bispinors(p, th, phis, mass)
+    conj_psi = np.conj(u[0] * f[0] + u[1] * f[1])
+    a_p, a_t, a_f = (
+        -np.sum(conj_psi * sum(du[k, s] * f[s] + u[s] * g[s][k]
+                               for s in range(2)), axis=0).imag
+        for k in range(3))
+    a_t, a_f = a_t / p, a_f / (p * np.sin(th))
+    st, ct = np.sin(th), np.cos(th)
+    cp, sp = np.cos(phis), np.sin(phis)
+    w = (2.0 * math.pi / 64) * p * p * st
+    return np.sum(w * np.stack([a_p * st * cp + a_t * ct * cp - a_f * sp,
+                                a_p * st * sp + a_t * ct * sp + a_f * cp,
+                                a_p * ct - a_t * st]), axis=-1)
+
+
+_COARSE = QuadConfig(abs_tol=1e-4, rel_tol=1e-4)
+
+
+def _shifted_two_spin_state():
+    # f+ = e^{-p^2/2} (1 + 0.3 cos theta + 0.2 sin theta e^{i phi}) S and
+    # f- = 0.6 p e^{-0.6 p^2} sin theta (e^{i(phi + 0.7)} + 0.4) S with
+    # S = e^{-i p.a}: both spins with a complex relative phase, and a shift
+    # that moves <r> off the origin.  The mixed phi harmonics give |f+|^2,
+    # |f-|^2 and f+* f- e^{-i phi} cos(phi) parts of the theta parity that
+    # each term of the phi connection needs to reach <x> and <y>.
+    ax, ay, az = 0.3, -0.2, 0.5
+
+    def shift(p, th, ph):
+        st, ct, cp, sp = np.sin(th), np.cos(th), np.cos(ph), np.sin(ph)
+        dot = st * cp * ax + st * sp * ay + ct * az  # unit p . a
+        s = np.exp(-1j * p * dot)
+        return s, (-1j * s * dot,
+                   -1j * s * p * (ct * cp * ax + ct * sp * ay - st * az),
+                   -1j * s * p * st * (cp * ay - sp * ax))
+
+    def up(p, th, ph):
+        gauss = np.exp(-0.5 * p * p)
+        tilt = 0.2 * np.exp(1j * ph)
+        val = gauss * (1.0 + 0.3 * np.cos(th) + tilt * np.sin(th))
+        return val, (-p * val,
+                     gauss * (tilt * np.cos(th) - 0.3 * np.sin(th)),
+                     1j * gauss * tilt * np.sin(th))
+
+    def down(p, th, ph):
+        rad = 0.6 * np.exp(-0.6 * p * p)
+        turn = np.exp(1j * (ph + 0.7))
+        val = p * rad * np.sin(th) * (turn + 0.4)
+        return val, ((1.0 - 1.2 * p * p) * rad * np.sin(th) * (turn + 0.4),
+                     p * rad * np.cos(th) * (turn + 0.4),
+                     1j * p * rad * np.sin(th) * turn)
+
+    def shifted(spin):
+        def f(p, th, ph):
+            return spin(p, th, ph)[0] * shift(p, th, ph)[0]
+
+        def partial(k):
+            def d(p, th, ph):
+                (val, dval), (s, ds) = spin(p, th, ph), shift(p, th, ph)
+                return dval[k] * s + val * ds[k]
+            return d
+
+        return f, tuple(partial(k) for k in range(3))
+
+    (f_plus, d_plus), (f_minus, d_minus) = shifted(up), shifted(down)
+    return AmplitudePair(f_plus=f_plus, f_minus=f_minus,
+                         partials_plus=d_plus, partials_minus=d_minus)
+
+
+@pytest.mark.parametrize("mass", [1.0, 0.3, 0.0])
+def test_spin_connection_matches_four_component_oracle(mass, monkeypatch):
+    # dispersion_functional takes <r> from the closed-form spin connection;
+    # the oracle replaces its <r> rows by the contraction over the four
+    # components of psi.  Both runs integrate on the same panels, so a
+    # coarse tolerance loses nothing: they differ by rounding only.
+    amp = _shifted_two_spin_state()
+    rep = dispersion_functional(amp, _COARSE, mass=mass)
+    integrate = dirac_states.integrate_2d
+
+    def with_oracle_rows(rows, cfg, control_rows):
+        def replaced(p, thetas):
+            out = rows(p, thetas)
+            out[6:9] = _four_component_r_rows(amp, mass, p, thetas)
+            return out
+        return integrate(replaced, cfg, control_rows=control_rows)
+
+    monkeypatch.setattr(dirac_states, "integrate_2d", with_oracle_rows)
+    oracle = dispersion_functional(amp, _COARSE, mass=mass)
+    assert np.max(np.abs(rep.mean_r - oracle.mean_r)) <= 1e-12
+    assert rep.delta_r_sq == pytest.approx(oracle.delta_r_sq, rel=1e-12)
+    # the spin connection moves <z> away from the shift a_z = 0.5
+    assert abs(rep.mean_r[2] - 0.5) > 0.05
+
+
+@pytest.mark.parametrize("module, run", [
+    (dirac_states, lambda: dispersion_functional(_shifted_two_spin_state(),
+                                                 _COARSE)),
+    (hopfion, lambda: gamma_h(HopfionState(1.0))),
+    (hydrogen, lambda: oracle_gamma(CoulombState(Z=80).gamma_c)),
+])
+def test_report_counts_evaluations(module, run, monkeypatch):
+    points = []
+    integrate = module.integrate_2d
+
+    def counted(rows, cfg, control_rows):
+        def wrapped(p, thetas):
+            points.append(np.broadcast(p, thetas).size)
+            return rows(p, thetas)
+        return integrate(wrapped, cfg, control_rows=control_rows)
+
+    monkeypatch.setattr(module, "integrate_2d", counted)
+    rep = run()
+    assert rep.evaluations == sum(points) > 0
 
 
 def test_gaussian_norm():

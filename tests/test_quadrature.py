@@ -243,6 +243,23 @@ def test_2d_rows_and_control_rows():
     assert led.value[0] == pytest.approx(alone.value, rel=1e-14)
 
 
+def test_2d_row_error_holds_only_its_own_theta_error():
+    # a ride-along row with a kink in theta has large inner errors; they
+    # must not enter the error of the smooth row that drives refinement
+    def smooth(p, th):
+        return np.exp(-p) * np.sin(th)
+
+    def both(p, th):
+        return np.stack([smooth(p, th), np.exp(-p) * np.abs(th - 1.0)])
+
+    alone = integrate_2d(smooth, CFG)
+    led = integrate_2d(both, CFG, control_rows=[0])
+    assert led.evaluations == alone.evaluations
+    assert led.value[0] == pytest.approx(alone.value, rel=1e-14)
+    assert led.est_abs_error[0] == pytest.approx(alone.est_abs_error, rel=1e-12)
+    assert led.est_abs_error[1] > 1e3 * led.est_abs_error[0]
+
+
 def test_2d_outer_budget_carries_whole_domain_best():
     calls = []
 
