@@ -38,10 +38,15 @@ so the <r> rows need the amplitudes and their partials only, never a
 bispinor on the grid; <p> needs only the amplitude density.  Both means are
 always computed and subtracted from the second moments.
 
-The phi integral is a 64-node trapezoid, spectrally accurate for smooth
-periodic integrands.  Every integrand call of the 2D quadrature (the p
-nodes of a radial panel and the nodes of one theta panel) evaluates
-amplitudes and their partials on the whole (p, theta, phi) grid in one
+The phi integral is a trapezoid sum, exact for harmonics below its node
+count.  Each integrand call of the 2D quadrature (the p nodes of a radial
+panel, the nodes of one theta panel) sums every row under rules of n and
+n + 1 nodes, n = 8, 16, ..., 1024, until the two agree to 0.01 rel_tol
+(n epsilons at least) of its largest norm-plus-second-moment integrand,
+keeps the (n + 1)-node sums, and raises QuadratureError if they never do
+(a jump in phi).  Coprime rules alias alike only at multiples of n (n + 1),
+nested ones (n, 2n) at all multiples of 2n.  A pair evaluates amplitudes
+and partials once, on the (p, theta, phi) grid of its 2n + 1 nodes, in one
 broadcast NumPy pass: amplitudes are called as
 f(ps[:, None, None], thetas[None, :, None], phis[None, None, :]) and return
 complex values that broadcast to (n_p, n_theta, n_phi).  An amplitude that
@@ -51,15 +56,16 @@ raises ValueError.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .quadrature import QuadConfig, QuadResult, integrate_2d
+from .quadrature import QuadConfig, QuadratureError, QuadResult, integrate_2d
 
-_N_PHI = 64
+_N_PHI_PAIRS = tuple(8 << k for k in range(8))  # (n, n + 1) for n = 8..1024
 
 AmpFunc = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
@@ -172,7 +178,8 @@ class AmplitudePair:
     f_minus may be None for a pure spin-up state.  partials_* optionally
     supply analytic (d_p, d_theta, d_phi) with the same calling
     convention; otherwise central differences with one Richardson pass are
-    used, with a step per p node.
+    used, with a step per p node.  With a jump in phi the phi sums never
+    converge, and dispersion_functional raises QuadratureError.
     """
 
     f_plus: Optional[AmpFunc]
@@ -247,6 +254,22 @@ def _on_grid(out, shape: tuple[int, int, int]) -> np.ndarray:
                          ) from None
 
 
+@functools.lru_cache(maxsize=None)  # called with _N_PHI_PAIRS only
+def _trapezoid_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes of the n- and (n + 1)-node phi trapezoid rules on a
+    (1, 1, 2n + 1) grid, and (2n + 1, 6) weights for the plain, cos(phi)-
+    and sin(phi)-weighted sums under each; read-only, as the cache shares
+    them."""
+    phis = np.concatenate([np.linspace(0.0, 2.0 * math.pi, k, endpoint=False)
+                           for k in (n, n + 1)])
+    harmonics = np.stack([np.ones_like(phis), np.cos(phis), np.sin(phis)], 1)
+    in_n = (np.arange(2 * n + 1) < n)[:, None]
+    w_phi = 2.0 * math.pi * np.hstack([harmonics * in_n / n,
+                                       harmonics * ~in_n / (n + 1)])
+    phis.flags.writeable = w_phi.flags.writeable = False
+    return phis[None, None, :], w_phi
+
+
 class _Amplitude:
     """One spin component with analytic or numeric partial derivatives."""
 
@@ -299,7 +322,9 @@ def dispersion_functional(amp: AmplitudePair, cfg: QuadConfig = QuadConfig(),
     """Norm and dispersions of the state sum_s u(p,s) f(p,s).
 
     mass is the electron mass in the units of p (default 1); mass = 0 is the
-    ultrarelativistic limit, large mass the nonrelativistic one.
+    ultrarelativistic limit, large mass the nonrelativistic one.  Raises
+    QuadratureError, and returns no value, when the quadrature misses cfg's
+    tolerances or the phi sums do not converge (module docstring).
     """
     if amp.f_plus is None and amp.f_minus is None:
         raise ValueError("at least one spin amplitude must be supplied")
@@ -310,20 +335,10 @@ def dispersion_functional(amp: AmplitudePair, cfg: QuadConfig = QuadConfig(),
     spins = (_Amplitude(amp.f_plus, amp.partials_plus),
              _Amplitude(amp.f_minus, amp.partials_minus))
 
-    # The spin connection and frame vectors put explicit e^{i k phi}
-    # factors (|k| <= 2) into the integrands even when the amplitudes carry
-    # none, so phi is always a trapezoid sum, spectrally accurate for
-    # smooth periodic amplitudes.
-    phis = np.linspace(0.0, 2.0 * math.pi, _N_PHI, endpoint=False)
-    w_phi = (2.0 * math.pi / _N_PHI) * np.stack(
-        [np.ones(_N_PHI), np.cos(phis), np.sin(phis)], axis=1)
-    phis = phis[None, None, :]
-    e_mphi = np.exp(-1j * phis)
-
-    def moments(x):
-        """The phi sums of x, plain and weighted by cos(phi) and sin(phi),
-        each of shape (n_p, n_theta, 1), from one matrix product."""
-        return np.moveaxis(x @ w_phi, -1, 0)[..., None]
+    def moments(x, w_phi):
+        """Sums of x, x cos(phi), x sin(phi) per rule: (2, n_p, n_theta, 1)."""
+        m = (x @ w_phi).reshape(x.shape[:-1] + (2, 3))
+        return np.moveaxis(m, (-1, -2), (0, 1))[..., None]
 
     # rows: 0 norm, 1 p-second-moment, 2 r-second-moment,
     #       3..5 <p> components, 6..8 <r> components
@@ -335,46 +350,55 @@ def dispersion_functional(amp: AmplitudePair, cfg: QuadConfig = QuadConfig(),
         e = np.hypot(mass, p)
         rel = 1.0 - mass / e  # (1 - m/E)
         coef_f = rel + (mass * p) ** 2 / (4.0 * e ** 4)
-
-        (fp, *gp), (fm, *gm) = (s.evaluate(p, th, phis) for s in spins)
-        dens_p, dens_m = np.abs(fp) ** 2, np.abs(fm) ** 2
-        dens = dens_p + dens_m
-        grad_sq = [np.abs(a) ** 2 + np.abs(b) ** 2 for a, b in zip(gp, gm)]
-        # Im(f_s* d_k f_s) per spin, k = p, theta, phi
-        im_p = [(np.conj(fp) * d).imag for d in gp]
-        im_m = [(np.conj(fm) * d).imag for d in gm]
-
-        # antisymmetrized theta and phi derivatives between the spins
-        anti_t, anti_f = (np.conj(fp) * b - fm * np.conj(a)
-                          for a, b in zip(gp[1:], gm[1:]))
-        # relative minus: theta connection between spins is antisymmetric
-        cross = (1j * (ct / st) * anti_f - anti_t) * e_mphi
-        r2 = (p * p * grad_sq[0] + grad_sq[1] + grad_sq[2] / st ** 2
-              + coef_f * dens + rel * (im_p[2] - im_m[2] + cross.real))
-
-        # <r> = Re conj(psi) . i grad_p psi, Cartesian components via the
-        # spherical frame vectors.  With z = f+* f- e^{-i phi}, the spin
-        # connection of the module docstring adds -rel Im z to the theta
-        # component, -(rel/2)(sin^2 (|f+|^2 - |f-|^2) - 2 sin cos Re z) to
-        # the phi component and nothing to the p component.
-        z = np.conj(fp) * fm * e_mphi
-        a_p, a_t, a_f = (-(a + b) for a, b in zip(im_p, im_m))
-        a_t = a_t - rel * z.imag
-        a_f = a_f - 0.5 * rel * (st * st * (dens_p - dens_m)
-                                 - 2.0 * st * ct * z.real)
-
-        n, n_c, n_s = moments(dens)
-        ap, ap_c, ap_s = moments(a_p)
-        at, at_c, at_s = moments(a_t) / p
-        af, af_c, af_s = moments(a_f) / (p * st)
         w = p * p * st
-        return np.stack([
-            w * n, w * p * p * n, st * moments(r2)[0],
-            w * p * st * n_c, w * p * st * n_s, w * p * ct * n,
-            w * (st * ap_c + ct * at_c - af_s),
-            w * (st * ap_s + ct * at_s + af_c),
-            w * (ct * ap - st * at),
-        ])[..., 0]
+        for n_phi in _N_PHI_PAIRS:
+            phis, w_phi = _trapezoid_pair(n_phi)
+            (fp, *gp), (fm, *gm) = (s.evaluate(p, th, phis) for s in spins)
+            dens_p, dens_m = np.abs(fp) ** 2, np.abs(fm) ** 2
+            dens = dens_p + dens_m
+            grad_sq = [np.abs(a) ** 2 + np.abs(b) ** 2 for a, b in zip(gp, gm)]
+            # Im(f_s* d_k f_s) per spin, k = p, theta, phi
+            im_p = [(np.conj(fp) * d).imag for d in gp]
+            im_m = [(np.conj(fm) * d).imag for d in gm]
+
+            # antisymmetrized theta and phi derivatives between the spins
+            anti_t, anti_f = (np.conj(fp) * b - fm * np.conj(a)
+                              for a, b in zip(gp[1:], gm[1:]))
+            # relative minus: theta connection between spins is antisymmetric
+            e_mphi = np.exp(-1j * phis)
+            cross = (1j * (ct / st) * anti_f - anti_t) * e_mphi
+            r2 = (p * p * grad_sq[0] + grad_sq[1] + grad_sq[2] / st ** 2
+                  + coef_f * dens + rel * (im_p[2] - im_m[2] + cross.real))
+
+            # <r> = Re conj(psi) . i grad_p psi, Cartesian components via
+            # the spherical frame vectors.  With z = f+* f- e^{-i phi}, the
+            # spin connection of the module docstring adds -rel Im z to the
+            # theta component, -(rel/2)(sin^2 (|f+|^2 - |f-|^2) - 2 sin cos
+            # Re z) to the phi component and nothing to the p component.
+            z = np.conj(fp) * fm * e_mphi
+            a_p, a_t, a_f = (-(a + b) for a, b in zip(im_p, im_m))
+            a_t = a_t - rel * z.imag
+            a_f = a_f - 0.5 * rel * (st * st * (dens_p - dens_m)
+                                     - 2.0 * st * ct * z.real)
+
+            n, n_c, n_s = moments(dens, w_phi)
+            ap, ap_c, ap_s = moments(a_p, w_phi)
+            at, at_c, at_s = moments(a_t, w_phi) / p
+            af, af_c, af_s = moments(a_f, w_phi) / (p * st)
+            t_n, t_n1 = np.stack([
+                w * n, w * p * p * n, st * moments(r2, w_phi)[0],
+                w * p * st * n_c, w * p * st * n_s, w * p * ct * n,
+                w * (st * ap_c + ct * at_c - af_s),
+                w * (st * ap_s + ct * at_s + af_c),
+                w * (ct * ap - st * at),
+            ], axis=1)[..., 0]
+            # n_phi eps bounds the sums' rounding (<= 1e-16 n_phi of scale
+            # measured); a non-finite row passes, for integrate_2d to reject
+            scale = np.max(np.abs(t_n1[0]) + np.abs(t_n1[1]) + np.abs(t_n1[2]))
+            tol = max(0.01 * cfg.rel_tol, n_phi * np.finfo(float).eps) * scale
+            if not np.max(np.abs(t_n1 - t_n)) > tol:
+                return t_n1
+        raise QuadratureError(f"phi sums unconverged at {n_phi + 1} nodes")
 
     return DispersionReport.from_integrals(
         integrate_2d(rows, cfg, control_rows=[0, 1, 2]))

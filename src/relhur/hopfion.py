@@ -10,16 +10,15 @@ that form directly, and the tests check it against the component-wise sum.
 
 Dispersions are computed from direct analytic momentum-gradients of the
 explicit components (Parseval: <r^2> = integral of sum |grad_p psi|^2),
-with <r> from the first-moment operator i grad_p and <p> from the density;
-both means are subtracted.  An equivalent amplitude decomposition onto the
+with <p> from the density and <r> = 0 in closed form (see gamma_h); both
+means are subtracted.  An equivalent amplitude decomposition onto the
 positive-energy bispinor basis is exported through amplitude_pair() so the
 general dispersion functional can serve as an independent cross-check.
 
-The azimuthal dependence of every integrand lives in explicit e^{i k phi}
-factors with |k| <= 2, so an 8-node trapezoid in phi is exact; it is
-evaluated on the whole (p, theta, phi) grid of a quadrature panel in one
-broadcast NumPy pass, and the remaining (p, theta) integral goes to the
-adaptive 2D quadrature.
+The phi dependence of the components is one e^{i phi} factor, which
+cancels in the density and the gradient magnitudes, so the phi integral is
+a factor 2 pi; each integrand call evaluates the (p, theta) grid of a
+quadrature panel in one broadcast NumPy pass.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ import numpy as np
 from .dirac_states import AmplitudePair, Bispinor, DispersionReport, MomentumPoint
 from .quadrature import QuadConfig, integrate_2d
 from .specfun import bessel_k
-
-_N_PHI = 8
 
 A_MIN, A_MAX = 0.05, 100.0
 
@@ -185,14 +182,7 @@ def gamma_h(state: HopfionState,
         raise ValueError(f"a must lie in [{A_MIN}, {A_MAX}]")
     cfg = _scaled(cfg, a)
 
-    phis = np.linspace(0.0, 2.0 * math.pi, _N_PHI, endpoint=False)
-    w_phi = 2.0 * math.pi / _N_PHI
-    cp, sp = np.cos(phis), np.sin(phis)
-    eiphi = cp + 1j * sp
-
     def rows(p: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        # a trailing phi axis on every array; the phi-free rows drop it
-        p, thetas = p[..., None], thetas[..., None]
         e = np.hypot(1.0, p)
         ep = p / e
         ct, st = np.cos(thetas), np.sin(thetas)
@@ -213,30 +203,16 @@ def gamma_h(state: HopfionState,
                    + d_t2 * d_t2 + d_t3 * d_t3
                    + (d_f3 * d_f3) / (st * st))
 
-        out = np.zeros((9,) + dens.shape[:-1])
-        out[0] = (2.0 * math.pi * p * p * st * dens)[..., 0]
-        out[1] = (2.0 * math.pi * p ** 4 * st * dens)[..., 0]
-        out[2] = (2.0 * math.pi * st * grad_sq)[..., 0]
-        out[5] = (2.0 * math.pi * p ** 3 * st * ct * dens)[..., 0]
-        # <p_x>, <p_y> vanish analytically (density phi-independent); the
-        # 8-node phi sum below reproduces that to roundoff for <r>.
-        # Gradients of the components on the (p, theta, phi) grid, shape
-        # (d_p / d_theta / d_phi, component, p, theta, phi).
-        psi = _components(a, p, thetas, phis)
-        dpsi = np.zeros((3,) + psi.shape, dtype=complex)
-        dpsi[0, 0] = dh
-        dpsi[0, 2] = d_p2
-        dpsi[0, 3] = -st * eiphi * (dh * p + h)
-        dpsi[1, 2] = d_t2
-        dpsi[1, 3] = -h * p * ct * eiphi
-        dpsi[2, 3] = -1j * h * p * st * eiphi
-        a_p, a_t, a_f = -np.sum(np.conj(psi) * dpsi, axis=1).imag
-        a_t = a_t / p
-        a_f = a_f / (p * st)
-        w = (w_phi * p * p * st)[..., 0]
-        out[6] = w * np.sum(a_p * st * cp + a_t * ct * cp - a_f * sp, axis=-1)
-        out[7] = w * np.sum(a_p * st * sp + a_t * ct * sp + a_f * cp, axis=-1)
-        out[8] = w * np.sum(a_p * ct - a_t * st, axis=-1)
+        out = np.zeros((9,) + dens.shape)
+        out[0] = 2.0 * math.pi * p * p * st * dens
+        out[1] = 2.0 * math.pi * p ** 4 * st * dens
+        out[2] = 2.0 * math.pi * st * grad_sq
+        out[5] = 2.0 * math.pi * p ** 3 * st * ct * dens
+        # <p_x>, <p_y> vanish: the density does not depend on phi.  So does
+        # <r> (rows 6..8): components 0 and 2 are real and the phase of
+        # component 3 cancels in conj(psi_3) d psi_3, so the only nonzero
+        # component of Re(psi* . i grad_p psi) is -h^2 p sin(theta) along
+        # e_phi; it does not depend on phi and integrates to zero with e_phi.
         return out
 
     return DispersionReport.from_integrals(

@@ -189,8 +189,8 @@ def oracle_gamma(gamma_c: float, cfg: QuadConfig = QuadConfig()) -> DispersionRe
     integrand to exactly t^0, so the panels see a bounded integrand; it
     is evaluated on whole (t, theta) grids of quadrature nodes.  Close
     to g = 1/2 the quadrature can converge to a wrong value while err_est
-    stays small (g = 0.501: 36% off; g = 0.502: exact), so
-    `relhur hydrogen --oracle` compares it with the closed form.
+    stays small (g = 0.501: 36% off; g = 0.502: exact), but the norm
+    misses 1 (0.594 at g = 0.501): beyond 1e-8 it raises ArithmeticError.
 
     <r> = 0 by spherical symmetry of the density and <p> = 0 by reality
     of the radial profile; both are recomputed and checked, not assumed.
@@ -255,8 +255,8 @@ def oracle_gamma(gamma_c: float, cfg: QuadConfig = QuadConfig()) -> DispersionRe
     res = integrate_2d(rows, cfg, control_rows=[0, 1, 2])
     vals = res.value
     norm = float(vals[0])
-    if not (norm > 0.0) or not math.isfinite(norm):
-        raise ArithmeticError("normalization integral came out invalid")
+    if not abs(norm - 1.0) <= 1e-8:
+        raise ArithmeticError(f"normalization integral {norm!r} is not 1")
     z1 = float(vals[8]) / norm
     pz1 = float(vals[5]) / norm
     if abs(z1) > 1e-8:

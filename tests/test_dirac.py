@@ -157,8 +157,9 @@ def _bispinors(p, theta, phi, mass):
 
 
 def _four_component_r_rows(amp, mass, p, thetas):
-    # the <r> rows 6..8 of dispersion_functional, on its 64-node phi grid,
-    # from the 4-component psi = sum_s u(s) f_s: <r> = Re psi* . i grad_p psi
+    # the <r> rows 6..8 of dispersion_functional, from the 4-component
+    # psi = sum_s u(s) f_s: <r> = Re psi* . i grad_p psi, on a fixed 64-node
+    # phi grid of its own, independent of the functional's trapezoid pairs
     phis = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)[None, None, :]
     p, th = p[..., None], thetas[..., None]
     f = [amp.f_plus(p, th, phis), amp.f_minus(p, th, phis)]
@@ -276,6 +277,69 @@ def test_report_counts_evaluations(module, run, monkeypatch):
     monkeypatch.setattr(module, "integrate_2d", counted)
     rep = run()
     assert rep.evaluations == sum(points) > 0
+
+
+def _harmonic_15_state(beta):
+    # f+ = e^{-p^2/2} (sin theta e^{i phi})^15 beside the phi-free
+    # f- = 0.7 p e^{-0.6 p^2} sin theta e^{i beta}, with analytic partials
+    spin_phase = complex(math.cos(beta), math.sin(beta))
+
+    def plus(p, th, ph):
+        return np.exp(-0.5 * p * p) * (np.sin(th) * np.exp(1j * ph)) ** 15
+
+    def minus(p, th, ph):
+        return 0.7 * p * np.exp(-0.6 * p * p) * np.sin(th) * spin_phase + 0j
+
+    return AmplitudePair(
+        f_plus=plus, f_minus=minus,
+        partials_plus=(
+            lambda p, th, ph: -p * plus(p, th, ph),
+            lambda p, th, ph: 15.0 * np.exp(-0.5 * p * p) * np.cos(th)
+            * np.exp(1j * ph) * (np.sin(th) * np.exp(1j * ph)) ** 14,
+            lambda p, th, ph: 15j * plus(p, th, ph)),
+        partials_minus=(
+            lambda p, th, ph: 0.7 * (1.0 - 1.2 * p * p) * np.exp(-0.6 * p * p)
+            * np.sin(th) * spin_phase + 0j,
+            lambda p, th, ph: 0.7 * p * np.exp(-0.6 * p * p) * np.cos(th)
+            * spin_phase + 0j,
+            lambda p, th, ph: np.zeros_like(th, dtype=complex)))
+
+
+def test_phi_sums_not_fooled_by_aliased_harmonics():
+    # f+* f- e^{-i phi} carries only the phi harmonic 16, so exact phi sums
+    # give <r> = 0 and dispersions free of the relative spin phase beta.
+    # An 8-node rule and its nested 16-node refinement both alias harmonic
+    # 16 onto phi-free parts and agree with each other (<z> read 0.085);
+    # the coprime pair (8, 9) does not.
+    reps = [dispersion_functional(_harmonic_15_state(beta), _COARSE)
+            for beta in (0.0, 1.0)]
+    assert reps[1].gamma == pytest.approx(reps[0].gamma, rel=1e-12)
+    assert reps[1].delta_r_sq == pytest.approx(reps[0].delta_r_sq, rel=1e-12)
+    for rep in reps:
+        assert np.max(np.abs(rep.mean_r)) < 1e-10
+
+
+def test_phi_pairs_converge_at_tight_tolerance():
+    # at rel_tol = 1e-14 the pair tolerance 0.01 rel_tol lies below the
+    # rounding of the phi sums (up to 7e-16 of the scale at 8 nodes); the
+    # rounding floor keeps a smooth state from raising
+    amp = hopfion.amplitude_pair(HopfionState(1.0))
+    tight = dispersion_functional(
+        amp, QuadConfig(abs_tol=1e-300, rel_tol=1e-14, max_subdivisions=200))
+    assert tight.gamma == pytest.approx(dispersion_functional(amp).gamma,
+                                        rel=1e-12)
+
+
+def test_amplitude_with_jump_in_phi_raises():
+    # the phi sums of a discontinuous amplitude converge like 1/n, so the
+    # trapezoid pairs never agree: no value is returned
+    def step(p, th, ph):
+        return (np.exp(-0.5 * p * p) * np.where(np.mod(ph, 2.0 * math.pi)
+                                                < math.pi, 1.0, 0.5)
+                + 0j * th)
+
+    with pytest.raises(QuadratureError, match="phi sums"):
+        dispersion_functional(AmplitudePair(f_plus=step))
 
 
 def test_gaussian_norm():

@@ -118,6 +118,17 @@ def test_closed_vs_oracle_z(z):
     assert abs(oracle - closed) / closed <= 1e-6
 
 
+def test_oracle_raises_on_false_convergence_near_half():
+    # below g = 0.502 the quadrature converges to a wrong value with a small
+    # err_est; its norm integral reads 0.594 instead of 1, and the oracle
+    # raises instead of returning that value
+    for g in (0.501, 0.5005):
+        with pytest.raises(ArithmeticError, match="normalization"):
+            oracle_gamma(g)
+    assert oracle_gamma(0.502).gamma == pytest.approx(
+        product_closed_gamma(0.502), rel=1e-9)
+
+
 def test_oracle_scaled_moments():
     g = 0.8
     rep = oracle_gamma(g)
