@@ -58,8 +58,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -70,36 +69,42 @@ _N_PHI_PAIRS = tuple(8 << k for k in range(8))  # (n, n + 1) for n = 8..1024
 AmpFunc = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
-class MomentumPoint:
+class MomentumPoint(NamedTuple("MomentumPoint", [
+        ("p", float), ("theta", float), ("phi", float)])):
     """Spherical momentum coordinates; p in units of mc (m = 1 internally)."""
 
-    p: float
-    theta: float
-    phi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.p >= 0.0) or not math.isfinite(self.p):
+    def __new__(cls, p: float, theta: float, phi: float):
+        if not (p >= 0.0) or not math.isfinite(p):
             raise ValueError("p must be a finite non-negative real")
-        if not (0.0 <= self.theta <= math.pi):
+        if not (0.0 <= theta <= math.pi):
             raise ValueError("theta must lie in [0, pi]")
+        return super().__new__(cls, p, theta, phi)
+
+    # the base's _make, which _replace calls, skips __new__ and its checks;
+    # copy and pickle call __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def energy(self) -> float:
         return math.hypot(1.0, self.p)
 
 
-@dataclass(frozen=True)
-class Bispinor:
-    components: np.ndarray  # shape (4,), complex
+class Bispinor(NamedTuple("Bispinor", [("components", np.ndarray)])):
+    """components: shape (4,), complex."""
 
-    def __post_init__(self):
-        arr = np.asarray(self.components, dtype=complex)
+    __slots__ = ()
+
+    def __new__(cls, components):
+        arr = np.asarray(components, dtype=complex)
         if arr.shape != (4,):
             raise ValueError("a bispinor has exactly 4 components")
         if not np.all(np.isfinite(arr.view(float))):
             raise ValueError("bispinor components must be finite")
-        object.__setattr__(self, "components", arr)
+        return super().__new__(cls, arr)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def _check_spin(s: int) -> int:
@@ -166,8 +171,7 @@ def bispinor_partials(pt: MomentumPoint, s: int) -> tuple[Bispinor, Bispinor, Bi
     return tuple(Bispinor(components=d) for d in du[:, (1 - s) // 2])
 
 
-@dataclass(frozen=True)
-class AmplitudePair:
+class AmplitudePair(NamedTuple):
     """Momentum-space amplitudes f(p, theta, phi) for the two spin signs.
 
     Each amplitude is called on a (p, theta, phi) grid as
@@ -188,8 +192,7 @@ class AmplitudePair:
     partials_minus: Optional[Sequence[AmpFunc]] = None
 
 
-@dataclass(frozen=True)
-class DispersionReport:
+class DispersionReport(NamedTuple):
     """Dispersions of a state; err_est is the quadrature's error estimate
     carried into gamma (see from_integrals), evaluations the number of
     (p, theta) points at which the quadrature evaluated the integrand."""

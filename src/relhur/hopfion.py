@@ -23,10 +23,8 @@ quadrature panel in one broadcast NumPy pass.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,19 +35,20 @@ from .specfun import bessel_k
 A_MIN, A_MAX = 0.05, 100.0
 
 
-@dataclass(frozen=True)
-class HopfionState:
+class HopfionState(NamedTuple("HopfionState", [("a", float)])):
     """Width parameter a > 0 in Compton-wavelength units."""
 
-    a: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.a > 0.0) or not math.isfinite(self.a):
+    def __new__(cls, a: float):
+        if not (a > 0.0) or not math.isfinite(a):
             raise ValueError("a must be a positive finite real")
+        return super().__new__(cls, a)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # see MomentumPoint
 
 
-@dataclass(frozen=True)
-class SweepTable:
+class SweepTable(NamedTuple):
     """Ordered (a, gamma) rows with the large-a limit as metadata."""
 
     rows: tuple[tuple[float, float], ...]
@@ -169,8 +168,8 @@ def _scaled(cfg: QuadConfig, a: float) -> QuadConfig:
     the smallest positive float, where a tiny abs_tol would underflow.
     """
     cfg = cfg.validated()
-    return dataclasses.replace(
-        cfg, decay_scale=1.0 / (2.0 * a) + 1.0 / math.sqrt(2.0 * a),
+    return cfg._replace(
+        decay_scale=1.0 / (2.0 * a) + 1.0 / math.sqrt(2.0 * a),
         abs_tol=max(cfg.abs_tol * math.exp(-2.0 * a), math.ulp(0.0)))
 
 

@@ -21,8 +21,9 @@ rescaling keeps every integrand O(1) for all g, so g -> 1 is regular).
 from __future__ import annotations
 
 import math
+import numbers
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,34 +53,40 @@ class DivergenceError(ValueError):
     """The momentum dispersion is infinite (gamma_c <= 1/2)."""
 
 
-@dataclass(frozen=True)
-class CoulombState:
+class CoulombState(NamedTuple("CoulombState",
+                              [("Z", int), ("alpha", float)])):
     """Ground state of a hydrogen-like ion with nuclear charge Z.
 
     alpha is configurable because the largest Z with a finite uncertainty
     product depends on its value.  Requires alpha*Z < 1 so the ground-state
-    exponent gamma_c = sqrt(1 - (alpha Z)^2) is real.
+    exponent gamma_c = sqrt(1 - (alpha Z)^2) is real.  Z may be of any
+    integral type but bool and is stored as a Python int.
     """
 
-    Z: int
-    alpha: float = ALPHA_FS
-    gamma_c: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if isinstance(self.Z, bool) or not isinstance(self.Z, int):
+    def __new__(cls, Z: int, alpha: float = ALPHA_FS):
+        if (isinstance(Z, bool) or not isinstance(Z, numbers.Integral)
+                or Z < 1):
             raise ValueError("Z must be a positive integer")
-        if self.Z < 1:
-            raise ValueError("Z must be a positive integer")
-        if self.Z > sys.float_info.max:  # exact int/float comparison
+        Z = int(Z)
+        if Z > sys.float_info.max:  # exact int/float comparison
             raise ValueError("Z exceeds the float range")
-        if not (self.alpha > 0.0) or not math.isfinite(self.alpha):
+        if not (alpha > 0.0) or not math.isfinite(alpha):
             raise ValueError("alpha must be a positive finite real")
-        za = self.alpha * self.Z
-        if za >= 1.0:
+        if alpha * Z >= 1.0:
             raise ValueError(
-                f"alpha*Z = {za:g} >= 1: no real ground-state exponent")
-        object.__setattr__(self, "gamma_c",
-                           math.sqrt((1.0 - za) * (1.0 + za)))
+                f"alpha*Z = {alpha * Z:g} >= 1: no real ground-state exponent")
+        return super().__new__(cls, Z, alpha)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # see MomentumPoint
+
+    @property
+    def gamma_c(self) -> float:
+        """The ground-state exponent sqrt(1 - (alpha Z)^2), derived from Z
+        and alpha, so that copy and pickle rebuild it."""
+        za = self.alpha * self.Z
+        return math.sqrt((1.0 - za) * (1.0 + za))
 
     @property
     def small_component_ratio(self) -> float:

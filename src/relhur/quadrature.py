@@ -30,8 +30,7 @@ at a time.  Angular error estimates are propagated into the reported total.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,8 +66,7 @@ _N = _NODES.size
 THETA_MAX = math.pi
 
 
-@dataclass(frozen=True)
-class QuadConfig:
+class QuadConfig(NamedTuple):
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
     decay_scale: float = 1.0
@@ -84,8 +82,7 @@ class QuadConfig:
         return self
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     """value and est_abs_error are shaped like one column of the integrand's
     output: a NumPy float for a one-row integrand, an (n_rows,) array for
     an n_rows one."""

@@ -26,8 +26,7 @@ array and must return an array of its shape.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,8 +38,7 @@ class SolverError(RuntimeError):
     """Eigenvalue iteration failed to meet its tolerance contract."""
 
 
-@dataclass(frozen=True)
-class RadialPotential:
+class RadialPotential(NamedTuple):
     """A radial potential with declared origin behavior.
 
     evaluate(q) takes an array of q > 0 and returns V of the same shape,
@@ -57,8 +55,7 @@ class RadialPotential:
     origin_scale: float = 0.0
 
 
-@dataclass(frozen=True)
-class EigenDiagnostics:
+class EigenDiagnostics(NamedTuple):
     """grid_size nodes on (0, q_max); resolutions are the coarse and fine
     Chebyshev degrees N solved and gammas their eigenvalues; est_error is
     their gap plus the fine solve's rounding."""
@@ -70,8 +67,7 @@ class EigenDiagnostics:
     gammas: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class EigenResult:
+class EigenResult(NamedTuple):
     """Ground state: eigenvalue gamma and normalized eigenfunction samples.
 
     f_values holds f on the ascending nodes in grid, normalized so that

@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -104,8 +103,8 @@ def _solve(d: float, tol: float) -> EigenResult:
     remainder = (abs(at_switch.gamma - GAMMA_AT_INF + ULTRA_C1 / D_SWITCH)
                  + at_switch.diagnostics.est_error)
     res = ground_state(make_potential(INFINITY), q_max=10.0, tol=tol)
-    diag = replace(res.diagnostics, est_error=remainder * (D_SWITCH / d) ** 2)
-    return replace(res, gamma=GAMMA_AT_INF - ULTRA_C1 / d, diagnostics=diag)
+    diag = res.diagnostics._replace(est_error=remainder * (D_SWITCH / d) ** 2)
+    return res._replace(gamma=GAMMA_AT_INF - ULTRA_C1 / d, diagnostics=diag)
 
 
 def gamma_bound(d: float, tol: float = 1e-7) -> float:
@@ -116,8 +115,7 @@ def gamma_bound(d: float, tol: float = 1e-7) -> float:
     return _solve(d, tol).gamma
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """gamma(d) plus self-consistency diagnostics (reported, not asserted).
 
     balance_ratio is <q^2>/(2 gamma - <q^2>), the state's own ratio of
@@ -149,8 +147,7 @@ def gamma_bound_report(d: float, tol: float = 1e-7) -> BoundReport:
     )
 
 
-@dataclass(frozen=True)
-class BoundCurve:
+class BoundCurve(NamedTuple):
     """Ordered (d, gamma) rows plus the two limit values as metadata."""
 
     rows: tuple[tuple[float, float], ...]

@@ -31,7 +31,7 @@ bessel_k
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "SpecfunResult",
@@ -61,8 +61,7 @@ _LANCZOS = (
 )
 
 
-@dataclass(frozen=True)
-class SpecfunResult:
+class SpecfunResult(NamedTuple):
     """Value plus an honest absolute error estimate.
 
     underflow is set when the true value is below the representable scale

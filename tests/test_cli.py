@@ -304,6 +304,25 @@ def test_library_imports_no_private_names_from_siblings():
     assert hits == []
 
 
+def test_library_imports_no_dataclasses():
+    # the records are named tuples: @dataclass generates and execs six
+    # methods per frozen class, 6-6.5 ms of every CLI process's import
+    # for 15 records (2-vCPU VM, Python 3.11, no .pyc)
+    import ast
+
+    import relhur
+
+    src = pathlib.Path(relhur.__file__).parent
+    hits = [path.name
+            for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if (isinstance(node, ast.Import)
+                and "dataclasses" in (a.name for a in node.names))
+            or (isinstance(node, ast.ImportFrom)
+                and node.module == "dataclasses")]
+    assert hits == []
+
+
 _EDGE_FLOATS = [5e-324, -5e-324, 1e-310, 1.7e308, -1.7e308, math.inf,
                 -math.inf, math.nan, 0.0, -0.0, -1.0, 1e5, 1.0000001e5]
 _FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())

@@ -62,6 +62,20 @@ def test_state_validation():
         CoulombState(Z=2, alpha=0.5)  # alpha*Z = 1 exactly
 
 
+@pytest.mark.parametrize("z", [np.int32(80), np.int64(80), np.uint8(80)])
+def test_numpy_integer_charge(z):
+    # any integral Z is stored as a Python int, so the CLI's JSON is unchanged
+    state, ref = CoulombState(Z=z), CoulombState(Z=80)
+    assert type(state.Z) is int and state == ref
+    assert state.gamma_c == ref.gamma_c
+    assert product_closed_gamma(state.gamma_c) == product_closed_gamma(
+        ref.gamma_c)
+    assert uncertainty_product_closed(state) == uncertainty_product_closed(ref)
+    for bad in (5.0, np.float64(5.0), np.True_, "5"):
+        with pytest.raises(ValueError, match="positive integer"):
+            CoulombState(Z=bad)
+
+
 def test_exponent_frozen_values():
     for z, (gamma_c, _) in FROZEN.items():
         assert CoulombState(Z=z).gamma_c == pytest.approx(gamma_c, rel=1e-12)
