@@ -10,7 +10,8 @@ Layout:
 
     specfun             gamma function and modified Bessel K0, K1, K2
     quadrature          adaptive panels of the nested Gauss-Kronrod pair
-                        (K15 value, |K15 - G7| error) on [0, inf) and 2D
+                        (K15 value, |K15 - G7| error) on [0, inf) and 2D;
+                        a step-halving trapezoid rule for analytic integrands
     radial_eigensolver  lowest eigenvalue of radial Schrodinger operators
                         by Chebyshev collocation (NumPy only)
     rel_uncertainty     the bound curve gamma(d) and its two limits

@@ -6,7 +6,7 @@ The state's four momentum-space components are
 
 with m = 1 internally and the width a in Compton-wavelength units.  Its
 density simplifies to (2/m^2) e^{-2aE} (E - p_z)/E; the quadratures use
-that form directly, and the tests check it against the component-wise sum.
+that form, and the tests check it against the component-wise sum.
 
 Dispersions are computed from direct analytic momentum-gradients of the
 explicit components (Parseval: <r^2> = integral of sum |grad_p psi|^2),
@@ -17,8 +17,12 @@ general dispersion functional can serve as an independent cross-check.
 
 The phi dependence of the components is one e^{i phi} factor, which
 cancels in the density and the gradient magnitudes, so the phi integral is
-a factor 2 pi; each integrand call evaluates the (p, theta) grid of a
-quadrature panel in one broadcast NumPy pass.
+a factor 2 pi.  gamma_h and norm_const substitute p = sinh u and factor
+e^{-2a} out, leaving e^{-2a(cosh u - 1)}: entire, and even in u once
+summed over theta (each odd-in-u term carries an odd power of cos theta).
+So the trapezoid rule on [0, U], cosh U = 1 + 40/a, half weight at u = 0,
+converges geometrically from step 0.2 min(1, a^{-1/2}); 8-node
+Gauss-Legendre in cos theta is exact (quadrature.integrate_trapezoid).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .dirac_states import AmplitudePair, Bispinor, DispersionReport, MomentumPoint
-from .quadrature import QuadConfig, integrate_2d
+from .quadrature import QuadConfig, QuadResult, integrate_trapezoid
 from .specfun import bessel_k
 
 A_MIN, A_MAX = 0.05, 100.0
@@ -72,25 +76,15 @@ def momentum_bispinor(state: HopfionState, pt: MomentumPoint) -> Bispinor:
     return Bispinor(components=_components(state.a, pt.p, pt.theta, pt.phi))
 
 
-def _density_fast(a: float, p, theta) -> np.ndarray:
-    e = np.hypot(1.0, p)
-    return 2.0 * np.exp(-2.0 * a * e) * (e - p * np.cos(theta)) / e
-
-
 def density(state: HopfionState, pt: MomentumPoint) -> float:
     """Momentum-space density summed over the four components."""
-    return float(_density_fast(state.a, pt.p, pt.theta))
+    e = pt.energy
+    return 2.0 * math.exp(-2.0 * state.a * e) * (e - pt.p * math.cos(pt.theta)) / e
 
 
 def norm_const(state: HopfionState, cfg: QuadConfig = QuadConfig()) -> float:
     """Squared norm integral of the unnormalized components (i.e. N^{-2})."""
-    a = state.a
-    cfg = _scaled(cfg, a)
-
-    def rows(p, thetas):
-        return p * p * np.sin(thetas) * _density_fast(a, p, thetas)
-
-    return float(2.0 * math.pi * integrate_2d(rows, cfg).value)
+    return float(_integrals(state.a, cfg).value[0])
 
 
 def norm_bessel_ratio(state: HopfionState,
@@ -158,19 +152,46 @@ def amplitude_pair(state: HopfionState) -> AmplitudePair:
     )
 
 
-def _scaled(cfg: QuadConfig, a: float) -> QuadConfig:
-    """cfg fitted to width a.
+def _rows(a: float, u: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The nine integrands of DispersionReport.from_integrals at p = sinh u
+    and cos(theta) = c, per du dc and divided by e^{-2a}."""
+    p, e = np.sinh(u), np.cosh(u)
+    ep = p / e
+    st_sq = 1.0 - c * c
+    # e^{-aE}/E divided by e^{-a}; E - 1 = 2 sinh^2(u/2) keeps the exponent
+    # free of cancellation at small u, where large widths a concentrate
+    q = np.exp(-2.0 * a * np.sinh(0.5 * u) ** 2) / e
+    dq = -q * ep * (a + 1.0 / e)       # its p derivative
+    dens_e = 2.0 * q * q * e * e * (e - p * c)  # density times dp/du
 
-    e^{-2aE} decays on the scale max of 1/(2a) (relativistic) and
-    1/sqrt(2a) (Gaussian-like for p << 1); decay_scale covers both
-    regimes.  The integrals scale like e^{-2a}, so abs_tol shrinks with
-    them and the relative contract holds at large widths too; it stops at
-    the smallest positive float, where a tiny abs_tol would underflow.
-    """
-    cfg = cfg.validated()
-    return cfg._replace(
-        decay_scale=1.0 / (2.0 * a) + 1.0 / math.sqrt(2.0 * a),
-        abs_tol=max(cfg.abs_tol * math.exp(-2.0 * a), math.ulp(0.0)))
+    # phi-independent gradient magnitudes of components 0, 2 and 3,
+    # |d_p|^2 + |d_theta|^2/p^2 + |d_phi|^2/(p sin)^2, times p^2; the theta
+    # and phi parts, q^2 p^2 (sin^2 + cos^2 + 1), are summed in closed form
+    d_p2 = dq * (e - p * c) + q * (ep - c)
+    grad_sq = (p * p * (dq * dq + d_p2 * d_p2 + st_sq * (dq * p + q) ** 2)
+               + 2.0 * q * q * p * p)
+
+    out = np.zeros((9,) + dens_e.shape)
+    out[0] = 2.0 * math.pi * p * p * dens_e
+    out[1] = out[0] * p * p
+    out[2] = 2.0 * math.pi * e * grad_sq
+    out[5] = out[0] * p * c
+    # <p_x>, <p_y> vanish: the density does not depend on phi.  So does <r>
+    # (rows 6..8): components 0 and 2 are real and the phase of component 3
+    # cancels in conj(psi_3) d psi_3, so the only nonzero component of
+    # Re(psi* . i grad_p psi) is -h^2 p sin(theta) along e_phi; it does not
+    # depend on phi and integrates to zero with e_phi.
+    return out
+
+
+def _integrals(a: float, cfg: QuadConfig) -> QuadResult:
+    """The nine integrals over (p, theta, phi) at width a."""
+    res = integrate_trapezoid(
+        lambda u, c: _rows(a, u, c), 0.0, math.acosh(1.0 + 40.0 / a),
+        0.2 * min(1.0, a ** -0.5), cfg, control_rows=[0, 1, 2])
+    scale = math.exp(-2.0 * a)
+    return res._replace(value=res.value * scale,
+                        est_abs_error=res.est_abs_error * scale)
 
 
 def gamma_h(state: HopfionState,
@@ -179,43 +200,7 @@ def gamma_h(state: HopfionState,
     a = state.a
     if not (A_MIN <= a <= A_MAX):
         raise ValueError(f"a must lie in [{A_MIN}, {A_MAX}]")
-    cfg = _scaled(cfg, a)
-
-    def rows(p: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        e = np.hypot(1.0, p)
-        ep = p / e
-        ct, st = np.cos(thetas), np.sin(thetas)
-        h = np.exp(-a * e) / e
-        dh = -h * ep * (a + 1.0 / e)
-        dens = _density_fast(a, p, thetas)
-
-        # phi-independent gradient magnitudes, components 0, 2, 3:
-        # |d_p|^2 + |d_theta|^2/p^2 + |d_phi|^2/(p st)^2, times p^2 here
-        # because the measure row carries dp dtheta only.
-        d_p0 = dh
-        d_p2 = dh * (e - p * ct) + h * (ep - ct)
-        d_t2 = h * p * st
-        d_p3 = st * (dh * p + h)      # modulus of the e^{i phi} component
-        d_t3 = h * p * ct
-        d_f3 = h * p * st
-        grad_sq = (p * p * (d_p0 * d_p0 + d_p2 * d_p2 + d_p3 * d_p3)
-                   + d_t2 * d_t2 + d_t3 * d_t3
-                   + (d_f3 * d_f3) / (st * st))
-
-        out = np.zeros((9,) + dens.shape)
-        out[0] = 2.0 * math.pi * p * p * st * dens
-        out[1] = 2.0 * math.pi * p ** 4 * st * dens
-        out[2] = 2.0 * math.pi * st * grad_sq
-        out[5] = 2.0 * math.pi * p ** 3 * st * ct * dens
-        # <p_x>, <p_y> vanish: the density does not depend on phi.  So does
-        # <r> (rows 6..8): components 0 and 2 are real and the phase of
-        # component 3 cancels in conj(psi_3) d psi_3, so the only nonzero
-        # component of Re(psi* . i grad_p psi) is -h^2 p sin(theta) along
-        # e_phi; it does not depend on phi and integrates to zero with e_phi.
-        return out
-
-    return DispersionReport.from_integrals(
-        integrate_2d(rows, cfg, control_rows=[0, 1, 2]))
+    return DispersionReport.from_integrals(_integrals(a, cfg))
 
 
 def gamma_h_curve(a_values: Sequence[float] | Iterable[float],

@@ -13,9 +13,13 @@ total probability.  Both dispersions have closed forms; their product
 
 is finite only for g > 1/2 (the wave-function singularity at the origin
 makes dp^2 diverge at g = 1/2).  quadrature_oracle recomputes the product
-from the wave function itself with this package's quadrature; it works in
-units of the exponential decay length (the product is unit-free, and the
-rescaling keeps every integrand O(1) for all g, so g -> 1 is regular).
+from the wave function itself, in units of the exponential decay length
+(the product is unit-free).  Its radial variable is t with log r = (pi/2)
+sinh t: every power of r is an exponential of log r, so nothing underflows
+near the origin, and the r^(g-1) singularity becomes a double-exponential
+decay in t.  The trapezoid rule in t, halved until two sums agree, and
+8-node Gauss-Legendre in cos(theta) (quadrature.integrate_trapezoid) then
+converge geometrically for every g in (1/2, 1]; err_est is the last gap.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dirac_states import Bispinor, DispersionReport
-from .quadrature import QuadConfig, integrate_2d
+from .quadrature import QuadConfig, integrate_trapezoid
 from .specfun import gamma_fn
 
 ALPHA_FS = 7.2973525693e-3  # CODATA 2018 fine-structure constant
@@ -134,14 +138,20 @@ def ground_bispinor(state: CoulombState, r: float, theta: float,
     ]))
 
 
-def product_closed_gamma(gamma_c: float) -> float:
-    """Closed-form uncertainty product as a function of the exponent g."""
+def _finite_exponent(gamma_c) -> float:
+    """gamma_c as a float in (1/2, 1], where the product is finite."""
     g = float(gamma_c)
     if not (0.0 < g <= 1.0):
         raise ValueError("gamma_c must lie in (0, 1]")
     if g <= 0.5:
         raise DivergenceError(
             "momentum dispersion is infinite for gamma_c <= 1/2")
+    return g
+
+
+def product_closed_gamma(gamma_c: float) -> float:
+    """Closed-form uncertainty product as a function of the exponent g."""
+    g = _finite_exponent(gamma_c)
     return math.sqrt((2.0 * g + 1.0) * (1.0 + g) * (2.0 - g)
                      / (2.0 * g * (2.0 * g - 1.0)))
 
@@ -153,12 +163,7 @@ def uncertainty_product_closed(state: CoulombState) -> float:
 
 def d_parameter_gamma(gamma_c: float) -> float:
     """Transition-scale parameter as a function of the exponent g."""
-    g = float(gamma_c)
-    if not (0.0 < g <= 1.0):
-        raise ValueError("gamma_c must lie in (0, 1]")
-    if g <= 0.5:
-        raise DivergenceError(
-            "momentum dispersion is infinite for gamma_c <= 1/2")
+    g = _finite_exponent(gamma_c)
     return (2.0 * (1.0 + g) * (1.0 - g) ** 2 * (2.0 - g)
             / (g * (4.0 * g * g - 1.0))) ** 0.25
 
@@ -191,75 +196,59 @@ def oracle_gamma(gamma_c: float, cfg: QuadConfig = QuadConfig()) -> DispersionRe
 
     Works in units of the decay length 1/(alpha Z): lengths scale by
     alpha*Z and momenta by 1/(alpha Z), so the product is unchanged and
-    the integrands stay O(1) all the way to g = 1.  The substitution
-    r = t^(1/(2g-1)) maps the r^(2g-2) origin singularity of the momentum
-    integrand to exactly t^0, so the panels see a bounded integrand; it
-    is evaluated on whole (t, theta) grids of quadrature nodes.  Close
-    to g = 1/2 the quadrature can converge to a wrong value while err_est
-    stays small (g = 0.501: 36% off; g = 0.502: exact), but the norm
-    misses 1 (0.594 at g = 0.501): beyond 1e-8 it raises ArithmeticError.
+    the integrands stay O(1) all the way to g = 1.  The radial variable t
+    (module docstring) runs from t_min = -asinh(80/(pi (2g - 1))), where
+    the slowest integrand, r^(2g-1) e^(-2r) per d(log r), has fallen to
+    e^(-40), out to r = 500, where e^(-2r) underflows; the step starts at
+    0.1.
 
     <r> = 0 by spherical symmetry of the density and <p> = 0 by reality
     of the radial profile; both are recomputed and checked, not assumed.
+    A norm that misses 1 by more than 1e-8, or a nonzero <z> or <p_z>,
+    raises ArithmeticError.
     """
-    g = float(gamma_c)
-    if not (0.0 < g <= 1.0):
-        raise ValueError("gamma_c must lie in (0, 1]")
-    if g <= 0.5:
-        raise DivergenceError(
-            "momentum dispersion is infinite for gamma_c <= 1/2")
-    cfg = cfg.validated()
-    mu = 1.0 / (2.0 * g - 1.0)
-    log_mu = math.log(mu)
+    g = _finite_exponent(gamma_c)
     k = math.sqrt((1.0 - g) / (1.0 + g))
-    k_sq = k * k
     # decay-length normalization; finite and positive for every g in (0, 1]
     n_sq = 2.0 ** (2.0 * g) * (1.0 + g) / (4.0 * math.pi * gamma_fn(1.0 + 2.0 * g))
-    two_pi = 2.0 * math.pi
 
     # rows in the DispersionReport.from_integrals layout: 0 norm,
     # 1 momentum gradient integral, 2 <r^2>, 5 <p_z>, 8 <z>; <p_x>, <p_y>,
     # <x>, <y> vanish identically in the phi integral
-    def rows(t: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        # nodes at t <= 0, and beyond r = 500 where e^(-2r) underflows every
-        # row to exact zero, are masked to zero
-        log_t = np.log(np.where(t > 0.0, t, 1.0))
-        live = (t > 0.0) & (mu * log_t <= math.log(500.0))
-        log_t = np.where(live, log_t, 0.0)
-        r = np.exp(mu * log_t)
-        # b = r^(2g-2) e^(-2r) * dr/dt; the exponent of t cancels exactly
-        b = np.where(live, np.exp(log_mu + (mu * (2.0 * g - 1.0) - 1.0) * log_t
-                                  - 2.0 * r), 0.0)
-        st = np.sin(thetas)
-        ct = np.cos(thetas)
-        dens_ang = 1.0 + k_sq * ct * ct + k_sq * st * st
+    def rows(t: np.ndarray, ct: np.ndarray) -> np.ndarray:
+        log_r = 0.5 * math.pi * np.sinh(t)
+        r = np.exp(log_r)
+        jac = math.pi ** 2 * n_sq * np.cosh(t)  # 2 pi N^2 d(log r)/dt
+
+        def radial(power):
+            """2 pi N^2 r^power e^(-2r) dr/dt."""
+            return jac * np.exp((power + 1.0) * log_r - 2.0 * r)
+
+        st = np.sqrt(1.0 - ct * ct)
+        # complex angular amplitudes of the components per unit radial w,
+        # and their theta derivatives
+        amp = np.array([1.0 + 0j * ct, 1j * k * ct, -1j * k * st])
+        damp = np.array([0j * ct, -1j * k * st, -1j * k * ct])
+        dens_ang = (np.abs(amp) ** 2).sum(axis=0)
         wp = (g - 1.0) - r  # w' = wp * w / r
 
-        out = np.zeros((9,) + np.broadcast_shapes(t.shape, thetas.shape))
-        out[0] = two_pi * n_sq * r * r * b * dens_ang * st
-        out[2] = two_pi * n_sq * r ** 4 * b * dens_ang * st
+        out = np.zeros((9,) + np.broadcast_shapes(t.shape, ct.shape))
+        out[0] = radial(2.0 * g) * dens_ang
+        out[2] = radial(2.0 * g + 2.0) * dens_ang
         # sum over components of |d_r psi|^2 r^2 + |d_theta psi|^2
-        #   + |d_phi psi|^2 / sin^2(theta), all times dr/dt e^(-2r)
-        grad = (wp * wp * np.ones_like(st)      # upper component, radial
-                + k_sq * ct * ct * wp * wp      # i k cos component, radial
-                + k_sq * st * st                # i k cos component, polar
-                + k_sq * st * st * wp * wp      # -i k sin e^(i phi), radial
-                + k_sq * ct * ct                # -i k sin e^(i phi), polar
-                + k_sq)                         # -i k sin e^(i phi), azimuthal
-        out[1] = two_pi * n_sq * grad * b * st
-        out[8] = two_pi * n_sq * r ** 3 * b * dens_ang * ct * st
-        # Im(sum psi* d_z psi): complex angular amplitudes per unit radial w
-        amp = np.array([np.ones_like(st) + 0.0j,
-                        1j * k * ct,
-                        -1j * k * st])
-        damp = np.array([np.zeros_like(st) + 0.0j,
-                         -1j * k * st,
-                         -1j * k * ct])
+        # + |d_phi psi|^2 / sin^2(theta): the polar and azimuthal parts
+        # give k^2 each
+        out[1] = radial(2.0 * g - 2.0) * (wp * wp * dens_ang + 2.0 * k * k)
+        out[8] = radial(2.0 * g + 1.0) * dens_ang * ct
+        # Im(sum psi* d_z psi), d_z = cos d_r - (sin / r) d_theta
         pz = (np.conj(amp) * (ct * wp * amp - st * damp)).sum(axis=0).imag
-        out[5] = two_pi * n_sq * r * b * pz * st
+        out[5] = radial(2.0 * g - 1.0) * pz
         return out
 
-    res = integrate_2d(rows, cfg, control_rows=[0, 1, 2])
+    t_min = -math.asinh(80.0 / (math.pi * (2.0 * g - 1.0)))
+    t_max = math.asinh(2.0 * math.log(500.0) / math.pi)
+    res = integrate_trapezoid(rows, t_min, t_max, 0.1, cfg,
+                              control_rows=[0, 1, 2])
     vals = res.value
     norm = float(vals[0])
     if not abs(norm - 1.0) <= 1e-8:

@@ -1,12 +1,16 @@
-"""Adaptive quadrature over [0, inf) and [0, inf) x [0, pi].
+"""Adaptive quadrature over [0, inf) and [0, inf) x [0, pi], and a trapezoid
+rule for analytic integrands.
 
 Each panel carries QUADPACK's nested Gauss-Kronrod pair (qk15; Piessens et
 al., QUADPACK, 1983): the 15-point Kronrod value is kept, and the 7-point
-Gauss rule on its odd nodes supplies the error estimate |K15 - G7|.  The
-rules share their nodes, so a panel costs 15 evaluations, made in one call
-of the integrand.  All nodes are interior, so integrable endpoint
-behaviour (up to x**-0.5 at the origin) never gets evaluated at the
-singular point itself.
+Gauss rule on its odd nodes supplies the error estimate |K15 - G7|.  That
+difference estimates the error of G7, so it bounds the kept K15 value
+only loosely: for the packet of hopfion.py at a = 1 the general dispersion
+route reports 3.2e-7 for a value good to 1e-15.  The rules share their
+nodes, so a panel costs 15 evaluations, made in one call of the
+integrand.  All nodes are interior, so integrable endpoint behaviour (up
+to x**-0.5 at the origin) never gets evaluated at the singular point
+itself.
 
 The half line is folded onto t in [0, 1) with
 
@@ -25,6 +29,12 @@ The integrand is called once per radial panel, on the 15 x 15 grid of its
 p nodes and the first angular panel's nodes; only the p nodes whose first
 angular panel misses the inner tolerance are refined further, one p value
 at a time.  Angular error estimates are propagated into the reported total.
+
+integrate_trapezoid is the trapezoid rule in a radial variable t times
+8-node Gauss-Legendre in cos(theta).  On integrands analytic in t it
+converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014); its
+error estimate is the step-halving gap, which bounds the coarser sum and
+so, under geometric convergence, the kept finer one too.
 """
 
 from __future__ import annotations
@@ -40,6 +50,7 @@ __all__ = [
     "QuadratureError",
     "integrate_semi_infinite",
     "integrate_2d",
+    "integrate_trapezoid",
 ]
 
 # qk15 for x >= 0, descending: Kronrod nodes and weights, and the Gauss
@@ -63,6 +74,15 @@ _G7_WEIGHTS[1::2] = _WG[:-1] + _WG[::-1]
 _RULE = np.stack([_K15_WEIGHTS, _K15_WEIGHTS - _G7_WEIGHTS], axis=1)
 _N = _NODES.size
 
+# 8-node Gauss-Legendre on [-1, 1], positive nodes descending; symmetric,
+# so an odd integrand sums to zero up to rounding
+_XL = (0.960289856497536231683560868569473, 0.796666477413626739591553936475830,
+       0.525532409916328985817739049189246, 0.183434642495649804939476142360184)
+_WL = (0.101228536290376259152531354309962, 0.222381034453374470544355994426241,
+       0.313706645877887287337962201986601, 0.362683783378361982965150449277196)
+_COS_NODES = np.array([-x for x in _XL] + list(_XL[::-1]))
+_COS_WEIGHTS = np.array(_WL + _WL[::-1])
+
 THETA_MAX = math.pi
 
 
@@ -85,7 +105,9 @@ class QuadConfig(NamedTuple):
 class QuadResult(NamedTuple):
     """value and est_abs_error are shaped like one column of the integrand's
     output: a NumPy float for a one-row integrand, an (n_rows,) array for
-    an n_rows one."""
+    an n_rows one.  est_abs_error sums |K15 - G7| over the adaptive rules'
+    panels, which bounds the kept K15 value only loosely (module
+    docstring); for integrate_trapezoid it is the last step-halving gap."""
 
     value: np.floating | np.ndarray
     est_abs_error: np.floating | np.ndarray
@@ -289,3 +311,51 @@ def integrate_2d(f: Callable, cfg: QuadConfig = QuadConfig(),
         if exc.best is not None:
             exc.best = result(*exc.best)
         raise
+
+
+def integrate_trapezoid(f: Callable, t_lo: float, t_hi: float, step: float,
+                        cfg: QuadConfig = QuadConfig(),
+                        control_rows: Sequence[int] | None = None) -> QuadResult:
+    """Integral of f(t, c) over t in [t_lo, t_hi] and c = cos(theta) in
+    [-1, 1], measure dt dc, for an f analytic in t and negligible at both
+    ends (or even about an end that is a node).
+
+    The trapezoid rule on the multiples of step in [t_lo, t_hi] (half
+    weight on a node at an end) times 8-node Gauss-Legendre in c, exact to
+    degree 15.  The step is halved, reusing the nodes, until two sums
+    differ by at most max(abs_tol, rel_tol |sum|) in each control row
+    (default: all); est_abs_error is that gap plus 4 eps |sum|.  f is
+    called as f(ts[:, None], cs[None, :]) on the nodes each step adds and
+    returns shape (n_t, 8) or (n_rows, n_t, 8).  decay_scale is unused.
+    Raises QuadratureError when a sum is not finite (best None) or when
+    halving again would pass 15 max_subdivisions t nodes (best: the last
+    sums).
+    """
+    cfg = cfg.validated()
+    control = slice(None) if control_rows is None else list(control_rows)
+    total, n_t = None, 0
+    while True:
+        ks = np.arange(math.ceil(t_lo / step), math.floor(t_hi / step) + 1)
+        ts = step * (ks if total is None else ks[ks % 2 == 1])  # new nodes
+        y = _checked(f(ts[:, None], _COS_NODES[None, :]), ts.size, 8)
+        w = np.where((ts == t_lo) | (ts == t_hi), 0.5 * step, step)
+        sums = (y.reshape(-1, ts.size, 8) @ _COS_WEIGHTS) @ w
+        if not np.all(np.isfinite(sums)):
+            raise QuadratureError(
+                f"integrand sum is not finite on [{t_lo:g}, {t_hi:g}]")
+        n_t += ts.size
+        if total is None:
+            total = sums
+        else:
+            total, gap = 0.5 * total + sums, np.abs(0.5 * total - sums)
+            err = gap + 4.0 * np.finfo(float).eps * np.abs(total)
+            col = y.shape[:-2]
+            res = QuadResult(_column(total, col), _column(err, col), 8 * n_t)
+            bound = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+            if np.all(gap[control] <= bound[control]):
+                return res
+            if 2 * n_t > _N * cfg.max_subdivisions:
+                raise QuadratureError(
+                    f"trapezoid sums unconverged at {n_t} nodes on "
+                    f"[{t_lo:g}, {t_hi:g}]", best=res)
+        step *= 0.5

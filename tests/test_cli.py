@@ -220,15 +220,35 @@ def test_oracle_arithmetic_error_exits_1(capsys, monkeypatch, argv):
     assert "Traceback" not in captured.err + captured.out
 
 
-def test_hydrogen_oracle_mismatch_exits_1(capsys):
-    # gamma_c = 0.50004: the oracle misses the closed form by far more than
-    # the 1e-6 it is held to, so no document is printed
-    code = run(["hydrogen", "--Z", "1", "--alpha", "0.866", "--oracle"])
+def test_hydrogen_oracle_mismatch_exits_1(capsys, monkeypatch):
+    # an oracle 1e-5 away from the closed form misses the 1e-6 it is held
+    # to, so no document is printed
+    import relhur.hydrogen
+
+    oracle = relhur.hydrogen.oracle_gamma
+
+    def off(*args, **kwargs):
+        rep = oracle(*args, **kwargs)
+        return rep._replace(gamma=rep.gamma * (1.0 + 1e-5))
+
+    monkeypatch.setattr(relhur.hydrogen, "oracle_gamma", off)
+    code = run(["hydrogen", "--Z", "80", "--oracle"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("relhur hydrogen: numerical failure: ")
     assert captured.err.count("\n") == 1
+
+
+def test_hydrogen_oracle_next_to_half_exits_0(capsys):
+    # gamma_c = 0.50004, where the Coulomb state's r^(g-1) singularity is
+    # strongest: the oracle meets the closed form to rounding
+    code, out = _capture(capsys, ["hydrogen", "--Z", "1", "--alpha", "0.866",
+                                  "--oracle"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["gamma_c"] == pytest.approx(0.500044, abs=1e-6)
+    assert doc["rel_diff"] <= 1e-12
 
 
 @pytest.mark.parametrize("argv", [
@@ -265,15 +285,17 @@ def test_console_script_end_to_end(tmp_path):
 
 
 def test_import_skips_scipy_integrate():
-    # relhur runs on NumPy alone: no scipy module at all after import
+    # relhur runs on NumPy alone: no scipy module at all after import, and
+    # no numpy.polynomial (its import costs every process about 1.7 ms)
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, relhur.cli; print('scipy.integrate' in sys.modules); "
          "print(sorted(m for m in sys.modules "
-         "if m == 'scipy' or m.startswith('scipy.')))"],
+         "if m == 'scipy' or m.startswith('scipy.'))); "
+         "print('numpy.polynomial' in sys.modules)"],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
-    assert proc.stdout == "False\n[]\n"
+    assert proc.stdout == "False\n[]\nFalse\n"
 
 
 def test_library_source_draws_no_random_numbers():

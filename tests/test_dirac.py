@@ -265,16 +265,20 @@ def test_spin_connection_matches_four_component_oracle(mass, monkeypatch):
     (hydrogen, lambda: oracle_gamma(CoulombState(Z=80).gamma_c)),
 ])
 def test_report_counts_evaluations(module, run, monkeypatch):
+    # the module's quadrature binding, wrapped to count the grid points its
+    # integrand is called on: the adaptive rule for the general functional,
+    # the trapezoid rule for the two families
+    name = "integrate_2d" if module is dirac_states else "integrate_trapezoid"
     points = []
-    integrate = module.integrate_2d
+    integrate = getattr(module, name)
 
-    def counted(rows, cfg, control_rows):
-        def wrapped(p, thetas):
-            points.append(np.broadcast(p, thetas).size)
-            return rows(p, thetas)
-        return integrate(wrapped, cfg, control_rows=control_rows)
+    def counted(rows, *args, **kwargs):
+        def wrapped(*grid):
+            points.append(np.broadcast(*grid).size)
+            return rows(*grid)
+        return integrate(wrapped, *args, **kwargs)
 
-    monkeypatch.setattr(module, "integrate_2d", counted)
+    monkeypatch.setattr(module, name, counted)
     rep = run()
     assert rep.evaluations == sum(points) > 0
 
@@ -333,13 +337,19 @@ def test_phi_pairs_converge_at_tight_tolerance():
 def test_amplitude_with_jump_in_phi_raises():
     # the phi sums of a discontinuous amplitude converge like 1/n, so the
     # trapezoid pairs never agree: no value is returned
+    widths = []
+
     def step(p, th, ph):
+        widths.append(np.shape(ph)[-1])
         return (np.exp(-0.5 * p * p) * np.where(np.mod(ph, 2.0 * math.pi)
                                                 < math.pi, 1.0, 0.5)
                 + 0j * th)
 
     with pytest.raises(QuadratureError, match="phi sums"):
         dispersion_functional(AmplitudePair(f_plus=step))
+    # the ladder is capped, so the failing call's cost is bounded: no phi
+    # grid wider than the 256/257 pair's 513 nodes
+    assert max(widths) <= 513
 
 
 def test_gaussian_norm():

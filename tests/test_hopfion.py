@@ -3,7 +3,10 @@
 gamma_H(a = 1) is frozen from two independent routes that agree to 1e-13:
 direct component gradients (gamma_h) and decomposition onto spin
 amplitudes fed through the general dispersion functional.  <p_z> has the
-exact closed form -1/(2a), which pins the first-moment machinery.
+exact closed form -1/(2a), which pins the first-moment machinery.  A
+third route lives only here: the direct-gradient integrands in (p, theta)
+on the adaptive 2D rule, against which gamma_h's trapezoid rule in
+p = sinh u is held over the whole width range.
 """
 
 import math
@@ -13,6 +16,7 @@ import pytest
 
 from relhur import (
     AmplitudePair,
+    DispersionReport,
     HopfionState,
     MomentumPoint,
     QuadConfig,
@@ -24,6 +28,7 @@ from relhur import (
     gamma_bound,
     gamma_h,
     gamma_h_curve,
+    integrate_2d,
     momentum_bispinor,
     norm_bessel_ratio,
     norm_const,
@@ -36,6 +41,39 @@ DR2_AT_1 = 1.0794334081891
 DP2_AT_1 = 3.5767616079766
 NORM_AT_1 = 3.1888391228859  # equals 4 pi K2(2) to the quadrature tolerance
 REFERENCE_GRID = [0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0]
+
+
+def _adaptive_reference(a):
+    """gamma_h's nine integrals over (p, theta) with the measure dp dtheta,
+    on the adaptive 2D rule at tolerances far below gamma_h's defaults."""
+    def rows(p, thetas):
+        e = np.hypot(1.0, p)
+        ep = p / e
+        ct, st = np.cos(thetas), np.sin(thetas)
+        h = np.exp(-a * e) / e
+        dh = -h * ep * (a + 1.0 / e)
+        dens = 2.0 * np.exp(-2.0 * a * e) * (e - p * ct) / e
+        # |d_p|^2 + |d_theta|^2/p^2 + |d_phi|^2/(p st)^2 of components 0,
+        # 2, 3, times p^2
+        d_p0 = dh
+        d_p2 = dh * (e - p * ct) + h * (ep - ct)
+        d_t2 = h * p * st
+        d_p3 = st * (dh * p + h)
+        d_t3 = h * p * ct
+        d_f3 = h * p * st
+        grad_sq = (p * p * (d_p0 * d_p0 + d_p2 * d_p2 + d_p3 * d_p3)
+                   + d_t2 * d_t2 + d_t3 * d_t3 + (d_f3 * d_f3) / (st * st))
+        out = np.zeros((9,) + dens.shape)
+        out[0] = 2.0 * math.pi * p * p * st * dens
+        out[1] = 2.0 * math.pi * p ** 4 * st * dens
+        out[2] = 2.0 * math.pi * st * grad_sq
+        out[5] = 2.0 * math.pi * p ** 3 * st * ct * dens
+        return out
+
+    cfg = QuadConfig(abs_tol=1e-300, rel_tol=1e-12,
+                     decay_scale=1.0 / (2.0 * a) + 1.0 / math.sqrt(2.0 * a))
+    return DispersionReport.from_integrals(
+        integrate_2d(rows, cfg, control_rows=[0, 1, 2]))
 
 
 def test_state_validation():
@@ -120,6 +158,18 @@ def test_err_est_bounds_tighter_run(a):
     tight = gamma_h(HopfionState(a), QuadConfig(abs_tol=1e-300, rel_tol=1e-12))
     assert abs(rep.gamma - tight.gamma) <= rep.err_est
     assert 0.0 < tight.err_est <= 1e-9
+
+
+@pytest.mark.parametrize("a", [0.05, 0.1, 1.0, 9.0, 50.0, 100.0])
+def test_trapezoid_rule_matches_adaptive_reference(a):
+    ref = _adaptive_reference(a)
+    rep = gamma_h(HopfionState(a))
+    assert rep.gamma == pytest.approx(ref.gamma, rel=1e-12)
+    assert rep.delta_r_sq == pytest.approx(ref.delta_r_sq, rel=1e-12)
+    assert rep.delta_p_sq == pytest.approx(ref.delta_p_sq, rel=1e-12)
+    assert rep.mean_p[2] == pytest.approx(ref.mean_p[2], rel=1e-12)
+    assert rep.norm_sq == pytest.approx(ref.norm_sq, rel=1e-12)
+    assert norm_const(HopfionState(a)) == pytest.approx(ref.norm_sq, rel=1e-12)
 
 
 def test_amplitude_route_matches_direct():

@@ -132,15 +132,27 @@ def test_closed_vs_oracle_z(z):
     assert abs(oracle - closed) / closed <= 1e-6
 
 
-def test_oracle_raises_on_false_convergence_near_half():
-    # below g = 0.502 the quadrature converges to a wrong value with a small
-    # err_est; its norm integral reads 0.594 instead of 1, and the oracle
-    # raises instead of returning that value
-    for g in (0.501, 0.5005):
-        with pytest.raises(ArithmeticError, match="normalization"):
-            oracle_gamma(g)
-    assert oracle_gamma(0.502).gamma == pytest.approx(
-        product_closed_gamma(0.502), rel=1e-9)
+def test_oracle_matches_closed_form_near_half():
+    # where the r^(g-1) singularity is strongest and the product diverges
+    # like 1/sqrt(2g - 1), the log-radius trapezoid rule still meets the
+    # closed form to rounding
+    for g in (0.50001, 0.5001, 0.5005, 0.501, 0.502):
+        rep = oracle_gamma(g)
+        assert rep.gamma == pytest.approx(product_closed_gamma(g), rel=1e-12)
+        assert rep.norm_sq == pytest.approx(1.0, abs=1e-12)
+        assert 0.0 < rep.err_est <= 1e-9 * rep.gamma
+
+
+def test_oracle_normalization_guard(monkeypatch):
+    # a normalization constant 10% off reaches the oracle's norm integral,
+    # which must raise instead of returning a value
+    import relhur.hydrogen
+
+    exact = relhur.hydrogen.gamma_fn
+    monkeypatch.setattr(relhur.hydrogen, "gamma_fn",
+                        lambda x: 1.1 * exact(x))
+    with pytest.raises(ArithmeticError, match="normalization"):
+        oracle_gamma(0.8)
 
 
 def test_oracle_scaled_moments():

@@ -14,7 +14,7 @@ from relhur import (
     integrate_2d,
     integrate_semi_infinite,
 )
-from relhur.quadrature import _G7_WEIGHTS, _K15_WEIGHTS, _NODES
+from relhur.quadrature import _G7_WEIGHTS, _K15_WEIGHTS, _NODES, integrate_trapezoid
 
 CFG = QuadConfig()
 
@@ -281,4 +281,59 @@ def test_2d_inner_budget_carries_no_best():
     cfg = QuadConfig(abs_tol=1e-10, rel_tol=1e-9, max_subdivisions=1)
     with pytest.raises(QuadratureError) as exc_info:
         integrate_2d(lambda p, th: np.exp(-p) / np.sqrt(th), cfg)
+    assert exc_info.value.best is None
+
+
+def test_trapezoid_gaussian_times_cos_polynomial():
+    # e^{-t^2} is entire and negligible beyond |t| = 8; c^2 integrates to 2/3
+    calls = []
+
+    def f(t, c):
+        calls.append(t.size * c.size)
+        return np.exp(-t * t) * c * c
+
+    res = integrate_trapezoid(f, -8.0, 8.0, 0.5, CFG)
+    exact = math.sqrt(math.pi) * 2.0 / 3.0
+    assert res.value == pytest.approx(exact, rel=1e-15)
+    assert abs(res.value - exact) <= res.est_abs_error <= 1e-9 * exact
+    assert res.evaluations == sum(calls)
+    assert len(calls) >= 2  # one halving at least: the gap is measured
+
+
+def test_trapezoid_half_weight_on_an_endpoint_node():
+    # [0, 8] starts at the node t = 0, which carries half weight
+    res = integrate_trapezoid(lambda t, c: np.exp(-t * t) + 0.0 * c,
+                              0.0, 8.0, 0.25, CFG)
+    assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-15)
+
+
+def test_trapezoid_cos_rule_exact_to_degree_15():
+    def f(t, c):
+        return np.stack([np.exp(-t * t) * c ** k for k in range(17)])
+
+    res = integrate_trapezoid(f, -8.0, 8.0, 0.5, CFG)
+    ratio = res.value / math.sqrt(math.pi)
+    for k in range(16):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert ratio[k] == pytest.approx(exact, abs=1e-15)
+    assert abs(ratio[16] - 2.0 / 17) > 1e-6  # degree 16 is not exact
+
+
+def test_trapezoid_budget_carries_best():
+    # sqrt(t) is not analytic at t = 0, so the sums converge like h^1.5
+    cfg = QuadConfig(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=2)
+    with pytest.raises(QuadratureError, match="unconverged") as exc_info:
+        integrate_trapezoid(lambda t, c: np.sqrt(t) + 0.0 * c,
+                            0.0, 1.0, 0.25, cfg)
+    best = exc_info.value.best
+    assert isinstance(best, QuadResult)
+    assert best.value == pytest.approx(4.0 / 3.0, rel=1e-2)
+    assert abs(best.value - 4.0 / 3.0) <= best.est_abs_error
+    assert best.evaluations == 8 * 17  # 17 nodes on the 1/16 step
+
+
+def test_trapezoid_rejects_non_finite_sums():
+    with pytest.raises(QuadratureError, match="not finite") as exc_info:
+        integrate_trapezoid(lambda t, c: np.where(t > 0.5, np.inf, 1.0) + 0.0 * c,
+                            0.0, 1.0, 0.25)
     assert exc_info.value.best is None
