@@ -8,7 +8,8 @@ localized free-electron packet.  It depends on NumPy alone.
 
 Layout:
 
-    specfun             gamma function and modified Bessel K0, K1, K2
+    specfun             gamma function (math.gamma) and modified Bessel
+                        K0, K1, K2 (one trapezoid sum per order)
     quadrature          adaptive panels of the nested Gauss-Kronrod pair
                         (K15 value, |K15 - G7| error) on [0, inf) and 2D;
                         a step-halving trapezoid rule for analytic integrands

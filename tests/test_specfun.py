@@ -1,12 +1,17 @@
 """Gamma and Bessel K checks against independent oracles.
 
-Frozen reference values were produced with mpmath at 50 digits and are
-independent of this package's series and continued fractions.
+Frozen reference values were produced with mpmath 1.3.0 at 50 digits and
+rounded to double.  They are independent of this package's trapezoid sum
+for K_nu and of the stdlib Gamma: SciPy's quad integrates the same integral
+representation as bessel_k, and math.lgamma shares CPython's Lanczos sum
+with math.gamma, so only the frozen values check either from outside.
 """
 
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from relhur import bessel_k, bessel_k_detailed, gamma_fn, gamma_fn_detailed
@@ -16,6 +21,27 @@ K0_AT_1 = 0.42102443824070834
 K1_AT_1 = 0.60190723019723457
 K2_AT_1 = 1.6248388986351774
 K2_AT_2 = 0.25375975456605600
+
+# mpmath.besselk(nu, x) at 50 digits; K2(1e-300) = 2e600 overflows
+K_FROZEN = {
+    0: {1e-300: 690.8914594138721, 1e-3: 7.023688800562382,
+        0.1: 2.4270690247020164, 1.0: 0.42102443824070834,
+        10.0: 1.778006231616765e-05, 100.0: 4.656628229175902e-45,
+        600.0: 1.3558285309948523e-262, 700.0: 4.669776431685377e-306},
+    1: {1e-300: 9.999999999999999e+299, 1e-3: 999.9962381560856,
+        0.1: 9.853844780870606, 1.0: 0.6019072301972346,
+        10.0: 1.8648773453825585e-05, 100.0: 4.6798537356369095e-45,
+        600.0: 1.356957918112806e-262, 700.0: 4.6731107967079664e-306},
+    2: {1e-3: 1999999.5000009716, 0.1: 199.5039646421141,
+        1.0: 1.6248388986351774, 10.0: 2.150981700693277e-05,
+        100.0: 4.75022530388864e-45, 600.0: 1.3603517240552284e-262,
+        700.0: 4.6831281768188284e-306},
+}
+
+# mpmath.gamma(x) at 50 digits
+GAMMA_FROZEN = {0.01: 99.4325851191506, 1.37: 0.8893135074291016,
+                2.6: 1.4296245588603045, 10.3: 716430.6890623764,
+                49.815037: 2.9567492928390246e+62}
 
 
 def test_gamma_exact_points():
@@ -31,6 +57,12 @@ def test_gamma_against_lgamma_grid():
         ref = math.exp(math.lgamma(x))
         assert gamma_fn(x) == pytest.approx(ref, rel=1e-12)
         x += 0.37
+
+
+@pytest.mark.parametrize("x", sorted(GAMMA_FROZEN))
+def test_gamma_against_frozen_mpmath(x):
+    res = gamma_fn_detailed(x)
+    assert abs(res.value - GAMMA_FROZEN[x]) <= res.est_abs_error
 
 
 def test_gamma_error_estimate_nonnegative():
@@ -50,6 +82,39 @@ def test_bessel_frozen_values():
     assert bessel_k(1, 1.0) == pytest.approx(K1_AT_1, rel=1e-10)
     assert bessel_k(2, 1.0) == pytest.approx(K2_AT_1, rel=1e-10)
     assert bessel_k(2, 2.0) == pytest.approx(K2_AT_2, rel=1e-10)
+
+
+@pytest.mark.parametrize("order,x", [(order, x) for order in K_FROZEN
+                                     for x in sorted(K_FROZEN[order])])
+def test_bessel_against_frozen_mpmath(order, x):
+    ref = K_FROZEN[order][x]
+    res = bessel_k_detailed(order, x)
+    assert not res.underflow
+    assert abs(res.value - ref) <= res.est_abs_error
+    assert abs(res.value - ref) <= 1e-14 * ref
+
+
+def test_bessel_at_tiny_x():
+    # K0 ~ -log(x/2) - Euler gamma and K1 ~ 1/x stay finite; K1 and K2
+    # beyond the double range raise instead of returning inf
+    assert bessel_k(0, 5e-324) == pytest.approx(744.5560034370396, rel=1e-14)
+    assert bessel_k(1, 2e-308) == pytest.approx(5e307, rel=1e-14)
+    for order, x in ((2, 1e-160), (1, 5e-324), (2, 5e-324), (2, 1e-300)):
+        with pytest.raises(ValueError, match="overflows"):
+            bessel_k(order, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(order=st.sampled_from([0, 1, 2]),
+       x=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False,
+                   allow_subnormal=True))
+def test_bessel_any_positive_x_returns_or_raises_value_error(order, x):
+    try:
+        res = bessel_k_detailed(order, x)
+    except ValueError:
+        return
+    assert math.isfinite(res.value) and res.value >= 0.0
+    assert math.isfinite(res.est_abs_error) and res.est_abs_error >= 0.0
 
 
 def test_bessel_recurrence_across_range():
