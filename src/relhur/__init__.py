@@ -42,6 +42,7 @@ from .radial_eigensolver import (
     EigenResult,
     SolverError,
     ground_state,
+    lowest_eigenvalue,
     moment,
 )
 from .rel_uncertainty import (
@@ -55,6 +56,7 @@ from .rel_uncertainty import (
     singular_strength,
     make_potential,
     gamma_bound,
+    gamma_estimate,
     gamma_bound_report,
     BoundReport,
     BoundCurve,
@@ -105,12 +107,12 @@ __all__ = [
     "QuadConfig", "QuadResult", "QuadratureError",
     "integrate_semi_infinite", "integrate_2d",
     "RadialPotential", "EigenDiagnostics", "EigenResult", "SolverError",
-    "ground_state", "moment",
+    "ground_state", "lowest_eigenvalue", "moment",
     "INFINITY", "GAMMA_AT_0", "GAMMA_AT_INF", "ULTRA_EXPONENT",
     "ULTRA_C1", "D_SWITCH",
     "potential_v", "singular_strength", "make_potential",
-    "gamma_bound", "gamma_bound_report", "BoundReport", "BoundCurve",
-    "sweep", "gaussian_limit_residual", "ultrarelativistic_limit_residual",
+    "gamma_bound", "gamma_estimate", "gamma_bound_report", "BoundReport",
+    "BoundCurve", "sweep", "gaussian_limit_residual", "ultrarelativistic_limit_residual",
     "MomentumPoint", "Bispinor", "AmplitudePair", "DispersionReport",
     "bispinor_u", "bispinor_partials", "dispersion_functional",
     "ALPHA_FS", "CoulombState", "DivergenceError", "ground_bispinor",

@@ -122,13 +122,13 @@ def _cmd_bound(args) -> tuple[str, int]:
         d = _require_finite("--d", args.d)
         if d < 0.0:
             raise _UsageError("--d must be non-negative")
-    rep = _bound.gamma_bound_report(d, tol=BOUND_TOL)
+    gamma, err = _bound.gamma_estimate(d, tol=BOUND_TOL)
     fmt = args.format or "json"
     if fmt == "json":
-        doc = _json_doc([("d", d), ("gamma", rep.gamma),
-                         ("err_est", rep.est_error), ("tol", BOUND_TOL)])
+        doc = _json_doc([("d", d), ("gamma", gamma), ("err_est", err),
+                         ("tol", BOUND_TOL)])
     else:
-        doc = _csv_doc([(d, rep.gamma, rep.est_error)])
+        doc = _csv_doc([(d, gamma, err)])
     return doc, 0
 
 
@@ -136,8 +136,7 @@ def _cmd_sweep(args) -> tuple[str, int]:
     ds = _grid(args.d_min, args.d_max, args.points, args.log)
     if ds[0] < 0.0:
         raise _UsageError("--d-min must be non-negative")
-    reps = [_bound.gamma_bound_report(d, tol=BOUND_TOL) for d in ds]
-    rows = [(r.d, r.gamma, r.est_error) for r in reps]
+    rows = [(d, *_bound.gamma_estimate(d, tol=BOUND_TOL)) for d in ds]
     return _grid_doc(rows, args.format), 0
 
 

@@ -45,7 +45,10 @@ n + 1 nodes, n = 8, 16, ..., 256, until the two agree to 0.01 rel_tol
 (n epsilons at least) of its largest norm-plus-second-moment integrand,
 keeps the (n + 1)-node sums, and raises QuadratureError if they never do
 (a jump in phi); ending the ladder at 256 bounds what such a call costs.
-Smooth states accept 8/9, the harmonic-15 state of the tests 32/33.
+The first integrand call starts the ladder at 8/9, each later one at the
+pair the call before it accepted, still checked against its own n + 1
+partner.  Smooth states accept 8/9, the harmonic-15 state of the tests
+climbs once to 32/33.
 Coprime rules alias alike only at multiples of n (n + 1), nested ones
 (n, 2n) at all multiples of 2n.  A pair evaluates amplitudes
 and partials once, on the (p, theta, phi) grid of its 2n + 1 nodes, in one
@@ -345,9 +348,12 @@ def dispersion_functional(amp: AmplitudePair, cfg: QuadConfig = QuadConfig(),
         m = (x @ w_phi).reshape(x.shape[:-1] + (2, 3))
         return np.moveaxis(m, (-1, -2), (0, 1))[..., None]
 
+    start = 0  # index of the pair the previous integrand call accepted
+
     # rows: 0 norm, 1 p-second-moment, 2 r-second-moment,
     #       3..5 <p> components, 6..8 <r> components
     def rows(p: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        nonlocal start
         # grid axes (p, theta, phi); the phi moments keep the last, size 1
         p, th = p[..., None], thetas[..., None]
         st = np.sin(th)
@@ -356,7 +362,8 @@ def dispersion_functional(amp: AmplitudePair, cfg: QuadConfig = QuadConfig(),
         rel = 1.0 - mass / e  # (1 - m/E)
         coef_f = rel + (mass * p) ** 2 / (4.0 * e ** 4)
         w = p * p * st
-        for n_phi in _N_PHI_PAIRS:
+        for k in range(start, len(_N_PHI_PAIRS)):
+            n_phi = _N_PHI_PAIRS[k]
             phis, w_phi = _trapezoid_pair(n_phi)
             (fp, *gp), (fm, *gm) = (s.evaluate(p, th, phis) for s in spins)
             dens_p, dens_m = np.abs(fp) ** 2, np.abs(fm) ** 2
@@ -402,6 +409,7 @@ def dispersion_functional(amp: AmplitudePair, cfg: QuadConfig = QuadConfig(),
             scale = np.max(np.abs(t_n1[0]) + np.abs(t_n1[1]) + np.abs(t_n1[2]))
             tol = max(0.01 * cfg.rel_tol, n_phi * np.finfo(float).eps) * scale
             if not np.max(np.abs(t_n1 - t_n)) > tol:
+                start = k
                 return t_n1
         raise QuadratureError(f"phi sums unconverged at {n_phi + 1} nodes")
 

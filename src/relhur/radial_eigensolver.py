@@ -16,15 +16,24 @@ estimate is the measured gap to a second solve at N - 32, plus the
 rounding measured by solving the transposed matrix.  Normalization and
 moments use Clenshaw-Curtis weights on the mapped nodes.
 
-The differentiation matrices are built elementwise, and the default blocks
-(47 and 63 rows) stay below the sizes at which OpenBLAS threads the
-level-2 kernels inside LAPACK's dgeev, so a solve does not wait on BLAS
-threads on a busy machine.  Potentials and moment weights are evaluated once on the whole node
-array and must return an array of its shape.
+There are two paths through the same arithmetic.  lowest_eigenvalue takes
+every eigenvalue from np.linalg.eigvals and forms no eigenvector;
+ground_state takes the degree-N eigenvalue and its eigenvector from
+np.linalg.eig, which gives the same eigenvalue to the last bit, and
+normalizes the eigenfunction.
+
+The fold reads only the rows of the differentiation matrices at the
+positive nodes; they are built elementwise, once per degree, and cached
+read-only.  The default blocks (47 and 63 rows) stay below the sizes at
+which OpenBLAS threads the level-2 kernels inside LAPACK's dgeev, so a
+solve does not wait on BLAS threads on a busy machine.  Potentials and
+moment weights are evaluated once on the whole node array and must return
+an array of its shape.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, NamedTuple
 
@@ -96,9 +105,12 @@ def _on_grid(fn: Callable, grid: np.ndarray) -> np.ndarray:
     return v
 
 
+@functools.lru_cache(maxsize=8)  # degrees n and n - 32 of a few n
 def _cheb(n: int):
-    """Points cos(j pi/n), first and second differentiation matrices and
-    Clenshaw-Curtis weights on [-1, 1], for odd n.
+    """What the fold reads of degree n (odd) on [-1, 1]: the points
+    cos(j pi/n) at the positive nodes j = (n-1)/2, ..., 1, the rows of the
+    first and second differentiation matrices there, and their
+    Clenshaw-Curtis weights; read-only, as the cache shares them.
 
     The matrices follow Weideman & Reddy (ACM TOMS 26, 2000) elementwise,
     with diagonals from the negative-sum trick.
@@ -107,28 +119,28 @@ def _cheb(n: int):
     theta = np.pi * j / n
     x = np.cos(theta)
     c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
-    ratio = c[:, None] / c[None, :]
-    inv_dx = 1.0 / (x[:, None] - x[None, :] + np.eye(n + 1))
-    np.fill_diagonal(inv_dx, 0.0)
+    pos = np.arange((n - 1) // 2, 0, -1)                   # q ascending
+    diag = (np.arange(pos.size), pos)
+    ratio = c[pos, None] / c[None, :]
+    inv_dx = 1.0 / (x[pos, None] - x[None, :] + (j == pos[:, None]))
+    inv_dx[diag] = 0.0
     d1 = ratio * inv_dx
-    np.fill_diagonal(d1, -d1.sum(axis=1))
-    d2 = 2.0 * inv_dx * (ratio * np.diag(d1)[:, None] - d1)
-    np.fill_diagonal(d2, 0.0)
-    np.fill_diagonal(d2, -d2.sum(axis=1))
+    d1[diag] = -d1.sum(axis=1)
+    d2 = 2.0 * inv_dx * (ratio * d1[diag][:, None] - d1)
+    d2[diag] = 0.0
+    d2[diag] = -d2.sum(axis=1)
     k = np.arange(1, (n - 1) // 2 + 1)
-    w = 2.0 / n * (1.0 - np.sum(2.0 * np.cos(2.0 * np.outer(theta, k))
+    w = 2.0 / n * (1.0 - np.sum(2.0 * np.cos(2.0 * np.outer(theta[pos], k))
                                 / (4.0 * k * k - 1.0), axis=1))
-    w[[0, n]] = 1.0 / (n * n)
+    x = x[pos]
+    for a in (x, d1, d2, w):
+        a.flags.writeable = False
     return x, d1, d2, w
 
 
-def _collocate(pot: RadialPotential, s: float, q_max: float, n: int,
-               vector: bool = False):
-    """Lowest eigenvalue of the folded degree-n collocation matrix.
-
-    With vector=True, also returns the ascending positive nodes, g on them
-    (signed positive) and the nodes' quadrature weights on (0, q_max).
-    """
+def _collocate(pot: RadialPotential, s: float, q_max: float, n: int):
+    """The folded degree-n collocation matrix (twice the operator), its
+    ascending positive nodes and their quadrature weights on (0, q_max)."""
     x, d1, d2, w = _cheb(n)
     # a c/q^2 core leaves f^2 q^2 = q^(2s+2) g^2 rough at q = 0, which
     # Clenshaw-Curtis resolves poorly; stretch b >= 8 shrinks that region
@@ -136,38 +148,29 @@ def _collocate(pot: RadialPotential, s: float, q_max: float, n: int,
     b = min(max(math.asinh(pot.origin_scale * q_max), b_min), _B_MAX)
     q = q_max * np.sinh(b * x) / math.sinh(b)
     dq = q_max * b * np.cosh(b * x) / math.sinh(b)        # dq/dx
-    pos = np.arange((n - 1) // 2, 0, -1)                   # q ascending
-    qp, dqp = q[pos], dq[pos]
-    v = _on_grid(pot.evaluate, qp) - pot.singular_strength / (qp * qp)
+    v = _on_grid(pot.evaluate, q) - pot.singular_strength / (q * q)
     if not np.all(np.isfinite(v)):
         raise SolverError("potential evaluated to a non-finite value on the grid")
     # d/dq = D/q' and d2/dq2 = D2/q'^2 - (q''/q'^3) D, with q'' = b^2 q
-    first = (b * b * qp / dqp - 2.0 * (s + 1.0) * dqp / qp) / (dqp * dqp)
-    op = -d2[pos] / (dqp * dqp)[:, None] + first[:, None] * d1[pos]
+    first = (b * b * q / dq - 2.0 * (s + 1.0) * dq / q) / (dq * dq)
+    op = -d2 / (dq * dq)[:, None] + first[:, None] * d1
+    pos = np.arange((n - 1) // 2, 0, -1)
     block = op[:, pos] + op[:, n - pos]
     block[np.diag_indices_from(block)] += v
-    try:
-        if not vector:
-            return 0.5 * float(np.min(np.linalg.eigvals(block).real))
-        lam, vecs = np.linalg.eig(block)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"collocation eigensolve failed: {exc}") from exc
-    i = int(np.argmin(lam.real))
-    g = vecs[:, i].real
-    if g[int(np.argmax(np.abs(g)))] < 0.0:
-        g = -g
-    # the same eigenvalue from the transpose differs only by rounding
-    lam_t = float(np.min(np.linalg.eigvals(block.T).real))
-    return (0.5 * float(lam[i].real), 0.5 * abs(float(lam[i].real) - lam_t),
-            qp, g, w[pos] * dqp)
+    return block, q, w * dq
 
 
-def ground_state(pot: RadialPotential, q_max: float = 10.0, n: int = 127,
-                 tol: float = 1e-7) -> EigenResult:
-    """Lowest eigenvalue and nodeless eigenfunction of the radial operator.
+def _lowest(block: np.ndarray) -> float:
+    return float(np.min(np.linalg.eigvals(block).real))
 
-    Collocates at Chebyshev degree n (odd, >= 63) and n - 32; raises
-    SolverError when est_error, their gap plus the rounding, exceeds tol.
+
+def _solve(pot: RadialPotential, q_max: float, n: int, tol: float,
+           vector: bool):
+    """Shared core of lowest_eigenvalue and ground_state.
+
+    Returns gamma, est_error and the coarse eigenvalue; with vector=True
+    also the degree-n nodes, the eigenvector g on them (signed positive)
+    and their weights, else None.
     """
     if pot.singular_strength < -0.25:
         raise ValueError(
@@ -182,15 +185,52 @@ def ground_state(pot: RadialPotential, q_max: float = 10.0, n: int = 127,
         raise ValueError("tol must be positive")
 
     s = _origin_exponent(pot.singular_strength)
-    coarse = _collocate(pot, s, q_max, n - _COARSE_STEP)
-    gamma, rounding, grid, g, weights = _collocate(pot, s, q_max, n, vector=True)
-    est_error = abs(gamma - coarse) + rounding
+    try:
+        coarse = 0.5 * _lowest(
+            _collocate(pot, s, q_max, n - _COARSE_STEP)[0])
+        block, grid, weights = _collocate(pot, s, q_max, n)
+        if vector:
+            lam, vecs = np.linalg.eig(block)
+        else:
+            lam = np.linalg.eigvals(block)
+        # the same eigenvalue from the transpose differs only by rounding
+        lam_t = _lowest(block.T)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"collocation eigensolve failed: {exc}") from exc
+    i = int(np.argmin(lam.real))
+    lam_min = float(lam[i].real)
+    gamma = 0.5 * lam_min
+    est_error = abs(gamma - coarse) + 0.5 * abs(lam_min - lam_t)
     if not est_error <= tol:
         raise SolverError(
             f"resolutions {n - _COARSE_STEP} and {n} differ by "
             f"{est_error:.3e} > tol {tol:.3e}")
+    if not vector:
+        return gamma, est_error, coarse, None
+    g = vecs[:, i].real
+    if g[int(np.argmax(np.abs(g)))] < 0.0:
+        g = -g
+    return gamma, est_error, coarse, (grid, g, weights)
 
-    f = grid ** s * g
+
+def lowest_eigenvalue(pot: RadialPotential, q_max: float = 10.0,
+                      n: int = 127, tol: float = 1e-7) -> tuple[float, float]:
+    """(gamma, est_error) of ground_state, bit for bit, without forming an
+    eigenvector; raises as ground_state does."""
+    gamma, est_error, _, _ = _solve(pot, q_max, n, tol, vector=False)
+    return gamma, est_error
+
+
+def ground_state(pot: RadialPotential, q_max: float = 10.0, n: int = 127,
+                 tol: float = 1e-7) -> EigenResult:
+    """Lowest eigenvalue and nodeless eigenfunction of the radial operator.
+
+    Collocates at Chebyshev degree n (odd, >= 63) and n - 32; raises
+    SolverError when est_error, their gap plus the rounding, exceeds tol.
+    """
+    gamma, est_error, coarse, (grid, g, weights) = _solve(
+        pot, q_max, n, tol, vector=True)
+    f = grid ** _origin_exponent(pot.singular_strength) * g
     norm_sq = float(np.sum(weights * (f * grid) ** 2))
     if not (norm_sq > 0.0) or not math.isfinite(norm_sq):
         raise SolverError("eigenfunction normalization integral is invalid")

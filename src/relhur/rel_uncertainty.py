@@ -32,8 +32,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .radial_eigensolver import (EigenResult, RadialPotential,
-                                 ground_state, moment)
+from .radial_eigensolver import (RadialPotential, ground_state,
+                                 lowest_eigenvalue, moment)
 
 INFINITY = math.inf
 
@@ -93,26 +93,30 @@ def make_potential(d: float) -> RadialPotential:
     )
 
 
-def _solve(d: float, tol: float) -> EigenResult:
+def _check_d_tol(d: float, tol: float) -> float:
+    d = _check_d(d)
+    if tol < 1e-8:
+        raise ValueError("tol below 1e-8 is not supported")
+    return d
+
+
+def gamma_estimate(d: float, tol: float = 1e-7) -> tuple[float, float]:
+    """(gamma(d), est_error) with est_error <= tol (tol >= 1e-8), from
+    eigenvalues alone: no eigenvector is formed."""
+    d = _check_d_tol(d, tol)
     if d <= D_SWITCH or math.isinf(d):
-        return ground_state(make_potential(d), q_max=10.0, tol=tol)
+        return lowest_eigenvalue(make_potential(d), q_max=10.0, tol=tol)
     # gamma(d) = GAMMA_AT_INF - C1/d + O(1/d^2).  The remainder is measured
-    # against the collocation at D_SWITCH and scaled by (D_SWITCH/d)^2; the
-    # eigenfunction is the d = INFINITY one.
-    at_switch = ground_state(make_potential(D_SWITCH), q_max=10.0, tol=tol)
-    remainder = (abs(at_switch.gamma - GAMMA_AT_INF + ULTRA_C1 / D_SWITCH)
-                 + at_switch.diagnostics.est_error)
-    res = ground_state(make_potential(INFINITY), q_max=10.0, tol=tol)
-    diag = res.diagnostics._replace(est_error=remainder * (D_SWITCH / d) ** 2)
-    return res._replace(gamma=GAMMA_AT_INF - ULTRA_C1 / d, diagnostics=diag)
+    # against the collocation at D_SWITCH and scaled by (D_SWITCH/d)^2.
+    at_switch, err = lowest_eigenvalue(make_potential(D_SWITCH), q_max=10.0,
+                                       tol=tol)
+    remainder = abs(at_switch - GAMMA_AT_INF + ULTRA_C1 / D_SWITCH) + err
+    return GAMMA_AT_INF - ULTRA_C1 / d, remainder * (D_SWITCH / d) ** 2
 
 
 def gamma_bound(d: float, tol: float = 1e-7) -> float:
     """Lowest eigenvalue gamma(d), absolute error <= tol (tol >= 1e-8)."""
-    d = _check_d(d)
-    if tol < 1e-8:
-        raise ValueError("tol below 1e-8 is not supported")
-    return _solve(d, tol).gamma
+    return gamma_estimate(d, tol)[0]
 
 
 class BoundReport(NamedTuple):
@@ -133,17 +137,21 @@ class BoundReport(NamedTuple):
 
 def gamma_bound_report(d: float, tol: float = 1e-7) -> BoundReport:
     """gamma(d) with the dispersion-balance diagnostic attached."""
-    d = _check_d(d)
-    if tol < 1e-8:
-        raise ValueError("tol below 1e-8 is not supported")
-    res = _solve(d, tol)
+    d = _check_d_tol(d, tol)
+    if d <= D_SWITCH or math.isinf(d):
+        res = ground_state(make_potential(d), q_max=10.0, tol=tol)
+        gamma, est_error = res.gamma, res.diagnostics.est_error
+    else:
+        # gamma from the expansion; the eigenfunction is the d = INFINITY one
+        gamma, est_error = gamma_estimate(d, tol)
+        res = ground_state(make_potential(INFINITY), q_max=10.0, tol=tol)
     q_sq = moment(res, lambda q: q * q)
     return BoundReport(
         d=d,
-        gamma=res.gamma,
-        est_error=res.diagnostics.est_error,
+        gamma=gamma,
+        est_error=est_error,
         mean_q_sq=q_sq,
-        balance_ratio=q_sq / (2.0 * res.gamma - q_sq),
+        balance_ratio=q_sq / (2.0 * gamma - q_sq),
     )
 
 

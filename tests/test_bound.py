@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from relhur import radial_eigensolver
 from relhur import (
     D_SWITCH,
     GAMMA_AT_0,
@@ -20,6 +21,7 @@ from relhur import (
     BoundCurve,
     gamma_bound,
     gamma_bound_report,
+    gamma_estimate,
     gaussian_limit_residual,
     ground_state,
     make_potential,
@@ -241,6 +243,54 @@ def test_expansion_branch_error_bar():
     assert rep.gamma == GAMMA_AT_INF - _c1() / d
     assert 0.0 < rep.est_error <= 1e-8
     assert abs(rep.gamma - fine.gamma) <= rep.est_error
+
+
+_ESTIMATE_GRID = [float(d) for d in np.geomspace(1e-4, 1e5, 40)] + [
+    0.0, D_SWITCH, 2.0 * D_SWITCH, INFINITY]
+
+
+@pytest.mark.parametrize("d", _ESTIMATE_GRID)
+def test_estimate_matches_report_bitwise(d):
+    # the eigenvalue-only path and the eigenvector path share their
+    # arithmetic, so gamma and est_error agree to the last bit
+    gamma, est_error = gamma_estimate(d)
+    rep = gamma_bound_report(d)
+    assert gamma.hex() == rep.gamma.hex()
+    assert est_error.hex() == rep.est_error.hex()
+    assert gamma_bound(d).hex() == gamma.hex()
+
+
+def test_gamma_path_forms_no_eigenvector(monkeypatch):
+    def no_eig(*_args, **_kwargs):
+        raise AssertionError("np.linalg.eig called")
+
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
+    assert gamma_bound(1.0) == pytest.approx(REFERENCE_CURVE[1.0], abs=1e-9)
+    curve = sweep([0.0, 1.0, 2.0 * D_SWITCH, INFINITY])
+    assert [d for d, _ in curve.rows] == [0.0, 1.0, 2.0 * D_SWITCH, INFINITY]
+    # the report still needs the eigenvector, so the patch is in effect
+    with pytest.raises(AssertionError, match="eig called"):
+        gamma_bound_report(1.0)
+
+
+def test_sweep_above_switch_solves_only_at_switch(monkeypatch):
+    # above D_SWITCH gamma is the expansion with its remainder measured at
+    # D_SWITCH: one coarse and one fine collocation per point, none at
+    # d = INFINITY
+    calls = []
+    collocate = radial_eigensolver._collocate
+
+    def counted(pot, s, q_max, n):
+        calls.append(pot.origin_scale)
+        return collocate(pot, s, q_max, n)
+
+    monkeypatch.setattr(radial_eigensolver, "_collocate", counted)
+    curve = sweep([2e5, 1e6, 1e9])
+    assert calls == [D_SWITCH] * 6
+    # gamma, frozen as float.hex before the solve at INFINITY was dropped
+    assert [g.hex() for _, g in curve.rows] == [
+        "0x1.0f1ba01363425p+1", "0x1.0f1bb71ae05e4p+1",
+        "0x1.0f1bbcdb46559p+1"]
 
 
 def test_monotone_log_grid():

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -110,6 +111,62 @@ def test_byte_identical_reruns(capsys):
     _, out2 = _capture(capsys, ["sweep", "--d-min", "0.5", "--d-max", "4",
                                 "--points", "4"])
     assert out1 == out2
+
+
+# gamma as the CLI prints it (12 significant digits), frozen so that a
+# change meant to leave the numbers alone shows any digit it moves; err_est
+# sits at the eigensolver's rounding (about 1e-13) and is only bounded
+_GOLDEN_BOUND = {
+    ("--d", "1.0"): 1.6721064027,
+    ("--d-inf",): 2.11803398875,
+    ("--d", "1e6"): 2.11803330242,
+}
+_GOLDEN_SWEEP_32 = (
+    1.5688265535, 1.57876482539, 1.58972200931, 1.60171218437,
+    1.61473192526, 1.6287587302, 1.64375009796, 1.65964335392,
+    1.67635628649, 1.6937886097, 1.71182421859, 1.73033415224,
+    1.74918012987, 1.76821848275, 1.78730427265, 1.80629537221,
+    1.82505628549, 1.84346151054, 1.86139828609, 1.87876861885,
+    1.89549054736, 1.91149865747, 1.92674391499, 1.9411929192,
+    1.95482670356, 1.96763921811, 1.97963562274, 1.99083050625,
+    2.00124612578, 2.01091073859, 2.01985707595, 2.02812098914,
+)
+
+
+@pytest.mark.parametrize("flags", list(_GOLDEN_BOUND), ids=" ".join)
+def test_bound_gamma_golden(capsys, flags):
+    code, out = _capture(capsys, ["bound", *flags])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["gamma"] == _GOLDEN_BOUND[flags]
+    assert doc["err_est"] <= doc["tol"]
+
+
+def test_sweep_gamma_golden(capsys):
+    code, out = _capture(capsys, ["sweep", "--d-min", "0.5", "--d-max", "8",
+                                  "--points", "32", "--log"])
+    assert code == 0
+    rows = [tuple(float(v) for v in line.split(","))
+            for line in out.splitlines()[1:]]
+    assert tuple(r[1] for r in rows) == _GOLDEN_SWEEP_32
+    assert all(r[2] <= 1e-7 for r in rows)
+
+
+def test_gamma_commands_form_no_eigenvector(capsys, monkeypatch):
+    # bound, sweep and verify print eigenvalues only, so they must not
+    # need np.linalg.eig
+    def no_eig(*_args, **_kwargs):
+        raise AssertionError("np.linalg.eig called")
+
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
+    for argv in (["bound", "--d", "1.0"], ["bound", "--d", "1e6"],
+                 ["bound", "--d-inf"],
+                 ["sweep", "--d-min", "0.5", "--d-max", "8", "--points", "4",
+                  "--log"],
+                 ["verify", "--strict"]):
+        code, out = _capture(capsys, argv)
+        assert code == 0, argv
+    assert out.splitlines()[-1] == "overall: PASS"
 
 
 def test_hydrogen_record(capsys):

@@ -323,6 +323,32 @@ def test_phi_sums_not_fooled_by_aliased_harmonics():
         assert np.max(np.abs(rep.mean_r)) < 1e-10
 
 
+def test_phi_ladder_resumes_at_accepted_pair(monkeypatch):
+    # the harmonic-15 state needs the 32/33 pair; after the first integrand
+    # call has climbed there, every later call starts at it, so the ladder
+    # rejects at most one pair per rung in the whole dispersion call
+    rungs, calls = [], []
+    pair = dirac_states._trapezoid_pair
+    integrate = dirac_states.integrate_2d
+
+    def counted_pair(n):
+        rungs.append(n)
+        return pair(n)
+
+    def counted_integrate(rows, *args, **kwargs):
+        def counted_rows(*grid):
+            calls.append(1)
+            return rows(*grid)
+        return integrate(counted_rows, *args, **kwargs)
+
+    monkeypatch.setattr(dirac_states, "_trapezoid_pair", counted_pair)
+    monkeypatch.setattr(dirac_states, "integrate_2d", counted_integrate)
+    rep = dirac_states.dispersion_functional(_harmonic_15_state(0.0), _COARSE)
+    assert rungs[:3] == [8, 16, 32]
+    assert len(rungs) - len(calls) == 2
+    assert np.max(np.abs(rep.mean_r)) < 1e-10
+
+
 def test_phi_pairs_converge_at_tight_tolerance():
     # at rel_tol = 1e-14 the pair tolerance 0.01 rel_tol lies below the
     # rounding of the phi sums (up to 7e-16 of the scale at 8 nodes); the

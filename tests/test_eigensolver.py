@@ -15,10 +15,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import BarycentricInterpolator
 
+from relhur import radial_eigensolver
 from relhur import (
     EigenResult,
     RadialPotential,
+    SolverError,
     ground_state,
+    lowest_eigenvalue,
     make_potential,
     moment,
 )
@@ -194,3 +197,30 @@ def test_quadrature_weights_match_scipy(label, pot):
         ref = quad(fn, 0.0, 10.0, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
         assert float(np.sum(res.weights * fn(q))) == pytest.approx(
             ref, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("pot", [_oscillator(), _singular(1.0), _singular(2.0),
+                                 make_potential(45.0)],
+                         ids=["regular", "singular", "centrifugal", "d=45"])
+def test_lowest_eigenvalue_matches_ground_state(pot):
+    res = ground_state(pot, tol=TOL)
+    gamma, est_error = lowest_eigenvalue(pot, tol=TOL)
+    assert gamma.hex() == res.gamma.hex()
+    assert est_error.hex() == res.diagnostics.est_error.hex()
+
+
+def test_lowest_eigenvalue_raises_like_ground_state():
+    with pytest.raises(ValueError):
+        lowest_eigenvalue(_oscillator(), n=64)
+    with pytest.raises(SolverError, match="differ by"):
+        lowest_eigenvalue(make_potential(45.0), n=63, tol=1e-14)
+
+
+def test_cheb_arrays_cached_and_read_only():
+    arrays = radial_eigensolver._cheb(127)
+    assert radial_eigensolver._cheb(127) is arrays
+    # the fold reads the 63 positive nodes' rows of the 128 columns
+    assert [a.shape for a in arrays] == [(63,), (63, 128), (63, 128), (63,)]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 0.0
