@@ -13,13 +13,19 @@ exactly `param,gamma,err_est`) or JSON with 12 significant digits, both
 serialized manually so identical invocations are byte-identical.  Exit
 codes: 0 success, 1 numerical failure or failed verify anchor, 2 usage
 error (bad flags, out-of-domain parameters, unwritable output).
+
+Flags take `--flag value` or `--flag=value` and any unambiguous prefix;
+the last of a repeated flag wins.  `-h`/`--help` prints the usage to
+stdout.  A usage error is one stderr line, `relhur <subcommand>: <message>`
+(`relhur: <message>` without a valid subcommand).  A flag table replaces
+argparse, whose import and parser set-up took a few ms of every process.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
+from types import SimpleNamespace
 from typing import Sequence
 
 from . import hopfion as _hopfion
@@ -245,76 +251,120 @@ def _cmd_verify(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0 if all_ok else 1
 
 
-_DISPATCH = {
-    "bound": _cmd_bound,
-    "sweep": _cmd_sweep,
-    "hydrogen": _cmd_hydrogen,
-    "hopfion": _cmd_hopfion,
-    "verify": _cmd_verify,
+# The flag table: each subcommand's handler, help line, flags and required
+# flags.  A flag maps to its value's type (float, int, str), to its tuple
+# of choices, to bool for a switch, or to None for the help flag.
+_HELP_FLAGS = {"-h": None, "--help": None}
+_COMMON_FLAGS = {"--format": ("csv", "json"), "--output": str}
+_COMMANDS = {
+    "bound": (_cmd_bound, "uncertainty bound gamma(d) at --d X or --d-inf",
+              {"--d": float, "--d-inf": bool}, ()),
+    "sweep": (_cmd_sweep, "bound curve gamma(d) over a d grid",
+              {"--d-min": float, "--d-max": float, "--points": int,
+               "--log": bool}, ("--d-min", "--d-max", "--points")),
+    "hydrogen": (_cmd_hydrogen, "closed-form uncertainty product for charge "
+                 "Z (alpha: CODATA 2018)",
+                 {"--Z": int, "--alpha": float, "--oracle": bool}, ("--Z",)),
+    "hopfion": (_cmd_hopfion, "uncertainty product of the localized packet "
+                "at --a, or on a grid",
+                {"--a": float, "--a-min": float, "--a-max": float,
+                 "--points": int}, ()),
+    "verify": (_cmd_verify, "run the built-in anchor suite",
+               {"--strict": bool}, ()),
 }
+_DEFAULTS = {"--alpha": _hydrogen.ALPHA_FS}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="output format (default: json for single "
-                             "records, csv for sweeps; verify is text)")
-    common.add_argument("--output", default=None, metavar="PATH",
-                        help="write the document to PATH instead of stdout")
+def _help(cmd: str | None) -> str:
+    if cmd is None:
+        rows = "".join(f"  {name:<9} {entry[1]}\n"
+                       for name, entry in _COMMANDS.items())
+        return (f"usage: relhur {{{','.join(_COMMANDS)}}} [flags]\n\n{rows}"
+                "\nrelhur <subcommand> --help shows its flags.\n")
+    _, text, flags, required = _COMMANDS[cmd]
+    words = []
+    for flag, kind in {**flags, **_COMMON_FLAGS}.items():
+        meta = ("{" + ",".join(kind) + "}" if isinstance(kind, tuple)
+                else {float: "X", int: "N", str: "PATH"}.get(kind, ""))
+        word = f"{flag} {meta}".rstrip()
+        words.append(word if flag in required else f"[{word}]")
+    return f"usage: relhur {cmd} {' '.join(words)}\n\n{text}\n"
 
-    p = argparse.ArgumentParser(
-        prog="relhur",
-        description="Relativistic position-momentum uncertainty bounds "
-                    "for Dirac electrons.")
-    sub = p.add_subparsers(dest="subcommand", required=True,
-                           metavar="{bound,sweep,hydrogen,hopfion,verify}")
 
-    b = sub.add_parser("bound", parents=[common],
-                       help="uncertainty bound gamma(d) at a single scale")
-    scale = b.add_mutually_exclusive_group(required=True)
-    scale.add_argument("--d", type=float, help="relativistic scale d >= 0")
-    scale.add_argument("--d-inf", action="store_true", dest="d_inf",
-                       help="the ultrarelativistic limit d = infinity")
+def _parse(argv: Sequence[str], args: SimpleNamespace) -> str | None:
+    """Fill args from argv; return the help text if argv asks for it.
 
-    s = sub.add_parser("sweep", parents=[common],
-                       help="bound curve gamma(d) over a d grid")
-    s.add_argument("--d-min", type=float, required=True, dest="d_min")
-    s.add_argument("--d-max", type=float, required=True, dest="d_max")
-    s.add_argument("--points", type=int, required=True)
-    s.add_argument("--log", action="store_true",
-                   help="geometric instead of linear spacing")
-
-    h = sub.add_parser("hydrogen", parents=[common],
-                       help="closed-form uncertainty product for charge Z")
-    h.add_argument("--Z", type=int, required=True, help="nuclear charge")
-    h.add_argument("--alpha", type=float, default=_hydrogen.ALPHA_FS,
-                   help="fine-structure constant (default CODATA 2018)")
-    h.add_argument("--oracle", action="store_true",
-                   help="also run the quadrature oracle and report the "
-                        "relative difference")
-
-    o = sub.add_parser("hopfion", parents=[common],
-                       help="uncertainty product of the localized packet")
-    o.add_argument("--a", type=float, help="width parameter (single point)")
-    o.add_argument("--a-min", type=float, dest="a_min")
-    o.add_argument("--a-max", type=float, dest="a_max")
-    o.add_argument("--points", type=int)
-
-    v = sub.add_parser("verify", parents=[common],
-                       help="run the built-in anchor suite")
-    v.add_argument("--strict", action="store_true",
-                   help="add the limit-residual and norm-ratio anchors")
-    return p
+    Tokens are read in order.  The token after a value flag is its value,
+    whatever it looks like.  Unknown flags and stray words fail only at the
+    end, as they did under argparse, so that a later -h still prints help.
+    """
+    flags, vals, unknown, i = _HELP_FLAGS, {}, [], 0
+    while i < len(argv):
+        tok, i = argv[i], i + 1
+        if tok == "--":  # every later token is a stray word
+            unknown += argv[i - 1:]
+            break
+        if tok == "-" or not tok.startswith("-"):
+            if args.subcommand is not None:
+                unknown.append(tok)
+                continue
+            if tok not in _COMMANDS:
+                raise _UsageError(f"invalid subcommand {tok!r}")
+            args.subcommand = tok
+            flags = {**_HELP_FLAGS, **_COMMON_FLAGS, **_COMMANDS[tok][2]}
+            vals = {flag: _DEFAULTS.get(flag, False if kind is bool else None)
+                    for flag, kind in flags.items() if kind is not None}
+            continue
+        name, eq, value = tok.partition("=")
+        hits = [flag for flag in flags
+                if name.startswith("--") and flag.startswith(name)]
+        if name not in flags and len(hits) > 1:
+            raise _UsageError(f"ambiguous option {name}: {', '.join(hits)}")
+        flag = name if name in flags else hits[0] if hits else None
+        if flag is None:
+            unknown.append(tok)
+            continue
+        kind = flags[flag]
+        if eq and kind in (None, bool):
+            raise _UsageError(f"{flag} takes no value")
+        if kind is None:
+            return _help(args.subcommand)
+        if kind is bool:
+            value = True
+        elif not eq:
+            if i == len(argv):
+                raise _UsageError(f"{flag} expects a value")
+            value, i = argv[i], i + 1
+        if isinstance(kind, tuple) and value not in kind:
+            raise _UsageError(f"{flag} must be one of {', '.join(kind)}")
+        try:
+            vals[flag] = value if isinstance(kind, tuple) else kind(value)
+        except ValueError:
+            raise _UsageError(f"invalid {flag} value {value!r}") from None
+        if vals.get("--d") is not None and vals.get("--d-inf"):
+            raise _UsageError("--d conflicts with --d-inf")
+    if args.subcommand is None:
+        raise _UsageError(f"missing subcommand ({', '.join(_COMMANDS)})")
+    missing = [f for f in _COMMANDS[args.subcommand][3] if vals[f] is None]
+    if "--d" in vals and vals["--d"] is None and not vals["--d-inf"]:
+        missing.append("--d or --d-inf")
+    if missing:
+        raise _UsageError(f"missing {', '.join(missing)}")
+    if unknown:
+        raise _UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    vars(args).update((flag[2:].replace("-", "_"), value)
+                      for flag, value in vals.items())
+    return None
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    args = SimpleNamespace(subcommand=None)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 2
-    try:
-        doc, code = _DISPATCH[args.subcommand](args)
+        text = _parse(sys.argv[1:] if argv is None else argv, args)
+        if text is not None:
+            sys.stdout.write(text)
+            return 0
+        doc, code = _COMMANDS[args.subcommand][0](args)
         if args.output is not None:
             with open(args.output, "w", newline="") as fh:
                 fh.write(doc)
@@ -322,30 +372,23 @@ def run(argv: Sequence[str] | None = None) -> int:
             sys.stdout.write(doc)
         return code
     except _UsageError as exc:
-        print(f"relhur {args.subcommand}: {exc}", file=sys.stderr)
-        return 2
+        msg, code = str(exc), 2
     except OSError as exc:
-        print(f"relhur {args.subcommand}: cannot write output: {exc}",
-              file=sys.stderr)
-        return 2
+        msg, code = f"cannot write output: {exc}", 2
     except SolverError as exc:
-        print(f"relhur {args.subcommand}: numerical failure in "
-              f"radial_eigensolver (tol={BOUND_TOL:g}): {exc}",
-              file=sys.stderr)
-        return 1
+        msg, code = (f"numerical failure in radial_eigensolver "
+                     f"(tol={BOUND_TOL:g}): {exc}"), 1
     except QuadratureError as exc:
-        print(f"relhur {args.subcommand}: numerical failure in "
-              f"quadrature: {exc}", file=sys.stderr)
-        return 1
+        msg, code = f"numerical failure in quadrature: {exc}", 1
     except ArithmeticError as exc:
         # includes the hydrogen oracle's failed symmetry checks
-        print(f"relhur {args.subcommand}: numerical failure: {exc}",
-              file=sys.stderr)
-        return 1
+        msg, code = f"numerical failure: {exc}", 1
     except ValueError as exc:
         # out-of-domain parameters (includes hydrogen.DivergenceError)
-        print(f"relhur {args.subcommand}: {exc}", file=sys.stderr)
-        return 2
+        msg, code = str(exc), 2
+    prog = "relhur" if args.subcommand is None else f"relhur {args.subcommand}"
+    print(f"{prog}: {msg}", file=sys.stderr)
+    return code
 
 
 def main() -> None:
