@@ -10,9 +10,8 @@ Layout:
 
     specfun             gamma function (math.gamma) and modified Bessel
                         K0, K1, K2 (one trapezoid sum per order)
-    quadrature          adaptive panels of the nested Gauss-Kronrod pair
-                        (K15 value, |K15 - G7| error) on [0, inf) and 2D;
-                        a step-halving trapezoid rule for analytic integrands
+    quadrature          step-halving trapezoid sums times Gauss-Legendre:
+                        on a given interval, and exp-sinh on [0, inf)
     radial_eigensolver  lowest eigenvalue of radial Schrodinger operators
                         by Chebyshev collocation (NumPy only)
     rel_uncertainty     the bound curve gamma(d) and its two limits
@@ -33,8 +32,8 @@ from .quadrature import (
     QuadConfig,
     QuadResult,
     QuadratureError,
-    integrate_semi_infinite,
-    integrate_2d,
+    integrate_exp_sinh,
+    integrate_trapezoid,
 )
 from .radial_eigensolver import (
     RadialPotential,
@@ -105,7 +104,7 @@ __all__ = [
     "SpecfunResult", "gamma_fn", "gamma_fn_detailed",
     "bessel_k", "bessel_k_detailed",
     "QuadConfig", "QuadResult", "QuadratureError",
-    "integrate_semi_infinite", "integrate_2d",
+    "integrate_exp_sinh", "integrate_trapezoid",
     "RadialPotential", "EigenDiagnostics", "EigenResult", "SolverError",
     "ground_state", "lowest_eigenvalue", "moment",
     "INFINITY", "GAMMA_AT_0", "GAMMA_AT_INF", "ULTRA_EXPONENT",

@@ -38,13 +38,14 @@ so the <r> rows need the amplitudes and their partials only, never a
 bispinor on the grid; <p> needs only the amplitude density.  Both means are
 always computed and subtracted from the second moments.
 
-The phi integral is a trapezoid sum, exact for harmonics below its node
-count.  Each integrand call of the 2D quadrature (the p nodes of a radial
-panel, the nodes of one theta panel) sums every row under rules of n and
-n + 1 nodes, n = 8, 16, ..., 256, until the two agree to 0.01 rel_tol
-(n epsilons at least) of its largest norm-plus-second-moment integrand,
-keeps the (n + 1)-node sums, and raises QuadratureError if they never do
-(a jump in phi); ending the ladder at 256 bounds what such a call costs.
+The (p, theta) integral is quadrature.integrate_exp_sinh.  The phi
+integral is a trapezoid sum, exact for harmonics below its node count.
+Each integrand call of that rule (at most 16 p nodes on one theta rule)
+sums every row under rules of n and n + 1 nodes, n = 8, 16, ..., 256,
+until the two agree to 0.01 rel_tol (n epsilons at least) of its
+largest norm-plus-second-moment integrand, keeps the (n + 1)-node sums,
+and raises QuadratureError if they never do (a jump in phi); ending the
+ladder at 256 bounds what such a call costs.
 The first integrand call starts the ladder at 8/9, each later one at the
 pair the call before it accepted, still checked against its own n + 1
 partner.  Smooth states accept 8/9, the harmonic-15 state of the tests
@@ -67,7 +68,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .quadrature import QuadConfig, QuadratureError, QuadResult, integrate_2d
+from .quadrature import QuadConfig, QuadratureError, QuadResult, integrate_exp_sinh
 
 _N_PHI_PAIRS = tuple(8 << k for k in range(6))  # (n, n + 1) for n = 8..256
 
@@ -187,7 +188,7 @@ class AmplitudePair(NamedTuple):
     f_minus may be None for a pure spin-up state.  partials_* optionally
     supply analytic (d_p, d_theta, d_phi) with the same calling
     convention; otherwise central differences with one Richardson pass are
-    used, with a step per p node.  With a jump in phi the phi sums never
+    used, with the p step 1e-5 p at each p node.  With a jump in phi the phi sums never
     converge, and dispersion_functional raises QuadratureError.
     """
 
@@ -293,8 +294,7 @@ class _Amplitude:
         # the coordinate domain.
         fn = self.fn
         if axis == 0:
-            h = np.maximum(1e-5, 1e-5 * p)
-            h = np.where(p - h <= 0.0, 0.5 * p, h)
+            h = 1e-5 * p  # the quadrature's p nodes are all positive
             probe = lambda hh: (fn(p + hh, thetas, phis)
                                 - fn(p - hh, thetas, phis)) / (2.0 * hh)
         elif axis == 1:
@@ -405,7 +405,7 @@ def dispersion_functional(amp: AmplitudePair, cfg: QuadConfig = QuadConfig(),
                 w * (ct * ap - st * at),
             ], axis=1)[..., 0]
             # n_phi eps bounds the sums' rounding (<= 1e-16 n_phi of scale
-            # measured); a non-finite row passes, for integrate_2d to reject
+            # measured); a non-finite row passes, for the quadrature to reject
             scale = np.max(np.abs(t_n1[0]) + np.abs(t_n1[1]) + np.abs(t_n1[2]))
             tol = max(0.01 * cfg.rel_tol, n_phi * np.finfo(float).eps) * scale
             if not np.max(np.abs(t_n1 - t_n)) > tol:
@@ -414,4 +414,4 @@ def dispersion_functional(amp: AmplitudePair, cfg: QuadConfig = QuadConfig(),
         raise QuadratureError(f"phi sums unconverged at {n_phi + 1} nodes")
 
     return DispersionReport.from_integrals(
-        integrate_2d(rows, cfg, control_rows=[0, 1, 2]))
+        integrate_exp_sinh(rows, cfg, control_rows=[0, 1, 2]))

@@ -237,11 +237,11 @@ def _shifted_two_spin_state():
 def test_spin_connection_matches_four_component_oracle(mass, monkeypatch):
     # dispersion_functional takes <r> from the closed-form spin connection;
     # the oracle replaces its <r> rows by the contraction over the four
-    # components of psi.  Both runs integrate on the same panels, so a
+    # components of psi.  Both runs integrate on the same nodes, so a
     # coarse tolerance loses nothing: they differ by rounding only.
     amp = _shifted_two_spin_state()
     rep = dispersion_functional(amp, _COARSE, mass=mass)
-    integrate = dirac_states.integrate_2d
+    integrate = dirac_states.integrate_exp_sinh
 
     def with_oracle_rows(rows, cfg, control_rows):
         def replaced(p, thetas):
@@ -250,7 +250,7 @@ def test_spin_connection_matches_four_component_oracle(mass, monkeypatch):
             return out
         return integrate(replaced, cfg, control_rows=control_rows)
 
-    monkeypatch.setattr(dirac_states, "integrate_2d", with_oracle_rows)
+    monkeypatch.setattr(dirac_states, "integrate_exp_sinh", with_oracle_rows)
     oracle = dispersion_functional(amp, _COARSE, mass=mass)
     assert np.max(np.abs(rep.mean_r - oracle.mean_r)) <= 1e-12
     assert rep.delta_r_sq == pytest.approx(oracle.delta_r_sq, rel=1e-12)
@@ -266,9 +266,10 @@ def test_spin_connection_matches_four_component_oracle(mass, monkeypatch):
 ])
 def test_report_counts_evaluations(module, run, monkeypatch):
     # the module's quadrature binding, wrapped to count the grid points its
-    # integrand is called on: the adaptive rule for the general functional,
+    # integrand is called on: the exp-sinh rule for the general functional,
     # the trapezoid rule for the two families
-    name = "integrate_2d" if module is dirac_states else "integrate_trapezoid"
+    name = ("integrate_exp_sinh" if module is dirac_states
+            else "integrate_trapezoid")
     points = []
     integrate = getattr(module, name)
 
@@ -329,7 +330,7 @@ def test_phi_ladder_resumes_at_accepted_pair(monkeypatch):
     # rejects at most one pair per rung in the whole dispersion call
     rungs, calls = [], []
     pair = dirac_states._trapezoid_pair
-    integrate = dirac_states.integrate_2d
+    integrate = dirac_states.integrate_exp_sinh
 
     def counted_pair(n):
         rungs.append(n)
@@ -342,7 +343,7 @@ def test_phi_ladder_resumes_at_accepted_pair(monkeypatch):
         return integrate(counted_rows, *args, **kwargs)
 
     monkeypatch.setattr(dirac_states, "_trapezoid_pair", counted_pair)
-    monkeypatch.setattr(dirac_states, "integrate_2d", counted_integrate)
+    monkeypatch.setattr(dirac_states, "integrate_exp_sinh", counted_integrate)
     rep = dirac_states.dispersion_functional(_harmonic_15_state(0.0), _COARSE)
     assert rungs[:3] == [8, 16, 32]
     assert len(rungs) - len(calls) == 2
@@ -363,10 +364,11 @@ def test_phi_pairs_converge_at_tight_tolerance():
 def test_amplitude_with_jump_in_phi_raises():
     # the phi sums of a discontinuous amplitude converge like 1/n, so the
     # trapezoid pairs never agree: no value is returned
-    widths = []
+    widths, p_nodes = [], []
 
     def step(p, th, ph):
         widths.append(np.shape(ph)[-1])
+        p_nodes.append(np.shape(p)[0])
         return (np.exp(-0.5 * p * p) * np.where(np.mod(ph, 2.0 * math.pi)
                                                 < math.pi, 1.0, 0.5)
                 + 0j * th)
@@ -376,6 +378,8 @@ def test_amplitude_with_jump_in_phi_raises():
     # the ladder is capped, so the failing call's cost is bounded: no phi
     # grid wider than the 256/257 pair's 513 nodes
     assert max(widths) <= 513
+    # and the quadrature hands over at most 16 p nodes per call
+    assert max(p_nodes) <= 16
 
 
 def test_gaussian_norm():
@@ -401,6 +405,19 @@ def test_massless_gamma_anchor():
 
     rep = dispersion_functional(AmplitudePair(f_plus=amp), mass=0.0)
     assert rep.gamma == pytest.approx(1.0 + 0.5 * math.sqrt(5.0), abs=1e-5)
+
+
+@pytest.mark.parametrize("sigma", [1e-4, 1e4])
+def test_massless_gaussian_is_scale_free(sigma):
+    # at m = 0 the product of a Gaussian e^{-p^2 / (2 sigma^2)} is
+    # sqrt(21)/2 at every width.  The numeric p-partial steps with p: an
+    # absolute floor of 1e-5 is 10% of the width 1e-4.
+    def amp(p, thetas, phi):
+        return np.exp(-0.5 * (p / sigma) ** 2) * np.ones_like(thetas,
+                                                             dtype=complex)
+
+    rep = dispersion_functional(AmplitudePair(f_plus=amp), mass=0.0)
+    assert rep.gamma == pytest.approx(0.5 * math.sqrt(21.0), rel=1e-9)
 
 
 def test_spin_swap_invariance():

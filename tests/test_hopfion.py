@@ -5,14 +5,16 @@ direct component gradients (gamma_h) and decomposition onto spin
 amplitudes fed through the general dispersion functional.  <p_z> has the
 exact closed form -1/(2a), which pins the first-moment machinery.  A
 third route lives only here: the direct-gradient integrands in (p, theta)
-on the adaptive 2D rule, against which gamma_h's trapezoid rule in
-p = sinh u is held over the whole width range.
+on SciPy's adaptive quad_vec in p and fixed Gauss-Legendre in theta,
+against which gamma_h's trapezoid rule in p = sinh u is held over the whole
+width range.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import fixed_quad, quad_vec
 
 from relhur import (
     AmplitudePair,
@@ -20,6 +22,7 @@ from relhur import (
     HopfionState,
     MomentumPoint,
     QuadConfig,
+    QuadResult,
     SweepTable,
     amplitude_pair,
     bessel_k,
@@ -28,7 +31,6 @@ from relhur import (
     gamma_bound,
     gamma_h,
     gamma_h_curve,
-    integrate_2d,
     momentum_bispinor,
     norm_bessel_ratio,
     norm_const,
@@ -45,7 +47,9 @@ REFERENCE_GRID = [0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0]
 
 def _adaptive_reference(a):
     """gamma_h's nine integrals over (p, theta) with the measure dp dtheta,
-    on the adaptive 2D rule at tolerances far below gamma_h's defaults."""
+    by SciPy: adaptive quad_vec over p in [0, inf) at rel 1e-13, of the
+    24-node Gauss-Legendre sum in theta (the rows are polynomials in
+    sin and cos theta).  Rows 3, 4 and 6..8 are zero."""
     def rows(p, thetas):
         e = np.hypot(1.0, p)
         ep = p / e
@@ -70,10 +74,10 @@ def _adaptive_reference(a):
         out[5] = 2.0 * math.pi * p ** 3 * st * ct * dens
         return out
 
-    cfg = QuadConfig(abs_tol=1e-300, rel_tol=1e-12,
-                     decay_scale=1.0 / (2.0 * a) + 1.0 / math.sqrt(2.0 * a))
-    return DispersionReport.from_integrals(
-        integrate_2d(rows, cfg, control_rows=[0, 1, 2]))
+    values, _ = quad_vec(
+        lambda p: fixed_quad(lambda th: rows(p, th), 0.0, math.pi, n=24)[0],
+        0.0, math.inf, epsabs=0.0, epsrel=1e-13)
+    return DispersionReport.from_integrals(QuadResult(values, np.zeros(9), 0))
 
 
 def test_state_validation():
@@ -170,6 +174,14 @@ def test_trapezoid_rule_matches_adaptive_reference(a):
     assert rep.mean_p[2] == pytest.approx(ref.mean_p[2], rel=1e-12)
     assert rep.norm_sq == pytest.approx(ref.norm_sq, rel=1e-12)
     assert norm_const(HopfionState(a)) == pytest.approx(ref.norm_sq, rel=1e-12)
+
+
+@pytest.mark.parametrize("a", [0.1, 1.0, 7.3])
+def test_amplitude_route_error_bar_covers_and_is_tight(a):
+    # the amplitude route's err_est must hold its distance from gamma_h,
+    # the independent route, and stay below 1e-7
+    rep = dispersion_functional(amplitude_pair(HopfionState(a)))
+    assert abs(rep.gamma - gamma_h(HopfionState(a)).gamma) <= rep.err_est <= 1e-7
 
 
 def test_amplitude_route_matches_direct():

@@ -21,7 +21,7 @@ from relhur import (
     bessel_k_detailed,
     gamma_bound_report,
     ground_state,
-    integrate_semi_infinite,
+    integrate_trapezoid,
     make_potential,
     sweep,
 )
@@ -32,8 +32,8 @@ from relhur.hopfion import HopfionState, gamma_h, gamma_h_curve
 _RECORDS = {
     "SpecfunResult": (lambda: bessel_k_detailed(1, 2.0), None),
     "QuadConfig": (QuadConfig, None),
-    "QuadResult": (lambda: integrate_semi_infinite(lambda x: np.exp(-x)),
-                   None),
+    "QuadResult": (lambda: integrate_trapezoid(
+        lambda t, c: np.exp(-t * t) + 0.0 * c, -8.0, 8.0, 0.5), None),
     "RadialPotential": (lambda: make_potential(1.0), None),
     "EigenResult": (lambda: ground_state(make_potential(0.0)), None),
     "EigenDiagnostics": (
