@@ -260,17 +260,38 @@ def test_estimate_matches_report_bitwise(d):
     assert gamma_bound(d).hex() == gamma.hex()
 
 
-def test_gamma_path_forms_no_eigenvector(monkeypatch):
+def test_no_eig_and_one_eigvals_per_solve(monkeypatch):
+    # every path, the report included, takes its eigenvector from the
+    # refinement: no np.linalg.eig, and one np.linalg.eigvals per solve
+    # (a coarse and a fine collocation), as many solves as points at
+    # d <= D_SWITCH plus one at D_SWITCH for each point above it
     def no_eig(*_args, **_kwargs):
         raise AssertionError("np.linalg.eig called")
 
+    eigvals, collocate = np.linalg.eigvals, radial_eigensolver._collocate
+    calls = {"eigvals": 0, "collocate": 0}
+
+    def counted_eigvals(a):
+        calls["eigvals"] += 1
+        return eigvals(a)
+
+    def counted_collocate(*args):
+        calls["collocate"] += 1
+        return collocate(*args)
+
     monkeypatch.setattr(np.linalg, "eig", no_eig)
-    assert gamma_bound(1.0) == pytest.approx(REFERENCE_CURVE[1.0], abs=1e-9)
-    curve = sweep([0.0, 1.0, 2.0 * D_SWITCH, INFINITY])
-    assert [d for d, _ in curve.rows] == [0.0, 1.0, 2.0 * D_SWITCH, INFINITY]
-    # the report still needs the eigenvector, so the patch is in effect
-    with pytest.raises(AssertionError, match="eig called"):
-        gamma_bound_report(1.0)
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    monkeypatch.setattr(radial_eigensolver, "_collocate", counted_collocate)
+    for run, solves in [
+            (lambda: gamma_bound(1.0), 1),
+            (lambda: sweep([0.0, 1.0, D_SWITCH, 2.0 * D_SWITCH, INFINITY]), 5),
+            (lambda: gamma_bound_report(1.0), 1),
+            (lambda: gamma_bound_report(INFINITY), 1),
+            # the expansion's remainder at D_SWITCH, the moment at INFINITY
+            (lambda: gamma_bound_report(2.0 * D_SWITCH), 2)]:
+        calls.update(eigvals=0, collocate=0)
+        run()
+        assert calls == {"eigvals": solves, "collocate": 2 * solves}
 
 
 def test_sweep_above_switch_solves_only_at_switch(monkeypatch):

@@ -175,6 +175,10 @@ def test_diagnostics_fields():
     assert diag.resolutions == (95, 127)
     assert diag.gammas[1] == res.gamma
     assert abs(diag.gammas[1] - diag.gammas[0]) <= diag.est_error <= TOL
+    # est_error splits into the gap and the measured rounding
+    gap = abs(diag.gammas[1] - diag.gammas[0])
+    assert diag.est_error == gap + diag.rounding
+    assert 0.0 < diag.rounding < 1e-12
     assert np.all(np.diff(res.grid) > 0.0) and res.grid[-1] < 10.0
 
 
@@ -214,6 +218,43 @@ def test_lowest_eigenvalue_raises_like_ground_state():
         lowest_eigenvalue(_oscillator(), n=64)
     with pytest.raises(SolverError, match="differ by"):
         lowest_eigenvalue(make_potential(45.0), n=63, tol=1e-14)
+
+
+def _small_d_series(d):
+    # first-order perturbation of the oscillator by the d^2, d^4 and d^6
+    # terms of V; the first neglected term is O(d^8)
+    return (1.5 + 3.0 / 8.0 * d ** 2 - 21.0 / 32.0 * d ** 4
+            + 255.0 / 128.0 * d ** 6)
+
+
+_EXACT = [(0.0, 1.5), (math.inf, 1.0 + 0.5 * math.sqrt(5.0))] + [
+    (d, _small_d_series(d)) for d in (1e-4, 1e-3, 3e-3, 1e-2)]
+
+
+@pytest.mark.parametrize("n", [95, 127, 159])
+@pytest.mark.parametrize("d,exact", _EXACT,
+                         ids=[f"d={d:g}" for d, _ in _EXACT])
+def test_error_bar_covers_exact_values(d, exact, n):
+    # the error bar covers the error against exact values down to the
+    # rounding; LAPACK's unrefined eigenvalue is 1.7e-13 off 3/2 at d = 0
+    gamma, est_error = lowest_eigenvalue(make_potential(d), n=n, tol=TOL)
+    assert abs(gamma - exact) <= est_error
+
+
+def test_singular_shift_raises_solver_error(monkeypatch):
+    # a diagonal block has exact eigenvalues, so the shift makes
+    # block - shift I exactly singular; that is a SolverError, not a
+    # LinAlgError
+    collocate = radial_eigensolver._collocate
+
+    def diagonal(*args):
+        block, q, w = collocate(*args)
+        return np.diag(np.diag(block)), q, w
+
+    monkeypatch.setattr(radial_eigensolver, "_collocate", diagonal)
+    for solve in (ground_state, lowest_eigenvalue):
+        with pytest.raises(SolverError, match="eigensolve failed"):
+            solve(_oscillator(), tol=TOL)
 
 
 def test_cheb_arrays_cached_and_read_only():
