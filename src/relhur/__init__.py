@@ -42,6 +42,7 @@ from .radial_eigensolver import (
     SolverError,
     ground_state,
     lowest_eigenvalue,
+    lowest_eigenvalues,
     moment,
 )
 from .rel_uncertainty import (
@@ -56,6 +57,7 @@ from .rel_uncertainty import (
     make_potential,
     gamma_bound,
     gamma_estimate,
+    gamma_estimates,
     gamma_bound_report,
     BoundReport,
     BoundCurve,
@@ -106,12 +108,12 @@ __all__ = [
     "QuadConfig", "QuadResult", "QuadratureError",
     "integrate_exp_sinh", "integrate_trapezoid",
     "RadialPotential", "EigenDiagnostics", "EigenResult", "SolverError",
-    "ground_state", "lowest_eigenvalue", "moment",
+    "ground_state", "lowest_eigenvalue", "lowest_eigenvalues", "moment",
     "INFINITY", "GAMMA_AT_0", "GAMMA_AT_INF", "ULTRA_EXPONENT",
     "ULTRA_C1", "D_SWITCH",
     "potential_v", "singular_strength", "make_potential",
-    "gamma_bound", "gamma_estimate", "gamma_bound_report", "BoundReport",
-    "BoundCurve", "sweep", "gaussian_limit_residual", "ultrarelativistic_limit_residual",
+    "gamma_bound", "gamma_estimate", "gamma_estimates", "gamma_bound_report",
+    "BoundReport", "BoundCurve", "sweep", "gaussian_limit_residual", "ultrarelativistic_limit_residual",
     "MomentumPoint", "Bispinor", "AmplitudePair", "DispersionReport",
     "bispinor_u", "bispinor_partials", "dispersion_functional",
     "ALPHA_FS", "CoulombState", "DivergenceError", "ground_bispinor",

@@ -142,7 +142,8 @@ def _cmd_sweep(args) -> tuple[str, int]:
     ds = _grid(args.d_min, args.d_max, args.points, args.log)
     if ds[0] < 0.0:
         raise _UsageError("--d-min must be non-negative")
-    rows = [(d, *_bound.gamma_estimate(d, tol=BOUND_TOL)) for d in ds]
+    rows = [(d, *est) for d, est in
+            zip(ds, _bound.gamma_estimates(ds, tol=BOUND_TOL))]
     return _grid_doc(rows, args.format), 0
 
 

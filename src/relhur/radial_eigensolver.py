@@ -14,19 +14,22 @@ node at q = 0; folding the even extension onto the positive nodes leaves a
 ((N-1)/2)^2 matrix with Dirichlet conditions at q = +-Q.  Normalization
 and moments use Clenshaw-Curtis weights on the mapped nodes.
 
-Each solve makes one LAPACK call, np.linalg.eigvals on the degree N - 32
-block, to find the lowest eigenvalue.  Two-sided inverse iteration and the
-two-sided Rayleigh quotient (Parlett, Math. Comp. 28, 1974) refine it, and
-refine that value again on the degree-N block, removing the ~1e-13 that QR
-leaves on these non-normal blocks.  The quoted error estimate is the gap
-between the two refined values plus the measured rounding.  Both public
-paths share this arithmetic; ground_state normalizes the refined vector.
+No QR step is taken.  For c >= -1/4 Hardy's inequality makes
+-Delta + c/q^2 >= 0, so the spectrum lies above min v, v = V - c/q^2.
+Inverse iteration at that shift, then two-sided Rayleigh-quotient iteration
+(Parlett, Math. Comp. 28, 1974), settles on the lowest eigenvalue of the
+degree N - 32 block, and two-sided inverse iteration at that value refines
+the degree-N one.  The ground state is the only eigenfunction without a
+node, so a refined vector that changes sign is an error.  The error
+estimate is the gap between the two values plus the measured rounding.  A
+sequence of potentials is solved as (k, m, m) stacks, one stacked inverse
+per shift; the single-potential paths are the batch of one, bit for bit,
+and ground_state normalizes the refined vector.
 
-The fold reads only the rows of the differentiation matrices at the
-positive nodes; they are built elementwise, once per degree, and cached
-read-only.  The default blocks (47 and 63 rows) stay below the sizes at
-which OpenBLAS threads the level-2 kernels inside LAPACK's dgeev, so a
-solve does not wait on BLAS threads on a busy machine.  Potentials and
+The fold's rows of the differentiation matrices are built elementwise,
+once per degree, and cached read-only.  The default blocks (47 and 63
+rows) stay below the sizes at which OpenBLAS threads its level-2 kernels,
+so a solve does not wait on BLAS threads on a busy machine.  Potentials and
 moment weights are evaluated once on the whole node array and must return
 an array of its shape.
 """
@@ -35,16 +38,25 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 _COARSE_STEP = 32   # the coarse solve has degree N - 32
 _B_MAX = 20.0       # cap on the map's stretch b
+_BATCH = 16         # potentials per stack: bounds the memory of a sweep
+_MAX_STEPS = 30     # Rayleigh-quotient steps before the coarse solve fails
+_SETTLED = 1e-12    # relative move below which the quotient has settled
+_NODE_NOISE = 1e-3  # sign changes below this share of the peak are rounding
 
 
 class SolverError(RuntimeError):
-    """Eigenvalue iteration failed to meet its tolerance contract."""
+    """Eigenvalue iteration failed to meet its tolerance contract; index,
+    when known, is the failing potential's position in the call."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class RadialPotential(NamedTuple):
@@ -93,8 +105,9 @@ class EigenResult(NamedTuple):
 
 
 def _origin_exponent(c: float) -> float:
-    """Exponent s of the regular solution f ~ q^s near a c/q^2 origin."""
-    return 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * c))
+    """Exponent s of the regular solution f ~ q^s near a c/q^2 origin
+    (elementwise for an array c)."""
+    return 0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * c))
 
 
 def _on_grid(fn: Callable, grid: np.ndarray) -> np.ndarray:
@@ -109,16 +122,15 @@ def _on_grid(fn: Callable, grid: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=8)  # degrees n and n - 32 of a few n
 def _cheb(n: int):
     """What the fold reads of degree n (odd) on [-1, 1]: the points
-    cos(j pi/n) at the positive nodes j = (n-1)/2, ..., 1, the rows of the
-    first and second differentiation matrices there, and their
-    Clenshaw-Curtis weights; read-only, as the cache shares them.
+    cos(j pi/n) at the positive nodes j = (n-1)/2, ..., 1 and the folded
+    rows d[:, j] + d[:, n - j] of the first and second differentiation
+    matrices there; read-only, as the cache shares them.
 
     The matrices follow Weideman & Reddy (ACM TOMS 26, 2000) elementwise,
     with diagonals from the negative-sum trick.
     """
     j = np.arange(n + 1)
-    theta = np.pi * j / n
-    x = np.cos(theta)
+    x = np.cos(np.pi * j / n)
     c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
     pos = np.arange((n - 1) // 2, 0, -1)                   # q ascending
     diag = (np.arange(pos.size), pos)
@@ -130,102 +142,183 @@ def _cheb(n: int):
     d2 = 2.0 * inv_dx * (ratio * d1[diag][:, None] - d1)
     d2[diag] = 0.0
     d2[diag] = -d2.sum(axis=1)
-    k = np.arange(1, (n - 1) // 2 + 1)
-    w = 2.0 / n * (1.0 - np.sum(2.0 * np.cos(2.0 * np.outer(theta[pos], k))
-                                / (4.0 * k * k - 1.0), axis=1))
-    x = x[pos]
-    for a in (x, d1, d2, w):
+    out = x[pos], d1[:, pos] + d1[:, n - pos], d2[:, pos] + d2[:, n - pos]
+    for a in out:
         a.flags.writeable = False
-    return x, d1, d2, w
+    return out
 
 
-def _collocate(pot: RadialPotential, s: float, q_max: float, n: int):
-    """The folded degree-n collocation matrix (twice the operator), its
-    ascending positive nodes and their quadrature weights on (0, q_max)."""
-    x, d1, d2, w = _cheb(n)
+@functools.lru_cache(maxsize=4)
+def _cc_weights(n: int) -> np.ndarray:
+    """Clenshaw-Curtis weights of degree n (odd) at the positive nodes, in
+    the order of _cheb; read-only, as the cache shares them.  Only
+    ground_state needs them."""
+    theta = np.pi * np.arange((n - 1) // 2, 0, -1) / n
+    k = np.arange(1, (n - 1) // 2 + 1)
+    w = 2.0 / n * (1.0 - np.sum(2.0 * np.cos(2.0 * np.outer(theta, k))
+                                / (4.0 * k * k - 1.0), axis=1))
+    w.flags.writeable = False
+    return w
+
+
+def _collocate(pots: Sequence[RadialPotential], q_max: float, n: int):
+    """The folded degree-n collocation matrices (twice the operator) of
+    pots as a (k, m, m) stack, and as (k, m) arrays their ascending
+    positive nodes, dq/dx there and the regular part v = V - c/q^2 of each
+    potential there."""
+    x, d1, d2 = _cheb(n)
+    c = np.array([[pot.singular_strength] for pot in pots])
     # a c/q^2 core leaves f^2 q^2 = q^(2s+2) g^2 rough at q = 0, which
     # Clenshaw-Curtis resolves poorly; stretch b >= 8 shrinks that region
-    b_min = 8.0 if pot.singular_strength else 1e-8
-    b = min(max(math.asinh(pot.origin_scale * q_max), b_min), _B_MAX)
-    q = q_max * np.sinh(b * x) / math.sinh(b)
-    dq = q_max * b * np.cosh(b * x) / math.sinh(b)        # dq/dx
-    v = _on_grid(pot.evaluate, q) - pot.singular_strength / (q * q)
-    if not np.all(np.isfinite(v)):
-        raise SolverError("potential evaluated to a non-finite value on the grid")
+    b = np.array([[min(max(math.asinh(pot.origin_scale * q_max),
+                           8.0 if pot.singular_strength else 1e-8), _B_MAX)]
+                  for pot in pots])
+    sinh_b = np.array([[math.sinh(bi)] for bi in b[:, 0]])
+    q = q_max * np.sinh(b * x) / sinh_b
+    dq = q_max * b * np.cosh(b * x) / sinh_b              # dq/dx
+    v = np.array([_on_grid(pot.evaluate, qi) for pot, qi in zip(pots, q)])
+    v -= c / (q * q)
+    finite = np.isfinite(v).all(axis=1)
+    if not finite.all():
+        raise SolverError("potential evaluated to a non-finite value on the "
+                          "grid", int(np.argmin(finite)))
     # d/dq = D/q' and d2/dq2 = D2/q'^2 - (q''/q'^3) D, with q'' = b^2 q
-    first = (b * b * q / dq - 2.0 * (s + 1.0) * dq / q) / (dq * dq)
-    op = -d2 / (dq * dq)[:, None] + first[:, None] * d1
-    pos = np.arange((n - 1) // 2, 0, -1)
-    block = op[:, pos] + op[:, n - pos]
-    block[np.diag_indices_from(block)] += v
-    return block, q, w * dq
+    first = (b * b * q / dq - 2.0 * (_origin_exponent(c) + 1.0) * dq / q) / (
+        dq * dq)
+    blocks = first[:, :, None] * d1
+    blocks -= d2 / (dq * dq)[:, :, None]
+    diag = np.arange(x.size)
+    blocks[:, diag, diag] += v
+    return blocks, q, dq, v
 
 
-def _refine(block: np.ndarray, shift: float):
-    """(rho, rounding, x) for block's eigenvalue nearest shift: three
-    inverse-iteration steps on both sides from ones, on one inverse of
-    block - shift I, then rho = y.Ax / y.x with x, y unit vectors.  A unit
-    residual r makes rho an exact eigenvalue of a matrix |r| from block, of
-    condition 1/|y.x|: rounding takes the smaller of the two.  The right
-    one grows with the block's norm (3.5e-6 at d = 1e5, degree 127)."""
-    inv = np.linalg.inv(block - shift * np.eye(len(block)))
-    x = y = np.ones(len(block))
-    for _ in range(3):
-        x = inv @ x
-        x /= np.linalg.norm(x)
-        y = y @ inv
-        y /= np.linalg.norm(y)
-    ax, ya, yx = block @ x, y @ block, float(y @ x)
-    rho = float(y @ ax) / yx
-    residual = min(np.linalg.norm(ax - rho * x), np.linalg.norm(ya - rho * y))
-    return rho, float(residual) / abs(yx), x
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (k, m) stacks of vectors."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
-def _solve(pot: RadialPotential, q_max: float, n: int, tol: float):
-    """Shared core of lowest_eigenvalue and ground_state: gamma, the
-    degree-n nodes, the eigenvector g on them (signed positive), their
-    weights and the diagnostics."""
-    if pot.singular_strength < -0.25:
-        raise ValueError(
-            "singular_strength < -1/4: operator unbounded below")
+def _refine(blocks: np.ndarray, shift: np.ndarray, x: np.ndarray,
+            y: np.ndarray, squarings: int):
+    """(rho, x, y, Ax) for each block's eigenvalue nearest its shift:
+    inverse iteration on both sides from the rows of x and y with the
+    2^squarings power of one inverse of block - shift I (rescaled after
+    each squaring, so that no power overflows), then the unit vectors x, y
+    and their two-sided Rayleigh quotient rho = y.Ax / y.x.  Each stacked
+    operation acts on one block at a time, so a block's bits do not depend
+    on the others in its stack."""
+    diag = np.arange(blocks.shape[1])
+    power = blocks.copy()
+    power[:, diag, diag] -= shift[:, None]
+    power = np.linalg.inv(power)
+    for _ in range(squarings):
+        power = power @ power
+        power /= np.abs(power).max(axis=(1, 2), keepdims=True)
+    x, y = (power @ x[:, :, None])[:, :, 0], (y[:, None, :] @ power)[:, 0, :]
+    x, y = x / np.sqrt(_dot(x, x))[:, None], y / np.sqrt(_dot(y, y))[:, None]
+    ax = (blocks @ x[:, :, None])[:, :, 0]
+    return _dot(y, ax) / _dot(y, x), x, y, ax
+
+
+def _settle(blocks: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """The lowest eigenvalue of each block, for shifts below the spectrum:
+    32 steps of inverse iteration at the shift from vectors of ones, then
+    two-sided Rayleigh-quotient iteration, one new inverse per step at the
+    last quotient, until the quotient moves by less than
+    _SETTLED (|rho| + |shift|).  The shift lies below the lowest
+    eigenvalue, so that scale is positive even where rho is 0."""
+    scale, ones = np.abs(shift), np.ones(blocks.shape[:2])
+    shift, x, y, _ = _refine(blocks, shift, ones, ones, 5)
+    todo = np.arange(len(blocks))
+    for _ in range(_MAX_STEPS):
+        rho, x[todo], y[todo], _ = _refine(blocks[todo], shift[todo], x[todo],
+                                           y[todo], 0)
+        moving = (np.abs(rho - shift[todo])
+                  > _SETTLED * (np.abs(rho) + scale[todo]))
+        shift[todo] = rho
+        todo = todo[moving]
+        if not todo.size:
+            return shift
+    raise SolverError(f"Rayleigh quotient still moving after {_MAX_STEPS} "
+                      "steps", int(todo[0]))
+
+
+def _solve(pots: Sequence[RadialPotential], q_max: float, n: int,
+           tol: float):
+    """Shared core of lowest_eigenvalues and ground_state: yields, for each
+    potential in turn, gamma, the degree-n nodes, the eigenvector g on them
+    (signed positive), dq/dx there and the diagnostics.  Potentials are
+    solved _BATCH at a time as stacks, which bounds the memory of a long
+    sweep; a batch of one takes the same arithmetic, bit for bit."""
+    if any(pot.singular_strength < -0.25 for pot in pots):
+        raise ValueError("singular_strength < -1/4: operator unbounded below")
+    if not all(pot.origin_scale >= 0.0 for pot in pots):
+        raise ValueError("origin_scale must be non-negative")
     if not (q_max > 0.0) or not math.isfinite(q_max):
         raise ValueError("q_max must be positive and finite")
-    if not (pot.origin_scale >= 0.0):
-        raise ValueError("origin_scale must be non-negative")
     if n % 2 == 0 or n < 63:
         raise ValueError("n must be odd and at least 63")
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
+    for start in range(0, len(pots), _BATCH):
+        batch = pots[start:start + _BATCH]
+        try:
+            blocks, _, _, v = _collocate(batch, q_max, n - _COARSE_STEP)
+            # Hardy: -Delta + c/q^2 >= 0 for c >= -1/4, so the spectrum
+            # lies above min v, where the iteration starts
+            coarse = _settle(blocks, np.min(v, axis=1))
+            blocks, grid, dq, _ = _collocate(batch, q_max, n)
+            ones = np.ones(grid.shape)
+            fine, g, y, ag = _refine(blocks, coarse, ones, ones, 2)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"collocation eigensolve failed: {exc}") from exc
+        except SolverError as exc:
+            exc.index += start
+            raise
+        # a unit residual r makes rho an exact eigenvalue of a matrix |r|
+        # from the block, of condition 1/|y.x|: rounding takes the smaller
+        # of the two; the right one grows with the block's norm (3.5e-6 at
+        # d = 1e5, degree 127)
+        right = ag - fine[:, None] * g
+        left = (y[:, None, :] @ blocks)[:, 0, :] - fine[:, None] * y
+        rounding = np.sqrt(np.minimum(_dot(right, right), _dot(left, left)))
+        gamma, coarse = 0.5 * fine, 0.5 * coarse
+        rounding = 0.5 * rounding / np.abs(_dot(y, g))
+        est_error = np.abs(gamma - coarse) + rounding
+        peak = g[np.arange(len(g)), np.argmax(np.abs(g), axis=1)]
+        g *= np.sign(peak)[:, None]
+        # the ground state is the only eigenfunction without a node
+        nodes = np.min(g, axis=1) < -_NODE_NOISE * np.abs(peak)
+        for i in range(len(batch)):
+            if nodes[i]:
+                raise SolverError("the eigenvector changes sign: the "
+                                  "iteration settled on an excited state",
+                                  start + i)
+            if not est_error[i] <= tol:
+                raise SolverError(f"resolutions {n - _COARSE_STEP} and {n} "
+                                  f"differ by {est_error[i]:.3e} > tol "
+                                  f"{tol:.3e}", start + i)
+            yield float(gamma[i]), grid[i], g[i], dq[i], EigenDiagnostics(
+                grid_size=grid.shape[1], q_max=q_max,
+                est_error=float(est_error[i]),
+                resolutions=(n - _COARSE_STEP, n),
+                gammas=(float(coarse[i]), float(gamma[i])),
+                rounding=float(rounding[i]))
 
-    s = _origin_exponent(pot.singular_strength)
-    try:
-        block = _collocate(pot, s, q_max, n - _COARSE_STEP)[0]
-        shift = float(np.min(np.linalg.eigvals(block).real))
-        coarse = _refine(block, shift)[0]
-        block, grid, weights = _collocate(pot, s, q_max, n)
-        fine, rounding, g = _refine(block, coarse)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"collocation eigensolve failed: {exc}") from exc
-    gamma, coarse, rounding = 0.5 * fine, 0.5 * coarse, 0.5 * rounding
-    est_error = abs(gamma - coarse) + rounding
-    if not est_error <= tol:
-        raise SolverError(
-            f"resolutions {n - _COARSE_STEP} and {n} differ by "
-            f"{est_error:.3e} > tol {tol:.3e}")
-    if g[int(np.argmax(np.abs(g)))] < 0.0:
-        g = -g
-    return gamma, grid, g, weights, EigenDiagnostics(
-        grid_size=grid.size, q_max=q_max, est_error=est_error,
-        resolutions=(n - _COARSE_STEP, n), gammas=(coarse, gamma),
-        rounding=rounding)
+
+def lowest_eigenvalues(pots: Sequence[RadialPotential], q_max: float = 10.0,
+                       n: int = 127,
+                       tol: float = 1e-7) -> list[tuple[float, float]]:
+    """(gamma, est_error) of ground_state for each potential in pots, bit
+    for bit, without its normalization; raises as ground_state does, with
+    SolverError.index naming the failing potential."""
+    return [(gamma, diag.est_error)
+            for gamma, _, _, _, diag in _solve(pots, q_max, n, tol)]
 
 
 def lowest_eigenvalue(pot: RadialPotential, q_max: float = 10.0,
                       n: int = 127, tol: float = 1e-7) -> tuple[float, float]:
-    """(gamma, est_error) of ground_state, bit for bit, without its
-    normalization; raises as ground_state does."""
-    gamma, _, _, _, diag = _solve(pot, q_max, n, tol)
-    return gamma, diag.est_error
+    """lowest_eigenvalues for one potential."""
+    return lowest_eigenvalues([pot], q_max, n, tol)[0]
 
 
 def ground_state(pot: RadialPotential, q_max: float = 10.0, n: int = 127,
@@ -233,11 +326,13 @@ def ground_state(pot: RadialPotential, q_max: float = 10.0, n: int = 127,
     """Lowest eigenvalue and nodeless eigenfunction of the radial operator.
 
     Collocates at Chebyshev degree n (odd, >= 63) and n - 32; raises
-    SolverError when est_error, their gap plus the rounding, exceeds tol.
+    SolverError when est_error, their gap plus the rounding, exceeds tol,
+    or when the refined vector has a node.
     The eigenfunction is the refined right vector of the degree-n block,
     so no second eigensolve is made for it.
     """
-    gamma, grid, g, weights, diag = _solve(pot, q_max, n, tol)
+    gamma, grid, g, dq, diag = next(_solve([pot], q_max, n, tol))
+    weights = _cc_weights(n) * dq
     f = grid ** _origin_exponent(pot.singular_strength) * g
     norm_sq = float(np.sum(weights * (f * grid) ** 2))
     if not (norm_sq > 0.0) or not math.isfinite(norm_sq):

@@ -32,8 +32,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .radial_eigensolver import (RadialPotential, ground_state,
-                                 lowest_eigenvalue, moment)
+from .radial_eigensolver import (RadialPotential, SolverError, ground_state,
+                                 lowest_eigenvalues, moment)
 
 INFINITY = math.inf
 
@@ -100,18 +100,38 @@ def _check_d_tol(d: float, tol: float) -> float:
     return d
 
 
+def gamma_estimates(ds: Sequence[float],
+                    tol: float = 1e-7) -> list[tuple[float, float]]:
+    """(gamma(d), est_error) for each d in ds, with est_error <= tol
+    (tol >= 1e-8), from eigenvalues alone (no eigenvector is formed), in
+    one batched solve in which every d above D_SWITCH shares the solve at
+    D_SWITCH.  A SolverError names the d that failed."""
+    ds = [_check_d_tol(d, tol) for d in ds]
+    at = list(dict.fromkeys(min(d, D_SWITCH) if d < INFINITY else d
+                            for d in ds))
+    try:
+        solved = dict(zip(at, lowest_eigenvalues(
+            [make_potential(d) for d in at], q_max=10.0, tol=tol)))
+    except SolverError as exc:
+        where = "" if exc.index is None else f"d = {at[exc.index]}: "
+        raise SolverError(f"{where}{exc}") from exc
+    out = []
+    for d in ds:
+        gamma, err = solved[min(d, D_SWITCH) if d < INFINITY else d]
+        if D_SWITCH < d < INFINITY:
+            # gamma(d) = GAMMA_AT_INF - C1/d + O(1/d^2).  The remainder is
+            # measured against the collocation at D_SWITCH and scaled by
+            # (D_SWITCH/d)^2.
+            err = (abs(gamma - GAMMA_AT_INF + ULTRA_C1 / D_SWITCH) + err) * (
+                D_SWITCH / d) ** 2
+            gamma = GAMMA_AT_INF - ULTRA_C1 / d
+        out.append((gamma, err))
+    return out
+
+
 def gamma_estimate(d: float, tol: float = 1e-7) -> tuple[float, float]:
-    """(gamma(d), est_error) with est_error <= tol (tol >= 1e-8), from
-    eigenvalues alone: no eigenvector is formed."""
-    d = _check_d_tol(d, tol)
-    if d <= D_SWITCH or math.isinf(d):
-        return lowest_eigenvalue(make_potential(d), q_max=10.0, tol=tol)
-    # gamma(d) = GAMMA_AT_INF - C1/d + O(1/d^2).  The remainder is measured
-    # against the collocation at D_SWITCH and scaled by (D_SWITCH/d)^2.
-    at_switch, err = lowest_eigenvalue(make_potential(D_SWITCH), q_max=10.0,
-                                       tol=tol)
-    remainder = abs(at_switch - GAMMA_AT_INF + ULTRA_C1 / D_SWITCH) + err
-    return GAMMA_AT_INF - ULTRA_C1 / d, remainder * (D_SWITCH / d) ** 2
+    """gamma_estimates for one d."""
+    return gamma_estimates([d], tol)[0]
 
 
 def gamma_bound(d: float, tol: float = 1e-7) -> float:
@@ -170,8 +190,8 @@ def sweep(d_values: Sequence[float] | Iterable[float],
         raise ValueError("d_values must be non-empty")
     if any(b < a for a, b in zip(ds, ds[1:])):
         raise ValueError("d_values must be sorted ascending")
-    rows = tuple((d, gamma_bound(d, tol)) for d in ds)
-    return BoundCurve(rows=rows)
+    gammas = [gamma for gamma, _ in gamma_estimates(ds, tol)]
+    return BoundCurve(rows=tuple(zip(ds, gammas)))
 
 
 _RESIDUAL_GRID = np.linspace(0.01, 8.0, 1601)

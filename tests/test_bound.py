@@ -12,16 +12,18 @@ import math
 import numpy as np
 import pytest
 
-from relhur import radial_eigensolver
+from relhur import radial_eigensolver, rel_uncertainty
 from relhur import (
     D_SWITCH,
     GAMMA_AT_0,
     GAMMA_AT_INF,
     INFINITY,
     BoundCurve,
+    SolverError,
     gamma_bound,
     gamma_bound_report,
     gamma_estimate,
+    gamma_estimates,
     gaussian_limit_residual,
     ground_state,
     make_potential,
@@ -260,58 +262,93 @@ def test_estimate_matches_report_bitwise(d):
     assert gamma_bound(d).hex() == gamma.hex()
 
 
-def test_no_eig_and_one_eigvals_per_solve(monkeypatch):
-    # every path, the report included, takes its eigenvector from the
-    # refinement: no np.linalg.eig, and one np.linalg.eigvals per solve
-    # (a coarse and a fine collocation), as many solves as points at
-    # d <= D_SWITCH plus one at D_SWITCH for each point above it
-    def no_eig(*_args, **_kwargs):
-        raise AssertionError("np.linalg.eig called")
+def test_no_eig_or_eigvals_and_potentials_collocated(monkeypatch):
+    # no path takes a QR step: the eigenvalue comes from Rayleigh-quotient
+    # iteration and the eigenvector from the refinement, so np.linalg.eig
+    # and eigvals are never called.  Each solve collocates its potential
+    # twice (coarse and fine), and a call collocates each batch once per
+    # degree: a sweep solves once per point at d <= D_SWITCH and once at
+    # D_SWITCH for all the points above it
+    def no_qr(*_args, **_kwargs):
+        raise AssertionError("np.linalg.eig or eigvals called")
 
-    eigvals, collocate = np.linalg.eigvals, radial_eigensolver._collocate
-    calls = {"eigvals": 0, "collocate": 0}
+    collocate = radial_eigensolver._collocate
+    calls = {"collocate": 0, "potentials": 0}
 
-    def counted_eigvals(a):
-        calls["eigvals"] += 1
-        return eigvals(a)
-
-    def counted_collocate(*args):
+    def counted_collocate(pots, *args):
         calls["collocate"] += 1
-        return collocate(*args)
+        calls["potentials"] += len(pots)
+        return collocate(pots, *args)
 
-    monkeypatch.setattr(np.linalg, "eig", no_eig)
-    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    monkeypatch.setattr(np.linalg, "eig", no_qr)
+    monkeypatch.setattr(np.linalg, "eigvals", no_qr)
     monkeypatch.setattr(radial_eigensolver, "_collocate", counted_collocate)
-    for run, solves in [
-            (lambda: gamma_bound(1.0), 1),
-            (lambda: sweep([0.0, 1.0, D_SWITCH, 2.0 * D_SWITCH, INFINITY]), 5),
-            (lambda: gamma_bound_report(1.0), 1),
-            (lambda: gamma_bound_report(INFINITY), 1),
+    for run, solves, collocations in [
+            (lambda: gamma_bound(1.0), 1, 2),
+            (lambda: sweep([0.0, 1.0, D_SWITCH, 2.0 * D_SWITCH, INFINITY]),
+             4, 2),
+            (lambda: sweep([2.0 * D_SWITCH, 3.0 * D_SWITCH]), 1, 2),
+            (lambda: gamma_bound_report(1.0), 1, 2),
+            (lambda: gamma_bound_report(INFINITY), 1, 2),
             # the expansion's remainder at D_SWITCH, the moment at INFINITY
-            (lambda: gamma_bound_report(2.0 * D_SWITCH), 2)]:
-        calls.update(eigvals=0, collocate=0)
+            (lambda: gamma_bound_report(2.0 * D_SWITCH), 2, 4)]:
+        calls.update(collocate=0, potentials=0)
         run()
-        assert calls == {"eigvals": solves, "collocate": 2 * solves}
+        assert calls == {"collocate": collocations, "potentials": 2 * solves}
 
 
 def test_sweep_above_switch_solves_only_at_switch(monkeypatch):
     # above D_SWITCH gamma is the expansion with its remainder measured at
-    # D_SWITCH: one coarse and one fine collocation per point, none at
-    # d = INFINITY
+    # D_SWITCH: the points share one coarse and one fine collocation there,
+    # and none is made at d = INFINITY
     calls = []
     collocate = radial_eigensolver._collocate
 
-    def counted(pot, s, q_max, n):
-        calls.append(pot.origin_scale)
-        return collocate(pot, s, q_max, n)
+    def counted(pots, q_max, n):
+        calls.extend(pot.origin_scale for pot in pots)
+        return collocate(pots, q_max, n)
 
     monkeypatch.setattr(radial_eigensolver, "_collocate", counted)
     curve = sweep([2e5, 1e6, 1e9])
-    assert calls == [D_SWITCH] * 6
+    assert calls == [D_SWITCH] * 2
     # gamma, frozen as float.hex before the solve at INFINITY was dropped
     assert [g.hex() for _, g in curve.rows] == [
         "0x1.0f1ba01363425p+1", "0x1.0f1bb71ae05e4p+1",
         "0x1.0f1bbcdb46559p+1"]
+
+
+_MIXED_GRID = [0.0, 1e-3, 0.5, 1.0, 45.0, D_SWITCH, 2.0 * D_SWITCH, 1e9,
+               INFINITY]
+# longer than a batch, so the solve runs as two stacks
+_LONG_GRID = [float(d) for d in np.linspace(0.0, 8.0, 70)]
+
+
+@pytest.mark.parametrize("ds", [_MIXED_GRID, _LONG_GRID],
+                         ids=["mixed", "long"])
+def test_batched_rows_match_single_points(ds):
+    # a batch takes each potential's arithmetic alone, so the rows of one
+    # batched call equal the points solved one at a time, to the last bit
+    assert len(_LONG_GRID) > radial_eigensolver._BATCH
+    single = [gamma_estimate(d) for d in ds]
+    batched = gamma_estimates(ds)
+    assert [(g.hex(), e.hex()) for g, e in batched] == [
+        (g.hex(), e.hex()) for g, e in single]
+    assert [g.hex() for _, g in sweep(ds).rows] == [
+        g.hex() for g, _ in single]
+
+
+def test_batch_failure_names_its_d(monkeypatch):
+    # a failure inside a batch names the d whose solve failed
+    def failing(d):
+        pot = make_potential(d)
+        if d != 1.0:
+            return pot
+        return pot._replace(evaluate=lambda q: np.full_like(q, np.nan))
+
+    monkeypatch.setattr(rel_uncertainty, "make_potential", failing)
+    with pytest.raises(SolverError, match=r"^d = 1\.0: potential evaluated "
+                       "to a non-finite value"):
+        gamma_estimates([0.5, 1.0, 2.0])
 
 
 def test_monotone_log_grid():

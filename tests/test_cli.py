@@ -158,6 +158,31 @@ def test_sweep_gamma_golden(capsys):
     assert all(r[2] <= 1e-7 for r in rows)
 
 
+@pytest.mark.parametrize("flags", [
+    ["--d-min", "0", "--d-max", "2e5", "--points", "3"],
+    ["--d-min", "1e-3", "--d-max", "1e9", "--points", "13", "--log"],
+    ["--d-min", "0", "--d-max", "8", "--points", "70"],
+], ids=["zero-switch-above", "log-across-switch", "longer-than-batch"])
+def test_sweep_rows_match_single_points(capsys, monkeypatch, flags):
+    # the sweep solves its grid in one batched call; each row must equal
+    # gamma_estimate at its d, to the last bit
+    from relhur import rel_uncertainty
+
+    rows, grid_doc = [], cli._grid_doc
+
+    def recorded(grid_rows, fmt):
+        rows.extend(grid_rows)
+        return grid_doc(grid_rows, fmt)
+
+    monkeypatch.setattr(cli, "_grid_doc", recorded)
+    code, _ = _capture(capsys, ["sweep", *flags])
+    assert code == 0
+    expected = [(d, *rel_uncertainty.gamma_estimate(d, tol=cli.BOUND_TOL))
+                for d, _, _ in rows]
+    assert [[float(x).hex() for x in row] for row in rows] == [
+        [float(x).hex() for x in row] for row in expected]
+
+
 def test_gamma_commands_form_no_eigenvector(capsys, monkeypatch):
     # bound, sweep and verify print eigenvalues only, so they must not
     # need np.linalg.eig

@@ -20,11 +20,13 @@ from relhur import (
     EigenResult,
     RadialPotential,
     SolverError,
+    gamma_estimates,
     ground_state,
     lowest_eigenvalue,
     make_potential,
     moment,
 )
+from relhur.cli import run
 
 S_ULTRA = 0.5 * (math.sqrt(5.0) - 1.0)
 TOL = 1e-7
@@ -242,14 +244,14 @@ def test_error_bar_covers_exact_values(d, exact, n):
 
 
 def test_singular_shift_raises_solver_error(monkeypatch):
-    # a diagonal block has exact eigenvalues, so the shift makes
-    # block - shift I exactly singular; that is a SolverError, not a
-    # LinAlgError
+    # the coarse iteration starts at min v; a diagonal block with v on its
+    # diagonal makes block - min(v) I exactly singular, which is a
+    # SolverError, not a LinAlgError
     collocate = radial_eigensolver._collocate
 
     def diagonal(*args):
-        block, q, w = collocate(*args)
-        return np.diag(np.diag(block)), q, w
+        blocks, q, dq, v = collocate(*args)
+        return v[:, :, None] * np.eye(v.shape[1]), q, dq, v
 
     monkeypatch.setattr(radial_eigensolver, "_collocate", diagonal)
     for solve in (ground_state, lowest_eigenvalue):
@@ -260,8 +262,123 @@ def test_singular_shift_raises_solver_error(monkeypatch):
 def test_cheb_arrays_cached_and_read_only():
     arrays = radial_eigensolver._cheb(127)
     assert radial_eigensolver._cheb(127) is arrays
-    # the fold reads the 63 positive nodes' rows of the 128 columns
-    assert [a.shape for a in arrays] == [(63,), (63, 128), (63, 128), (63,)]
-    for a in arrays:
+    weights = radial_eigensolver._cc_weights(127)
+    assert radial_eigensolver._cc_weights(127) is weights
+    # the 63 positive nodes' rows, folded onto their 63 columns, and the
+    # nodes' Clenshaw-Curtis weights
+    assert [a.shape for a in (*arrays, weights)] == [
+        (63,), (63, 63), (63, 63), (63,)]
+    for a in (*arrays, weights):
         with pytest.raises(ValueError):
             a[0] = 0.0
+
+
+def _eigvals_oracle(pot, n=127, q_max=10.0):
+    """gamma from the lowest eigenvalue that QR (np.linalg.eigvals) finds
+    on the coarse block, refined on the coarse and then on the fine block
+    as the solver refines its own: a second route to the lowest eigenvalue
+    that lives only in the tests."""
+    coarse = radial_eigensolver._collocate([pot], q_max, n - 32)[0]
+    fine = radial_eigensolver._collocate([pot], q_max, n)[0]
+    lam = np.min(np.linalg.eigvals(coarse[0]).real, keepdims=True)
+    for block in (coarse, fine):
+        ones = np.ones(block.shape[:2])
+        lam = radial_eigensolver._refine(block, lam, ones, ones, 2)[0]
+    return 0.5 * float(lam[0])
+
+
+_ORACLE_D = [0.0, math.inf] + [float(d) for d in np.geomspace(1e-4, 1e5, 60)]
+
+
+@pytest.mark.parametrize("d", _ORACLE_D, ids=[f"d={d:.3g}" for d in _ORACLE_D])
+def test_lowest_eigenvalue_matches_eigvals_oracle(d):
+    # the iteration from min v settles on the eigenvalue QR finds lowest
+    pot = make_potential(d)
+    gamma, est_error = lowest_eigenvalue(pot, tol=TOL)
+    assert abs(gamma - _eigvals_oracle(pot)) <= est_error
+
+
+_S_WEAK = 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * -0.2))
+_ORACLE_ANCHORS = [
+    # c = l(l+1): the centrifugal oscillator, gamma = l + 3/2
+    *[(f"c={l * (l + 1)}", _singular(l * (l + 1.0)), l + 1.5)
+      for l in range(4)],
+    # attractive cores down to Hardy's -1/4, gamma = s + 3/2
+    ("c=-0.25", _singular(-0.25), 1.0),
+    ("c=-0.2", _singular(-0.2), _S_WEAK + 1.5),
+    # a negative and a zero ground state, and a double well whose minimum
+    # is off q = 0
+    ("shifted", RadialPotential(evaluate=lambda q: q * q - 5.0), -1.0),
+    ("zero", RadialPotential(evaluate=lambda q: q * q - 3.0), 0.0),
+    ("double-well",
+     RadialPotential(evaluate=lambda q: (q * q - 4.0) ** 2 / 4.0), None),
+]
+
+
+@pytest.mark.parametrize("pot,exact", [a[1:] for a in _ORACLE_ANCHORS],
+                         ids=[a[0] for a in _ORACLE_ANCHORS])
+def test_anchors_match_eigvals_oracle(pot, exact):
+    gamma, est_error = lowest_eigenvalue(pot, tol=TOL)
+    assert abs(gamma - _eigvals_oracle(pot)) <= est_error
+    if exact is not None:
+        assert abs(gamma - exact) <= est_error
+
+
+def _start_at_excited_state(monkeypatch, only_scale=None):
+    """Start the coarse iteration just below the second eigenvalue of each
+    potential (or of those whose origin_scale is only_scale), so that it
+    settles on the first excited state."""
+    collocate = radial_eigensolver._collocate
+
+    def excited(pots, q_max, n):
+        blocks, q, dq, v = collocate(pots, q_max, n)
+        for i, pot in enumerate(pots):
+            if only_scale in (None, pot.origin_scale):
+                second = np.sort(np.linalg.eigvals(blocks[i]).real)[1]
+                v[i] += second - 1e-3 - np.min(v[i])
+        return blocks, q, dq, v
+
+    monkeypatch.setattr(radial_eigensolver, "_collocate", excited)
+
+
+def test_excited_state_raises_solver_error(monkeypatch):
+    # the ground state is the only eigenfunction without a node
+    _start_at_excited_state(monkeypatch)
+    for solve in (ground_state, lowest_eigenvalue):
+        with pytest.raises(SolverError, match="changes sign"):
+            solve(_oscillator(), tol=TOL)
+
+
+def test_excited_state_in_a_batch_names_its_d(monkeypatch):
+    _start_at_excited_state(monkeypatch, only_scale=1.0)
+    with pytest.raises(SolverError, match=r"^d = 1\.0: the eigenvector "
+                       "changes sign"):
+        gamma_estimates([0.5, 1.0, 2.0])
+
+
+def test_excited_state_exits_1_in_cli(monkeypatch, capsys):
+    _start_at_excited_state(monkeypatch)
+    code = run(["bound", "--d", "1.0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("relhur bound: numerical failure in "
+                                   "radial_eigensolver")
+    assert "d = 1.0: the eigenvector changes sign" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_node_threshold_between_noise_and_lobe():
+    # a valid solve's sign noise stays far below the threshold: 1.3e-6 of
+    # the peak at degree 63 and d = 1e5, where it is largest; the first
+    # excited state's negative lobe is of the order of its peak
+    noise = radial_eigensolver._NODE_NOISE
+    pot = make_potential(1e5)
+    g = next(radial_eigensolver._solve([pot], 10.0, 63, 1.0))[2]
+    assert -np.min(g) / np.max(g) < 1e-2 * noise
+    block = radial_eigensolver._collocate([pot], 10.0, 63)[0]
+    second = np.sort(np.linalg.eigvals(block[0]).real)[1:2]
+    ones = np.ones(block.shape[:2])
+    x = radial_eigensolver._refine(block, second, ones, ones, 2)[1][0]
+    x *= np.sign(x[np.argmax(np.abs(x))])
+    assert -np.min(x) / np.max(x) > 1e2 * noise
