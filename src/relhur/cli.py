@@ -68,10 +68,6 @@ def _json_obj(pairs: Sequence[tuple[str, object]]) -> str:
     return "{" + ",".join(f'"{k}":{_json_value(v)}' for k, v in pairs) + "}"
 
 
-def _json_doc(pairs: Sequence[tuple[str, object]]) -> str:
-    return _json_obj(pairs) + "\n"
-
-
 def _json_rows(rows: Sequence[Sequence[tuple[str, object]]]) -> str:
     body = ",\n".join(_json_obj(r) for r in rows)
     return "[\n" + body + "\n]\n"
@@ -91,6 +87,14 @@ def _grid_doc(rows: Sequence[tuple[float, float, float]],
         return _json_rows([[("param", p), ("gamma", g), ("err_est", e)]
                            for p, g, e in rows])
     return _csv_doc(rows)
+
+
+def _record(pairs: Sequence[tuple[str, object]],
+            row: tuple[object, object, object], fmt: str | None) -> str:
+    """One record: JSON of pairs unless fmt is csv, then the CSV row."""
+    if fmt == "csv":
+        return _csv_doc([row])
+    return _json_obj(pairs) + "\n"
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -129,13 +133,8 @@ def _cmd_bound(args) -> tuple[str, int]:
         if d < 0.0:
             raise _UsageError("--d must be non-negative")
     gamma, err = _bound.gamma_estimate(d, tol=BOUND_TOL)
-    fmt = args.format or "json"
-    if fmt == "json":
-        doc = _json_doc([("d", d), ("gamma", gamma), ("err_est", err),
-                         ("tol", BOUND_TOL)])
-    else:
-        doc = _csv_doc([(d, gamma, err)])
-    return doc, 0
+    return _record([("d", d), ("gamma", gamma), ("err_est", err),
+                    ("tol", BOUND_TOL)], (d, gamma, err), args.format), 0
 
 
 def _cmd_sweep(args) -> tuple[str, int]:
@@ -164,12 +163,7 @@ def _cmd_hydrogen(args) -> tuple[str, int]:
                 f"oracle gamma {_fmt(rep.gamma)} differs from the closed form "
                 f"{_fmt(closed)} by {err:.3g} relative (> {ORACLE_REL_TOL:g})")
         pairs += [("gamma_oracle", rep.gamma), ("rel_diff", err)]
-    fmt = args.format or "json"
-    if fmt == "json":
-        doc = _json_doc(pairs)
-    else:
-        doc = _csv_doc([(state.Z, closed, err)])
-    return doc, 0
+    return _record(pairs, (state.Z, closed, err), args.format), 0
 
 
 def _cmd_hopfion(args) -> tuple[str, int]:
@@ -180,15 +174,11 @@ def _cmd_hopfion(args) -> tuple[str, int]:
             raise _UsageError("--a conflicts with --a-min/--a-max/--points")
         a = _require_finite("--a", args.a)
         rep = _hopfion.gamma_h(_hopfion.HopfionState(a))
-        fmt = args.format or "json"
-        if fmt == "json":
-            doc = _json_doc([("a", a), ("gamma", rep.gamma),
-                             ("delta_r_sq", rep.delta_r_sq),
-                             ("delta_p_sq", rep.delta_p_sq),
-                             ("err_est", rep.err_est)])
-        else:
-            doc = _csv_doc([(a, rep.gamma, rep.err_est)])
-        return doc, 0
+        return _record([("a", a), ("gamma", rep.gamma),
+                        ("delta_r_sq", rep.delta_r_sq),
+                        ("delta_p_sq", rep.delta_p_sq),
+                        ("err_est", rep.err_est)],
+                       (a, rep.gamma, rep.err_est), args.format), 0
     if not all(curve_flags):
         raise _UsageError("provide either --a or all of --a-min/--a-max/--points")
     a_grid = _grid(args.a_min, args.a_max, args.points, log=False)

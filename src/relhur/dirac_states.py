@@ -70,6 +70,9 @@ import numpy as np
 
 from .quadrature import QuadConfig, QuadratureError, QuadResult, integrate_exp_sinh
 
+__all__ = ["MomentumPoint", "Bispinor", "AmplitudePair", "DispersionReport",
+           "bispinor_u", "bispinor_partials", "dispersion_functional"]
+
 _N_PHI_PAIRS = tuple(8 << k for k in range(6))  # (n, n + 1) for n = 8..256
 
 AmpFunc = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
@@ -289,25 +292,23 @@ class _Amplitude:
             raise ValueError("partials must be (d_p, d_theta, d_phi)")
         self.partials = partials
 
-    def _numeric_partial(self, p, thetas, phis, axis: int):
-        # Central difference with one Richardson pass; steps never leave
-        # the coordinate domain.
-        fn = self.fn
+    def _numeric_partial(self, coords, axis: int):
+        # Central difference in coords[axis] of (p, thetas, phis) with one
+        # Richardson pass; steps never leave the coordinate domain.
+        x = coords[axis]
         if axis == 0:
-            h = 1e-5 * p  # the quadrature's p nodes are all positive
-            probe = lambda hh: (fn(p + hh, thetas, phis)
-                                - fn(p - hh, thetas, phis)) / (2.0 * hh)
+            h = 1e-5 * x  # the quadrature's p nodes are all positive
         elif axis == 1:
-            t_lo = float(np.min(thetas))
-            t_hi = float(np.max(thetas))
-            h = min(1e-5, 0.5 * t_lo, 0.5 * (math.pi - t_hi))
-            h = max(h, 1e-9)
-            probe = lambda hh: (fn(p, thetas + hh, phis)
-                                - fn(p, thetas - hh, phis)) / (2.0 * hh)
+            h = max(min(1e-5, 0.5 * float(np.min(x)),
+                        0.5 * (math.pi - float(np.max(x)))), 1e-9)
         else:
             h = 1e-5
-            probe = lambda hh: (fn(p, thetas, phis + hh)
-                                - fn(p, thetas, phis - hh)) / (2.0 * hh)
+
+        def probe(hh):
+            lo, hi = list(coords), list(coords)
+            lo[axis], hi[axis] = x - hh, x + hh
+            return (self.fn(*hi) - self.fn(*lo)) / (2.0 * hh)
+
         d1 = probe(h)
         d2 = probe(0.5 * h)
         return (4.0 * d2 - d1) / 3.0
@@ -321,7 +322,8 @@ class _Amplitude:
         if self.partials is not None:
             grads = [g(p, thetas, phis) for g in self.partials]
         else:
-            grads = [self._numeric_partial(p, thetas, phis, ax) for ax in range(3)]
+            grads = [self._numeric_partial((p, thetas, phis), ax)
+                     for ax in range(3)]
         return [_on_grid(v, shape) for v in [self.fn(p, thetas, phis)] + grads]
 
 

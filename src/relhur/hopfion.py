@@ -36,6 +36,10 @@ from .dirac_states import AmplitudePair, Bispinor, DispersionReport, MomentumPoi
 from .quadrature import QuadConfig, QuadResult, integrate_trapezoid
 from .specfun import bessel_k
 
+__all__ = ["HopfionState", "SweepTable", "momentum_bispinor", "density",
+           "norm_const", "norm_bessel_ratio", "amplitude_pair", "gamma_h",
+           "gamma_h_curve"]
+
 A_MIN, A_MAX = 0.05, 100.0
 
 

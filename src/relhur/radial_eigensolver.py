@@ -42,6 +42,10 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+__all__ = ["RadialPotential", "EigenDiagnostics", "EigenResult",
+           "SolverError", "ground_state", "lowest_eigenvalue",
+           "lowest_eigenvalues", "moment"]
+
 _COARSE_STEP = 32   # the coarse solve has degree N - 32
 _B_MAX = 20.0       # cap on the map's stretch b
 _BATCH = 16         # potentials per stack: bounds the memory of a sweep
@@ -51,8 +55,9 @@ _NODE_NOISE = 1e-3  # sign changes below this share of the peak are rounding
 
 
 class SolverError(RuntimeError):
-    """Eigenvalue iteration failed to meet its tolerance contract; index,
-    when known, is the failing potential's position in the call."""
+    """Eigenvalue iteration failed to meet its tolerance contract; index is
+    the failing potential's position in the call, which _solve always
+    sets."""
 
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
@@ -270,7 +275,19 @@ def _solve(pots: Sequence[RadialPotential], q_max: float, n: int,
             ones = np.ones(grid.shape)
             fine, g, y, ag = _refine(blocks, coarse, ones, ones, 2)
         except np.linalg.LinAlgError as exc:
-            raise SolverError(f"collocation eigensolve failed: {exc}") from exc
+            if len(batch) == 1:
+                raise SolverError(f"collocation eigensolve failed: {exc}",
+                                  start) from exc
+            # a stacked inverse raises for the whole stack: solve the batch
+            # one potential at a time, bit for bit the same, to name the
+            # failing one
+            for i in range(len(batch)):
+                try:
+                    yield from _solve(batch[i:i + 1], q_max, n, tol)
+                except SolverError as one:
+                    one.index = start + i
+                    raise
+            continue
         except SolverError as exc:
             exc.index += start
             raise

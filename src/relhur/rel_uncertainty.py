@@ -35,6 +35,13 @@ import numpy as np
 from .radial_eigensolver import (RadialPotential, SolverError, ground_state,
                                  lowest_eigenvalues, moment)
 
+__all__ = ["INFINITY", "GAMMA_AT_0", "GAMMA_AT_INF", "ULTRA_EXPONENT",
+           "ULTRA_C1", "D_SWITCH", "potential_v", "singular_strength",
+           "make_potential", "gamma_bound", "gamma_estimate",
+           "gamma_estimates", "gamma_bound_report", "BoundReport",
+           "BoundCurve", "sweep", "gaussian_limit_residual",
+           "ultrarelativistic_limit_residual"]
+
 INFINITY = math.inf
 
 GAMMA_AT_0 = 1.5
@@ -113,8 +120,7 @@ def gamma_estimates(ds: Sequence[float],
         solved = dict(zip(at, lowest_eigenvalues(
             [make_potential(d) for d in at], q_max=10.0, tol=tol)))
     except SolverError as exc:
-        where = "" if exc.index is None else f"d = {at[exc.index]}: "
-        raise SolverError(f"{where}{exc}") from exc
+        raise SolverError(f"d = {at[exc.index]}: {exc}") from exc
     out = []
     for d in ds:
         gamma, err = solved[min(d, D_SWITCH) if d < INFINITY else d]

@@ -438,6 +438,34 @@ def test_library_imports_no_private_names_from_siblings():
     assert hits == []
 
 
+def test_each_public_name_recorded_once():
+    # a public name is listed once, in its module's __all__; relhur.__all__
+    # joins the library modules' lists, and siblings import only from them
+    import ast
+    import importlib
+
+    import relhur
+
+    modules = [importlib.import_module(f"relhur.{name}") for name in (
+        "specfun", "quadrature", "radial_eigensolver", "rel_uncertainty",
+        "dirac_states", "hydrogen", "hopfion")]
+    names = [name for module in modules for name in module.__all__]
+    assert relhur.__all__ == names + ["__version__"]
+    assert len(set(relhur.__all__)) == len(relhur.__all__)
+    assert all(getattr(relhur, name) is getattr(module, name)
+               for module in modules for name in module.__all__)
+    src = pathlib.Path(relhur.__file__).parent
+    hits = [f"{path.name}: {node.module}.{alias.name}"
+            for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            and node.module
+            for alias in node.names if alias.name != "*"
+            and alias.name not in importlib.import_module(
+                f"relhur.{node.module}").__all__]
+    assert hits == []
+
+
 def test_library_imports_no_dataclasses():
     # the records are named tuples: @dataclass generates and execs six
     # methods per frozen class, 6-6.5 ms of every CLI process's import

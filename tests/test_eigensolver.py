@@ -243,20 +243,38 @@ def test_error_bar_covers_exact_values(d, exact, n):
     assert abs(gamma - exact) <= est_error
 
 
-def test_singular_shift_raises_solver_error(monkeypatch):
-    # the coarse iteration starts at min v; a diagonal block with v on its
-    # diagonal makes block - min(v) I exactly singular, which is a
-    # SolverError, not a LinAlgError
+def _singular_shift(monkeypatch, only_scale=None):
+    """Make the block of each potential (or of those whose origin_scale is
+    only_scale) diagonal with v on its diagonal, so that block - min(v) I,
+    where the coarse iteration starts, is exactly singular."""
     collocate = radial_eigensolver._collocate
 
-    def diagonal(*args):
-        blocks, q, dq, v = collocate(*args)
-        return v[:, :, None] * np.eye(v.shape[1]), q, dq, v
+    def diagonal(pots, q_max, n):
+        blocks, q, dq, v = collocate(pots, q_max, n)
+        for i, pot in enumerate(pots):
+            if only_scale in (None, pot.origin_scale):
+                blocks[i] = np.diag(v[i])
+        return blocks, q, dq, v
 
     monkeypatch.setattr(radial_eigensolver, "_collocate", diagonal)
+
+
+def test_singular_shift_raises_solver_error(monkeypatch):
+    # a singular shift is a SolverError, not a LinAlgError
+    _singular_shift(monkeypatch)
     for solve in (ground_state, lowest_eigenvalue):
         with pytest.raises(SolverError, match="eigensolve failed"):
             solve(_oscillator(), tol=TOL)
+
+
+def test_singular_shift_in_a_batch_names_its_d(monkeypatch):
+    # a stacked inverse fails for the whole stack; the failing d is named
+    # all the same, alone or in a batch
+    _singular_shift(monkeypatch, only_scale=1.0)
+    for ds in ([1.0], [0.5, 1.0, 2.0]):
+        with pytest.raises(SolverError,
+                           match=r"^d = 1\.0: .*eigensolve failed"):
+            gamma_estimates(ds)
 
 
 def test_cheb_arrays_cached_and_read_only():
