@@ -64,37 +64,24 @@ def _json_value(x) -> str:
     return _fmt(x)
 
 
-def _json_obj(pairs: Sequence[tuple[str, object]]) -> str:
-    return "{" + ",".join(f'"{k}":{_json_value(v)}' for k, v in pairs) + "}"
+def _doc(records: Sequence[dict[str, object]], fmt: str | None,
+         grid: bool) -> str:
+    """The document of one record, or of a grid's records.
 
-
-def _json_rows(rows: Sequence[Sequence[tuple[str, object]]]) -> str:
-    body = ",\n".join(_json_obj(r) for r in rows)
-    return "[\n" + body + "\n]\n"
-
-
-def _csv_doc(rows: Sequence[tuple[object, object, object]]) -> str:
-    lines = [_CSV_HEADER]
-    for param, gamma, err in rows:
-        lines.append(f"{_fmt(param)},{_fmt(gamma)},{_fmt(err)}")
+    JSON writes every field, as one object or as an array for a grid.  CSV
+    writes the first field, gamma and err_est (rel_diff if there is no
+    err_est, 0.0 if neither).  Without --format a grid is CSV, a single
+    record JSON.
+    """
+    if fmt == "json" or (fmt is None and not grid):
+        objs = ["{" + ",".join(f'"{k}":{_json_value(v)}' for k, v in r.items())
+                + "}" for r in records]
+        return "[\n" + ",\n".join(objs) + "\n]\n" if grid else objs[0] + "\n"
+    lines = [_CSV_HEADER] + [
+        ",".join(_fmt(x) for x in (next(iter(r.values())), r["gamma"],
+                                   r.get("err_est", r.get("rel_diff", 0.0))))
+        for r in records]
     return "\n".join(lines) + "\n"
-
-
-def _grid_doc(rows: Sequence[tuple[float, float, float]],
-              fmt: str | None) -> str:
-    """(param, gamma, err_est) rows over a grid: CSV unless fmt is json."""
-    if fmt == "json":
-        return _json_rows([[("param", p), ("gamma", g), ("err_est", e)]
-                           for p, g, e in rows])
-    return _csv_doc(rows)
-
-
-def _record(pairs: Sequence[tuple[str, object]],
-            row: tuple[object, object, object], fmt: str | None) -> str:
-    """One record: JSON of pairs unless fmt is csv, then the CSV row."""
-    if fmt == "csv":
-        return _csv_doc([row])
-    return _json_obj(pairs) + "\n"
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -133,28 +120,26 @@ def _cmd_bound(args) -> tuple[str, int]:
         if d < 0.0:
             raise _UsageError("--d must be non-negative")
     gamma, err = _bound.gamma_estimate(d, tol=BOUND_TOL)
-    return _record([("d", d), ("gamma", gamma), ("err_est", err),
-                    ("tol", BOUND_TOL)], (d, gamma, err), args.format), 0
+    return _doc([{"d": d, "gamma": gamma, "err_est": err, "tol": BOUND_TOL}],
+                args.format, grid=False), 0
 
 
 def _cmd_sweep(args) -> tuple[str, int]:
     ds = _grid(args.d_min, args.d_max, args.points, args.log)
     if ds[0] < 0.0:
         raise _UsageError("--d-min must be non-negative")
-    rows = [(d, *est) for d, est in
-            zip(ds, _bound.gamma_estimates(ds, tol=BOUND_TOL))]
-    return _grid_doc(rows, args.format), 0
+    rows = [{"param": d, "gamma": gamma, "err_est": err} for d, (gamma, err)
+            in zip(ds, _bound.gamma_estimates(ds, tol=BOUND_TOL))]
+    return _doc(rows, args.format, grid=True), 0
 
 
 def _cmd_hydrogen(args) -> tuple[str, int]:
     state = _hydrogen.CoulombState(Z=args.Z, alpha=args.alpha)
     closed = _hydrogen.uncertainty_product_closed(state)
     d = _hydrogen.d_parameter(state)
-    pairs: list[tuple[str, object]] = [
-        ("Z", state.Z), ("alpha", state.alpha), ("gamma_c", state.gamma_c),
-        ("gamma", closed), ("d", d),
-    ]
-    err: float = 0.0
+    record: dict[str, object] = {"Z": state.Z, "alpha": state.alpha,
+                                 "gamma_c": state.gamma_c, "gamma": closed,
+                                 "d": d}
     if args.oracle:
         rep = _hydrogen.quadrature_oracle(state)
         err = abs(rep.gamma - closed) / closed
@@ -162,8 +147,8 @@ def _cmd_hydrogen(args) -> tuple[str, int]:
             raise ArithmeticError(
                 f"oracle gamma {_fmt(rep.gamma)} differs from the closed form "
                 f"{_fmt(closed)} by {err:.3g} relative (> {ORACLE_REL_TOL:g})")
-        pairs += [("gamma_oracle", rep.gamma), ("rel_diff", err)]
-    return _record(pairs, (state.Z, closed, err), args.format), 0
+        record.update(gamma_oracle=rep.gamma, rel_diff=err)
+    return _doc([record], args.format, grid=False), 0
 
 
 def _cmd_hopfion(args) -> tuple[str, int]:
@@ -174,67 +159,67 @@ def _cmd_hopfion(args) -> tuple[str, int]:
             raise _UsageError("--a conflicts with --a-min/--a-max/--points")
         a = _require_finite("--a", args.a)
         rep = _hopfion.gamma_h(_hopfion.HopfionState(a))
-        return _record([("a", a), ("gamma", rep.gamma),
-                        ("delta_r_sq", rep.delta_r_sq),
-                        ("delta_p_sq", rep.delta_p_sq),
-                        ("err_est", rep.err_est)],
-                       (a, rep.gamma, rep.err_est), args.format), 0
+        return _doc([{"a": a, "gamma": rep.gamma,
+                      "delta_r_sq": rep.delta_r_sq,
+                      "delta_p_sq": rep.delta_p_sq, "err_est": rep.err_est}],
+                    args.format, grid=False), 0
     if not all(curve_flags):
         raise _UsageError("provide either --a or all of --a-min/--a-max/--points")
     a_grid = _grid(args.a_min, args.a_max, args.points, log=False)
     reps = [_hopfion.gamma_h(_hopfion.HopfionState(a)) for a in a_grid]
-    rows = [(a, r.gamma, r.err_est) for a, r in zip(a_grid, reps)]
-    return _grid_doc(rows, args.format), 0
+    rows = [{"param": a, "gamma": r.gamma, "err_est": r.err_est}
+            for a, r in zip(a_grid, reps)]
+    return _doc(rows, args.format, grid=True), 0
 
 
-def _verify_rows(strict: bool) -> list[tuple[str, float, float, float, bool]]:
-    rows = []
-
+def _verify_rows(strict: bool) -> list[tuple[str, float, float, float, float]]:
+    """(anchor, computed, target, tol, scale) rows; an anchor passes when
+    |computed - target| / scale <= tol."""
     g0 = _bound.gamma_bound(0.0, tol=BOUND_TOL)
-    rows.append(("bound_nonrelativistic", g0, _bound.GAMMA_AT_0,
-                 1e-7, abs(g0 - _bound.GAMMA_AT_0) <= 1e-7))
     gi = _bound.gamma_bound(_bound.INFINITY, tol=BOUND_TOL)
-    rows.append(("bound_ultrarelativistic", gi, _bound.GAMMA_AT_INF,
-                 1e-6, abs(gi - _bound.GAMMA_AT_INF) <= 1e-6))
-    # weak-field hydrogen: the closed form must agree with an integration
-    # of the actual wave function, which is the meaningful self-check
-    closed = _hydrogen.product_closed_gamma(1.0)
-    oracle = _hydrogen.oracle_gamma(1.0).gamma
-    rows.append(("hydrogen_closed_vs_oracle", oracle, closed, ORACLE_REL_TOL,
-                 abs(oracle - closed) / closed <= ORACLE_REL_TOL))
     dev = 0.0
     for x in (1e-3, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 200.0):
         k2 = bessel_k(2, x)
         dev = max(dev, abs(k2 - bessel_k(0, x) - 2.0 * bessel_k(1, x) / x) / k2)
-    rows.append(("bessel_k2_recurrence_dev", dev, 0.0, 1e-10, dev <= 1e-10))
-    if strict:
-        r0 = _bound.gaussian_limit_residual(_bound.GAMMA_AT_0)
-        rows.append(("nonrel_limit_residual", r0, 0.0, 1e-10, r0 <= 1e-10))
-        ri = _bound.ultrarelativistic_limit_residual(_bound.GAMMA_AT_INF)
-        rows.append(("ultra_limit_residual", ri, 0.0, 1e-10, ri <= 1e-10))
-        # both ends of the curve against their expansions, with the
-        # O(d^4) and O(1/d^2) allowances of tests/test_bound.py
-        c1 = _bound.ULTRA_C1
-        for name, d, target, tol in (
-                ("bound_small_d_expansion", 0.01, 1.5 + 0.375 * 0.01 ** 2,
-                 0.01 ** 4),
-                ("bound_large_d_expansion", 1e4,
-                 _bound.GAMMA_AT_INF - c1 / 1e4, 3.0 * c1 / 1e4 ** 2)):
-            g = _bound.gamma_bound(d, tol=1e-8)
-            rows.append((name, g, target, tol, abs(g - target) <= tol))
-        ratio1 = _hopfion.norm_bessel_ratio(_hopfion.HopfionState(1.0))
-        ratio2 = _hopfion.norm_bessel_ratio(_hopfion.HopfionState(2.0))
-        rdev = abs(ratio1 / ratio2 - 1.0)
-        rows.append(("hopfion_norm_ratio_dev", rdev, 0.0, 1e-8, rdev <= 1e-8))
+    # weak-field hydrogen: the closed form must agree with an integration
+    # of the actual wave function, which is the meaningful self-check
+    closed = _hydrogen.product_closed_gamma(1.0)
+    rows = [
+        ("bound_nonrelativistic", g0, _bound.GAMMA_AT_0, 1e-7, 1.0),
+        ("bound_ultrarelativistic", gi, _bound.GAMMA_AT_INF, 1e-6, 1.0),
+        ("hydrogen_closed_vs_oracle", _hydrogen.oracle_gamma(1.0).gamma,
+         closed, ORACLE_REL_TOL, closed),
+        ("bessel_k2_recurrence_dev", dev, 0.0, 1e-10, 1.0),
+    ]
+    if not strict:
+        return rows
+    # the exact limiting eigenfunctions against the solver's own limits
+    rows.append(("nonrel_limit_residual",
+                 _bound.gaussian_limit_residual(g0), 0.0, 1e-10, 1.0))
+    rows.append(("ultra_limit_residual",
+                 _bound.ultrarelativistic_limit_residual(gi), 0.0, 1e-10, 1.0))
+    # both ends of the curve against their expansions, with the
+    # O(d^4) and O(1/d^2) allowances of tests/test_bound.py
+    c1 = _bound.ULTRA_C1
+    for name, d, target, tol in (
+            ("bound_small_d_expansion", 0.01, 1.5 + 0.375 * 0.01 ** 2,
+             0.01 ** 4),
+            ("bound_large_d_expansion", 1e4,
+             _bound.GAMMA_AT_INF - c1 / 1e4, 3.0 * c1 / 1e4 ** 2)):
+        rows.append((name, _bound.gamma_bound(d, tol=1e-8), target, tol, 1.0))
+    ratio1 = _hopfion.norm_bessel_ratio(_hopfion.HopfionState(1.0))
+    ratio2 = _hopfion.norm_bessel_ratio(_hopfion.HopfionState(2.0))
+    rows.append(("hopfion_norm_ratio_dev", abs(ratio1 / ratio2 - 1.0), 0.0,
+                 1e-8, 1.0))
     return rows
 
 
 def _cmd_verify(args) -> tuple[str, int]:
-    rows = _verify_rows(args.strict)
     lines = [f"{'anchor':<28} {'computed':>18} {'target':>14} "
              f"{'tol':>8} status"]
     all_ok = True
-    for name, computed, target, tol, ok in rows:
+    for name, computed, target, tol, scale in _verify_rows(args.strict):
+        ok = abs(computed - target) / scale <= tol
         all_ok = all_ok and ok
         lines.append(f"{name:<28} {_fmt(computed):>18} {_fmt(target):>14} "
                      f"{_fmt(tol):>8} {'PASS' if ok else 'FAIL'}")
@@ -372,7 +357,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except QuadratureError as exc:
         msg, code = f"numerical failure in quadrature: {exc}", 1
     except ArithmeticError as exc:
-        # includes the hydrogen oracle's failed symmetry checks
+        # includes the hydrogen oracle's norm guard
         msg, code = f"numerical failure: {exc}", 1
     except ValueError as exc:
         # out-of-domain parameters (includes hydrogen.DivergenceError)

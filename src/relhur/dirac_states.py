@@ -191,7 +191,8 @@ class AmplitudePair(NamedTuple):
     f_minus may be None for a pure spin-up state.  partials_* optionally
     supply analytic (d_p, d_theta, d_phi) with the same calling
     convention; otherwise central differences with one Richardson pass are
-    used, with the p step 1e-5 p at each p node.  With a jump in phi the phi sums never
+    used, with the step 1e-3 p at each p node and 1e-3 in theta (less
+    near the poles) and phi.  With a jump in phi the phi sums never
     converge, and dispersion_functional raises QuadratureError.
     """
 
@@ -294,15 +295,17 @@ class _Amplitude:
 
     def _numeric_partial(self, coords, axis: int):
         # Central difference in coords[axis] of (p, thetas, phis) with one
-        # Richardson pass; steps never leave the coordinate domain.
+        # Richardson pass; steps never leave the coordinate domain.  The
+        # pass leaves an O(h^4) error against O(eps/h) rounding, so h is
+        # about eps^(1/5) = 1e-3.
         x = coords[axis]
         if axis == 0:
-            h = 1e-5 * x  # the quadrature's p nodes are all positive
+            h = 1e-3 * x  # the quadrature's p nodes are all positive
         elif axis == 1:
-            h = max(min(1e-5, 0.5 * float(np.min(x)),
+            h = max(min(1e-3, 0.5 * float(np.min(x)),
                         0.5 * (math.pi - float(np.max(x)))), 1e-9)
         else:
-            h = 1e-5
+            h = 1e-3
 
         def probe(hh):
             lo, hi = list(coords), list(coords)

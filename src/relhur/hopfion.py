@@ -57,10 +57,9 @@ class HopfionState(NamedTuple("HopfionState", [("a", float)])):
 
 
 class SweepTable(NamedTuple):
-    """Ordered (a, gamma) rows with the large-a limit as metadata."""
+    """Ordered (a, gamma) rows."""
 
     rows: tuple[tuple[float, float], ...]
-    limit_gamma: float = 1.5
 
 
 def _components(a: float, p, theta, phi):

@@ -203,9 +203,9 @@ def oracle_gamma(gamma_c: float, cfg: QuadConfig = QuadConfig()) -> DispersionRe
     0.1.
 
     <r> = 0 by spherical symmetry of the density and <p> = 0 by reality
-    of the radial profile; both are recomputed and checked, not assumed.
-    A norm that misses 1 by more than 1e-8, or a nonzero <z> or <p_z>,
-    raises ArithmeticError.
+    of the radial profile: both vanish identically and are not integrated,
+    as in hopfion.gamma_h.  A norm that misses 1 by more than 1e-8 raises
+    ArithmeticError.
     """
     g = _finite_exponent(gamma_c)
     k = math.sqrt((1.0 - g) / (1.0 + g))
@@ -213,8 +213,7 @@ def oracle_gamma(gamma_c: float, cfg: QuadConfig = QuadConfig()) -> DispersionRe
     n_sq = 2.0 ** (2.0 * g) * (1.0 + g) / (4.0 * math.pi * gamma_fn(1.0 + 2.0 * g))
 
     # rows in the DispersionReport.from_integrals layout: 0 norm,
-    # 1 momentum gradient integral, 2 <r^2>, 5 <p_z>, 8 <z>; <p_x>, <p_y>,
-    # <x>, <y> vanish identically in the phi integral
+    # 1 momentum gradient integral, 2 <r^2>; the means (rows 3..8) are 0
     def rows(t: np.ndarray, ct: np.ndarray) -> np.ndarray:
         log_r = 0.5 * math.pi * np.sinh(t)
         r = np.exp(log_r)
@@ -225,11 +224,8 @@ def oracle_gamma(gamma_c: float, cfg: QuadConfig = QuadConfig()) -> DispersionRe
             return jac * np.exp((power + 1.0) * log_r - 2.0 * r)
 
         st = np.sqrt(1.0 - ct * ct)
-        # complex angular amplitudes of the components per unit radial w,
-        # and their theta derivatives
-        amp = np.array([1.0 + 0j * ct, 1j * k * ct, -1j * k * st])
-        damp = np.array([0j * ct, -1j * k * st, -1j * k * ct])
-        dens_ang = (np.abs(amp) ** 2).sum(axis=0)
+        # angular density of the components 1, i k cos, -i k sin e^(i phi)
+        dens_ang = 1.0 + (k * ct) ** 2 + (k * st) ** 2
         wp = (g - 1.0) - r  # w' = wp * w / r
 
         out = np.zeros((9,) + np.broadcast_shapes(t.shape, ct.shape))
@@ -239,28 +235,15 @@ def oracle_gamma(gamma_c: float, cfg: QuadConfig = QuadConfig()) -> DispersionRe
         # + |d_phi psi|^2 / sin^2(theta): the polar and azimuthal parts
         # give k^2 each
         out[1] = radial(2.0 * g - 2.0) * (wp * wp * dens_ang + 2.0 * k * k)
-        out[8] = radial(2.0 * g + 1.0) * dens_ang * ct
-        # Im(sum psi* d_z psi), d_z = cos d_r - (sin / r) d_theta
-        pz = (np.conj(amp) * (ct * wp * amp - st * damp)).sum(axis=0).imag
-        out[5] = radial(2.0 * g - 1.0) * pz
         return out
 
     t_min = -math.asinh(80.0 / (math.pi * (2.0 * g - 1.0)))
     t_max = math.asinh(2.0 * math.log(500.0) / math.pi)
     res = integrate_trapezoid(rows, t_min, t_max, 0.1, cfg,
                               control_rows=[0, 1, 2])
-    vals = res.value
-    norm = float(vals[0])
+    norm = float(res.value[0])
     if not abs(norm - 1.0) <= 1e-8:
         raise ArithmeticError(f"normalization integral {norm!r} is not 1")
-    z1 = float(vals[8]) / norm
-    pz1 = float(vals[5]) / norm
-    if abs(z1) > 1e-8:
-        raise ArithmeticError(
-            f"<z> = {z1:.3e} violates the spherical-symmetry check")
-    if abs(pz1) > 1e-8:
-        raise ArithmeticError(
-            f"<p_z> = {pz1:.3e} violates the reality check")
     return DispersionReport.from_integrals(res)
 
 

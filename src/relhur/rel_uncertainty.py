@@ -127,10 +127,11 @@ def gamma_estimates(ds: Sequence[float],
         if D_SWITCH < d < INFINITY:
             # gamma(d) = GAMMA_AT_INF - C1/d + O(1/d^2).  The remainder is
             # measured against the collocation at D_SWITCH and scaled by
-            # (D_SWITCH/d)^2.
+            # (D_SWITCH/d)^2, but not below the rounding of gamma, 4 eps.
             err = (abs(gamma - GAMMA_AT_INF + ULTRA_C1 / D_SWITCH) + err) * (
                 D_SWITCH / d) ** 2
             gamma = GAMMA_AT_INF - ULTRA_C1 / d
+            err = max(err, 4.0 * sys.float_info.epsilon * gamma)
         out.append((gamma, err))
     return out
 
@@ -182,10 +183,9 @@ def gamma_bound_report(d: float, tol: float = 1e-7) -> BoundReport:
 
 
 class BoundCurve(NamedTuple):
-    """Ordered (d, gamma) rows plus the two limit values as metadata."""
+    """Ordered (d, gamma) rows."""
 
     rows: tuple[tuple[float, float], ...]
-    limits: tuple[float, float] = (GAMMA_AT_0, GAMMA_AT_INF)
 
 
 def sweep(d_values: Sequence[float] | Iterable[float],

@@ -6,9 +6,7 @@ norm of the localized electron state.  Both come from the standard library
 and NumPy, so the numerical core carries no special-function dependency.
 
 gamma_fn
-    math.gamma on the supported interval (0, 50], with the error bar
-    2e-15 |Gamma(x)|: against 50-digit mpmath at x = 50 i / 20000
-    (i = 1..20000), math.gamma was at most 7.9e-16 relative off.
+    math.gamma on the supported interval (0, 50].
 
 bessel_k
     One trapezoid sum per order of the integral (DLMF 10.32.9)
@@ -46,8 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["SpecfunResult", "gamma_fn", "gamma_fn_detailed", "bessel_k",
-           "bessel_k_detailed"]
+__all__ = ["SpecfunResult", "gamma_fn", "bessel_k", "bessel_k_detailed"]
 
 GAMMA_MAX_ARG = 50.0
 BESSEL_UNDERFLOW_X = 700.0
@@ -65,17 +62,12 @@ class SpecfunResult(NamedTuple):
     underflow: bool = False
 
 
-def gamma_fn_detailed(x: float) -> SpecfunResult:
-    """Gamma(x) on (0, 50] with an error estimate."""
+def gamma_fn(x: float) -> float:
+    """Gamma(x) on (0, 50]."""
     x = float(x)
     if not (0.0 < x <= GAMMA_MAX_ARG):
         raise ValueError(f"gamma_fn defined on (0, {GAMMA_MAX_ARG:g}], got {x!r}")
-    value = math.gamma(x)
-    return SpecfunResult(value=value, est_abs_error=2e-15 * value)
-
-
-def gamma_fn(x: float) -> float:
-    return gamma_fn_detailed(x).value
+    return math.gamma(x)
 
 
 def _scaled_k(nu, x):

@@ -197,6 +197,25 @@ def test_large_d_expansion(d):
     assert abs(d * (GAMMA_AT_INF - g) / c1 - 1.0) <= 3.0 / d
 
 
+# 1 + sqrt(5)/2 and C1 to 30 digits (mpmath 1.3.0 at 40 digits)
+GAMMA_AT_INF_30 = "2.11803398874989484820458683437"
+ULTRA_C1_30 = "0.686325215248239321493427112471"
+
+
+@pytest.mark.parametrize("d", [1e9, 1e12, 1e300])
+def test_large_d_err_est_covers_rounding(d):
+    # far above D_SWITCH the expansion's remainder falls below the rounding
+    # of gamma itself; err_est must still cover |gamma - (GAMMA_AT_INF -
+    # C1/d)|, here taken exactly in 40-digit decimal arithmetic
+    from decimal import Decimal, localcontext
+
+    gamma, err = gamma_estimate(d)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exact = Decimal(GAMMA_AT_INF_30) - Decimal(ULTRA_C1_30) / Decimal(d)
+        assert Decimal(err) >= abs(Decimal(gamma) - exact)
+
+
 def _one_sided_oracle(d, n, q_max=10.0):
     """gamma(d) from -u'' + V u = 2 gamma u with u = q f = 0 at q = 0 and
     at q_max, by Chebyshev collocation on the half line itself.
@@ -368,7 +387,6 @@ def test_sweep_rows_and_limits():
     assert isinstance(curve, BoundCurve)
     assert curve.rows[0][0] == 0.0
     assert curve.rows[0][1] == pytest.approx(1.5, abs=1e-7)
-    assert curve.limits == (GAMMA_AT_0, GAMMA_AT_INF)
 
     curve_inf = sweep([INFINITY])
     assert curve_inf.rows[0][1] == pytest.approx(GAMMA_AT_INF, abs=1e-6)

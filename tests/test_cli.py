@@ -168,13 +168,13 @@ def test_sweep_rows_match_single_points(capsys, monkeypatch, flags):
     # gamma_estimate at its d, to the last bit
     from relhur import rel_uncertainty
 
-    rows, grid_doc = [], cli._grid_doc
+    rows, doc = [], cli._doc
 
-    def recorded(grid_rows, fmt):
-        rows.extend(grid_rows)
-        return grid_doc(grid_rows, fmt)
+    def recorded(records, fmt, grid):
+        rows.extend(tuple(r.values()) for r in records)
+        return doc(records, fmt, grid)
 
-    monkeypatch.setattr(cli, "_grid_doc", recorded)
+    monkeypatch.setattr(cli, "_doc", recorded)
     code, _ = _capture(capsys, ["sweep", *flags])
     assert code == 0
     expected = [(d, *rel_uncertainty.gamma_estimate(d, tol=cli.BOUND_TOL))
@@ -251,6 +251,94 @@ def test_verify_strict_passes(capsys):
     assert "overall: PASS" in out
 
 
+def test_verify_strict_residuals_test_the_solver(capsys, monkeypatch):
+    # gamma 1e-9 off passes the 1e-7 and 1e-6 limit rows, but the exact
+    # limiting eigenfunctions turn it into a residual far above 1e-10
+    from relhur import rel_uncertainty
+
+    exact = rel_uncertainty.gamma_bound
+    monkeypatch.setattr(rel_uncertainty, "gamma_bound",
+                        lambda d, tol=1e-7: exact(d, tol) + 1e-9)
+    code, out = _capture(capsys, ["verify", "--strict"])
+    assert code == 1
+    status = {line.split()[0]: line.split()[-1] for line in out.splitlines()}
+    assert [name for name, s in status.items() if s == "FAIL"] == [
+        "nonrel_limit_residual", "ultra_limit_residual", "overall:"]
+
+
+# every document the writer produces, from library calls stubbed to fixed
+# numbers, so that the bytes do not depend on the platform
+_STUB_DOCS = {
+    ("bound", "--d", "1.0"):
+        '{"d":1.0,"gamma":1.57079632679,"err_est":3.33333333333e-14,'
+        '"tol":1e-07}\n',
+    ("bound", "--d", "1.0", "--format", "csv"):
+        "param,gamma,err_est\n1.0,1.57079632679,3.33333333333e-14\n",
+    ("bound", "--d-inf"):
+        '{"d":"inf","gamma":1.57079632679,"err_est":3.33333333333e-14,'
+        '"tol":1e-07}\n',
+    ("bound", "--d-inf", "--format", "csv"):
+        "param,gamma,err_est\ninf,1.57079632679,3.33333333333e-14\n",
+    ("sweep", "--d-min", "0.5", "--d-max", "8", "--points", "3", "--log"):
+        "param,gamma,err_est\n0.5,1.07142857143,1.66666666667e-16\n"
+        "2.0,1.28571428571,6.66666666667e-16\n"
+        "8.0,2.14285714286,2.66666666667e-15\n",
+    ("sweep", "--d-min", "0.5", "--d-max", "8", "--points", "3", "--log",
+     "--format", "json"):
+        '[\n{"param":0.5,"gamma":1.07142857143,"err_est":1.66666666667e-16},'
+        '\n{"param":2.0,"gamma":1.28571428571,"err_est":6.66666666667e-16},'
+        '\n{"param":8.0,"gamma":2.14285714286,"err_est":2.66666666667e-15}'
+        '\n]\n',
+    ("hydrogen", "--Z", "80"):
+        '{"Z":80,"alpha":0.0072973525693,"gamma_c":0.811905986594,'
+        '"gamma":1.73205080757,"d":0.0333333333333}\n',
+    ("hydrogen", "--Z", "80", "--format", "csv"):
+        "param,gamma,err_est\n80,1.73205080757,0.0\n",
+    ("hydrogen", "--Z", "80", "--oracle"):
+        '{"Z":80,"alpha":0.0072973525693,"gamma_c":0.811905986594,'
+        '"gamma":1.73205080757,"d":0.0333333333333,'
+        '"gamma_oracle":1.7320508119,"rel_diff":2.49999994502e-09}\n',
+    ("hydrogen", "--Z", "80", "--oracle", "--format", "csv"):
+        "param,gamma,err_est\n80,1.73205080757,2.49999994502e-09\n",
+    ("hopfion", "--a", "1"):
+        '{"a":1.0,"gamma":1.88888888889,"delta_r_sq":0.333333333333,'
+        '"delta_p_sq":4.0,"err_est":1.42857142857e-17}\n',
+    ("hopfion", "--a", "1", "--format", "csv"):
+        "param,gamma,err_est\n1.0,1.88888888889,1.42857142857e-17\n",
+    ("hopfion", "--a-min", "1", "--a-max", "3", "--points", "3"):
+        "param,gamma,err_est\n1.0,1.88888888889,1.42857142857e-17\n"
+        "2.0,1.77777777778,2.85714285714e-17\n"
+        "3.0,1.66666666667,4.28571428571e-17\n",
+    ("hopfion", "--a-min", "1", "--a-max", "3", "--points", "3",
+     "--format", "json"):
+        '[\n{"param":1.0,"gamma":1.88888888889,"err_est":1.42857142857e-17},'
+        '\n{"param":2.0,"gamma":1.77777777778,"err_est":2.85714285714e-17},'
+        '\n{"param":3.0,"gamma":1.66666666667,"err_est":4.28571428571e-17}'
+        '\n]\n',
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_STUB_DOCS), ids=" ".join)
+def test_documents_byte_exact(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli._bound, "gamma_estimate",
+                        lambda d, tol: (math.pi / 2.0, 1e-13 / 3.0))
+    monkeypatch.setattr(cli._bound, "gamma_estimates", lambda ds, tol: [
+        (1.0 + d / 7.0, d * 1e-15 / 3.0) for d in ds])
+    monkeypatch.setattr(cli._hydrogen, "uncertainty_product_closed",
+                        lambda state: math.sqrt(3.0))
+    monkeypatch.setattr(cli._hydrogen, "d_parameter", lambda state: 0.1 / 3.0)
+    monkeypatch.setattr(cli._hydrogen, "quadrature_oracle", lambda state:
+                        SimpleNamespace(gamma=math.sqrt(3.0) * (1.0 + 2.5e-9)))
+    monkeypatch.setattr(cli._hopfion, "gamma_h", lambda state: SimpleNamespace(
+        gamma=2.0 - state.a / 9.0, delta_r_sq=state.a / 3.0,
+        delta_p_sq=4.0 / state.a, err_est=state.a * 1e-16 / 7.0))
+    expected = _STUB_DOCS[argv]
+    assert _capture(capsys, list(argv)) == (0, expected)
+    if "--format" not in argv:  # the default, named: JSON for one record
+        fmt = "json" if expected.startswith("{") else "csv"
+        assert _capture(capsys, [*argv, "--format", fmt]) == (0, expected)
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "bound.json"
     code, _ = _capture(capsys, ["bound", "--d", "1.0",
@@ -296,15 +384,14 @@ def test_oracle_arithmetic_error_exits_1(capsys, monkeypatch, argv):
     import relhur.hydrogen
 
     def broken(*args, **kwargs):
-        raise ArithmeticError("<z> = 1.000e-03 violates the "
-                              "spherical-symmetry check")
+        raise ArithmeticError("normalization integral 0.999 is not 1")
 
     monkeypatch.setattr(relhur.hydrogen, "oracle_gamma", broken)
     code = run(argv)
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err == (f"relhur {argv[0]}: numerical failure: <z> = "
-                            "1.000e-03 violates the spherical-symmetry check\n")
+    assert captured.err == (f"relhur {argv[0]}: numerical failure: "
+                            "normalization integral 0.999 is not 1\n")
     assert "Traceback" not in captured.err + captured.out
 
 

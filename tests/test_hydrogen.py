@@ -143,6 +143,25 @@ def test_oracle_matches_closed_form_near_half():
         assert 0.0 < rep.err_est <= 1e-9 * rep.gamma
 
 
+# oracle_gamma(g): float.hex of (gamma, err_est), frozen from this build
+ORACLE_BITS = {
+    1.0: ("0x1.bb67ae8584caap+0", "0x1.b50673d95281cp-32"),
+    0.95: ("0x1.dd09b25bca053p+0", "0x1.5cabb8dbce904p-32"),
+    0.81: ("0x1.2f67325db7af5p+1", "0x1.2e4db5dc6f64cp-33"),
+    0.6: ("0x1.2202003a7ef30p+2", "0x1.0e1d4622a6321p-34"),
+    0.5001: ("0x1.2bfc29169bbd2p+7", "0x1.aae619fd08678p-29"),
+}
+
+
+@pytest.mark.parametrize("g", sorted(ORACLE_BITS))
+def test_oracle_bits_frozen(g):
+    # the means vanish identically and are not integrated; leaving them
+    # out must not move a bit of the dispersions
+    rep = oracle_gamma(g)
+    assert (rep.gamma.hex(), rep.err_est.hex()) == ORACLE_BITS[g]
+    assert not np.any(rep.mean_r) and not np.any(rep.mean_p)
+
+
 def test_oracle_normalization_guard(monkeypatch):
     # a normalization constant 10% off reaches the oracle's norm integral,
     # which must raise instead of returning a value
