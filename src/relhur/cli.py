@@ -175,8 +175,11 @@ def _cmd_hopfion(args) -> tuple[str, int]:
 def _verify_rows(strict: bool) -> list[tuple[str, float, float, float, float]]:
     """(anchor, computed, target, tol, scale) rows; an anchor passes when
     |computed - target| / scale <= tol."""
-    g0 = _bound.gamma_bound(0.0, tol=BOUND_TOL)
-    gi = _bound.gamma_bound(_bound.INFINITY, tol=BOUND_TOL)
+    # one batched solve: the two limits, and under --strict the two ends of
+    # the curve at the tol of their expansion rows
+    ends = (0.01, 1e4) if strict else ()
+    g0, gi, *g_ends = (gamma for gamma, _ in _bound.gamma_estimates(
+        (0.0, _bound.INFINITY) + ends, tol=1e-8 if strict else BOUND_TOL))
     dev = 0.0
     for x in (1e-3, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 200.0):
         k2 = bessel_k(2, x)
@@ -201,12 +204,10 @@ def _verify_rows(strict: bool) -> list[tuple[str, float, float, float, float]]:
     # both ends of the curve against their expansions, with the
     # O(d^4) and O(1/d^2) allowances of tests/test_bound.py
     c1 = _bound.ULTRA_C1
-    for name, d, target, tol in (
-            ("bound_small_d_expansion", 0.01, 1.5 + 0.375 * 0.01 ** 2,
-             0.01 ** 4),
-            ("bound_large_d_expansion", 1e4,
-             _bound.GAMMA_AT_INF - c1 / 1e4, 3.0 * c1 / 1e4 ** 2)):
-        rows.append((name, _bound.gamma_bound(d, tol=1e-8), target, tol, 1.0))
+    rows.append(("bound_small_d_expansion", g_ends[0], 1.5 + 0.375 * 0.01 ** 2,
+                 0.01 ** 4, 1.0))
+    rows.append(("bound_large_d_expansion", g_ends[1],
+                 _bound.GAMMA_AT_INF - c1 / 1e4, 3.0 * c1 / 1e4 ** 2, 1.0))
     ratio1 = _hopfion.norm_bessel_ratio(_hopfion.HopfionState(1.0))
     ratio2 = _hopfion.norm_bessel_ratio(_hopfion.HopfionState(2.0))
     rows.append(("hopfion_norm_ratio_dev", abs(ratio1 / ratio2 - 1.0), 0.0,

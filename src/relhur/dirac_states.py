@@ -39,25 +39,31 @@ bispinor on the grid; <p> needs only the amplitude density.  Both means are
 always computed and subtracted from the second moments.
 
 The (p, theta) integral is quadrature.integrate_exp_sinh.  The phi
-integral is a trapezoid sum, exact for harmonics below its node count.
-Each integrand call of that rule (at most 16 p nodes on one theta rule)
-sums every row under rules of n and n + 1 nodes, n = 8, 16, ..., 256,
-until the two agree to 0.01 rel_tol (n epsilons at least) of its
-largest norm-plus-second-moment integrand, keeps the (n + 1)-node sums,
-and raises QuadratureError if they never do (a jump in phi); ending the
-ladder at 256 bounds what such a call costs.
-The first integrand call starts the ladder at 8/9, each later one at the
-pair the call before it accepted, still checked against its own n + 1
-partner.  Smooth states accept 8/9, the harmonic-15 state of the tests
-climbs once to 32/33.
-Coprime rules alias alike only at multiples of n (n + 1), nested ones
-(n, 2n) at all multiples of 2n.  A pair evaluates amplitudes
-and partials once, on the (p, theta, phi) grid of its 2n + 1 nodes, in one
-broadcast NumPy pass: amplitudes are called as
+integral is a trapezoid sum, exact for harmonics below its node count,
+under a pair of rules of n and n + 1 nodes, n = 8, 16, ..., 256: coprime
+rules alias alike only at multiples of n (n + 1), nested ones (n, 2n) at
+all multiples of 2n.  The pair is picked once per dispersion call, in the
+stages of integrate_exp_sinh.  On the first t level, with every theta rule
+the ladder tries, both rules sum every row, and the sums must agree to
+0.01 rel_tol (n epsilons at least) of the level's largest
+norm-plus-second-moment integrand.  Later levels evaluate the n + 1 nodes
+only.  Before the result is returned, the n-node rule re-checks the new
+nodes of the level on which the t step converged against the (n + 1)-node
+sums that level has.  A disagreement in either check ends the integration,
+which starts again from the first level at the next pair; past 256/257 (a
+jump in phi) QuadratureError is raised, which bounds what such a state
+costs.  Smooth states keep 8/9; the harmonic-15 state of the tests climbs
+to 32/33 on the first level, and a state whose harmonics live only between
+the first level's p nodes climbs at the re-check.
+
+An integrand call evaluates amplitudes and partials in one broadcast NumPy
+pass per chunk of p nodes, at most 16 x 12 x 17 = 3264 (p, theta, phi)
+points a chunk (numeric partials stack four shifted copies of that grid in
+one call per axis): amplitudes are called as
 f(ps[:, None, None], thetas[None, :, None], phis[None, None, :]) and return
 complex values that broadcast to (n_p, n_theta, n_phi).  An amplitude that
-does not depend on phi may return size 1 on the phi axis; any other shape
-raises ValueError.
+does not depend on phi may return size 1 on the phi axis, and is worked on
+at that size; any other shape raises ValueError.
 """
 
 from __future__ import annotations
@@ -74,6 +80,7 @@ __all__ = ["MomentumPoint", "Bispinor", "AmplitudePair", "DispersionReport",
            "bispinor_u", "bispinor_partials", "dispersion_functional"]
 
 _N_PHI_PAIRS = tuple(8 << k for k in range(6))  # (n, n + 1) for n = 8..256
+_GRID_POINTS = 16 * 12 * 17  # (p, theta, phi) points per amplitude chunk
 
 AmpFunc = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
@@ -205,7 +212,9 @@ class AmplitudePair(NamedTuple):
 class DispersionReport(NamedTuple):
     """Dispersions of a state; err_est is the quadrature's error estimate
     carried into gamma (see from_integrals), evaluations the number of
-    (p, theta) points at which the quadrature evaluated the integrand."""
+    (p, theta) points at which the quadrature evaluated the integrand,
+    counting the re-check of the phi pair and the integrations that a
+    rejected pair ended (module docstring)."""
 
     norm_sq: float
     mean_r: np.ndarray
@@ -257,28 +266,29 @@ class DispersionReport(NamedTuple):
 
 
 def _on_grid(out, shape: tuple[int, int, int]) -> np.ndarray:
-    """An amplitude's output as a complex array of the grid shape."""
+    """An amplitude's output as a complex array that broadcasts to the grid
+    shape, left at its own shape."""
     out = np.asarray(out, dtype=complex)
-    try:
-        return np.broadcast_to(out, shape)
-    except ValueError:
+    if out.ndim > 3 or any(k not in (1, n) for k, n in
+                           zip(out.shape[::-1], shape[::-1])):
         raise ValueError(f"amplitude returned shape {out.shape}, which does "
-                         f"not broadcast to (n_p, n_theta, n_phi) = {shape}"
-                         ) from None
+                         f"not broadcast to (n_p, n_theta, n_phi) = {shape}")
+    return out
 
 
-@functools.lru_cache(maxsize=None)  # called with _N_PHI_PAIRS only
-def _trapezoid_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes of the n- and (n + 1)-node phi trapezoid rules on a
-    (1, 1, 2n + 1) grid, and (2n + 1, 6) weights for the plain, cos(phi)-
-    and sin(phi)-weighted sums under each; read-only, as the cache shares
-    them."""
+@functools.lru_cache(maxsize=None)  # called with the rules of _N_PHI_PAIRS
+def _phi_rules(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes of the phi trapezoid rules of the given sizes, side by side
+    on a (1, 1, sum(sizes)) grid, and (sum(sizes), 3 len(sizes)) weights
+    for the plain, cos(phi)- and sin(phi)-weighted sums under each;
+    read-only, as the cache shares them."""
     phis = np.concatenate([np.linspace(0.0, 2.0 * math.pi, k, endpoint=False)
-                           for k in (n, n + 1)])
+                           for k in sizes])
     harmonics = np.stack([np.ones_like(phis), np.cos(phis), np.sin(phis)], 1)
-    in_n = (np.arange(2 * n + 1) < n)[:, None]
-    w_phi = 2.0 * math.pi * np.hstack([harmonics * in_n / n,
-                                       harmonics * ~in_n / (n + 1)])
+    w_phi = np.zeros((phis.size, 3 * len(sizes)))
+    for r, (start, k) in enumerate(zip(np.cumsum((0,) + sizes), sizes)):
+        w_phi[start:start + k, 3 * r:3 * r + 3] = 2.0 * math.pi * (
+            harmonics[start:start + k] / k)
     phis.flags.writeable = w_phi.flags.writeable = False
     return phis[None, None, :], w_phi
 
@@ -293,11 +303,12 @@ class _Amplitude:
             raise ValueError("partials must be (d_p, d_theta, d_phi)")
         self.partials = partials
 
-    def _numeric_partial(self, coords, axis: int):
+    def _numeric_partial(self, coords, shape, axis: int):
         # Central difference in coords[axis] of (p, thetas, phis) with one
         # Richardson pass; steps never leave the coordinate domain.  The
         # pass leaves an O(h^4) error against O(eps/h) rounding, so h is
-        # about eps^(1/5) = 1e-3.
+        # about eps^(1/5) = 1e-3.  The probes x + h, x - h, x + h/2 and
+        # x - h/2 go to the amplitude in one call, stacked along the axis.
         x = coords[axis]
         if axis == 0:
             h = 1e-3 * x  # the quadrature's p nodes are all positive
@@ -306,28 +317,110 @@ class _Amplitude:
                         0.5 * (math.pi - float(np.max(x)))), 1e-9)
         else:
             h = 1e-3
-
-        def probe(hh):
-            lo, hi = list(coords), list(coords)
-            lo[axis], hi[axis] = x - hh, x + hh
-            return (self.fn(*hi) - self.fn(*lo)) / (2.0 * hh)
-
-        d1 = probe(h)
-        d2 = probe(0.5 * h)
-        return (4.0 * d2 - d1) / 3.0
+        probes = list(coords)
+        probes[axis] = np.concatenate(
+            [x + h, x - h, x + 0.5 * h, x - 0.5 * h], axis=axis)
+        y = _on_grid(self.fn(*probes),
+                     shape[:axis] + (4 * shape[axis],) + shape[axis + 1:])
+        y = y.reshape((1,) * (3 - y.ndim) + y.shape)
+        if y.shape[axis] == 1:  # the amplitude does not depend on the axis
+            return np.zeros_like(y)
+        hi, lo, hi_2, lo_2 = np.moveaxis(
+            y.reshape(y.shape[:axis] + (4, -1) + y.shape[axis + 1:]), axis, 0)
+        # NumPy divides a complex array by a real r as a product with 1/r;
+        # the products below give those bits without the division's branches
+        d1 = (hi - lo) * (1.0 / (2.0 * h))
+        d2 = (hi_2 - lo_2) * (1.0 / h)
+        return (4.0 * d2 - d1) * (1.0 / 3.0)
 
     def evaluate(self, p, thetas, phis):
-        """[value, d_p, d_theta, d_phi], each broadcast to
-        (n_p, n_theta, n_phi); a missing spin gives size-1 zeros."""
+        """[value, d_p, d_theta, d_phi], each broadcasting to
+        (n_p, n_theta, n_phi) at its own shape; a missing spin gives
+        zeros."""
         if self.fn is None:
-            return [np.zeros((1, 1, 1), dtype=complex)] * 4
+            return [0.0] * 4
         shape = (p.shape[0], thetas.shape[1], phis.shape[2])
         if self.partials is not None:
-            grads = [g(p, thetas, phis) for g in self.partials]
+            grads = [_on_grid(g(p, thetas, phis), shape)
+                     for g in self.partials]
         else:
-            grads = [self._numeric_partial((p, thetas, phis), ax)
+            grads = [self._numeric_partial((p, thetas, phis), shape, ax)
                      for ax in range(3)]
-        return [_on_grid(v, shape) for v in [self.fn(p, thetas, phis)] + grads]
+        return [_on_grid(self.fn(p, thetas, phis), shape)] + grads
+
+
+class _PairRejected(Exception):
+    """The n- and (n + 1)-node phi sums of an integrand call disagree."""
+
+
+def _phi_moments(spins, mass, p, th, phis, w_phi):
+    """Phi sums of the five fields below on the (p, theta, phi) grid: the
+    plain, cos(phi)- and sin(phi)-weighted sums under each rule of w_phi,
+    shape (5, n_p, n_theta, n_rules, 3)."""
+    st = np.sin(th)
+    ct = np.cos(th)
+    e = np.hypot(mass, p)
+    rel = 1.0 - mass / e  # (1 - m/E)
+    coef_f = rel + (mass * p) ** 2 / (4.0 * e ** 4)
+    (fp, *gp), (fm, *gm) = (s.evaluate(p, th, phis) for s in spins)
+    cp, cm = np.conj(fp), np.conj(fm)
+    dens_p, dens_m = (cp * fp).real, (cm * fm).real
+    grad_sq = [(np.conj(a) * a).real + (np.conj(b) * b).real
+               for a, b in zip(gp, gm)]
+    # Im(f_s* d_k f_s) per spin, k = p, theta, phi
+    im_p = [(cp * d).imag for d in gp]
+    im_m = [(cm * d).imag for d in gm]
+    if all(s.fn is not None for s in spins):
+        # antisymmetrized theta and phi derivatives between the spins;
+        # relative minus: theta connection between spins is antisymmetric
+        e_mphi = np.exp(-1j * phis)
+        anti_t, anti_f = (cp * b - fm * np.conj(a)
+                          for a, b in zip(gp[1:], gm[1:]))
+        cross = (((1j * (ct / st)) * anti_f - anti_t) * e_mphi).real
+        z = cp * fm * e_mphi
+        re_z, im_z = z.real, z.imag
+    else:  # a single spin: no term between the spins
+        cross = re_z = im_z = 0.0
+
+    shape = (p.shape[0], th.shape[1], phis.shape[2])
+    fields = np.empty((5,) + shape)
+    dens = np.add(dens_p, dens_m, out=fields[0])
+    fields[1] = (p * p * grad_sq[0] + grad_sq[1] + grad_sq[2] / st ** 2
+                 + coef_f * dens + rel * (im_p[2] - im_m[2] + cross))
+    # fields 2..4: minus the e_p component of Re conj(psi) . i grad_p psi,
+    # and minus p and p sin(theta) times its e_theta and e_phi components.
+    # With z = f+* f- e^{-i phi}, the spin connection of the module
+    # docstring adds -rel Im z to the theta component, -(rel/2)(sin^2
+    # (|f+|^2 - |f-|^2) - 2 sin cos Re z) to the phi component and nothing
+    # to the p component.
+    np.add(im_p[0], im_m[0], out=fields[2])
+    fields[3] = im_p[1] + im_m[1] + rel * im_z
+    fields[4] = im_p[2] + im_m[2] + 0.5 * rel * (st * st * (dens_p - dens_m)
+                                                  - 2.0 * st * ct * re_z)
+    return (fields.reshape(-1, shape[2]) @ w_phi).reshape(
+        (5,) + shape[:2] + (-1, 3))
+
+
+def _rows(m, p, thetas):
+    """The nine rows per phi rule, (n_rules, 9, n_p, n_theta), from the phi
+    moments m of _phi_moments on the (n_p, 1) nodes p and (1, n_theta)
+    nodes thetas: 0 norm, 1 p-second-moment, 2 r-second-moment, 3..5 <p>
+    components, 6..8 <r> components."""
+    st, ct = np.sin(thetas), np.cos(thetas)
+    w = p * p * st
+    (n, n_c, n_s), r2, (ap, ap_c, ap_s), (at, at_c, at_s), (af, af_c, af_s) = (
+        np.moveaxis(x, (-1, -2), (0, 1)) for x in m)
+    r2, at, at_c, at_s = r2[0], at / p, at_c / p, at_s / p
+    af_c, af_s = af_c / (p * st), af_s / (p * st)
+    # <r> components by the spherical frame vectors, from the negated
+    # components of _phi_moments
+    return np.stack([
+        w * n, w * p * p * n, st * r2,
+        w * p * st * n_c, w * p * st * n_s, w * p * ct * n,
+        -(w * (st * ap_c + ct * at_c - af_s)),
+        -(w * (st * ap_s + ct * at_s + af_c)),
+        -(w * (ct * ap - st * at)),
+    ], axis=1)
 
 
 def dispersion_functional(amp: AmplitudePair, cfg: QuadConfig = QuadConfig(),
@@ -348,75 +441,47 @@ def dispersion_functional(amp: AmplitudePair, cfg: QuadConfig = QuadConfig(),
     spins = (_Amplitude(amp.f_plus, amp.partials_plus),
              _Amplitude(amp.f_minus, amp.partials_minus))
 
-    def moments(x, w_phi):
-        """Sums of x, x cos(phi), x sin(phi) per rule: (2, n_p, n_theta, 1)."""
-        m = (x @ w_phi).reshape(x.shape[:-1] + (2, 3))
-        return np.moveaxis(m, (-1, -2), (0, 1))[..., None]
+    def sums(p, thetas, sizes):
+        """The nine rows under each phi rule of sizes, (len(sizes), 9, n_p,
+        n_theta), in chunks of at most _GRID_POINTS (p, theta, phi) points."""
+        phis, w_phi = _phi_rules(sizes)
+        th = thetas[..., None]
+        step = max(1, _GRID_POINTS // (th.size * phis.size))
+        return _rows(np.concatenate([
+            _phi_moments(spins, mass, p[k:k + step, :, None], th, phis, w_phi)
+            for k in range(0, p.shape[0], step)], axis=1), p, thetas)
 
-    start = 0  # index of the pair the previous integrand call accepted
+    def check(t_n, t_n1):
+        # n eps bounds the sums' rounding (<= 1e-16 n of scale measured);
+        # a non-finite row passes, for the quadrature to reject
+        scale = np.max(np.abs(t_n1[0]) + np.abs(t_n1[1]) + np.abs(t_n1[2]))
+        tol = max(0.01 * cfg.rel_tol, n * np.finfo(float).eps) * scale
+        if np.max(np.abs(t_n1 - t_n)) > tol:
+            raise _PairRejected
 
-    # rows: 0 norm, 1 p-second-moment, 2 r-second-moment,
-    #       3..5 <p> components, 6..8 <r> components
-    def rows(p: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        nonlocal start
-        # grid axes (p, theta, phi); the phi moments keep the last, size 1
-        p, th = p[..., None], thetas[..., None]
-        st = np.sin(th)
-        ct = np.cos(th)
-        e = np.hypot(mass, p)
-        rel = 1.0 - mass / e  # (1 - m/E)
-        coef_f = rel + (mass * p) ** 2 / (4.0 * e ** 4)
-        w = p * p * st
-        for k in range(start, len(_N_PHI_PAIRS)):
-            n_phi = _N_PHI_PAIRS[k]
-            phis, w_phi = _trapezoid_pair(n_phi)
-            (fp, *gp), (fm, *gm) = (s.evaluate(p, th, phis) for s in spins)
-            dens_p, dens_m = np.abs(fp) ** 2, np.abs(fm) ** 2
-            dens = dens_p + dens_m
-            grad_sq = [np.abs(a) ** 2 + np.abs(b) ** 2 for a, b in zip(gp, gm)]
-            # Im(f_s* d_k f_s) per spin, k = p, theta, phi
-            im_p = [(np.conj(fp) * d).imag for d in gp]
-            im_m = [(np.conj(fm) * d).imag for d in gm]
+    # the stages of integrate_exp_sinh: the pair is checked on the whole
+    # first t level, then later levels take the n + 1 nodes only, and the
+    # n-node rule re-checks the level on which the t step converged
+    def rows(p: np.ndarray, thetas: np.ndarray, stage: str) -> np.ndarray:
+        nonlocal evals, last
+        evals += p.size * thetas.size
+        if stage == "first":
+            t_n, t_n1 = sums(p, thetas, (n, n + 1))
+            check(t_n, t_n1)
+            return t_n1
+        if stage == "later":
+            (last,) = sums(p, thetas, (n + 1,))
+            return last.copy()  # a caller may write to what it gets
+        (t_n,) = sums(p, thetas, (n,))
+        check(t_n, last)
+        return t_n
 
-            # antisymmetrized theta and phi derivatives between the spins
-            anti_t, anti_f = (np.conj(fp) * b - fm * np.conj(a)
-                              for a, b in zip(gp[1:], gm[1:]))
-            # relative minus: theta connection between spins is antisymmetric
-            e_mphi = np.exp(-1j * phis)
-            cross = (1j * (ct / st) * anti_f - anti_t) * e_mphi
-            r2 = (p * p * grad_sq[0] + grad_sq[1] + grad_sq[2] / st ** 2
-                  + coef_f * dens + rel * (im_p[2] - im_m[2] + cross.real))
-
-            # <r> = Re conj(psi) . i grad_p psi, Cartesian components via
-            # the spherical frame vectors.  With z = f+* f- e^{-i phi}, the
-            # spin connection of the module docstring adds -rel Im z to the
-            # theta component, -(rel/2)(sin^2 (|f+|^2 - |f-|^2) - 2 sin cos
-            # Re z) to the phi component and nothing to the p component.
-            z = np.conj(fp) * fm * e_mphi
-            a_p, a_t, a_f = (-(a + b) for a, b in zip(im_p, im_m))
-            a_t = a_t - rel * z.imag
-            a_f = a_f - 0.5 * rel * (st * st * (dens_p - dens_m)
-                                     - 2.0 * st * ct * z.real)
-
-            n, n_c, n_s = moments(dens, w_phi)
-            ap, ap_c, ap_s = moments(a_p, w_phi)
-            at, at_c, at_s = moments(a_t, w_phi) / p
-            af, af_c, af_s = moments(a_f, w_phi) / (p * st)
-            t_n, t_n1 = np.stack([
-                w * n, w * p * p * n, st * moments(r2, w_phi)[0],
-                w * p * st * n_c, w * p * st * n_s, w * p * ct * n,
-                w * (st * ap_c + ct * at_c - af_s),
-                w * (st * ap_s + ct * at_s + af_c),
-                w * (ct * ap - st * at),
-            ], axis=1)[..., 0]
-            # n_phi eps bounds the sums' rounding (<= 1e-16 n_phi of scale
-            # measured); a non-finite row passes, for the quadrature to reject
-            scale = np.max(np.abs(t_n1[0]) + np.abs(t_n1[1]) + np.abs(t_n1[2]))
-            tol = max(0.01 * cfg.rel_tol, n_phi * np.finfo(float).eps) * scale
-            if not np.max(np.abs(t_n1 - t_n)) > tol:
-                start = k
-                return t_n1
-        raise QuadratureError(f"phi sums unconverged at {n_phi + 1} nodes")
-
-    return DispersionReport.from_integrals(
-        integrate_exp_sinh(rows, cfg, control_rows=[0, 1, 2]))
+    evals, last = 0, None
+    for n in _N_PHI_PAIRS:
+        try:
+            res = integrate_exp_sinh(rows, cfg, control_rows=[0, 1, 2],
+                                     staged=True)
+        except _PairRejected:
+            continue
+        return DispersionReport.from_integrals(res._replace(evaluations=evals))
+    raise QuadratureError(f"phi sums unconverged at {n + 1} nodes")

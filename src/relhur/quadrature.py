@@ -20,8 +20,10 @@ node on each side.  Theta gets Gauss-Legendre in theta itself, not in
 cos(theta): the dispersion rows carry 1/sin(theta) and terms odd in
 sin(theta).  The theta node count is picked once, on the trimmed first t
 level, from 8, 12, 16, 24, 32, 48, 64: the first count whose sums agree
-with the count below it is kept, the finer of the two.  The integrand sees
-at most 16 p nodes per call, which bounds its working memory.
+with the count below it is kept, the finer of the two.  The integrand is
+called once per t level and theta rule, on all the nodes the level adds;
+an integrand that needs to bound its working memory splits the call
+itself (dirac_states does, by grid points).
 
 Integrands are called on a grid, f(ts[:, None], cs[None, :]) or
 f(ps[:, None], thetas[None, :]), and return shape (n, m), or (n_rows, n, m)
@@ -55,7 +57,6 @@ _COS_NODES = np.array([-x for x in _XL] + list(_XL[::-1]))
 _COS_WEIGHTS = np.array(_WL + _WL[::-1])
 
 _THETA_LEVELS = (8, 12, 16, 24, 32, 48, 64)
-_P_CHUNK = 16  # p nodes per integrand call of integrate_exp_sinh
 _EPS = np.finfo(float).eps
 
 
@@ -200,7 +201,8 @@ def _theta_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def integrate_exp_sinh(f: Callable, cfg: QuadConfig = QuadConfig(),
-                       control_rows: Sequence[int] | None = None) -> QuadResult:
+                       control_rows: Sequence[int] | None = None,
+                       staged: bool = False) -> QuadResult:
     """Integral of f(p, theta) over p in [0, inf), theta in [0, pi], measure
     dp dtheta, for an f analytic on the open domain and decaying at least
     exponentially in p (module docstring).
@@ -209,27 +211,34 @@ def integrate_exp_sinh(f: Callable, cfg: QuadConfig = QuadConfig(),
     (n_p, n_theta) or (n_rows, n_p, n_theta).  The control rows (default:
     all) pick the t range, the theta rule and the t step; the other rows
     ride along on the same nodes, each with its own error estimate.
+
+    With staged=True f takes the stage of each call as a third argument:
+    "first" on the first t level, once per theta rule the ladder tries;
+    "later" on the new nodes of each later level; and "recheck" once more
+    on the nodes of the last "later" call, after the t step has converged
+    and before the result is returned.  The "recheck" values are only
+    shape-checked and counted: an integrand with an inner rule of its own
+    re-checks that rule where the t step converged, and raises to reject
+    the result.
     """
     cfg = cfg.validated()
     control = slice(None) if control_rows is None else list(control_rows)
     evals, col = 0, ()
 
-    def in_t(ts, n_theta):
+    def in_t(ts, n_theta, stage):
         """The rows' theta sums times dp/dt at the t nodes ts, (n_rows, n_t)."""
         nonlocal evals, col
         thetas, w_theta = _theta_rule(n_theta)
         ps = np.exp(0.5 * math.pi * np.sinh(ts))
-        y = np.concatenate([
-            _checked(f(chunk[:, None], thetas[None, :]), chunk.size, n_theta)
-            for chunk in np.split(ps, range(_P_CHUNK, ps.size, _P_CHUNK))],
-            axis=-2)
+        grid = (ps[:, None], thetas[None, :]) + ((stage,) if staged else ())
+        y = _checked(f(*grid), ps.size, n_theta)
         evals += ps.size * n_theta
         col = y.shape[:-2]
         return (y.reshape(-1, ts.size, n_theta) @ w_theta) * (
             0.5 * math.pi * np.cosh(ts) * ps)
 
     ts = 0.5 * np.arange(-8.0, 9.0)
-    g = _finite(in_t(ts, _THETA_LEVELS[0]), ts[0], ts[-1])
+    g = _finite(in_t(ts, _THETA_LEVELS[0], "first"), ts[0], ts[-1])
     mag = np.abs(g[control])
     kept = np.flatnonzero(np.any(mag >= _EPS * mag.max(axis=1, keepdims=True),
                                  axis=0))
@@ -241,7 +250,7 @@ def integrate_exp_sinh(f: Callable, cfg: QuadConfig = QuadConfig(),
 
     coarse = g @ w
     for n_theta in _THETA_LEVELS[1:]:
-        total = _finite(in_t(ts, n_theta) @ w, t_lo, t_hi)
+        total = _finite(in_t(ts, n_theta, "first") @ w, t_lo, t_hi)
         theta_gap = np.abs(total - coarse)
         bound = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
         if np.all(theta_gap[control] <= bound[control]):
@@ -251,9 +260,18 @@ def integrate_exp_sinh(f: Callable, cfg: QuadConfig = QuadConfig(),
         raise QuadratureError(
             f"theta sums unconverged at {n_theta} nodes on [{t_lo:g}, {t_hi:g}]")
 
-    return _halving(
-        lambda ts, w: in_t(ts, n_theta) @ w, t_lo, t_hi, 0.25, cfg, control,
+    def later(ts, w):
+        nonlocal last
+        last = ts
+        return in_t(ts, n_theta, "later") @ w
+
+    last = None
+    res = _halving(
+        later, t_lo, t_hi, 0.25, cfg, control,
         lambda total, err: QuadResult(_column(total, col),
                                       _column(err + theta_gap + tails, col),
                                       evals),
         total=total, n_t=ts.size)
+    if staged:
+        in_t(last, n_theta, "recheck")
+    return res._replace(evaluations=evals)

@@ -256,9 +256,10 @@ def test_verify_strict_residuals_test_the_solver(capsys, monkeypatch):
     # limiting eigenfunctions turn it into a residual far above 1e-10
     from relhur import rel_uncertainty
 
-    exact = rel_uncertainty.gamma_bound
-    monkeypatch.setattr(rel_uncertainty, "gamma_bound",
-                        lambda d, tol=1e-7: exact(d, tol) + 1e-9)
+    exact = rel_uncertainty.gamma_estimates
+    monkeypatch.setattr(rel_uncertainty, "gamma_estimates",
+                        lambda ds, tol=1e-7: [(gamma + 1e-9, err) for
+                                              gamma, err in exact(ds, tol)])
     code, out = _capture(capsys, ["verify", "--strict"])
     assert code == 1
     status = {line.split()[0]: line.split()[-1] for line in out.splitlines()}

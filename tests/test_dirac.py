@@ -243,12 +243,13 @@ def test_spin_connection_matches_four_component_oracle(mass, monkeypatch):
     rep = dispersion_functional(amp, _COARSE, mass=mass)
     integrate = dirac_states.integrate_exp_sinh
 
-    def with_oracle_rows(rows, cfg, control_rows):
-        def replaced(p, thetas):
-            out = rows(p, thetas)
+    def with_oracle_rows(rows, cfg, control_rows, staged):
+        def replaced(p, thetas, stage):
+            out = rows(p, thetas, stage)
             out[6:9] = _four_component_r_rows(amp, mass, p, thetas)
             return out
-        return integrate(replaced, cfg, control_rows=control_rows)
+        return integrate(replaced, cfg, control_rows=control_rows,
+                         staged=staged)
 
     monkeypatch.setattr(dirac_states, "integrate_exp_sinh", with_oracle_rows)
     oracle = dispersion_functional(amp, _COARSE, mass=mass)
@@ -324,30 +325,143 @@ def test_phi_sums_not_fooled_by_aliased_harmonics():
         assert np.max(np.abs(rep.mean_r)) < 1e-10
 
 
-def test_phi_ladder_resumes_at_accepted_pair(monkeypatch):
-    # the harmonic-15 state needs the 32/33 pair; after the first integrand
-    # call has climbed there, every later call starts at it, so the ladder
-    # rejects at most one pair per rung in the whole dispersion call
-    rungs, calls = [], []
-    pair = dirac_states._trapezoid_pair
+def _staged_calls(monkeypatch, amp):
+    """amp with its f_plus recording, per integration of the dispersion
+    functional, each integrand call's stage and the phi widths of the
+    f_plus calls it made."""
+    calls = []
     integrate = dirac_states.integrate_exp_sinh
 
-    def counted_pair(n):
-        rungs.append(n)
-        return pair(n)
+    def recorded(rows, *args, **kwargs):
+        calls.append([])
 
-    def counted_integrate(rows, *args, **kwargs):
-        def counted_rows(*grid):
-            calls.append(1)
-            return rows(*grid)
-        return integrate(counted_rows, *args, **kwargs)
+        def staged(p, thetas, stage):
+            calls[-1].append((stage, set()))
+            return rows(p, thetas, stage)
+        return integrate(staged, *args, **kwargs)
 
-    monkeypatch.setattr(dirac_states, "_trapezoid_pair", counted_pair)
-    monkeypatch.setattr(dirac_states, "integrate_exp_sinh", counted_integrate)
-    rep = dirac_states.dispersion_functional(_harmonic_15_state(0.0), _COARSE)
-    assert rungs[:3] == [8, 16, 32]
-    assert len(rungs) - len(calls) == 2
+    def plus(p, th, ph):
+        calls[-1][-1][1].add(np.shape(ph)[-1])
+        return amp.f_plus(p, th, ph)
+
+    monkeypatch.setattr(dirac_states, "integrate_exp_sinh", recorded)
+    return amp._replace(f_plus=plus), calls
+
+
+def _stages(calls):
+    """One integration's stages, checked to run first, later, recheck."""
+    stages = [stage for stage, _ in calls]
+    k = stages.index("later")
+    assert stages == ["first"] * k + ["later"] * (len(stages) - k - 1) + [
+        "recheck"]
+    return k
+
+
+def test_phi_pair_picked_once_per_call(monkeypatch):
+    # the harmonic-15 state needs the 32/33 pair: the first call of the
+    # first t level rejects 8/9, then 16/17, each time ending that
+    # integration, and the integration at 32/33 checks both rules on the
+    # whole first level, evaluates only the 33 nodes on later levels and
+    # re-checks the last level with the 32
+    amp, calls = _staged_calls(monkeypatch, _harmonic_15_state(0.0))
+    rep = dispersion_functional(amp, _COARSE)
+    assert calls[:2] == [[("first", {17})], [("first", {33})]]
+    (accepted,) = calls[2:]
+    k = _stages(accepted)
+    assert [widths for _, widths in accepted] == (
+        [{65}] * k + [{33}] * (len(accepted) - k - 1) + [{32}])
     assert np.max(np.abs(rep.mean_r)) < 1e-10
+
+
+def _band_state():
+    # f+ = e^{-p^2/4} (1 + b(p) (sin theta e^{i phi})^9) with a band
+    # b(p) = exp(-((p - 4) / 0.25)^2) between the first t level's nodes at
+    # p = 2.27 and 6.33 (t = 0.5 and 1), where b < 1e-20: there the phi
+    # sums agree under 8 and 9 nodes, while in the band the 9-node rule
+    # aliases the harmonic 9 of |f+|^2 and the 8-node rule does not
+    def plus(p, th, ph):
+        band = np.exp(-((p - 4.0) / 0.25) ** 2)
+        return np.exp(-0.25 * p * p) * (
+            1.0 + band * (np.sin(th) * np.exp(1j * ph)) ** 9)
+
+    return AmplitudePair(f_plus=plus)
+
+
+def test_recheck_climbs_past_a_pair_the_first_level_accepts(monkeypatch):
+    amp, calls = _staged_calls(monkeypatch, _band_state())
+    rep = dispersion_functional(amp)
+    # 8/9 passes the first level and fails the re-check, which integrates
+    # once more, at 16/17, from the first level (numeric partials: the phi
+    # probes stack four phi grids in one call)
+    assert len(calls) == 2
+    for integration, n in zip(calls, (8, 16)):
+        k = _stages(integration)
+        for (_, widths), w in zip([integration[0], integration[k],
+                                   integration[-1]], (2 * n + 1, n + 1, n)):
+            assert widths == {w, 4 * w}
+    monkeypatch.undo()
+
+    # the same as starting at the rung it climbs to
+    monkeypatch.setattr(dirac_states, "_N_PHI_PAIRS", (16, 32, 64))
+    forced = dispersion_functional(_band_state())
+    for field in ("norm_sq", "delta_r_sq", "delta_p_sq", "gamma", "err_est"):
+        assert getattr(rep, field) == getattr(forced, field)
+    monkeypatch.undo()
+
+    # without the re-check the 9-node sums stand, off by far more than the
+    # error estimate says
+    integrate = dirac_states.integrate_exp_sinh
+
+    def without_recheck(rows, *args, **kwargs):
+        def unchecked(p, thetas, stage):
+            if stage == "recheck":
+                return np.zeros((9, p.shape[0], thetas.shape[1]))
+            return rows(p, thetas, stage)
+        return integrate(unchecked, *args, **kwargs)
+
+    monkeypatch.setattr(dirac_states, "integrate_exp_sinh", without_recheck)
+    unchecked = dispersion_functional(_band_state())
+    assert abs(unchecked.gamma - rep.gamma) > 1e-3
+    assert abs(unchecked.gamma - rep.gamma) > 1e6 * (unchecked.err_est
+                                                     + rep.err_est)
+
+
+def _ufunc_gaussian(p, theta, phi):
+    # e^{-p^2/2} on the full broadcast grid, with numeric partials
+    p, theta, phi = np.broadcast_arrays(p, theta, phi)
+    return np.exp(-0.5 * np.square(p)) + 0j
+
+
+@pytest.mark.parametrize("amp, amp_calls, points, max_points", [
+    # analytic partials: one f_plus call per chunk of at most 3264 points
+    (hopfion.amplitude_pair(HopfionState(1.0)), 12, 25_844, 3264),
+    # numeric partials: and one call per axis with four probes stacked
+    (AmplitudePair(f_plus=_ufunc_gaussian), 48, 13 * 25_844, 4 * 3264),
+], ids=["hopfion", "gaussian"])
+def test_work_counts_pinned(monkeypatch, amp, amp_calls, points, max_points):
+    # the work at the default QuadConfig, pinned so that a change which
+    # inflates it fails here: 7 integrand calls (two on the first t level,
+    # four later levels, the re-check) on 2740 (p, theta) points, and
+    # 25 844 (p, theta, phi) points per field
+    calls, sizes = [], []
+    integrate = dirac_states.integrate_exp_sinh
+
+    def counted(rows, *args, **kwargs):
+        def staged(p, thetas, stage):
+            calls.append(stage)
+            return rows(p, thetas, stage)
+        return integrate(staged, *args, **kwargs)
+
+    def plus(p, th, ph):
+        sizes.append(np.broadcast(p, th, ph).size)
+        return amp.f_plus(p, th, ph)
+
+    monkeypatch.setattr(dirac_states, "integrate_exp_sinh", counted)
+    rep = dispersion_functional(amp._replace(f_plus=plus))
+    assert calls == ["first"] * 2 + ["later"] * 4 + ["recheck"]
+    assert rep.evaluations == 2740
+    assert (len(sizes), sum(sizes), max(sizes)) == (amp_calls, points,
+                                                    max_points)
 
 
 def test_phi_pairs_converge_at_tight_tolerance():
@@ -364,11 +478,11 @@ def test_phi_pairs_converge_at_tight_tolerance():
 def test_amplitude_with_jump_in_phi_raises():
     # the phi sums of a discontinuous amplitude converge like 1/n, so the
     # trapezoid pairs never agree: no value is returned
-    widths, p_nodes = [], []
+    widths, points = [], []
 
     def step(p, th, ph):
         widths.append(np.shape(ph)[-1])
-        p_nodes.append(np.shape(p)[0])
+        points.append(np.broadcast(p, th, ph).size)
         return (np.exp(-0.5 * p * p) * np.where(np.mod(ph, 2.0 * math.pi)
                                                 < math.pi, 1.0, 0.5)
                 + 0j * th)
@@ -376,10 +490,12 @@ def test_amplitude_with_jump_in_phi_raises():
     with pytest.raises(QuadratureError, match="phi sums"):
         dispersion_functional(AmplitudePair(f_plus=step))
     # the ladder is capped, so the failing call's cost is bounded: no phi
-    # grid wider than the 256/257 pair's 513 nodes
-    assert max(widths) <= 513
-    # and the quadrature hands over at most 16 p nodes per call
-    assert max(p_nodes) <= 16
+    # grid wider than the 256/257 pair's 513 nodes, four times over in the
+    # stacked probes of the numeric partials
+    assert max(widths) <= 4 * 513
+    # and no call builds more (p, theta, phi) points than those probes on
+    # one p node at 8 theta nodes
+    assert max(points) <= 4 * 8 * 513
 
 
 def test_gaussian_norm():

@@ -168,9 +168,10 @@ def test_theta_rule_matches_leggauss():
 
 
 def test_one_integrand_call_per_panel():
-    # a call gets at most 16 p nodes and the nodes of one theta rule; the
-    # first call is the 16-node head of the 17-node first t level, at 8
-    # theta nodes, and every call after the theta ladder uses its count
+    # one call per t level and theta rule, on all the nodes the level adds:
+    # the 17-node first t level at 8 theta nodes, the trimmed first level
+    # once per theta rule the ladder tries, then each later level at the
+    # kept count, with twice the new nodes of the level before
     calls = []
 
     def counted(p, th):
@@ -179,13 +180,56 @@ def test_one_integrand_call_per_panel():
 
     res = integrate_exp_sinh(counted, CFG)
     assert res.value == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-12)
-    assert calls[:2] == [(16, 8), (1, 8)]
-    assert max(n_p for n_p, _ in calls) == 16
+    assert calls[0] == (17, 8)
     assert res.evaluations == sum(n_p * n_th for n_p, n_th in calls)
     n_theta = calls[-1][1]
     assert n_theta > 8
-    ladder = [n_th for _, n_th in calls[2:]]
+    ladder = [n_th for _, n_th in calls]
     assert ladder == sorted(ladder)
+    trimmed, *later = [n_p for n_p, n_th in calls if n_th == n_theta]
+    assert len(later) >= 2
+    assert later == [(trimmed - 1) << k for k in range(len(later))]
+
+
+def _gaussian_moment(p, th, stage=None):
+    return p * p * np.sin(th) * np.exp(-p * p)
+
+
+def test_staged_integrand_sees_its_stages():
+    # with staged=True each call names its stage; the re-check repeats the
+    # grid of the last later level, its points are counted, and the values
+    # integrated are those of the plain call
+    seen = []
+
+    def staged(p, th, stage):
+        seen.append((stage, p.ravel().copy(), th.size))
+        return _gaussian_moment(p, th)
+
+    res = integrate_exp_sinh(staged, CFG, staged=True)
+    plain = integrate_exp_sinh(_gaussian_moment, CFG)
+    stages = [stage for stage, _, _ in seen]
+    k = stages.index("later")
+    assert stages == ["first"] * k + ["later"] * (len(seen) - k - 1) + [
+        "recheck"]
+    (_, p_last, n_last), (_, p_check, n_check) = seen[-2:]
+    assert np.array_equal(p_check, p_last) and n_check == n_last
+    assert res.evaluations == sum(p.size * n for _, p, n in seen)
+    assert res.evaluations == plain.evaluations + p_check.size * n_check
+    assert res.value == plain.value
+    assert res.est_abs_error == plain.est_abs_error
+
+
+def test_staged_integrand_rejects_at_the_recheck():
+    class Rejected(Exception):
+        pass
+
+    def rejecting(p, th, stage):
+        if stage == "recheck":
+            raise Rejected
+        return _gaussian_moment(p, th)
+
+    with pytest.raises(Rejected):
+        integrate_exp_sinh(rejecting, CFG, staged=True)
 
 
 def test_2d_theta_rule_climbs_until_two_levels_agree():
@@ -218,7 +262,7 @@ _MISSHAPEN = {  # an integrand's values y on the (n_p, n_theta) grid, reshaped
 @pytest.mark.parametrize("name", sorted(_MISSHAPEN))
 def test_semi_infinite_rejects_misshapen_integrand(name):
     # every call is checked, not only the first: here the second call, on
-    # the last node of the first t level, returns the wrong shape
+    # the trimmed first t level at 12 theta nodes, returns the wrong shape
     calls = []
 
     def f(p, th):
@@ -228,7 +272,7 @@ def test_semi_infinite_rejects_misshapen_integrand(name):
 
     with pytest.raises(ValueError, match="shape"):
         integrate_exp_sinh(f, CFG)
-    assert calls == [16, 1]
+    assert len(calls) == 2 and calls[0] == 17
 
 
 _MISSHAPEN_2D = {  # on the (n_p, n_theta) grid of p and theta nodes
