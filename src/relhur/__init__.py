@@ -15,7 +15,7 @@ Layout:
     radial_eigensolver  lowest eigenvalue of radial Schrodinger operators
                         by Chebyshev collocation (NumPy only)
     rel_uncertainty     the bound curve gamma(d) and its two limits
-    dirac_states        bispinor fields and the dispersion functional
+    dirac_states        pointwise Weyl bispinors and the dispersion functional
     hydrogen            hydrogen-like ions: closed form and oracle
     hopfion             the localized packet family gamma_H(a)
     cli                 the `relhur` command-line tool

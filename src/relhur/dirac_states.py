@@ -123,68 +123,47 @@ class Bispinor(NamedTuple("Bispinor", [("components", np.ndarray)])):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-def _check_spin(s: int) -> int:
+def _weyl(pt: MomentumPoint, s: int) -> list[Bispinor]:
+    """u(p, s), m = 1, and its analytic (d_p, d_theta, d_phi).
+
+    u = [(1 + E + sigma.p) chi_s ; (1 + E - sigma.p) chi_s] / D in the Weyl
+    basis, with D = sqrt(4 E (1 + E)), chi_+ = (1, 0) and chi_- = (0, 1).  A
+    partial takes d(1 + E) and d(sigma.p) into the numerator; d_p also
+    subtracts u d_p(ln D).  The dispersion functional builds no bispinor.
+    """
     if s not in (+1, -1):
         raise ValueError("spin must be +1 or -1")
-    return s
-
-
-def _bispinor_block(p, theta, phi):
-    """Weyl bispinors (m = 1) and their analytic partials on a grid.
-
-    p, theta and phi broadcast against each other.  Returns u of shape
-    (2, 4) + the broadcast shape, and its partials (d_p, d_theta, d_phi)
-    stacked along a leading axis, shape (3, 2, 4) + the broadcast shape.
-    On the spin axis, index 0 is spin +1 and index 1 is spin -1.  Only the
-    pointwise bispinor_u and bispinor_partials use it: the dispersion
-    functional needs no bispinor, only their closed-form connection.
-    """
-    e = np.hypot(1.0, p)
-    ct, st = np.cos(theta), np.sin(theta)
-    pz = p * ct
-    eiphi = np.cos(phi) + 1j * np.sin(phi)
-    pxy = p * st * eiphi  # p_x + i p_y
+    p, e = pt.p, pt.energy
+    ct, st = math.cos(pt.theta), math.sin(pt.theta)
+    eiphi = complex(math.cos(pt.phi), math.sin(pt.phi))
     big = 1.0 + e
-    d = np.sqrt(4.0 * e * big)
+    d = math.sqrt(4.0 * e * big)
+
+    def spinor(c, nz, nxy):
+        # (c +- sigma.n) chi_s / D for n_z = nz and n_x + i n_y = nxy: each
+        # half is [c +- s nz, +-w], reversed for chi_-.  Python divides a
+        # complex by a float part by part, exactly
+        w = nxy if s > 0 else nxy.conjugate()
+        top, bottom = [c + s * nz, w], [c - s * nz, -w]
+        return [x / d for x in top[::s] + bottom[::s]]
+
+    u = spinor(big, p * ct, p * st * eiphi)
     # d(ln D)/dp; E' = p/E
     dlnd = 0.5 * (p / e) * (1.0 / e + 1.0 / big)
-    shape = np.broadcast_shapes(np.shape(p), np.shape(theta), np.shape(phi))
-    out = np.empty((4, 8) + shape, dtype=complex)
-
-    def fill(k, *comps):  # spin +1 components, then spin -1 components
-        for c, comp in enumerate(comps):
-            out[k, c] = comp
-
-    fill(0, big + pz, pxy, big - pz, -pxy,
-         np.conj(pxy), big - pz, -np.conj(pxy), big + pz)
-    fill(1, p / e + ct, st * eiphi, p / e - ct, -st * eiphi,
-         st * np.conj(eiphi), p / e - ct, -st * np.conj(eiphi), p / e + ct)
-    fill(2, -p * st, p * ct * eiphi, p * st, -p * ct * eiphi,
-         p * ct * np.conj(eiphi), p * st, -p * ct * np.conj(eiphi), -p * st)
-    fill(3, 0.0, 1j * pxy, 0.0, -1j * pxy,
-         -1j * np.conj(pxy), 0.0, 1j * np.conj(pxy), 0.0)
-    # the real and imaginary parts divided by the real d: the values of a
-    # complex division, at a fraction of its cost
-    parts = out.view(float).reshape(out.shape + (2,))
-    parts /= d[..., None]
-    out = out.reshape((4, 2, 4) + shape)
-    u, du = out[0], out[1:]
-    du[0] -= u * dlnd
-    return u, du
+    d_p = [x - y * dlnd for x, y in zip(spinor(p / e, ct, st * eiphi), u)]
+    return [Bispinor(components=x) for x in (
+        u, d_p, spinor(0.0, -p * st, p * ct * eiphi),
+        spinor(0.0, 0.0, 1j * (p * st * eiphi)))]
 
 
 def bispinor_u(pt: MomentumPoint, s: int) -> Bispinor:
     """Orthonormal positive-energy Weyl bispinor u(p, s), m = 1."""
-    _check_spin(s)
-    u, _ = _bispinor_block(pt.p, pt.theta, pt.phi)
-    return Bispinor(components=u[(1 - s) // 2])
+    return _weyl(pt, s)[0]
 
 
 def bispinor_partials(pt: MomentumPoint, s: int) -> tuple[Bispinor, Bispinor, Bispinor]:
     """Analytic (d_p, d_theta, d_phi) of u(p, s) at a point, m = 1."""
-    _check_spin(s)
-    _, du = _bispinor_block(pt.p, pt.theta, pt.phi)
-    return tuple(Bispinor(components=d) for d in du[:, (1 - s) // 2])
+    return tuple(_weyl(pt, s)[1:])
 
 
 class AmplitudePair(NamedTuple):

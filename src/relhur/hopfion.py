@@ -62,21 +62,13 @@ class SweepTable(NamedTuple):
     rows: tuple[tuple[float, float], ...]
 
 
-def _components(a: float, p, theta, phi):
-    """The four components at (p, theta, phi), shape (4,) + the broadcast
-    shape of p, theta and phi."""
-    e = np.hypot(1.0, p)
-    ct = np.cos(theta)
-    st = np.sin(theta)
-    h = np.exp(-a * e) / e
-    eiphi = np.cos(phi) + 1j * np.sin(phi)
-    return np.stack(np.broadcast_arrays(h + 0j, 0j, h * (e - p * ct),
-                                        -h * p * st * eiphi))
-
-
 def momentum_bispinor(state: HopfionState, pt: MomentumPoint) -> Bispinor:
     """Unnormalized momentum-space components at a point."""
-    return Bispinor(components=_components(state.a, pt.p, pt.theta, pt.phi))
+    p, e = pt.p, pt.energy
+    h = math.exp(-state.a * e) / e
+    eiphi = complex(math.cos(pt.phi), math.sin(pt.phi))
+    return Bispinor(components=[h, 0.0, h * (e - p * math.cos(pt.theta)),
+                                -h * p * math.sin(pt.theta) * eiphi])
 
 
 def density(state: HopfionState, pt: MomentumPoint) -> float:

@@ -52,6 +52,7 @@ _BATCH = 16         # potentials per stack: bounds the memory of a sweep
 _MAX_STEPS = 30     # Rayleigh-quotient steps before the coarse solve fails
 _SETTLED = 1e-12    # relative move below which the quotient has settled
 _NODE_NOISE = 1e-3  # sign changes below this share of the peak are rounding
+_Q_MAX = 10.0       # the Dirichlet end of the grid
 
 
 class SolverError(RuntimeError):
@@ -247,8 +248,7 @@ def _settle(blocks: np.ndarray, shift: np.ndarray) -> np.ndarray:
                       "steps", int(todo[0]))
 
 
-def _solve(pots: Sequence[RadialPotential], q_max: float, n: int,
-           tol: float):
+def _solve(pots: Sequence[RadialPotential], n: int, tol: float):
     """Shared core of lowest_eigenvalues and ground_state: yields, for each
     potential in turn, gamma, the degree-n nodes, the eigenvector g on them
     (signed positive), dq/dx there and the diagnostics.  Potentials are
@@ -258,8 +258,6 @@ def _solve(pots: Sequence[RadialPotential], q_max: float, n: int,
         raise ValueError("singular_strength < -1/4: operator unbounded below")
     if not all(pot.origin_scale >= 0.0 for pot in pots):
         raise ValueError("origin_scale must be non-negative")
-    if not (q_max > 0.0) or not math.isfinite(q_max):
-        raise ValueError("q_max must be positive and finite")
     if n % 2 == 0 or n < 63:
         raise ValueError("n must be odd and at least 63")
     if not (tol > 0.0):
@@ -267,11 +265,11 @@ def _solve(pots: Sequence[RadialPotential], q_max: float, n: int,
     for start in range(0, len(pots), _BATCH):
         batch = pots[start:start + _BATCH]
         try:
-            blocks, _, _, v = _collocate(batch, q_max, n - _COARSE_STEP)
+            blocks, _, _, v = _collocate(batch, _Q_MAX, n - _COARSE_STEP)
             # Hardy: -Delta + c/q^2 >= 0 for c >= -1/4, so the spectrum
             # lies above min v, where the iteration starts
             coarse = _settle(blocks, np.min(v, axis=1))
-            blocks, grid, dq, _ = _collocate(batch, q_max, n)
+            blocks, grid, dq, _ = _collocate(batch, _Q_MAX, n)
             ones = np.ones(grid.shape)
             fine, g, y, ag = _refine(blocks, coarse, ones, ones, 2)
         except np.linalg.LinAlgError as exc:
@@ -283,7 +281,7 @@ def _solve(pots: Sequence[RadialPotential], q_max: float, n: int,
             # failing one
             for i in range(len(batch)):
                 try:
-                    yield from _solve(batch[i:i + 1], q_max, n, tol)
+                    yield from _solve(batch[i:i + 1], n, tol)
                 except SolverError as one:
                     one.index = start + i
                     raise
@@ -315,30 +313,29 @@ def _solve(pots: Sequence[RadialPotential], q_max: float, n: int,
                                   f"differ by {est_error[i]:.3e} > tol "
                                   f"{tol:.3e}", start + i)
             yield float(gamma[i]), grid[i], g[i], dq[i], EigenDiagnostics(
-                grid_size=grid.shape[1], q_max=q_max,
+                grid_size=grid.shape[1], q_max=_Q_MAX,
                 est_error=float(est_error[i]),
                 resolutions=(n - _COARSE_STEP, n),
                 gammas=(float(coarse[i]), float(gamma[i])),
                 rounding=float(rounding[i]))
 
 
-def lowest_eigenvalues(pots: Sequence[RadialPotential], q_max: float = 10.0,
-                       n: int = 127,
+def lowest_eigenvalues(pots: Sequence[RadialPotential], n: int = 127,
                        tol: float = 1e-7) -> list[tuple[float, float]]:
     """(gamma, est_error) of ground_state for each potential in pots, bit
     for bit, without its normalization; raises as ground_state does, with
     SolverError.index naming the failing potential."""
     return [(gamma, diag.est_error)
-            for gamma, _, _, _, diag in _solve(pots, q_max, n, tol)]
+            for gamma, _, _, _, diag in _solve(pots, n, tol)]
 
 
-def lowest_eigenvalue(pot: RadialPotential, q_max: float = 10.0,
-                      n: int = 127, tol: float = 1e-7) -> tuple[float, float]:
+def lowest_eigenvalue(pot: RadialPotential, n: int = 127,
+                      tol: float = 1e-7) -> tuple[float, float]:
     """lowest_eigenvalues for one potential."""
-    return lowest_eigenvalues([pot], q_max, n, tol)[0]
+    return lowest_eigenvalues([pot], n, tol)[0]
 
 
-def ground_state(pot: RadialPotential, q_max: float = 10.0, n: int = 127,
+def ground_state(pot: RadialPotential, n: int = 127,
                  tol: float = 1e-7) -> EigenResult:
     """Lowest eigenvalue and nodeless eigenfunction of the radial operator.
 
@@ -348,7 +345,7 @@ def ground_state(pot: RadialPotential, q_max: float = 10.0, n: int = 127,
     The eigenfunction is the refined right vector of the degree-n block,
     so no second eigensolve is made for it.
     """
-    gamma, grid, g, dq, diag = next(_solve([pot], q_max, n, tol))
+    gamma, grid, g, dq, diag = next(_solve([pot], n, tol))
     weights = _cc_weights(n) * dq
     f = grid ** _origin_exponent(pot.singular_strength) * g
     norm_sq = float(np.sum(weights * (f * grid) ** 2))

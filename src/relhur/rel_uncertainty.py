@@ -118,7 +118,7 @@ def gamma_estimates(ds: Sequence[float],
                             for d in ds))
     try:
         solved = dict(zip(at, lowest_eigenvalues(
-            [make_potential(d) for d in at], q_max=10.0, tol=tol)))
+            [make_potential(d) for d in at], tol=tol)))
     except SolverError as exc:
         raise SolverError(f"d = {at[exc.index]}: {exc}") from exc
     out = []
@@ -166,12 +166,12 @@ def gamma_bound_report(d: float, tol: float = 1e-7) -> BoundReport:
     """gamma(d) with the dispersion-balance diagnostic attached."""
     d = _check_d_tol(d, tol)
     if d <= D_SWITCH or math.isinf(d):
-        res = ground_state(make_potential(d), q_max=10.0, tol=tol)
+        res = ground_state(make_potential(d), tol=tol)
         gamma, est_error = res.gamma, res.diagnostics.est_error
     else:
         # gamma from the expansion; the eigenfunction is the d = INFINITY one
         gamma, est_error = gamma_estimate(d, tol)
-        res = ground_state(make_potential(INFINITY), q_max=10.0, tol=tol)
+        res = ground_state(make_potential(INFINITY), tol=tol)
     q_sq = moment(res, lambda q: q * q)
     return BoundReport(
         d=d,
@@ -203,20 +203,28 @@ def sweep(d_values: Sequence[float] | Iterable[float],
 _RESIDUAL_GRID = np.linspace(0.01, 8.0, 1601)
 
 
+def _limit_residual(gamma: float, s: float, c: float) -> float:
+    """Max over the grid of |L f - gamma f| for f = q^s exp(-q^2/2) and
+    V = c/q^2 + q^2, with s(s + 1) = c; L is the operator of the module
+    docstring, applied with the analytic f' and f''.  c comes exact, not
+    as s(s + 1), which rounds."""
+    q = _RESIDUAL_GRID
+    f = q ** s * np.exp(-0.5 * q * q)
+    d1 = (s / q - q) * f
+    d2 = ((s / q - q) ** 2 - s / (q * q) - 1.0) * f
+    v = c / (q * q) + q * q
+    lhs = 0.5 * (-d2 - (2.0 / q) * d1 + v * f)
+    return float(np.max(np.abs(lhs - float(gamma) * f)))
+
+
 def gaussian_limit_residual(gamma0: float) -> float:
     """Max residual of the d=0 eigenfunction exp(-q^2/2) against gamma0.
 
-    With f' = -q f and f'' = (q^2 - 1) f the operator side is exactly
-    (3/2) f, so the returned value is the pointwise gap |(3/2) - gamma0|
-    times max f on the grid: ~0 for the true eigenvalue, O(0.1) for a
-    wrong one.
+    The operator side is exactly (3/2) f, so the returned value is the
+    pointwise gap |(3/2) - gamma0| times max f on the grid: ~0 for the true
+    eigenvalue, O(0.1) for a wrong one.
     """
-    q = _RESIDUAL_GRID
-    f = np.exp(-0.5 * q * q)
-    d1 = -q * f
-    d2 = (q * q - 1.0) * f
-    lhs = 0.5 * (-d2 - (2.0 / q) * d1 + q * q * f)
-    return float(np.max(np.abs(lhs - float(gamma0) * f)))
+    return _limit_residual(gamma0, 0.0, 0.0)
 
 
 def ultrarelativistic_limit_residual(gamma_inf: float) -> float:
@@ -225,11 +233,4 @@ def ultrarelativistic_limit_residual(gamma_inf: float) -> float:
     Companion to gaussian_limit_residual for V = 1/q^2 + q^2; the exact
     eigenvalue is 1 + sqrt(5)/2.
     """
-    s = ULTRA_EXPONENT
-    q = _RESIDUAL_GRID
-    f = q ** s * np.exp(-0.5 * q * q)
-    d1 = (s / q - q) * f
-    d2 = ((s / q - q) ** 2 - s / (q * q) - 1.0) * f
-    v = 1.0 / (q * q) + q * q
-    lhs = 0.5 * (-d2 - (2.0 / q) * d1 + v * f)
-    return float(np.max(np.abs(lhs - float(gamma_inf) * f)))
+    return _limit_residual(gamma_inf, ULTRA_EXPONENT, 1.0)

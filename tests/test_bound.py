@@ -12,22 +12,27 @@ import math
 import numpy as np
 import pytest
 
-from relhur import radial_eigensolver, rel_uncertainty
+from relhur import hopfion, radial_eigensolver, rel_uncertainty
 from relhur import (
     D_SWITCH,
     GAMMA_AT_0,
     GAMMA_AT_INF,
     INFINITY,
     BoundCurve,
+    CoulombState,
+    HopfionState,
     SolverError,
     gamma_bound,
     gamma_bound_report,
     gamma_estimate,
     gamma_estimates,
+    gamma_h,
     gaussian_limit_residual,
     ground_state,
     make_potential,
+    max_z_finite,
     potential_v,
+    quadrature_oracle,
     singular_strength,
     sweep,
     ultrarelativistic_limit_residual,
@@ -181,6 +186,63 @@ def test_small_d_expansion(d):
     # gamma(d) = 3/2 + 3 d^2 / 8 + O(d^4)
     g = gamma_bound(d, tol=1e-8)
     assert abs((g - 1.5) / d ** 2 - 3.0 / 8.0) <= d * d
+
+
+# gamma(d) = 3/2 + (3/8)d^2 - (21/32)d^4 + (255/128)d^6 - (17409/2048)d^8
+# + O(d^10).  For small d, V(q; d) = q^2 + (3/4)d^2 - (7/8)d^4 q^2
+# + (17/16)d^6 q^4 - (163/128)d^8 q^6 + O(d^10) (sympy series of the closed
+# form), and the operator is half of -Laplacian + V.  First-order
+# perturbation of the 3D oscillator ground state, with <q^(2k)> =
+# Gamma(k + 3/2)/Gamma(3/2) = 3/2, 15/4, 105/8, gives 3/8, -21/32, 255/128
+# and -(163/256)(105/8) = -17115/2048.  The d^4 q^2 term only rescales the
+# frequency, so (3/2) sqrt(1 - (7/8)d^4) gives its second-order part,
+# -147/1024 d^8, exactly; the constant (3/4)d^2 has no off-diagonal part.
+SMALL_D_SERIES = (1.5, 3.0 / 8.0, -21.0 / 32.0, 255.0 / 128.0,
+                  -17409.0 / 2048.0)
+
+
+def _through_d6(d):
+    return sum(c * d ** (2 * k) for k, c in enumerate(SMALL_D_SERIES[:4]))
+
+
+def test_small_d_series_through_d8():
+    ds = (0.01, 0.02, 0.05, 0.1)
+    (g1, e1), *rest = gamma_estimates(ds, tol=1e-8)
+    c8 = SMALL_D_SERIES[4]
+    # the d^4 and d^6 terms at d = 0.01; the d^8 term (8.5e-16) lies below
+    # est_error (6.5e-15) there, so it is not checked at this d
+    assert abs(g1 - _through_d6(0.01)) <= e1 + abs(c8) * 0.01 ** 8
+    # the remainder after d^6, over d^8, is c8 + E10 d^2 + E12 d^4 + ...,
+    # with E10 about 46 and E12 about -270 (measured, not derived)
+    r8 = [(g - _through_d6(d)) / d ** 8 for d, (g, _) in zip(ds[1:], rest)]
+    for d, (_, err), r in zip(ds[1:], rest, r8):
+        assert abs(r - c8) <= err / d ** 8 + 60.0 * d * d, f"d={d}"
+    # Richardson on d = 0.05 and 0.1 cancels E10 and leaves 2.5e-5 E12,
+    # about 7e-3; the first-order part -17115/2048 alone is 0.14 off
+    errs = 4.0 * rest[1][1] / 0.05 ** 8 + rest[2][1] / 0.1 ** 8
+    assert abs((4.0 * r8[1] - r8[2]) / 3.0 - c8) <= errs / 3.0 + 0.02
+
+
+def test_families_above_the_curve():
+    # every hydrogen-like ion with a finite product and the packet on its
+    # whole a range sit above the curve at their own d = (dp^2/dr^2)^(1/4),
+    # in Compton units (the oracle works in decay lengths 1/(alpha Z)), by
+    # more than every error that could close the margin.  err_est carries
+    # (rel_p + rel_r)/2 into gamma, so d is off by at most
+    # d err_est/(2 gamma); the slope term is below 1e-10 throughout, so a
+    # secant of the curve serves as gamma'(d).
+    states = [(f"Z={ion.Z}", quadrature_oracle(ion), ion.momentum_scale)
+              for ion in map(CoulombState, range(1, max_z_finite() + 1))]
+    states += [(f"a={a:g}", gamma_h(HopfionState(a)), 1.0)
+               for a in np.geomspace(hopfion.A_MIN, hopfion.A_MAX, 25)]
+    ds = [scale * (rep.delta_p_sq / rep.delta_r_sq) ** 0.25
+          for _, rep, scale in states]
+    bound = gamma_estimates([x for d in ds for x in (d, 0.99 * d, 1.01 * d)])
+    for k, ((name, rep, _), d) in enumerate(zip(states, ds)):
+        (gamma, err), (lo, _), (hi, _) = bound[3 * k:3 * k + 3]
+        d_err = d * rep.err_est / (2.0 * rep.gamma)
+        slope = abs(hi - lo) / (0.02 * d)
+        assert rep.gamma - gamma > rep.err_est + err + slope * d_err, name
 
 
 def _c1():

@@ -89,18 +89,27 @@ def test_cross_spin_overlap_zero():
 
 def test_partials_match_central_differences():
     h = 1e-5
-    for pt in _random_points(20):
-        if pt.p < 2 * h or not (2 * h < pt.theta < math.pi - 2 * h):
-            continue
-        dp, dth, dph = bispinor_partials(pt, +1)
-        for ax, analytic in ((0, dp), (1, dth), (2, dph)):
-            args = [pt.p, pt.theta, pt.phi]
-            hi, lo = list(args), list(args)
-            hi[ax] += h
-            lo[ax] -= h
-            num = (bispinor_u(MomentumPoint(*hi), +1).components
-                   - bispinor_u(MomentumPoint(*lo), +1).components) / (2 * h)
-            assert np.max(np.abs(analytic.components - num)) < 1e-8
+    points = _random_points(20)
+    for s in (+1, -1):
+        for pt in points:
+            if pt.p < 2 * h or not (2 * h < pt.theta < math.pi - 2 * h):
+                continue
+            dp, dth, dph = bispinor_partials(pt, s)
+            for ax, analytic in ((0, dp), (1, dth), (2, dph)):
+                args = [pt.p, pt.theta, pt.phi]
+                hi, lo = list(args), list(args)
+                hi[ax] += h
+                lo[ax] -= h
+                num = (bispinor_u(MomentumPoint(*hi), s).components
+                       - bispinor_u(MomentumPoint(*lo), s).components) / (2 * h)
+                assert np.max(np.abs(analytic.components - num)) < 1e-8
+        # at p = 0, dE/dp = 0 and only the sigma.n term is left; p cannot go
+        # below 0, so a one-sided second-order difference
+        u = [bispinor_u(MomentumPoint(k * h, 0.7, 2.3), s).components
+             for k in range(3)]
+        num = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2 * h)
+        dp = bispinor_partials(MomentumPoint(0.0, 0.7, 2.3), s)[0].components
+        assert np.max(np.abs(dp - num)) < 1e-8
 
 
 def test_spin_connection_closed_form():

@@ -392,7 +392,7 @@ def test_node_threshold_between_noise_and_lobe():
     # excited state's negative lobe is of the order of its peak
     noise = radial_eigensolver._NODE_NOISE
     pot = make_potential(1e5)
-    g = next(radial_eigensolver._solve([pot], 10.0, 63, 1.0))[2]
+    g = next(radial_eigensolver._solve([pot], 63, 1.0))[2]
     assert -np.min(g) / np.max(g) < 1e-2 * noise
     block = radial_eigensolver._collocate([pot], 10.0, 63)[0]
     second = np.sort(np.linalg.eigvals(block[0]).real)[1:2]
