@@ -127,9 +127,10 @@ def _weyl(pt: MomentumPoint, s: int) -> list[Bispinor]:
     """u(p, s), m = 1, and its analytic (d_p, d_theta, d_phi).
 
     u = [(1 + E + sigma.p) chi_s ; (1 + E - sigma.p) chi_s] / D in the Weyl
-    basis, with D = sqrt(4 E (1 + E)), chi_+ = (1, 0) and chi_- = (0, 1).  A
-    partial takes d(1 + E) and d(sigma.p) into the numerator; d_p also
-    subtracts u d_p(ln D).  The dispersion functional builds no bispinor.
+    basis, with D = 2 sqrt(E) sqrt(1 + E), chi_+ = (1, 0) and
+    chi_- = (0, 1).  A partial takes d(1 + E) and d(sigma.p) into the
+    numerator; d_p also subtracts u d_p(ln D).  The dispersion functional
+    builds no bispinor.
     """
     if s not in (+1, -1):
         raise ValueError("spin must be +1 or -1")
@@ -137,7 +138,7 @@ def _weyl(pt: MomentumPoint, s: int) -> list[Bispinor]:
     ct, st = math.cos(pt.theta), math.sin(pt.theta)
     eiphi = complex(math.cos(pt.phi), math.sin(pt.phi))
     big = 1.0 + e
-    d = math.sqrt(4.0 * e * big)
+    d = 2.0 * math.sqrt(e) * math.sqrt(big)  # 4 E (1 + E) overflows at 7e153
 
     def spinor(c, nz, nxy):
         # (c +- sigma.n) chi_s / D for n_z = nz and n_x + i n_y = nxy: each
@@ -340,7 +341,8 @@ def _phi_moments(spins, mass, p, th, phis, w_phi):
     ct = np.cos(th)
     e = np.hypot(mass, p)
     rel = 1.0 - mass / e  # (1 - m/E)
-    coef_f = rel + (mass * p) ** 2 / (4.0 * e ** 4)
+    # (m p)^2 / (4 E^4); (m p)^2 alone overflows from m = 3.2e135
+    coef_f = rel + 0.25 * ((mass / e) * (p / e)) ** 2
     (fp, *gp), (fm, *gm) = (s.evaluate(p, th, phis) for s in spins)
     cp, cm = np.conj(fp), np.conj(fm)
     dens_p, dens_m = (cp * fp).real, (cm * fm).real
@@ -415,8 +417,6 @@ def dispersion_functional(amp: AmplitudePair, cfg: QuadConfig = QuadConfig(),
         raise ValueError("at least one spin amplitude must be supplied")
     if mass < 0.0 or not math.isfinite(mass):
         raise ValueError("mass must be a finite non-negative real")
-    cfg = cfg.validated()
-
     spins = (_Amplitude(amp.f_plus, amp.partials_plus),
              _Amplitude(amp.f_minus, amp.partials_minus))
 

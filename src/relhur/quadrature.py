@@ -28,7 +28,7 @@ itself (dirac_states does, by grid points).
 Integrands are called on a grid, f(ts[:, None], cs[None, :]) or
 f(ps[:, None], thetas[None, :]), and return shape (n, m), or (n_rows, n, m)
 to integrate n_rows functions on the same nodes; any other shape raises
-ValueError.  Results take the shape of one output column.
+ValueError.  Results hold one entry per row, (1,) for shape (n, m).
 """
 
 from __future__ import annotations
@@ -57,35 +57,36 @@ _COS_NODES = np.array([-x for x in _XL] + list(_XL[::-1]))
 _COS_WEIGHTS = np.array(_WL + _WL[::-1])
 
 _THETA_LEVELS = (8, 12, 16, 24, 32, 48, 64)
+_MAX_T_NODES = 30000
 _EPS = np.finfo(float).eps
 
 
-class QuadConfig(NamedTuple):
-    """Tolerances of both rules; a rule gives up when halving the t step
-    again would pass 15 max_subdivisions t nodes."""
+class QuadConfig(NamedTuple("QuadConfig", [("abs_tol", float),
+                                             ("rel_tol", float)])):
+    """Tolerances of both rules, each positive; a rule gives up when halving
+    the t step again would pass _MAX_T_NODES t nodes."""
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
-    max_subdivisions: int = 2000
+    __slots__ = ()
 
-    def validated(self) -> "QuadConfig":
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
+    def __new__(cls, abs_tol: float = 1e-10, rel_tol: float = 1e-9):
+        if not (abs_tol > 0.0 and rel_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-        return self
+        return super().__new__(cls, abs_tol, rel_tol)
+
+    # see dirac_states.MomentumPoint
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class QuadResult(NamedTuple):
-    """value and est_abs_error are shaped like one column of the integrand's
-    output: a NumPy float for one row, an (n_rows,) array for n_rows.
+    """value and est_abs_error hold one entry per row of the integrand's
+    output, shape (n_rows,), and (1,) for an integrand of shape (n, m).
     est_abs_error is the last step-halving gap plus 4 eps |value|, and for
     integrate_exp_sinh also the theta gap and the end nodes' share of the
     first t level, which estimates the tails beyond [-4, 4].  evaluations
     counts every grid point the integrand was called on."""
 
-    value: np.floating | np.ndarray
-    est_abs_error: np.floating | np.ndarray
+    value: np.ndarray
+    est_abs_error: np.ndarray
     evaluations: int
 
 
@@ -107,11 +108,6 @@ def _checked(y, *grid: int) -> np.ndarray:
         raise ValueError(f"integrand returned shape {y.shape}, expected "
                          f"{grid} or (n_rows, {', '.join(map(str, grid))})")
     return y
-
-
-def _column(x: np.ndarray, col: tuple):
-    """Row totals x of shape (n_rows,) in the shape col of one column."""
-    return x if col else x[0]
 
 
 def _finite(sums, t_lo, t_hi):
@@ -143,7 +139,7 @@ def _halving(level, t_lo, t_hi, step, cfg, control, result, total=None,
             bound = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
             if np.all(gap[control] <= bound[control]):
                 return res
-            if 2 * n_t > 15 * cfg.max_subdivisions:
+            if 2 * n_t > _MAX_T_NODES:
                 raise QuadratureError(
                     f"trapezoid sums unconverged at {n_t} nodes on "
                     f"[{t_lo:g}, {t_hi:g}]", best=res)
@@ -162,21 +158,18 @@ def integrate_trapezoid(f: Callable, t_lo: float, t_hi: float, step: float,
     degree 15.  f is called as f(ts[:, None], cs[None, :]) on the nodes
     each step adds and returns shape (n_t, 8) or (n_rows, n_t, 8).
     """
-    cfg = cfg.validated()
-    evals, col = 0, ()
+    evals = 0
 
     def level(ts, w):
-        nonlocal evals, col
+        nonlocal evals
         y = _checked(f(ts[:, None], _COS_NODES[None, :]), ts.size, 8)
         evals += 8 * ts.size
-        col = y.shape[:-2]
         return (y.reshape(-1, ts.size, 8) @ _COS_WEIGHTS) @ w
 
     return _halving(
         level, t_lo, t_hi, step, cfg,
         slice(None) if control_rows is None else list(control_rows),
-        lambda total, err: QuadResult(_column(total, col), _column(err, col),
-                                      evals))
+        lambda total, err: QuadResult(total, err, evals))
 
 
 @functools.lru_cache(maxsize=None)  # called with _THETA_LEVELS only
@@ -221,19 +214,17 @@ def integrate_exp_sinh(f: Callable, cfg: QuadConfig = QuadConfig(),
     re-checks that rule where the t step converged, and raises to reject
     the result.
     """
-    cfg = cfg.validated()
     control = slice(None) if control_rows is None else list(control_rows)
-    evals, col = 0, ()
+    evals = 0
 
     def in_t(ts, n_theta, stage):
         """The rows' theta sums times dp/dt at the t nodes ts, (n_rows, n_t)."""
-        nonlocal evals, col
+        nonlocal evals
         thetas, w_theta = _theta_rule(n_theta)
         ps = np.exp(0.5 * math.pi * np.sinh(ts))
         grid = (ps[:, None], thetas[None, :]) + ((stage,) if staged else ())
         y = _checked(f(*grid), ps.size, n_theta)
         evals += ps.size * n_theta
-        col = y.shape[:-2]
         return (y.reshape(-1, ts.size, n_theta) @ w_theta) * (
             0.5 * math.pi * np.cosh(ts) * ps)
 
@@ -268,9 +259,7 @@ def integrate_exp_sinh(f: Callable, cfg: QuadConfig = QuadConfig(),
     last = None
     res = _halving(
         later, t_lo, t_hi, 0.25, cfg, control,
-        lambda total, err: QuadResult(_column(total, col),
-                                      _column(err + theta_gap + tails, col),
-                                      evals),
+        lambda total, err: QuadResult(total, err + theta_gap + tails, evals),
         total=total, n_t=ts.size)
     if staged:
         in_t(last, n_theta, "recheck")

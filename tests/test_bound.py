@@ -463,6 +463,8 @@ def test_sweep_monotone_reference_grid():
 def test_sweep_rejects_unsorted():
     with pytest.raises(ValueError):
         sweep([2.0, 1.0])
+    with pytest.raises(ValueError, match="non-empty"):
+        sweep([])
 
 
 def test_report_diagnostics():

@@ -364,6 +364,7 @@ def test_unwritable_output(capsys):
     ["sweep", "--d-min", "2", "--d-max", "1", "--points", "3"],
     ["sweep", "--d-min", "0", "--d-max", "1", "--points", "1"],
     ["sweep", "--d-min", "0", "--d-max", "1", "--points", "3", "--log"],
+    ["sweep", "--d-min", "-1", "--d-max", "1", "--points", "2"],
     ["hydrogen", "--Z", "138"],                  # alpha Z >= 1
     ["hydrogen", "--Z", "137"],                  # exponent below 1/2
     ["hydrogen", "--Z", "0"],
@@ -394,6 +395,21 @@ def test_oracle_arithmetic_error_exits_1(capsys, monkeypatch, argv):
     assert captured.err == (f"relhur {argv[0]}: numerical failure: "
                             "normalization integral 0.999 is not 1\n")
     assert "Traceback" not in captured.err + captured.out
+
+
+def test_quadrature_error_exits_1(capsys, monkeypatch):
+    from relhur import QuadratureError, hopfion
+
+    def broken(*args, **kwargs):
+        raise QuadratureError("trapezoid sums unconverged")
+
+    monkeypatch.setattr(hopfion, "gamma_h", broken)
+    code = run(["hopfion", "--a", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("relhur hopfion: numerical failure in "
+                            "quadrature: trapezoid sums unconverged\n")
 
 
 def test_hydrogen_oracle_mismatch_exits_1(capsys, monkeypatch):

@@ -15,9 +15,11 @@ from relhur import (
     AmplitudePair,
     Bispinor,
     CoulombState,
+    DispersionReport,
     HopfionState,
     MomentumPoint,
     QuadConfig,
+    QuadResult,
     QuadratureError,
     bispinor_partials,
     bispinor_u,
@@ -26,7 +28,7 @@ from relhur import (
     gamma_h,
     oracle_gamma,
 )
-from relhur import dirac_states, hopfion, hydrogen
+from relhur import dirac_states, hopfion, hydrogen, quadrature
 
 S_ULTRA = 0.5 * (math.sqrt(5.0) - 1.0)
 RNG = np.random.default_rng(20250814)
@@ -60,6 +62,8 @@ def test_bispinor_component_validation():
         Bispinor(components=np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         Bispinor(components=np.array([1.0, 0.0, 0.0, math.nan]))
+    with pytest.raises(ValueError, match="spin"):
+        bispinor_u(MomentumPoint(1.0, 0.5, 0.0), 0)
 
 
 def test_rest_frame_spin_up():
@@ -69,8 +73,10 @@ def test_rest_frame_spin_up():
 
 
 def test_orthonormality_thousand_points():
+    # and at momenta where 4 E (1 + E) would overflow (from p = 6.7e153)
+    huge = [MomentumPoint(p, 1.0, 2.0) for p in (1e154, 1e200, 1e300)]
     worst = 0.0
-    for pt in _random_points(1000):
+    for pt in _random_points(1000) + huge:
         up = bispinor_u(pt, +1).components
         um = bispinor_u(pt, -1).components
         worst = max(worst,
@@ -78,6 +84,10 @@ def test_orthonormality_thousand_points():
                     abs(np.vdot(um, um).real - 1.0),
                     abs(np.vdot(up, um)))
     assert worst <= 1e-12
+    for pt in huge:
+        for s in (+1, -1):
+            assert all(np.all(np.isfinite(d.components))
+                       for d in bispinor_partials(pt, s))
 
 
 def test_cross_spin_overlap_zero():
@@ -479,7 +489,7 @@ def test_phi_pairs_converge_at_tight_tolerance():
     # rounding floor keeps a smooth state from raising
     amp = hopfion.amplitude_pair(HopfionState(1.0))
     tight = dispersion_functional(
-        amp, QuadConfig(abs_tol=1e-300, rel_tol=1e-14, max_subdivisions=200))
+        amp, QuadConfig(abs_tol=1e-300, rel_tol=1e-14))
     assert tight.gamma == pytest.approx(dispersion_functional(amp).gamma,
                                         rel=1e-12)
 
@@ -519,8 +529,11 @@ def test_symmetric_state_means_vanish():
 
 
 def test_nonrelativistic_gamma_anchor():
-    rep = dispersion_functional(AmplitudePair(f_plus=_gaussian), mass=1e6)
-    assert rep.gamma == pytest.approx(1.5, abs=1e-4)
+    # (m p)^2 and E^4 overflow on the exp-sinh nodes (p up to 4e18) from
+    # m = 3.2e135; their ratio does not
+    for mass in (1e6, 1e200, 1e300):
+        rep = dispersion_functional(AmplitudePair(f_plus=_gaussian), mass=mass)
+        assert rep.gamma == pytest.approx(1.5, abs=1e-4)
 
 
 def test_massless_gamma_anchor():
@@ -688,15 +701,34 @@ def test_rejects_empty_pair():
         dispersion_functional(AmplitudePair(f_plus=None))
 
 
+def test_rejects_partials_that_are_not_three():
+    with pytest.raises(ValueError, match="partials"):
+        dispersion_functional(AmplitudePair(f_plus=_gaussian,
+                                            partials_plus=[_gaussian]))
+
+
+def test_report_rejects_invalid_integrals():
+    # rows: norm, p and r second moments, <p>, <r>
+    def report(values):
+        return DispersionReport.from_integrals(
+            QuadResult(np.array(values, dtype=float), np.zeros(9), 0))
+
+    with pytest.raises(ValueError, match="normalizable"):
+        report([0.0, 1.0, 1.0] + [0.0] * 6)
+    with pytest.raises(ValueError, match="non-positive"):
+        report([1.0, -1.0, 1.0] + [0.0] * 6)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_rejects_non_normalizable():
+def test_rejects_non_normalizable(monkeypatch):
     # the divergent norm integrand hits inf*0 internally before the
-    # quadrature notices and raises; the warnings are expected noise
+    # quadrature notices and raises; the warnings are expected noise.  A
+    # 900-node budget keeps the run short.
+    monkeypatch.setattr(quadrature, "_MAX_T_NODES", 900)
     with pytest.raises((QuadratureError, ValueError)):
         dispersion_functional(
             AmplitudePair(f_plus=lambda p, th, ph: np.ones_like(th,
-                                                                dtype=complex)),
-            QuadConfig(max_subdivisions=60))
+                                                                dtype=complex)))
 
 
 def test_rejects_negative_mass():

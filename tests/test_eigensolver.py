@@ -66,6 +66,8 @@ def test_moment_rejects_scalar_weight():
     res = ground_state(_oscillator(), tol=TOL)
     with pytest.raises(ValueError, match="shape"):
         moment(res, lambda q: 1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        moment(res, lambda q: np.full_like(q, math.nan))
 
 
 def test_oscillator_second_moment():
@@ -166,6 +168,13 @@ def test_rejects_tiny_grid():
     for n in (31, 61, 64, 128):
         with pytest.raises(ValueError):
             ground_state(_oscillator(), n=n, tol=TOL)
+
+
+def test_rejects_bad_origin_scale_and_tol():
+    with pytest.raises(ValueError, match="origin_scale"):
+        ground_state(_oscillator()._replace(origin_scale=-1.0), tol=TOL)
+    with pytest.raises(ValueError, match="tol"):
+        ground_state(_oscillator(), tol=0.0)
 
 
 def test_diagnostics_fields():

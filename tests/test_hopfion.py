@@ -127,6 +127,8 @@ def test_norm_ratio_width_independent():
     assert r1 == pytest.approx(r5, rel=1e-8)
     # measured constant, frozen: the solid-angle factor
     assert r1 == pytest.approx(4.0 * math.pi, rel=1e-8)
+    with pytest.raises(ValueError, match="underflows"):
+        norm_bessel_ratio(HopfionState(400.0))
 
 
 def test_norm_const_frozen():

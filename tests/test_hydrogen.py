@@ -117,6 +117,16 @@ def test_product_blows_up_near_half():
     assert product_closed_gamma(0.500001) > 400.0
 
 
+def test_exponent_outside_unit_interval():
+    for g in (1.5, 0.0):
+        with pytest.raises(ValueError, match="must lie in"):
+            product_closed_gamma(g)
+    with pytest.raises(ValueError, match="must lie in"):
+        density_radial_moment(1.5, 1)
+    with pytest.raises(ValueError, match="diverges"):
+        density_radial_moment(0.6, -3)
+
+
 def test_closed_vs_oracle_gamma_grid():
     for g in np.linspace(0.55, 1.0, 10):
         closed = product_closed_gamma(float(g))
@@ -241,6 +251,8 @@ def test_bispinor_argument_validation():
         ground_bispinor(state, -1.0, 0.5, 0.0)
     with pytest.raises(ValueError):
         ground_bispinor(state, 1.0, 4.0, 0.0)
+    with pytest.raises(ValueError, match="phi"):
+        ground_bispinor(state, 1.0, 0.5, math.nan)
 
 
 def test_density_phi_independent():
@@ -275,3 +287,6 @@ def test_max_z_finite():
     z = max_z_finite()
     assert math.sqrt(3.0) / (2.0 * ALPHA_FS) > z
     assert math.sqrt(3.0) / (2.0 * ALPHA_FS) < z + 1
+    for alpha in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            max_z_finite(alpha)

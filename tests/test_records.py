@@ -1,6 +1,6 @@
 """Result and config records: immutable, and validated on every path.
 
-The records are named tuples.  Four of them check their fields, and a bad
+The records are named tuples.  Five of them check their fields, and a bad
 field must be refused whether the record comes from the constructor, from
 _replace, from copy.copy or from a pickle round trip.
 """
@@ -31,7 +31,7 @@ from relhur.hopfion import HopfionState, gamma_h, gamma_h_curve
 # public record; the second entry is set for the records that check fields
 _RECORDS = {
     "SpecfunResult": (lambda: bessel_k_detailed(1, 2.0), None),
-    "QuadConfig": (QuadConfig, None),
+    "QuadConfig": (QuadConfig, ({"rel_tol": 1e-12}, {"abs_tol": 0.0})),
     "QuadResult": (lambda: integrate_trapezoid(
         lambda t, c: np.exp(-t * t) + 0.0 * c, -8.0, 8.0, 0.5), None),
     "RadialPotential": (lambda: make_potential(1.0), None),
