@@ -119,7 +119,7 @@ def _cmd_bound(args) -> tuple[str, int]:
         d = _require_finite("--d", args.d)
         if d < 0.0:
             raise _UsageError("--d must be non-negative")
-    gamma, err = _bound.gamma_estimate(d, tol=BOUND_TOL)
+    [(gamma, err)] = _bound.gamma_estimates([d], tol=BOUND_TOL)
     return _doc([{"d": d, "gamma": gamma, "err_est": err, "tol": BOUND_TOL}],
                 args.format, grid=False), 0
 

@@ -156,8 +156,14 @@ def integrate_trapezoid(f: Callable, t_lo: float, t_hi: float, step: float,
     The trapezoid rule from step, halved until two sums agree in each
     control row (default: all), times 8-node Gauss-Legendre in c, exact to
     degree 15.  f is called as f(ts[:, None], cs[None, :]) on the nodes
-    each step adds and returns shape (n_t, 8) or (n_rows, n_t, 8).
+    each step adds and returns shape (n_t, 8) or (n_rows, n_t, 8).  Raises
+    ValueError unless t_lo < t_hi are finite and step is positive and finite.
     """
+    if not -math.inf < t_lo < t_hi < math.inf:
+        raise ValueError(f"t_lo and t_hi must be finite with t_lo < t_hi, "
+                         f"got t_lo = {t_lo!r}, t_hi = {t_hi!r}")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step!r}")
     evals = 0
 
     def level(ts, w):

@@ -43,8 +43,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 __all__ = ["RadialPotential", "EigenDiagnostics", "EigenResult",
-           "SolverError", "ground_state", "lowest_eigenvalue",
-           "lowest_eigenvalues", "moment"]
+           "SolverError", "ground_state", "lowest_eigenvalues", "moment"]
 
 _COARSE_STEP = 32   # the coarse solve has degree N - 32
 _B_MAX = 20.0       # cap on the map's stretch b
@@ -327,12 +326,6 @@ def lowest_eigenvalues(pots: Sequence[RadialPotential], n: int = 127,
     SolverError.index naming the failing potential."""
     return [(gamma, diag.est_error)
             for gamma, _, _, _, diag in _solve(pots, n, tol)]
-
-
-def lowest_eigenvalue(pot: RadialPotential, n: int = 127,
-                      tol: float = 1e-7) -> tuple[float, float]:
-    """lowest_eigenvalues for one potential."""
-    return lowest_eigenvalues([pot], n, tol)[0]
 
 
 def ground_state(pot: RadialPotential, n: int = 127,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,9 +37,8 @@ from .radial_eigensolver import (RadialPotential, SolverError, ground_state,
 
 __all__ = ["INFINITY", "GAMMA_AT_0", "GAMMA_AT_INF", "ULTRA_EXPONENT",
            "ULTRA_C1", "D_SWITCH", "potential_v", "singular_strength",
-           "make_potential", "gamma_bound", "gamma_estimate",
-           "gamma_estimates", "gamma_bound_report", "BoundReport",
-           "BoundCurve", "sweep", "gaussian_limit_residual",
+           "make_potential", "gamma_bound", "gamma_estimates",
+           "gamma_bound_report", "BoundReport", "gaussian_limit_residual",
            "ultrarelativistic_limit_residual"]
 
 INFINITY = math.inf
@@ -136,14 +135,9 @@ def gamma_estimates(ds: Sequence[float],
     return out
 
 
-def gamma_estimate(d: float, tol: float = 1e-7) -> tuple[float, float]:
-    """gamma_estimates for one d."""
-    return gamma_estimates([d], tol)[0]
-
-
 def gamma_bound(d: float, tol: float = 1e-7) -> float:
     """Lowest eigenvalue gamma(d), absolute error <= tol (tol >= 1e-8)."""
-    return gamma_estimate(d, tol)[0]
+    return gamma_estimates([d], tol)[0][0]
 
 
 class BoundReport(NamedTuple):
@@ -170,7 +164,7 @@ def gamma_bound_report(d: float, tol: float = 1e-7) -> BoundReport:
         gamma, est_error = res.gamma, res.diagnostics.est_error
     else:
         # gamma from the expansion; the eigenfunction is the d = INFINITY one
-        gamma, est_error = gamma_estimate(d, tol)
+        [(gamma, est_error)] = gamma_estimates([d], tol)
         res = ground_state(make_potential(INFINITY), tol=tol)
     q_sq = moment(res, lambda q: q * q)
     return BoundReport(
@@ -180,24 +174,6 @@ def gamma_bound_report(d: float, tol: float = 1e-7) -> BoundReport:
         mean_q_sq=q_sq,
         balance_ratio=q_sq / (2.0 * gamma - q_sq),
     )
-
-
-class BoundCurve(NamedTuple):
-    """Ordered (d, gamma) rows."""
-
-    rows: tuple[tuple[float, float], ...]
-
-
-def sweep(d_values: Sequence[float] | Iterable[float],
-          tol: float = 1e-7) -> BoundCurve:
-    """gamma(d) over an ascending list of d values."""
-    ds = [_check_d(d) for d in d_values]
-    if not ds:
-        raise ValueError("d_values must be non-empty")
-    if any(b < a for a, b in zip(ds, ds[1:])):
-        raise ValueError("d_values must be sorted ascending")
-    gammas = [gamma for gamma, _ in gamma_estimates(ds, tol)]
-    return BoundCurve(rows=tuple(zip(ds, gammas)))
 
 
 _RESIDUAL_GRID = np.linspace(0.01, 8.0, 1601)

@@ -18,13 +18,11 @@ from relhur import (
     GAMMA_AT_0,
     GAMMA_AT_INF,
     INFINITY,
-    BoundCurve,
     CoulombState,
     HopfionState,
     SolverError,
     gamma_bound,
     gamma_bound_report,
-    gamma_estimate,
     gamma_estimates,
     gamma_h,
     gaussian_limit_residual,
@@ -34,7 +32,6 @@ from relhur import (
     potential_v,
     quadrature_oracle,
     singular_strength,
-    sweep,
     ultrarelativistic_limit_residual,
 )
 
@@ -271,7 +268,7 @@ def test_large_d_err_est_covers_rounding(d):
     # C1/d)|, here taken exactly in 40-digit decimal arithmetic
     from decimal import Decimal, localcontext
 
-    gamma, err = gamma_estimate(d)
+    [(gamma, err)] = gamma_estimates([d])
     with localcontext() as ctx:
         ctx.prec = 40
         exact = Decimal(GAMMA_AT_INF_30) - Decimal(ULTRA_C1_30) / Decimal(d)
@@ -336,7 +333,7 @@ _ESTIMATE_GRID = [float(d) for d in np.geomspace(1e-4, 1e5, 40)] + [
 def test_estimate_matches_report_bitwise(d):
     # the eigenvalue-only path and the eigenvector path share their
     # arithmetic, so gamma and est_error agree to the last bit
-    gamma, est_error = gamma_estimate(d)
+    [(gamma, est_error)] = gamma_estimates([d])
     rep = gamma_bound_report(d)
     assert gamma.hex() == rep.gamma.hex()
     assert est_error.hex() == rep.est_error.hex()
@@ -348,7 +345,7 @@ def test_no_eig_or_eigvals_and_potentials_collocated(monkeypatch):
     # iteration and the eigenvector from the refinement, so np.linalg.eig
     # and eigvals are never called.  Each solve collocates its potential
     # twice (coarse and fine), and a call collocates each batch once per
-    # degree: a sweep solves once per point at d <= D_SWITCH and once at
+    # degree: a batch solves once per point at d <= D_SWITCH and once at
     # D_SWITCH for all the points above it
     def no_qr(*_args, **_kwargs):
         raise AssertionError("np.linalg.eig or eigvals called")
@@ -366,9 +363,9 @@ def test_no_eig_or_eigvals_and_potentials_collocated(monkeypatch):
     monkeypatch.setattr(radial_eigensolver, "_collocate", counted_collocate)
     for run, solves, collocations in [
             (lambda: gamma_bound(1.0), 1, 2),
-            (lambda: sweep([0.0, 1.0, D_SWITCH, 2.0 * D_SWITCH, INFINITY]),
-             4, 2),
-            (lambda: sweep([2.0 * D_SWITCH, 3.0 * D_SWITCH]), 1, 2),
+            (lambda: gamma_estimates(
+                [0.0, 1.0, D_SWITCH, 2.0 * D_SWITCH, INFINITY]), 4, 2),
+            (lambda: gamma_estimates([2.0 * D_SWITCH, 3.0 * D_SWITCH]), 1, 2),
             (lambda: gamma_bound_report(1.0), 1, 2),
             (lambda: gamma_bound_report(INFINITY), 1, 2),
             # the expansion's remainder at D_SWITCH, the moment at INFINITY
@@ -390,10 +387,10 @@ def test_sweep_above_switch_solves_only_at_switch(monkeypatch):
         return collocate(pots, q_max, n)
 
     monkeypatch.setattr(radial_eigensolver, "_collocate", counted)
-    curve = sweep([2e5, 1e6, 1e9])
+    rows = gamma_estimates([2e5, 1e6, 1e9])
     assert calls == [D_SWITCH] * 2
     # gamma, frozen as float.hex before the solve at INFINITY was dropped
-    assert [g.hex() for _, g in curve.rows] == [
+    assert [g.hex() for g, _ in rows] == [
         "0x1.0f1ba01363425p+1", "0x1.0f1bb71ae05e4p+1",
         "0x1.0f1bbcdb46559p+1"]
 
@@ -410,12 +407,10 @@ def test_batched_rows_match_single_points(ds):
     # a batch takes each potential's arithmetic alone, so the rows of one
     # batched call equal the points solved one at a time, to the last bit
     assert len(_LONG_GRID) > radial_eigensolver._BATCH
-    single = [gamma_estimate(d) for d in ds]
+    single = [gamma_estimates([d])[0] for d in ds]
     batched = gamma_estimates(ds)
     assert [(g.hex(), e.hex()) for g, e in batched] == [
         (g.hex(), e.hex()) for g, e in single]
-    assert [g.hex() for _, g in sweep(ds).rows] == [
-        g.hex() for g, _ in single]
 
 
 def test_batch_failure_names_its_d(monkeypatch):
@@ -445,26 +440,14 @@ def test_sandwich():
 
 
 def test_sweep_rows_and_limits():
-    curve = sweep([0.0])
-    assert isinstance(curve, BoundCurve)
-    assert curve.rows[0][0] == 0.0
-    assert curve.rows[0][1] == pytest.approx(1.5, abs=1e-7)
-
-    curve_inf = sweep([INFINITY])
-    assert curve_inf.rows[0][1] == pytest.approx(GAMMA_AT_INF, abs=1e-6)
+    (gamma0, _), (gamma_inf, _) = gamma_estimates([0.0, INFINITY])
+    assert gamma0 == pytest.approx(1.5, abs=1e-7)
+    assert gamma_inf == pytest.approx(GAMMA_AT_INF, abs=1e-6)
 
 
 def test_sweep_monotone_reference_grid():
-    curve = sweep([0.5, 1.0, 2.0, 4.0, 8.0])
-    gs = [g for _, g in curve.rows]
+    gs = [g for g, _ in gamma_estimates([0.5, 1.0, 2.0, 4.0, 8.0])]
     assert all(a < b for a, b in zip(gs, gs[1:]))
-
-
-def test_sweep_rejects_unsorted():
-    with pytest.raises(ValueError):
-        sweep([2.0, 1.0])
-    with pytest.raises(ValueError, match="non-empty"):
-        sweep([])
 
 
 def test_report_diagnostics():

@@ -10,6 +10,7 @@ import io
 import json
 import math
 import pathlib
+import shlex
 import subprocess
 import sys
 import warnings
@@ -165,7 +166,7 @@ def test_sweep_gamma_golden(capsys):
 ], ids=["zero-switch-above", "log-across-switch", "longer-than-batch"])
 def test_sweep_rows_match_single_points(capsys, monkeypatch, flags):
     # the sweep solves its grid in one batched call; each row must equal
-    # gamma_estimate at its d, to the last bit
+    # gamma_estimates at its d alone, to the last bit
     from relhur import rel_uncertainty
 
     rows, doc = [], cli._doc
@@ -177,8 +178,9 @@ def test_sweep_rows_match_single_points(capsys, monkeypatch, flags):
     monkeypatch.setattr(cli, "_doc", recorded)
     code, _ = _capture(capsys, ["sweep", *flags])
     assert code == 0
-    expected = [(d, *rel_uncertainty.gamma_estimate(d, tol=cli.BOUND_TOL))
-                for d, _, _ in rows]
+    expected = [
+        (d, *rel_uncertainty.gamma_estimates([d], tol=cli.BOUND_TOL)[0])
+        for d, _, _ in rows]
     assert [[float(x).hex() for x in row] for row in rows] == [
         [float(x).hex() for x in row] for row in expected]
 
@@ -267,6 +269,47 @@ def test_verify_strict_residuals_test_the_solver(capsys, monkeypatch):
         "nonrel_limit_residual", "ultra_limit_residual", "overall:"]
 
 
+def _readme_examples():
+    """(command, shown lines) of each example in README.md's CLI section: a
+    block of indented lines whose first line is a `relhur` command."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    blocks = [chunk.strip("\n").splitlines()
+              for chunk in section.split("\n\n")]
+    return [(lines[0].strip(), [line[4:] for line in lines[1:]])
+            for lines in blocks
+            if all(line.startswith("    ") for line in lines)
+            and lines[0].strip().startswith("relhur ")]
+
+
+def _doc_fields(lines):
+    """(name, value) of each field of a document's lines: JSON objects by
+    key, CSV rows by header column, any other line whole (name None)."""
+    if lines and lines[0] == cli._CSV_HEADER:
+        names = lines[0].split(",")
+        return [field for line in lines[1:]
+                for field in zip(names, line.split(","))]
+    return [field for line in lines for field in (
+        json.loads(line).items() if line.startswith("{") else [(None, line)])]
+
+
+@pytest.mark.parametrize("command,shown", _readme_examples(),
+                         ids=[c for c, _ in _readme_examples()])
+def test_readme_examples_are_current(capsys, command, shown):
+    # err_est and rel_diff sit at rounding level and vary by BLAS build, as
+    # README says; every other field must read as shown
+    code = run(shlex.split(command)[1:])
+    captured = capsys.readouterr()
+    assert code == (2 if captured.err else 0)
+    if not shown:
+        return
+    got = _doc_fields((captured.out + captured.err).splitlines())
+    want = _doc_fields(shown)
+    assert [name for name, _ in got] == [name for name, _ in want]
+    assert [f for f in got if f[0] not in ("err_est", "rel_diff")] == [
+        f for f in want if f[0] not in ("err_est", "rel_diff")]
+
+
 # every document the writer produces, from library calls stubbed to fixed
 # numbers, so that the bytes do not depend on the platform
 _STUB_DOCS = {
@@ -321,9 +364,9 @@ _STUB_DOCS = {
 
 @pytest.mark.parametrize("argv", sorted(_STUB_DOCS), ids=" ".join)
 def test_documents_byte_exact(capsys, monkeypatch, argv):
-    monkeypatch.setattr(cli._bound, "gamma_estimate",
-                        lambda d, tol: (math.pi / 2.0, 1e-13 / 3.0))
+    # bound asks for one d, sweep for a grid
     monkeypatch.setattr(cli._bound, "gamma_estimates", lambda ds, tol: [
+        (math.pi / 2.0, 1e-13 / 3.0)] if len(ds) == 1 else [
         (1.0 + d / 7.0, d * 1e-15 / 3.0) for d in ds])
     monkeypatch.setattr(cli._hydrogen, "uncertainty_product_closed",
                         lambda state: math.sqrt(3.0))

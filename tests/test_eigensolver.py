@@ -22,7 +22,7 @@ from relhur import (
     SolverError,
     gamma_estimates,
     ground_state,
-    lowest_eigenvalue,
+    lowest_eigenvalues,
     make_potential,
     moment,
 )
@@ -219,16 +219,16 @@ def test_quadrature_weights_match_scipy(label, pot):
                          ids=["regular", "singular", "centrifugal", "d=45"])
 def test_lowest_eigenvalue_matches_ground_state(pot):
     res = ground_state(pot, tol=TOL)
-    gamma, est_error = lowest_eigenvalue(pot, tol=TOL)
+    [(gamma, est_error)] = lowest_eigenvalues([pot], tol=TOL)
     assert gamma.hex() == res.gamma.hex()
     assert est_error.hex() == res.diagnostics.est_error.hex()
 
 
 def test_lowest_eigenvalue_raises_like_ground_state():
     with pytest.raises(ValueError):
-        lowest_eigenvalue(_oscillator(), n=64)
+        lowest_eigenvalues([_oscillator()], n=64)
     with pytest.raises(SolverError, match="differ by"):
-        lowest_eigenvalue(make_potential(45.0), n=63, tol=1e-14)
+        lowest_eigenvalues([make_potential(45.0)], n=63, tol=1e-14)
 
 
 def _small_d_series(d):
@@ -248,7 +248,8 @@ _EXACT = [(0.0, 1.5), (math.inf, 1.0 + 0.5 * math.sqrt(5.0))] + [
 def test_error_bar_covers_exact_values(d, exact, n):
     # the error bar covers the error against exact values down to the
     # rounding; LAPACK's unrefined eigenvalue is 1.7e-13 off 3/2 at d = 0
-    gamma, est_error = lowest_eigenvalue(make_potential(d), n=n, tol=TOL)
+    [(gamma, est_error)] = lowest_eigenvalues([make_potential(d)], n=n,
+                                              tol=TOL)
     assert abs(gamma - exact) <= est_error
 
 
@@ -271,9 +272,10 @@ def _singular_shift(monkeypatch, only_scale=None):
 def test_singular_shift_raises_solver_error(monkeypatch):
     # a singular shift is a SolverError, not a LinAlgError
     _singular_shift(monkeypatch)
-    for solve in (ground_state, lowest_eigenvalue):
+    for solve in (lambda: ground_state(_oscillator(), tol=TOL),
+                  lambda: lowest_eigenvalues([_oscillator()], tol=TOL)):
         with pytest.raises(SolverError, match="eigensolve failed"):
-            solve(_oscillator(), tol=TOL)
+            solve()
 
 
 def test_singular_shift_in_a_batch_names_its_d(monkeypatch):
@@ -321,7 +323,7 @@ _ORACLE_D = [0.0, math.inf] + [float(d) for d in np.geomspace(1e-4, 1e5, 60)]
 def test_lowest_eigenvalue_matches_eigvals_oracle(d):
     # the iteration from min v settles on the eigenvalue QR finds lowest
     pot = make_potential(d)
-    gamma, est_error = lowest_eigenvalue(pot, tol=TOL)
+    [(gamma, est_error)] = lowest_eigenvalues([pot], tol=TOL)
     assert abs(gamma - _eigvals_oracle(pot)) <= est_error
 
 
@@ -345,7 +347,7 @@ _ORACLE_ANCHORS = [
 @pytest.mark.parametrize("pot,exact", [a[1:] for a in _ORACLE_ANCHORS],
                          ids=[a[0] for a in _ORACLE_ANCHORS])
 def test_anchors_match_eigvals_oracle(pot, exact):
-    gamma, est_error = lowest_eigenvalue(pot, tol=TOL)
+    [(gamma, est_error)] = lowest_eigenvalues([pot], tol=TOL)
     assert abs(gamma - _eigvals_oracle(pot)) <= est_error
     if exact is not None:
         assert abs(gamma - exact) <= est_error
@@ -371,9 +373,10 @@ def _start_at_excited_state(monkeypatch, only_scale=None):
 def test_excited_state_raises_solver_error(monkeypatch):
     # the ground state is the only eigenfunction without a node
     _start_at_excited_state(monkeypatch)
-    for solve in (ground_state, lowest_eigenvalue):
+    for solve in (lambda: ground_state(_oscillator(), tol=TOL),
+                  lambda: lowest_eigenvalues([_oscillator()], tol=TOL)):
         with pytest.raises(SolverError, match="changes sign"):
-            solve(_oscillator(), tol=TOL)
+            solve()
 
 
 def test_excited_state_in_a_batch_names_its_d(monkeypatch):
@@ -409,3 +412,20 @@ def test_node_threshold_between_noise_and_lobe():
     x = radial_eigensolver._refine(block, second, ones, ones, 2)[1][0]
     x *= np.sign(x[np.argmax(np.abs(x))])
     assert -np.min(x) / np.max(x) > 1e2 * noise
+
+
+def test_unsettled_quotient_names_its_d(monkeypatch):
+    # no Rayleigh-quotient step allowed: the coarse solve cannot settle
+    monkeypatch.setattr(radial_eigensolver, "_MAX_STEPS", 0)
+    with pytest.raises(SolverError, match=r"^d = 2\.0: Rayleigh quotient "
+                       "still moving after 0 steps"):
+        gamma_estimates([2.0, 1.0])
+
+
+def test_invalid_normalization_raises(monkeypatch):
+    # zero weights make the normalization integral 0
+    monkeypatch.setattr(radial_eigensolver, "_cc_weights",
+                        lambda n: np.zeros((n - 1) // 2))
+    with pytest.raises(SolverError, match="normalization integral is "
+                       "invalid"):
+        ground_state(_oscillator(), tol=TOL)

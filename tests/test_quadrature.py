@@ -425,3 +425,15 @@ def test_trapezoid_rejects_non_finite_sums():
         integrate_trapezoid(lambda t, c: np.where(t > 0.5, np.inf, 1.0) + 0.0 * c,
                             0.0, 1.0, 0.25)
     assert exc_info.value.best is None
+
+
+@pytest.mark.parametrize("t_lo,t_hi,step,name", [
+    (-8.0, 8.0, 0.0, "step"), (8.0, -8.0, 0.5, "t_lo"),
+    (-8.0, 8.0, -0.5, "step"), (-8.0, math.inf, 0.5, "t_hi"),
+    (math.nan, 8.0, 0.5, "t_lo"), (-8.0, 8.0, math.nan, "step")])
+def test_trapezoid_rejects_bad_interval_or_step(t_lo, t_hi, step, name):
+    # a ValueError that names the argument, not a ZeroDivisionError or a
+    # reshape failure from inside the rule
+    with pytest.raises(ValueError, match=name):
+        integrate_trapezoid(lambda t, c: np.exp(-t * t) + 0.0 * c,
+                            t_lo, t_hi, step)

@@ -23,7 +23,6 @@ from relhur import (
     ground_state,
     integrate_trapezoid,
     make_potential,
-    sweep,
 )
 from relhur.hopfion import HopfionState, gamma_h, gamma_h_curve
 
@@ -39,7 +38,6 @@ _RECORDS = {
     "EigenDiagnostics": (
         lambda: ground_state(make_potential(0.0)).diagnostics, None),
     "BoundReport": (lambda: gamma_bound_report(0.0), None),
-    "BoundCurve": (lambda: sweep([0.0]), None),
     "AmplitudePair": (lambda: AmplitudePair(np.exp), None),
     "DispersionReport": (lambda: gamma_h(HopfionState(1.0)), None),
     "SweepTable": (lambda: gamma_h_curve([1.0]), None),
