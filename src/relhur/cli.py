@@ -30,6 +30,7 @@ from typing import Sequence
 
 from . import hopfion as _hopfion
 from . import hydrogen as _hydrogen
+from . import radial_eigensolver as _solver
 from . import rel_uncertainty as _bound
 from .quadrature import QuadratureError
 from .radial_eigensolver import SolverError
@@ -176,10 +177,12 @@ def _verify_rows(strict: bool) -> list[tuple[str, float, float, float, float]]:
     """(anchor, computed, target, tol, scale) rows; an anchor passes when
     |computed - target| / scale <= tol."""
     # one batched solve: the two limits, and under --strict the two ends of
-    # the curve at the tol of their expansion rows
+    # the curve at the tol of their expansion rows.  The rows check the
+    # solver, so they call it, not gamma_estimates, whose limits are exact
     ends = (0.01, 1e4) if strict else ()
-    g0, gi, *g_ends = (gamma for gamma, _ in _bound.gamma_estimates(
-        (0.0, _bound.INFINITY) + ends, tol=1e-8 if strict else BOUND_TOL))
+    g0, gi, *g_ends = (gamma for gamma, _ in _solver.lowest_eigenvalues(
+        [_bound.make_potential(d) for d in (0.0, _bound.INFINITY) + ends],
+        tol=1e-8 if strict else BOUND_TOL))
     dev = 0.0
     for x in (1e-3, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 200.0):
         k2 = bessel_k(2, x)

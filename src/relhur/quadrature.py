@@ -117,6 +117,14 @@ def _finite(sums, t_lo, t_hi):
     return sums
 
 
+def _n_nodes(t_lo, t_hi, step):
+    """How many multiples of step lie in [t_lo, t_hi], counted without
+    forming them; math.inf well past the budget."""
+    if (t_hi - t_lo) / step > 2 * _MAX_T_NODES:
+        return math.inf
+    return math.floor(t_hi / step) - math.ceil(t_lo / step) + 1
+
+
 def _halving(level, t_lo, t_hi, step, cfg, control, result, total=None,
              n_t=0):
     """The trapezoid loop of both rules on the multiples of step in
@@ -139,7 +147,7 @@ def _halving(level, t_lo, t_hi, step, cfg, control, result, total=None,
             bound = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
             if np.all(gap[control] <= bound[control]):
                 return res
-            if 2 * n_t > _MAX_T_NODES:
+            if _n_nodes(t_lo, t_hi, 0.5 * step) > _MAX_T_NODES:
                 raise QuadratureError(
                     f"trapezoid sums unconverged at {n_t} nodes on "
                     f"[{t_lo:g}, {t_hi:g}]", best=res)
@@ -157,13 +165,19 @@ def integrate_trapezoid(f: Callable, t_lo: float, t_hi: float, step: float,
     control row (default: all), times 8-node Gauss-Legendre in c, exact to
     degree 15.  f is called as f(ts[:, None], cs[None, :]) on the nodes
     each step adds and returns shape (n_t, 8) or (n_rows, n_t, 8).  Raises
-    ValueError unless t_lo < t_hi are finite and step is positive and finite.
+    ValueError unless t_lo < t_hi are finite and step is positive and finite,
+    and QuadratureError (best None) before f is called when the first gap,
+    at step / 2, would take more than _MAX_T_NODES t nodes.
     """
     if not -math.inf < t_lo < t_hi < math.inf:
         raise ValueError(f"t_lo and t_hi must be finite with t_lo < t_hi, "
                          f"got t_lo = {t_lo!r}, t_hi = {t_hi!r}")
     if not 0.0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step!r}")
+    if _n_nodes(t_lo, t_hi, 0.5 * step) > _MAX_T_NODES:
+        raise QuadratureError(
+            f"step {step:g} takes more than {_MAX_T_NODES} nodes on "
+            f"[{t_lo:g}, {t_hi:g}] before its first gap")
     evals = 0
 
     def level(ts, w):

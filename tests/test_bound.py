@@ -8,12 +8,14 @@ that lives only here, independent of the production Chebyshev collocation.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from relhur import hopfion, radial_eigensolver, rel_uncertainty
 from relhur import (
+    D_SMALL,
     D_SWITCH,
     GAMMA_AT_0,
     GAMMA_AT_INF,
@@ -27,6 +29,7 @@ from relhur import (
     gamma_h,
     gaussian_limit_residual,
     ground_state,
+    lowest_eigenvalues,
     make_potential,
     max_z_finite,
     potential_v,
@@ -180,20 +183,14 @@ def test_strictness_and_approach():
 @pytest.mark.parametrize("d", [0.01, 0.025, 0.05])
 def test_small_d_expansion(d):
     # first-order perturbation of the Gaussian ground state:
-    # gamma(d) = 3/2 + 3 d^2 / 8 + O(d^4)
-    g = gamma_bound(d, tol=1e-8)
+    # gamma(d) = 3/2 + 3 d^2 / 8 + O(d^4), against the solver, as
+    # gamma_estimates takes d < D_SMALL from the series itself
+    [(g, _)] = lowest_eigenvalues([make_potential(d)], tol=1e-8)
     assert abs((g - 1.5) / d ** 2 - 3.0 / 8.0) <= d * d
 
 
 # gamma(d) = 3/2 + (3/8)d^2 - (21/32)d^4 + (255/128)d^6 - (17409/2048)d^8
-# + O(d^10).  For small d, V(q; d) = q^2 + (3/4)d^2 - (7/8)d^4 q^2
-# + (17/16)d^6 q^4 - (163/128)d^8 q^6 + O(d^10) (sympy series of the closed
-# form), and the operator is half of -Laplacian + V.  First-order
-# perturbation of the 3D oscillator ground state, with <q^(2k)> =
-# Gamma(k + 3/2)/Gamma(3/2) = 3/2, 15/4, 105/8, gives 3/8, -21/32, 255/128
-# and -(163/256)(105/8) = -17115/2048.  The d^4 q^2 term only rescales the
-# frequency, so (3/2) sqrt(1 - (7/8)d^4) gives its second-order part,
-# -147/1024 d^8, exactly; the constant (3/4)d^2 has no off-diagonal part.
+# + O(d^10), derived beside rel_uncertainty.SMALL_D_SERIES and pinned here
 SMALL_D_SERIES = (1.5, 3.0 / 8.0, -21.0 / 32.0, 255.0 / 128.0,
                   -17409.0 / 2048.0)
 
@@ -203,8 +200,12 @@ def _through_d6(d):
 
 
 def test_small_d_series_through_d8():
+    # the library's coefficients against the solver, not against the
+    # branch of gamma_estimates that sums them
+    assert rel_uncertainty.SMALL_D_SERIES == SMALL_D_SERIES
     ds = (0.01, 0.02, 0.05, 0.1)
-    (g1, e1), *rest = gamma_estimates(ds, tol=1e-8)
+    (g1, e1), *rest = lowest_eigenvalues([make_potential(d) for d in ds],
+                                         tol=1e-8)
     c8 = SMALL_D_SERIES[4]
     # the d^4 and d^6 terms at d = 0.01; the d^8 term (8.5e-16) lies below
     # est_error (6.5e-15) there, so it is not checked at this d
@@ -218,6 +219,48 @@ def test_small_d_series_through_d8():
     # about 7e-3; the first-order part -17115/2048 alone is 0.14 off
     errs = 4.0 * rest[1][1] / 0.05 ** 8 + rest[2][1] / 0.1 ** 8
     assert abs((4.0 * r8[1] - r8[2]) / 3.0 - c8) <= errs / 3.0 + 0.02
+
+
+def test_limits_take_no_solve(monkeypatch):
+    # d = 0 and d = INFINITY end the two expansion branches, where the
+    # remainder scales by exactly 0: the limits come exact, with the
+    # rounding floor 4 eps gamma as est_error, and nothing is collocated
+    def no_solve(*_args):
+        raise AssertionError("_collocate called")
+
+    monkeypatch.setattr(radial_eigensolver, "_collocate", no_solve)
+    floor = 4.0 * sys.float_info.epsilon
+    limits = [(1.5, floor * 1.5), (GAMMA_AT_INF, floor * GAMMA_AT_INF)]
+    assert gamma_estimates([0.0, INFINITY]) == limits
+    assert gamma_estimates([0.0]) + gamma_estimates([INFINITY]) == limits
+
+
+_SMALL_GRID = [float(d) for d in np.geomspace(1e-4, 0.019, 12)]
+
+
+def test_small_d_points_share_one_solve(monkeypatch):
+    # below D_SMALL gamma is the series, with its remainder measured at
+    # D_SMALL: the points share one coarse and one fine collocation there
+    calls = []
+    collocate = radial_eigensolver._collocate
+
+    def counted(pots, q_max, n):
+        calls.extend(pot.origin_scale for pot in pots)
+        return collocate(pots, q_max, n)
+
+    monkeypatch.setattr(radial_eigensolver, "_collocate", counted)
+    gamma_estimates(_SMALL_GRID)
+    assert calls == [D_SMALL] * 2
+
+
+def test_small_d_series_against_the_solver():
+    # the series covers the solver at each d within its err_est plus the
+    # solver's own est_error, and both print the same 12 digits
+    rows = gamma_estimates(_SMALL_GRID)
+    solved = lowest_eigenvalues([make_potential(d) for d in _SMALL_GRID])
+    for d, (gamma, err), (ref, ref_err) in zip(_SMALL_GRID, rows, solved):
+        assert abs(gamma - ref) <= err + ref_err, f"d={d}"
+        assert f"{gamma:.12g}" == f"{ref:.12g}", f"d={d}"
 
 
 def test_families_above_the_curve():
@@ -345,8 +388,9 @@ def test_no_eig_or_eigvals_and_potentials_collocated(monkeypatch):
     # iteration and the eigenvector from the refinement, so np.linalg.eig
     # and eigvals are never called.  Each solve collocates its potential
     # twice (coarse and fine), and a call collocates each batch once per
-    # degree: a batch solves once per point at d <= D_SWITCH and once at
-    # D_SWITCH for all the points above it
+    # degree: a batch solves once per point on [D_SMALL, D_SWITCH], once at
+    # each switch for all the points beyond it, and not at all at d = 0 and
+    # d = INFINITY
     def no_qr(*_args, **_kwargs):
         raise AssertionError("np.linalg.eig or eigvals called")
 
@@ -364,10 +408,14 @@ def test_no_eig_or_eigvals_and_potentials_collocated(monkeypatch):
     for run, solves, collocations in [
             (lambda: gamma_bound(1.0), 1, 2),
             (lambda: gamma_estimates(
-                [0.0, 1.0, D_SWITCH, 2.0 * D_SWITCH, INFINITY]), 4, 2),
+                [0.0, 1.0, D_SWITCH, 2.0 * D_SWITCH, INFINITY]), 2, 2),
             (lambda: gamma_estimates([2.0 * D_SWITCH, 3.0 * D_SWITCH]), 1, 2),
+            (lambda: gamma_estimates([1e-3, 0.01, 1.0]), 2, 2),
             (lambda: gamma_bound_report(1.0), 1, 2),
+            (lambda: gamma_bound_report(0.0), 1, 2),
             (lambda: gamma_bound_report(INFINITY), 1, 2),
+            # the series' remainder at D_SMALL, the moment at d
+            (lambda: gamma_bound_report(0.01), 2, 4),
             # the expansion's remainder at D_SWITCH, the moment at INFINITY
             (lambda: gamma_bound_report(2.0 * D_SWITCH), 2, 4)]:
         calls.update(collocate=0, potentials=0)

@@ -256,12 +256,12 @@ def test_verify_strict_passes(capsys):
 def test_verify_strict_residuals_test_the_solver(capsys, monkeypatch):
     # gamma 1e-9 off passes the 1e-7 and 1e-6 limit rows, but the exact
     # limiting eigenfunctions turn it into a residual far above 1e-10
-    from relhur import rel_uncertainty
+    from relhur import radial_eigensolver
 
-    exact = rel_uncertainty.gamma_estimates
-    monkeypatch.setattr(rel_uncertainty, "gamma_estimates",
-                        lambda ds, tol=1e-7: [(gamma + 1e-9, err) for
-                                              gamma, err in exact(ds, tol)])
+    exact = radial_eigensolver.lowest_eigenvalues
+    monkeypatch.setattr(radial_eigensolver, "lowest_eigenvalues",
+                        lambda pots, tol: [(gamma + 1e-9, err) for gamma, err
+                                           in exact(pots, tol=tol)])
     code, out = _capture(capsys, ["verify", "--strict"])
     assert code == 1
     status = {line.split()[0]: line.split()[-1] for line in out.splitlines()}

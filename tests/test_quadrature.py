@@ -420,6 +420,30 @@ def test_trapezoid_budget_carries_best(monkeypatch):
     assert best.evaluations == 8 * 17  # 17 nodes on the 1/16 step
 
 
+def test_trapezoid_budget_holds_for_a_fine_first_step():
+    # a first step of 1e-4 on [-8, 8] would measure its first gap on
+    # 320001 nodes, past the 30000-node budget: the rule raises before it
+    # calls f, with no result to carry
+    calls = []
+
+    def f(t, c):
+        calls.append(t.size)
+        return np.exp(-t * t) + 0 * c
+
+    with pytest.raises(QuadratureError, match="30000") as exc_info:
+        integrate_trapezoid(f, -8.0, 8.0, 1e-4)
+    assert exc_info.value.best is None
+    assert calls == []
+    # on [-8, 8] the first gap at step 2^-10 takes 32769 nodes, at 2^-9
+    # 16385, which fit
+    with pytest.raises(QuadratureError, match="before its first gap"):
+        integrate_trapezoid(f, -8.0, 8.0, 2.0 ** -10)
+    assert calls == []
+    res = integrate_trapezoid(f, -8.0, 8.0, 2.0 ** -9)
+    assert calls == [8193, 8192]
+    assert res.evaluations == 8 * 16385
+
+
 def test_trapezoid_rejects_non_finite_sums():
     with pytest.raises(QuadratureError, match="not finite") as exc_info:
         integrate_trapezoid(lambda t, c: np.where(t > 0.5, np.inf, 1.0) + 0.0 * c,
