@@ -233,22 +233,25 @@ def _cmd_verify(args) -> tuple[str, int]:
 
 # The flag table: each subcommand's handler, help line, flags and required
 # flags.  A flag maps to its value's type (float, int, str), to its tuple
-# of choices, to bool for a switch, or to None for the help flag.
+# of choices, to bool for a switch, or to None for the help flag.  verify
+# prints a text table, so it takes no --format.
 _HELP_FLAGS = {"-h": None, "--help": None}
-_COMMON_FLAGS = {"--format": ("csv", "json"), "--output": str}
+_COMMON_FLAGS = {"--output": str}
+_FORMAT = {"--format": ("csv", "json")}
 _COMMANDS = {
     "bound": (_cmd_bound, "uncertainty bound gamma(d) at --d X or --d-inf",
-              {"--d": float, "--d-inf": bool}, ()),
+              {"--d": float, "--d-inf": bool, **_FORMAT}, ()),
     "sweep": (_cmd_sweep, "bound curve gamma(d) over a d grid",
               {"--d-min": float, "--d-max": float, "--points": int,
-               "--log": bool}, ("--d-min", "--d-max", "--points")),
+               "--log": bool, **_FORMAT}, ("--d-min", "--d-max", "--points")),
     "hydrogen": (_cmd_hydrogen, "closed-form uncertainty product for charge "
                  "Z (alpha: CODATA 2018)",
-                 {"--Z": int, "--alpha": float, "--oracle": bool}, ("--Z",)),
+                 {"--Z": int, "--alpha": float, "--oracle": bool, **_FORMAT},
+                 ("--Z",)),
     "hopfion": (_cmd_hopfion, "uncertainty product of the localized packet "
                 "at --a, or on a grid",
                 {"--a": float, "--a-min": float, "--a-max": float,
-                 "--points": int}, ()),
+                 "--points": int, **_FORMAT}, ()),
     "verify": (_cmd_verify, "run the built-in anchor suite",
                {"--strict": bool}, ()),
 }

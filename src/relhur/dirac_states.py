@@ -77,7 +77,7 @@ import numpy as np
 from .quadrature import QuadConfig, QuadratureError, QuadResult, integrate_exp_sinh
 
 __all__ = ["MomentumPoint", "Bispinor", "AmplitudePair", "DispersionReport",
-           "bispinor_u", "bispinor_partials", "dispersion_functional"]
+           "bispinor_u", "dispersion_functional"]
 
 _N_PHI_PAIRS = tuple(8 << k for k in range(6))  # (n, n + 1) for n = 8..256
 _GRID_POINTS = 16 * 12 * 17  # (p, theta, phi) points per amplitude chunk
@@ -123,48 +123,25 @@ class Bispinor(NamedTuple("Bispinor", [("components", np.ndarray)])):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-def _weyl(pt: MomentumPoint, s: int) -> list[Bispinor]:
-    """u(p, s), m = 1, and its analytic (d_p, d_theta, d_phi).
+def bispinor_u(pt: MomentumPoint, s: int) -> Bispinor:
+    """Orthonormal positive-energy Weyl bispinor u(p, s), m = 1.
 
     u = [(1 + E + sigma.p) chi_s ; (1 + E - sigma.p) chi_s] / D in the Weyl
     basis, with D = 2 sqrt(E) sqrt(1 + E), chi_+ = (1, 0) and
-    chi_- = (0, 1).  A partial takes d(1 + E) and d(sigma.p) into the
-    numerator; d_p also subtracts u d_p(ln D).  The dispersion functional
-    builds no bispinor.
+    chi_- = (0, 1).  The dispersion functional builds no bispinor.
     """
     if s not in (+1, -1):
         raise ValueError("spin must be +1 or -1")
     p, e = pt.p, pt.energy
-    ct, st = math.cos(pt.theta), math.sin(pt.theta)
-    eiphi = complex(math.cos(pt.phi), math.sin(pt.phi))
     big = 1.0 + e
     d = 2.0 * math.sqrt(e) * math.sqrt(big)  # 4 E (1 + E) overflows at 7e153
-
-    def spinor(c, nz, nxy):
-        # (c +- sigma.n) chi_s / D for n_z = nz and n_x + i n_y = nxy: each
-        # half is [c +- s nz, +-w], reversed for chi_-.  Python divides a
-        # complex by a float part by part, exactly
-        w = nxy if s > 0 else nxy.conjugate()
-        top, bottom = [c + s * nz, w], [c - s * nz, -w]
-        return [x / d for x in top[::s] + bottom[::s]]
-
-    u = spinor(big, p * ct, p * st * eiphi)
-    # d(ln D)/dp; E' = p/E
-    dlnd = 0.5 * (p / e) * (1.0 / e + 1.0 / big)
-    d_p = [x - y * dlnd for x, y in zip(spinor(p / e, ct, st * eiphi), u)]
-    return [Bispinor(components=x) for x in (
-        u, d_p, spinor(0.0, -p * st, p * ct * eiphi),
-        spinor(0.0, 0.0, 1j * (p * st * eiphi)))]
-
-
-def bispinor_u(pt: MomentumPoint, s: int) -> Bispinor:
-    """Orthonormal positive-energy Weyl bispinor u(p, s), m = 1."""
-    return _weyl(pt, s)[0]
-
-
-def bispinor_partials(pt: MomentumPoint, s: int) -> tuple[Bispinor, Bispinor, Bispinor]:
-    """Analytic (d_p, d_theta, d_phi) of u(p, s) at a point, m = 1."""
-    return tuple(_weyl(pt, s)[1:])
+    pz = p * math.cos(pt.theta)
+    pxy = p * math.sin(pt.theta) * complex(math.cos(pt.phi), math.sin(pt.phi))
+    # each half is [1 + E +- s p_z, +-w], w = p_x +- i p_y, reversed for
+    # chi_-.  Python divides a complex by a float part by part, exactly
+    w = pxy if s > 0 else pxy.conjugate()
+    top, bottom = [big + s * pz, w], [big - s * pz, -w]
+    return Bispinor(components=[x / d for x in top[::s] + bottom[::s]])
 
 
 class AmplitudePair(NamedTuple):

@@ -32,13 +32,12 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dirac_states import AmplitudePair, Bispinor, DispersionReport, MomentumPoint
+from .dirac_states import AmplitudePair, DispersionReport
 from .quadrature import QuadConfig, QuadResult, integrate_trapezoid
 from .specfun import bessel_k
 
-__all__ = ["HopfionState", "SweepTable", "momentum_bispinor", "density",
-           "norm_const", "norm_bessel_ratio", "amplitude_pair", "gamma_h",
-           "gamma_h_curve"]
+__all__ = ["HopfionState", "SweepTable", "norm_const", "norm_bessel_ratio",
+           "amplitude_pair", "gamma_h", "gamma_h_curve"]
 
 A_MIN, A_MAX = 0.05, 100.0
 
@@ -60,21 +59,6 @@ class SweepTable(NamedTuple):
     """Ordered (a, gamma) rows."""
 
     rows: tuple[tuple[float, float], ...]
-
-
-def momentum_bispinor(state: HopfionState, pt: MomentumPoint) -> Bispinor:
-    """Unnormalized momentum-space components at a point."""
-    p, e = pt.p, pt.energy
-    h = math.exp(-state.a * e) / e
-    eiphi = complex(math.cos(pt.phi), math.sin(pt.phi))
-    return Bispinor(components=[h, 0.0, h * (e - p * math.cos(pt.theta)),
-                                -h * p * math.sin(pt.theta) * eiphi])
-
-
-def density(state: HopfionState, pt: MomentumPoint) -> float:
-    """Momentum-space density summed over the four components."""
-    e = pt.energy
-    return 2.0 * math.exp(-2.0 * state.a * e) * (e - pt.p * math.cos(pt.theta)) / e
 
 
 def norm_const(state: HopfionState, cfg: QuadConfig = QuadConfig()) -> float:

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dirac_states import Bispinor, DispersionReport
+from .dirac_states import DispersionReport
 from .quadrature import QuadConfig, integrate_trapezoid
 from .specfun import gamma_fn
 
@@ -41,14 +41,11 @@ __all__ = [
     "ALPHA_FS",
     "CoulombState",
     "DivergenceError",
-    "ground_bispinor",
     "uncertainty_product_closed",
     "product_closed_gamma",
     "d_parameter",
-    "d_parameter_gamma",
     "quadrature_oracle",
     "oracle_gamma",
-    "density_radial_moment",
     "max_z_finite",
 ]
 
@@ -92,51 +89,6 @@ class CoulombState(NamedTuple("CoulombState",
         za = self.alpha * self.Z
         return math.sqrt((1.0 - za) * (1.0 + za))
 
-    @property
-    def small_component_ratio(self) -> float:
-        """sqrt((1-g)/(1+g)), the lower-spinor amplitude relative to the upper."""
-        g = self.gamma_c
-        return math.sqrt((1.0 - g) / (1.0 + g))
-
-    @property
-    def momentum_scale(self) -> float:
-        """Exponential decay rate sqrt(1-g^2) = alpha*Z in Compton units."""
-        return self.alpha * self.Z
-
-    @property
-    def norm_constant(self) -> float:
-        """Normalization N of the Compton-unit wave function."""
-        g = self.gamma_c
-        n_sq = (2.0 ** (2.0 * g) * (1.0 + g) ** (g + 1.5)
-                * (1.0 - g) ** (g + 0.5)) / (4.0 * math.pi * gamma_fn(1.0 + 2.0 * g))
-        return math.sqrt(n_sq)
-
-
-def ground_bispinor(state: CoulombState, r: float, theta: float,
-                    phi: float) -> Bispinor:
-    """Wave-function components at a point (Compton-length units).
-
-    r must be strictly positive: the radial factor r^(g-1) is singular
-    (though square-integrable) at the origin for g < 1.
-    """
-    if not (r > 0.0) or not math.isfinite(r):
-        raise ValueError("r must be a positive finite real")
-    if not (0.0 <= theta <= math.pi):
-        raise ValueError("theta must lie in [0, pi]")
-    if not math.isfinite(phi):
-        raise ValueError("phi must be finite")
-    g = state.gamma_c
-    k = state.small_component_ratio
-    common = state.norm_constant * r ** (g - 1.0) * math.exp(
-        -state.momentum_scale * r)
-    return Bispinor(components=np.array([
-        common,
-        0.0,
-        1j * k * math.cos(theta) * common,
-        -1j * k * math.sin(theta) * common * complex(math.cos(phi),
-                                                     math.sin(phi)),
-    ]))
-
 
 def _finite_exponent(gamma_c) -> float:
     """gamma_c as a float in (1/2, 1], where the product is finite."""
@@ -161,8 +113,8 @@ def uncertainty_product_closed(state: CoulombState) -> float:
     return product_closed_gamma(state.gamma_c)
 
 
-def d_parameter_gamma(gamma_c: float) -> float:
-    """Transition-scale parameter as a function of the exponent g."""
+def _d_parameter_gamma(gamma_c: float) -> float:
+    """d_parameter as a function of the exponent g."""
     g = _finite_exponent(gamma_c)
     return (2.0 * (1.0 + g) * (1.0 - g) ** 2 * (2.0 - g)
             / (g * (4.0 * g * g - 1.0))) ** 0.25
@@ -174,21 +126,7 @@ def d_parameter(state: CoulombState) -> float:
     0 in the weak-field limit (nonrelativistic regime), +inf as
     gamma_c -> 1/2 (ultrarelativistic regime).
     """
-    return d_parameter_gamma(state.gamma_c)
-
-
-def density_radial_moment(gamma_c: float, k: int) -> float:
-    """<r^k> of the ground-state density in decay-length units.
-
-    The normalized radial density is r^(2g) e^(-2r) dr (times a constant),
-    so <r^k> = Gamma(2g+1+k) / (2^k Gamma(2g+1)).
-    """
-    g = float(gamma_c)
-    if not (0.0 < g <= 1.0):
-        raise ValueError("gamma_c must lie in (0, 1]")
-    if k <= -(2.0 * g + 1.0):
-        raise ValueError("moment diverges at the origin")
-    return gamma_fn(2.0 * g + 1.0 + k) / (2.0 ** k * gamma_fn(2.0 * g + 1.0))
+    return _d_parameter_gamma(state.gamma_c)
 
 
 def oracle_gamma(gamma_c: float, cfg: QuadConfig = QuadConfig()) -> DispersionReport:

@@ -271,7 +271,7 @@ def test_families_above_the_curve():
     # (rel_p + rel_r)/2 into gamma, so d is off by at most
     # d err_est/(2 gamma); the slope term is below 1e-10 throughout, so a
     # secant of the curve serves as gamma'(d).
-    states = [(f"Z={ion.Z}", quadrature_oracle(ion), ion.momentum_scale)
+    states = [(f"Z={ion.Z}", quadrature_oracle(ion), ion.alpha * ion.Z)
               for ion in map(CoulombState, range(1, max_z_finite() + 1))]
     states += [(f"a={a:g}", gamma_h(HopfionState(a)), 1.0)
                for a in np.geomspace(hopfion.A_MIN, hopfion.A_MAX, 25)]

@@ -253,6 +253,26 @@ def test_verify_strict_passes(capsys):
     assert "overall: PASS" in out
 
 
+def test_verify_refuses_format(capsys, tmp_path):
+    # verify prints a text table and takes no --format (divergence 6): the
+    # flag exits 2 with one stderr line, and verify's help does not list it;
+    # --output still writes the table
+    for argv in (["verify", "--format", "json"], ["verify", "--format=csv"],
+                 ["verify", "--fo", "csv"]):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == ("relhur verify: unrecognized arguments: "
+                                f"{' '.join(argv[1:])}\n")
+    code, out = _capture(capsys, ["verify", "-h"])
+    assert code == 0
+    assert out.startswith("usage: relhur verify [--strict] [--output PATH]\n")
+    assert "--format" not in out
+    target = tmp_path / "verify.txt"
+    assert _capture(capsys, ["verify", "--output", str(target)]) == (0, "")
+    assert target.read_text().endswith("overall: PASS\n")
+
+
 def test_verify_strict_residuals_test_the_solver(capsys, monkeypatch):
     # gamma 1e-9 off passes the 1e-7 and 1e-6 limit rows, but the exact
     # limiting eigenfunctions turn it into a residual far above 1e-10
@@ -662,18 +682,19 @@ _WELL_FORMED = st.one_of(
     st.tuples(st.just("hopfion"), _WIDTHS.map(lambda a: _flag("a-min", a)),
               _WIDTHS.map(lambda a: _flag("a-max", a)),
               _INTS.map(lambda n: _flag("points", n))),
-    st.tuples(st.just("verify"),
-              st.sampled_from(["--strict", "--format=csv"])),
+    st.sampled_from([("verify",), ("verify", "--strict")]),
 )
 # each of these spoils any well-formed argv: an unknown flag, a stray word,
 # a bad choice, a switch given a value, a value flag without its value, a
-# separator with nothing after it, or no (or an unknown) subcommand
+# separator with nothing after it, or no (or an unknown) subcommand; and
+# verify given a format, which it does not take (divergence 6)
 _MALFORMED = st.one_of(
     st.tuples(_WELL_FORMED, st.sampled_from(
         ["--bogus", "stray", "--format=xml", "--d-inf=1", "--points", "--"]))
     .map(lambda t: (*t[0], t[1])),
     _WELL_FORMED.map(lambda argv: argv[1:]),
     _WELL_FORMED.map(lambda argv: ("nonsense", *argv[1:])),
+    st.just(("verify", "--format=csv")),
 )
 
 
@@ -809,6 +830,11 @@ def _outcome_table(argv):
 #    subcommand, so a later -h did not print the help.  Here it is an
 #    unknown flag.  Not in the corpus.
 # 5. Messages and help text are worded anew; each error is one line.
+# 6. verify takes no --format.  argparse accepted the flag, which verify
+#    never read (its help text said "verify is text"), and printed the table
+#    with exit 0.  Here it is an unknown flag: exit 2, unless a later -h
+#    prints the help.  The corpus checks this against argparse reading the
+#    flag as the unknown --bogus.
 _DIVERGENT = [
     (["bound", "--d", "1", "--output", "-x"], ("exit", 2),
      ("ok", {"subcommand": "'bound'", "format": "None", "output": "'-x'",
@@ -816,6 +842,9 @@ _DIVERGENT = [
     (["sweep", "-h", "--d", "1"], ("exit", 2), ("help", "sweep")),
     (["-hh"], ("help", None), ("exit", 2)),
     (["-5", "-h"], ("exit", 2), ("help", None)),
+    (["verify", "--format", "json"],
+     ("ok", {"subcommand": "'verify'", "format": "'json'", "output": "None",
+             "strict": "False"}), ("exit", 2)),
 ]
 
 
@@ -855,9 +884,9 @@ def _spelling(draw, flag):
 
 
 @st.composite
-def _piece(draw, cmd):
+def _piece(draw, cmd, flags_of):
     """(tokens, tag): one flag with its value, a help flag, or a stray."""
-    flag = draw(st.sampled_from(_FLAGS_OF[cmd] + ("--format", "--output")))
+    flag = draw(st.sampled_from(_FLAGS_OF[flags_of] + ("--format", "--output")))
     kind, name = _KINDS[flag], draw(_spelling(flag))
     choice = draw(st.integers(0, 19))
     if choice == 0:
@@ -866,14 +895,16 @@ def _piece(draw, cmd):
         return [draw(st.sampled_from(["--bogus", "--bogus=1", "-q", "extra",
                                       "7", "-", "", "--", "--=x", "-=x",
                                       "--help=1", "-h=1"]))], None
+    # verify's --format is an unknown flag (divergence 6)
+    tag = "unknown" if (cmd, flag) == ("verify", "--format") else None
     if kind == "switch":
         return [name + {2: "=", 3: "=1"}.get(choice, "")], None
     if choice == 2:
-        return [name, draw(st.sampled_from(_DASH_VALUES))], "dash"
+        return [name, draw(st.sampled_from(_DASH_VALUES))], tag or "dash"
     if choice == 3:
-        return [f"{name}={draw(st.sampled_from(_DASH_VALUES))}"], None
+        return [f"{name}={draw(st.sampled_from(_DASH_VALUES))}"], tag
     value = draw(st.sampled_from(_VALUES[kind]))
-    return ([f"{name}={value}"] if choice < 10 else [name, value]), None
+    return ([f"{name}={value}"] if choice < 10 else [name, value]), tag
 
 
 # well-formed values for the required flags
@@ -895,7 +926,7 @@ def _argv_case(draw):
         if cmd in _REQUIRED and draw(st.integers(0, 3)):
             pieces.append((draw(st.sampled_from(_REQUIRED[cmd])), None))
         flags_of = cmd if cmd in _FLAGS_OF else "verify"
-        pieces += draw(st.lists(_piece(flags_of), max_size=5))
+        pieces += draw(st.lists(_piece(cmd, flags_of), max_size=5))
         if draw(st.integers(0, 3)) == 0:  # a value flag without its value
             flag = draw(st.sampled_from(
                 [f for f in _FLAGS_OF[flags_of] + ("--format", "--output")
@@ -911,14 +942,25 @@ def _argv_case(draw):
 @example(pieces=[(["--"], None), (["bound"], None), (["--d-inf"], None)])
 @example(pieces=[(["hydrogen"], None), (["--Z=2", "--Z=3"], None),
                  (["--alpha", "0.1"], None), (["--al=0.2"], None)])
+@example(pieces=[(["verify"], None), (["--fo=csv"], "unknown"),
+                 (["--strict"], None)])
+@example(pieces=[(["verify"], None), (["--format", "xml"], "unknown"),
+                 (["-h"], "help")])
 def test_flag_table_matches_argparse(pieces):
     # the same namespace wherever argparse parses, help wherever argparse
-    # prints help, exit 2 wherever argparse exits 2, up to divergences 1
-    # and 2, which the oracle's argv accounts for
+    # prints help, exit 2 wherever argparse exits 2, up to divergences 1, 2
+    # and 6, which the oracle's argv accounts for.  Under divergence 6 the
+    # table exits 2 wherever argparse parses a verify argv with a format
     argv = [tok for toks, _ in pieces for tok in toks]
     oracle_argv = []
     for toks, tag in pieces:
+        if tag == "unknown":
+            _, eq, value = toks[0].partition("=")
+            toks = ["--bogus" + eq + value, *toks[1:]]
         oracle_argv += ["=".join(toks)] if tag == "dash" else toks
         if tag == "help":
             break
-    assert _outcome_table(argv) == _outcome_argparse(oracle_argv), argv
+    expected = _outcome_argparse(oracle_argv)
+    if expected[0] == "ok" and expected[1]["subcommand"] == "'verify'":
+        assert expected[1].pop("format") == "None"
+    assert _outcome_table(argv) == expected, argv

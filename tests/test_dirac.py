@@ -21,7 +21,6 @@ from relhur import (
     QuadConfig,
     QuadResult,
     QuadratureError,
-    bispinor_partials,
     bispinor_u,
     dispersion_functional,
     gamma_bound,
@@ -40,6 +39,39 @@ def _random_points(n):
     phi = RNG.uniform(0.0, 2.0 * math.pi, n)
     return [MomentumPoint(float(a), float(b), float(c))
             for a, b, c in zip(p, theta, phi)]
+
+
+def bispinor_partials(pt, s):
+    """Analytic (d_p, d_theta, d_phi) of u(p, s) at a point, m = 1.
+
+    u = [(1 + E + sigma.p) chi_s ; (1 + E - sigma.p) chi_s] / D in the Weyl
+    basis, with D = 2 sqrt(E) sqrt(1 + E), chi_+ = (1, 0) and
+    chi_- = (0, 1).  A partial takes d(1 + E) and d(sigma.p) into the
+    numerator; d_p also subtracts u d_p(ln D).  The reference for the
+    spin connection and the central differences below.
+    """
+    if s not in (+1, -1):
+        raise ValueError("spin must be +1 or -1")
+    p, e = pt.p, pt.energy
+    ct, st = math.cos(pt.theta), math.sin(pt.theta)
+    eiphi = complex(math.cos(pt.phi), math.sin(pt.phi))
+    big = 1.0 + e
+    d = 2.0 * math.sqrt(e) * math.sqrt(big)  # 4 E (1 + E) overflows at 7e153
+
+    def spinor(c, nz, nxy):
+        # (c +- sigma.n) chi_s / D for n_z = nz and n_x + i n_y = nxy: each
+        # half is [c +- s nz, +-w], reversed for chi_-
+        w = nxy if s > 0 else nxy.conjugate()
+        top, bottom = [c + s * nz, w], [c - s * nz, -w]
+        return [x / d for x in top[::s] + bottom[::s]]
+
+    u = bispinor_u(pt, s).components
+    # d(ln D)/dp; E' = p/E
+    dlnd = 0.5 * (p / e) * (1.0 / e + 1.0 / big)
+    d_p = [x - y * dlnd for x, y in zip(spinor(p / e, ct, st * eiphi), u)]
+    return tuple(Bispinor(components=x) for x in (
+        d_p, spinor(0.0, -p * st, p * ct * eiphi),
+        spinor(0.0, 0.0, 1j * (p * st * eiphi))))
 
 
 def _gaussian(p, thetas, phi):

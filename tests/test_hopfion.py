@@ -18,6 +18,7 @@ from scipy.integrate import fixed_quad, quad_vec
 
 from relhur import (
     AmplitudePair,
+    Bispinor,
     DispersionReport,
     HopfionState,
     MomentumPoint,
@@ -26,12 +27,10 @@ from relhur import (
     SweepTable,
     amplitude_pair,
     bessel_k,
-    density,
     dispersion_functional,
     gamma_bound,
     gamma_h,
     gamma_h_curve,
-    momentum_bispinor,
     norm_bessel_ratio,
     norm_const,
 )
@@ -43,6 +42,21 @@ DR2_AT_1 = 1.0794334081891
 DP2_AT_1 = 3.5767616079766
 NORM_AT_1 = 3.1888391228859  # equals 4 pi K2(2) to the quadrature tolerance
 REFERENCE_GRID = [0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0]
+
+
+def momentum_bispinor(state, pt):
+    """Unnormalized momentum-space components at a point."""
+    p, e = pt.p, pt.energy
+    h = math.exp(-state.a * e) / e
+    eiphi = complex(math.cos(pt.phi), math.sin(pt.phi))
+    return Bispinor(components=[h, 0.0, h * (e - p * math.cos(pt.theta)),
+                                -h * p * math.sin(pt.theta) * eiphi])
+
+
+def density(state, pt):
+    """Momentum-space density summed over the four components."""
+    e = pt.energy
+    return 2.0 * math.exp(-2.0 * state.a * e) * (e - pt.p * math.cos(pt.theta)) / e
 
 
 def _adaptive_reference(a):

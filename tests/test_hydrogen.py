@@ -19,19 +19,18 @@ from scipy.integrate import dblquad
 
 from relhur import (
     ALPHA_FS,
+    Bispinor,
     CoulombState,
     DivergenceError,
     d_parameter,
-    d_parameter_gamma,
-    density_radial_moment,
     gamma_fn,
-    ground_bispinor,
     max_z_finite,
     oracle_gamma,
     product_closed_gamma,
     quadrature_oracle,
     uncertainty_product_closed,
 )
+from relhur.hydrogen import _d_parameter_gamma
 
 # frozen regression values, this build, CODATA alpha
 FROZEN = {
@@ -43,6 +42,60 @@ FROZEN = {
 D_AT_Z80 = 0.5818600802641096
 D_AT_GAMMA_08 = 0.6100034457014364
 CLOSED_AT_GAMMA_08 = 2.4186773244895647
+
+
+def small_component_ratio(state):
+    """sqrt((1-g)/(1+g)), the lower-spinor amplitude relative to the upper."""
+    g = state.gamma_c
+    return math.sqrt((1.0 - g) / (1.0 + g))
+
+
+def norm_constant(state):
+    """Normalization N of the Compton-unit wave function."""
+    g = state.gamma_c
+    n_sq = (2.0 ** (2.0 * g) * (1.0 + g) ** (g + 1.5)
+            * (1.0 - g) ** (g + 0.5)) / (4.0 * math.pi * gamma_fn(1.0 + 2.0 * g))
+    return math.sqrt(n_sq)
+
+
+def ground_bispinor(state, r, theta, phi):
+    """Wave-function components at a point (Compton-length units).
+
+    r must be strictly positive: the radial factor r^(g-1) is singular
+    (though square-integrable) at the origin for g < 1.  The exponential
+    decay rate sqrt(1-g^2) is alpha*Z in Compton units.
+    """
+    if not (r > 0.0) or not math.isfinite(r):
+        raise ValueError("r must be a positive finite real")
+    if not (0.0 <= theta <= math.pi):
+        raise ValueError("theta must lie in [0, pi]")
+    if not math.isfinite(phi):
+        raise ValueError("phi must be finite")
+    g = state.gamma_c
+    k = small_component_ratio(state)
+    common = norm_constant(state) * r ** (g - 1.0) * math.exp(
+        -state.alpha * state.Z * r)
+    return Bispinor(components=np.array([
+        common,
+        0.0,
+        1j * k * math.cos(theta) * common,
+        -1j * k * math.sin(theta) * common * complex(math.cos(phi),
+                                                     math.sin(phi)),
+    ]))
+
+
+def density_radial_moment(gamma_c, k):
+    """<r^k> of the ground-state density in decay-length units.
+
+    The normalized radial density is r^(2g) e^(-2r) dr (times a constant),
+    so <r^k> = Gamma(2g+1+k) / (2^k Gamma(2g+1)).
+    """
+    g = float(gamma_c)
+    if not (0.0 < g <= 1.0):
+        raise ValueError("gamma_c must lie in (0, 1]")
+    if k <= -(2.0 * g + 1.0):
+        raise ValueError("moment diverges at the origin")
+    return gamma_fn(2.0 * g + 1.0 + k) / (2.0 ** k * gamma_fn(2.0 * g + 1.0))
 
 
 def test_state_validation():
@@ -102,7 +155,7 @@ def test_divergence_gate():
         with pytest.raises(DivergenceError):
             product_closed_gamma(g)
         with pytest.raises(DivergenceError):
-            d_parameter_gamma(g)
+            _d_parameter_gamma(g)
     # Z = 137 constructs (alpha Z < 1) but its product diverges
     state = CoulombState(Z=137)
     assert state.gamma_c < 0.5
@@ -211,23 +264,23 @@ def test_radial_moment_gamma_ratio():
 def test_monotonicity_in_gamma():
     gs = np.linspace(0.55, 1.0, 12)
     products = [product_closed_gamma(float(g)) for g in gs]
-    d_values = [d_parameter_gamma(float(g)) for g in gs]
+    d_values = [_d_parameter_gamma(float(g)) for g in gs]
     assert all(a > b for a, b in zip(products, products[1:]))
     assert all(a > b for a, b in zip(d_values, d_values[1:]))
 
 
 def test_d_parameter_values():
-    assert d_parameter_gamma(1.0) == 0.0
-    assert d_parameter_gamma(0.8) == pytest.approx(D_AT_GAMMA_08, rel=1e-12)
+    assert _d_parameter_gamma(1.0) == 0.0
+    assert _d_parameter_gamma(0.8) == pytest.approx(D_AT_GAMMA_08, rel=1e-12)
     assert d_parameter(CoulombState(Z=80)) == pytest.approx(D_AT_Z80,
                                                             rel=1e-12)
-    assert d_parameter_gamma(0.500001) > 20.0
+    assert _d_parameter_gamma(0.500001) > 20.0
 
 
 def test_bispinor_zero_charge_limit():
     # alpha Z -> 0: the small-component factor sqrt((1-g)/(1+g)) vanishes
     state = CoulombState(Z=1, alpha=1e-12)
-    assert state.small_component_ratio == 0.0
+    assert small_component_ratio(state) == 0.0
     b = ground_bispinor(state, 1.0, 0.7, 0.3)
     assert b.components[2] == 0.0
     assert b.components[3] == 0.0
@@ -239,7 +292,7 @@ def test_bispinor_small_component_ratio():
     b = ground_bispinor(state, 1.0, theta, 0.3).components
     ratio = abs(b[2]) / abs(b[0])
     assert ratio == pytest.approx(
-        state.small_component_ratio * math.cos(theta), rel=1e-10)
+        small_component_ratio(state) * math.cos(theta), rel=1e-10)
     assert b[1] == 0.0
 
 
