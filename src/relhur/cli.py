@@ -48,8 +48,6 @@ class _UsageError(Exception):
 
 def _fmt(x) -> str:
     """12-significant-digit text form shared by CSV and JSON."""
-    if isinstance(x, bool):
-        raise TypeError("no boolean fields in output documents")
     if isinstance(x, int):
         return str(x)
     x = float(x)

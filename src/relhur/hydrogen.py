@@ -200,16 +200,25 @@ def quadrature_oracle(state: CoulombState,
 def max_z_finite(alpha: float = ALPHA_FS) -> int:
     """Largest integer Z whose uncertainty product is finite (g > 1/2).
 
-    g > 1/2 means alpha*Z < sqrt(3)/2, so Z = ceil(sqrt(3)/(2 alpha)) - 1.
-    Returns sys.maxsize as an overflow sentinel when the bound exceeds
-    exact float integer range (alpha -> 0 limit).
+    g > 1/2 means alpha*Z < sqrt(3)/2; at that limit the float gamma_c of
+    CoulombState decides.  Returns sys.maxsize as an overflow sentinel when
+    the bound exceeds exact float integer range (alpha -> 0 limit).
     """
     if not (alpha > 0.0) or not math.isfinite(alpha):
         raise ValueError("alpha must be a positive finite real")
     limit = math.sqrt(3.0) / (2.0 * alpha)
     if limit >= 2.0 ** 53:
         return sys.maxsize
+
+    def finite(z):
+        try:
+            return CoulombState(z, alpha).gamma_c > 0.5
+        except ValueError:
+            return False
+
     z = math.floor(limit)
-    if float(z) == limit:
-        z -= 1  # boundary hit exactly: g would equal 1/2, not exceed it
-    return max(z, 0)
+    while z > 0 and not finite(z):
+        z -= 1
+    while finite(z + 1):
+        z += 1
+    return z

@@ -17,13 +17,13 @@ computed in e = 1/d, a = hypot(e, q) = w/d and r = e/a <= 1 as
 finite d.  The two 1/q^2 singularities cancel for every finite d; only
 d = INFINITY keeps a genuine 1/q^2 core with unit strength.
 
-gamma(d) is solved only on [D_SMALL, D_SWITCH] = [0.02, 1e5].  Below
-D_SMALL it is the exact series SMALL_D_SERIES in d^2 through d^8, above
-D_SWITCH the expansion GAMMA_AT_INF - ULTRA_C1/d.  Each expansion's error
-is its remainder against the solve at its switch, scaled to d by
-(d/D_SMALL)^10 or (D_SWITCH/d)^2 and floored at the rounding of gamma, so
-the two limits d = 0 and d = INFINITY, where the scale is 0, are exact and
-take no solve.
+gamma(d) is solved, from eigenvalues alone, only on [D_SMALL, D_SWITCH] =
+[0.02, 1e5].  Below D_SMALL it is the exact series SMALL_D_SERIES in d^2
+through d^8, above D_SWITCH the expansion GAMMA_AT_INF - ULTRA_C1/d.  Each
+expansion's error is its remainder against the solve at its switch, scaled
+to d by (d/D_SMALL)^10 or (D_SWITCH/d)^2 and floored at the rounding of
+gamma, so the two limits d = 0 and d = INFINITY, where the scale is 0, are
+exact and take no solve.
 
 The limiting eigenfunctions are exp(-q^2/2) (d = 0) and
 q^s exp(-q^2/2) with s = (sqrt(5)-1)/2 (d = INFINITY); the residual
@@ -36,17 +36,15 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .radial_eigensolver import (RadialPotential, SolverError, ground_state,
-                                 lowest_eigenvalues, moment)
+from .radial_eigensolver import RadialPotential, SolverError, lowest_eigenvalues
 
 __all__ = ["INFINITY", "GAMMA_AT_0", "GAMMA_AT_INF", "ULTRA_EXPONENT",
            "ULTRA_C1", "D_SWITCH", "SMALL_D_SERIES", "D_SMALL", "potential_v",
-           "singular_strength", "make_potential", "gamma_bound",
-           "gamma_estimates", "gamma_bound_report", "BoundReport",
+           "make_potential", "gamma_bound", "gamma_estimates",
            "gaussian_limit_residual", "ultrarelativistic_limit_residual"]
 
 INFINITY = math.inf
@@ -107,27 +105,13 @@ def potential_v(q: float | np.ndarray, d: float) -> float | np.ndarray:
     return float(v) if v.ndim == 0 else v
 
 
-def singular_strength(d: float) -> float:
-    """Coefficient of 1/q^2 in V(q; d) as q -> 0: 0 for finite d, 1 at INFINITY."""
-    d = _check_d(d)
-    return 1.0 if math.isinf(d) else 0.0
-
-
 def make_potential(d: float) -> RadialPotential:
-    """RadialPotential wrapper for V(q; d)."""
+    """RadialPotential of V(q; d), with a unit 1/q^2 core only at INFINITY."""
     d = _check_d(d)
-    return RadialPotential(
-        evaluate=lambda q: potential_v(q, d),
-        singular_strength=singular_strength(d),
-        origin_scale=d if math.isfinite(d) else 0.0,
-    )
-
-
-def _check_d_tol(d: float, tol: float) -> float:
-    d = _check_d(d)
-    if tol < 1e-8:
-        raise ValueError("tol below 1e-8 is not supported")
-    return d
+    finite = math.isfinite(d)
+    return RadialPotential(evaluate=lambda q: potential_v(q, d),
+                           singular_strength=0.0 if finite else 1.0,
+                           origin_scale=d if finite else 0.0)
 
 
 def _small_d_series(d: float) -> float:
@@ -160,7 +144,9 @@ def gamma_estimates(ds: Sequence[float],
     at its switch that measures the remainder; a d whose scaled remainder
     is exactly 0, such as d = 0 and d = INFINITY, needs no solve.  A
     SolverError names the d that failed."""
-    ds = [_check_d_tol(d, tol) for d in ds]
+    if tol < 1e-8:
+        raise ValueError("tol below 1e-8 is not supported")
+    ds = [_check_d(d) for d in ds]
     branches = [_expansion(d) for d in ds]
     at = list(dict.fromkeys(d if b is None else b[1]
                             for d, b in zip(ds, branches)
@@ -177,6 +163,8 @@ def gamma_estimates(ds: Sequence[float],
         gamma, err = solved[switch]
         if switch == D_SMALL:
             return abs(gamma - _small_d_series(D_SMALL)) + err
+        # both steps are exact (Sterbenz); gamma - _expansion(D_SWITCH)[0]
+        # would round the expansion first and move err_est's low bits
         return abs(gamma - GAMMA_AT_INF + ULTRA_C1 / D_SWITCH) + err
 
     out = []
@@ -195,43 +183,6 @@ def gamma_estimates(ds: Sequence[float],
 def gamma_bound(d: float, tol: float = 1e-7) -> float:
     """Lowest eigenvalue gamma(d), absolute error <= tol (tol >= 1e-8)."""
     return gamma_estimates([d], tol)[0][0]
-
-
-class BoundReport(NamedTuple):
-    """gamma(d) plus self-consistency diagnostics (reported, not asserted).
-
-    balance_ratio is <q^2>/(2 gamma - <q^2>), the state's own ratio of
-    momentum-side to position-side dispersion in scaled units; it equals 1
-    exactly at d = 0 and measures how far the minimizer sits from the
-    balanced-scaling point elsewhere.
-    """
-
-    d: float
-    gamma: float
-    est_error: float
-    mean_q_sq: float
-    balance_ratio: float
-
-
-def gamma_bound_report(d: float, tol: float = 1e-7) -> BoundReport:
-    """gamma(d) with the dispersion-balance diagnostic attached."""
-    d = _check_d_tol(d, tol)
-    # the eigenfunction at d, or at d = INFINITY above D_SWITCH
-    res = ground_state(make_potential(d if d <= D_SWITCH else INFINITY),
-                       tol=tol)
-    if D_SMALL <= d <= D_SWITCH:
-        gamma, est_error = res.gamma, res.diagnostics.est_error
-    else:
-        # gamma from an expansion
-        [(gamma, est_error)] = gamma_estimates([d], tol)
-    q_sq = moment(res, lambda q: q * q)
-    return BoundReport(
-        d=d,
-        gamma=gamma,
-        est_error=est_error,
-        mean_q_sq=q_sq,
-        balance_ratio=q_sq / (2.0 * gamma - q_sq),
-    )
 
 
 _RESIDUAL_GRID = np.linspace(0.01, 8.0, 1601)

@@ -24,7 +24,6 @@ from relhur import (
     HopfionState,
     SolverError,
     gamma_bound,
-    gamma_bound_report,
     gamma_estimates,
     gamma_h,
     gaussian_limit_residual,
@@ -34,7 +33,6 @@ from relhur import (
     max_z_finite,
     potential_v,
     quadrature_oracle,
-    singular_strength,
     ultrarelativistic_limit_residual,
 )
 
@@ -91,9 +89,9 @@ def test_potential_array_overflow_free(d):
 
 
 def test_singular_strength():
-    assert singular_strength(0.0) == 0.0
-    assert singular_strength(3.7) == 0.0
-    assert singular_strength(INFINITY) == 1.0
+    assert make_potential(0.0).singular_strength == 0.0
+    assert make_potential(3.7).singular_strength == 0.0
+    assert make_potential(INFINITY).singular_strength == 1.0
 
 
 def test_make_potential_declares_strength():
@@ -347,25 +345,25 @@ def test_error_bars_hold_at_large_d(d):
     # |gamma - gamma_ref| <= est_error against independent references: the
     # one-sided oracle at d = 40 and 100 (widened by its own spread between
     # two resolutions), the expansion GAMMA_AT_INF - C1/d at d = 1e5
-    rep = gamma_bound_report(d, tol=1e-8)
+    [(gamma, est_error)] = gamma_estimates([d], tol=1e-8)
     if d < 1e3:
         ref = _one_sided_oracle(d, 128)
         spread = abs(ref - _one_sided_oracle(d, 96))
         assert spread < 1e-10
     else:
         ref, spread = GAMMA_AT_INF - _c1() / d, 0.0
-    assert abs(rep.gamma - ref) <= rep.est_error + spread
+    assert abs(gamma - ref) <= est_error + spread
 
 
 def test_expansion_branch_error_bar():
     # above D_SWITCH gamma is the expansion; its est_error, measured at
     # D_SWITCH, must cover the gap to a finer collocation at this d
     d = 2.0 * D_SWITCH
-    rep = gamma_bound_report(d, tol=1e-8)
+    [(gamma, est_error)] = gamma_estimates([d], tol=1e-8)
     fine = ground_state(make_potential(d), n=191, tol=1e-6)
-    assert rep.gamma == GAMMA_AT_INF - _c1() / d
-    assert 0.0 < rep.est_error <= 1e-8
-    assert abs(rep.gamma - fine.gamma) <= rep.est_error
+    assert gamma == GAMMA_AT_INF - _c1() / d
+    assert 0.0 < est_error <= 1e-8
+    assert abs(gamma - fine.gamma) <= est_error
 
 
 _ESTIMATE_GRID = [float(d) for d in np.geomspace(1e-4, 1e5, 40)] + [
@@ -374,13 +372,21 @@ _ESTIMATE_GRID = [float(d) for d in np.geomspace(1e-4, 1e5, 40)] + [
 
 @pytest.mark.parametrize("d", _ESTIMATE_GRID)
 def test_estimate_matches_report_bitwise(d):
-    # the eigenvalue-only path and the eigenvector path share their
-    # arithmetic, so gamma and est_error agree to the last bit
+    # gamma_bound is gamma_estimates' gamma; where gamma(d) is solved, the
+    # eigenvalue-only path and the eigenvector path (the EigenResult report
+    # of ground_state) share their arithmetic, so gamma and est_error agree
+    # to the last bit
     [(gamma, est_error)] = gamma_estimates([d])
-    rep = gamma_bound_report(d)
-    assert gamma.hex() == rep.gamma.hex()
-    assert est_error.hex() == rep.est_error.hex()
     assert gamma_bound(d).hex() == gamma.hex()
+    if not D_SMALL <= d <= D_SWITCH:
+        return
+    pot = make_potential(d)
+    [(eig_gamma, eig_error)] = lowest_eigenvalues([pot])
+    res = ground_state(pot)
+    for g, e in [(eig_gamma, eig_error),
+                 (res.gamma, res.diagnostics.est_error)]:
+        assert g.hex() == gamma.hex()
+        assert e.hex() == est_error.hex()
 
 
 def test_no_eig_or_eigvals_and_potentials_collocated(monkeypatch):
@@ -411,13 +417,10 @@ def test_no_eig_or_eigvals_and_potentials_collocated(monkeypatch):
                 [0.0, 1.0, D_SWITCH, 2.0 * D_SWITCH, INFINITY]), 2, 2),
             (lambda: gamma_estimates([2.0 * D_SWITCH, 3.0 * D_SWITCH]), 1, 2),
             (lambda: gamma_estimates([1e-3, 0.01, 1.0]), 2, 2),
-            (lambda: gamma_bound_report(1.0), 1, 2),
-            (lambda: gamma_bound_report(0.0), 1, 2),
-            (lambda: gamma_bound_report(INFINITY), 1, 2),
-            # the series' remainder at D_SMALL, the moment at d
-            (lambda: gamma_bound_report(0.01), 2, 4),
-            # the expansion's remainder at D_SWITCH, the moment at INFINITY
-            (lambda: gamma_bound_report(2.0 * D_SWITCH), 2, 4)]:
+            # the eigenvector path, also at both limits
+            (lambda: ground_state(make_potential(1.0)), 1, 2),
+            (lambda: ground_state(make_potential(0.0)), 1, 2),
+            (lambda: ground_state(make_potential(INFINITY)), 1, 2)]:
         calls.update(collocate=0, potentials=0)
         run()
         assert calls == {"collocate": collocations, "potentials": 2 * solves}
@@ -498,14 +501,6 @@ def test_sweep_monotone_reference_grid():
     assert all(a < b for a, b in zip(gs, gs[1:]))
 
 
-def test_report_diagnostics():
-    rep = gamma_bound_report(0.0)
-    assert rep.gamma == pytest.approx(1.5, abs=1e-7)
-    assert rep.est_error <= 1e-7
-    # at d = 0 the minimizer is the balanced Gaussian: <q^2> = gamma
-    assert rep.balance_ratio == pytest.approx(1.0, abs=1e-5)
-
-
 def test_exact_solution_residuals():
     assert gaussian_limit_residual(1.5) <= 1e-10
     assert gaussian_limit_residual(1.4) > 0.01
@@ -516,6 +511,9 @@ def test_exact_solution_residuals():
 def test_tolerance_floor():
     with pytest.raises(ValueError):
         gamma_bound(1.0, tol=1e-9)
+    # tol is checked once per call, not once per d
+    with pytest.raises(ValueError):
+        gamma_estimates([], tol=1e-9)
 
 
 def test_rejects_bad_d():

@@ -343,3 +343,12 @@ def test_max_z_finite():
     for alpha in (0.0, math.nan):
         with pytest.raises(ValueError):
             max_z_finite(alpha)
+    # at alpha = sqrt(3)/(2k) the limit sqrt(3)/(2 alpha) rounds to about
+    # k: the float product, not the rounded limit, decides which Z is last
+    for k in range(1, 5):
+        alpha = math.sqrt(3.0) / (2.0 * k)
+        z = max_z_finite(alpha)
+        assert math.isfinite(
+            uncertainty_product_closed(CoulombState(z, alpha)))
+        with pytest.raises((DivergenceError, ValueError)):
+            uncertainty_product_closed(CoulombState(z + 1, alpha))

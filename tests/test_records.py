@@ -19,7 +19,6 @@ from relhur import (
     MomentumPoint,
     QuadConfig,
     bessel_k_detailed,
-    gamma_bound_report,
     ground_state,
     integrate_trapezoid,
     make_potential,
@@ -37,7 +36,6 @@ _RECORDS = {
     "EigenResult": (lambda: ground_state(make_potential(0.0)), None),
     "EigenDiagnostics": (
         lambda: ground_state(make_potential(0.0)).diagnostics, None),
-    "BoundReport": (lambda: gamma_bound_report(0.0), None),
     "AmplitudePair": (lambda: AmplitudePair(np.exp), None),
     "DispersionReport": (lambda: gamma_h(HopfionState(1.0)), None),
     "SweepTable": (lambda: gamma_h_curve([1.0]), None),
