@@ -47,10 +47,11 @@ class _UsageError(Exception):
 
 
 def _fmt(x) -> str:
-    """12-significant-digit text form shared by CSV and JSON."""
+    """12-significant-digit text form shared by CSV and JSON.  Adding 0.0
+    prints -0.0 as 0.0: no field has a meaningful sign of zero."""
     if isinstance(x, int):
         return str(x)
-    x = float(x)
+    x = float(x) + 0.0
     out = f"{x:.12g}"
     if math.isfinite(x) and "." not in out and "e" not in out:
         out += ".0"  # floats must read back as floats
@@ -134,13 +135,13 @@ def _cmd_sweep(args) -> tuple[str, int]:
 
 def _cmd_hydrogen(args) -> tuple[str, int]:
     state = _hydrogen.CoulombState(Z=args.Z, alpha=args.alpha)
-    closed = _hydrogen.uncertainty_product_closed(state)
-    d = _hydrogen.d_parameter(state)
+    g = state.gamma_c
+    closed = _hydrogen.product_closed_gamma(g)
     record: dict[str, object] = {"Z": state.Z, "alpha": state.alpha,
-                                 "gamma_c": state.gamma_c, "gamma": closed,
-                                 "d": d}
+                                 "gamma_c": g, "gamma": closed,
+                                 "d": _hydrogen.d_parameter(g)}
     if args.oracle:
-        rep = _hydrogen.quadrature_oracle(state)
+        rep = _hydrogen.oracle_gamma(g)
         err = abs(rep.gamma - closed) / closed
         if not err <= ORACLE_REL_TOL:
             raise ArithmeticError(

@@ -17,18 +17,18 @@ general dispersion functional can serve as an independent cross-check.
 
 The phi dependence of the components is one e^{i phi} factor, which
 cancels in the density and the gradient magnitudes, so the phi integral is
-a factor 2 pi.  gamma_h and norm_const substitute p = sinh u and factor
-e^{-2a} out, leaving e^{-2a(cosh u - 1)}: entire, and even in u once
-summed over theta (each odd-in-u term carries an odd power of cos theta).
-So the trapezoid rule on [0, U], cosh U = 1 + 40/a, half weight at u = 0,
-converges geometrically from step 0.2 min(1, a^{-1/2}); 8-node
-Gauss-Legendre in cos theta is exact (quadrature.integrate_trapezoid).
+a factor 2 pi.  gamma_h and norm_bessel_ratio substitute p = sinh u and
+factor e^{-2a} out, leaving e^{-2a(cosh u - 1)}: entire, and even in u
+once summed over theta (each odd-in-u term carries an odd power of
+cos theta).  So the trapezoid rule on [0, U], cosh U = 1 + 40/a, half
+weight at u = 0, converges geometrically from step 0.2 min(1, a^{-1/2});
+8-node Gauss-Legendre in cos theta is exact (quadrature.integrate_trapezoid).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ from .dirac_states import AmplitudePair, DispersionReport
 from .quadrature import QuadConfig, QuadResult, integrate_trapezoid
 from .specfun import bessel_k
 
-__all__ = ["HopfionState", "SweepTable", "norm_const", "norm_bessel_ratio",
-           "amplitude_pair", "gamma_h", "gamma_h_curve"]
+__all__ = ["HopfionState", "norm_bessel_ratio", "amplitude_pair", "gamma_h"]
 
 A_MIN, A_MAX = 0.05, 100.0
 
@@ -55,20 +54,10 @@ class HopfionState(NamedTuple("HopfionState", [("a", float)])):
     _make = classmethod(lambda cls, fields: cls(*fields))  # see MomentumPoint
 
 
-class SweepTable(NamedTuple):
-    """Ordered (a, gamma) rows."""
-
-    rows: tuple[tuple[float, float], ...]
-
-
-def norm_const(state: HopfionState, cfg: QuadConfig = QuadConfig()) -> float:
-    """Squared norm integral of the unnormalized components (i.e. N^{-2})."""
-    return float(_integrals(state.a, cfg).value[0])
-
-
 def norm_bessel_ratio(state: HopfionState,
                       cfg: QuadConfig = QuadConfig()) -> float:
-    """Quadrature norm divided by K_2(2a)/a.
+    """Squared norm integral of the unnormalized components (i.e. N^{-2})
+    divided by K_2(2a)/a.
 
     The testable content of the closed normalization form is that this
     ratio does not depend on a; the absolute constant is convention.
@@ -76,7 +65,7 @@ def norm_bessel_ratio(state: HopfionState,
     k2 = bessel_k(2, 2.0 * state.a)
     if k2 == 0.0:
         raise ValueError("K_2 underflows at this a; ratio undefined")
-    return norm_const(state, cfg) / (k2 / state.a)
+    return float(_integrals(state.a, cfg).value[0]) / (k2 / state.a)
 
 
 def amplitude_pair(state: HopfionState) -> AmplitudePair:
@@ -180,18 +169,3 @@ def gamma_h(state: HopfionState,
     if not (A_MIN <= a <= A_MAX):
         raise ValueError(f"a must lie in [{A_MIN}, {A_MAX}]")
     return DispersionReport.from_integrals(_integrals(a, cfg))
-
-
-def gamma_h_curve(a_values: Sequence[float] | Iterable[float],
-                  cfg: QuadConfig = QuadConfig()) -> SweepTable:
-    """gamma_h over an ascending grid of width parameters."""
-    avs = [float(a) for a in a_values]
-    if not avs:
-        raise ValueError("a_values must be non-empty")
-    if any(b < a for a, b in zip(avs, avs[1:])):
-        raise ValueError("a_values must be sorted ascending")
-    for a in avs:
-        if not (A_MIN <= a <= A_MAX):
-            raise ValueError(f"a={a:g} outside [{A_MIN}, {A_MAX}]")
-    rows = tuple((a, gamma_h(HopfionState(a), cfg).gamma) for a in avs)
-    return SweepTable(rows=rows)

@@ -12,7 +12,7 @@ total probability.  Both dispersions have closed forms; their product
     sqrt(dr^2 dp^2) = sqrt((2g+1)(1+g)(2-g) / (2g(2g-1)))
 
 is finite only for g > 1/2 (the wave-function singularity at the origin
-makes dp^2 diverge at g = 1/2).  quadrature_oracle recomputes the product
+makes dp^2 diverge at g = 1/2).  oracle_gamma recomputes the product
 from the wave function itself, in units of the exponential decay length
 (the product is unit-free).  Its radial variable is t with log r = (pi/2)
 sinh t: every power of r is an exponential of log r, so nothing underflows
@@ -41,10 +41,8 @@ __all__ = [
     "ALPHA_FS",
     "CoulombState",
     "DivergenceError",
-    "uncertainty_product_closed",
     "product_closed_gamma",
     "d_parameter",
-    "quadrature_oracle",
     "oracle_gamma",
     "max_z_finite",
 ]
@@ -102,35 +100,27 @@ def _finite_exponent(gamma_c) -> float:
 
 
 def product_closed_gamma(gamma_c: float) -> float:
-    """Closed-form uncertainty product as a function of the exponent g."""
+    """Closed-form sqrt(dr^2 dp^2) (units hbar = 1) for the exponent g."""
     g = _finite_exponent(gamma_c)
     return math.sqrt((2.0 * g + 1.0) * (1.0 + g) * (2.0 - g)
                      / (2.0 * g * (2.0 * g - 1.0)))
 
 
-def uncertainty_product_closed(state: CoulombState) -> float:
-    """Closed-form sqrt(dr^2 dp^2) of the ground state (units hbar = 1)."""
-    return product_closed_gamma(state.gamma_c)
-
-
-def _d_parameter_gamma(gamma_c: float) -> float:
-    """d_parameter as a function of the exponent g."""
+def d_parameter(gamma_c: float) -> float:
+    """Scale d = (dp^2/dr^2)^(1/4) in Compton units for the exponent g:
+    0 in the weak-field limit g = 1 (nonrelativistic regime), +inf as
+    g -> 1/2 (ultrarelativistic regime)."""
     g = _finite_exponent(gamma_c)
     return (2.0 * (1.0 + g) * (1.0 - g) ** 2 * (2.0 - g)
             / (g * (4.0 * g * g - 1.0))) ** 0.25
 
 
-def d_parameter(state: CoulombState) -> float:
-    """Scale parameter d = (dp^2/dr^2)^(1/4) of the ground state.
-
-    0 in the weak-field limit (nonrelativistic regime), +inf as
-    gamma_c -> 1/2 (ultrarelativistic regime).
-    """
-    return _d_parameter_gamma(state.gamma_c)
-
-
 def oracle_gamma(gamma_c: float, cfg: QuadConfig = QuadConfig()) -> DispersionReport:
     """Quadrature evaluation of the dispersions for a given exponent g.
+
+    Independent of the closed forms: integrates the density and the
+    position-space gradient sum of the actual wave-function components,
+    so its unit-free `gamma` is comparable to product_closed_gamma.
 
     Works in units of the decay length 1/(alpha Z): lengths scale by
     alpha*Z and momenta by 1/(alpha Z), so the product is unchanged and
@@ -183,18 +173,6 @@ def oracle_gamma(gamma_c: float, cfg: QuadConfig = QuadConfig()) -> DispersionRe
     if not abs(norm - 1.0) <= 1e-8:
         raise ArithmeticError(f"normalization integral {norm!r} is not 1")
     return DispersionReport.from_integrals(res)
-
-
-def quadrature_oracle(state: CoulombState,
-                      cfg: QuadConfig = QuadConfig()) -> DispersionReport:
-    """Dispersion report for the ground state, computed by quadrature.
-
-    Independent of the closed forms: integrates the density and the
-    position-space gradient sum of the actual wave-function components.
-    Moments are in decay-length units; the product field `gamma` is
-    unit-free and comparable to uncertainty_product_closed.
-    """
-    return oracle_gamma(state.gamma_c, cfg)
 
 
 def max_z_finite(alpha: float = ALPHA_FS) -> int:

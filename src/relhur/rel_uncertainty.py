@@ -188,17 +188,16 @@ def gamma_bound(d: float, tol: float = 1e-7) -> float:
 _RESIDUAL_GRID = np.linspace(0.01, 8.0, 1601)
 
 
-def _limit_residual(gamma: float, s: float, c: float) -> float:
+def _limit_residual(gamma: float, s: float, d: float) -> float:
     """Max over the grid of |L f - gamma f| for f = q^s exp(-q^2/2) and
-    V = c/q^2 + q^2, with s(s + 1) = c; L is the operator of the module
-    docstring, applied with the analytic f' and f''.  c comes exact, not
-    as s(s + 1), which rounds."""
+    the library's V(q; d), d = 0 or INFINITY, where V = s(s + 1)/q^2 + q^2;
+    L is the operator of the module docstring, applied with the analytic
+    f' and f''."""
     q = _RESIDUAL_GRID
     f = q ** s * np.exp(-0.5 * q * q)
     d1 = (s / q - q) * f
     d2 = ((s / q - q) ** 2 - s / (q * q) - 1.0) * f
-    v = c / (q * q) + q * q
-    lhs = 0.5 * (-d2 - (2.0 / q) * d1 + v * f)
+    lhs = 0.5 * (-d2 - (2.0 / q) * d1 + potential_v(q, d) * f)
     return float(np.max(np.abs(lhs - float(gamma) * f)))
 
 
@@ -218,4 +217,4 @@ def ultrarelativistic_limit_residual(gamma_inf: float) -> float:
     Companion to gaussian_limit_residual for V = 1/q^2 + q^2; the exact
     eigenvalue is 1 + sqrt(5)/2.
     """
-    return _limit_residual(gamma_inf, ULTRA_EXPONENT, 1.0)
+    return _limit_residual(gamma_inf, ULTRA_EXPONENT, INFINITY)

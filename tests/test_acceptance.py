@@ -29,14 +29,11 @@ from relhur import (
     dispersion_functional,
     gamma_bound,
     gamma_h,
-    gamma_h_curve,
     gaussian_limit_residual,
     HopfionState,
     oracle_gamma,
     product_closed_gamma,
-    quadrature_oracle,
     ultrarelativistic_limit_residual,
-    uncertainty_product_closed,
 )
 
 S_ULTRA = 0.5 * (math.sqrt(5.0) - 1.0)
@@ -53,9 +50,8 @@ def hydrogen_results():
     weak = product_closed_gamma(1.0)
     pairs = {}
     for z in (1, 40, 80, 110):
-        state = CoulombState(Z=z)
-        pairs[z] = (uncertainty_product_closed(state),
-                    quadrature_oracle(state).gamma)
+        g = CoulombState(Z=z).gamma_c
+        pairs[z] = (product_closed_gamma(g), oracle_gamma(g).gamma)
     diverged = []
     for gamma_c in (0.5, 0.3):
         try:
@@ -70,9 +66,10 @@ def hydrogen_results():
 @pytest.fixture(scope="module")
 def hopfion_results():
     t0 = time.perf_counter()
-    table = gamma_h_curve([0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0])
+    gs = [gamma_h(HopfionState(a)).gamma
+          for a in (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0)]
     elapsed = time.perf_counter() - t0
-    return table, elapsed
+    return gs, elapsed
 
 
 def test_criterion_1_nonrelativistic_anchor():
@@ -150,8 +147,7 @@ def test_criterion_5c_divergence_gate(hydrogen_results):
 
 
 def test_criterion_6_hopfion_limit(hopfion_results):
-    table, elapsed = hopfion_results
-    gs = [g for _, g in table.rows]
+    gs, elapsed = hopfion_results
     near = abs(gs[-1] - 1.5) / 1.5 < 0.02
     monotone = all(a > b for a, b in zip(gs, gs[1:]))
     ok = near and monotone and elapsed < 60.0
@@ -229,7 +225,7 @@ def test_criterion_9_property_suite():
     frozen_ok = (abs(gamma_bound(1.0) - 1.672106352635) <= 1e-6
                  and abs(gamma_h(HopfionState(1.0)).gamma
                          - 1.9649111869950) <= 1e-6
-                 and abs(uncertainty_product_closed(CoulombState(Z=80))
+                 and abs(product_closed_gamma(CoulombState(Z=80).gamma_c)
                          - 2.3613744819062847) <= 1e-6)
 
     ok = phase_ok and scale_ok and reduction_ok and frozen_ok

@@ -31,8 +31,8 @@ from relhur import (
     lowest_eigenvalues,
     make_potential,
     max_z_finite,
+    oracle_gamma,
     potential_v,
-    quadrature_oracle,
     ultrarelativistic_limit_residual,
 )
 
@@ -91,10 +91,6 @@ def test_potential_array_overflow_free(d):
 def test_singular_strength():
     assert make_potential(0.0).singular_strength == 0.0
     assert make_potential(3.7).singular_strength == 0.0
-    assert make_potential(INFINITY).singular_strength == 1.0
-
-
-def test_make_potential_declares_strength():
     assert make_potential(2.0).singular_strength == 0.0
     assert make_potential(INFINITY).singular_strength == 1.0
 
@@ -269,7 +265,7 @@ def test_families_above_the_curve():
     # (rel_p + rel_r)/2 into gamma, so d is off by at most
     # d err_est/(2 gamma); the slope term is below 1e-10 throughout, so a
     # secant of the curve serves as gamma'(d).
-    states = [(f"Z={ion.Z}", quadrature_oracle(ion), ion.alpha * ion.Z)
+    states = [(f"Z={ion.Z}", oracle_gamma(ion.gamma_c), ion.alpha * ion.Z)
               for ion in map(CoulombState, range(1, max_z_finite() + 1))]
     states += [(f"a={a:g}", gamma_h(HopfionState(a)), 1.0)
                for a in np.geomspace(hopfion.A_MIN, hopfion.A_MAX, 25)]
@@ -506,6 +502,19 @@ def test_exact_solution_residuals():
     assert gaussian_limit_residual(1.4) > 0.01
     assert ultrarelativistic_limit_residual(GAMMA_AT_INF) <= 1e-10
     assert ultrarelativistic_limit_residual(2.0) > 0.01
+
+
+def test_limit_residuals_apply_the_library_potential(monkeypatch):
+    # the residuals check potential_v itself: a V off by 0.1% at INFINITY
+    # must show up in the ultrarelativistic residual
+    exact = rel_uncertainty.potential_v
+
+    def scaled(q, d):
+        return exact(q, d) * (1.001 if math.isinf(d) else 1.0)
+
+    monkeypatch.setattr(rel_uncertainty, "potential_v", scaled)
+    assert ultrarelativistic_limit_residual(GAMMA_AT_INF) > 1e-10
+    assert gaussian_limit_residual(1.5) <= 1e-10
 
 
 def test_tolerance_floor():

@@ -72,6 +72,15 @@ def test_bound_infinite_scale(capsys):
     assert doc["gamma"] == pytest.approx(1.0 + 0.5 * math.sqrt(5.0), abs=1e-6)
 
 
+def test_negative_zero_prints_as_zero(capsys):
+    # the same point d = -0.0 prints alike from bound and from sweep
+    _, out = _capture(capsys, ["bound", "--d", "-0.0"])
+    assert out.startswith('{"d":0.0,')
+    _, out = _capture(capsys, ["sweep", "--d-min", "-0.0", "--d-max", "1",
+                               "--points", "2"])
+    assert out.splitlines()[1].startswith("0.0,")
+
+
 def test_twelve_significant_digits(capsys):
     _, out = _capture(capsys, ["bound", "--d", "1.0"])
     gamma_text = out.split('"gamma":')[1].split(",")[0]
@@ -388,10 +397,10 @@ def test_documents_byte_exact(capsys, monkeypatch, argv):
     monkeypatch.setattr(cli._bound, "gamma_estimates", lambda ds, tol: [
         (math.pi / 2.0, 1e-13 / 3.0)] if len(ds) == 1 else [
         (1.0 + d / 7.0, d * 1e-15 / 3.0) for d in ds])
-    monkeypatch.setattr(cli._hydrogen, "uncertainty_product_closed",
-                        lambda state: math.sqrt(3.0))
-    monkeypatch.setattr(cli._hydrogen, "d_parameter", lambda state: 0.1 / 3.0)
-    monkeypatch.setattr(cli._hydrogen, "quadrature_oracle", lambda state:
+    monkeypatch.setattr(cli._hydrogen, "product_closed_gamma",
+                        lambda g: math.sqrt(3.0))
+    monkeypatch.setattr(cli._hydrogen, "d_parameter", lambda g: 0.1 / 3.0)
+    monkeypatch.setattr(cli._hydrogen, "oracle_gamma", lambda g:
                         SimpleNamespace(gamma=math.sqrt(3.0) * (1.0 + 2.5e-9)))
     monkeypatch.setattr(cli._hopfion, "gamma_h", lambda state: SimpleNamespace(
         gamma=2.0 - state.a / 9.0, delta_r_sq=state.a / 3.0,

@@ -24,15 +24,12 @@ from relhur import (
     MomentumPoint,
     QuadConfig,
     QuadResult,
-    SweepTable,
     amplitude_pair,
     bessel_k,
     dispersion_functional,
     gamma_bound,
     gamma_h,
-    gamma_h_curve,
     norm_bessel_ratio,
-    norm_const,
 )
 
 RNG = np.random.default_rng(42)
@@ -146,13 +143,15 @@ def test_norm_ratio_width_independent():
 
 
 def test_norm_const_frozen():
-    assert norm_const(HopfionState(1.0)) == pytest.approx(NORM_AT_1, rel=1e-9)
+    # norm_sq is the squared norm of the unnormalized components, N^{-2}
+    assert gamma_h(HopfionState(1.0)).norm_sq == pytest.approx(NORM_AT_1,
+                                                               rel=1e-9)
 
 
 def test_norm_large_width_asymptotics():
     # at a = 20 the K2 route and quadrature still agree; e^{40} rescaling
     # keeps the comparison in range
-    val = norm_const(HopfionState(20.0)) * math.exp(40.0)
+    val = gamma_h(HopfionState(20.0)).norm_sq * math.exp(40.0)
     ref = 4.0 * math.pi * bessel_k(2, 40.0) * math.exp(40.0) / 20.0
     assert val == pytest.approx(ref, rel=1e-8)
 
@@ -189,7 +188,6 @@ def test_trapezoid_rule_matches_adaptive_reference(a):
     assert rep.delta_p_sq == pytest.approx(ref.delta_p_sq, rel=1e-12)
     assert rep.mean_p[2] == pytest.approx(ref.mean_p[2], rel=1e-12)
     assert rep.norm_sq == pytest.approx(ref.norm_sq, rel=1e-12)
-    assert norm_const(HopfionState(a)) == pytest.approx(ref.norm_sq, rel=1e-12)
 
 
 @pytest.mark.parametrize("a", [0.1, 1.0, 7.3])
@@ -276,42 +274,23 @@ def test_nonrelativistic_limit():
 
 
 def test_curve_strictly_decreasing():
-    table = gamma_h_curve(REFERENCE_GRID)
-    assert isinstance(table, SweepTable)
-    gs = [g for _, g in table.rows]
+    gs = [gamma_h(HopfionState(a)).gamma for a in REFERENCE_GRID]
     assert all(a > b for a, b in zip(gs, gs[1:]))
     assert all(g > 1.5 for g in gs)
-    assert [a for a, _ in table.rows] == REFERENCE_GRID
 
 
 def test_curve_tail_approaches_limit():
     # gamma_H(a) - 3/2 falls like 1/a: a (gamma_H(a) - 3/2) rises slowly
     # (measured 0.6066, 0.6156, 0.6212), and gamma_H(50) is converged
-    table = gamma_h_curve([10.0, 20.0, 50.0])
-    gs = [g for _, g in table.rows]
+    grid = [10.0, 20.0, 50.0]
+    gs = [gamma_h(HopfionState(a)).gamma for a in grid]
     assert gs[0] > gs[1] > gs[2]
-    scaled = [a * (g - 1.5) for a, g in table.rows]
+    scaled = [a * (g - 1.5) for a, g in zip(grid, gs)]
     assert scaled[0] < scaled[1] < scaled[2]
     assert all(0.60 <= s <= 0.63 for s in scaled)
     tight = gamma_h(HopfionState(50.0),
                     QuadConfig(abs_tol=1e-300, rel_tol=1e-12))
     assert gs[2] == pytest.approx(tight.gamma, rel=1e-9)
-
-
-def test_single_point_curve_degenerates():
-    table = gamma_h_curve([1.0])
-    assert table.rows[0][0] == 1.0
-    assert table.rows[0][1] == pytest.approx(gamma_h(HopfionState(1.0)).gamma,
-                                             rel=1e-12)
-
-
-def test_curve_rejects_bad_grids():
-    with pytest.raises(ValueError):
-        gamma_h_curve([])
-    with pytest.raises(ValueError):
-        gamma_h_curve([2.0, 1.0])
-    with pytest.raises(ValueError):
-        gamma_h_curve([0.001, 1.0])
 
 
 def test_bound_consistency():

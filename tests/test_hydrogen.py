@@ -27,10 +27,7 @@ from relhur import (
     max_z_finite,
     oracle_gamma,
     product_closed_gamma,
-    quadrature_oracle,
-    uncertainty_product_closed,
 )
-from relhur.hydrogen import _d_parameter_gamma
 
 # frozen regression values, this build, CODATA alpha
 FROZEN = {
@@ -123,7 +120,6 @@ def test_numpy_integer_charge(z):
     assert state.gamma_c == ref.gamma_c
     assert product_closed_gamma(state.gamma_c) == product_closed_gamma(
         ref.gamma_c)
-    assert uncertainty_product_closed(state) == uncertainty_product_closed(ref)
     for bad in (5.0, np.float64(5.0), np.True_, "5"):
         with pytest.raises(ValueError, match="positive integer"):
             CoulombState(Z=bad)
@@ -136,8 +132,7 @@ def test_exponent_frozen_values():
 
 def test_closed_product_frozen_values():
     for z, (_, product) in FROZEN.items():
-        state = CoulombState(Z=z)
-        assert uncertainty_product_closed(state) == pytest.approx(
+        assert product_closed_gamma(CoulombState(Z=z).gamma_c) == pytest.approx(
             product, rel=1e-12)
     assert product_closed_gamma(0.8) == pytest.approx(
         CLOSED_AT_GAMMA_08, rel=1e-12)
@@ -155,14 +150,14 @@ def test_divergence_gate():
         with pytest.raises(DivergenceError):
             product_closed_gamma(g)
         with pytest.raises(DivergenceError):
-            _d_parameter_gamma(g)
+            d_parameter(g)
     # Z = 137 constructs (alpha Z < 1) but its product diverges
-    state = CoulombState(Z=137)
-    assert state.gamma_c < 0.5
+    g = CoulombState(Z=137).gamma_c
+    assert g < 0.5
     with pytest.raises(DivergenceError):
-        uncertainty_product_closed(state)
+        product_closed_gamma(g)
     with pytest.raises(DivergenceError):
-        quadrature_oracle(state)
+        oracle_gamma(g)
     assert isinstance(DivergenceError("x"), ValueError)
 
 
@@ -189,9 +184,9 @@ def test_closed_vs_oracle_gamma_grid():
 
 @pytest.mark.parametrize("z", [1, 40, 80, 110])
 def test_closed_vs_oracle_z(z):
-    state = CoulombState(Z=z)
-    closed = uncertainty_product_closed(state)
-    oracle = quadrature_oracle(state).gamma
+    g = CoulombState(Z=z).gamma_c
+    closed = product_closed_gamma(g)
+    oracle = oracle_gamma(g).gamma
     assert abs(oracle - closed) / closed <= 1e-6
 
 
@@ -264,17 +259,17 @@ def test_radial_moment_gamma_ratio():
 def test_monotonicity_in_gamma():
     gs = np.linspace(0.55, 1.0, 12)
     products = [product_closed_gamma(float(g)) for g in gs]
-    d_values = [_d_parameter_gamma(float(g)) for g in gs]
+    d_values = [d_parameter(float(g)) for g in gs]
     assert all(a > b for a, b in zip(products, products[1:]))
     assert all(a > b for a, b in zip(d_values, d_values[1:]))
 
 
 def test_d_parameter_values():
-    assert _d_parameter_gamma(1.0) == 0.0
-    assert _d_parameter_gamma(0.8) == pytest.approx(D_AT_GAMMA_08, rel=1e-12)
-    assert d_parameter(CoulombState(Z=80)) == pytest.approx(D_AT_Z80,
-                                                            rel=1e-12)
-    assert _d_parameter_gamma(0.500001) > 20.0
+    assert d_parameter(1.0) == 0.0
+    assert d_parameter(0.8) == pytest.approx(D_AT_GAMMA_08, rel=1e-12)
+    assert d_parameter(CoulombState(Z=80).gamma_c) == pytest.approx(
+        D_AT_Z80, rel=1e-12)
+    assert d_parameter(0.500001) > 20.0
 
 
 def test_bispinor_zero_charge_limit():
@@ -349,6 +344,6 @@ def test_max_z_finite():
         alpha = math.sqrt(3.0) / (2.0 * k)
         z = max_z_finite(alpha)
         assert math.isfinite(
-            uncertainty_product_closed(CoulombState(z, alpha)))
+            product_closed_gamma(CoulombState(z, alpha).gamma_c))
         with pytest.raises((DivergenceError, ValueError)):
-            uncertainty_product_closed(CoulombState(z + 1, alpha))
+            product_closed_gamma(CoulombState(z + 1, alpha).gamma_c)

@@ -23,7 +23,7 @@ from relhur import (
     integrate_trapezoid,
     make_potential,
 )
-from relhur.hopfion import HopfionState, gamma_h, gamma_h_curve
+from relhur.hopfion import HopfionState, gamma_h
 
 # name: (record factory, None or (valid fields, bad fields)) for every
 # public record; the second entry is set for the records that check fields
@@ -38,7 +38,6 @@ _RECORDS = {
         lambda: ground_state(make_potential(0.0)).diagnostics, None),
     "AmplitudePair": (lambda: AmplitudePair(np.exp), None),
     "DispersionReport": (lambda: gamma_h(HopfionState(1.0)), None),
-    "SweepTable": (lambda: gamma_h_curve([1.0]), None),
     "MomentumPoint": (lambda: MomentumPoint(1.0, 0.5, 2.0),
                       ({"theta": math.pi}, {"theta": 3.5})),
     "Bispinor": (lambda: Bispinor([1.0, 0.0, 0.5j, 0.0]),
