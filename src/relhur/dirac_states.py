@@ -58,19 +58,22 @@ the first level's p nodes climbs at the re-check.
 
 An integrand call evaluates amplitudes and partials in one broadcast NumPy
 pass per chunk of p nodes, at most 16 x 12 x 17 = 3264 (p, theta, phi)
-points a chunk (numeric partials stack four shifted copies of that grid in
-one call per axis): amplitudes are called as
+points a chunk: amplitudes are called as
 f(ps[:, None, None], thetas[None, :, None], phis[None, None, :]) and return
-complex values that broadcast to (n_p, n_theta, n_phi).  An amplitude that
-does not depend on phi may return size 1 on the phi axis, and is worked on
-at that size; any other shape raises ValueError.
+either their complex values, which broadcast to (n_p, n_theta, n_phi), or
+the tuple (values, d_p, d_theta, d_phi) of those values and their analytic
+partials, each broadcasting alike.  An amplitude that returns the tuple is
+called once a chunk; one that returns values only gets numeric partials
+from one more call per axis, on four shifted copies of the grid stacked.
+An array that does not depend on phi may have size 1 on the phi axis,
+and is worked on at that size; any other shape raises ValueError.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -82,7 +85,8 @@ __all__ = ["MomentumPoint", "Bispinor", "AmplitudePair", "DispersionReport",
 _N_PHI_PAIRS = tuple(8 << k for k in range(6))  # (n, n + 1) for n = 8..256
 _GRID_POINTS = 16 * 12 * 17  # (p, theta, phi) points per amplitude chunk
 
-AmpFunc = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+AmpFunc = Callable[[np.ndarray, np.ndarray, np.ndarray],
+                   Union[np.ndarray, tuple]]
 
 
 class MomentumPoint(NamedTuple("MomentumPoint", [
@@ -96,6 +100,8 @@ class MomentumPoint(NamedTuple("MomentumPoint", [
             raise ValueError("p must be a finite non-negative real")
         if not (0.0 <= theta <= math.pi):
             raise ValueError("theta must lie in [0, pi]")
+        if not math.isfinite(phi):
+            raise ValueError("phi must be finite")
         return super().__new__(cls, p, theta, phi)
 
     # the base's _make, which _replace calls, skips __new__ and its checks;
@@ -149,21 +155,19 @@ class AmplitudePair(NamedTuple):
 
     Each amplitude is called on a (p, theta, phi) grid as
     f(ps[:, None, None], thetas[None, :, None], phis[None, None, :]) and
-    returns complex values that broadcast to (n_p, n_theta, n_phi); an
-    amplitude that does not depend on phi may return size 1 on the phi
-    axis.  Use NumPy functions of p, not math ones: p is an array.
-    f_minus may be None for a pure spin-up state.  partials_* optionally
-    supply analytic (d_p, d_theta, d_phi) with the same calling
-    convention; otherwise central differences with one Richardson pass are
-    used, with the step 1e-3 p at each p node and 1e-3 in theta (less
-    near the poles) and phi.  With a jump in phi the phi sums never
-    converge, and dispersion_functional raises QuadratureError.
+    returns either complex values that broadcast to (n_p, n_theta, n_phi),
+    or the tuple (values, d_p, d_theta, d_phi) with its analytic partials,
+    each broadcasting alike; an array that does not depend on phi may have
+    size 1 on the phi axis.  Use NumPy functions of p, not math ones: p is
+    an array.  f_minus may be None for a pure spin-up state.  An amplitude
+    that returns values only gets central differences with one Richardson
+    pass, with the step 1e-3 p at each p node and 1e-3 in theta (less near
+    the poles) and phi.  With a jump in phi the phi sums never converge,
+    and dispersion_functional raises QuadratureError.
     """
 
     f_plus: Optional[AmpFunc]
     f_minus: Optional[AmpFunc] = None
-    partials_plus: Optional[Sequence[AmpFunc]] = None
-    partials_minus: Optional[Sequence[AmpFunc]] = None
 
 
 class DispersionReport(NamedTuple):
@@ -250,60 +254,54 @@ def _phi_rules(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return phis[None, None, :], w_phi
 
 
-class _Amplitude:
-    """One spin component with analytic or numeric partial derivatives."""
+def _numeric_partial(fn: AmpFunc, coords, shape, axis: int):
+    """d fn / d coords[axis] on the grid of coords = (p, thetas, phis), by
+    central differences with one Richardson pass; steps never leave the
+    coordinate domain.  The pass leaves an O(h^4) error against O(eps/h)
+    rounding, so h is about eps^(1/5) = 1e-3.  The probes x + h, x - h,
+    x + h/2 and x - h/2 go to fn in one call, stacked along the axis."""
+    x = coords[axis]
+    if axis == 0:
+        h = 1e-3 * x  # the quadrature's p nodes are all positive
+    elif axis == 1:
+        h = max(min(1e-3, 0.5 * float(np.min(x)),
+                    0.5 * (math.pi - float(np.max(x)))), 1e-9)
+    else:
+        h = 1e-3
+    probes = list(coords)
+    probes[axis] = np.concatenate(
+        [x + h, x - h, x + 0.5 * h, x - 0.5 * h], axis=axis)
+    y = _on_grid(fn(*probes),
+                 shape[:axis] + (4 * shape[axis],) + shape[axis + 1:])
+    y = y.reshape((1,) * (3 - y.ndim) + y.shape)
+    if y.shape[axis] == 1:  # the amplitude does not depend on the axis
+        return np.zeros_like(y)
+    hi, lo, hi_2, lo_2 = np.moveaxis(
+        y.reshape(y.shape[:axis] + (4, -1) + y.shape[axis + 1:]), axis, 0)
+    # NumPy divides a complex array by a real r as a product with 1/r;
+    # the products below give those bits without the division's branches
+    d1 = (hi - lo) * (1.0 / (2.0 * h))
+    d2 = (hi_2 - lo_2) * (1.0 / h)
+    return (4.0 * d2 - d1) * (1.0 / 3.0)
 
-    def __init__(self, fn: Optional[AmpFunc],
-                 partials: Optional[Sequence[AmpFunc]]):
-        self.fn = fn
-        if partials is not None and len(partials) != 3:
-            raise ValueError("partials must be (d_p, d_theta, d_phi)")
-        self.partials = partials
 
-    def _numeric_partial(self, coords, shape, axis: int):
-        # Central difference in coords[axis] of (p, thetas, phis) with one
-        # Richardson pass; steps never leave the coordinate domain.  The
-        # pass leaves an O(h^4) error against O(eps/h) rounding, so h is
-        # about eps^(1/5) = 1e-3.  The probes x + h, x - h, x + h/2 and
-        # x - h/2 go to the amplitude in one call, stacked along the axis.
-        x = coords[axis]
-        if axis == 0:
-            h = 1e-3 * x  # the quadrature's p nodes are all positive
-        elif axis == 1:
-            h = max(min(1e-3, 0.5 * float(np.min(x)),
-                        0.5 * (math.pi - float(np.max(x)))), 1e-9)
-        else:
-            h = 1e-3
-        probes = list(coords)
-        probes[axis] = np.concatenate(
-            [x + h, x - h, x + 0.5 * h, x - 0.5 * h], axis=axis)
-        y = _on_grid(self.fn(*probes),
-                     shape[:axis] + (4 * shape[axis],) + shape[axis + 1:])
-        y = y.reshape((1,) * (3 - y.ndim) + y.shape)
-        if y.shape[axis] == 1:  # the amplitude does not depend on the axis
-            return np.zeros_like(y)
-        hi, lo, hi_2, lo_2 = np.moveaxis(
-            y.reshape(y.shape[:axis] + (4, -1) + y.shape[axis + 1:]), axis, 0)
-        # NumPy divides a complex array by a real r as a product with 1/r;
-        # the products below give those bits without the division's branches
-        d1 = (hi - lo) * (1.0 / (2.0 * h))
-        d2 = (hi_2 - lo_2) * (1.0 / h)
-        return (4.0 * d2 - d1) * (1.0 / 3.0)
-
-    def evaluate(self, p, thetas, phis):
-        """[value, d_p, d_theta, d_phi], each broadcasting to
-        (n_p, n_theta, n_phi) at its own shape; a missing spin gives
-        zeros."""
-        if self.fn is None:
-            return [0.0] * 4
-        shape = (p.shape[0], thetas.shape[1], phis.shape[2])
-        if self.partials is not None:
-            grads = [_on_grid(g(p, thetas, phis), shape)
-                     for g in self.partials]
-        else:
-            grads = [self._numeric_partial((p, thetas, phis), shape, ax)
-                     for ax in range(3)]
-        return [_on_grid(self.fn(p, thetas, phis), shape)] + grads
+def _spin_fields(fn: Optional[AmpFunc], p, thetas, phis):
+    """[value, d_p, d_theta, d_phi] of one spin's amplitude, each
+    broadcasting to (n_p, n_theta, n_phi) at its own shape; a missing spin
+    gives zeros (AmplitudePair for what fn returns)."""
+    if fn is None:
+        return [0.0] * 4
+    shape = (p.shape[0], thetas.shape[1], phis.shape[2])
+    out = fn(p, thetas, phis)
+    if not isinstance(out, tuple):
+        return [_on_grid(out, shape)] + [
+            _numeric_partial(fn, (p, thetas, phis), shape, ax)
+            for ax in range(3)]
+    if len(out) != 4:
+        raise ValueError(f"an amplitude returns its values or (values, d_p, "
+                         f"d_theta, d_phi) with its partials, not a tuple of "
+                         f"{len(out)}")
+    return [_on_grid(x, shape) for x in out]
 
 
 class _PairRejected(Exception):
@@ -311,16 +309,16 @@ class _PairRejected(Exception):
 
 
 def _phi_moments(spins, mass, p, th, phis, w_phi):
-    """Phi sums of the five fields below on the (p, theta, phi) grid: the
-    plain, cos(phi)- and sin(phi)-weighted sums under each rule of w_phi,
-    shape (5, n_p, n_theta, n_rules, 3)."""
+    """Phi sums of the five fields below of the AmplitudePair spins on the
+    (p, theta, phi) grid: the plain, cos(phi)- and sin(phi)-weighted sums
+    under each rule of w_phi, shape (5, n_p, n_theta, n_rules, 3)."""
     st = np.sin(th)
     ct = np.cos(th)
     e = np.hypot(mass, p)
     rel = 1.0 - mass / e  # (1 - m/E)
     # (m p)^2 / (4 E^4); (m p)^2 alone overflows from m = 3.2e135
     coef_f = rel + 0.25 * ((mass / e) * (p / e)) ** 2
-    (fp, *gp), (fm, *gm) = (s.evaluate(p, th, phis) for s in spins)
+    (fp, *gp), (fm, *gm) = (_spin_fields(f, p, th, phis) for f in spins)
     cp, cm = np.conj(fp), np.conj(fm)
     dens_p, dens_m = (cp * fp).real, (cm * fm).real
     grad_sq = [(np.conj(a) * a).real + (np.conj(b) * b).real
@@ -328,7 +326,7 @@ def _phi_moments(spins, mass, p, th, phis, w_phi):
     # Im(f_s* d_k f_s) per spin, k = p, theta, phi
     im_p = [(cp * d).imag for d in gp]
     im_m = [(cm * d).imag for d in gm]
-    if all(s.fn is not None for s in spins):
+    if all(f is not None for f in spins):
         # antisymmetrized theta and phi derivatives between the spins;
         # relative minus: theta connection between spins is antisymmetric
         e_mphi = np.exp(-1j * phis)
@@ -394,8 +392,6 @@ def dispersion_functional(amp: AmplitudePair, cfg: QuadConfig = QuadConfig(),
         raise ValueError("at least one spin amplitude must be supplied")
     if mass < 0.0 or not math.isfinite(mass):
         raise ValueError("mass must be a finite non-negative real")
-    spins = (_Amplitude(amp.f_plus, amp.partials_plus),
-             _Amplitude(amp.f_minus, amp.partials_minus))
 
     def sums(p, thetas, sizes):
         """The nine rows under each phi rule of sizes, (len(sizes), 9, n_p,
@@ -404,7 +400,7 @@ def dispersion_functional(amp: AmplitudePair, cfg: QuadConfig = QuadConfig(),
         th = thetas[..., None]
         step = max(1, _GRID_POINTS // (th.size * phis.size))
         return _rows(np.concatenate([
-            _phi_moments(spins, mass, p[k:k + step, :, None], th, phis, w_phi)
+            _phi_moments(amp, mass, p[k:k + step, :, None], th, phis, w_phi)
             for k in range(0, p.shape[0], step)], axis=1), p, thetas)
 
     def check(t_n, t_n1):

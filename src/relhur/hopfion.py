@@ -72,52 +72,37 @@ def amplitude_pair(state: HopfionState) -> AmplitudePair:
     """Decomposition onto the positive-energy bispinor basis.
 
     f_plus = (m + E - p_z) e^{-aE} / (m sqrt(E(E+m))),
-    f_minus = -(p_x + i p_y) e^{-aE} / (m sqrt(E(E+m))), with analytic
-    partial derivatives; feeding this into the general dispersion
-    functional must reproduce gamma_h computed from direct gradients.
+    f_minus = -(p_x + i p_y) e^{-aE} / (m sqrt(E(E+m))), each returned with
+    its analytic partial derivatives; feeding this into the general
+    dispersion functional must reproduce gamma_h computed from direct
+    gradients.
     """
     a = state.a
 
-    def g(p):
-        e = np.hypot(1.0, p)
-        return np.exp(-a * e) / np.sqrt(e * (e + 1.0))
-
-    def dg(p):
+    def radial(p):
+        """E, g = e^{-aE} / sqrt(E(E+1)) and dg/dp."""
         e = np.hypot(1.0, p)
         ep = p / e
-        return g(p) * (-a * ep - ep / (2.0 * e) - ep / (2.0 * (e + 1.0)))
+        g = np.exp(-a * e) / np.sqrt(e * (e + 1.0))
+        return e, g, g * (-a * ep - ep / (2.0 * e) - ep / (2.0 * (e + 1.0)))
 
     def f_plus(p, th, phi):
-        return (1.0 + np.hypot(1.0, p) - p * np.cos(th)) * g(p) + 0j
+        e, g, dg = radial(p)
+        ct = np.cos(th)
+        return ((1.0 + e - p * ct) * g + 0j,
+                ((p / e - ct) * g + (1.0 + e - p * ct) * dg) + 0j,
+                p * np.sin(th) * g + 0j,
+                np.zeros_like(th, dtype=complex))
 
     def f_minus(p, th, phi):
-        return -p * np.sin(th) * np.exp(1j * phi) * g(p)
+        _, g, dg = radial(p)
+        st, turn = np.sin(th), np.exp(1j * phi)
+        return (-p * st * turn * g,
+                -st * turn * (g + p * dg),
+                -p * np.cos(th) * turn * g,
+                -1j * p * st * turn * g)
 
-    def dp_plus(p, th, phi):
-        e = np.hypot(1.0, p)
-        return ((p / e - np.cos(th)) * g(p)
-                + (1.0 + e - p * np.cos(th)) * dg(p)) + 0j
-
-    def dt_plus(p, th, phi):
-        return p * np.sin(th) * g(p) + 0j
-
-    def df_plus(p, th, phi):
-        return np.zeros_like(th, dtype=complex)
-
-    def dp_minus(p, th, phi):
-        return -np.sin(th) * np.exp(1j * phi) * (g(p) + p * dg(p))
-
-    def dt_minus(p, th, phi):
-        return -p * np.cos(th) * np.exp(1j * phi) * g(p)
-
-    def df_minus(p, th, phi):
-        return -1j * p * np.sin(th) * np.exp(1j * phi) * g(p)
-
-    return AmplitudePair(
-        f_plus=f_plus, f_minus=f_minus,
-        partials_plus=(dp_plus, dt_plus, df_plus),
-        partials_minus=(dp_minus, dt_minus, df_minus),
-    )
+    return AmplitudePair(f_plus=f_plus, f_minus=f_minus)
 
 
 def _rows(a: float, u: np.ndarray, c: np.ndarray) -> np.ndarray:

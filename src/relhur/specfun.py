@@ -28,40 +28,24 @@ bessel_k
       multiplied back once; t_s is the node nearest max(0, log(nu/x) - 1).
       So no term overflows, no inf * 0 occurs, and the exponents near the
       peak stay O(1) at any x.
-    - Error: est_abs_error is the gap between the two sums plus a rounding
-      floor of 4 eps (1 + nu T) times the value, which covers exponents up
-      to nu T (about 1400 at the smallest x).
 
     Every finite x > 0 returns a finite value, or a ValueError saying that
     K_nu(x) overflows double precision (K1 below 5.6e-309, K2 below
-    1.06e-154).  By policy x > 700 returns exactly 0 with the underflow
-    flag set, although K_nu(700) is a normal double (K0(700) = 4.7e-306).
+    1.06e-154).  By policy x > 700 returns exactly 0, although K_nu(700)
+    is a normal double (K0(700) = 4.7e-306).
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["SpecfunResult", "gamma_fn", "bessel_k", "bessel_k_detailed"]
+__all__ = ["gamma_fn", "bessel_k"]
 
 GAMMA_MAX_ARG = 50.0
 BESSEL_UNDERFLOW_X = 700.0
 _H = 0.25  # h of the module docstring at x <= 1
-
-
-class SpecfunResult(NamedTuple):
-    """Value plus an honest absolute error estimate.
-
-    underflow is set when x is beyond the underflow policy and 0.0 was
-    returned in place of the value.
-    """
-
-    value: float
-    est_abs_error: float
-    underflow: bool = False
 
 
 def gamma_fn(x: float) -> float:
@@ -73,7 +57,7 @@ def gamma_fn(x: float) -> float:
 
 
 def _scaled_k(nu, x):
-    """(a, s, err) with K_nu(x) = e^{a - x} s, and e^{a - x} err its error."""
+    """(a, s) with K_nu(x) = e^{a - x} s."""
     t_max = 2.0 * math.asinh(math.sqrt(372.5) / math.sqrt(x))
     t_peak = math.log(nu) - math.log(x) - 1.0 if nu else 0.0
     step = 0.5 * _H * min(1.0, 1.0 / math.sqrt(x))
@@ -87,11 +71,10 @@ def _scaled_k(nu, x):
     if not gap <= 1e-13 * fine:
         raise ArithmeticError(f"K_{nu}({x!r}): the sums at steps {2 * step:g} "
                               f"and {step:g} differ by {gap / fine:.2e}")
-    floor = 8.9e-16 * (1.0 + nu * t_max) * fine  # 4 eps
-    return nu * m * step, 0.5 * fine, 0.5 * (gap + floor)
+    return nu * m * step, 0.5 * fine
 
 
-def bessel_k_detailed(order: int, x: float) -> SpecfunResult:
+def bessel_k(order: int, x: float) -> float:
     """K_order(x) for order in {0, 1, 2}, x > 0."""
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
@@ -99,8 +82,8 @@ def bessel_k_detailed(order: int, x: float) -> SpecfunResult:
     if not 0.0 < x < math.inf:
         raise ValueError(f"bessel_k needs finite x > 0, got {x!r}")
     if x > BESSEL_UNDERFLOW_X:
-        return SpecfunResult(value=0.0, est_abs_error=0.0, underflow=True)
-    a, s, err = _scaled_k(order, x)
+        return 0.0
+    a, s = _scaled_k(order, x)
     try:
         scale = math.exp(a)
     except OverflowError:
@@ -108,8 +91,4 @@ def bessel_k_detailed(order: int, x: float) -> SpecfunResult:
     scale *= math.exp(-x)
     if not scale * s < math.inf:
         raise ValueError(f"K_{order}({x!r}) overflows double precision")
-    return SpecfunResult(value=scale * s, est_abs_error=scale * err)
-
-
-def bessel_k(order: int, x: float) -> float:
-    return bessel_k_detailed(order, x).value
+    return scale * s

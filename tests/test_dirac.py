@@ -85,6 +85,9 @@ def test_momentum_point_validation():
         MomentumPoint(1.0, 3.5, 0.0)
     with pytest.raises(ValueError):
         MomentumPoint(math.inf, 0.5, 0.0)
+    for phi in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="phi"):
+            MomentumPoint(1.0, 0.5, phi)
     assert MomentumPoint(3.0, 0.5, 0.0).energy == pytest.approx(
         math.sqrt(10.0), rel=1e-15)
 
@@ -213,9 +216,8 @@ def _four_component_r_rows(amp, mass, p, thetas):
     # phi grid of its own, independent of the functional's trapezoid pairs
     phis = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)[None, None, :]
     p, th = p[..., None], thetas[..., None]
-    f = [amp.f_plus(p, th, phis), amp.f_minus(p, th, phis)]
-    g = [[d(p, th, phis) for d in parts]
-         for parts in (amp.partials_plus, amp.partials_minus)]
+    (f_p, *g_p), (f_m, *g_m) = (fn(p, th, phis) for fn in amp)
+    f, g = [f_p, f_m], [g_p, g_m]
     u, du = _bispinors(p, th, phis, mass)
     conj_psi = np.conj(u[0] * f[0] + u[1] * f[1])
     a_p, a_t, a_f = (
@@ -269,19 +271,12 @@ def _shifted_two_spin_state():
 
     def shifted(spin):
         def f(p, th, ph):
-            return spin(p, th, ph)[0] * shift(p, th, ph)[0]
+            (val, dval), (s, ds) = spin(p, th, ph), shift(p, th, ph)
+            return (val * s,) + tuple(dval[k] * s + val * ds[k]
+                                      for k in range(3))
+        return f
 
-        def partial(k):
-            def d(p, th, ph):
-                (val, dval), (s, ds) = spin(p, th, ph), shift(p, th, ph)
-                return dval[k] * s + val * ds[k]
-            return d
-
-        return f, tuple(partial(k) for k in range(3))
-
-    (f_plus, d_plus), (f_minus, d_minus) = shifted(up), shifted(down)
-    return AmplitudePair(f_plus=f_plus, f_minus=f_minus,
-                         partials_plus=d_plus, partials_minus=d_minus)
+    return AmplitudePair(f_plus=shifted(up), f_minus=shifted(down))
 
 
 @pytest.mark.parametrize("mass", [1.0, 0.3, 0.0])
@@ -342,24 +337,20 @@ def _harmonic_15_state(beta):
     spin_phase = complex(math.cos(beta), math.sin(beta))
 
     def plus(p, th, ph):
-        return np.exp(-0.5 * p * p) * (np.sin(th) * np.exp(1j * ph)) ** 15
+        val = np.exp(-0.5 * p * p) * (np.sin(th) * np.exp(1j * ph)) ** 15
+        return (val, -p * val,
+                15.0 * np.exp(-0.5 * p * p) * np.cos(th) * np.exp(1j * ph)
+                * (np.sin(th) * np.exp(1j * ph)) ** 14,
+                15j * val)
 
     def minus(p, th, ph):
-        return 0.7 * p * np.exp(-0.6 * p * p) * np.sin(th) * spin_phase + 0j
+        rad = np.exp(-0.6 * p * p)
+        return (0.7 * p * rad * np.sin(th) * spin_phase + 0j,
+                0.7 * (1.0 - 1.2 * p * p) * rad * np.sin(th) * spin_phase + 0j,
+                0.7 * p * rad * np.cos(th) * spin_phase + 0j,
+                np.zeros_like(th, dtype=complex))
 
-    return AmplitudePair(
-        f_plus=plus, f_minus=minus,
-        partials_plus=(
-            lambda p, th, ph: -p * plus(p, th, ph),
-            lambda p, th, ph: 15.0 * np.exp(-0.5 * p * p) * np.cos(th)
-            * np.exp(1j * ph) * (np.sin(th) * np.exp(1j * ph)) ** 14,
-            lambda p, th, ph: 15j * plus(p, th, ph)),
-        partials_minus=(
-            lambda p, th, ph: 0.7 * (1.0 - 1.2 * p * p) * np.exp(-0.6 * p * p)
-            * np.sin(th) * spin_phase + 0j,
-            lambda p, th, ph: 0.7 * p * np.exp(-0.6 * p * p) * np.cos(th)
-            * spin_phase + 0j,
-            lambda p, th, ph: np.zeros_like(th, dtype=complex)))
+    return AmplitudePair(f_plus=plus, f_minus=minus)
 
 
 def test_phi_sums_not_fooled_by_aliased_harmonics():
@@ -734,9 +725,13 @@ def test_rejects_empty_pair():
 
 
 def test_rejects_partials_that_are_not_three():
+    # a tuple is read as the values and their three partials
+    def short(p, th, ph):
+        val = _gaussian(p, th, ph)
+        return val, -p * val
+
     with pytest.raises(ValueError, match="partials"):
-        dispersion_functional(AmplitudePair(f_plus=_gaussian,
-                                            partials_plus=[_gaussian]))
+        dispersion_functional(AmplitudePair(f_plus=short))
 
 
 def test_report_rejects_invalid_integrals():

@@ -213,13 +213,31 @@ def test_amplitude_route_matches_direct():
     assert np.max(np.abs(amp_rep.mean_r)) < 1e-10
 
 
-def test_numeric_partials_match_analytic():
-    # the same phi-dependent amplitudes without their analytic partials go
-    # through the functional's central differences on the broadcast grid
+def _counted_route(numeric, cfg=QuadConfig()):
+    """The packet at a = 1 through the general functional, and the number
+    of f_plus calls it made.  numeric strips the analytic partials off both
+    amplitudes, which sends them through the functional's central
+    differences on the broadcast grid."""
     amp = amplitude_pair(HopfionState(1.0))
-    analytic = dispersion_functional(amp)
-    numeric = dispersion_functional(
-        AmplitudePair(f_plus=amp.f_plus, f_minus=amp.f_minus))
+    calls = []
+
+    def route(fn):
+        def f(p, th, ph):
+            calls.append(fn)
+            out = fn(p, th, ph)
+            return out[0] if numeric else out
+        return f
+
+    rep = dispersion_functional(AmplitudePair(*map(route, amp)), cfg)
+    return rep, calls.count(amp.f_plus)
+
+
+def test_numeric_partials_match_analytic():
+    # the same phi-dependent amplitudes without their analytic partials:
+    # one call per chunk on the analytic route, four on the numeric one
+    analytic, analytic_calls = _counted_route(numeric=False)
+    numeric, numeric_calls = _counted_route(numeric=True)
+    assert (analytic_calls, numeric_calls) == (12, 48)
     assert numeric.norm_sq == pytest.approx(analytic.norm_sq, rel=1e-9)
     assert numeric.delta_r_sq == pytest.approx(analytic.delta_r_sq, rel=1e-9)
     assert numeric.delta_p_sq == pytest.approx(analytic.delta_p_sq, rel=1e-9)
@@ -228,18 +246,16 @@ def test_numeric_partials_match_analytic():
 def test_numeric_partials_at_tight_tolerance():
     # the bare amplitudes' central differences must not swamp the phi
     # ladder with rounding at rel_tol 1e-12
-    amp = amplitude_pair(HopfionState(1.0))
-    numeric = dispersion_functional(
-        AmplitudePair(f_plus=amp.f_plus, f_minus=amp.f_minus),
-        QuadConfig(abs_tol=1e-300, rel_tol=1e-12))
+    numeric, calls = _counted_route(
+        numeric=True, cfg=QuadConfig(abs_tol=1e-300, rel_tol=1e-12))
+    assert calls == 48
     assert abs(numeric.gamma - gamma_h(HopfionState(1.0)).gamma) <= 1e-12
 
 
 def test_amplitude_partials_match_central_differences():
     amp = amplitude_pair(HopfionState(1.0))
     h = 1e-6
-    for fn, parts in ((amp.f_plus, amp.partials_plus),
-                      (amp.f_minus, amp.partials_minus)):
+    for fn in amp:
         for _ in range(25):
             p = float(RNG.uniform(0.1, 8.0))
             th = np.array([float(RNG.uniform(0.1, math.pi - 0.1))])
@@ -250,9 +266,9 @@ def test_amplitude_partials_match_central_differences():
                 lo = [p, th, phi]
                 hi[ax] = hi[ax] + h
                 lo[ax] = lo[ax] - h
-                num = (np.asarray(fn(*hi), dtype=complex)
-                       - np.asarray(fn(*lo), dtype=complex)) / (2.0 * h)
-                ana = np.asarray(parts[ax](*args), dtype=complex)
+                num = (np.asarray(fn(*hi)[0], dtype=complex)
+                       - np.asarray(fn(*lo)[0], dtype=complex)) / (2.0 * h)
+                ana = np.asarray(fn(*args)[1 + ax], dtype=complex)
                 assert np.max(np.abs(ana - num)) < 1e-8
 
 

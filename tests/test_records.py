@@ -18,7 +18,6 @@ from relhur import (
     CoulombState,
     MomentumPoint,
     QuadConfig,
-    bessel_k_detailed,
     ground_state,
     integrate_trapezoid,
     make_potential,
@@ -28,7 +27,6 @@ from relhur.hopfion import HopfionState, gamma_h
 # name: (record factory, None or (valid fields, bad fields)) for every
 # public record; the second entry is set for the records that check fields
 _RECORDS = {
-    "SpecfunResult": (lambda: bessel_k_detailed(1, 2.0), None),
     "QuadConfig": (QuadConfig, ({"rel_tol": 1e-12}, {"abs_tol": 0.0})),
     "QuadResult": (lambda: integrate_trapezoid(
         lambda t, c: np.exp(-t * t) + 0.0 * c, -8.0, 8.0, 0.5), None),
