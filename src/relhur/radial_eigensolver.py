@@ -11,8 +11,7 @@ Chebyshev-Lobatto points x_j = cos(j pi/N), N odd, mapped to
 q = Q sinh(bx)/sinh(b) with b = asinh(Q origin_scale) (capped), which
 clusters nodes where the potential varies near the origin.  Odd N puts no
 node at q = 0; folding the even extension onto the positive nodes leaves a
-((N-1)/2)^2 matrix with Dirichlet conditions at q = +-Q.  Normalization
-and moments use Clenshaw-Curtis weights on the mapped nodes.
+((N-1)/2)^2 matrix with Dirichlet conditions at q = +-Q.
 
 No QR step is taken.  For c >= -1/4 Hardy's inequality makes
 -Delta + c/q^2 >= 0, so the spectrum lies above min v, v = V - c/q^2.
@@ -23,15 +22,15 @@ the degree-N one.  The ground state is the only eigenfunction without a
 node, so a refined vector that changes sign is an error.  The error
 estimate is the gap between the two values plus the measured rounding.  A
 sequence of potentials is solved as (k, m, m) stacks, one stacked inverse
-per shift; the single-potential paths are the batch of one, bit for bit,
-and ground_state normalizes the refined vector.
+per shift; a potential alone is the batch of one, bit for bit.  Only the
+eigenvalue and its error estimate are returned.
 
 The fold's rows of the differentiation matrices are built elementwise,
 once per degree, and cached read-only.  The default blocks (47 and 63
 rows) stay below the sizes at which OpenBLAS threads its level-2 kernels,
-so a solve does not wait on BLAS threads on a busy machine.  Potentials and
-moment weights are evaluated once on the whole node array and must return
-an array of its shape.
+so a solve does not wait on BLAS threads on a busy machine.  Potentials
+are evaluated once on the whole node array and must return an array of its
+shape.
 """
 
 from __future__ import annotations
@@ -42,8 +41,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["RadialPotential", "EigenDiagnostics", "EigenResult",
-           "SolverError", "ground_state", "lowest_eigenvalues", "moment"]
+__all__ = ["RadialPotential", "SolverError", "lowest_eigenvalues"]
 
 _COARSE_STEP = 32   # the coarse solve has degree N - 32
 _B_MAX = 20.0       # cap on the map's stretch b
@@ -56,8 +54,8 @@ _Q_MAX = 10.0       # the Dirichlet end of the grid
 
 class SolverError(RuntimeError):
     """Eigenvalue iteration failed to meet its tolerance contract; index is
-    the failing potential's position in the call, which _solve always
-    sets."""
+    the failing potential's position in the call, which lowest_eigenvalues
+    always sets."""
 
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
@@ -79,49 +77,6 @@ class RadialPotential(NamedTuple):
     evaluate: Callable[[np.ndarray], np.ndarray]
     singular_strength: float = 0.0
     origin_scale: float = 0.0
-
-
-class EigenDiagnostics(NamedTuple):
-    """grid_size nodes on (0, q_max); resolutions are the coarse and fine
-    Chebyshev degrees N solved and gammas their refined eigenvalues;
-    est_error is their gap plus rounding, the fine solve's measured one."""
-
-    grid_size: int
-    q_max: float
-    est_error: float
-    resolutions: tuple[int, int]
-    gammas: tuple[float, float]
-    rounding: float
-
-
-class EigenResult(NamedTuple):
-    """Ground state: eigenvalue gamma and normalized eigenfunction samples.
-
-    f_values holds f on the ascending nodes in grid, normalized so that
-    the integral of f^2 q^2 dq over (0, infinity) equals 1; sum(weights * F)
-    over grid approximates the integral of F over (0, q_max).
-    """
-
-    gamma: float
-    grid: np.ndarray
-    f_values: np.ndarray
-    weights: np.ndarray
-    diagnostics: EigenDiagnostics
-
-
-def _origin_exponent(c: float) -> float:
-    """Exponent s of the regular solution f ~ q^s near a c/q^2 origin
-    (elementwise for an array c)."""
-    return 0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * c))
-
-
-def _on_grid(fn: Callable, grid: np.ndarray) -> np.ndarray:
-    """fn evaluated on the grid array, which must return the grid's shape."""
-    v = np.asarray(fn(grid), dtype=np.float64)
-    if v.shape != grid.shape:
-        raise ValueError(f"function returned shape {v.shape} on a grid of "
-                         f"shape {grid.shape}")
-    return v
 
 
 @functools.lru_cache(maxsize=8)  # degrees n and n - 32 of a few n
@@ -153,48 +108,39 @@ def _cheb(n: int):
     return out
 
 
-@functools.lru_cache(maxsize=4)
-def _cc_weights(n: int) -> np.ndarray:
-    """Clenshaw-Curtis weights of degree n (odd) at the positive nodes, in
-    the order of _cheb; read-only, as the cache shares them.  Only
-    ground_state needs them."""
-    theta = np.pi * np.arange((n - 1) // 2, 0, -1) / n
-    k = np.arange(1, (n - 1) // 2 + 1)
-    w = 2.0 / n * (1.0 - np.sum(2.0 * np.cos(2.0 * np.outer(theta, k))
-                                / (4.0 * k * k - 1.0), axis=1))
-    w.flags.writeable = False
-    return w
-
-
-def _collocate(pots: Sequence[RadialPotential], q_max: float, n: int):
+def _collocate(pots: Sequence[RadialPotential], n: int):
     """The folded degree-n collocation matrices (twice the operator) of
-    pots as a (k, m, m) stack, and as (k, m) arrays their ascending
-    positive nodes, dq/dx there and the regular part v = V - c/q^2 of each
-    potential there."""
+    pots as a (k, m, m) stack, and the regular part v = V - c/q^2 of each
+    potential at its ascending positive nodes as a (k, m) array."""
     x, d1, d2 = _cheb(n)
     c = np.array([[pot.singular_strength] for pot in pots])
-    # a c/q^2 core leaves f^2 q^2 = q^(2s+2) g^2 rough at q = 0, which
-    # Clenshaw-Curtis resolves poorly; stretch b >= 8 shrinks that region
-    b = np.array([[min(max(math.asinh(pot.origin_scale * q_max),
+    # a c/q^2 core takes stretch b >= 8, which clusters nodes at the
+    # origin; the frozen gamma values depend on that choice
+    b = np.array([[min(max(math.asinh(pot.origin_scale * _Q_MAX),
                            8.0 if pot.singular_strength else 1e-8), _B_MAX)]
                   for pot in pots])
     sinh_b = np.array([[math.sinh(bi)] for bi in b[:, 0]])
-    q = q_max * np.sinh(b * x) / sinh_b
-    dq = q_max * b * np.cosh(b * x) / sinh_b              # dq/dx
-    v = np.array([_on_grid(pot.evaluate, qi) for pot, qi in zip(pots, q)])
+    q = _Q_MAX * np.sinh(b * x) / sinh_b
+    dq = _Q_MAX * b * np.cosh(b * x) / sinh_b             # dq/dx
+    v = np.array([pot.evaluate(qi) for pot, qi in zip(pots, q)],
+                 dtype=np.float64)
+    if v.shape != q.shape:
+        raise ValueError(f"potential returned shape {v.shape[1:]} on "
+                         f"{q.shape[1]} nodes")
     v -= c / (q * q)
     finite = np.isfinite(v).all(axis=1)
     if not finite.all():
         raise SolverError("potential evaluated to a non-finite value on the "
                           "grid", int(np.argmin(finite)))
-    # d/dq = D/q' and d2/dq2 = D2/q'^2 - (q''/q'^3) D, with q'' = b^2 q
-    first = (b * b * q / dq - 2.0 * (_origin_exponent(c) + 1.0) * dq / q) / (
-        dq * dq)
+    # d/dq = D/q' and d2/dq2 = D2/q'^2 - (q''/q'^3) D, with q'' = b^2 q;
+    # f = q^s g, where s(s+1) = c
+    s = 0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * c))
+    first = (b * b * q / dq - 2.0 * (s + 1.0) * dq / q) / (dq * dq)
     blocks = first[:, :, None] * d1
     blocks -= d2 / (dq * dq)[:, :, None]
     diag = np.arange(x.size)
     blocks[:, diag, diag] += v
-    return blocks, q, dq, v
+    return blocks, v
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -247,29 +193,38 @@ def _settle(blocks: np.ndarray, shift: np.ndarray) -> np.ndarray:
                       "steps", int(todo[0]))
 
 
-def _solve(pots: Sequence[RadialPotential], n: int, tol: float):
-    """Shared core of lowest_eigenvalues and ground_state: yields, for each
-    potential in turn, gamma, the degree-n nodes, the eigenvector g on them
-    (signed positive), dq/dx there and the diagnostics.  Potentials are
-    solved _BATCH at a time as stacks, which bounds the memory of a long
-    sweep; a batch of one takes the same arithmetic, bit for bit."""
-    if any(pot.singular_strength < -0.25 for pot in pots):
-        raise ValueError("singular_strength < -1/4: operator unbounded below")
+def lowest_eigenvalues(pots: Sequence[RadialPotential], n: int = 127,
+                       tol: float = 1e-7) -> list[tuple[float, float]]:
+    """(gamma, est_error) of the radial operator's lowest eigenvalue for
+    each potential in pots.
+
+    Collocates at Chebyshev degree n (an odd integer, >= 63) and n - 32;
+    est_error is the gap between the two refined eigenvalues plus the
+    measured rounding of the degree-n one.  Raises SolverError, with index
+    naming the failing potential, when est_error exceeds tol or the refined
+    vector has a node.  Potentials are solved _BATCH at a time as stacks,
+    which bounds the memory of a long sweep; a batch of one takes the same
+    arithmetic, bit for bit.
+    """
+    if not all(-0.25 <= pot.singular_strength < math.inf for pot in pots):
+        raise ValueError("singular_strength must be finite and >= -1/4: "
+                         "the operator is unbounded below")
     if not all(pot.origin_scale >= 0.0 for pot in pots):
         raise ValueError("origin_scale must be non-negative")
-    if n % 2 == 0 or n < 63:
-        raise ValueError("n must be odd and at least 63")
+    if not isinstance(n, (int, np.integer)) or n % 2 == 0 or n < 63:
+        raise ValueError("n must be an odd integer and at least 63")
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
+    out = []
     for start in range(0, len(pots), _BATCH):
         batch = pots[start:start + _BATCH]
         try:
-            blocks, _, _, v = _collocate(batch, _Q_MAX, n - _COARSE_STEP)
+            blocks, v = _collocate(batch, n - _COARSE_STEP)
             # Hardy: -Delta + c/q^2 >= 0 for c >= -1/4, so the spectrum
             # lies above min v, where the iteration starts
             coarse = _settle(blocks, np.min(v, axis=1))
-            blocks, grid, dq, _ = _collocate(batch, _Q_MAX, n)
-            ones = np.ones(grid.shape)
+            blocks, _ = _collocate(batch, n)
+            ones = np.ones(blocks.shape[:2])
             fine, g, y, ag = _refine(blocks, coarse, ones, ones, 2)
         except np.linalg.LinAlgError as exc:
             if len(batch) == 1:
@@ -280,7 +235,7 @@ def _solve(pots: Sequence[RadialPotential], n: int, tol: float):
             # failing one
             for i in range(len(batch)):
                 try:
-                    yield from _solve(batch[i:i + 1], n, tol)
+                    out += lowest_eigenvalues(batch[i:i + 1], n, tol)
                 except SolverError as one:
                     one.index = start + i
                     raise
@@ -311,57 +266,5 @@ def _solve(pots: Sequence[RadialPotential], n: int, tol: float):
                 raise SolverError(f"resolutions {n - _COARSE_STEP} and {n} "
                                   f"differ by {est_error[i]:.3e} > tol "
                                   f"{tol:.3e}", start + i)
-            yield float(gamma[i]), grid[i], g[i], dq[i], EigenDiagnostics(
-                grid_size=grid.shape[1], q_max=_Q_MAX,
-                est_error=float(est_error[i]),
-                resolutions=(n - _COARSE_STEP, n),
-                gammas=(float(coarse[i]), float(gamma[i])),
-                rounding=float(rounding[i]))
-
-
-def lowest_eigenvalues(pots: Sequence[RadialPotential], n: int = 127,
-                       tol: float = 1e-7) -> list[tuple[float, float]]:
-    """(gamma, est_error) of ground_state for each potential in pots, bit
-    for bit, without its normalization; raises as ground_state does, with
-    SolverError.index naming the failing potential."""
-    return [(gamma, diag.est_error)
-            for gamma, _, _, _, diag in _solve(pots, n, tol)]
-
-
-def ground_state(pot: RadialPotential, n: int = 127,
-                 tol: float = 1e-7) -> EigenResult:
-    """Lowest eigenvalue and nodeless eigenfunction of the radial operator.
-
-    Collocates at Chebyshev degree n (odd, >= 63) and n - 32; raises
-    SolverError when est_error, their gap plus the rounding, exceeds tol,
-    or when the refined vector has a node.
-    The eigenfunction is the refined right vector of the degree-n block,
-    so no second eigensolve is made for it.
-    """
-    gamma, grid, g, dq, diag = next(_solve([pot], n, tol))
-    weights = _cc_weights(n) * dq
-    f = grid ** _origin_exponent(pot.singular_strength) * g
-    norm_sq = float(np.sum(weights * (f * grid) ** 2))
-    if not (norm_sq > 0.0) or not math.isfinite(norm_sq):
-        raise SolverError("eigenfunction normalization integral is invalid")
-    return EigenResult(gamma=gamma, grid=grid, f_values=f / math.sqrt(norm_sq),
-                       weights=weights, diagnostics=diag)
-
-
-def moment(res: EigenResult, weight: Callable) -> float:
-    """Integral of weight(q) f(q)^2 q^2 dq for a normalized EigenResult.
-
-    weight is called once, with the grid array, and must return an array of
-    the grid's shape (else ValueError); the rule is spectrally accurate for
-    weights that are smooth functions of q^2.  Weights more singular than 1/q^2
-    at the origin, where q^2 weight(q) grows toward q = 0 across the two
-    innermost nodes, are rejected.
-    """
-    grid = res.grid
-    w = _on_grid(weight, grid)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weight evaluated to a non-finite value on the grid")
-    inner = np.abs(w[:2]) * grid[:2] ** 2
-    if inner[0] > inner[1] * (1.0 + 1e-6):
-        raise ValueError("weight singular stronger than 1/q^2")
-    return float(np.sum(res.weights * w * (res.f_values * grid) ** 2))
+        out += zip(gamma.tolist(), est_error.tolist())
+    return out

@@ -138,12 +138,11 @@ def _expansion(d: float) -> tuple[float, float, float] | None:
 def gamma_estimates(ds: Sequence[float],
                     tol: float = 1e-7) -> list[tuple[float, float]]:
     """(gamma(d), est_error) for each d in ds, with est_error <= tol
-    (tol >= 1e-8), from eigenvalues alone (no eigenvector is formed), in
-    one batched solve.  Below D_SMALL and above D_SWITCH gamma is the
-    expansion of its branch, and every d of a branch shares the one solve
-    at its switch that measures the remainder; a d whose scaled remainder
-    is exactly 0, such as d = 0 and d = INFINITY, needs no solve.  A
-    SolverError names the d that failed."""
+    (tol >= 1e-8), in one batched solve.  Below D_SMALL and above D_SWITCH
+    gamma is the expansion of its branch, and every d of a branch shares
+    the one solve at its switch that measures the remainder; a d whose
+    scaled remainder is exactly 0, such as d = 0 and d = INFINITY, needs no
+    solve.  A SolverError names the d that failed."""
     if tol < 1e-8:
         raise ValueError("tol below 1e-8 is not supported")
     ds = [_check_d(d) for d in ds]

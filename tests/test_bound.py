@@ -27,7 +27,6 @@ from relhur import (
     gamma_estimates,
     gamma_h,
     gaussian_limit_residual,
-    ground_state,
     lowest_eigenvalues,
     make_potential,
     max_z_finite,
@@ -238,9 +237,9 @@ def test_small_d_points_share_one_solve(monkeypatch):
     calls = []
     collocate = radial_eigensolver._collocate
 
-    def counted(pots, q_max, n):
+    def counted(pots, n):
         calls.extend(pot.origin_scale for pot in pots)
-        return collocate(pots, q_max, n)
+        return collocate(pots, n)
 
     monkeypatch.setattr(radial_eigensolver, "_collocate", counted)
     gamma_estimates(_SMALL_GRID)
@@ -281,16 +280,32 @@ def test_families_above_the_curve():
 
 def test_packet_small_d_coefficient():
     # the packet approaches 3/2 like c d^2 at large a, d its own
-    # (dp^2/dr^2)^(1/4).  c is measured, not derived: it reads 0.612940 at
-    # a = 50 and 0.618938 at a = 100, and their two-point Richardson
-    # extrapolation in 1/a, 0.624937, lies near 5/8 (a = 200, beyond
-    # gamma_h's range, read 0.624984).  With the curve's 3/2 + (3/8) d^2
-    # the packet's margin at small d is then (5/8 - 3/8) d^2 = d^2 / 4.
+    # (dp^2/dr^2)^(1/4).  Measured: c reads 0.612940 at a = 50 and 0.618938
+    # at a = 100, and their two-point Richardson extrapolation in 1/a,
+    # 0.624937, lies near 5/8 (a = 200, beyond gamma_h's range, read
+    # 0.624984).  With the curve's 3/2 + (3/8) d^2 the packet's margin at
+    # small d is then (5/8 - 3/8) d^2 = d^2 / 4.
+    #
+    # Derived: with m = 1 and p = x / sqrt(a), expand the packet's
+    # integrands in a^(-1/2) about the Gaussian e^(-x^2) and integrate term
+    # by term over x and cos theta (sympy): the norm, <p_z>, <p^2> and the
+    # gradient integral sum_k |grad_p psi_k|^2, with <r> = 0 as in gamma_h.
+    # <p_z> = -1/(2a) + ... is not 0 and enters dp^2 at order 1/a^2.  Then
+    #   dp^2    = (1/a) (3/2 + 13/(8a) + 45/(64a^2) + ...)
+    #   dr^2    = (3a/2) (1 - 1/(4a) - 9/(32a^2) + ...)
+    #   gamma_H = 3/2 + 5/(8a) - 37/(192a^2) + 133/(1152a^3) + ...
+    #   d^2     = (dp^2/dr^2)^(1/2) = 1/a + 2/(3a^2) + 23/(72a^3) + ...
+    # so (gamma_H - 3/2)/d^2 = 5/8 - 39/(64a) + 371/(1152a^2) + O(a^-3).
+    # The remainder times a^3 reads -0.176, -0.193 and -0.200 at a = 20, 50
+    # and 100.
     def coefficient(a):
         rep = gamma_h(HopfionState(a))
         return (rep.gamma - 1.5) / math.sqrt(rep.delta_p_sq / rep.delta_r_sq)
 
     assert abs(2.0 * coefficient(100.0) - coefficient(50.0) - 0.625) <= 2e-4
+    for a in (20.0, 50.0, 100.0):
+        derived = 5.0 / 8.0 - 39.0 / (64.0 * a) + 371.0 / (1152.0 * a * a)
+        assert abs(coefficient(a) - derived) <= 0.25 / a ** 3, f"a={a:g}"
 
 
 def _c1():
@@ -370,10 +385,10 @@ def test_expansion_branch_error_bar():
     # D_SWITCH, must cover the gap to a finer collocation at this d
     d = 2.0 * D_SWITCH
     [(gamma, est_error)] = gamma_estimates([d], tol=1e-8)
-    fine = ground_state(make_potential(d), n=191, tol=1e-6)
+    [(fine, _)] = lowest_eigenvalues([make_potential(d)], n=191, tol=1e-6)
     assert gamma == GAMMA_AT_INF - _c1() / d
     assert 0.0 < est_error <= 1e-8
-    assert abs(gamma - fine.gamma) <= est_error
+    assert abs(gamma - fine) <= est_error
 
 
 _ESTIMATE_GRID = [float(d) for d in np.geomspace(1e-4, 1e5, 40)] + [
@@ -382,31 +397,25 @@ _ESTIMATE_GRID = [float(d) for d in np.geomspace(1e-4, 1e5, 40)] + [
 
 @pytest.mark.parametrize("d", _ESTIMATE_GRID)
 def test_estimate_matches_report_bitwise(d):
-    # gamma_bound is gamma_estimates' gamma; where gamma(d) is solved, the
-    # eigenvalue-only path and the eigenvector path (the EigenResult report
-    # of ground_state) share their arithmetic, so gamma and est_error agree
+    # gamma_bound is gamma_estimates' gamma; where gamma(d) is solved, it
+    # is the solver's own report, lowest_eigenvalues' gamma and est_error,
     # to the last bit
     [(gamma, est_error)] = gamma_estimates([d])
     assert gamma_bound(d).hex() == gamma.hex()
     if not D_SMALL <= d <= D_SWITCH:
         return
-    pot = make_potential(d)
-    [(eig_gamma, eig_error)] = lowest_eigenvalues([pot])
-    res = ground_state(pot)
-    for g, e in [(eig_gamma, eig_error),
-                 (res.gamma, res.diagnostics.est_error)]:
-        assert g.hex() == gamma.hex()
-        assert e.hex() == est_error.hex()
+    [(eig_gamma, eig_error)] = lowest_eigenvalues([make_potential(d)])
+    assert eig_gamma.hex() == gamma.hex()
+    assert eig_error.hex() == est_error.hex()
 
 
 def test_no_eig_or_eigvals_and_potentials_collocated(monkeypatch):
     # no path takes a QR step: the eigenvalue comes from Rayleigh-quotient
-    # iteration and the eigenvector from the refinement, so np.linalg.eig
-    # and eigvals are never called.  Each solve collocates its potential
-    # twice (coarse and fine), and a call collocates each batch once per
-    # degree: a batch solves once per point on [D_SMALL, D_SWITCH], once at
-    # each switch for all the points beyond it, and not at all at d = 0 and
-    # d = INFINITY
+    # iteration and its refinement, so np.linalg.eig and eigvals are never
+    # called.  Each solve collocates its potential twice (coarse and fine),
+    # and a call collocates each batch once per degree: a batch solves once
+    # per point on [D_SMALL, D_SWITCH], once at each switch for all the
+    # points beyond it, and not at all at d = 0 and d = INFINITY
     def no_qr(*_args, **_kwargs):
         raise AssertionError("np.linalg.eig or eigvals called")
 
@@ -427,10 +436,10 @@ def test_no_eig_or_eigvals_and_potentials_collocated(monkeypatch):
                 [0.0, 1.0, D_SWITCH, 2.0 * D_SWITCH, INFINITY]), 2, 2),
             (lambda: gamma_estimates([2.0 * D_SWITCH, 3.0 * D_SWITCH]), 1, 2),
             (lambda: gamma_estimates([1e-3, 0.01, 1.0]), 2, 2),
-            # the eigenvector path, also at both limits
-            (lambda: ground_state(make_potential(1.0)), 1, 2),
-            (lambda: ground_state(make_potential(0.0)), 1, 2),
-            (lambda: ground_state(make_potential(INFINITY)), 1, 2)]:
+            # the solver itself, also at both limits
+            (lambda: lowest_eigenvalues([make_potential(1.0)]), 1, 2),
+            (lambda: lowest_eigenvalues([make_potential(0.0)]), 1, 2),
+            (lambda: lowest_eigenvalues([make_potential(INFINITY)]), 1, 2)]:
         calls.update(collocate=0, potentials=0)
         run()
         assert calls == {"collocate": collocations, "potentials": 2 * solves}
@@ -443,9 +452,9 @@ def test_sweep_above_switch_solves_only_at_switch(monkeypatch):
     calls = []
     collocate = radial_eigensolver._collocate
 
-    def counted(pots, q_max, n):
+    def counted(pots, n):
         calls.extend(pot.origin_scale for pot in pots)
-        return collocate(pots, q_max, n)
+        return collocate(pots, n)
 
     monkeypatch.setattr(radial_eigensolver, "_collocate", counted)
     rows = gamma_estimates([2e5, 1e6, 1e9])

@@ -24,8 +24,10 @@ from relhur import (
     bispinor_u,
     dispersion_functional,
     gamma_bound,
+    gamma_estimates,
     gamma_h,
     oracle_gamma,
+    potential_v,
 )
 from relhur import dirac_states, hopfion, hydrogen, quadrature
 
@@ -649,6 +651,52 @@ def test_bound_consistency():
     rep = dispersion_functional(AmplitudePair(f_plus=_gaussian), mass=1.0)
     d_state = (rep.delta_p_sq / rep.delta_r_sq) ** 0.25
     assert rep.gamma >= gamma_bound(d_state) - 1e-4
+
+
+def _s_wave(c, d):
+    """f_plus = d^(-3/2) f(p/d) with f(q) = e^(-q^2/2) (1 + c q^2), returned
+    with its analytic partials: an s-wave state at the scale d."""
+    def f_plus(p, thetas, phi):
+        q = p / d
+        g = np.exp(-0.5 * q * q) * d ** -1.5
+        return (g * (1.0 + c * q * q) + 0j,
+                g * q * (2.0 * c - 1.0 - c * q * q) / d + 0j, 0j, 0j)
+
+    return AmplitudePair(f_plus=f_plus)
+
+
+def _bound_operator_means(c, d):
+    """<f'^2 + (V - q^2) f^2> and <q^2> of the same f over f^2 q^2 dq, by
+    quad on the library's potential_v."""
+    f = lambda q: math.exp(-0.5 * q * q) * (1.0 + c * q * q)
+    df = lambda q: q * math.exp(-0.5 * q * q) * (2.0 * c - 1.0 - c * q * q)
+    norm, a, b = (quad(lambda q: fn(q) * q * q, 0.0, math.inf, epsabs=0.0,
+                       epsrel=1e-13, limit=200)[0] for fn in (
+        lambda q: f(q) ** 2,
+        lambda q: df(q) ** 2 + (potential_v(q, d) - q * q) * f(q) ** 2,
+        lambda q: (q * f(q)) ** 2))
+    return a / norm, b / norm
+
+
+@pytest.mark.parametrize("d", [0.3, 1.0, 4.0, 30.0, 300.0])
+@pytest.mark.parametrize("c", [0.0, 0.2])
+def test_s_wave_states_reproduce_the_bound_operator(c, d):
+    # the s-wave state has <r> = <p> = 0, and p = d q turns the engine's r^2
+    # integrand p^2 f'^2 + (1 - 1/E + p^2/(4 E^4)) f^2 into the bound's
+    # operator: d^2 dr^2 = <f'^2 + (V - q^2) f^2> and dp^2/d^2 = <q^2>, so
+    # (d^2 dr^2 + dp^2/d^2)/2 is its Rayleigh quotient.  The engine never
+    # reads V, so this checks potential_v from outside; the analytic
+    # partials keep the numeric partials' error out (agreement 4e-16)
+    rep = dispersion_functional(_s_wave(c, d), QuadConfig(1e-300, 1e-12))
+    a, b = _bound_operator_means(c, d)
+    assert d * d * rep.delta_r_sq == pytest.approx(a, rel=1e-12)
+    assert rep.delta_p_sq / (d * d) == pytest.approx(b, rel=1e-12)
+    # the paper's inequality on states outside the two families, at the
+    # state's own d, by more than both error estimates (the smallest
+    # margin, 2.2e-4 at c = 0 and d = 0.3, against err_est <= 1.2e-12)
+    d_state = (rep.delta_p_sq / rep.delta_r_sq) ** 0.25
+    [(gamma, err)] = gamma_estimates([d_state])
+    assert rep.gamma - gamma > rep.err_est + err
 
 
 def test_gamma_above_three_halves():

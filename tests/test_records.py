@@ -18,7 +18,6 @@ from relhur import (
     CoulombState,
     MomentumPoint,
     QuadConfig,
-    ground_state,
     integrate_trapezoid,
     make_potential,
 )
@@ -31,9 +30,6 @@ _RECORDS = {
     "QuadResult": (lambda: integrate_trapezoid(
         lambda t, c: np.exp(-t * t) + 0.0 * c, -8.0, 8.0, 0.5), None),
     "RadialPotential": (lambda: make_potential(1.0), None),
-    "EigenResult": (lambda: ground_state(make_potential(0.0)), None),
-    "EigenDiagnostics": (
-        lambda: ground_state(make_potential(0.0)).diagnostics, None),
     "AmplitudePair": (lambda: AmplitudePair(np.exp), None),
     "DispersionReport": (lambda: gamma_h(HopfionState(1.0)), None),
     "MomentumPoint": (lambda: MomentumPoint(1.0, 0.5, 2.0),
