@@ -79,8 +79,8 @@ import numpy as np
 
 from .quadrature import QuadConfig, QuadratureError, QuadResult, integrate_exp_sinh
 
-__all__ = ["MomentumPoint", "Bispinor", "AmplitudePair", "DispersionReport",
-           "bispinor_u", "dispersion_functional"]
+__all__ = ["AmplitudePair", "DispersionReport", "bispinor_u",
+           "dispersion_functional"]
 
 _N_PHI_PAIRS = tuple(8 << k for k in range(6))  # (n, n + 1) for n = 8..256
 _GRID_POINTS = 16 * 12 * 17  # (p, theta, phi) points per amplitude chunk
@@ -89,65 +89,38 @@ AmpFunc = Callable[[np.ndarray, np.ndarray, np.ndarray],
                    Union[np.ndarray, tuple]]
 
 
-class MomentumPoint(NamedTuple("MomentumPoint", [
-        ("p", float), ("theta", float), ("phi", float)])):
-    """Spherical momentum coordinates; p in units of mc (m = 1 internally)."""
-
-    __slots__ = ()
-
-    def __new__(cls, p: float, theta: float, phi: float):
-        if not (p >= 0.0) or not math.isfinite(p):
-            raise ValueError("p must be a finite non-negative real")
-        if not (0.0 <= theta <= math.pi):
-            raise ValueError("theta must lie in [0, pi]")
-        if not math.isfinite(phi):
-            raise ValueError("phi must be finite")
-        return super().__new__(cls, p, theta, phi)
-
-    # the base's _make, which _replace calls, skips __new__ and its checks;
-    # copy and pickle call __new__
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    @property
-    def energy(self) -> float:
-        return math.hypot(1.0, self.p)
-
-
-class Bispinor(NamedTuple("Bispinor", [("components", np.ndarray)])):
-    """components: shape (4,), complex."""
-
-    __slots__ = ()
-
-    def __new__(cls, components):
-        arr = np.asarray(components, dtype=complex)
-        if arr.shape != (4,):
-            raise ValueError("a bispinor has exactly 4 components")
-        if not np.all(np.isfinite(arr.view(float))):
-            raise ValueError("bispinor components must be finite")
-        return super().__new__(cls, arr)
-
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-
-def bispinor_u(pt: MomentumPoint, s: int) -> Bispinor:
-    """Orthonormal positive-energy Weyl bispinor u(p, s), m = 1.
+def bispinor_u(p: float, theta: float, phi: float, s: int) -> np.ndarray:
+    """Orthonormal positive-energy Weyl bispinor u(p, s) at the spherical
+    momentum (p, theta, phi), p in units of mc (m = 1): a complex array of
+    shape (4,).
 
     u = [(1 + E + sigma.p) chi_s ; (1 + E - sigma.p) chi_s] / D in the Weyl
     basis, with D = 2 sqrt(E) sqrt(1 + E), chi_+ = (1, 0) and
     chi_- = (0, 1).  The dispersion functional builds no bispinor.
     """
+    if not (p >= 0.0) or not math.isfinite(p):
+        raise ValueError("p must be a finite non-negative real")
+    if not (0.0 <= theta <= math.pi):
+        raise ValueError("theta must lie in [0, pi]")
+    if not math.isfinite(phi):
+        raise ValueError("phi must be finite")
     if s not in (+1, -1):
         raise ValueError("spin must be +1 or -1")
-    p, e = pt.p, pt.energy
+    e = math.hypot(1.0, p)
     big = 1.0 + e
-    d = 2.0 * math.sqrt(e) * math.sqrt(big)  # 4 E (1 + E) overflows at 7e153
-    pz = p * math.cos(pt.theta)
-    pxy = p * math.sin(pt.theta) * complex(math.cos(pt.phi), math.sin(pt.phi))
+    # D overflows from p = 9e307 (4 E (1 + E) from 7e153), and 1 + E + |p_z|
+    # near the poles; above 2^1000 D and the numerators are halved, which is
+    # exact there, and not for a subnormal p_x or p_y
+    h = 0.5 if p > 2.0 ** 1000 else 1.0
+    d = 2.0 * h * math.sqrt(e) * math.sqrt(big)
+    pz = h * p * math.cos(theta)
+    pxy = h * p * math.sin(theta) * complex(math.cos(phi), math.sin(phi))
     # each half is [1 + E +- s p_z, +-w], w = p_x +- i p_y, reversed for
     # chi_-.  Python divides a complex by a float part by part, exactly
     w = pxy if s > 0 else pxy.conjugate()
-    top, bottom = [big + s * pz, w], [big - s * pz, -w]
-    return Bispinor(components=[x / d for x in top[::s] + bottom[::s]])
+    top, bottom = [h * big + s * pz, w], [h * big - s * pz, -w]
+    return np.array([x / d for x in top[::s] + bottom[::s]],
+                    dtype=complex)
 
 
 class AmplitudePair(NamedTuple):

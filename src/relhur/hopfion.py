@@ -51,7 +51,7 @@ class HopfionState(NamedTuple("HopfionState", [("a", float)])):
             raise ValueError("a must be a positive finite real")
         return super().__new__(cls, a)
 
-    _make = classmethod(lambda cls, fields: cls(*fields))  # see MomentumPoint
+    _make = classmethod(lambda cls, fields: cls(*fields))  # see QuadConfig
 
 
 def norm_bessel_ratio(state: HopfionState,

@@ -78,7 +78,7 @@ class CoulombState(NamedTuple("CoulombState",
                 f"alpha*Z = {alpha * Z:g} >= 1: no real ground-state exponent")
         return super().__new__(cls, Z, alpha)
 
-    _make = classmethod(lambda cls, fields: cls(*fields))  # see MomentumPoint
+    _make = classmethod(lambda cls, fields: cls(*fields))  # see QuadConfig
 
     @property
     def gamma_c(self) -> float:

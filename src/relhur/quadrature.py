@@ -73,7 +73,8 @@ class QuadConfig(NamedTuple("QuadConfig", [("abs_tol", float),
             raise ValueError("tolerances must be positive")
         return super().__new__(cls, abs_tol, rel_tol)
 
-    # see dirac_states.MomentumPoint
+    # the base's _make, which _replace calls, skips __new__ and its checks;
+    # copy and pickle call __new__
     _make = classmethod(lambda cls, fields: cls(*fields))
 
 

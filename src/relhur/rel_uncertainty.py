@@ -44,7 +44,7 @@ from .radial_eigensolver import RadialPotential, SolverError, lowest_eigenvalues
 
 __all__ = ["INFINITY", "GAMMA_AT_0", "GAMMA_AT_INF", "ULTRA_EXPONENT",
            "ULTRA_C1", "D_SWITCH", "SMALL_D_SERIES", "D_SMALL", "potential_v",
-           "make_potential", "gamma_bound", "gamma_estimates",
+           "make_potential", "gamma_estimates",
            "gaussian_limit_residual", "ultrarelativistic_limit_residual"]
 
 INFINITY = math.inf
@@ -177,11 +177,6 @@ def gamma_estimates(ds: Sequence[float],
         err = remainder(switch) * scale if scale > 0.0 else 0.0
         out.append((gamma, max(err, 4.0 * sys.float_info.epsilon * gamma)))
     return out
-
-
-def gamma_bound(d: float, tol: float = 1e-7) -> float:
-    """Lowest eigenvalue gamma(d), absolute error <= tol (tol >= 1e-8)."""
-    return gamma_estimates([d], tol)[0][0]
 
 
 _RESIDUAL_GRID = np.linspace(0.01, 8.0, 1601)

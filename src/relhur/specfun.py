@@ -6,7 +6,8 @@ norm of the localized electron state.  Both come from the standard library
 and NumPy, so the numerical core carries no special-function dependency.
 
 gamma_fn
-    math.gamma on the supported interval (0, 50].
+    math.gamma on the supported interval (0, 50], or a ValueError saying
+    that Gamma(x) overflows double precision (below x = 5.6e-309).
 
 bessel_k
     One trapezoid sum per order of the integral (DLMF 10.32.9)
@@ -53,7 +54,10 @@ def gamma_fn(x: float) -> float:
     x = float(x)
     if not (0.0 < x <= GAMMA_MAX_ARG):
         raise ValueError(f"gamma_fn defined on (0, {GAMMA_MAX_ARG:g}], got {x!r}")
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise ValueError(f"Gamma({x!r}) overflows double precision") from None
 
 
 def _scaled_k(nu, x):

@@ -23,11 +23,10 @@ from relhur import (
     DivergenceError,
     GAMMA_AT_INF,
     INFINITY,
-    MomentumPoint,
     bessel_k,
     bispinor_u,
     dispersion_functional,
-    gamma_bound,
+    gamma_estimates,
     gamma_h,
     gaussian_limit_residual,
     HopfionState,
@@ -74,7 +73,7 @@ def hopfion_results():
 
 def test_criterion_1_nonrelativistic_anchor():
     t0 = time.perf_counter()
-    g = gamma_bound(0.0)
+    [(g, _)] = gamma_estimates([0.0])
     dt = time.perf_counter() - t0
     ok = abs(g - 1.5) <= 1e-7 and dt < 1.0
     _record("1", ok, f"gamma(0) = {g:.10f} (target 1.5 +- 1e-7), {dt:.2f}s")
@@ -82,7 +81,7 @@ def test_criterion_1_nonrelativistic_anchor():
 
 def test_criterion_2_ultrarelativistic_anchor():
     t0 = time.perf_counter()
-    g = gamma_bound(INFINITY)
+    [(g, _)] = gamma_estimates([INFINITY])
     dt = time.perf_counter() - t0
     target = 1.0 + 0.5 * math.sqrt(5.0)
     ok = abs(g - target) <= 1e-6 and dt < 1.0
@@ -92,7 +91,7 @@ def test_criterion_2_ultrarelativistic_anchor():
 
 def test_criterion_3_strictness_and_approach():
     grid = [1e-2, 1e-1, 1.0, 10.0, 100.0]
-    gs = [gamma_bound(d) for d in grid]
+    gs = [g for g, _ in gamma_estimates(grid)]
     strict = all(g > 1.5 for g in gs)
     approach = gs[0] - 1.5 < 1e-2
     monotone = all(a < b for a, b in zip(gs, gs[1:]))
@@ -160,11 +159,10 @@ def test_criterion_7_orthonormality():
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(1000):
-        pt = MomentumPoint(float(rng.uniform(0, 25)),
-                           float(rng.uniform(0, math.pi)),
-                           float(rng.uniform(0, 2 * math.pi)))
-        up = bispinor_u(pt, +1).components
-        um = bispinor_u(pt, -1).components
+        pt = (float(rng.uniform(0, 25)), float(rng.uniform(0, math.pi)),
+              float(rng.uniform(0, 2 * math.pi)))
+        up = bispinor_u(*pt, +1)
+        um = bispinor_u(*pt, -1)
         worst = max(worst,
                     abs(np.vdot(up, up).real - 1.0),
                     abs(np.vdot(um, um).real - 1.0),
@@ -222,7 +220,8 @@ def test_criterion_9_property_suite():
                    * math.exp(-p * p), 0, 40, limit=200, epsabs=1e-13)
     reduction_ok = abs(base.delta_r_sq - grad / norm) <= 1e-8 * (grad / norm)
 
-    frozen_ok = (abs(gamma_bound(1.0) - 1.672106352635) <= 1e-6
+    [(gamma_1, _)] = gamma_estimates([1.0])
+    frozen_ok = (abs(gamma_1 - 1.672106352635) <= 1e-6
                  and abs(gamma_h(HopfionState(1.0)).gamma
                          - 1.9649111869950) <= 1e-6
                  and abs(product_closed_gamma(CoulombState(Z=80).gamma_c)

@@ -22,8 +22,8 @@ from relhur import (
     INFINITY,
     CoulombState,
     HopfionState,
+    RadialPotential,
     SolverError,
-    gamma_bound,
     gamma_estimates,
     gamma_h,
     gaussian_limit_residual,
@@ -95,15 +95,18 @@ def test_singular_strength():
 
 
 def test_nonrelativistic_anchor():
-    assert gamma_bound(0.0) == pytest.approx(GAMMA_AT_0, abs=1e-7)
+    [(gamma, _)] = gamma_estimates([0.0])
+    assert gamma == pytest.approx(GAMMA_AT_0, abs=1e-7)
 
 
 def test_ultrarelativistic_anchor():
-    assert gamma_bound(INFINITY) == pytest.approx(GAMMA_AT_INF, abs=1e-6)
+    [(gamma, _)] = gamma_estimates([INFINITY])
+    assert gamma == pytest.approx(GAMMA_AT_INF, abs=1e-6)
 
 
 def test_dense_matrix_regression_frozen():
-    assert gamma_bound(1.0) == pytest.approx(DENSE_GAMMA_D1, abs=1e-6)
+    [(gamma, _)] = gamma_estimates([1.0])
+    assert gamma == pytest.approx(DENSE_GAMMA_D1, abs=1e-6)
 
 
 def _sturm_counts(diag, off2, xs):
@@ -157,20 +160,38 @@ def test_dense_matrix_regression_live():
     assert _sturm_counts(diag, off2, np.array([lo, hi])).tolist() == [0, n]
     lam = _sturm_lowest(diag, off2, lo, hi, tol=1e-10)
     assert lam / 2.0 == pytest.approx(DENSE_GAMMA_D1, abs=1e-8)
-    assert gamma_bound(1.0) == pytest.approx(lam / 2.0, abs=1e-6)
+    [(gamma, _)] = gamma_estimates([1.0])
+    assert gamma == pytest.approx(lam / 2.0, abs=1e-6)
 
 
 def test_reference_curve_regression():
-    for d, frozen in REFERENCE_CURVE.items():
-        assert gamma_bound(d) == pytest.approx(frozen, abs=1e-6), f"d={d}"
+    rows = gamma_estimates(list(REFERENCE_CURVE))
+    for (d, frozen), (gamma, _) in zip(REFERENCE_CURVE.items(), rows):
+        assert gamma == pytest.approx(frozen, abs=1e-6), f"d={d}"
 
 
 def test_strictness_and_approach():
     grid = [1e-2, 1e-1, 1.0, 10.0, 100.0]
-    gammas = [gamma_bound(d) for d in grid]
+    gammas = [g for g, _ in gamma_estimates(grid)]
     assert all(g > 1.5 for g in gammas)
     assert gammas[0] - 1.5 < 1e-2
     assert all(a < b for a, b in zip(gammas, gammas[1:]))
+
+
+@pytest.mark.parametrize("mu", [0.25, 4.0])
+def test_potential_scaling_law(mu):
+    # q = mu^(-1/4) x turns V(q; d) + (mu - 1) q^2 into sqrt(mu) V(x; d'),
+    # d' = d mu^(-1/4), because V - q^2 is a function of d q over q^2: the
+    # lowest eigenvalue is sqrt(mu) gamma(d').  A V whose d^2/(4 w^4) term
+    # read d/(4 w^4) breaks that at most of these d
+    ds = [0.3, 1.0, 10.0, 300.0, 3e4]
+    scaled = [RadialPotential(
+        evaluate=lambda q, d=d: potential_v(q, d) + (mu - 1.0) * q * q,
+        origin_scale=d) for d in ds]
+    rows = lowest_eigenvalues(
+        scaled + [make_potential(d * mu ** -0.25) for d in ds])
+    for d, (e_mu, err_mu), (gamma, err) in zip(ds, rows, rows[len(ds):]):
+        assert abs(e_mu - math.sqrt(mu) * gamma) <= err_mu + err, f"d={d}"
 
 
 @pytest.mark.parametrize("d", [0.01, 0.025, 0.05])
@@ -318,7 +339,7 @@ def _c1():
 def test_large_d_expansion(d):
     # gamma(d) = GAMMA_AT_INF - C1 / d + O(d^-2)
     c1 = _c1()
-    g = gamma_bound(d, tol=1e-8)
+    [(g, _)] = gamma_estimates([d], tol=1e-8)
     assert abs(d * (GAMMA_AT_INF - g) / c1 - 1.0) <= 3.0 / d
 
 
@@ -397,11 +418,9 @@ _ESTIMATE_GRID = [float(d) for d in np.geomspace(1e-4, 1e5, 40)] + [
 
 @pytest.mark.parametrize("d", _ESTIMATE_GRID)
 def test_estimate_matches_report_bitwise(d):
-    # gamma_bound is gamma_estimates' gamma; where gamma(d) is solved, it
-    # is the solver's own report, lowest_eigenvalues' gamma and est_error,
-    # to the last bit
+    # where gamma(d) is solved, gamma_estimates' row is the solver's own
+    # report, lowest_eigenvalues' gamma and est_error, to the last bit
     [(gamma, est_error)] = gamma_estimates([d])
-    assert gamma_bound(d).hex() == gamma.hex()
     if not D_SMALL <= d <= D_SWITCH:
         return
     [(eig_gamma, eig_error)] = lowest_eigenvalues([make_potential(d)])
@@ -431,7 +450,7 @@ def test_no_eig_or_eigvals_and_potentials_collocated(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", no_qr)
     monkeypatch.setattr(radial_eigensolver, "_collocate", counted_collocate)
     for run, solves, collocations in [
-            (lambda: gamma_bound(1.0), 1, 2),
+            (lambda: gamma_estimates([1.0]), 1, 2),
             (lambda: gamma_estimates(
                 [0.0, 1.0, D_SWITCH, 2.0 * D_SWITCH, INFINITY]), 2, 2),
             (lambda: gamma_estimates([2.0 * D_SWITCH, 3.0 * D_SWITCH]), 1, 2),
@@ -499,13 +518,12 @@ def test_batch_failure_names_its_d(monkeypatch):
 
 def test_monotone_log_grid():
     ds = np.geomspace(1e-2, 1e2, 9)
-    gs = [gamma_bound(float(d)) for d in ds]
+    gs = [g for g, _ in gamma_estimates([float(d) for d in ds])]
     assert all(a < b for a, b in zip(gs, gs[1:]))
 
 
 def test_sandwich():
-    for d in (0.3, 1.0, 5.0, 30.0):
-        g = gamma_bound(d)
+    for g, _ in gamma_estimates([0.3, 1.0, 5.0, 30.0]):
         assert GAMMA_AT_0 < g < GAMMA_AT_INF + 1e-6
 
 
@@ -542,7 +560,7 @@ def test_limit_residuals_apply_the_library_potential(monkeypatch):
 
 def test_tolerance_floor():
     with pytest.raises(ValueError):
-        gamma_bound(1.0, tol=1e-9)
+        gamma_estimates([1.0], tol=1e-9)
     # tol is checked once per call, not once per d
     with pytest.raises(ValueError):
         gamma_estimates([], tol=1e-9)
@@ -550,6 +568,6 @@ def test_tolerance_floor():
 
 def test_rejects_bad_d():
     with pytest.raises(ValueError):
-        gamma_bound(-0.5)
+        gamma_estimates([-0.5])
     with pytest.raises(ValueError):
-        gamma_bound(math.nan)
+        gamma_estimates([math.nan])

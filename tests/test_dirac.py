@@ -1,4 +1,4 @@
-"""Bispinor algebra and the dispersion functional.
+"""Weyl bispinors and the dispersion functional.
 
 The two gamma anchors (3/2 nonrelativistic, 1 + sqrt(5)/2 massless) have
 closed-form minimizers, so they pin the full functional including every
@@ -6,6 +6,7 @@ mass-dependent and spin-connection term.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,17 +14,14 @@ from scipy.integrate import quad
 
 from relhur import (
     AmplitudePair,
-    Bispinor,
     CoulombState,
     DispersionReport,
     HopfionState,
-    MomentumPoint,
     QuadConfig,
     QuadResult,
     QuadratureError,
     bispinor_u,
     dispersion_functional,
-    gamma_bound,
     gamma_estimates,
     gamma_h,
     oracle_gamma,
@@ -39,11 +37,10 @@ def _random_points(n):
     p = RNG.uniform(0.0, 30.0, n)
     theta = RNG.uniform(0.0, math.pi, n)
     phi = RNG.uniform(0.0, 2.0 * math.pi, n)
-    return [MomentumPoint(float(a), float(b), float(c))
-            for a, b, c in zip(p, theta, phi)]
+    return [(float(a), float(b), float(c)) for a, b, c in zip(p, theta, phi)]
 
 
-def bispinor_partials(pt, s):
+def bispinor_partials(p, theta, phi, s):
     """Analytic (d_p, d_theta, d_phi) of u(p, s) at a point, m = 1.
 
     u = [(1 + E + sigma.p) chi_s ; (1 + E - sigma.p) chi_s] / D in the Weyl
@@ -54,9 +51,9 @@ def bispinor_partials(pt, s):
     """
     if s not in (+1, -1):
         raise ValueError("spin must be +1 or -1")
-    p, e = pt.p, pt.energy
-    ct, st = math.cos(pt.theta), math.sin(pt.theta)
-    eiphi = complex(math.cos(pt.phi), math.sin(pt.phi))
+    e = math.hypot(1.0, p)
+    ct, st = math.cos(theta), math.sin(theta)
+    eiphi = complex(math.cos(phi), math.sin(phi))
     big = 1.0 + e
     d = 2.0 * math.sqrt(e) * math.sqrt(big)  # 4 E (1 + E) overflows at 7e153
 
@@ -67,11 +64,11 @@ def bispinor_partials(pt, s):
         top, bottom = [c + s * nz, w], [c - s * nz, -w]
         return [x / d for x in top[::s] + bottom[::s]]
 
-    u = bispinor_u(pt, s).components
+    u = bispinor_u(p, theta, phi, s)
     # d(ln D)/dp; E' = p/E
     dlnd = 0.5 * (p / e) * (1.0 / e + 1.0 / big)
     d_p = [x - y * dlnd for x, y in zip(spinor(p / e, ct, st * eiphi), u)]
-    return tuple(Bispinor(components=x) for x in (
+    return tuple(np.array(x, dtype=complex) for x in (
         d_p, spinor(0.0, -p * st, p * ct * eiphi),
         spinor(0.0, 0.0, 1j * (p * st * eiphi))))
 
@@ -81,41 +78,44 @@ def _gaussian(p, thetas, phi):
 
 
 def test_momentum_point_validation():
-    with pytest.raises(ValueError):
-        MomentumPoint(-1.0, 0.5, 0.0)
-    with pytest.raises(ValueError):
-        MomentumPoint(1.0, 3.5, 0.0)
-    with pytest.raises(ValueError):
-        MomentumPoint(math.inf, 0.5, 0.0)
+    for p in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="p must"):
+            bispinor_u(p, 0.5, 0.0, +1)
+    for theta in (-0.1, 3.5, math.nan):
+        with pytest.raises(ValueError, match="theta"):
+            bispinor_u(1.0, theta, 0.0, +1)
     for phi in (math.inf, math.nan):
         with pytest.raises(ValueError, match="phi"):
-            MomentumPoint(1.0, 0.5, phi)
-    assert MomentumPoint(3.0, 0.5, 0.0).energy == pytest.approx(
-        math.sqrt(10.0), rel=1e-15)
-
-
-def test_bispinor_component_validation():
-    with pytest.raises(ValueError):
-        Bispinor(components=np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        Bispinor(components=np.array([1.0, 0.0, 0.0, math.nan]))
-    with pytest.raises(ValueError, match="spin"):
-        bispinor_u(MomentumPoint(1.0, 0.5, 0.0), 0)
+            bispinor_u(1.0, 0.5, phi, +1)
+    for s in (0, 2, -2):
+        with pytest.raises(ValueError, match="spin"):
+            bispinor_u(1.0, 0.5, 0.0, s)
+    # the upper half's weight less the lower's is s p_z / E, E = sqrt(10)
+    for s in (+1, -1):
+        u = bispinor_u(3.0, 0.5, 0.0, s)
+        assert u.shape == (4,) and u.dtype == complex
+        chirality = np.vdot(u[:2], u[:2]).real - np.vdot(u[2:], u[2:]).real
+        assert chirality == pytest.approx(
+            s * 3.0 * math.cos(0.5) / math.sqrt(10.0), rel=1e-15)
 
 
 def test_rest_frame_spin_up():
-    u = bispinor_u(MomentumPoint(0.0, 0.3, 1.1), +1).components
+    u = bispinor_u(0.0, 0.3, 1.1, +1)
     expected = np.array([1.0 / math.sqrt(2.0), 0.0, 1.0 / math.sqrt(2.0), 0.0])
     assert np.max(np.abs(u - expected)) < 1e-14
 
 
 def test_orthonormality_thousand_points():
-    # and at momenta where 4 E (1 + E) would overflow (from p = 6.7e153)
-    huge = [MomentumPoint(p, 1.0, 2.0) for p in (1e154, 1e200, 1e300)]
+    # and at momenta where 4 E (1 + E) would overflow (from p = 6.7e153),
+    # and where D = 2 sqrt(E) sqrt(1 + E) and, at the poles, 1 + E + |p_z|
+    # would (from p = 9e307)
+    huge = [(p, 1.0, 2.0) for p in (1e154, 1e200, 1e300)]
+    top = [(p, theta, 2.0) for p in (9e307, 1.7e308, sys.float_info.max)
+           for theta in (0.0, 1.0, math.pi)]
     worst = 0.0
-    for pt in _random_points(1000) + huge:
-        up = bispinor_u(pt, +1).components
-        um = bispinor_u(pt, -1).components
+    for pt in _random_points(1000) + huge + top:
+        up = bispinor_u(*pt, +1)
+        um = bispinor_u(*pt, -1)
         worst = max(worst,
                     abs(np.vdot(up, up).real - 1.0),
                     abs(np.vdot(um, um).real - 1.0),
@@ -123,14 +123,14 @@ def test_orthonormality_thousand_points():
     assert worst <= 1e-12
     for pt in huge:
         for s in (+1, -1):
-            assert all(np.all(np.isfinite(d.components))
-                       for d in bispinor_partials(pt, s))
+            assert all(np.all(np.isfinite(d))
+                       for d in bispinor_partials(*pt, s))
 
 
 def test_cross_spin_overlap_zero():
     for pt in _random_points(100):
-        up = bispinor_u(pt, +1).components
-        um = bispinor_u(pt, -1).components
+        up = bispinor_u(*pt, +1)
+        um = bispinor_u(*pt, -1)
         assert abs(np.vdot(up, um)) <= 1e-13
 
 
@@ -139,23 +139,20 @@ def test_partials_match_central_differences():
     points = _random_points(20)
     for s in (+1, -1):
         for pt in points:
-            if pt.p < 2 * h or not (2 * h < pt.theta < math.pi - 2 * h):
+            if pt[0] < 2 * h or not (2 * h < pt[1] < math.pi - 2 * h):
                 continue
-            dp, dth, dph = bispinor_partials(pt, s)
+            dp, dth, dph = bispinor_partials(*pt, s)
             for ax, analytic in ((0, dp), (1, dth), (2, dph)):
-                args = [pt.p, pt.theta, pt.phi]
-                hi, lo = list(args), list(args)
+                hi, lo = list(pt), list(pt)
                 hi[ax] += h
                 lo[ax] -= h
-                num = (bispinor_u(MomentumPoint(*hi), s).components
-                       - bispinor_u(MomentumPoint(*lo), s).components) / (2 * h)
-                assert np.max(np.abs(analytic.components - num)) < 1e-8
+                num = (bispinor_u(*hi, s) - bispinor_u(*lo, s)) / (2 * h)
+                assert np.max(np.abs(analytic - num)) < 1e-8
         # at p = 0, dE/dp = 0 and only the sigma.n term is left; p cannot go
         # below 0, so a one-sided second-order difference
-        u = [bispinor_u(MomentumPoint(k * h, 0.7, 2.3), s).components
-             for k in range(3)]
+        u = [bispinor_u(k * h, 0.7, 2.3, s) for k in range(3)]
         num = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2 * h)
-        dp = bispinor_partials(MomentumPoint(0.0, 0.7, 2.3), s)[0].components
+        dp = bispinor_partials(0.0, 0.7, 2.3, s)[0]
         assert np.max(np.abs(dp - num)) < 1e-8
 
 
@@ -165,13 +162,12 @@ def test_spin_connection_closed_form():
     for p in (0.05, 0.7, 3.0, 12.0):
         for theta in (0.3, 1.2, 2.8):
             for phi in (0.0, 1.9, 4.6):
-                pt = MomentumPoint(p, theta, phi)
-                u = [bispinor_u(pt, s).components for s in (+1, -1)]
-                du = [bispinor_partials(pt, s) for s in (+1, -1)]
-                conn = np.array([[[np.vdot(u[i], du[j][k].components)
+                u = [bispinor_u(p, theta, phi, s) for s in (+1, -1)]
+                du = [bispinor_partials(p, theta, phi, s) for s in (+1, -1)]
+                conn = np.array([[[np.vdot(u[i], du[j][k])
                                    for j in range(2)] for i in range(2)]
                                  for k in range(3)])
-                half = 0.5 * (1.0 - 1.0 / pt.energy)
+                half = 0.5 * (1.0 - 1.0 / math.hypot(1.0, p))
                 st, ct = math.sin(theta), math.cos(theta)
                 e = complex(math.cos(phi), math.sin(phi))
                 expected = np.array([
@@ -650,7 +646,8 @@ def test_bound_consistency():
     # any concrete state must lie on or above the bound curve
     rep = dispersion_functional(AmplitudePair(f_plus=_gaussian), mass=1.0)
     d_state = (rep.delta_p_sq / rep.delta_r_sq) ** 0.25
-    assert rep.gamma >= gamma_bound(d_state) - 1e-4
+    [(gamma, _)] = gamma_estimates([d_state])
+    assert rep.gamma >= gamma - 1e-4
 
 
 def _s_wave(c, d):

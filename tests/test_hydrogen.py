@@ -19,7 +19,6 @@ from scipy.integrate import dblquad
 
 from relhur import (
     ALPHA_FS,
-    Bispinor,
     CoulombState,
     DivergenceError,
     d_parameter,
@@ -72,13 +71,13 @@ def ground_bispinor(state, r, theta, phi):
     k = small_component_ratio(state)
     common = norm_constant(state) * r ** (g - 1.0) * math.exp(
         -state.alpha * state.Z * r)
-    return Bispinor(components=np.array([
+    return np.array([
         common,
         0.0,
         1j * k * math.cos(theta) * common,
         -1j * k * math.sin(theta) * common * complex(math.cos(phi),
                                                      math.sin(phi)),
-    ]))
+    ])
 
 
 def density_radial_moment(gamma_c, k):
@@ -277,14 +276,14 @@ def test_bispinor_zero_charge_limit():
     state = CoulombState(Z=1, alpha=1e-12)
     assert small_component_ratio(state) == 0.0
     b = ground_bispinor(state, 1.0, 0.7, 0.3)
-    assert b.components[2] == 0.0
-    assert b.components[3] == 0.0
+    assert b[2] == 0.0
+    assert b[3] == 0.0
 
 
 def test_bispinor_small_component_ratio():
     state = CoulombState(Z=1, alpha=1e-4)
     theta = 0.7
-    b = ground_bispinor(state, 1.0, theta, 0.3).components
+    b = ground_bispinor(state, 1.0, theta, 0.3)
     ratio = abs(b[2]) / abs(b[0])
     assert ratio == pytest.approx(
         small_component_ratio(state) * math.cos(theta), rel=1e-10)
@@ -308,7 +307,7 @@ def test_density_phi_independent():
     r, theta = 0.003, 1.1
     densities = []
     for phi in (0.0, 1.0, 2.5, 5.0):
-        c = ground_bispinor(state, r, theta, phi).components
+        c = ground_bispinor(state, r, theta, phi)
         densities.append(float(np.sum(np.abs(c) ** 2)))
     assert max(densities) - min(densities) <= 1e-15 * max(densities)
 
@@ -318,7 +317,7 @@ def test_density_normalized_z80():
     state = CoulombState(Z=80)
 
     def density(theta, r):
-        c = ground_bispinor(state, r, theta, 0.0).components
+        c = ground_bispinor(state, r, theta, 0.0)
         return float(np.sum(np.abs(c) ** 2)) * r * r * math.sin(theta)
 
     value, _ = dblquad(density, 0.0, math.inf, 0.0, math.pi,

@@ -1,12 +1,11 @@
 """Result and config records: immutable, and validated on every path.
 
-The records are named tuples.  Five of them check their fields, and a bad
+The records are named tuples.  Three of them check their fields, and a bad
 field must be refused whether the record comes from the constructor, from
 _replace, from copy.copy or from a pickle round trip.
 """
 
 import copy
-import math
 import pickle
 
 import numpy as np
@@ -14,9 +13,7 @@ import pytest
 
 from relhur import (
     AmplitudePair,
-    Bispinor,
     CoulombState,
-    MomentumPoint,
     QuadConfig,
     integrate_trapezoid,
     make_potential,
@@ -32,11 +29,6 @@ _RECORDS = {
     "RadialPotential": (lambda: make_potential(1.0), None),
     "AmplitudePair": (lambda: AmplitudePair(np.exp), None),
     "DispersionReport": (lambda: gamma_h(HopfionState(1.0)), None),
-    "MomentumPoint": (lambda: MomentumPoint(1.0, 0.5, 2.0),
-                      ({"theta": math.pi}, {"theta": 3.5})),
-    "Bispinor": (lambda: Bispinor([1.0, 0.0, 0.5j, 0.0]),
-                 ({"components": np.array([0j, 1, 0, 0])},
-                  {"components": np.array([0j, 1, 0, math.nan])})),
     "HopfionState": (lambda: HopfionState(1.0), ({"a": 2.0}, {"a": -1.0})),
     "CoulombState": (lambda: CoulombState(Z=80),
                      ({"Z": np.int64(40)}, {"Z": 0})),

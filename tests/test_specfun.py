@@ -70,6 +70,10 @@ def test_gamma_domain_errors():
     for bad in (0.0, -1.0, 50.0001, math.inf, math.nan):
         with pytest.raises(ValueError):
             gamma_fn(bad)
+    # Gamma(x) ~ 1/x leaves the float range below 5.6e-309
+    with pytest.raises(ValueError, match="overflows double precision"):
+        gamma_fn(1e-310)
+    assert math.isfinite(gamma_fn(1e-308))
 
 
 def test_bessel_frozen_values():
