@@ -42,19 +42,21 @@ The (p, theta) integral is quadrature.integrate_exp_sinh.  The phi
 integral is a trapezoid sum, exact for harmonics below its node count,
 under a pair of rules of n and n + 1 nodes, n = 8, 16, ..., 256: coprime
 rules alias alike only at multiples of n (n + 1), nested ones (n, 2n) at
-all multiples of 2n.  The pair is picked once per dispersion call, in the
-stages of integrate_exp_sinh.  On the first t level, with every theta rule
-the ladder tries, both rules sum every row, and the sums must agree to
-0.01 rel_tol (n epsilons at least) of the level's largest
-norm-plus-second-moment integrand.  Later levels evaluate the n + 1 nodes
-only.  Before the result is returned, the n-node rule re-checks the new
-nodes of the level on which the t step converged against the (n + 1)-node
-sums that level has.  A disagreement in either check ends the integration,
-which starts again from the first level at the next pair; past 256/257 (a
-jump in phi) QuadratureError is raised, which bounds what such a state
-costs.  Smooth states keep 8/9; the harmonic-15 state of the tests climbs
-to 32/33 on the first level, and a state whose harmonics live only between
-the first level's p nodes climbs at the re-check.
+all multiples of 2n.  The pair is picked once per dispersion call, at two
+check points.  On the first integrand call of integrate_exp_sinh, the
+whole first t level at 8 theta nodes, both rules sum every row, and the
+sums must agree to 0.01 rel_tol (n epsilons at least) of the call's
+largest norm-plus-second-moment integrand.  Every later call sums the
+n + 1 nodes only.  After the quadrature returns, the n-node rule re-checks
+the nodes of its last call, the level on which the t step converged,
+against the (n + 1)-node sums of that call.  A disagreement in either
+check ends the integration, which starts again from the first level at
+the next pair; past 256/257 (a jump in phi) QuadratureError is raised,
+which bounds what such a state costs.  A non-finite n-node sum raises it
+too, as the quadrature sees the n + 1 nodes only.  Smooth states keep
+8/9; the harmonic-15 state of the tests climbs to 32/33 on the first call,
+and a state whose harmonics live only between the first level's p nodes
+climbs at the re-check.
 
 An integrand call evaluates amplitudes and partials in one broadcast NumPy
 pass per chunk of p nodes, at most 16 x 12 x 17 = 3264 (p, theta, phi)
@@ -377,35 +379,34 @@ def dispersion_functional(amp: AmplitudePair, cfg: QuadConfig = QuadConfig(),
             for k in range(0, p.shape[0], step)], axis=1), p, thetas)
 
     def check(t_n, t_n1):
-        # n eps bounds the sums' rounding (<= 1e-16 n of scale measured);
-        # a non-finite row passes, for the quadrature to reject
+        # n eps bounds the sums' rounding (<= 1e-16 n of scale measured)
+        if not np.all(np.isfinite(t_n)):
+            raise QuadratureError(f"phi sums at {n} nodes are not finite")
         scale = np.max(np.abs(t_n1[0]) + np.abs(t_n1[1]) + np.abs(t_n1[2]))
         tol = max(0.01 * cfg.rel_tol, n * np.finfo(float).eps) * scale
         if np.max(np.abs(t_n1 - t_n)) > tol:
             raise _PairRejected
 
-    # the stages of integrate_exp_sinh: the pair is checked on the whole
-    # first t level, then later levels take the n + 1 nodes only, and the
-    # n-node rule re-checks the level on which the t step converged
-    def rows(p: np.ndarray, thetas: np.ndarray, stage: str) -> np.ndarray:
+    def rows(p: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        # both rules on the first call, then n + 1 nodes; the last re-checked
         nonlocal evals, last
         evals += p.size * thetas.size
-        if stage == "first":
+        if last is None:
             t_n, t_n1 = sums(p, thetas, (n, n + 1))
             check(t_n, t_n1)
-            return t_n1
-        if stage == "later":
-            (last,) = sums(p, thetas, (n + 1,))
-            return last.copy()  # a caller may write to what it gets
-        (t_n,) = sums(p, thetas, (n,))
-        check(t_n, last)
-        return t_n
+        else:
+            (t_n1,) = sums(p, thetas, (n + 1,))
+        last = p, thetas, t_n1.copy()  # a caller may write to what it gets
+        return t_n1
 
-    evals, last = 0, None
+    evals = 0
     for n in _N_PHI_PAIRS:
+        last = None
         try:
-            res = integrate_exp_sinh(rows, cfg, control_rows=[0, 1, 2],
-                                     staged=True)
+            res = integrate_exp_sinh(rows, cfg, control_rows=[0, 1, 2])
+            p, thetas, t_n1 = last
+            evals += p.size * thetas.size
+            check(*sums(p, thetas, (n,)), t_n1)
         except _PairRejected:
             continue
         return DispersionReport.from_integrals(res._replace(evaluations=evals))

@@ -73,17 +73,22 @@ def amplitude_pair(state: HopfionState) -> AmplitudePair:
 
     f_plus = (m + E - p_z) e^{-aE} / (m sqrt(E(E+m))),
     f_minus = -(p_x + i p_y) e^{-aE} / (m sqrt(E(E+m))), each returned with
-    its analytic partial derivatives; feeding this into the general
+    its analytic partial derivatives.  Both are returned times e^{a}, as
+    gamma_h factors e^{-a} out: unscaled, every integral would scale as
+    e^{-2a} and sink under the quadrature's abs_tol at large a.  So norm_sq
+    is e^{2a} times that of the documented components; gamma, the
+    dispersions and the means are unchanged.  Feeding this into the general
     dispersion functional must reproduce gamma_h computed from direct
     gradients.
     """
     a = state.a
 
     def radial(p):
-        """E, g = e^{-aE} / sqrt(E(E+1)) and dg/dp."""
+        """E, g = e^{-a(E-1)} / sqrt(E(E+1)) and dg/dp, with E - 1 taken
+        as p^2 / (E + 1), free of cancellation at small p."""
         e = np.hypot(1.0, p)
         ep = p / e
-        g = np.exp(-a * e) / np.sqrt(e * (e + 1.0))
+        g = np.exp(-a * (p * p / (e + 1.0))) / np.sqrt(e * (e + 1.0))
         return e, g, g * (-a * ep - ep / (2.0 * e) - ep / (2.0 * (e + 1.0)))
 
     def f_plus(p, th, phi):

@@ -215,8 +215,7 @@ def _theta_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def integrate_exp_sinh(f: Callable, cfg: QuadConfig = QuadConfig(),
-                       control_rows: Sequence[int] | None = None,
-                       staged: bool = False) -> QuadResult:
+                       control_rows: Sequence[int] | None = None) -> QuadResult:
     """Integral of f(p, theta) over p in [0, inf), theta in [0, pi], measure
     dp dtheta, for an f analytic on the open domain and decaying at least
     exponentially in p (module docstring).
@@ -224,33 +223,25 @@ def integrate_exp_sinh(f: Callable, cfg: QuadConfig = QuadConfig(),
     f is called as f(ps[:, None], thetas[None, :]) and returns shape
     (n_p, n_theta) or (n_rows, n_p, n_theta).  The control rows (default:
     all) pick the t range, the theta rule and the t step; the other rows
-    ride along on the same nodes, each with its own error estimate.
-
-    With staged=True f takes the stage of each call as a third argument:
-    "first" on the first t level, once per theta rule the ladder tries;
-    "later" on the new nodes of each later level; and "recheck" once more
-    on the nodes of the last "later" call, after the t step has converged
-    and before the result is returned.  The "recheck" values are only
-    shape-checked and counted: an integrand with an inner rule of its own
-    re-checks that rule where the t step converged, and raises to reject
-    the result.
+    ride along on the same nodes, each with its own error estimate.  The
+    first call is the whole first t level at 8 theta nodes, and the last
+    one the new nodes of the level on which the t step converged.
     """
     control = slice(None) if control_rows is None else list(control_rows)
     evals = 0
 
-    def in_t(ts, n_theta, stage):
+    def in_t(ts, n_theta):
         """The rows' theta sums times dp/dt at the t nodes ts, (n_rows, n_t)."""
         nonlocal evals
         thetas, w_theta = _theta_rule(n_theta)
         ps = np.exp(0.5 * math.pi * np.sinh(ts))
-        grid = (ps[:, None], thetas[None, :]) + ((stage,) if staged else ())
-        y = _checked(f(*grid), ps.size, n_theta)
+        y = _checked(f(ps[:, None], thetas[None, :]), ps.size, n_theta)
         evals += ps.size * n_theta
         return (y.reshape(-1, ts.size, n_theta) @ w_theta) * (
             0.5 * math.pi * np.cosh(ts) * ps)
 
     ts = 0.5 * np.arange(-8.0, 9.0)
-    g = _finite(in_t(ts, _THETA_LEVELS[0], "first"), ts[0], ts[-1])
+    g = _finite(in_t(ts, _THETA_LEVELS[0]), ts[0], ts[-1])
     mag = np.abs(g[control])
     kept = np.flatnonzero(np.any(mag >= _EPS * mag.max(axis=1, keepdims=True),
                                  axis=0))
@@ -262,7 +253,7 @@ def integrate_exp_sinh(f: Callable, cfg: QuadConfig = QuadConfig(),
 
     coarse = g @ w
     for n_theta in _THETA_LEVELS[1:]:
-        total = _finite(in_t(ts, n_theta, "first") @ w, t_lo, t_hi)
+        total = _finite(in_t(ts, n_theta) @ w, t_lo, t_hi)
         theta_gap = np.abs(total - coarse)
         bound = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
         if np.all(theta_gap[control] <= bound[control]):
@@ -272,16 +263,7 @@ def integrate_exp_sinh(f: Callable, cfg: QuadConfig = QuadConfig(),
         raise QuadratureError(
             f"theta sums unconverged at {n_theta} nodes on [{t_lo:g}, {t_hi:g}]")
 
-    def later(ts, w):
-        nonlocal last
-        last = ts
-        return in_t(ts, n_theta, "later") @ w
-
-    last = None
-    res = _halving(
-        later, t_lo, t_hi, 0.25, cfg, control,
+    return _halving(
+        lambda ts, w: in_t(ts, n_theta) @ w, t_lo, t_hi, 0.25, cfg, control,
         lambda total, err: QuadResult(total, err + theta_gap + tails, evals),
         total=total, n_t=ts.size)
-    if staged:
-        in_t(last, n_theta, "recheck")
-    return res._replace(evaluations=evals)

@@ -362,9 +362,10 @@ def test_large_d_err_est_covers_rounding(d):
         assert Decimal(err) >= abs(Decimal(gamma) - exact)
 
 
-def _one_sided_oracle(d, n, q_max=10.0):
-    """gamma(d) from -u'' + V u = 2 gamma u with u = q f = 0 at q = 0 and
-    at q_max, by Chebyshev collocation on the half line itself.
+def _one_sided_system(d, n, q_max=10.0):
+    """The nodes q, dq/dx and the operator -u'' + V u on the n - 1 inner
+    nodes of -u'' + V u = 2 gamma u with u = q f = 0 at q = 0 and at q_max,
+    by Chebyshev collocation in x on the half line itself.
 
     Independent of the production solver's f = q^s g substitution and its
     even folding: the unknown is u, the grid has a node at the origin, and
@@ -382,8 +383,52 @@ def _one_sided_oracle(d, n, q_max=10.0):
     d2q = 0.25 * b * b * q
     op = -(d1 @ d1) / dq[:, None] ** 2 + (d2q / dq ** 3)[:, None] * d1
     inner = slice(1, n)
-    op = op[inner, inner] + np.diag(potential_v(q[inner], d))
+    return q, dq, op[inner, inner] + np.diag(potential_v(q[inner], d))
+
+
+def _one_sided_oracle(d, n, q_max=10.0):
+    """gamma(d) from the operator of _one_sided_system."""
+    _, _, op = _one_sided_system(d, n, q_max)
     return 0.5 * float(np.min(np.linalg.eigvals(op).real))
+
+
+def _one_sided_ground_state(d, n, q_max=10.0):
+    """The nodes q, dq/dx and the lowest eigenvector u of the operator of
+    _one_sided_system, zero at both ends."""
+    q, dq, op = _one_sided_system(d, n, q_max)
+    lam, vec = np.linalg.eig(op)
+    u = np.zeros(n + 1)
+    u[1:-1] = vec[:, np.argmin(lam.real)].real
+    return q, dq, u
+
+
+def _clencurt(n):
+    """Clenshaw-Curtis weights on the n + 1 Chebyshev points cos(pi k/n)
+    of [-1, 1], n even (Trefethen, Spectral Methods in MATLAB, clencurt.m)."""
+    theta = np.pi * np.arange(1, n) / n
+    v = 1.0 - np.cos(n * theta) / (n * n - 1)
+    for k in range(1, n // 2):
+        v -= 2.0 * np.cos(2 * k * theta) / (4 * k * k - 1)
+    w = np.full(n + 1, 1.0 / (n * n - 1))
+    w[1:-1] = 2.0 * v / n
+    return w
+
+
+@pytest.mark.parametrize("d, bound", [
+    (0.1, 1e-10), (1.0, 1e-10), (3.0, 1e-10), (30.0, 1e-10), (1000.0, 2e-9)])
+def test_hellmann_feynman_second_moment(d, bound):
+    # <q^2> = gamma - (d/2) gamma' in the ground state: <q^2> from the
+    # one-sided oracle's eigenvector under Clenshaw-Curtis weights, gamma
+    # and gamma' (4-point central difference) from the production solver.
+    # The oracle's own spread between n = 96 and 128 is 1.3e-10 at d = 1000.
+    q, dq, u = _one_sided_ground_state(d, 128)
+    w = _clencurt(128) * dq * u * u
+    second = float(w @ (q * q)) / float(w.sum())
+    h = 1e-3 * d
+    g = [gamma for gamma, _ in lowest_eigenvalues(
+        [make_potential(d + k * h) for k in (-2, -1, 0, 1, 2)], n=159)]
+    slope = (g[0] - 8.0 * g[1] + 8.0 * g[3] - g[4]) / (12.0 * h)
+    assert abs(g[2] - 0.5 * d * slope - second) <= bound
 
 
 @pytest.mark.parametrize("d", [40.0, 100.0, 1e5])

@@ -287,13 +287,12 @@ def test_spin_connection_matches_four_component_oracle(mass, monkeypatch):
     rep = dispersion_functional(amp, _COARSE, mass=mass)
     integrate = dirac_states.integrate_exp_sinh
 
-    def with_oracle_rows(rows, cfg, control_rows, staged):
-        def replaced(p, thetas, stage):
-            out = rows(p, thetas, stage)
+    def with_oracle_rows(rows, cfg, control_rows):
+        def replaced(p, thetas):
+            out = rows(p, thetas)
             out[6:9] = _four_component_r_rows(amp, mass, p, thetas)
             return out
-        return integrate(replaced, cfg, control_rows=control_rows,
-                         staged=staged)
+        return integrate(replaced, cfg, control_rows=control_rows)
 
     monkeypatch.setattr(dirac_states, "integrate_exp_sinh", with_oracle_rows)
     oracle = dispersion_functional(amp, _COARSE, mass=mass)
@@ -312,7 +311,8 @@ def test_spin_connection_matches_four_component_oracle(mass, monkeypatch):
 def test_report_counts_evaluations(module, run, monkeypatch):
     # the module's quadrature binding, wrapped to count the grid points its
     # integrand is called on: the exp-sinh rule for the general functional,
-    # the trapezoid rule for the two families
+    # the trapezoid rule for the two families.  The general functional
+    # re-checks its phi pair on the grid of the last call once more.
     name = ("integrate_exp_sinh" if module is dirac_states
             else "integrate_trapezoid")
     points = []
@@ -322,7 +322,10 @@ def test_report_counts_evaluations(module, run, monkeypatch):
         def wrapped(*grid):
             points.append(np.broadcast(*grid).size)
             return rows(*grid)
-        return integrate(wrapped, *args, **kwargs)
+        res = integrate(wrapped, *args, **kwargs)
+        if module is dirac_states:
+            points.append(points[-1])
+        return res
 
     monkeypatch.setattr(module, name, counted)
     rep = run()
@@ -365,51 +368,43 @@ def test_phi_sums_not_fooled_by_aliased_harmonics():
         assert np.max(np.abs(rep.mean_r)) < 1e-10
 
 
-def _staged_calls(monkeypatch, amp):
+def _recorded_calls(monkeypatch, amp):
     """amp with its f_plus recording, per integration of the dispersion
-    functional, each integrand call's stage and the phi widths of the
-    f_plus calls it made."""
+    functional, the phi widths of the f_plus calls of each integrand call
+    in order, and of the re-check after a quadrature that returned."""
     calls = []
     integrate = dirac_states.integrate_exp_sinh
 
     def recorded(rows, *args, **kwargs):
         calls.append([])
 
-        def staged(p, thetas, stage):
-            calls[-1].append((stage, set()))
-            return rows(p, thetas, stage)
-        return integrate(staged, *args, **kwargs)
+        def call(p, thetas):
+            calls[-1].append(set())
+            return rows(p, thetas)
+        res = integrate(call, *args, **kwargs)
+        calls[-1].append(set())
+        return res
 
     def plus(p, th, ph):
-        calls[-1][-1][1].add(np.shape(ph)[-1])
+        calls[-1][-1].add(np.shape(ph)[-1])
         return amp.f_plus(p, th, ph)
 
     monkeypatch.setattr(dirac_states, "integrate_exp_sinh", recorded)
     return amp._replace(f_plus=plus), calls
 
 
-def _stages(calls):
-    """One integration's stages, checked to run first, later, recheck."""
-    stages = [stage for stage, _ in calls]
-    k = stages.index("later")
-    assert stages == ["first"] * k + ["later"] * (len(stages) - k - 1) + [
-        "recheck"]
-    return k
-
-
 def test_phi_pair_picked_once_per_call(monkeypatch):
-    # the harmonic-15 state needs the 32/33 pair: the first call of the
-    # first t level rejects 8/9, then 16/17, each time ending that
-    # integration, and the integration at 32/33 checks both rules on the
-    # whole first level, evaluates only the 33 nodes on later levels and
-    # re-checks the last level with the 32
-    amp, calls = _staged_calls(monkeypatch, _harmonic_15_state(0.0))
+    # the harmonic-15 state needs the 32/33 pair: the first call, on the
+    # whole first t level, rejects 8/9, then 16/17, each time ending that
+    # integration, and the integration at 32/33 checks both rules on its
+    # first call, evaluates only the 33 nodes on the calls after it and
+    # re-checks the last call with the 32
+    amp, calls = _recorded_calls(monkeypatch, _harmonic_15_state(0.0))
     rep = dispersion_functional(amp, _COARSE)
-    assert calls[:2] == [[("first", {17})], [("first", {33})]]
+    assert calls[:2] == [[{17}], [{33}]]
     (accepted,) = calls[2:]
-    k = _stages(accepted)
-    assert [widths for _, widths in accepted] == (
-        [{65}] * k + [{33}] * (len(accepted) - k - 1) + [{32}])
+    assert len(accepted) > 3
+    assert accepted == [{65}] + [{33}] * (len(accepted) - 2) + [{32}]
     assert np.max(np.abs(rep.mean_r)) < 1e-10
 
 
@@ -428,17 +423,18 @@ def _band_state():
 
 
 def test_recheck_climbs_past_a_pair_the_first_level_accepts(monkeypatch):
-    amp, calls = _staged_calls(monkeypatch, _band_state())
+    amp, calls = _recorded_calls(monkeypatch, _band_state())
     rep = dispersion_functional(amp)
     # 8/9 passes the first level and fails the re-check, which integrates
     # once more, at 16/17, from the first level (numeric partials: the phi
     # probes stack four phi grids in one call)
     assert len(calls) == 2
     for integration, n in zip(calls, (8, 16)):
-        k = _stages(integration)
-        for (_, widths), w in zip([integration[0], integration[k],
-                                   integration[-1]], (2 * n + 1, n + 1, n)):
-            assert widths == {w, 4 * w}
+        first, *others, recheck = integration
+        assert first == {2 * n + 1, 4 * (2 * n + 1)}
+        assert len(others) > 2
+        assert all(widths == {n + 1, 4 * (n + 1)} for widths in others)
+        assert recheck == {n, 4 * n}
     monkeypatch.undo()
 
     # the same as starting at the rung it climbs to
@@ -449,21 +445,33 @@ def test_recheck_climbs_past_a_pair_the_first_level_accepts(monkeypatch):
     monkeypatch.undo()
 
     # without the re-check the 9-node sums stand, off by far more than the
-    # error estimate says
-    integrate = dirac_states.integrate_exp_sinh
-
-    def without_recheck(rows, *args, **kwargs):
-        def unchecked(p, thetas, stage):
-            if stage == "recheck":
-                return np.zeros((9, p.shape[0], thetas.shape[1]))
-            return rows(p, thetas, stage)
-        return integrate(unchecked, *args, **kwargs)
-
-    monkeypatch.setattr(dirac_states, "integrate_exp_sinh", without_recheck)
+    # error estimate says: the re-check, the only sum under the n-node
+    # rule alone, here sums under the n + 1 nodes and so agrees
+    rules = dirac_states._phi_rules
+    monkeypatch.setattr(dirac_states, "_phi_rules", lambda sizes: rules(
+        sizes if len(sizes) > 1 else (sizes[0] | 1,)))
     unchecked = dispersion_functional(_band_state())
     assert abs(unchecked.gamma - rep.gamma) > 1e-3
     assert abs(unchecked.gamma - rep.gamma) > 1e6 * (unchecked.err_est
                                                      + rep.err_est)
+
+
+def test_non_finite_recheck_sums_raise():
+    # a NaN at the p node t = 1/32, which only the last t level adds, and
+    # at phi = pi/4, a node of the 8-node rule only, reaches no sum but the
+    # re-check's: it must raise, not compare as agreeing
+    p_nan = np.exp(0.5 * math.pi * np.sinh(1.0 / 32.0))
+    nan_widths = set()
+
+    def plus(p, th, ph):
+        bad = (p == p_nan) & (ph == 0.25 * math.pi)
+        if np.any(bad):
+            nan_widths.add(np.shape(ph)[-1])
+        return np.where(bad, np.nan, np.exp(-0.5 * p * p)) + 0j * th
+
+    with pytest.raises(QuadratureError, match="phi sums at 8 nodes"):
+        dispersion_functional(AmplitudePair(f_plus=plus))
+    assert nan_widths == {8}
 
 
 def _ufunc_gaussian(p, theta, phi):
@@ -474,23 +482,25 @@ def _ufunc_gaussian(p, theta, phi):
 
 @pytest.mark.parametrize("amp, amp_calls, points, max_points", [
     # analytic partials: one f_plus call per chunk of at most 3264 points
-    (hopfion.amplitude_pair(HopfionState(1.0)), 12, 25_844, 3264),
+    (hopfion.amplitude_pair(HopfionState(1.0)), 12, 24_884, 3264),
     # numeric partials: and one call per axis with four probes stacked
-    (AmplitudePair(f_plus=_ufunc_gaussian), 48, 13 * 25_844, 4 * 3264),
+    (AmplitudePair(f_plus=_ufunc_gaussian), 48, 13 * 24_884, 4 * 3264),
 ], ids=["hopfion", "gaussian"])
 def test_work_counts_pinned(monkeypatch, amp, amp_calls, points, max_points):
     # the work at the default QuadConfig, pinned so that a change which
-    # inflates it fails here: 7 integrand calls (two on the first t level,
-    # four later levels, the re-check) on 2740 (p, theta) points, and
-    # 25 844 (p, theta, phi) points per field
-    calls, sizes = [], []
+    # inflates it fails here: 6 integrand calls (two on the first t level,
+    # four later levels) and the re-check of the last on 2740 (p, theta)
+    # points, and 24 884 (p, theta, phi) points per field
+    calls, sizes, returned = [], [], []
     integrate = dirac_states.integrate_exp_sinh
 
     def counted(rows, *args, **kwargs):
-        def staged(p, thetas, stage):
-            calls.append(stage)
-            return rows(p, thetas, stage)
-        return integrate(staged, *args, **kwargs)
+        def call(p, thetas):
+            calls.append(p.size * thetas.size)
+            return rows(p, thetas)
+        res = integrate(call, *args, **kwargs)
+        returned.append(len(sizes))  # f_plus calls before the re-check
+        return res
 
     def plus(p, th, ph):
         sizes.append(np.broadcast(p, th, ph).size)
@@ -498,8 +508,10 @@ def test_work_counts_pinned(monkeypatch, amp, amp_calls, points, max_points):
 
     monkeypatch.setattr(dirac_states, "integrate_exp_sinh", counted)
     rep = dispersion_functional(amp._replace(f_plus=plus))
-    assert calls == ["first"] * 2 + ["later"] * 4 + ["recheck"]
-    assert rep.evaluations == 2740
+    assert len(calls) == 6
+    # the re-check evaluates the points of the last call once more
+    assert rep.evaluations == sum(calls) + calls[-1] == 2740
+    assert len(returned) == 1 and returned[0] < len(sizes)
     assert (len(sizes), sum(sizes), max(sizes)) == (amp_calls, points,
                                                     max_points)
 
@@ -529,6 +541,9 @@ def test_amplitude_with_jump_in_phi_raises():
 
     with pytest.raises(QuadratureError, match="phi sums"):
         dispersion_functional(AmplitudePair(f_plus=step))
+    # each pair ends on its first integrand call, so the failing call's
+    # work is pinned
+    assert (len(points), sum(points)) == (184, 1_792_752)
     # the ladder is capped, so the failing call's cost is bounded: no phi
     # grid wider than the 256/257 pair's 513 nodes, four times over in the
     # stacked probes of the numeric partials

@@ -188,7 +188,7 @@ def test_trapezoid_rule_matches_adaptive_reference(a):
     assert rep.norm_sq == pytest.approx(ref.norm_sq, rel=1e-12)
 
 
-@pytest.mark.parametrize("a", [0.1, 1.0, 7.3])
+@pytest.mark.parametrize("a", [0.05, 0.1, 1.0, 7.3, 10.0, 30.0, 100.0])
 def test_amplitude_route_error_bar_covers_and_is_tight(a):
     # the amplitude route's err_est must hold its distance from gamma_h,
     # the independent route, and stay below 1e-7

@@ -192,47 +192,6 @@ def test_one_integrand_call_per_panel():
     assert later == [(trimmed - 1) << k for k in range(len(later))]
 
 
-def _gaussian_moment(p, th, stage=None):
-    return p * p * np.sin(th) * np.exp(-p * p)
-
-
-def test_staged_integrand_sees_its_stages():
-    # with staged=True each call names its stage; the re-check repeats the
-    # grid of the last later level, its points are counted, and the values
-    # integrated are those of the plain call
-    seen = []
-
-    def staged(p, th, stage):
-        seen.append((stage, p.ravel().copy(), th.size))
-        return _gaussian_moment(p, th)
-
-    res = integrate_exp_sinh(staged, CFG, staged=True)
-    plain = integrate_exp_sinh(_gaussian_moment, CFG)
-    stages = [stage for stage, _, _ in seen]
-    k = stages.index("later")
-    assert stages == ["first"] * k + ["later"] * (len(seen) - k - 1) + [
-        "recheck"]
-    (_, p_last, n_last), (_, p_check, n_check) = seen[-2:]
-    assert np.array_equal(p_check, p_last) and n_check == n_last
-    assert res.evaluations == sum(p.size * n for _, p, n in seen)
-    assert res.evaluations == plain.evaluations + p_check.size * n_check
-    assert res.value == plain.value
-    assert res.est_abs_error == plain.est_abs_error
-
-
-def test_staged_integrand_rejects_at_the_recheck():
-    class Rejected(Exception):
-        pass
-
-    def rejecting(p, th, stage):
-        if stage == "recheck":
-            raise Rejected
-        return _gaussian_moment(p, th)
-
-    with pytest.raises(Rejected):
-        integrate_exp_sinh(rejecting, CFG, staged=True)
-
-
 def test_2d_theta_rule_climbs_until_two_levels_agree():
     # k e^{-k theta} / (1 - e^{-k pi}) integrates to 1 over theta; with
     # k = 40 the 8- and 12-node sums miss it, and the kept count is the
