@@ -8,10 +8,10 @@ localized free-electron packet.  It depends on NumPy alone.
 
 Layout:
 
-    specfun             gamma function (math.gamma) and modified Bessel
-                        K0, K1, K2 (one trapezoid sum per order)
-    quadrature          step-halving trapezoid sums times Gauss-Legendre:
-                        on a given interval, and exp-sinh on [0, inf)
+    specfun             modified Bessel K0, K1, K2 (one trapezoid sum
+                        per order)
+    quadrature          step-halving trapezoid sums: on a given interval,
+                        and exp-sinh times Gauss-Legendre on [0, inf)
     radial_eigensolver  lowest eigenvalue of radial Schrodinger operators
                         by Chebyshev collocation (NumPy only)
     rel_uncertainty     the bound curve gamma(d) and its two limits

@@ -210,10 +210,13 @@ def _verify_rows(strict: bool) -> list[tuple[str, float, float, float, float]]:
                  0.01 ** 4, 1.0))
     rows.append(("bound_large_d_expansion", g_ends[1],
                  _bound.GAMMA_AT_INF - c1 / 1e4, 3.0 * c1 / 1e4 ** 2, 1.0))
-    ratio1 = _hopfion.norm_bessel_ratio(_hopfion.HopfionState(1.0))
-    ratio2 = _hopfion.norm_bessel_ratio(_hopfion.HopfionState(2.0))
-    rows.append(("hopfion_norm_ratio_dev", abs(ratio1 / ratio2 - 1.0), 0.0,
-                 1e-8, 1.0))
+    # the packet's momentum spread at a = 1 against its closed form
+    # 3 K_3(z) / (z K_2(z)) - 1/(4a^2), z = 2a, K_3 = K_1 + (4/z) K_2
+    k2 = bessel_k(2, 2.0)
+    closed = 3.0 * (bessel_k(1, 2.0) + 2.0 * k2) / (2.0 * k2) - 0.25
+    spread = _hopfion.gamma_h(_hopfion.HopfionState(1.0)).delta_p_sq
+    rows.append(("hopfion_delta_p_sq_closed", abs(spread / closed - 1.0), 0.0,
+                 1e-12, 1.0))
     return rows
 
 

@@ -17,12 +17,14 @@ general dispersion functional can serve as an independent cross-check.
 
 The phi dependence of the components is one e^{i phi} factor, which
 cancels in the density and the gradient magnitudes, so the phi integral is
-a factor 2 pi.  gamma_h and norm_bessel_ratio substitute p = sinh u and
-factor e^{-2a} out, leaving e^{-2a(cosh u - 1)}: entire, and even in u
+a factor 2 pi.  The rows are polynomials of degree at most 2 in
+cos theta, so 2-node Gauss-Legendre in cos theta, nodes +-1/sqrt(3) and
+weight 1 each, integrates them exactly.  gamma_h substitutes p = sinh u and
+factors e^{-2a} out, leaving e^{-2a(cosh u - 1)}: entire, and even in u
 once summed over theta (each odd-in-u term carries an odd power of
 cos theta).  So the trapezoid rule on [0, U], cosh U = 1 + 40/a, half
-weight at u = 0, converges geometrically from step 0.2 min(1, a^{-1/2});
-8-node Gauss-Legendre in cos theta is exact (quadrature.integrate_trapezoid).
+weight at u = 0, converges geometrically from step 0.2 min(1, a^{-1/2})
+(quadrature.integrate_trapezoid).
 """
 
 from __future__ import annotations
@@ -34,9 +36,8 @@ import numpy as np
 
 from .dirac_states import AmplitudePair, DispersionReport
 from .quadrature import QuadConfig, QuadResult, integrate_trapezoid
-from .specfun import bessel_k
 
-__all__ = ["HopfionState", "norm_bessel_ratio", "amplitude_pair", "gamma_h"]
+__all__ = ["HopfionState", "amplitude_pair", "gamma_h"]
 
 A_MIN, A_MAX = 0.05, 100.0
 
@@ -52,20 +53,6 @@ class HopfionState(NamedTuple("HopfionState", [("a", float)])):
         return super().__new__(cls, a)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # see QuadConfig
-
-
-def norm_bessel_ratio(state: HopfionState,
-                      cfg: QuadConfig = QuadConfig()) -> float:
-    """Squared norm integral of the unnormalized components (i.e. N^{-2})
-    divided by K_2(2a)/a.
-
-    The testable content of the closed normalization form is that this
-    ratio does not depend on a; the absolute constant is convention.
-    """
-    k2 = bessel_k(2, 2.0 * state.a)
-    if k2 == 0.0:
-        raise ValueError("K_2 underflows at this a; ratio undefined")
-    return float(_integrals(state.a, cfg).value[0]) / (k2 / state.a)
 
 
 def amplitude_pair(state: HopfionState) -> AmplitudePair:
@@ -144,8 +131,10 @@ def _rows(a: float, u: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def _integrals(a: float, cfg: QuadConfig) -> QuadResult:
     """The nine integrals over (p, theta, phi) at width a."""
+    c = np.array([-1.0, 1.0]) / math.sqrt(3.0)  # module docstring
     res = integrate_trapezoid(
-        lambda u, c: _rows(a, u, c), 0.0, math.acosh(1.0 + 40.0 / a),
+        lambda u: _rows(a, u[:, None], c).sum(axis=-1),
+        0.0, math.acosh(1.0 + 40.0 / a),
         0.2 * min(1.0, a ** -0.5), cfg, control_rows=[0, 1, 2])
     scale = math.exp(-2.0 * a)
     return res._replace(value=res.value * scale,

@@ -1,14 +1,14 @@
-"""Two tensor rules for analytic integrands: the trapezoid rule in a
+"""Two rules for analytic integrands built on the trapezoid rule in a
 variable t, its step halved until two sums agree to max(abs_tol,
-rel_tol |sum|) in each control row, times Gauss-Legendre in an angle.
+rel_tol |sum|) in each control row.
 
 On integrands analytic in t the trapezoid rule converges geometrically
 (Trefethen & Weideman, SIAM Rev. 56, 2014), so the step-halving gap, which
 bounds the coarser sum, bounds the kept finer one too.
 
-integrate_trapezoid takes t on an interval the caller chooses, times 8-node
-Gauss-Legendre in cos(theta); the two closed families (hydrogen.py,
-hopfion.py) fold their own variable changes into the integrand.
+integrate_trapezoid takes t alone, on an interval the caller chooses; the
+two closed families (hydrogen.py, hopfion.py) fold their own variable
+changes and their angular integrals into the integrand.
 
 integrate_exp_sinh takes p in [0, inf) through the exp-sinh map of
 Takahasi & Mori (1974), p = exp((pi/2) sinh t) with t in [-4, 4], so p
@@ -16,19 +16,20 @@ spans 2e-19 to 4e18 and an integrand that decays at least exponentially
 (with integrable endpoint behaviour such as p**-0.5) decays doubly
 exponentially in t.  Its first t level (step 0.5, 17 nodes) is trimmed to
 the run of nodes where some control row reaches eps of its peak, plus one
-node on each side.  Theta gets Gauss-Legendre in theta itself, not in
-cos(theta): the dispersion rows carry 1/sin(theta) and terms odd in
-sin(theta).  The theta node count is picked once, on the trimmed first t
-level, from 8, 12, 16, 24, 32, 48, 64: the first count whose sums agree
-with the count below it is kept, the finer of the two.  The integrand is
-called once per t level and theta rule, on all the nodes the level adds;
-an integrand that needs to bound its working memory splits the call
-itself (dirac_states does, by grid points).
+node on each side.  It is a tensor rule, times Gauss-Legendre in theta
+itself, not in cos(theta): the dispersion rows carry 1/sin(theta) and
+terms odd in sin(theta).  The theta node count is picked once, on the
+trimmed first t level, from 8, 12, 16, 24, 32, 48, 64: the first count
+whose sums agree with the count below it is kept, the finer of the two.
+The integrand is called once per t level and theta rule, on all the nodes
+the level adds; an integrand that needs to bound its working memory splits
+the call itself (dirac_states does, by grid points).
 
-Integrands are called on a grid, f(ts[:, None], cs[None, :]) or
-f(ps[:, None], thetas[None, :]), and return shape (n, m), or (n_rows, n, m)
-to integrate n_rows functions on the same nodes; any other shape raises
-ValueError.  Results hold one entry per row, (1,) for shape (n, m).
+Integrands are called on the t nodes, f(ts), or on a grid,
+f(ps[:, None], thetas[None, :]), and return shape (n,) or (n, m), or that
+shape led by n_rows to integrate n_rows functions on the same nodes; any
+other shape raises ValueError.  Results hold one entry per row, (1,) for
+an integrand without a row axis.
 """
 
 from __future__ import annotations
@@ -46,15 +47,6 @@ __all__ = [
     "integrate_exp_sinh",
     "integrate_trapezoid",
 ]
-
-# 8-node Gauss-Legendre on [-1, 1], positive nodes descending; symmetric,
-# so an odd integrand sums to zero up to rounding
-_XL = (0.960289856497536231683560868569473, 0.796666477413626739591553936475830,
-       0.525532409916328985817739049189246, 0.183434642495649804939476142360184)
-_WL = (0.101228536290376259152531354309962, 0.222381034453374470544355994426241,
-       0.313706645877887287337962201986601, 0.362683783378361982965150449277196)
-_COS_NODES = np.array([-x for x in _XL] + list(_XL[::-1]))
-_COS_WEIGHTS = np.array(_WL + _WL[::-1])
 
 _THETA_LEVELS = (8, 12, 16, 24, 32, 48, 64)
 _MAX_T_NODES = 30000
@@ -80,11 +72,11 @@ class QuadConfig(NamedTuple("QuadConfig", [("abs_tol", float),
 
 class QuadResult(NamedTuple):
     """value and est_abs_error hold one entry per row of the integrand's
-    output, shape (n_rows,), and (1,) for an integrand of shape (n, m).
+    output, shape (n_rows,), and (1,) for an integrand without a row axis.
     est_abs_error is the last step-halving gap plus 4 eps |value|, and for
     integrate_exp_sinh also the theta gap and the end nodes' share of the
     first t level, which estimates the tails beyond [-4, 4].  evaluations
-    counts every grid point the integrand was called on."""
+    counts every node or grid point the integrand was called on."""
 
     value: np.ndarray
     est_abs_error: np.ndarray
@@ -158,14 +150,12 @@ def _halving(level, t_lo, t_hi, step, cfg, control, result, total=None,
 def integrate_trapezoid(f: Callable, t_lo: float, t_hi: float, step: float,
                         cfg: QuadConfig = QuadConfig(),
                         control_rows: Sequence[int] | None = None) -> QuadResult:
-    """Integral of f(t, c) over t in [t_lo, t_hi] and c = cos(theta) in
-    [-1, 1], measure dt dc, for an f analytic in t and negligible at both
-    ends (or even about an end that is a node).
+    """Integral of f(t) over t in [t_lo, t_hi], for an f analytic in t and
+    negligible at both ends (or even about an end that is a node).
 
     The trapezoid rule from step, halved until two sums agree in each
-    control row (default: all), times 8-node Gauss-Legendre in c, exact to
-    degree 15.  f is called as f(ts[:, None], cs[None, :]) on the nodes
-    each step adds and returns shape (n_t, 8) or (n_rows, n_t, 8).  Raises
+    control row (default: all).  f is called as f(ts) on the nodes each
+    step adds and returns shape (n_t,) or (n_rows, n_t).  Raises
     ValueError unless t_lo < t_hi are finite and step is positive and finite,
     and QuadratureError (best None) before f is called when the first gap,
     at step / 2, would take more than _MAX_T_NODES t nodes.
@@ -183,9 +173,9 @@ def integrate_trapezoid(f: Callable, t_lo: float, t_hi: float, step: float,
 
     def level(ts, w):
         nonlocal evals
-        y = _checked(f(ts[:, None], _COS_NODES[None, :]), ts.size, 8)
-        evals += 8 * ts.size
-        return (y.reshape(-1, ts.size, 8) @ _COS_WEIGHTS) @ w
+        y = _checked(f(ts), ts.size)
+        evals += ts.size
+        return y.reshape(-1, ts.size) @ w
 
     return _halving(
         level, t_lo, t_hi, step, cfg,

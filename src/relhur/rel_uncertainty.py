@@ -5,6 +5,12 @@ The bound is the ground-state eigenvalue of the radial operator
 and d interpolates between the nonrelativistic (d -> 0, gamma -> 3/2) and
 ultrarelativistic (d -> infinity, gamma -> 1 + sqrt(5)/2) regimes.
 
+A state with <p> = 0 has sqrt(dr^2 dp^2) >= gamma(d) at its own
+d = (dp^2/dr^2)^(1/4).  In general the bound holds with <p^2> =
+dp^2 + |<p>|^2 in place of dp^2, in the product and in d: shifting a state
+in momentum keeps dp^2 but moves dr^2, and a Gaussian shifted along p_z
+falls below gamma(d) read with dp^2 (tests/test_dirac.py).
+
 The potential is
 
     V(q; d) = 1/q^2 - 1/(q^2 sqrt(1+d^2 q^2)) + d^2/(4 (1+d^2 q^2)^2) + q^2

@@ -1,13 +1,9 @@
-"""Self-contained special functions: Gamma and modified Bessel K0, K1, K2.
+"""Self-contained special functions: modified Bessel K0, K1, K2.
 
-The rest of the package needs Gamma(x) for normalization constants and
-moment ratios, and K_nu (second kind, integer order) for the momentum-space
-norm of the localized electron state.  Both come from the standard library
-and NumPy, so the numerical core carries no special-function dependency.
-
-gamma_fn
-    math.gamma on the supported interval (0, 50], or a ValueError saying
-    that Gamma(x) overflows double precision (below x = 5.6e-309).
+K_nu (second kind, integer order) gives the localized electron state's
+momentum-space norm and spread in closed form, which `relhur verify` checks
+the quadrature against.  It comes from the standard library and NumPy, so
+the numerical core carries no special-function dependency.
 
 bessel_k
     One trapezoid sum per order of the integral (DLMF 10.32.9)
@@ -42,22 +38,10 @@ import math
 
 import numpy as np
 
-__all__ = ["gamma_fn", "bessel_k"]
+__all__ = ["bessel_k"]
 
-GAMMA_MAX_ARG = 50.0
 BESSEL_UNDERFLOW_X = 700.0
 _H = 0.25  # h of the module docstring at x <= 1
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma(x) on (0, 50]."""
-    x = float(x)
-    if not (0.0 < x <= GAMMA_MAX_ARG):
-        raise ValueError(f"gamma_fn defined on (0, {GAMMA_MAX_ARG:g}], got {x!r}")
-    try:
-        return math.gamma(x)
-    except OverflowError:
-        raise ValueError(f"Gamma({x!r}) overflows double precision") from None
 
 
 def _scaled_k(nu, x):

@@ -277,26 +277,44 @@ def test_small_d_series_against_the_solver():
         assert f"{gamma:.12g}" == f"{ref:.12g}", f"d={d}"
 
 
+def _reading(name, rep, p_sq, scale=1.0):
+    """(name, product, its error, d) of a family state with p_sq in the
+    place of dp^2, in the product and in d = (p_sq/dr^2)^(1/4).  p_sq is
+    dp^2 or dp^2 plus an exact term, which leaves err_est's relative error
+    of the product an upper bound."""
+    product = math.sqrt(rep.delta_r_sq * p_sq)
+    return (name, product, rep.err_est * product / rep.gamma,
+            scale * (p_sq / rep.delta_r_sq) ** 0.25)
+
+
 def test_families_above_the_curve():
     # every hydrogen-like ion with a finite product and the packet on its
     # whole a range sit above the curve at their own d = (dp^2/dr^2)^(1/4),
     # in Compton units (the oracle works in decay lengths 1/(alpha Z)), by
-    # more than every error that could close the margin.  err_est carries
-    # (rel_p + rel_r)/2 into gamma, so d is off by at most
+    # more than every error that could close the margin.  The packet moves,
+    # <p_z> = -1/(2a) exactly, so it is also read with <p^2> = dp^2 +
+    # 1/(4a^2) in place of dp^2, the form the bound takes for <p> != 0
+    # (tests/test_dirac.py::test_bound_needs_zero_mean_momentum).  err_est
+    # carries (rel_p + rel_r)/2 into gamma, so d is off by at most
     # d err_est/(2 gamma); the slope term is below 1e-10 throughout, so a
     # secant of the curve serves as gamma'(d).
-    states = [(f"Z={ion.Z}", oracle_gamma(ion.gamma_c), ion.alpha * ion.Z)
-              for ion in map(CoulombState, range(1, max_z_finite() + 1))]
-    states += [(f"a={a:g}", gamma_h(HopfionState(a)), 1.0)
-               for a in np.geomspace(hopfion.A_MIN, hopfion.A_MAX, 25)]
-    ds = [scale * (rep.delta_p_sq / rep.delta_r_sq) ** 0.25
-          for _, rep, scale in states]
-    bound = gamma_estimates([x for d in ds for x in (d, 0.99 * d, 1.01 * d)])
-    for k, ((name, rep, _), d) in enumerate(zip(states, ds)):
+    states = []
+    for ion in map(CoulombState, range(1, max_z_finite() + 1)):
+        rep = oracle_gamma(ion.gamma_c)
+        states.append(_reading(f"Z={ion.Z}", rep, rep.delta_p_sq,
+                               ion.alpha * ion.Z))
+    for a in np.geomspace(hopfion.A_MIN, hopfion.A_MAX, 25):
+        rep = gamma_h(HopfionState(a))
+        states.append(_reading(f"a={a:g}", rep, rep.delta_p_sq))
+        states.append(_reading(f"a={a:g}, <p^2>", rep,
+                               rep.delta_p_sq + 0.25 / (a * a)))
+    bound = gamma_estimates([x for *_, d in states
+                             for x in (d, 0.99 * d, 1.01 * d)])
+    for k, (name, product, product_err, d) in enumerate(states):
         (gamma, err), (lo, _), (hi, _) = bound[3 * k:3 * k + 3]
-        d_err = d * rep.err_est / (2.0 * rep.gamma)
+        d_err = d * product_err / (2.0 * product)
         slope = abs(hi - lo) / (0.02 * d)
-        assert rep.gamma - gamma > rep.err_est + err + slope * d_err, name
+        assert product - gamma > product_err + err + slope * d_err, name
 
 
 def test_packet_small_d_coefficient():

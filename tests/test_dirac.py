@@ -368,6 +368,32 @@ def test_phi_sums_not_fooled_by_aliased_harmonics():
         assert np.max(np.abs(rep.mean_r)) < 1e-10
 
 
+@pytest.mark.parametrize("k", [20, 19])
+def test_phi_pairs_start_at_8_9(k, monkeypatch):
+    # f+ = e^{-p^2/2} (1 + 0.3 (sin theta e^{i phi})^k): |f+|^2 carries the
+    # phi harmonics k and 2k, and the <p_x>, <p_y> rows k +- 1 as well.
+    # Coprime rules alias alike only at multiples of n (n + 1), so 4 and 5
+    # both alias the harmonic 20 onto the constant and the pair agrees with
+    # itself, off by far more than any error estimate (gamma 0.25 off at
+    # k = 20, 0.13 and <p_x> = 0.09 at k = 19); from 8/9 the pair climbs
+    def plus(p, th, ph):
+        return np.exp(-0.5 * p * p) * (
+            1.0 + 0.3 * (np.sin(th) * np.exp(1j * ph)) ** k)
+
+    amp = AmplitudePair(f_plus=plus)
+    rep = dispersion_functional(amp)
+    monkeypatch.setattr(dirac_states, "_N_PHI_PAIRS", (64, 128, 256))
+    ref = dispersion_functional(amp)
+    assert abs(rep.gamma - ref.gamma) <= rep.err_est
+    assert np.max(np.abs(rep.mean_p)) < 1e-10
+    monkeypatch.setattr(dirac_states, "_N_PHI_PAIRS",
+                        tuple(4 << j for j in range(7)))
+    low = dispersion_functional(amp)
+    assert abs(low.gamma - ref.gamma) > 0.1
+    if k % 2:
+        assert abs(low.mean_p[0]) > 0.05
+
+
 def _recorded_calls(monkeypatch, amp):
     """amp with its f_plus recording, per integration of the dispersion
     functional, the phi widths of the f_plus calls of each integrand call
@@ -658,11 +684,36 @@ def test_spherical_reduction(mass):
 
 
 def test_bound_consistency():
-    # any concrete state must lie on or above the bound curve
+    # any concrete state with <p> = 0 must lie on or above the bound curve
     rep = dispersion_functional(AmplitudePair(f_plus=_gaussian), mass=1.0)
     d_state = (rep.delta_p_sq / rep.delta_r_sq) ** 0.25
     [(gamma, _)] = gamma_estimates([d_state])
     assert rep.gamma >= gamma - 1e-4
+
+
+@pytest.mark.parametrize("k, product, curve", [
+    (0.5, 1.6544247, 1.6629596), (2.0, 1.5712312, 1.6677467)])
+def test_bound_needs_zero_mean_momentum(k, product, curve):
+    # the spin-up Gaussian of width 1 shifted by k along p_z keeps
+    # dp^2 = 3/2, while its dr^2 moves: read with dp^2, in the product and
+    # in d, it falls below the curve (margins -8.5e-3 and -9.7e-2), by far
+    # more than both error estimates.  The bound holds for <p> = 0, and in
+    # general with <p^2> = dp^2 + |<p>|^2 in place of dp^2: read so, the
+    # same states lie 0.117 and 1.276 above the curve
+    def plus(p, th, ph):
+        return np.exp(-0.5 * (p * p - 2.0 * k * p * np.cos(th) + k * k)) + 0j
+
+    rep = dispersion_functional(AmplitudePair(f_plus=plus))
+    assert rep.mean_p == pytest.approx([0.0, 0.0, k], abs=1e-12)
+    assert rep.delta_p_sq == pytest.approx(1.5, rel=1e-12)
+    d = (rep.delta_p_sq / rep.delta_r_sq) ** 0.25
+    p_sq = rep.delta_p_sq + k * k
+    d_p_sq = (p_sq / rep.delta_r_sq) ** 0.25
+    [(gamma, err), (gamma_p_sq, _)] = gamma_estimates([d, d_p_sq])
+    assert rep.gamma == pytest.approx(product, abs=1e-7)
+    assert gamma == pytest.approx(curve, abs=1e-7)
+    assert gamma - rep.gamma > 1e3 * (rep.err_est + err)
+    assert math.sqrt(rep.delta_r_sq * p_sq) - gamma_p_sq > 0.1
 
 
 def _s_wave(c, d):

@@ -27,7 +27,6 @@ from relhur import (
     dispersion_functional,
     gamma_estimates,
     gamma_h,
-    norm_bessel_ratio,
 )
 
 RNG = np.random.default_rng(42)
@@ -127,17 +126,20 @@ def test_fast_density_equals_component_sum():
         assert density(state, p, theta) == pytest.approx(direct, rel=1e-12)
 
 
-def test_norm_ratio_width_independent():
-    # quadrature norm / (K2(2a)/a) must not depend on a
-    r1 = norm_bessel_ratio(HopfionState(1.0))
-    r2 = norm_bessel_ratio(HopfionState(2.0))
-    r5 = norm_bessel_ratio(HopfionState(5.0))
-    assert r1 == pytest.approx(r2, rel=1e-8)
-    assert r1 == pytest.approx(r5, rel=1e-8)
-    # measured constant, frozen: the solid-angle factor
-    assert r1 == pytest.approx(4.0 * math.pi, rel=1e-8)
-    with pytest.raises(ValueError, match="underflows"):
-        norm_bessel_ratio(HopfionState(400.0))
+def test_momentum_side_closed_forms():
+    # the momentum-side moments have closed forms in K_nu(z), z = 2a, by
+    # a route that shares no quadrature with gamma_h: <p_z> = -1/(2a),
+    # <p^2> = 3 K_3(z) / (z K_2(z)) with K_3 = K_1 + (4/z) K_2, and the
+    # squared norm of the unnormalized components 4 pi K_2(z) / a
+    for a in (0.05, 0.3, 1.0, 7.3, 30.0, 100.0):
+        rep = gamma_h(HopfionState(a))
+        z = 2.0 * a
+        k2 = bessel_k(2, z)
+        k3 = bessel_k(1, z) + 4.0 / z * k2
+        assert rep.mean_p[2] == pytest.approx(-0.5 / a, rel=1e-14)
+        assert rep.delta_p_sq == pytest.approx(
+            3.0 * k3 / (z * k2) - 0.25 / (a * a), rel=1e-14)
+        assert rep.norm_sq == pytest.approx(4.0 * math.pi * k2 / a, rel=1e-14)
 
 
 def test_norm_const_frozen():

@@ -22,7 +22,6 @@ from relhur import (
     CoulombState,
     DivergenceError,
     d_parameter,
-    gamma_fn,
     max_z_finite,
     oracle_gamma,
     product_closed_gamma,
@@ -49,8 +48,8 @@ def small_component_ratio(state):
 def norm_constant(state):
     """Normalization N of the Compton-unit wave function."""
     g = state.gamma_c
-    n_sq = (2.0 ** (2.0 * g) * (1.0 + g) ** (g + 1.5)
-            * (1.0 - g) ** (g + 0.5)) / (4.0 * math.pi * gamma_fn(1.0 + 2.0 * g))
+    n_sq = (2.0 ** (2.0 * g) * (1.0 + g) ** (g + 1.5) * (1.0 - g) ** (g + 0.5)
+            / (4.0 * math.pi * math.gamma(1.0 + 2.0 * g)))
     return math.sqrt(n_sq)
 
 
@@ -91,7 +90,8 @@ def density_radial_moment(gamma_c, k):
         raise ValueError("gamma_c must lie in (0, 1]")
     if k <= -(2.0 * g + 1.0):
         raise ValueError("moment diverges at the origin")
-    return gamma_fn(2.0 * g + 1.0 + k) / (2.0 ** k * gamma_fn(2.0 * g + 1.0))
+    return (math.gamma(2.0 * g + 1.0 + k)
+            / (2.0 ** k * math.gamma(2.0 * g + 1.0)))
 
 
 def test_state_validation():
@@ -203,10 +203,10 @@ def test_oracle_matches_closed_form_near_half():
 # oracle_gamma(g): float.hex of (gamma, err_est), frozen from this build
 ORACLE_BITS = {
     1.0: ("0x1.bb67ae8584caap+0", "0x1.b50673d95281cp-32"),
-    0.95: ("0x1.dd09b25bca053p+0", "0x1.5cabb8dbce904p-32"),
-    0.81: ("0x1.2f67325db7af5p+1", "0x1.2e4db5dc6f64cp-33"),
-    0.6: ("0x1.2202003a7ef30p+2", "0x1.0e1d4622a6321p-34"),
-    0.5001: ("0x1.2bfc29169bbd2p+7", "0x1.aae619fd08678p-29"),
+    0.95: ("0x1.dd09b25bca052p+0", "0x1.5caba4adcb692p-32"),
+    0.81: ("0x1.2f67325db7af5p+1", "0x1.2e4da2e5fc3eep-33"),
+    0.6: ("0x1.2202003a7ef31p+2", "0x1.0e1d6f546351bp-34"),
+    0.5001: ("0x1.2bfc29169bbd2p+7", "0x1.aae5e7ffce427p-29"),
 }
 
 
@@ -224,9 +224,8 @@ def test_oracle_normalization_guard(monkeypatch):
     # which must raise instead of returning a value
     import relhur.hydrogen
 
-    exact = relhur.hydrogen.gamma_fn
-    monkeypatch.setattr(relhur.hydrogen, "gamma_fn",
-                        lambda x: 1.1 * exact(x))
+    exact = relhur.hydrogen.gamma
+    monkeypatch.setattr(relhur.hydrogen, "gamma", lambda x: 1.1 * exact(x))
     with pytest.raises(ArithmeticError, match="normalization"):
         oracle_gamma(0.8)
 
@@ -251,7 +250,7 @@ def test_oracle_weak_field_r2():
 def test_radial_moment_gamma_ratio():
     # <r~^k> = Gamma(2g + 1 + k) / (2^k Gamma(2g + 1))
     g = 0.8
-    expected = gamma_fn(2 * g + 2) / (2.0 * gamma_fn(2 * g + 1))
+    expected = math.gamma(2 * g + 2) / (2.0 * math.gamma(2 * g + 1))
     assert density_radial_moment(g, 1) == pytest.approx(expected, rel=1e-12)
 
 

@@ -1,5 +1,5 @@
 """The exp-sinh x Gauss-Legendre rule on [0, inf) x [0, pi] and the
-trapezoid x Gauss-Legendre rule, against closed forms and cross-checks."""
+trapezoid rule on an interval, against closed forms and cross-checks."""
 
 import math
 
@@ -254,8 +254,7 @@ def test_one_row_and_rows_give_arrays():
     # one entry per row, also for an integrand of shape (n, m)
     res = integrate_exp_sinh(_radial(lambda x: np.exp(-x)), CFG)
     assert res.value.shape == res.est_abs_error.shape == (1,)
-    res = integrate_trapezoid(lambda t, c: np.exp(-t * t) + 0.0 * c,
-                              -8.0, 8.0, 0.5, CFG)
+    res = integrate_trapezoid(lambda t: np.exp(-t * t), -8.0, 8.0, 0.5, CFG)
     assert res.value.shape == res.est_abs_error.shape == (1,)
 
     res = integrate_exp_sinh(
@@ -331,15 +330,16 @@ def test_exp_sinh_rejects_non_finite_sums():
 
 
 def test_trapezoid_gaussian_times_cos_polynomial():
-    # e^{-t^2} is entire and negligible beyond |t| = 8; c^2 integrates to 2/3
+    # e^{-t^2} cos^2(t) is entire and negligible beyond |t| = 8; as
+    # cos^2(t) = (1 + cos 2t)/2, it integrates to sqrt(pi) (1 + e^{-1})/2
     calls = []
 
-    def f(t, c):
-        calls.append(t.size * c.size)
-        return np.exp(-t * t) * c * c
+    def f(t):
+        calls.append(t.size)
+        return np.exp(-t * t) * np.cos(t) ** 2
 
     res = integrate_trapezoid(f, -8.0, 8.0, 0.5, CFG)
-    exact = math.sqrt(math.pi) * 2.0 / 3.0
+    exact = math.sqrt(math.pi) * (1.0 + math.exp(-1.0)) / 2.0
     assert res.value == pytest.approx(exact, rel=1e-15)
     assert abs(res.value - exact) <= res.est_abs_error <= 1e-9 * exact
     assert res.evaluations == sum(calls)
@@ -348,21 +348,8 @@ def test_trapezoid_gaussian_times_cos_polynomial():
 
 def test_trapezoid_half_weight_on_an_endpoint_node():
     # [0, 8] starts at the node t = 0, which carries half weight
-    res = integrate_trapezoid(lambda t, c: np.exp(-t * t) + 0.0 * c,
-                              0.0, 8.0, 0.25, CFG)
-    assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-
-
-def test_trapezoid_cos_rule_exact_to_degree_15():
-    def f(t, c):
-        return np.stack([np.exp(-t * t) * c ** k for k in range(17)])
-
-    res = integrate_trapezoid(f, -8.0, 8.0, 0.5, CFG)
-    ratio = res.value / math.sqrt(math.pi)
-    for k in range(16):
-        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-        assert ratio[k] == pytest.approx(exact, abs=1e-15)
-    assert abs(ratio[16] - 2.0 / 17) > 1e-6  # degree 16 is not exact
+    res = integrate_trapezoid(lambda t: np.exp(-t * t), 0.0, 8.0, 0.25, CFG)
+    assert res.value == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-15)
 
 
 def test_trapezoid_budget_carries_best(monkeypatch):
@@ -370,13 +357,12 @@ def test_trapezoid_budget_carries_best(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_T_NODES", 30)
     cfg = QuadConfig(abs_tol=1e-12, rel_tol=1e-12)
     with pytest.raises(QuadratureError, match="unconverged") as exc_info:
-        integrate_trapezoid(lambda t, c: np.sqrt(t) + 0.0 * c,
-                            0.0, 1.0, 0.25, cfg)
+        integrate_trapezoid(np.sqrt, 0.0, 1.0, 0.25, cfg)
     best = exc_info.value.best
     assert isinstance(best, QuadResult)
-    assert best.value == pytest.approx(4.0 / 3.0, rel=1e-2)
-    assert abs(best.value - 4.0 / 3.0) <= best.est_abs_error
-    assert best.evaluations == 8 * 17  # 17 nodes on the 1/16 step
+    assert best.value == pytest.approx(2.0 / 3.0, rel=1e-2)
+    assert abs(best.value - 2.0 / 3.0) <= best.est_abs_error
+    assert best.evaluations == 17  # 17 nodes on the 1/16 step
 
 
 def test_trapezoid_budget_holds_for_a_fine_first_step():
@@ -385,9 +371,9 @@ def test_trapezoid_budget_holds_for_a_fine_first_step():
     # calls f, with no result to carry
     calls = []
 
-    def f(t, c):
+    def f(t):
         calls.append(t.size)
-        return np.exp(-t * t) + 0 * c
+        return np.exp(-t * t)
 
     with pytest.raises(QuadratureError, match="30000") as exc_info:
         integrate_trapezoid(f, -8.0, 8.0, 1e-4)
@@ -400,12 +386,12 @@ def test_trapezoid_budget_holds_for_a_fine_first_step():
     assert calls == []
     res = integrate_trapezoid(f, -8.0, 8.0, 2.0 ** -9)
     assert calls == [8193, 8192]
-    assert res.evaluations == 8 * 16385
+    assert res.evaluations == 16385
 
 
 def test_trapezoid_rejects_non_finite_sums():
     with pytest.raises(QuadratureError, match="not finite") as exc_info:
-        integrate_trapezoid(lambda t, c: np.where(t > 0.5, np.inf, 1.0) + 0.0 * c,
+        integrate_trapezoid(lambda t: np.where(t > 0.5, np.inf, 1.0),
                             0.0, 1.0, 0.25)
     assert exc_info.value.best is None
 
@@ -418,5 +404,4 @@ def test_trapezoid_rejects_bad_interval_or_step(t_lo, t_hi, step, name):
     # a ValueError that names the argument, not a ZeroDivisionError or a
     # reshape failure from inside the rule
     with pytest.raises(ValueError, match=name):
-        integrate_trapezoid(lambda t, c: np.exp(-t * t) + 0.0 * c,
-                            t_lo, t_hi, step)
+        integrate_trapezoid(lambda t: np.exp(-t * t), t_lo, t_hi, step)

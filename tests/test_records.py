@@ -25,7 +25,7 @@ from relhur.hopfion import HopfionState, gamma_h
 _RECORDS = {
     "QuadConfig": (QuadConfig, ({"rel_tol": 1e-12}, {"abs_tol": 0.0})),
     "QuadResult": (lambda: integrate_trapezoid(
-        lambda t, c: np.exp(-t * t) + 0.0 * c, -8.0, 8.0, 0.5), None),
+        lambda t: np.exp(-t * t), -8.0, 8.0, 0.5), None),
     "RadialPotential": (lambda: make_potential(1.0), None),
     "AmplitudePair": (lambda: AmplitudePair(np.exp), None),
     "DispersionReport": (lambda: gamma_h(HopfionState(1.0)), None),

@@ -1,10 +1,9 @@
-"""Gamma and Bessel K checks against independent oracles.
+"""Bessel K checks against independent oracles.
 
 Frozen reference values were produced with mpmath 1.3.0 at 50 digits and
 rounded to double.  They are independent of this package's trapezoid sum
-for K_nu and of the stdlib Gamma: SciPy's quad integrates the same integral
-representation as bessel_k, and math.lgamma shares CPython's Lanczos sum
-with math.gamma, so only the frozen values check either from outside.
+for K_nu: SciPy's quad integrates the same integral representation as
+bessel_k, so only the frozen values check it from outside.
 """
 
 import math
@@ -14,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from relhur import bessel_k, gamma_fn, specfun
+from relhur import bessel_k, specfun
 
 # mpmath.besselk, 50-digit, rounded to double
 K0_AT_1 = 0.42102443824070834
@@ -37,43 +36,6 @@ K_FROZEN = {
         100.0: 4.75022530388864e-45, 600.0: 1.3603517240552284e-262,
         700.0: 4.6831281768188284e-306},
 }
-
-# mpmath.gamma(x) at 50 digits
-GAMMA_FROZEN = {0.01: 99.4325851191506, 1.37: 0.8893135074291016,
-                2.6: 1.4296245588603045, 10.3: 716430.6890623764,
-                49.815037: 2.9567492928390246e+62}
-
-
-def test_gamma_exact_points():
-    assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-12)
-    assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-    assert gamma_fn(3.0) == pytest.approx(2.0, rel=1e-12)
-
-
-def test_gamma_against_lgamma_grid():
-    # stdlib lgamma is an independent implementation
-    x = 0.01
-    while x <= 50.0:
-        ref = math.exp(math.lgamma(x))
-        assert gamma_fn(x) == pytest.approx(ref, rel=1e-12)
-        x += 0.37
-
-
-@pytest.mark.parametrize("x", sorted(GAMMA_FROZEN))
-def test_gamma_against_frozen_mpmath(x):
-    # against 50-digit mpmath at x = 50 i / 20000 (i = 1..20000),
-    # math.gamma was at most 7.9e-16 relative off
-    assert abs(gamma_fn(x) - GAMMA_FROZEN[x]) <= 2e-15 * GAMMA_FROZEN[x]
-
-
-def test_gamma_domain_errors():
-    for bad in (0.0, -1.0, 50.0001, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            gamma_fn(bad)
-    # Gamma(x) ~ 1/x leaves the float range below 5.6e-309
-    with pytest.raises(ValueError, match="overflows double precision"):
-        gamma_fn(1e-310)
-    assert math.isfinite(gamma_fn(1e-308))
 
 
 def test_bessel_frozen_values():
