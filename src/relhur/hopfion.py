@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dirac_states import AmplitudePair, DispersionReport
-from .quadrature import QuadConfig, QuadResult, integrate_trapezoid
+from .quadrature import QuadConfig, integrate_trapezoid
 
 __all__ = ["HopfionState", "amplitude_pair", "gamma_h"]
 
@@ -129,22 +129,16 @@ def _rows(a: float, u: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _integrals(a: float, cfg: QuadConfig) -> QuadResult:
-    """The nine integrals over (p, theta, phi) at width a."""
-    c = np.array([-1.0, 1.0]) / math.sqrt(3.0)  # module docstring
-    res = integrate_trapezoid(
-        lambda u: _rows(a, u[:, None], c).sum(axis=-1),
-        0.0, math.acosh(1.0 + 40.0 / a),
-        0.2 * min(1.0, a ** -0.5), cfg, control_rows=[0, 1, 2])
-    scale = math.exp(-2.0 * a)
-    return res._replace(value=res.value * scale,
-                        est_abs_error=res.est_abs_error * scale)
-
-
 def gamma_h(state: HopfionState,
             cfg: QuadConfig = QuadConfig()) -> DispersionReport:
     """Full dispersion report from direct component gradients."""
     a = state.a
     if not (A_MIN <= a <= A_MAX):
         raise ValueError(f"a must lie in [{A_MIN}, {A_MAX}]")
-    return DispersionReport.from_integrals(_integrals(a, cfg))
+    c = np.array([-1.0, 1.0]) / math.sqrt(3.0)  # module docstring
+    res = integrate_trapezoid(lambda u: _rows(a, u[:, None], c).sum(axis=-1),
+                              0.0, math.acosh(1.0 + 40.0 / a),
+                              0.2 * min(1.0, a ** -0.5), cfg)
+    scale = math.exp(-2.0 * a)
+    return DispersionReport.from_integrals(res._replace(
+        value=res.value * scale, est_abs_error=res.est_abs_error * scale))

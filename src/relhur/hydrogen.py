@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dirac_states import DispersionReport
-from .quadrature import QuadConfig, integrate_trapezoid
+from .quadrature import integrate_trapezoid
 
 ALPHA_FS = 7.2973525693e-3  # CODATA 2018 fine-structure constant
 
@@ -116,7 +116,7 @@ def d_parameter(gamma_c: float) -> float:
             / (g * (4.0 * g * g - 1.0))) ** 0.25
 
 
-def oracle_gamma(gamma_c: float, cfg: QuadConfig = QuadConfig()) -> DispersionReport:
+def oracle_gamma(gamma_c: float) -> DispersionReport:
     """Quadrature evaluation of the dispersions for a given exponent g.
 
     Independent of the closed forms: integrates the density and the
@@ -129,7 +129,7 @@ def oracle_gamma(gamma_c: float, cfg: QuadConfig = QuadConfig()) -> DispersionRe
     (module docstring) runs from t_min = -asinh(80/(pi (2g - 1))), where
     the slowest integrand, r^(2g-1) e^(-2r) per d(log r), has fallen to
     e^(-40), out to r = 500, where e^(-2r) underflows; the step starts at
-    0.1.
+    0.1 and halves until every row meets QuadConfig's default tolerances.
 
     <r> = 0 by spherical symmetry of the density and <p> = 0 by reality
     of the radial profile: both vanish identically and are not integrated,
@@ -168,8 +168,7 @@ def oracle_gamma(gamma_c: float, cfg: QuadConfig = QuadConfig()) -> DispersionRe
 
     t_min = -math.asinh(80.0 / (math.pi * (2.0 * g - 1.0)))
     t_max = math.asinh(2.0 * math.log(500.0) / math.pi)
-    res = integrate_trapezoid(rows, t_min, t_max, 0.1, cfg,
-                              control_rows=[0, 1, 2])
+    res = integrate_trapezoid(rows, t_min, t_max, 0.1)
     norm = float(res.value[0])
     if not abs(norm - 1.0) <= 1e-8:
         raise ArithmeticError(f"normalization integral {norm!r} is not 1")

@@ -1,6 +1,7 @@
 """Two rules for analytic integrands built on the trapezoid rule in a
 variable t, its step halved until two sums agree to max(abs_tol,
-rel_tol |sum|) in each control row.
+rel_tol |sum|): in every row for integrate_trapezoid, in the rows the
+caller names for integrate_exp_sinh.
 
 On integrands analytic in t the trapezoid rule converges geometrically
 (Trefethen & Weideman, SIAM Rev. 56, 2014), so the step-halving gap, which
@@ -148,17 +149,16 @@ def _halving(level, t_lo, t_hi, step, cfg, control, result, total=None,
 
 
 def integrate_trapezoid(f: Callable, t_lo: float, t_hi: float, step: float,
-                        cfg: QuadConfig = QuadConfig(),
-                        control_rows: Sequence[int] | None = None) -> QuadResult:
+                        cfg: QuadConfig = QuadConfig()) -> QuadResult:
     """Integral of f(t) over t in [t_lo, t_hi], for an f analytic in t and
     negligible at both ends (or even about an end that is a node).
 
-    The trapezoid rule from step, halved until two sums agree in each
-    control row (default: all).  f is called as f(ts) on the nodes each
-    step adds and returns shape (n_t,) or (n_rows, n_t).  Raises
-    ValueError unless t_lo < t_hi are finite and step is positive and finite,
-    and QuadratureError (best None) before f is called when the first gap,
-    at step / 2, would take more than _MAX_T_NODES t nodes.
+    The trapezoid rule from step, halved until two sums agree in every
+    row.  f is called as f(ts) on the nodes each step adds and returns
+    shape (n_t,) or (n_rows, n_t).  Raises ValueError unless t_lo < t_hi
+    are finite and step is positive and finite, and QuadratureError (best
+    None) before f is called when the first gap, at step / 2, would take
+    more than _MAX_T_NODES t nodes.
     """
     if not -math.inf < t_lo < t_hi < math.inf:
         raise ValueError(f"t_lo and t_hi must be finite with t_lo < t_hi, "
@@ -177,10 +177,8 @@ def integrate_trapezoid(f: Callable, t_lo: float, t_hi: float, step: float,
         evals += ts.size
         return y.reshape(-1, ts.size) @ w
 
-    return _halving(
-        level, t_lo, t_hi, step, cfg,
-        slice(None) if control_rows is None else list(control_rows),
-        lambda total, err: QuadResult(total, err, evals))
+    return _halving(level, t_lo, t_hi, step, cfg, slice(None),
+                    lambda total, err: QuadResult(total, err, evals))
 
 
 @functools.lru_cache(maxsize=None)  # called with _THETA_LEVELS only

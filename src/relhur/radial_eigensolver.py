@@ -122,12 +122,13 @@ def _collocate(pots: Sequence[RadialPotential], n: int):
     sinh_b = np.array([[math.sinh(bi)] for bi in b[:, 0]])
     q = _Q_MAX * np.sinh(b * x) / sinh_b
     dq = _Q_MAX * b * np.cosh(b * x) / sinh_b             # dq/dx
-    v = np.array([pot.evaluate(qi) for pot, qi in zip(pots, q)],
-                 dtype=np.float64)
-    if v.shape != q.shape:
-        raise ValueError(f"potential returned shape {v.shape[1:]} on "
-                         f"{q.shape[1]} nodes")
-    v -= c / (q * q)
+    v = [np.asarray(pot.evaluate(qi), dtype=np.float64)
+         for pot, qi in zip(pots, q)]
+    for vi in v:
+        if vi.shape != x.shape:
+            raise ValueError(f"potential returned shape {vi.shape} on "
+                             f"{x.size} nodes")
+    v = np.array(v) - c / (q * q)
     finite = np.isfinite(v).all(axis=1)
     if not finite.all():
         raise SolverError("potential evaluated to a non-finite value on the "

@@ -432,21 +432,75 @@ def _clencurt(n):
     return w
 
 
+def _second_moment(d, n=128):
+    """<q^2> in the ground state at d: the one-sided oracle's eigenvector
+    under Clenshaw-Curtis weights.  Its spread between n = 96 and 128 is
+    1.3e-10 at d = 1000."""
+    q, dq, u = _one_sided_ground_state(d, n)
+    w = _clencurt(n) * dq * u * u
+    return float(w @ (q * q)) / float(w.sum())
+
+
 @pytest.mark.parametrize("d, bound", [
     (0.1, 1e-10), (1.0, 1e-10), (3.0, 1e-10), (30.0, 1e-10), (1000.0, 2e-9)])
 def test_hellmann_feynman_second_moment(d, bound):
-    # <q^2> = gamma - (d/2) gamma' in the ground state: <q^2> from the
-    # one-sided oracle's eigenvector under Clenshaw-Curtis weights, gamma
-    # and gamma' (4-point central difference) from the production solver.
-    # The oracle's own spread between n = 96 and 128 is 1.3e-10 at d = 1000.
-    q, dq, u = _one_sided_ground_state(d, 128)
-    w = _clencurt(128) * dq * u * u
-    second = float(w @ (q * q)) / float(w.sum())
+    # <q^2> = gamma - (d/2) gamma' in the ground state: gamma and gamma'
+    # (4-point central difference) from the production solver
     h = 1e-3 * d
     g = [gamma for gamma, _ in lowest_eigenvalues(
         [make_potential(d + k * h) for k in (-2, -1, 0, 1, 2)], n=159)]
     slope = (g[0] - 8.0 * g[1] + 8.0 * g[3] - g[4]) / (12.0 * h)
-    assert abs(g[2] - 0.5 * d * slope - second) <= bound
+    assert abs(g[2] - 0.5 * d * slope - _second_moment(d)) <= bound
+
+
+def _dual_maximum(delta):
+    """max over t > 0 of 2 t^2/(1 + t^4) gamma(delta t) and its t: a scan
+    of 31 points in log t on [e^-1.5, e^1.5], then golden-section search
+    in log t on the bracket of the best point, down to a width of 3e-8."""
+    def value(us):
+        ts = np.exp(us)
+        gammas = [g for g, _ in gamma_estimates(list(delta * ts))]
+        return list(2.0 * ts * ts / (1.0 + ts ** 4) * gammas)
+
+    us = np.linspace(-1.5, 1.5, 31)
+    vals = value(us)
+    k = int(np.argmax(vals))
+    assert 0 < k < us.size - 1, "the maximum is not inside the scan"
+    best, best_u = vals[k], us[k]
+    lo, hi = us[k - 1], us[k + 1]
+    r = 0.5 * (math.sqrt(5.0) - 1.0)
+    a, b = hi - r * (hi - lo), lo + r * (hi - lo)
+    fa, fb = value(np.array([a, b]))
+    while hi - lo > 3e-8:
+        if fa > fb:
+            hi, b, fb = b, a, fa
+            a = hi - r * (hi - lo)
+            [fa] = value(np.array([a]))
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + r * (hi - lo)
+            [fb] = value(np.array([b]))
+        best, best_u = max((best, best_u), (fa, a), (fb, b))
+    return best, math.exp(best_u)
+
+
+@pytest.mark.parametrize("d", [0.1, 0.3, 1.0, 3.0, 30.0, 1000.0])
+def test_duality_maximum_is_the_ground_state_product(d):
+    # the sharp floor at delta, G(delta) = max over t of 2 t^2/(1 + t^4)
+    # gamma(delta t), is attained by the ground state at d: with
+    # x = d gamma'/2 = gamma - <q^2> (Hellmann-Feynman), delta = d ((gamma -
+    # x)/(gamma + x))^(1/4) and G = sqrt(gamma^2 - x^2), the maximum sits
+    # at delta t = d.  G and delta move with x only at second order, so
+    # <q^2>'s 1e-10 error leaves 1e-20; the maximum agrees to 1.2e-14 or
+    # better, and G lies below gamma by 2.8e-8 (d = 1000) to 2.7e-3 (d = 1)
+    [(gamma, _)] = gamma_estimates([d])
+    x = gamma - _second_moment(d)
+    delta = d * ((gamma - x) / (gamma + x)) ** 0.25
+    sharp = math.sqrt(gamma * gamma - x * x)
+    best, t = _dual_maximum(delta)
+    assert abs(best - sharp) <= 1e-13
+    assert delta * t == pytest.approx(d, rel=1e-6)
+    assert sharp < gamma
 
 
 @pytest.mark.parametrize("d", [40.0, 100.0, 1e5])

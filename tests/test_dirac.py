@@ -716,6 +716,74 @@ def test_bound_needs_zero_mean_momentum(k, product, curve):
     assert math.sqrt(rep.delta_r_sq * p_sq) - gamma_p_sq > 0.1
 
 
+def _random_spin(rng, power, w, b):
+    """p^power e^(p b cos(theta) - p^2/(2 w^2)) (c0 + c . n) with random
+    complex c0 and c, n the unit vector of p, and its analytic partials;
+    c . n = c_z cos(theta) + sin(theta) (alpha e^(i phi) + beta e^(-i phi))."""
+    c0, c_z, alpha, beta = rng.normal(size=4) + 1j * rng.normal(size=4)
+
+    def f(p, th, ph):
+        st, ct = np.sin(th), np.cos(th)
+        up, down = alpha * np.exp(1j * ph), beta * np.exp(-1j * ph)
+        ang = c0 + c_z * ct + st * (up + down)
+        env = p ** power * np.exp(p * (b * ct - 0.5 * p / (w * w)))
+        val = env * ang
+        return (val, val * (power / p - p / (w * w) + b * ct),
+                env * (ct * (up + down) - c_z * st - (p * b) * (st * ang)),
+                env * (1j * st * (up - down)))
+
+    return f
+
+
+def _random_two_spin_state(rng, sigma):
+    """Both spins with random angular structure, momentum width w and a
+    shift of scale sigma: a shift k w along p_z and a / w along z, where k
+    and a are (signed) lengths of vectors with components sigma U(-1, 1).
+    The shifts lie along z, so that the envelope does not depend on phi
+    and the phi rule stays at 8/9 nodes; a shift along another axis is a
+    rotation of the random angular structure."""
+    w = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
+    k, a = (sigma * rng.choice([-1.0, 1.0])
+            * np.linalg.norm(rng.uniform(-1.0, 1.0, 3)) for _ in range(2))
+    b = (k - 1j * a) / w
+    return AmplitudePair(
+        f_plus=_random_spin(rng, 0, w, b),
+        f_minus=_random_spin(rng, 1, w * rng.uniform(0.7, 1.4), b))
+
+
+def _margin(rep, p_sq, row):
+    """The product read with p_sq in place of dp^2, less gamma at its
+    d = (p_sq/dr^2)^(1/4), and the error that could close that margin:
+    err_est's share of the product, gamma's est_error, and d's error
+    d err_est/(2 gamma) times the curve's slope, below 0.22 everywhere."""
+    gamma, err = row
+    product = math.sqrt(rep.delta_r_sq * p_sq)
+    d = (p_sq / rep.delta_r_sq) ** 0.25
+    rel = rep.err_est / rep.gamma
+    return product - gamma, rel * product + err + 0.11 * d * rel
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.3, 1.0, 3.0])
+def test_random_states_above_the_curve_with_p_sq(sigma):
+    # read with <p^2> = dp^2 + |<p>|^2 in place of dp^2, the bound holds for
+    # every state, by 0.35 or more; read with dp^2 it fails once the mean
+    # momentum is large (3 of 30 states at sigma = 1, 25 at sigma = 3).
+    # At the coarse tolerance every margin's error budget stays below 3e-2
+    rng = np.random.default_rng([16, int(10 * sigma)])
+    reports = [dispersion_functional(_random_two_spin_state(rng, sigma),
+                                     _COARSE) for _ in range(30)]
+    readings = [(rep, rep.delta_p_sq + float(rep.mean_p @ rep.mean_p))
+                for rep in reports]
+    readings += [(rep, rep.delta_p_sq) for rep in reports]
+    curve = gamma_estimates([(p_sq / rep.delta_r_sq) ** 0.25
+                             for rep, p_sq in readings])
+    margins = [_margin(*reading, row) for reading, row in zip(readings, curve)]
+    for k, (margin, err) in enumerate(margins[:len(reports)]):
+        assert margin > err, k
+    if sigma >= 1.0:
+        assert any(margin < -err for margin, err in margins[len(reports):])
+
+
 def _s_wave(c, d):
     """f_plus = d^(-3/2) f(p/d) with f(q) = e^(-q^2/2) (1 + c q^2), returned
     with its analytic partials: an s-wave state at the scale d."""

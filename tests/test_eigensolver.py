@@ -8,6 +8,7 @@ Closed-form anchors used here:
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -99,10 +100,17 @@ def test_rejects_bad_origin_scale_and_tol():
 
 
 def test_rejects_potential_of_wrong_shape():
-    # potentials are evaluated on the node array and must return its shape
-    for evaluate in (lambda q: 1.0, lambda q: (q * q)[None, :]):
-        with pytest.raises(ValueError, match="shape"):
-            lowest_eigenvalues([_oscillator(), RadialPotential(evaluate)])
+    # potentials are evaluated on the node array and must return its shape;
+    # in a batch each potential's values are checked before they are
+    # stacked, so the error is the one the potential raises alone
+    for evaluate, shape in ((lambda q: 1.0, "()"),
+                            (lambda q: (q * q)[None, :], "(1, 47)"),
+                            (lambda q: np.ones(3), "(3,)")):
+        message = re.escape(f"potential returned shape {shape} on 47 nodes")
+        for pots in ([RadialPotential(evaluate)],
+                     [_oscillator(), RadialPotential(evaluate)]):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                lowest_eigenvalues(pots)
 
 
 _FOUR = [_oscillator(), _singular(1.0), _singular(2.0), make_potential(45.0)]
@@ -178,6 +186,26 @@ def test_singular_shift_in_a_batch_names_its_d(monkeypatch):
         with pytest.raises(SolverError,
                            match=r"^d = 1\.0: .*eigensolve failed"):
             gamma_estimates(ds)
+
+
+def test_failed_stacked_inverse_falls_back_bit_for_bit(monkeypatch):
+    # a stacked inverse that raises for the whole stack sends the batch to
+    # one solve per potential, which returns the plain batch's values
+    ds = [0.3, 1.0, 7.0]
+    plain = lowest_eigenvalues([make_potential(d) for d in ds])
+    inv, failed = np.linalg.inv, []
+
+    def fail_once_on_a_stack(a):
+        if len(a) > 1 and not failed:
+            failed.append(len(a))
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", fail_once_on_a_stack)
+    fallback = lowest_eigenvalues([make_potential(d) for d in ds])
+    assert failed == [len(ds)]
+    assert ([[x.hex() for x in row] for row in fallback]
+            == [[x.hex() for x in row] for row in plain])
 
 
 def test_cheb_arrays_cached_and_read_only():

@@ -148,14 +148,6 @@ def test_norm_const_frozen():
                                                                rel=1e-9)
 
 
-def test_norm_large_width_asymptotics():
-    # at a = 20 the K2 route and quadrature still agree; e^{40} rescaling
-    # keeps the comparison in range
-    val = gamma_h(HopfionState(20.0)).norm_sq * math.exp(40.0)
-    ref = 4.0 * math.pi * bessel_k(2, 40.0) * math.exp(40.0) / 20.0
-    assert val == pytest.approx(ref, rel=1e-8)
-
-
 def test_gamma_frozen_dual_config():
     rep = gamma_h(HopfionState(1.0))
     assert rep.gamma == pytest.approx(GAMMA_H_AT_1, abs=1e-5)
