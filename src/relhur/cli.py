@@ -16,9 +16,11 @@ error (bad flags, out-of-domain parameters, unwritable output).
 
 Flags take `--flag value` or `--flag=value` and any unambiguous prefix;
 the last of a repeated flag wins.  `-h`/`--help` prints the usage to
-stdout.  A usage error is one stderr line, `relhur <subcommand>: <message>`
-(`relhur: <message>` without a valid subcommand).  A flag table replaces
-argparse, whose import and parser set-up took a few ms of every process.
+stdout.  An error is one stderr line, `relhur <subcommand>: <message>`
+(`relhur: <message>` without a valid subcommand), the message prefixed
+`numerical failure: ` for exit 1.  Domain checks are the library's, and so
+are their messages.  A flag table replaces argparse, whose import and
+parser set-up took a few ms of every process.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ MAX_POINTS = 10000  # grid points per sweep or curve
 _CSV_HEADER = "param,gamma,err_est"
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -113,12 +115,8 @@ def _grid(lo: float, hi: float, points: int, log: bool) -> list[float]:
 
 
 def _cmd_bound(args) -> tuple[str, int]:
-    if args.d_inf:
-        d = _bound.INFINITY
-    else:
-        d = _require_finite("--d", args.d)
-        if d < 0.0:
-            raise _UsageError("--d must be non-negative")
+    # --d inf is refused: its spelling is --d-inf
+    d = _bound.INFINITY if args.d_inf else _require_finite("--d", args.d)
     [(gamma, err)] = _bound.gamma_estimates([d], tol=BOUND_TOL)
     return _doc([{"d": d, "gamma": gamma, "err_est": err, "tol": BOUND_TOL}],
                 args.format, grid=False), 0
@@ -126,8 +124,6 @@ def _cmd_bound(args) -> tuple[str, int]:
 
 def _cmd_sweep(args) -> tuple[str, int]:
     ds = _grid(args.d_min, args.d_max, args.points, args.log)
-    if ds[0] < 0.0:
-        raise _UsageError("--d-min must be non-negative")
     rows = [{"param": d, "gamma": gamma, "err_est": err} for d, (gamma, err)
             in zip(ds, _bound.gamma_estimates(ds, tol=BOUND_TOL))]
     return _doc(rows, args.format, grid=True), 0
@@ -157,9 +153,8 @@ def _cmd_hopfion(args) -> tuple[str, int]:
     if args.a is not None:
         if any(curve_flags):
             raise _UsageError("--a conflicts with --a-min/--a-max/--points")
-        a = _require_finite("--a", args.a)
-        rep = _hopfion.gamma_h(_hopfion.HopfionState(a))
-        return _doc([{"a": a, "gamma": rep.gamma,
+        rep = _hopfion.gamma_h(_hopfion.HopfionState(args.a))
+        return _doc([{"a": args.a, "gamma": rep.gamma,
                       "delta_r_sq": rep.delta_r_sq,
                       "delta_p_sq": rep.delta_p_sq, "err_est": rep.err_est}],
                     args.format, grid=False), 0
@@ -175,13 +170,13 @@ def _cmd_hopfion(args) -> tuple[str, int]:
 def _verify_rows(strict: bool) -> list[tuple[str, float, float, float, float]]:
     """(anchor, computed, target, tol, scale) rows; an anchor passes when
     |computed - target| / scale <= tol."""
-    # one batched solve: the two limits, and under --strict the two ends of
-    # the curve at the tol of their expansion rows.  The rows check the
-    # solver, so they call it, not gamma_estimates, whose limits are exact
+    # one batched solve at the tol of the small-d expansion row: the two
+    # limits, and under --strict the two ends of the curve.  The rows check
+    # the solver, so they call it, not gamma_estimates, whose limits are exact
     ends = (0.01, 1e4) if strict else ()
     g0, gi, *g_ends = (gamma for gamma, _ in _solver.lowest_eigenvalues(
         [_bound.make_potential(d) for d in (0.0, _bound.INFINITY) + ends],
-        tol=1e-8 if strict else BOUND_TOL))
+        tol=1e-8))
     dev = 0.0
     for x in (1e-3, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 200.0):
         k2 = bessel_k(2, x)
@@ -356,21 +351,13 @@ def run(argv: Sequence[str] | None = None) -> int:
         else:
             sys.stdout.write(doc)
         return code
-    except _UsageError as exc:
+    except ValueError as exc:
+        # usage errors and the library's out-of-domain parameters
         msg, code = str(exc), 2
     except OSError as exc:
         msg, code = f"cannot write output: {exc}", 2
-    except SolverError as exc:
-        msg, code = (f"numerical failure in radial_eigensolver "
-                     f"(tol={BOUND_TOL:g}): {exc}"), 1
-    except QuadratureError as exc:
-        msg, code = f"numerical failure in quadrature: {exc}", 1
-    except ArithmeticError as exc:
-        # includes the hydrogen oracle's norm guard
+    except (SolverError, QuadratureError, ArithmeticError) as exc:
         msg, code = f"numerical failure: {exc}", 1
-    except ValueError as exc:
-        # out-of-domain parameters (includes hydrogen.DivergenceError)
-        msg, code = str(exc), 2
     prog = "relhur" if args.subcommand is None else f"relhur {args.subcommand}"
     print(f"{prog}: {msg}", file=sys.stderr)
     return code

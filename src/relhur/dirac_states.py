@@ -108,6 +108,7 @@ def bispinor_u(p: float, theta: float, phi: float, s: int) -> np.ndarray:
         raise ValueError("phi must be finite")
     if s not in (+1, -1):
         raise ValueError("spin must be +1 or -1")
+    s = 1 if s == 1 else -1  # an int, to slice with: 1.0 and np.int64 pass
     e = math.hypot(1.0, p)
     big = 1.0 + e
     # D overflows from p = 9e307 (4 E (1 + E) from 7e153), and 1 + E + |p_z|
@@ -147,10 +148,11 @@ class AmplitudePair(NamedTuple):
 
 class DispersionReport(NamedTuple):
     """Dispersions of a state; err_est is the quadrature's error estimate
-    carried into gamma (see from_integrals), evaluations the number of
-    (p, theta) points at which the quadrature evaluated the integrand,
+    carried into gamma (see from_integrals), evaluations the quadrature's
+    count of integrand points: (p, theta) points for dispersion_functional,
     counting the re-check of the phi pair and the integrations that a
-    rejected pair ended (module docstring)."""
+    rejected pair ended (module docstring), and t nodes for
+    hopfion.gamma_h and hydrogen.oracle_gamma."""
 
     norm_sq: float
     mean_r: np.ndarray

@@ -56,14 +56,14 @@ _EPS = np.finfo(float).eps
 
 class QuadConfig(NamedTuple("QuadConfig", [("abs_tol", float),
                                              ("rel_tol", float)])):
-    """Tolerances of both rules, each positive; a rule gives up when halving
-    the t step again would pass _MAX_T_NODES t nodes."""
+    """Tolerances of both rules, each positive and finite; a rule gives up
+    when halving the t step again would pass _MAX_T_NODES t nodes."""
 
     __slots__ = ()
 
     def __new__(cls, abs_tol: float = 1e-10, rel_tol: float = 1e-9):
-        if not (abs_tol > 0.0 and rel_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < abs_tol < math.inf and 0.0 < rel_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         return super().__new__(cls, abs_tol, rel_tol)
 
     # the base's _make, which _replace calls, skips __new__ and its checks;

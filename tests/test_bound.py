@@ -287,6 +287,21 @@ def _reading(name, rep, p_sq, scale=1.0):
             scale * (p_sq / rep.delta_r_sq) ** 0.25)
 
 
+def _family_states(charges, widths):
+    """_reading of each ion, and of each packet under dp^2 and <p^2>."""
+    states = []
+    for ion in map(CoulombState, charges):
+        rep = oracle_gamma(ion.gamma_c)
+        states.append(_reading(f"Z={ion.Z}", rep, rep.delta_p_sq,
+                               ion.alpha * ion.Z))
+    for a in widths:
+        rep = gamma_h(HopfionState(a))
+        states.append(_reading(f"a={a:g}", rep, rep.delta_p_sq))
+        states.append(_reading(f"a={a:g}, <p^2>", rep,
+                               rep.delta_p_sq + 0.25 / (a * a)))
+    return states
+
+
 def test_families_above_the_curve():
     # every hydrogen-like ion with a finite product and the packet on its
     # whole a range sit above the curve at their own d = (dp^2/dr^2)^(1/4),
@@ -298,16 +313,8 @@ def test_families_above_the_curve():
     # carries (rel_p + rel_r)/2 into gamma, so d is off by at most
     # d err_est/(2 gamma); the slope term is below 1e-10 throughout, so a
     # secant of the curve serves as gamma'(d).
-    states = []
-    for ion in map(CoulombState, range(1, max_z_finite() + 1)):
-        rep = oracle_gamma(ion.gamma_c)
-        states.append(_reading(f"Z={ion.Z}", rep, rep.delta_p_sq,
-                               ion.alpha * ion.Z))
-    for a in np.geomspace(hopfion.A_MIN, hopfion.A_MAX, 25):
-        rep = gamma_h(HopfionState(a))
-        states.append(_reading(f"a={a:g}", rep, rep.delta_p_sq))
-        states.append(_reading(f"a={a:g}, <p^2>", rep,
-                               rep.delta_p_sq + 0.25 / (a * a)))
+    states = _family_states(range(1, max_z_finite() + 1),
+                            np.geomspace(hopfion.A_MIN, hopfion.A_MAX, 25))
     bound = gamma_estimates([x for *_, d in states
                              for x in (d, 0.99 * d, 1.01 * d)])
     for k, (name, product, product_err, d) in enumerate(states):
@@ -501,6 +508,25 @@ def test_duality_maximum_is_the_ground_state_product(d):
     assert abs(best - sharp) <= 1e-13
     assert delta * t == pytest.approx(d, rel=1e-6)
     assert sharp < gamma
+
+
+def test_families_above_the_sharp_floor():
+    # the states of test_families_above_the_curve, a few of each kind, also
+    # lie above the sharp floor G(d) = max over t of 2 t^2/(1 + t^4)
+    # gamma(d t) at their own d, by more than every error.  G's error is at
+    # most gamma's err_est at d t, as 2 t^2/(1 + t^4) <= 1, and its slope is
+    # 2 t^3/(1 + t^4) gamma'(d t) at the maximizer t (envelope theorem),
+    # taken as a secant.  Measured: G - gamma(d) runs from 4.4e-11 (Z = 1)
+    # to 3.2e-3 (a = 1), and the smallest margin is 2.5e-3, at a = 100 with
+    # dp^2, where G - gamma(d) = 4.4e-6
+    for name, product, product_err, d in _family_states(
+            (1, 40, 80, 118), (0.05, 1.0, 10.0, 100.0)):
+        sharp, t = _dual_maximum(d)
+        (gamma, err), (lo, _), (hi, _) = gamma_estimates(
+            [d * t, 0.99 * d * t, 1.01 * d * t])
+        slope = 2.0 * t ** 3 / (1.0 + t ** 4) * abs(hi - lo) / (0.02 * d * t)
+        d_err = d * product_err / (2.0 * product)
+        assert product - sharp > product_err + err + slope * d_err, name
 
 
 @pytest.mark.parametrize("d", [40.0, 100.0, 1e5])

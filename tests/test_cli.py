@@ -480,8 +480,25 @@ def test_quadrature_error_exits_1(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == ("relhur hopfion: numerical failure in "
-                            "quadrature: trapezoid sums unconverged\n")
+    assert captured.err == ("relhur hopfion: numerical failure: "
+                            "trapezoid sums unconverged\n")
+
+
+def test_solver_miss_names_one_tolerance(capsys, monkeypatch):
+    # a coarse solve 96 degrees below the fine one misses verify --strict's
+    # tol; the one stderr line is the solver's, with the tol it was held to
+    from relhur import radial_eigensolver
+
+    monkeypatch.setattr(radial_eigensolver, "_COARSE_STEP", 96)
+    code = run(["verify", "--strict"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("relhur verify: numerical failure: "
+                                   "resolutions 31 and 127 differ by ")
+    assert captured.err.endswith(" > tol 1.000e-08\n")
+    assert captured.err.count("\n") == 1
+    assert captured.err.count("tol") == 1
 
 
 def test_hydrogen_oracle_mismatch_exits_1(capsys, monkeypatch):

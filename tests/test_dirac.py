@@ -97,6 +97,12 @@ def test_momentum_point_validation():
         chirality = np.vdot(u[:2], u[:2]).real - np.vdot(u[2:], u[2:]).real
         assert chirality == pytest.approx(
             s * 3.0 * math.cos(0.5) / math.sqrt(10.0), rel=1e-15)
+    # a spin equal to +-1 of any numeric type is that int spin
+    for s in (1.0, -1.0, np.int64(1), np.int64(-1), np.float64(-1.0)):
+        u, ref = bispinor_u(1.0, 0.5, 0.3, s), bispinor_u(1.0, 0.5, 0.3, int(s))
+        assert u.dtype == complex
+        assert [z.hex() for z in u.view(float)] == [
+            z.hex() for z in ref.view(float)]
 
 
 def test_rest_frame_spin_up():

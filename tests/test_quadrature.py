@@ -132,6 +132,12 @@ def test_config_validation():
         QuadConfig(rel_tol=-1e-9)
     with pytest.raises(ValueError):
         QuadConfig(rel_tol=math.nan)
+    # rel_tol = inf makes a zero row's bound inf * 0 = NaN, which no gap meets
+    for bad in ((math.inf, 1e-9), (1e-10, math.inf), (math.inf, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            QuadConfig(*bad)
+    with pytest.raises(ValueError, match="finite"):
+        CFG._replace(abs_tol=math.inf)
 
 
 def test_determinism():

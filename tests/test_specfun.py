@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from relhur import bessel_k, specfun
+from relhur import bessel_k
 
 # mpmath.besselk, 50-digit, rounded to double
 K0_AT_1 = 0.42102443824070834
@@ -127,12 +127,3 @@ def test_bessel_domain_errors():
         bessel_k(3, 1.0)
     with pytest.raises(ValueError):
         bessel_k(-1, 1.0)
-
-
-def test_bessel_step_gap_miss_raises(monkeypatch):
-    # the first (h, h/2) pair meets the 1e-13 test at every x, so the rule
-    # takes one pass; a step too coarse for it raises instead of returning
-    # a value off by the gap
-    monkeypatch.setattr(specfun, "_H", 4.0)
-    with pytest.raises(ArithmeticError, match=r"K_1\(1\.0\)"):
-        bessel_k(1, 1.0)
