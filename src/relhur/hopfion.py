@@ -10,7 +10,7 @@ that form, and the tests check it against the component-wise sum.
 
 Dispersions are computed from direct analytic momentum-gradients of the
 explicit components (Parseval: <r^2> = integral of sum |grad_p psi|^2),
-with <p> from the density and <r> = 0 in closed form (see gamma_h); both
+with <p> from the density and <r> = 0 in closed form (see _rows); both
 means are subtracted.  An equivalent amplitude decomposition onto the
 positive-energy bispinor basis is exported through amplitude_pair() so the
 general dispersion functional can serve as an independent cross-check.
@@ -18,13 +18,13 @@ general dispersion functional can serve as an independent cross-check.
 The phi dependence of the components is one e^{i phi} factor, which
 cancels in the density and the gradient magnitudes, so the phi integral is
 a factor 2 pi.  The rows are polynomials of degree at most 2 in
-cos theta, so 2-node Gauss-Legendre in cos theta, nodes +-1/sqrt(3) and
-weight 1 each, integrates them exactly.  gamma_h substitutes p = sinh u and
-factors e^{-2a} out, leaving e^{-2a(cosh u - 1)}: entire, and even in u
-once summed over theta (each odd-in-u term carries an odd power of
-cos theta).  So the trapezoid rule on [0, U], cosh U = 1 + 40/a, half
-weight at u = 0, converges geometrically from step 0.2 min(1, a^{-1/2})
-(quadrature.integrate_trapezoid).
+c = cos theta, and _rows takes their integral over c in [-1, 1] in closed
+form.  gamma_h substitutes p = sinh u and factors e^{-2a} out, leaving
+e^{-2a(cosh u - 1)}: entire, and even in u once integrated over theta
+(each odd-in-u term carries an odd power of c).  So the trapezoid rule on
+[0, U], cosh U = 1 + 40/a, half weight at u = 0, converges geometrically
+from step 0.2 min(1, a^{-1/2}) (quadrature.integrate_trapezoid).  Only
+norm_sq takes e^{-2a} back: the rest of the report is made of ratios.
 """
 
 from __future__ import annotations
@@ -97,30 +97,27 @@ def amplitude_pair(state: HopfionState) -> AmplitudePair:
     return AmplitudePair(f_plus=f_plus, f_minus=f_minus)
 
 
-def _rows(a: float, u: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The nine integrands of DispersionReport.from_integrals at p = sinh u
-    and cos(theta) = c, per du dc and divided by e^{-2a}."""
+def _rows(a: float, u: np.ndarray) -> np.ndarray:
+    """The nine integrands of DispersionReport.from_integrals at p = sinh u,
+    per du, integrated over c = cos(theta) in closed form and divided by
+    e^{-2a}.  With q = e^{-aE}/E over e^{-a}, dq its p derivative,
+    A = dq E + q p/E and B = dq p + q, the integrals over c are 4 q^2 E^3
+    for the density times dp/du, -(4/3) q^2 E^2 p for its c-moment, and
+    2 p^2 (dq^2 + A^2 + B^2 + 2 q^2) for the gradient magnitudes of
+    components 0, 2 and 3 times p^2: their d_p are dq, A - c B and
+    sin(theta) B, and their theta and phi parts sum to 2 q^2 p^2."""
     p, e = np.sinh(u), np.cosh(u)
     ep = p / e
-    st_sq = 1.0 - c * c
-    # e^{-aE}/E divided by e^{-a}; E - 1 = 2 sinh^2(u/2) keeps the exponent
-    # free of cancellation at small u, where large widths a concentrate
+    # E - 1 = 2 sinh^2(u/2), free of cancellation at small u (large a)
     q = np.exp(-2.0 * a * np.sinh(0.5 * u) ** 2) / e
-    dq = -q * ep * (a + 1.0 / e)       # its p derivative
-    dens_e = 2.0 * q * q * e * e * (e - p * c)  # density times dp/du
-
-    # phi-independent gradient magnitudes of components 0, 2 and 3,
-    # |d_p|^2 + |d_theta|^2/p^2 + |d_phi|^2/(p sin)^2, times p^2; the theta
-    # and phi parts, q^2 p^2 (sin^2 + cos^2 + 1), are summed in closed form
-    d_p2 = dq * (e - p * c) + q * (ep - c)
-    grad_sq = (p * p * (dq * dq + d_p2 * d_p2 + st_sq * (dq * p + q) ** 2)
-               + 2.0 * q * q * p * p)
-
-    out = np.zeros((9,) + dens_e.shape)
-    out[0] = 2.0 * math.pi * p * p * dens_e
+    dq = -q * ep * (a + 1.0 / e)
+    big_a, big_b = dq * e + q * ep, dq * p + q
+    out = np.zeros((9,) + u.shape)
+    out[0] = 8.0 * math.pi * p * p * q * q * e ** 3
     out[1] = out[0] * p * p
-    out[2] = 2.0 * math.pi * e * grad_sq
-    out[5] = out[0] * p * c
+    out[2] = 4.0 * math.pi * e * p * p * (dq * dq + big_a * big_a
+                                          + big_b * big_b + 2.0 * q * q)
+    out[5] = -(8.0 / 3.0) * math.pi * p ** 4 * q * q * e * e
     # <p_x>, <p_y> vanish: the density does not depend on phi.  So does <r>
     # (rows 6..8): components 0 and 2 are real and the phase of component 3
     # cancels in conj(psi_3) d psi_3, so the only nonzero component of
@@ -135,10 +132,7 @@ def gamma_h(state: HopfionState,
     a = state.a
     if not (A_MIN <= a <= A_MAX):
         raise ValueError(f"a must lie in [{A_MIN}, {A_MAX}]")
-    c = np.array([-1.0, 1.0]) / math.sqrt(3.0)  # module docstring
-    res = integrate_trapezoid(lambda u: _rows(a, u[:, None], c).sum(axis=-1),
-                              0.0, math.acosh(1.0 + 40.0 / a),
-                              0.2 * min(1.0, a ** -0.5), cfg)
-    scale = math.exp(-2.0 * a)
-    return DispersionReport.from_integrals(res._replace(
-        value=res.value * scale, est_abs_error=res.est_abs_error * scale))
+    rep = DispersionReport.from_integrals(integrate_trapezoid(
+        lambda u: _rows(a, u), 0.0, math.acosh(1.0 + 40.0 / a),
+        0.2 * min(1.0, a ** -0.5), cfg))
+    return rep._replace(norm_sq=rep.norm_sq * math.exp(-2.0 * a))

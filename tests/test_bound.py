@@ -529,6 +529,23 @@ def test_families_above_the_sharp_floor():
         assert product - sharp > product_err + err + slope * d_err, name
 
 
+def test_sharp_floor_small_delta_coefficients():
+    # G(delta) - gamma(delta) = (3/64) delta^4 - (21/64) delta^6
+    # + (8217/4096) delta^8 + O(delta^10).  Measured: the remainder over
+    # delta^10 reads -13.9, -12.6, -12.4 and -12.0 from delta = 0.03 on;
+    # at 0.02 the remainder (2e-17) is rounding.  Without the delta^8 term
+    # the residual at 0.05 is 7.7e-11, against 1.2e-12 with it
+    for delta in (0.02, 0.03, 0.05, 0.07, 0.1):
+        sharp, _ = _dual_maximum(delta)
+        [(gamma, _)] = gamma_estimates([delta])
+        without_d8 = sharp - gamma - (3.0 / 64.0 * delta ** 4
+                                      - 21.0 / 64.0 * delta ** 6)
+        rest = without_d8 - 8217.0 / 4096.0 * delta ** 8
+        assert abs(rest) <= 20.0 * delta ** 10, delta
+        if delta == 0.05:
+            assert abs(without_d8) > 10.0 * abs(rest)
+
+
 @pytest.mark.parametrize("d", [40.0, 100.0, 1e5])
 def test_error_bars_hold_at_large_d(d):
     # |gamma - gamma_ref| <= est_error against independent references: the

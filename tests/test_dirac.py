@@ -613,6 +613,35 @@ def test_massless_gamma_anchor():
     assert rep.gamma == pytest.approx(1.0 + 0.5 * math.sqrt(5.0), abs=1e-5)
 
 
+@pytest.mark.parametrize("a", [1.0, 0.5])
+def test_massless_packet_anchor(a):
+    # the packet e^{-aE}/E at m = 0, psi ~ (p - p_z, -(p_x + i p_y))
+    # e^{-ap}/p: f+ = (1 - cos theta) e^{-ap}, f- = -sin theta e^{i phi}
+    # e^{-ap}, with density (2 - 2 cos theta) e^{-2ap}.  Exactly
+    # dr^2 = 3 a^2, dp^2 = 11/(4 a^2), <p_z> = -1/(2a), <r> = 0 and gamma =
+    # sqrt(33)/2 at every a.  err_est must cover the gap; it over-reports
+    # it (1.5e-8 against 4.4e-16), as it charges the kept 12-node theta
+    # level the 8-vs-12 gap of the <p_z> row
+    def plus(p, th, ph):
+        env = np.exp(-a * p)
+        val = (1.0 - np.cos(th)) * env + 0j
+        return val, -a * val, np.sin(th) * env + 0j, np.zeros_like(val)
+
+    def minus(p, th, ph):
+        env = np.exp(-a * p) * np.exp(1j * ph)
+        val = -np.sin(th) * env
+        return val, -a * val, -np.cos(th) * env, 1j * val
+
+    rep = dispersion_functional(AmplitudePair(plus, minus), mass=0.0)
+    product = 0.5 * math.sqrt(33.0)
+    assert rep.gamma == pytest.approx(product, rel=1e-14)
+    assert rep.delta_r_sq == pytest.approx(3.0 * a * a, rel=1e-14)
+    assert rep.delta_p_sq == pytest.approx(2.75 / (a * a), rel=1e-14)
+    assert rep.mean_p == pytest.approx([0.0, 0.0, -0.5 / a], abs=1e-14)
+    assert np.max(np.abs(rep.mean_r)) <= 1e-14
+    assert abs(rep.gamma - product) <= rep.err_est
+
+
 @pytest.mark.parametrize("sigma", [1e-4, 1e4])
 def test_massless_gaussian_is_scale_free(sigma):
     # at m = 0 the product of a Gaussian e^{-p^2 / (2 sigma^2)} is
@@ -647,6 +676,49 @@ def test_phase_covariance():
     assert rot.delta_r_sq == pytest.approx(base.delta_r_sq, rel=1e-10)
     assert rot.delta_p_sq == pytest.approx(base.delta_p_sq, rel=1e-10)
     assert np.allclose(rot.mean_p, base.mean_p, atol=1e-12)
+
+
+def _shifted_gaussian(k_x, k_z, weight):
+    """weight e^{-|p - k|^2/2} for k = (k_x, 0, k_z), with its analytic
+    partials: p . k = p (k_x sin theta cos phi + k_z cos theta)."""
+    def f(p, th, ph):
+        st, ct, cp, sp = np.sin(th), np.cos(th), np.cos(ph), np.sin(ph)
+        along = k_x * st * cp + k_z * ct
+        g = weight * np.exp(-0.5 * (p * p - 2.0 * p * along
+                                    + k_x * k_x + k_z * k_z)) + 0j
+        return (g, (along - p) * g, p * (k_x * ct * cp - k_z * st) * g,
+                -p * k_x * st * sp * g)
+    return f
+
+
+def test_rotation_covariance():
+    # the rotation R: (x, y, z) -> (-z, y, x) about y takes the spin-up
+    # Gaussian at k = 1.5 x to the one at 1.5 z, with its spin turned by
+    # U = (1 + i sigma_y)/sqrt(2) to (1, -1)/sqrt(2): the rotated state
+    # has f'(p) = U f(R^-1 p) (Weyl bispinors: U sigma.p U^+ = sigma.(R p)).
+    # gamma and the dispersions must not move, and <p> and <r> (along -y,
+    # the spin-orbit shift p x s) rotate with R.  The z-shifted spin-up
+    # state, spin not turned, misses the match
+    rot = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    s = 1.0 / math.sqrt(2.0)
+    base = dispersion_functional(AmplitudePair(
+        _shifted_gaussian(1.5, 0.0, 1.0)))
+    turned = dispersion_functional(AmplitudePair(
+        _shifted_gaussian(0.0, 1.5, s), _shifted_gaussian(0.0, 1.5, -s)))
+    unturned = dispersion_functional(AmplitudePair(
+        _shifted_gaussian(0.0, 1.5, 1.0)))
+    assert base.gamma == pytest.approx(1.591663311627, abs=1e-12)
+    assert base.delta_r_sq == pytest.approx(1.688928065053, abs=1e-12)
+    tol = min(base.err_est + turned.err_est, 1e-12)
+    assert abs(turned.gamma - base.gamma) <= tol
+    assert abs(turned.delta_r_sq - base.delta_r_sq) <= tol
+    assert turned.delta_p_sq == pytest.approx(base.delta_p_sq, abs=1e-12)
+    assert turned.mean_p == pytest.approx(rot @ base.mean_p, abs=1e-12)
+    assert turned.mean_r == pytest.approx(rot @ base.mean_r, abs=1e-12)
+    assert base.mean_r[1] == pytest.approx(-0.108333411, abs=1e-9)
+    assert unturned.gamma == pytest.approx(1.597183862137, abs=1e-12)
+    assert (unturned.gamma - base.gamma
+            > 1e3 * (unturned.err_est + base.err_est))
 
 
 @pytest.mark.parametrize("lam", [0.5, 2.0])

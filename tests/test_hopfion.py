@@ -28,6 +28,7 @@ from relhur import (
     gamma_estimates,
     gamma_h,
 )
+from relhur import hopfion
 
 RNG = np.random.default_rng(42)
 
@@ -180,6 +181,43 @@ def test_trapezoid_rule_matches_adaptive_reference(a):
     assert rep.delta_p_sq == pytest.approx(ref.delta_p_sq, rel=1e-12)
     assert rep.mean_p[2] == pytest.approx(ref.mean_p[2], rel=1e-12)
     assert rep.norm_sq == pytest.approx(ref.norm_sq, rel=1e-12)
+
+
+def _rows_at_c(a, u, c):
+    """gamma_h's nine rows per du dc at p = sinh u and cos(theta) = c,
+    divided by e^{-2a}: polynomials of degree 2 in c, so the 2-node
+    Gauss-Legendre rule in c, nodes +-1/sqrt(3) and weight 1, sums their
+    integral over c in [-1, 1] exactly."""
+    p, e = np.sinh(u), np.cosh(u)
+    ep = p / e
+    q = np.exp(-2.0 * a * np.sinh(0.5 * u) ** 2) / e
+    dq = -q * ep * (a + 1.0 / e)
+    dens_e = 2.0 * q * q * e * e * (e - p * c)
+    d_p2 = dq * (e - p * c) + q * (ep - c)
+    st_sq = 1.0 - c * c
+    grad_sq = (p * p * (dq * dq + d_p2 * d_p2 + st_sq * (dq * p + q) ** 2)
+               + 2.0 * q * q * p * p)
+    out = np.zeros((9,) + dens_e.shape)
+    out[0] = 2.0 * math.pi * p * p * dens_e
+    out[1] = out[0] * p * p
+    out[2] = 2.0 * math.pi * e * grad_sq
+    out[5] = out[0] * p * c
+    return out
+
+
+@pytest.mark.parametrize("a", [0.05, 1.0, 100.0])
+def test_rows_integrate_cos_theta_in_closed_form(a):
+    # _rows takes the integral over cos(theta) in closed form; the 2-node
+    # rule on the per-c rows is exact for it
+    u = np.linspace(0.0, math.acosh(1.0 + 40.0 / a), 50)
+    c = np.array([-1.0, 1.0]) / math.sqrt(3.0)
+    two_node = _rows_at_c(a, u[:, None], c).sum(axis=-1)
+    rows = hopfion._rows(a, u)
+    assert rows.shape == (9, u.size)
+    for k in (0, 1, 2, 5):
+        assert np.all(np.abs(rows[k] - two_node[k])
+                      <= 1e-14 * np.abs(two_node[k])), k
+    assert np.all(rows[[3, 4, 6, 7, 8]] == 0.0)
 
 
 @pytest.mark.parametrize("a", [0.05, 0.1, 1.0, 7.3, 10.0, 30.0, 100.0])
