@@ -19,9 +19,10 @@ evaluated here in the cancellation-free form
 d^2/(w (1+w)) + d^2/(4 w^4) + q^2 with w = sqrt(1+d^2 q^2), which is exact
 for all q and avoids the 1/q^2 - 1/q^2 loss of digits at small d*q.  It is
 computed in e = 1/d, a = hypot(e, q) = w/d and r = e/a <= 1 as
-(1/a^2)/(1 + r) + (r/a)^2/4 + q^2, so no intermediate overflows for any
-finite d.  The two 1/q^2 singularities cancel for every finite d; only
-d = INFINITY keeps a genuine 1/q^2 core with unit strength.
+(1/a^2)/(1 + r) + (r/a)^2/4 + q^2 for every d in [0, INFINITY], with e
+capped at the largest float: no intermediate overflows, the first two terms
+underflow to exactly 0 at d = 0, and e = 0 at d = INFINITY leaves
+1/q^2 + q^2, the one d that keeps a genuine 1/q^2 core.
 
 gamma(d) is solved, from eigenvalues alone, only on [D_SMALL, D_SWITCH] =
 [0.02, 1e5].  Below D_SMALL it is the exact series SMALL_D_SERIES in d^2
@@ -92,22 +93,20 @@ def potential_v(q: float | np.ndarray, d: float) -> float | np.ndarray:
     """Effective radial potential V(q; d) for a float or an array of q > 0.
 
     A float q gives a float, an array gives an array of the same shape.
+    One expression covers every d in [0, INFINITY]: e = 1/d is capped at
+    the largest float, so at d = 0 the terms 1/a/a and (r/a)^2 underflow
+    to exactly 0 and V is q*q; at d = INFINITY, e = 0 gives a = q and
+    r = 0, so V is 1/q/q + q*q.
     """
     d = _check_d(d)
     q = np.asarray(q, dtype=np.float64)
     if not np.all(q > 0.0) or not np.all(np.isfinite(q)):
         raise ValueError("q must be positive and finite")
-    if d == 0.0:
-        v = q * q
-    elif math.isinf(d):
-        v = 1.0 / (q * q) + q * q
-    else:
-        # w = d a with a = hypot(e, q) and e = 1/d, capped where 1/d
-        # overflows (V is q^2 to double precision there); r = e/a <= 1
-        e = min(1.0 / d, sys.float_info.max)
-        a = np.hypot(e, q)
-        r = e / a
-        v = (1.0 / a / a) / (1.0 + r) + 0.25 * (r / a) ** 2 + q * q
+    # w = d a with a = hypot(e, q); r = e/a <= 1
+    e = min(1.0 / max(d, 5e-324), sys.float_info.max)
+    a = np.hypot(e, q)
+    r = e / a
+    v = (1.0 / a / a) / (1.0 + r) + 0.25 * (r / a) ** 2 + q * q
     return float(v) if v.ndim == 0 else v
 
 

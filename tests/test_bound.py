@@ -87,6 +87,31 @@ def test_potential_array_overflow_free(d):
     assert np.all(np.isfinite(v))
 
 
+def _end_grid():
+    # a log grid, and the positive degree-95 and -127 collocation nodes at
+    # the stretches the solver takes at d = 0 (b = 1e-8) and at d =
+    # INFINITY (b = 8)
+    grids = [np.geomspace(1e-8, 1e3, 20001)]
+    for n in (95, 127):
+        x = radial_eigensolver._cheb(n)[0]
+        for b in (1e-8, 8.0):
+            grids.append(radial_eigensolver._Q_MAX * np.sinh(b * x)
+                         / math.sinh(b))
+    return np.concatenate(grids)
+
+
+def test_potential_ends_are_limits_of_one_form():
+    # V(q; 0) and V(q; INFINITY) are the general form at its two ends, bit
+    # for bit: q*q at d = 0, and the value at the largest float d at d =
+    # INFINITY
+    q = _end_grid()
+    at_zero = potential_v(q, 0.0)
+    assert at_zero.tolist() == (q * q).tolist()
+    assert potential_v(q, 5e-324).tolist() == at_zero.tolist()
+    assert (potential_v(q, 1.7e308).tolist()
+            == potential_v(q, INFINITY).tolist())
+
+
 def test_singular_strength():
     assert make_potential(0.0).singular_strength == 0.0
     assert make_potential(3.7).singular_strength == 0.0
@@ -235,6 +260,30 @@ def test_small_d_series_through_d8():
     assert abs((4.0 * r8[1] - r8[2]) / 3.0 - c8) <= errs / 3.0 + 0.02
 
 
+# the coefficients of d^10, ..., d^18, from Rayleigh-Schroedinger theory in
+# exact fractions on the s-wave oscillator basis L_n^(1/2)(q^2) exp(-q^2/2),
+# which reproduces SMALL_D_SERIES through d^8
+SMALL_D_NEXT = ((376215, 8192), (-19472391, 65536), (583913715, 262144),
+                (-158862184845, 8388608), (6035028731835, 33554432))
+
+
+@pytest.mark.parametrize("d", [0.1, 0.12])
+def test_small_d_series_next_terms(d):
+    # each added term brings the series at least 5x closer to the solver;
+    # at d = 0.1 the gap falls from 4.3e-9 (through d^8) to 1.6e-14
+    for num, den in SMALL_D_NEXT:
+        # dyadic, so the float is exact
+        assert den & (den - 1) == 0 and abs(num) < 2 ** 53
+    [(g, _)] = lowest_eigenvalues([make_potential(d)], n=127, tol=1e-8)
+    series = _through_d6(d) + SMALL_D_SERIES[4] * d ** 8
+    gap = abs(g - series)
+    for k, (num, den) in enumerate(SMALL_D_NEXT):
+        series += num / den * d ** (10 + 2 * k)
+        next_gap = abs(g - series)
+        assert 5.0 * next_gap <= gap, f"d^{10 + 2 * k}"
+        gap = next_gap
+
+
 def test_limits_take_no_solve(monkeypatch):
     # d = 0 and d = INFINITY end the two expansion branches, where the
     # remainder scales by exactly 0: the limits come exact, with the
@@ -366,6 +415,26 @@ def test_large_d_expansion(d):
     c1 = _c1()
     [(g, _)] = gamma_estimates([d], tol=1e-8)
     assert abs(d * (GAMMA_AT_INF - g) / c1 - 1.0) <= 3.0 / d
+
+
+# r = gamma - GAMMA_AT_INF + C1/d = A/d^2 + B/d^sqrt(5) + O(1/d^3): A from
+# outer perturbation theory at order 1/d^2, B from matching to the
+# zero-energy inner problem in u = d q
+ULTRA_A = -1.7978760288
+ULTRA_B = 2.4993244209
+
+
+def test_large_d_next_terms():
+    # the two terms after -C1/d against degree-191 solves; A alone misses
+    # r d^2 by 12-47% on these d
+    ds = (1e2, 1e3, 1e4, 3.2e4)
+    rows = lowest_eigenvalues([make_potential(d) for d in ds], n=191,
+                              tol=1e-8)
+    for d, (g, err) in zip(ds, rows):
+        rd2 = (g - GAMMA_AT_INF + _c1() / d) * d * d
+        pred = ULTRA_A + ULTRA_B * d ** (2.0 - math.sqrt(5.0))
+        assert abs(rd2 - pred) <= abs(pred) / d + err * d * d, f"d={d}"
+        assert abs(rd2 - ULTRA_A) > 0.1 * abs(ULTRA_A), f"d={d}"
 
 
 # 1 + sqrt(5)/2 and C1 to 30 digits (mpmath 1.3.0 at 40 digits)
