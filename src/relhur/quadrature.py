@@ -124,8 +124,9 @@ def _halving(level, t_lo, t_hi, step, cfg, control, result, total=None,
     """The trapezoid loop of both rules on the multiples of step in
     [t_lo, t_hi], half weight on a node at an end.  level(ts, w) returns
     the rows' sums over the new t nodes ts with weights w; result(total,
-    err) makes the QuadResult.  total, when given, holds the sums over n_t
-    nodes at twice step, and the loop starts by adding the nodes of step.
+    err, n_t) makes the QuadResult after n_t t nodes.  total, when given,
+    holds the sums over n_t nodes at twice step, and the loop starts by
+    adding the nodes of step.
     """
     while True:
         ks = np.arange(math.ceil(t_lo / step), math.floor(t_hi / step) + 1)
@@ -137,7 +138,7 @@ def _halving(level, t_lo, t_hi, step, cfg, control, result, total=None,
             total = sums
         else:
             total, gap = 0.5 * total + sums, np.abs(0.5 * total - sums)
-            res = result(total, gap + 4.0 * _EPS * np.abs(total))
+            res = result(total, gap + 4.0 * _EPS * np.abs(total), n_t)
             bound = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
             if np.all(gap[control] <= bound[control]):
                 return res
@@ -169,16 +170,9 @@ def integrate_trapezoid(f: Callable, t_lo: float, t_hi: float, step: float,
         raise QuadratureError(
             f"step {step:g} takes more than {_MAX_T_NODES} nodes on "
             f"[{t_lo:g}, {t_hi:g}] before its first gap")
-    evals = 0
-
-    def level(ts, w):
-        nonlocal evals
-        y = _checked(f(ts), ts.size)
-        evals += ts.size
-        return y.reshape(-1, ts.size) @ w
-
-    return _halving(level, t_lo, t_hi, step, cfg, slice(None),
-                    lambda total, err: QuadResult(total, err, evals))
+    return _halving(
+        lambda ts, w: _checked(f(ts), ts.size).reshape(-1, ts.size) @ w,
+        t_lo, t_hi, step, cfg, slice(None), QuadResult)
 
 
 @functools.lru_cache(maxsize=None)  # called with _THETA_LEVELS only
@@ -253,5 +247,6 @@ def integrate_exp_sinh(f: Callable, cfg: QuadConfig = QuadConfig(),
 
     return _halving(
         lambda ts, w: in_t(ts, n_theta) @ w, t_lo, t_hi, 0.25, cfg, control,
-        lambda total, err: QuadResult(total, err + theta_gap + tails, evals),
+        lambda total, err, _: QuadResult(total, err + theta_gap + tails,
+                                         evals),
         total=total, n_t=ts.size)

@@ -456,6 +456,22 @@ def test_large_d_err_est_covers_rounding(d):
         assert Decimal(err) >= abs(Decimal(gamma) - exact)
 
 
+def _one_sided_grid(d, n, q_max=10.0):
+    """The n + 1 Chebyshev points x = cos(pi k/n), the first-derivative
+    matrix in x, and q = q_max sinh(b t) / sinh(b) on t = (x + 1) / 2 in
+    [0, 1] with its first two derivatives in x."""
+    x = np.cos(np.pi * np.arange(n + 1) / n)
+    c = np.r_[2.0, np.ones(n - 1), 2.0] * (-1.0) ** np.arange(n + 1)
+    d1 = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n + 1))
+    d1 -= np.diag(d1.sum(axis=1))
+    b = math.asinh(d * q_max)
+    t = 0.5 * (x + 1.0)
+    q = q_max * np.sinh(b * t) / math.sinh(b)
+    dq = 0.5 * q_max * b * np.cosh(b * t) / math.sinh(b)
+    d2q = 0.25 * b * b * q
+    return x, d1, q, dq, d2q
+
+
 def _one_sided_system(d, n, q_max=10.0):
     """The nodes q, dq/dx and the operator -u'' + V u on the n - 1 inner
     nodes of -u'' + V u = 2 gamma u with u = q f = 0 at q = 0 and at q_max,
@@ -465,16 +481,7 @@ def _one_sided_system(d, n, q_max=10.0):
     even folding: the unknown is u, the grid has a node at the origin, and
     the second derivative is the square of the first-derivative matrix.
     """
-    x = np.cos(np.pi * np.arange(n + 1) / n)
-    c = np.r_[2.0, np.ones(n - 1), 2.0] * (-1.0) ** np.arange(n + 1)
-    d1 = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n + 1))
-    d1 -= np.diag(d1.sum(axis=1))
-    # q = q_max sinh(b t) / sinh(b) on t = (x + 1) / 2 in [0, 1]
-    b = math.asinh(d * q_max)
-    t = 0.5 * (x + 1.0)
-    q = q_max * np.sinh(b * t) / math.sinh(b)
-    dq = 0.5 * q_max * b * np.cosh(b * t) / math.sinh(b)
-    d2q = 0.25 * b * b * q
+    _, d1, q, dq, d2q = _one_sided_grid(d, n, q_max)
     op = -(d1 @ d1) / dq[:, None] ** 2 + (d2q / dq ** 3)[:, None] * d1
     inner = slice(1, n)
     return q, dq, op[inner, inner] + np.diag(potential_v(q[inner], d))
@@ -527,6 +534,49 @@ def test_hellmann_feynman_second_moment(d, bound):
         [make_potential(d + k * h) for k in (-2, -1, 0, 1, 2)], n=159)]
     slope = (g[0] - 8.0 * g[1] + 8.0 * g[3] - g[4]) / (12.0 * h)
     assert abs(g[2] - 0.5 * d * slope - _second_moment(d)) <= bound
+
+
+def _temple_enclosure(d, n=128, m=512):
+    """(lower, upper) on gamma(d) from the trial u of
+    _one_sided_ground_state(d, n): its barycentric interpolant on the
+    m + 1 Chebyshev points, -u'' + V u applied there with the degree-m
+    first-derivative matrix, twice, and rho and eps^2 = |A u - rho u|^2 /
+    |u|^2 under Clenshaw-Curtis weights on the inner points.  Then
+    rho >= 2 gamma >= rho - eps^2 / (7 - rho) (Temple), since V >= q^2
+    puts the second s-wave level of -u'' + V u at 7 or above."""
+    _, _, u = _one_sided_ground_state(d, n)
+    x, d1, q, dq, d2q = _one_sided_grid(d, m)
+    nodes = np.cos(np.pi * np.arange(n + 1) / n)
+    diff = x[:, None] - nodes[None, :]
+    hit = diff == 0.0
+    r = np.r_[0.5, np.ones(n - 1), 0.5] * (-1.0) ** np.arange(n + 1) / (
+        np.where(hit, 1.0, diff))
+    v = np.where(hit.any(axis=1), hit.astype(float) @ u, (r @ u) / r.sum(1))
+    v1 = d1 @ v
+    inner = slice(1, m)
+    av = ((d2q / dq ** 3 * v1 - (d1 @ v1) / dq ** 2)[inner]
+          + potential_v(q[inner], d) * v[inner])
+    v, w = v[inner], (_clencurt(m) * dq)[inner]
+    norm = w @ (v * v)
+    rho = w @ (v * av) / norm
+    eps_sq = w @ (av - rho * v) ** 2 / norm
+    return 0.5 * (rho - eps_sq / (7.0 - rho)), 0.5 * rho
+
+
+@pytest.mark.parametrize("d, width", [
+    (0.1, 1e-15), (1.0, 1e-15), (30.0, 1e-15), (1000.0, 3e-11)])
+def test_temple_enclosure(d, width):
+    # a two-sided enclosure of gamma(d) from a trial function the
+    # production solver never sees.  Measured: eps = 8.5e-12, 2.6e-11 and
+    # 4.3e-9 at d = 0.1, 1 and 30 leave a width below float resolution,
+    # and the width is 1.8e-11 at d = 1000 (1.9e-6 at 1e4, too wide for a
+    # degree-128 trial).  Not yet a proof: the trial's kink at q_max, the
+    # quadrature error of rho and eps, and the rounding of rho are not
+    # bounded, so the solver's gamma is held with 1e-13 of slack
+    lower, upper = _temple_enclosure(d)
+    [(gamma, _)] = lowest_eigenvalues([make_potential(d)])
+    assert lower - 1e-13 <= gamma <= upper + 1e-13
+    assert upper - lower <= width
 
 
 def _dual_maximum(delta):

@@ -345,3 +345,16 @@ def test_max_z_finite():
             product_closed_gamma(CoulombState(z, alpha).gamma_c))
         with pytest.raises((DivergenceError, ValueError)):
             product_closed_gamma(CoulombState(z + 1, alpha).gamma_c)
+
+
+@pytest.mark.parametrize("k, floor, want", [(74, 37, 36), (486, 242, 243)])
+def test_max_z_finite_steps_off_the_floor(k, floor, want):
+    # at alpha = sqrt(3)/k the float limit sqrt(3)/(2 alpha) floors to
+    # 37 for k = 74, whose gamma_c is 0.4999999999999999 (one step down),
+    # and to 242 for k = 486, below 243 with gamma_c 0.5000000000000001
+    # (one step up): each stepping loop of max_z_finite runs
+    alpha = math.sqrt(3.0) / k
+    assert math.floor(math.sqrt(3.0) / (2.0 * alpha)) == floor
+    finite = [z for z in range(1, math.ceil(1.0 / alpha))
+              if CoulombState(z, alpha).gamma_c > 0.5]
+    assert max_z_finite(alpha) == max(finite) == want

@@ -26,15 +26,18 @@ K_FROZEN = {
     0: {1e-300: 690.8914594138721, 1e-3: 7.023688800562382,
         0.1: 2.4270690247020164, 1.0: 0.42102443824070834,
         10.0: 1.778006231616765e-05, 100.0: 4.656628229175902e-45,
-        600.0: 1.3558285309948523e-262, 700.0: 4.669776431685377e-306},
+        600.0: 1.3558285309948523e-262, 700.0: 4.669776431685377e-306,
+        701.0: 1.716689411974703e-306, 705.0: 3.135297023712879e-308},
     1: {1e-300: 9.999999999999999e+299, 1e-3: 999.9962381560856,
         0.1: 9.853844780870606, 1.0: 0.6019072301972346,
         10.0: 1.8648773453825585e-05, 100.0: 4.6798537356369095e-45,
-        600.0: 1.356957918112806e-262, 700.0: 4.6731107967079664e-306},
+        600.0: 1.356957918112806e-262, 700.0: 4.6731107967079664e-306,
+        701.0: 1.7179134334116853e-306, 705.0: 3.137519851223379e-308},
     2: {1e-3: 1999999.5000009716, 0.1: 199.5039646421141,
         1.0: 1.6248388986351774, 10.0: 2.150981700693277e-05,
         100.0: 4.75022530388864e-45, 600.0: 1.3603517240552284e-262,
-        700.0: 4.6831281768188284e-306},
+        700.0: 4.6831281768188284e-306, 701.0: 1.7215907341812982e-306,
+        705.0: 3.1441977892482646e-308},
 }
 
 
@@ -112,10 +115,22 @@ def test_bessel_strictly_decreasing(order):
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-def test_bessel_underflow_policy():
-    # beyond x = 700 the value is exactly 0; at 700 it is a normal double
-    assert bessel_k(2, 701.0) == 0.0
-    assert bessel_k(2, 700.0) > 0.0
+# mpmath.besselk(nu, x) at 50 digits rounded to double, subnormal
+K_SUBNORMAL = {
+    0: {720.0: 9.49054983e-315, 740.0: 2e-323},
+    1: {720.0: 9.497138207e-315, 740.0: 2e-323},
+    2: {720.0: 9.516930773e-315, 740.0: 2e-323},
+}
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_bessel_underflows_with_exp_minus_x(order):
+    # no cut-off: subnormal values are the rounded exact ones, and the
+    # value is 0 only once e^{-x} underflows
+    for x, ref in K_SUBNORMAL[order].items():
+        assert bessel_k(order, x) == ref
+    assert bessel_k(order, 746.0) == 0.0
+    assert bessel_k(order, 1e300) == 0.0
 
 
 def test_bessel_domain_errors():
