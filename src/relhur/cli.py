@@ -40,6 +40,7 @@ from .specfun import bessel_k
 
 BOUND_TOL = 1e-7
 ORACLE_REL_TOL = 1e-6  # hydrogen oracle against the closed form
+HOPFION_GAMMA_AT_1 = 1.9649111869949996  # verify --strict's packet anchor
 MAX_POINTS = 10000  # grid points per sweep or curve
 _CSV_HEADER = "param,gamma,err_est"
 
@@ -205,13 +206,11 @@ def _verify_rows(strict: bool) -> list[tuple[str, float, float, float, float]]:
                  0.01 ** 4, 1.0))
     rows.append(("bound_large_d_expansion", g_ends[1],
                  _bound.GAMMA_AT_INF - c1 / 1e4, 3.0 * c1 / 1e4 ** 2, 1.0))
-    # the packet's momentum spread at a = 1 against its closed form
-    # 3 K_3(z) / (z K_2(z)) - 1/(4a^2), z = 2a, K_3 = K_1 + (4/z) K_2
-    k2 = bessel_k(2, 2.0)
-    closed = 3.0 * (bessel_k(1, 2.0) + 2.0 * k2) / (2.0 * k2) - 0.25
-    spread = _hopfion.gamma_h(_hopfion.HopfionState(1.0)).delta_p_sq
-    rows.append(("hopfion_delta_p_sq_closed", abs(spread / closed - 1.0), 0.0,
-                 1e-12, 1.0))
+    # the packet's closed form at a = 1 against the same formula in
+    # 40-digit mpmath, Ki_1(2) by mpmath's quad
+    rows.append(("hopfion_gamma_at_1",
+                 _hopfion.gamma_h(_hopfion.HopfionState(1.0)).gamma,
+                 HOPFION_GAMMA_AT_1, 1e-12, HOPFION_GAMMA_AT_1))
     return rows
 
 

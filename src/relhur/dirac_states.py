@@ -148,11 +148,12 @@ class AmplitudePair(NamedTuple):
 
 class DispersionReport(NamedTuple):
     """Dispersions of a state; err_est is the quadrature's error estimate
-    carried into gamma (see from_integrals), evaluations the quadrature's
-    count of integrand points: (p, theta) points for dispersion_functional,
+    carried into gamma (see from_integrals), evaluations its count of
+    integrand points: (p, theta) points for dispersion_functional,
     counting the re-check of the phi pair and the integrations that a
-    rejected pair ended (module docstring), and t nodes for
-    hopfion.gamma_h and hydrogen.oracle_gamma."""
+    rejected pair ended (module docstring), t nodes for
+    hydrogen.oracle_gamma, and the nodes of the three sums behind
+    hopfion.gamma_h's closed form."""
 
     norm_sq: float
     mean_r: np.ndarray

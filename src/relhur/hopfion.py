@@ -5,26 +5,26 @@ The state's four momentum-space components are
     (1, 0, (E - p_z)/m, -(p_x + i p_y)/m) * e^{-a E} / E,
 
 with m = 1 internally and the width a in Compton-wavelength units.  Its
-density simplifies to (2/m^2) e^{-2aE} (E - p_z)/E; the quadratures use
-that form, and the tests check it against the component-wise sum.
+density simplifies to (2/m^2) e^{-2aE} (E - p_z)/E.
 
-Dispersions are computed from direct analytic momentum-gradients of the
-explicit components (Parseval: <r^2> = integral of sum |grad_p psi|^2),
-with <p> from the density and <r> = 0 in closed form (see _rows); both
-means are subtracted.  An equivalent amplitude decomposition onto the
-positive-energy bispinor basis is exported through amplitude_pair() so the
-general dispersion functional can serve as an independent cross-check.
+gamma_h returns the packet's report in closed form at z = 2a:
 
-The phi dependence of the components is one e^{i phi} factor, which
-cancels in the density and the gradient magnitudes, so the phi integral is
-a factor 2 pi.  The rows are polynomials of degree at most 2 in
-c = cos theta, and _rows takes their integral over c in [-1, 1] in closed
-form.  gamma_h substitutes p = sinh u and factors e^{-2a} out, leaving
-e^{-2a(cosh u - 1)}: entire, and even in u once integrated over theta
-(each odd-in-u term carries an odd power of c).  So the trapezoid rule on
-[0, U], cosh U = 1 + 40/a, half weight at u = 0, converges geometrically
-from step 0.2 min(1, a^{-1/2}) (quadrature.integrate_trapezoid).  Only
-norm_sq takes e^{-2a} back: the rest of the report is made of ratios.
+    Delta r^2 = (3a/2) (2 K_1(z) - Ki_1(z)) / K_2(z),
+    Delta p^2 = 3 K_1(z) / (2a K_2(z)) + 11 / (4a^2),
+
+<p> = (0, 0, -1/(2a)), <r> = 0 and the squared norm of the components
+4 pi K_2(z) / a, where Ki_1(z) = int_0^inf e^{-z cosh t} / cosh t dt is
+the Bickley function (Bickley and Naylor, Phil. Mag. 20, 1935).  The tests
+hold these against the direct momentum gradients (Parseval: <r^2> =
+integral of sum |grad_p psi|^2), integrated by a trapezoid rule in
+p = sinh u.  _sums takes K_1, K_2 and Ki_1, each times e^z, which cancels
+in every ratio, on specfun.bessel_k's nodes; err_est carries their
+step-halving gaps to first order through the dispersions and gamma, plus
+4 eps gamma.
+
+An equivalent amplitude decomposition onto the positive-energy bispinor
+basis is exported through amplitude_pair() so the general dispersion
+functional can serve as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .dirac_states import AmplitudePair, DispersionReport
-from .quadrature import QuadConfig, integrate_trapezoid
 
 __all__ = ["HopfionState", "amplitude_pair", "gamma_h"]
 
@@ -60,13 +59,12 @@ def amplitude_pair(state: HopfionState) -> AmplitudePair:
 
     f_plus = (m + E - p_z) e^{-aE} / (m sqrt(E(E+m))),
     f_minus = -(p_x + i p_y) e^{-aE} / (m sqrt(E(E+m))), each returned with
-    its analytic partial derivatives.  Both are returned times e^{a}, as
-    gamma_h factors e^{-a} out: unscaled, every integral would scale as
-    e^{-2a} and sink under the quadrature's abs_tol at large a.  So norm_sq
-    is e^{2a} times that of the documented components; gamma, the
-    dispersions and the means are unchanged.  Feeding this into the general
-    dispersion functional must reproduce gamma_h computed from direct
-    gradients.
+    its analytic partial derivatives.  Both are returned times e^{a}:
+    unscaled, every integral would scale as e^{-2a} and sink under the
+    quadrature's abs_tol at large a.  So norm_sq is e^{2a} times that of
+    the documented components; gamma, the dispersions and the means are
+    unchanged.  Feeding this into the general dispersion functional must
+    reproduce gamma_h's closed form.
     """
     a = state.a
 
@@ -97,42 +95,42 @@ def amplitude_pair(state: HopfionState) -> AmplitudePair:
     return AmplitudePair(f_plus=f_plus, f_minus=f_minus)
 
 
-def _rows(a: float, u: np.ndarray) -> np.ndarray:
-    """The nine integrands of DispersionReport.from_integrals at p = sinh u,
-    per du, integrated over c = cos(theta) in closed form and divided by
-    e^{-2a}.  With q = e^{-aE}/E over e^{-a}, dq its p derivative,
-    A = dq E + q p/E and B = dq p + q, the integrals over c are 4 q^2 E^3
-    for the density times dp/du, -(4/3) q^2 E^2 p for its c-moment, and
-    2 p^2 (dq^2 + A^2 + B^2 + 2 q^2) for the gradient magnitudes of
-    components 0, 2 and 3 times p^2: their d_p are dq, A - c B and
-    sin(theta) B, and their theta and phi parts sum to 2 q^2 p^2."""
-    p, e = np.sinh(u), np.cosh(u)
-    ep = p / e
-    # E - 1 = 2 sinh^2(u/2), free of cancellation at small u (large a)
-    q = np.exp(-2.0 * a * np.sinh(0.5 * u) ** 2) / e
-    dq = -q * ep * (a + 1.0 / e)
-    big_a, big_b = dq * e + q * ep, dq * p + q
-    out = np.zeros((9,) + u.shape)
-    out[0] = 8.0 * math.pi * p * p * q * q * e ** 3
-    out[1] = out[0] * p * p
-    out[2] = 4.0 * math.pi * e * p * p * (dq * dq + big_a * big_a
-                                          + big_b * big_b + 2.0 * q * q)
-    out[5] = -(8.0 / 3.0) * math.pi * p ** 4 * q * q * e * e
-    # <p_x>, <p_y> vanish: the density does not depend on phi.  So does <r>
-    # (rows 6..8): components 0 and 2 are real and the phase of component 3
-    # cancels in conj(psi_3) d psi_3, so the only nonzero component of
-    # Re(psi* . i grad_p psi) is -h^2 p sin(theta) along e_phi; it does not
-    # depend on phi and integrates to zero with e_phi.
-    return out
+def _sums(z: float) -> tuple[list[float], list[float], int]:
+    """e^z K_1(z), e^z K_2(z) and e^z Ki_1(z), the gaps of their step-h/2
+    sums to the step-h sums on every second node, and the node count.
+
+    The trapezoid rule of specfun.bessel_k's docstring, with its cutoff and
+    step, for e^z int_0^inf e^{-z cosh t} w(t) dt with w(t) = cosh t,
+    cosh 2t and 1/cosh t on one node set.  On A_MIN <= a <= A_MAX no term
+    overflows, so no shift is needed, and the poles of 1/cosh t at
+    +-i pi/2 leave the gaps below 6e-16 of Ki_1 (5.7e-15 of K_2)."""
+    t_max = 2.0 * math.asinh(math.sqrt(372.5) / math.sqrt(z))
+    step = 0.125 * min(1.0, 1.0 / math.sqrt(z))
+    t = step * np.arange(math.ceil(t_max / step) + 1.0)
+    f = np.exp(-2.0 * (math.sqrt(z) * np.sinh(0.5 * t)) ** 2) * np.stack(
+        [np.cosh(t), np.cosh(2.0 * t), 1.0 / np.cosh(t)])
+    f[:, 0] *= 0.5
+    fine = step * f.sum(axis=1)
+    coarse = 2.0 * step * f[:, ::2].sum(axis=1)
+    return fine.tolist(), np.abs(fine - coarse).tolist(), t.size
 
 
-def gamma_h(state: HopfionState,
-            cfg: QuadConfig = QuadConfig()) -> DispersionReport:
-    """Full dispersion report from direct component gradients."""
+def gamma_h(state: HopfionState) -> DispersionReport:
+    """Full dispersion report in closed form (module docstring)."""
     a = state.a
     if not (A_MIN <= a <= A_MAX):
         raise ValueError(f"a must lie in [{A_MIN}, {A_MAX}]")
-    rep = DispersionReport.from_integrals(integrate_trapezoid(
-        lambda u: _rows(a, u), 0.0, math.acosh(1.0 + 40.0 / a),
-        0.2 * min(1.0, a ** -0.5), cfg))
-    return rep._replace(norm_sq=rep.norm_sq * math.exp(-2.0 * a))
+    z = 2.0 * a
+    (k1, k2, ki), (g1, g2, gi), nodes = _sums(z)
+    delta_r_sq = 1.5 * a * (2.0 * k1 - ki) / k2
+    ratio = 1.5 * k1 / (a * k2)
+    delta_p_sq = ratio + 2.75 / (a * a)
+    gamma = math.sqrt(delta_r_sq * delta_p_sq)
+    rel_r = (2.0 * g1 + gi) / (2.0 * k1 - ki) + g2 / k2
+    rel_p = ratio * (g1 / k1 + g2 / k2) / delta_p_sq
+    return DispersionReport(
+        norm_sq=4.0 * math.pi * k2 * math.exp(-z) / a,
+        mean_r=np.zeros(3), mean_p=np.array([0.0, 0.0, -0.5 / a]),
+        delta_r_sq=delta_r_sq, delta_p_sq=delta_p_sq, gamma=gamma,
+        err_est=gamma * (0.5 * (rel_r + rel_p) + 4.0 * math.ulp(1.0)),
+        evaluations=3 * nodes)

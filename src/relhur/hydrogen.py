@@ -132,9 +132,8 @@ def oracle_gamma(gamma_c: float) -> DispersionReport:
     0.1 and halves until every row meets QuadConfig's default tolerances.
 
     <r> = 0 by spherical symmetry of the density and <p> = 0 by reality
-    of the radial profile: both vanish identically and are not integrated,
-    as in hopfion.gamma_h.  A norm that misses 1 by more than 1e-8 raises
-    ArithmeticError.
+    of the radial profile: both vanish identically and are not integrated.
+    A norm that misses 1 by more than 1e-8 raises ArithmeticError.
     """
     g = _finite_exponent(gamma_c)
     k = math.sqrt((1.0 - g) / (1.0 + g))

@@ -7,9 +7,9 @@ On integrands analytic in t the trapezoid rule converges geometrically
 (Trefethen & Weideman, SIAM Rev. 56, 2014), so the step-halving gap, which
 bounds the coarser sum, bounds the kept finer one too.
 
-integrate_trapezoid takes t alone, on an interval the caller chooses; the
-two closed families (hydrogen.py, hopfion.py) fold their own variable
-changes and their angular integrals into the integrand.
+integrate_trapezoid takes t alone, on an interval the caller chooses;
+hydrogen.oracle_gamma folds its own variable change and its angular
+integrals into the integrand.
 
 integrate_exp_sinh takes p in [0, inf) through the exp-sinh map of
 Takahasi & Mori (1974), p = exp((pi/2) sinh t) with t in [-4, 4], so p

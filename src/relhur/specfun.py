@@ -1,9 +1,10 @@
 """Self-contained special functions: modified Bessel K0, K1, K2.
 
-K_nu (second kind, integer order) gives the localized electron state's
-momentum-space norm and spread in closed form, which `relhur verify` checks
-the quadrature against.  It comes from the standard library and NumPy, so
-the numerical core carries no special-function dependency.
+K_nu (second kind, integer order) gives the localized electron packet's
+report in closed form; hopfion.gamma_h sums K_1, K_2 and the Bickley
+function Ki_1 by this rule on one node set.  It comes from the standard
+library and NumPy, so the numerical core carries no special-function
+dependency.
 
 bessel_k
     One trapezoid sum per order of the integral (DLMF 10.32.9)

@@ -24,6 +24,7 @@ from relhur import (
     HopfionState,
     RadialPotential,
     SolverError,
+    d_parameter,
     gamma_estimates,
     gamma_h,
     gaussian_limit_residual,
@@ -32,6 +33,7 @@ from relhur import (
     max_z_finite,
     oracle_gamma,
     potential_v,
+    product_closed_gamma,
     ultrarelativistic_limit_residual,
 )
 
@@ -648,6 +650,24 @@ def test_families_above_the_sharp_floor():
         assert product - sharp > product_err + err + slope * d_err, name
 
 
+def test_hydrogen_above_the_curve_with_one_solve():
+    # gamma(d) rises with d (min-max principle: dV/dd > 0 at every q) and
+    # stays below its limit 1 + sqrt(5)/2; the closed product and d both
+    # fall as gamma_c rises.  So at gamma_c <= g* the product, 2.118035294949
+    # at g*, is above gamma at every d.  At gamma_c > g*, d < d(g*) =
+    # 0.4470264742, where gamma = 1.557772656994 is below sqrt(3), the
+    # smallest product (gamma_c = 1).  One solve puts every Z at every
+    # alpha above the curve.
+    g_star = 0.870679
+    assert product_closed_gamma(g_star) > GAMMA_AT_INF
+    [(gamma, err)] = gamma_estimates([d_parameter(g_star)])
+    assert gamma + err < product_closed_gamma(1.0) == math.sqrt(3.0)
+    gamma_cs = np.linspace(0.5, 1.0, 100_001)[1:]
+    for closed in (product_closed_gamma, d_parameter):
+        values = [closed(g) for g in gamma_cs]
+        assert all(a > b for a, b in zip(values, values[1:])), closed.__name__
+
+
 def test_sharp_floor_small_delta_coefficients():
     # G(delta) - gamma(delta) = (3/64) delta^4 - (21/64) delta^6
     # + (8217/4096) delta^8 + O(delta^10).  Measured: the remainder over
@@ -796,8 +816,10 @@ def test_batch_failure_names_its_d(monkeypatch):
 
 
 def test_monotone_log_grid():
-    ds = np.geomspace(1e-2, 1e2, 9)
-    gs = [g for g, _ in gamma_estimates([float(d) for d in ds])]
+    # the monotonicity that test_hydrogen_above_the_curve_with_one_solve
+    # relies on: one expanded point, then 513 where gamma is solved
+    ds = [1e-2, *np.geomspace(D_SMALL, D_SWITCH, 513)]
+    gs = [g for g, _ in gamma_estimates(ds)]
     assert all(a < b for a, b in zip(gs, gs[1:]))
 
 

@@ -317,12 +317,20 @@ def test_spin_connection_matches_four_component_oracle(mass, monkeypatch):
 def test_report_counts_evaluations(module, run, monkeypatch):
     # the module's quadrature binding, wrapped to count the grid points its
     # integrand is called on: the exp-sinh rule for the general functional,
-    # the trapezoid rule for the two families.  The general functional
-    # re-checks its phi pair on the grid of the last call once more.
-    name = ("integrate_exp_sinh" if module is dirac_states
-            else "integrate_trapezoid")
+    # the trapezoid rule for hydrogen's oracle.  The general functional
+    # re-checks its phi pair on the grid of the last call once more.  The
+    # packet's closed form counts the nodes of its three trapezoid sums,
+    # ceil(T / step) + 1 each for bessel_k's cutoff T and step.
+    name = {dirac_states: "integrate_exp_sinh", hopfion: "_sums",
+            hydrogen: "integrate_trapezoid"}[module]
     points = []
     integrate = getattr(module, name)
+
+    def summed(z):
+        t_max = 2.0 * math.asinh(math.sqrt(372.5) / math.sqrt(z))
+        nodes = math.ceil(t_max / (0.125 * min(1.0, 1.0 / math.sqrt(z)))) + 1
+        points.extend([nodes] * 3)
+        return integrate(z)
 
     def counted(rows, *args, **kwargs):
         def wrapped(*grid):
@@ -333,7 +341,7 @@ def test_report_counts_evaluations(module, run, monkeypatch):
             points.append(points[-1])
         return res
 
-    monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(module, name, summed if module is hopfion else counted)
     rep = run()
     assert rep.evaluations == sum(points) > 0
 

@@ -1,13 +1,13 @@
 """Localized free-electron packet: density algebra, norm, gamma_H(a) curve.
 
-gamma_H(a = 1) is frozen from two independent routes that agree to 1e-13:
-direct component gradients (gamma_h) and decomposition onto spin
-amplitudes fed through the general dispersion functional.  <p_z> has the
-exact closed form -1/(2a), which pins the first-moment machinery.  A
-third route lives only here: the direct-gradient integrands in (p, theta)
-on SciPy's adaptive quad_vec in p and fixed Gauss-Legendre in theta,
-against which gamma_h's trapezoid rule in p = sinh u is held over the whole
-width range.
+gamma_h is the packet's closed form in K_1, K_2 and Ki_1 at z = 2a.  Two
+oracles live only here, both on the direct component gradients: the rows
+of _rows, integrated over cos(theta) in closed form, on the library's
+trapezoid rule in p = sinh u (_gradient_oracle), and the same integrands
+in (p, theta) on SciPy's adaptive quad_vec in p and fixed Gauss-Legendre
+in theta (_adaptive_reference).  A third route is the decomposition onto
+spin amplitudes fed through the general dispersion functional.  <p_z> has
+the exact closed form -1/(2a), which pins the first-moment machinery.
 """
 
 import math
@@ -27,6 +27,7 @@ from relhur import (
     dispersion_functional,
     gamma_estimates,
     gamma_h,
+    integrate_trapezoid,
 )
 from relhur import hopfion
 
@@ -54,8 +55,50 @@ def density(state, p, theta):
     return 2.0 * math.exp(-2.0 * state.a * e) * (e - p * math.cos(theta)) / e
 
 
+def _rows(a, u):
+    """The nine integrands of DispersionReport.from_integrals at p = sinh u,
+    per du, integrated over c = cos(theta) in closed form and divided by
+    e^{-2a}.  With q = e^{-aE}/E over e^{-a}, dq its p derivative,
+    A = dq E + q p/E and B = dq p + q, the integrals over c are 4 q^2 E^3
+    for the density times dp/du, -(4/3) q^2 E^2 p for its c-moment, and
+    2 p^2 (dq^2 + A^2 + B^2 + 2 q^2) for the gradient magnitudes of
+    components 0, 2 and 3 times p^2: their d_p are dq, A - c B and
+    sin(theta) B, and their theta and phi parts sum to 2 q^2 p^2."""
+    p, e = np.sinh(u), np.cosh(u)
+    ep = p / e
+    # E - 1 = 2 sinh^2(u/2), free of cancellation at small u (large a)
+    q = np.exp(-2.0 * a * np.sinh(0.5 * u) ** 2) / e
+    dq = -q * ep * (a + 1.0 / e)
+    big_a, big_b = dq * e + q * ep, dq * p + q
+    out = np.zeros((9,) + u.shape)
+    out[0] = 8.0 * math.pi * p * p * q * q * e ** 3
+    out[1] = out[0] * p * p
+    out[2] = 4.0 * math.pi * e * p * p * (dq * dq + big_a * big_a
+                                          + big_b * big_b + 2.0 * q * q)
+    out[5] = -(8.0 / 3.0) * math.pi * p ** 4 * q * q * e * e
+    # <p_x>, <p_y> vanish: the density does not depend on phi.  So does <r>
+    # (rows 6..8): components 0 and 2 are real and the phase of component 3
+    # cancels in conj(psi_3) d psi_3, so the only nonzero component of
+    # Re(psi* . i grad_p psi) is -h^2 p sin(theta) along e_phi; it does not
+    # depend on phi and integrates to zero with e_phi.
+    return out
+
+
+def _gradient_oracle(a, cfg=QuadConfig()):
+    """The packet's report from its direct momentum gradients: _rows on the
+    trapezoid rule in u on [0, U], cosh U = 1 + 40/a, from step
+    0.2 min(1, a^{-1/2}).  The rows are entire in u, and even once
+    integrated over theta (each odd-in-u term carries an odd power of c),
+    so the rule converges geometrically.  Only norm_sq takes e^{-2a} back:
+    the rest of the report is made of ratios."""
+    rep = DispersionReport.from_integrals(integrate_trapezoid(
+        lambda u: _rows(a, u), 0.0, math.acosh(1.0 + 40.0 / a),
+        0.2 * min(1.0, a ** -0.5), cfg))
+    return rep._replace(norm_sq=rep.norm_sq * math.exp(-2.0 * a))
+
+
 def _adaptive_reference(a):
-    """gamma_h's nine integrals over (p, theta) with the measure dp dtheta,
+    """_rows' nine integrals over (p, theta) with the measure dp dtheta,
     by SciPy: adaptive quad_vec over p in [0, inf) at rel 1e-13, of the
     24-node Gauss-Legendre sum in theta (the rows are polynomials in
     sin and cos theta).  Rows 3, 4 and 6..8 are zero."""
@@ -128,12 +171,12 @@ def test_fast_density_equals_component_sum():
 
 
 def test_momentum_side_closed_forms():
-    # the momentum-side moments have closed forms in K_nu(z), z = 2a, by
-    # a route that shares no quadrature with gamma_h: <p_z> = -1/(2a),
-    # <p^2> = 3 K_3(z) / (z K_2(z)) with K_3 = K_1 + (4/z) K_2, and the
-    # squared norm of the unnormalized components 4 pi K_2(z) / a
+    # the gradient oracle's momentum-side moments against their closed
+    # forms in K_nu(z), z = 2a: <p_z> = -1/(2a), <p^2> = 3 K_3(z) /
+    # (z K_2(z)) with K_3 = K_1 + (4/z) K_2, and the squared norm of the
+    # unnormalized components 4 pi K_2(z) / a
     for a in (0.05, 0.3, 1.0, 7.3, 30.0, 100.0):
-        rep = gamma_h(HopfionState(a))
+        rep = _gradient_oracle(a)
         z = 2.0 * a
         k2 = bessel_k(2, z)
         k3 = bessel_k(1, z) + 4.0 / z * k2
@@ -154,37 +197,50 @@ def test_gamma_frozen_dual_config():
     assert rep.gamma == pytest.approx(GAMMA_H_AT_1, abs=1e-5)
     assert rep.delta_r_sq == pytest.approx(DR2_AT_1, rel=1e-8)
     assert rep.delta_p_sq == pytest.approx(DP2_AT_1, rel=1e-8)
-    # a second, tighter configuration must land on the same value
-    tight = gamma_h(HopfionState(1.0),
-                    QuadConfig(abs_tol=1e-11, rel_tol=1e-10))
+    # the gradient oracle at tighter tolerances must land on the same value
+    tight = _gradient_oracle(1.0, QuadConfig(abs_tol=1e-11, rel_tol=1e-10))
     assert tight.gamma == pytest.approx(rep.gamma, abs=1e-5)
 
 
 @pytest.mark.parametrize("a", [1.0, 15.0, 50.0])
 def test_err_est_bounds_tighter_run(a):
-    # err_est carries the quadrature's own row estimates into gamma; a run
-    # at far tighter tolerances must land inside it.  At a = 15 and 50 the
-    # unnormalized integrals sit far below the default abs_tol, which
-    # therefore scales with them.
+    # err_est carries the three sums' step-halving gaps into gamma; the
+    # gradient oracle at far tighter tolerances must land inside it
     rep = gamma_h(HopfionState(a))
-    tight = gamma_h(HopfionState(a), QuadConfig(abs_tol=1e-300, rel_tol=1e-12))
+    tight = _gradient_oracle(a, QuadConfig(abs_tol=1e-300, rel_tol=1e-12))
     assert abs(rep.gamma - tight.gamma) <= rep.err_est
     assert 0.0 < tight.err_est <= 1e-9
 
 
+def test_closed_form_matches_gradient_oracle():
+    # over the whole width range, the closed form agrees with the gradient
+    # oracle at rel_tol 1e-12 to 1e-14 in every field they share, and its
+    # err_est covers the gap in gamma while staying at most 1e-13 gamma
+    tight = QuadConfig(abs_tol=1e-300, rel_tol=1e-12)
+    for a in np.geomspace(hopfion.A_MIN, hopfion.A_MAX, 60):
+        rep, ref = gamma_h(HopfionState(a)), _gradient_oracle(a, tight)
+        for field in ("gamma", "delta_r_sq", "delta_p_sq", "norm_sq"):
+            assert getattr(rep, field) == pytest.approx(
+                getattr(ref, field), rel=1e-14), (a, field)
+        assert rep.mean_p[2] == pytest.approx(ref.mean_p[2], rel=1e-14)
+        assert abs(rep.gamma - ref.gamma) <= rep.err_est <= 1e-13 * rep.gamma
+
+
 @pytest.mark.parametrize("a", [0.05, 0.1, 1.0, 9.0, 50.0, 100.0])
 def test_trapezoid_rule_matches_adaptive_reference(a):
+    # the gradient oracle's trapezoid rule, and the closed form, against
+    # SciPy's integrals of the same direct gradients
     ref = _adaptive_reference(a)
-    rep = gamma_h(HopfionState(a))
-    assert rep.gamma == pytest.approx(ref.gamma, rel=1e-12)
-    assert rep.delta_r_sq == pytest.approx(ref.delta_r_sq, rel=1e-12)
-    assert rep.delta_p_sq == pytest.approx(ref.delta_p_sq, rel=1e-12)
-    assert rep.mean_p[2] == pytest.approx(ref.mean_p[2], rel=1e-12)
-    assert rep.norm_sq == pytest.approx(ref.norm_sq, rel=1e-12)
+    for rep in (_gradient_oracle(a), gamma_h(HopfionState(a))):
+        assert rep.gamma == pytest.approx(ref.gamma, rel=1e-12)
+        assert rep.delta_r_sq == pytest.approx(ref.delta_r_sq, rel=1e-12)
+        assert rep.delta_p_sq == pytest.approx(ref.delta_p_sq, rel=1e-12)
+        assert rep.mean_p[2] == pytest.approx(ref.mean_p[2], rel=1e-12)
+        assert rep.norm_sq == pytest.approx(ref.norm_sq, rel=1e-12)
 
 
 def _rows_at_c(a, u, c):
-    """gamma_h's nine rows per du dc at p = sinh u and cos(theta) = c,
+    """_rows' nine rows per du dc at p = sinh u and cos(theta) = c,
     divided by e^{-2a}: polynomials of degree 2 in c, so the 2-node
     Gauss-Legendre rule in c, nodes +-1/sqrt(3) and weight 1, sums their
     integral over c in [-1, 1] exactly."""
@@ -212,7 +268,7 @@ def test_rows_integrate_cos_theta_in_closed_form(a):
     u = np.linspace(0.0, math.acosh(1.0 + 40.0 / a), 50)
     c = np.array([-1.0, 1.0]) / math.sqrt(3.0)
     two_node = _rows_at_c(a, u[:, None], c).sum(axis=-1)
-    rows = hopfion._rows(a, u)
+    rows = _rows(a, u)
     assert rows.shape == (9, u.size)
     for k in (0, 1, 2, 5):
         assert np.all(np.abs(rows[k] - two_node[k])
@@ -229,8 +285,8 @@ def test_amplitude_route_error_bar_covers_and_is_tight(a):
 
 
 def test_amplitude_route_matches_direct():
-    # decomposition onto spin amplitudes + general functional vs direct
-    # component gradients; fully independent derivative code paths
+    # decomposition onto spin amplitudes + general functional vs the
+    # closed form; no shared quadrature or derivative code
     direct = gamma_h(HopfionState(1.0))
     amp_rep = dispersion_functional(amplitude_pair(HopfionState(1.0)))
     assert amp_rep.gamma == pytest.approx(direct.gamma, rel=1e-8)
@@ -334,8 +390,7 @@ def test_curve_tail_approaches_limit():
     scaled = [a * (g - 1.5) for a, g in zip(grid, gs)]
     assert scaled[0] < scaled[1] < scaled[2]
     assert all(0.60 <= s <= 0.63 for s in scaled)
-    tight = gamma_h(HopfionState(50.0),
-                    QuadConfig(abs_tol=1e-300, rel_tol=1e-12))
+    tight = _gradient_oracle(50.0, QuadConfig(abs_tol=1e-300, rel_tol=1e-12))
     assert gs[2] == pytest.approx(tight.gamma, rel=1e-9)
 
 

@@ -1,9 +1,11 @@
-"""Bessel K checks against independent oracles.
+"""Bessel K and Bickley Ki_1 checks against independent oracles.
 
 Frozen reference values were produced with mpmath 1.3.0 at 50 digits and
 rounded to double.  They are independent of this package's trapezoid sum
 for K_nu: SciPy's quad integrates the same integral representation as
-bessel_k, so only the frozen values check it from outside.
+bessel_k, so only the frozen values check it from outside.  Ki_1, which
+hopfion sums on bessel_k's nodes beside K_1 and K_2, and Ki_2 are frozen
+from mpmath's quad at 40 and 50 digits, which agreed to 1e-40.
 """
 
 import math
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from relhur import bessel_k
+from relhur import bessel_k, cli, hopfion
 
 # mpmath.besselk, 50-digit, rounded to double
 K0_AT_1 = 0.42102443824070834
@@ -142,3 +144,63 @@ def test_bessel_domain_errors():
         bessel_k(3, 1.0)
     with pytest.raises(ValueError):
         bessel_k(-1, 1.0)
+
+
+# Bickley functions Ki_n(x) = int_0^inf e^{-x cosh t} / cosh^n t dt, by
+# mpmath's quad, on the range of z = 2a that hopfion.gamma_h reads
+KI1_FROZEN = {
+    0.1: 1.22863188303692221868396171897,
+    0.5: 0.643693805863747545777646254801,
+    1.0: 0.328286478171118353007889334918,
+    2.0: 0.0971205924780679367173187441388,
+    10.0: 1.70151789177594000935630427842e-05,
+    50.0: 3.37719918057434368731599937996e-23,
+    200.0: 1.22264422924618592105483269869e-88,
+}
+KI2_FROZEN = {
+    0.1: 0.862521289783368383448887504301,
+    0.5: 0.506373657069776673959399574186,
+    1.0: 0.273620752026116221729650666617,
+    2.0: 0.0854905786769089811345601257933,
+    10.0: 1.63359453606618450325381533821e-05,
+    50.0: 3.34515230716059626379268279769e-23,
+    200.0: 1.21962884535997819795166234572e-88,
+}
+
+
+def _ki1(x):
+    return math.exp(-x) * hopfion._sums(x)[0][2]
+
+
+@pytest.mark.parametrize("x", sorted(KI1_FROZEN))
+def test_bickley_against_frozen_mpmath(x):
+    assert abs(_ki1(x) - KI1_FROZEN[x]) <= 1e-14 * KI1_FROZEN[x]
+    # K_1 and K_2 from the same nodes agree with bessel_k to rounding
+    k1, k2, _ = hopfion._sums(x)[0]
+    assert math.exp(-x) * k1 == pytest.approx(bessel_k(1, x), rel=2e-15)
+    assert math.exp(-x) * k2 == pytest.approx(bessel_k(2, x), rel=2e-15)
+
+
+@pytest.mark.parametrize("x", sorted(KI2_FROZEN))
+def test_bickley_recurrence(x):
+    # Ki_2 = x (K_1 - Ki_1), by parts with d tanh t = dt / cosh^2 t; the
+    # difference loses about log10(x) digits at large x
+    ki2 = x * (bessel_k(1, x) - _ki1(x))
+    assert abs(ki2 - KI2_FROZEN[x]) <= 1e-13 * KI2_FROZEN[x]
+
+
+def test_verify_strict_fails_on_a_perturbed_bickley(capsys, monkeypatch):
+    # Ki_1 off by 1e-10 moves gamma_H(1) by 2.7e-11, over the 1e-12 of
+    # verify --strict's packet row, and that row alone fails
+    summed = hopfion._sums
+
+    def perturbed(z):
+        (k1, k2, ki), gaps, nodes = summed(z)
+        return [k1, k2, ki * (1.0 + 1e-10)], gaps, nodes
+
+    monkeypatch.setattr(hopfion, "_sums", perturbed)
+    assert cli.run(["verify", "--strict"]) == 1
+    status = {line.split()[0]: line.split()[-1]
+              for line in capsys.readouterr().out.splitlines()}
+    assert [name for name, s in status.items() if s == "FAIL"] == [
+        "hopfion_gamma_at_1", "overall:"]
