@@ -8,8 +8,8 @@ localized free-electron packet.  It depends on NumPy alone.
 
 Layout:
 
-    specfun             modified Bessel K0, K1, K2 (one trapezoid sum
-                        per order)
+    specfun             modified Bessel K0, K1, K2 and Bickley Ki1 (one
+                        trapezoid pass for all four)
     quadrature          step-halving trapezoid sums: on a given interval,
                         and exp-sinh times Gauss-Legendre on [0, inf)
     radial_eigensolver  lowest eigenvalue of radial Schrodinger operators

@@ -152,8 +152,8 @@ class DispersionReport(NamedTuple):
     integrand points: (p, theta) points for dispersion_functional,
     counting the re-check of the phi pair and the integrations that a
     rejected pair ended (module docstring), t nodes for
-    hydrogen.oracle_gamma, and the nodes of the three sums behind
-    hopfion.gamma_h's closed form."""
+    hydrogen.oracle_gamma, and the nodes of the four rows of the
+    specfun.bessel_sums pass behind hopfion.gamma_h's closed form."""
 
     norm_sq: float
     mean_r: np.ndarray

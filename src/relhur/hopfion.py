@@ -17,10 +17,13 @@ gamma_h returns the packet's report in closed form at z = 2a:
 the Bickley function (Bickley and Naylor, Phil. Mag. 20, 1935).  The tests
 hold these against the direct momentum gradients (Parseval: <r^2> =
 integral of sum |grad_p psi|^2), integrated by a trapezoid rule in
-p = sinh u.  _sums takes K_1, K_2 and Ki_1, each times e^z, which cancels
-in every ratio, on specfun.bessel_k's nodes; err_est carries their
-step-halving gaps to first order through the dispersions and gamma, plus
-4 eps gamma.
+p = sinh u.  specfun.bessel_sums(z) takes K_1, K_2 and Ki_1, each times
+e^z, which cancels in every ratio; err_est carries their step-halving gaps
+to first order through the dispersions and gamma, plus 4 eps gamma.
+gamma_h reports on 1.2368e-154 <= a <= 8.9863e307, gamma from sqrt(33)/2
+down to 3/2, and raises ValueError outside, where 11/(4a^2) or 2a
+overflows.  Inside, norm_sq reads inf below a = 3.27e-103, and it is
+subnormal from a = 351 and 0.0 from a = 369.34.
 
 An equivalent amplitude decomposition onto the positive-energy bispinor
 basis is exported through amplitude_pair() so the general dispersion
@@ -35,10 +38,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .dirac_states import AmplitudePair, DispersionReport
+from .specfun import bessel_sums
 
 __all__ = ["HopfionState", "amplitude_pair", "gamma_h"]
-
-A_MIN, A_MAX = 0.05, 100.0
 
 
 class HopfionState(NamedTuple("HopfionState", [("a", float)])):
@@ -95,36 +97,17 @@ def amplitude_pair(state: HopfionState) -> AmplitudePair:
     return AmplitudePair(f_plus=f_plus, f_minus=f_minus)
 
 
-def _sums(z: float) -> tuple[list[float], list[float], int]:
-    """e^z K_1(z), e^z K_2(z) and e^z Ki_1(z), the gaps of their step-h/2
-    sums to the step-h sums on every second node, and the node count.
-
-    The trapezoid rule of specfun.bessel_k's docstring, with its cutoff and
-    step, for e^z int_0^inf e^{-z cosh t} w(t) dt with w(t) = cosh t,
-    cosh 2t and 1/cosh t on one node set.  On A_MIN <= a <= A_MAX no term
-    overflows, so no shift is needed, and the poles of 1/cosh t at
-    +-i pi/2 leave the gaps below 6e-16 of Ki_1 (5.7e-15 of K_2)."""
-    t_max = 2.0 * math.asinh(math.sqrt(372.5) / math.sqrt(z))
-    step = 0.125 * min(1.0, 1.0 / math.sqrt(z))
-    t = step * np.arange(math.ceil(t_max / step) + 1.0)
-    f = np.exp(-2.0 * (math.sqrt(z) * np.sinh(0.5 * t)) ** 2) * np.stack(
-        [np.cosh(t), np.cosh(2.0 * t), 1.0 / np.cosh(t)])
-    f[:, 0] *= 0.5
-    fine = step * f.sum(axis=1)
-    coarse = 2.0 * step * f[:, ::2].sum(axis=1)
-    return fine.tolist(), np.abs(fine - coarse).tolist(), t.size
-
-
 def gamma_h(state: HopfionState) -> DispersionReport:
     """Full dispersion report in closed form (module docstring)."""
-    a = state.a
-    if not (A_MIN <= a <= A_MAX):
-        raise ValueError(f"a must lie in [{A_MIN}, {A_MAX}]")
-    z = 2.0 * a
-    (k1, k2, ki), (g1, g2, gi), nodes = _sums(z)
+    a, z = state.a, 2.0 * state.a
+    # 2.75 / (a * a) would divide by zero where a * a underflows
+    if not max(z, 2.75 / a / a) < math.inf:
+        raise ValueError(f"a = {a!r} is outside the packet's domain, where "
+                         f"2a and 11/(4a^2) are finite")
+    (_, k1, k2, ki), (_, g1, g2, gi), nodes = bessel_sums(z)
     delta_r_sq = 1.5 * a * (2.0 * k1 - ki) / k2
     ratio = 1.5 * k1 / (a * k2)
-    delta_p_sq = ratio + 2.75 / (a * a)
+    delta_p_sq = ratio + 2.75 / a / a
     gamma = math.sqrt(delta_r_sq * delta_p_sq)
     rel_r = (2.0 * g1 + gi) / (2.0 * k1 - ki) + g2 / k2
     rel_p = ratio * (g1 / k1 + g2 / k2) / delta_p_sq
@@ -133,4 +116,4 @@ def gamma_h(state: HopfionState) -> DispersionReport:
         mean_r=np.zeros(3), mean_p=np.array([0.0, 0.0, -0.5 / a]),
         delta_r_sq=delta_r_sq, delta_p_sq=delta_p_sq, gamma=gamma,
         err_est=gamma * (0.5 * (rel_r + rel_p) + 4.0 * math.ulp(1.0)),
-        evaluations=3 * nodes)
+        evaluations=4 * nodes)

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from relhur import hopfion, radial_eigensolver, rel_uncertainty
+from relhur import radial_eigensolver, rel_uncertainty
 from relhur import (
     D_SMALL,
     D_SWITCH,
@@ -365,7 +365,7 @@ def test_families_above_the_curve():
     # d err_est/(2 gamma); the slope term is below 1e-10 throughout, so a
     # secant of the curve serves as gamma'(d).
     states = _family_states(range(1, max_z_finite() + 1),
-                            np.geomspace(hopfion.A_MIN, hopfion.A_MAX, 25))
+                            np.geomspace(0.05, 100.0, 25))
     bound = gamma_estimates([x for *_, d in states
                              for x in (d, 0.99 * d, 1.01 * d)])
     for k, (name, product, product_err, d) in enumerate(states):
@@ -379,9 +379,9 @@ def test_packet_small_d_coefficient():
     # the packet approaches 3/2 like c d^2 at large a, d its own
     # (dp^2/dr^2)^(1/4).  Measured: c reads 0.612940 at a = 50 and 0.618938
     # at a = 100, and their two-point Richardson extrapolation in 1/a,
-    # 0.624937, lies near 5/8 (a = 200, beyond gamma_h's range, read
-    # 0.624984).  With the curve's 3/2 + (3/8) d^2 the packet's margin at
-    # small d is then (5/8 - 3/8) d^2 = d^2 / 4.
+    # 0.624937, lies near 5/8 (a = 200 reads 0.624984).  With the curve's
+    # 3/2 + (3/8) d^2 the packet's margin at small d is then
+    # (5/8 - 3/8) d^2 = d^2 / 4.
     #
     # Derived: with m = 1 and p = x / sqrt(a), expand the packet's
     # integrands in a^(-1/2) about the Gaussian e^(-x^2) and integrate term
@@ -393,16 +393,38 @@ def test_packet_small_d_coefficient():
     #   gamma_H = 3/2 + 5/(8a) - 37/(192a^2) + 133/(1152a^3) + ...
     #   d^2     = (dp^2/dr^2)^(1/2) = 1/a + 2/(3a^2) + 23/(72a^3) + ...
     # so (gamma_H - 3/2)/d^2 = 5/8 - 39/(64a) + 371/(1152a^2) + O(a^-3).
-    # The remainder times a^3 reads -0.176, -0.193 and -0.200 at a = 20, 50
-    # and 100.
+    # The remainder times a^3 reads -0.176, -0.193, -0.200, -0.204 and
+    # -0.207 at a = 20, 50, 100, 200 and 1000; from a = 5000 on, the
+    # rounding of gamma - 3/2 over d^2 exceeds 0.25/a^3.
     def coefficient(a):
         rep = gamma_h(HopfionState(a))
         return (rep.gamma - 1.5) / math.sqrt(rep.delta_p_sq / rep.delta_r_sq)
 
     assert abs(2.0 * coefficient(100.0) - coefficient(50.0) - 0.625) <= 2e-4
-    for a in (20.0, 50.0, 100.0):
+    for a in (20.0, 50.0, 100.0, 200.0, 1e3):
         derived = 5.0 / 8.0 - 39.0 / (64.0 * a) + 371.0 / (1152.0 * a * a)
         assert abs(coefficient(a) - derived) <= 0.25 / a ** 3, f"a={a:g}"
+
+
+def test_packet_small_width_slope():
+    # gamma_H = (sqrt(33)/2)(1 - pi a/4) + c2 a^2 + ..., from K_1 ~ 1/z,
+    # K_2 ~ 2/z^2 and Ki_1(0) = pi/2 at z = 2a; c2 reads 2.7697
+    for a in (1e-6, 1e-5, 1e-4):
+        slope = (gamma_h(HopfionState(a)).gamma - math.sqrt(33.0) / 2.0) / a
+        assert abs(slope + math.pi * math.sqrt(33.0) / 8.0) <= 3.0 * a, a
+
+
+def test_packet_large_width_margins():
+    # past a = 1e3 the packet's margin above the curve falls like 1/a: by
+    # d^2/4 = 1/(4a) under the dp^2 reading, and under the <p^2> reading
+    # by 3/(8a), the gap between its 3/2 + 3/(4a) and the curve's
+    # 3/2 + 3/(8a).  a times the margin reads 0.2500213 and 0.3750094 at
+    # a = 1e4, and 0.2500021 and 0.3750009 at a = 1e5
+    for a in (1e4, 1e5):
+        (_, dp, _, d_dp), (_, pp, _, d_pp) = _family_states([], [a])
+        (floor_dp, _), (floor_pp, _) = gamma_estimates([d_dp, d_pp])
+        assert abs(a * (dp - floor_dp) - 0.25) <= 0.3 / a, a
+        assert abs(a * (pp - floor_pp) - 0.375) <= 0.1 / a, a
 
 
 def _c1():

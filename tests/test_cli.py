@@ -442,7 +442,7 @@ def test_unwritable_output(capsys):
     ["hydrogen", "--Z", "0"],
     ["hopfion", "--a", "1.0", "--a-min", "0.5"],
     ["hopfion", "--a-min", "0.5", "--a-max", "2"],   # missing --points
-    ["hopfion", "--a", "0.001"],                 # outside width range
+    ["hopfion", "--a", "1e-200"],                # 11/(4a^2) overflows
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code = run(argv)
@@ -681,7 +681,9 @@ def test_library_imports_no_dataclasses():
 _EDGE_FLOATS = [5e-324, -5e-324, 1e-310, 1.7e308, -1.7e308, math.inf,
                 -math.inf, math.nan, 0.0, -0.0, -1.0, 1e5, 1.0000001e5]
 _FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
-# hopfion widths: the accepted range [0.05, 100] and anything else
+# hopfion widths: the range the packet's tests sample, [0.05, 100], and
+# anything else, which gamma_h reports or refuses below a = 1.24e-154 and
+# above 8.99e307
 _WIDTHS = st.one_of(st.floats(0.05, 100.0), _FLOATS)
 # small counts run; the rest must be refused before any work is done
 _INTS = st.one_of(st.integers(-3, 6),

@@ -319,9 +319,10 @@ def test_report_counts_evaluations(module, run, monkeypatch):
     # integrand is called on: the exp-sinh rule for the general functional,
     # the trapezoid rule for hydrogen's oracle.  The general functional
     # re-checks its phi pair on the grid of the last call once more.  The
-    # packet's closed form counts the nodes of its three trapezoid sums,
-    # ceil(T / step) + 1 each for bessel_k's cutoff T and step.
-    name = {dirac_states: "integrate_exp_sinh", hopfion: "_sums",
+    # packet's closed form counts the nodes of the four rows of its
+    # trapezoid pass, ceil(T / step) + 1 each for the cutoff T and step of
+    # specfun.bessel_sums.
+    name = {dirac_states: "integrate_exp_sinh", hopfion: "bessel_sums",
             hydrogen: "integrate_trapezoid"}[module]
     points = []
     integrate = getattr(module, name)
@@ -329,7 +330,7 @@ def test_report_counts_evaluations(module, run, monkeypatch):
     def summed(z):
         t_max = 2.0 * math.asinh(math.sqrt(372.5) / math.sqrt(z))
         nodes = math.ceil(t_max / (0.125 * min(1.0, 1.0 / math.sqrt(z)))) + 1
-        points.extend([nodes] * 3)
+        points.extend([nodes] * 4)
         return integrate(z)
 
     def counted(rows, *args, **kwargs):

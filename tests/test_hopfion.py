@@ -29,7 +29,6 @@ from relhur import (
     gamma_h,
     integrate_trapezoid,
 )
-from relhur import hopfion
 
 RNG = np.random.default_rng(42)
 
@@ -139,10 +138,10 @@ def test_state_validation():
         HopfionState(-2.0)
     with pytest.raises(ValueError):
         HopfionState(math.inf)
-    with pytest.raises(ValueError):
-        gamma_h(HopfionState(0.01))  # below supported width range
-    with pytest.raises(ValueError):
-        gamma_h(HopfionState(200.0))
+    # where 11/(4a^2) or 2a overflows, no report is a double
+    for a in (5e-324, 1e-200, 1e-154, 9e307, 1.7e308):
+        with pytest.raises(ValueError, match="outside the packet's domain"):
+            gamma_h(HopfionState(a))
 
 
 def test_rest_momentum_components():
@@ -213,17 +212,63 @@ def test_err_est_bounds_tighter_run(a):
 
 
 def test_closed_form_matches_gradient_oracle():
-    # over the whole width range, the closed form agrees with the gradient
-    # oracle at rel_tol 1e-12 to 1e-14 in every field they share, and its
-    # err_est covers the gap in gamma while staying at most 1e-13 gamma
+    # from the ultrarelativistic to the nonrelativistic end, the closed
+    # form agrees with the gradient oracle at rel_tol 1e-12 to 1e-14 in
+    # every field they share, and its err_est covers the gap in gamma while
+    # staying at most 1e-13 gamma
     tight = QuadConfig(abs_tol=1e-300, rel_tol=1e-12)
-    for a in np.geomspace(hopfion.A_MIN, hopfion.A_MAX, 60):
+    for a in np.geomspace(0.05, 100.0, 60):
         rep, ref = gamma_h(HopfionState(a)), _gradient_oracle(a, tight)
         for field in ("gamma", "delta_r_sq", "delta_p_sq", "norm_sq"):
             assert getattr(rep, field) == pytest.approx(
                 getattr(ref, field), rel=1e-14), (a, field)
         assert rep.mean_p[2] == pytest.approx(ref.mean_p[2], rel=1e-14)
         assert abs(rep.gamma - ref.gamma) <= rep.err_est <= 1e-13 * rep.gamma
+
+
+# (gamma, Delta r^2, Delta p^2) by the closed form in 40-digit mpmath, K_nu
+# by besselk and Ki_1(z) = int_z^inf K_0 by quad, each summed by its
+# Laplace expansion where z > 1e10, rounded to double
+REPORT_FROZEN = {
+    1.25e-154: (2.8722813232690143, 4.6875e-308, 1.76e+308),
+    1e-100: (2.8722813232690143, 3e-200, 2.75e+200),
+    1e-20: (2.8722813232690143, 3e-40, 2.75e+40),
+    1e-3: (2.8700282072074086, 2.9952936062845995e-06, 2750001.4999810085),
+    1e3: (1.5006248074067072, 1499.6245791778563, 0.0015016257027735363),
+    1e20: (1.5, 1.5e+20, 1.5e-20),
+    1e150: (1.5, 1.5e+150, 1.5e-150),
+    8.9e307: (1.5, 1.335e+308, 1.685393258426966e-308),
+}
+
+
+@pytest.mark.parametrize("a", sorted(REPORT_FROZEN))
+def test_report_on_the_whole_domain(a):
+    # from where 11/(4a^2) is about to overflow to where 2a is, each field
+    # within 1e-14 of mpmath and err_est at most 1e-14 gamma.  Above
+    # a ~ 1e15 gamma can read one ulp below its limit 3/2, which err_est
+    # covers
+    rep = gamma_h(HopfionState(a))
+    for field, ref in zip(("gamma", "delta_r_sq", "delta_p_sq"),
+                          REPORT_FROZEN[a]):
+        assert abs(getattr(rep, field) - ref) <= 1e-14 * ref, field
+    assert abs(rep.gamma - REPORT_FROZEN[a][0]) <= rep.err_est
+    assert 0.0 < rep.err_est <= 1e-14 * rep.gamma
+    assert rep.mean_p[2] == -0.5 / a
+
+
+def test_gamma_covers_its_limit_at_large_width():
+    # gamma_H > 3/2 at every a, but from a ~ 1e15 its rounding can read
+    # 1.4999999999999998 (at 60 of these widths)
+    for a in np.geomspace(1e8, 8.9e307, 300):
+        rep = gamma_h(HopfionState(a))
+        assert rep.gamma + rep.err_est >= 1.5, a
+
+
+def test_norm_leaves_the_double_range():
+    # 4 pi K_2(2a) / a overflows at small a and underflows at large a
+    # inside the domain; the dispersions do not
+    assert gamma_h(HopfionState(1e-110)).norm_sq == math.inf
+    assert gamma_h(HopfionState(400.0)).norm_sq == 0.0
 
 
 @pytest.mark.parametrize("a", [0.05, 0.1, 1.0, 9.0, 50.0, 100.0])

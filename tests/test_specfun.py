@@ -4,8 +4,8 @@ Frozen reference values were produced with mpmath 1.3.0 at 50 digits and
 rounded to double.  They are independent of this package's trapezoid sum
 for K_nu: SciPy's quad integrates the same integral representation as
 bessel_k, so only the frozen values check it from outside.  Ki_1, which
-hopfion sums on bessel_k's nodes beside K_1 and K_2, and Ki_2 are frozen
-from mpmath's quad at 40 and 50 digits, which agreed to 1e-40.
+bessel_sums sums on the same nodes as K_0, K_1 and K_2, and Ki_2 are
+frozen from mpmath's quad at 40 and 50 digits, which agreed to 1e-40.
 """
 
 import math
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from relhur import bessel_k, cli, hopfion
+from relhur import bessel_k, bessel_sums, cli, hopfion
 
 # mpmath.besselk, 50-digit, rounded to double
 K0_AT_1 = 0.42102443824070834
@@ -147,7 +147,7 @@ def test_bessel_domain_errors():
 
 
 # Bickley functions Ki_n(x) = int_0^inf e^{-x cosh t} / cosh^n t dt, by
-# mpmath's quad, on the range of z = 2a that hopfion.gamma_h reads
+# mpmath's quad
 KI1_FROZEN = {
     0.1: 1.22863188303692221868396171897,
     0.5: 0.643693805863747545777646254801,
@@ -166,19 +166,49 @@ KI2_FROZEN = {
     50.0: 3.34515230716059626379268279769e-23,
     200.0: 1.21962884535997819795166234572e-88,
 }
+# e^x Ki_1(x) at 40 digits: e^x (pi/2 - int_0^x K_0) for x < 1, and
+# int_0^inf e^x K_0(x + u) du by mpmath's quad from there; the cosh
+# integral, split at multiples of x^{-1/2}, agreed to 1e-33
+EKI1_FROZEN = {
+    1e-300: 1.57079632679489661923132169164,
+    1e-150: 1.57079632679489661923132169164,
+    1e-10: 1.57079632453779800711736058183,
+    1e3: 0.0396085420209603631826716886825,
+    1e5: 0.00396330252720981977934239862649,
+    740.0: 0.0460339157007151028892166026929,
+}
 
 
 def _ki1(x):
-    return math.exp(-x) * hopfion._sums(x)[0][2]
+    return math.exp(-x) * bessel_sums(x)[0][3]
 
 
 @pytest.mark.parametrize("x", sorted(KI1_FROZEN))
 def test_bickley_against_frozen_mpmath(x):
     assert abs(_ki1(x) - KI1_FROZEN[x]) <= 1e-14 * KI1_FROZEN[x]
-    # K_1 and K_2 from the same nodes agree with bessel_k to rounding
-    k1, k2, _ = hopfion._sums(x)[0]
-    assert math.exp(-x) * k1 == pytest.approx(bessel_k(1, x), rel=2e-15)
-    assert math.exp(-x) * k2 == pytest.approx(bessel_k(2, x), rel=2e-15)
+
+
+@pytest.mark.parametrize("x", sorted(EKI1_FROZEN))
+def test_scaled_bickley_from_tiny_to_large_x(x):
+    ref = EKI1_FROZEN[x]
+    assert abs(bessel_sums(x)[0][3] - ref) <= 1e-14 * ref
+
+
+@pytest.mark.parametrize("x", sorted(KI1_FROZEN.keys() | EKI1_FROZEN.keys()))
+def test_bessel_k_is_the_scaled_sum(x):
+    # bessel_k takes its value from the same pass, bit for bit, and raises
+    # where the scaled sum reads inf (K_2 below x = 1.06e-154)
+    values, gaps, _ = bessel_sums(x)
+    for order in (0, 1, 2):
+        k = values[order] * math.exp(-x)
+        if k == math.inf:
+            assert gaps[order] == math.inf
+            with pytest.raises(ValueError, match="overflows"):
+                bessel_k(order, x)
+        else:
+            assert bessel_k(order, x) == k
+    assert all(0.0 <= g <= 6e-15 * v for g, v in zip(gaps, values)
+               if v < math.inf)
 
 
 @pytest.mark.parametrize("x", sorted(KI2_FROZEN))
@@ -189,16 +219,20 @@ def test_bickley_recurrence(x):
     assert abs(ki2 - KI2_FROZEN[x]) <= 1e-13 * KI2_FROZEN[x]
 
 
+def test_bessel_sums_domain_errors():
+    for x in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite x > 0"):
+            bessel_sums(x)
+
+
 def test_verify_strict_fails_on_a_perturbed_bickley(capsys, monkeypatch):
     # Ki_1 off by 1e-10 moves gamma_H(1) by 2.7e-11, over the 1e-12 of
     # verify --strict's packet row, and that row alone fails
-    summed = hopfion._sums
-
     def perturbed(z):
-        (k1, k2, ki), gaps, nodes = summed(z)
-        return [k1, k2, ki * (1.0 + 1e-10)], gaps, nodes
+        (k0, k1, k2, ki), gaps, nodes = bessel_sums(z)
+        return [k0, k1, k2, ki * (1.0 + 1e-10)], gaps, nodes
 
-    monkeypatch.setattr(hopfion, "_sums", perturbed)
+    monkeypatch.setattr(hopfion, "bessel_sums", perturbed)
     assert cli.run(["verify", "--strict"]) == 1
     status = {line.split()[0]: line.split()[-1]
               for line in capsys.readouterr().out.splitlines()}
