@@ -10,8 +10,8 @@ Layout:
 
     specfun             modified Bessel K0, K1, K2 and Bickley Ki1 (one
                         trapezoid pass for all four)
-    quadrature          step-halving trapezoid sums: on a given interval,
-                        and exp-sinh times Gauss-Legendre on [0, inf)
+    quadrature          step-halving exp-sinh trapezoid times
+                        Gauss-Legendre on [0, inf) x [0, pi]
     radial_eigensolver  lowest eigenvalue of radial Schrodinger operators
                         by Chebyshev collocation (NumPy only)
     rel_uncertainty     the bound curve gamma(d) and its two limits

@@ -1,15 +1,10 @@
-"""Two rules for analytic integrands built on the trapezoid rule in a
-variable t, its step halved until two sums agree to max(abs_tol,
-rel_tol |sum|): in every row for integrate_trapezoid, in the rows the
-caller names for integrate_exp_sinh.
+"""One rule for analytic integrands on [0, inf) x [0, pi], built on the
+trapezoid rule in a variable t, its step halved until two sums agree to
+max(abs_tol, rel_tol |sum|) in the rows the caller names.
 
 On integrands analytic in t the trapezoid rule converges geometrically
 (Trefethen & Weideman, SIAM Rev. 56, 2014), so the step-halving gap, which
 bounds the coarser sum, bounds the kept finer one too.
-
-integrate_trapezoid takes t alone, on an interval the caller chooses;
-hydrogen.oracle_gamma folds its own variable change and its angular
-integrals into the integrand.
 
 integrate_exp_sinh takes p in [0, inf) through the exp-sinh map of
 Takahasi & Mori (1974), p = exp((pi/2) sinh t) with t in [-4, 4], so p
@@ -26,11 +21,10 @@ The integrand is called once per t level and theta rule, on all the nodes
 the level adds; an integrand that needs to bound its working memory splits
 the call itself (dirac_states does, by grid points).
 
-Integrands are called on the t nodes, f(ts), or on a grid,
-f(ps[:, None], thetas[None, :]), and return shape (n,) or (n, m), or that
-shape led by n_rows to integrate n_rows functions on the same nodes; any
-other shape raises ValueError.  Results hold one entry per row, (1,) for
-an integrand without a row axis.
+The integrand is called on a grid, f(ps[:, None], thetas[None, :]), and
+returns shape (n, m), or that shape led by n_rows to integrate n_rows
+functions on the same nodes; any other shape raises ValueError.  Results
+hold one entry per row, (1,) for an integrand without a row axis.
 """
 
 from __future__ import annotations
@@ -46,7 +40,6 @@ __all__ = [
     "QuadResult",
     "QuadratureError",
     "integrate_exp_sinh",
-    "integrate_trapezoid",
 ]
 
 _THETA_LEVELS = (8, 12, 16, 24, 32, 48, 64)
@@ -56,8 +49,8 @@ _EPS = np.finfo(float).eps
 
 class QuadConfig(NamedTuple("QuadConfig", [("abs_tol", float),
                                              ("rel_tol", float)])):
-    """Tolerances of both rules, each positive and finite; a rule gives up
-    when halving the t step again would pass _MAX_T_NODES t nodes."""
+    """Tolerances of integrate_exp_sinh, each positive and finite; it gives
+    up when halving the t step again would pass _MAX_T_NODES t nodes."""
 
     __slots__ = ()
 
@@ -85,7 +78,7 @@ class QuadResult(NamedTuple):
 
 
 class QuadratureError(RuntimeError):
-    """Raised when a rule misses its tolerances.  best carries the last
+    """Raised when a sum misses its tolerances.  best carries the last
     QuadResult when the t budget ran out, else None (a non-finite sum, or
     theta sums that disagree at 64 nodes)."""
 
@@ -94,13 +87,13 @@ class QuadratureError(RuntimeError):
         self.best = best
 
 
-def _checked(y, *grid: int) -> np.ndarray:
-    """The integrand's return value on a node grid of shape grid: that
-    shape, or (n_rows,) + grid."""
+def _checked(y, n_p: int, n_theta: int) -> np.ndarray:
+    """The integrand's return value on the (n_p, n_theta) node grid: that
+    shape, or (n_rows, n_p, n_theta)."""
     y = np.asarray(y, dtype=float)
-    if y.shape[-len(grid):] != grid or y.ndim > len(grid) + 1:
+    if y.shape[-2:] != (n_p, n_theta) or y.ndim > 3:
         raise ValueError(f"integrand returned shape {y.shape}, expected "
-                         f"{grid} or (n_rows, {', '.join(map(str, grid))})")
+                         f"{(n_p, n_theta)} or (n_rows, {n_p}, {n_theta})")
     return y
 
 
@@ -113,66 +106,8 @@ def _finite(sums, t_lo, t_hi):
 
 def _n_nodes(t_lo, t_hi, step):
     """How many multiples of step lie in [t_lo, t_hi], counted without
-    forming them; math.inf well past the budget."""
-    if (t_hi - t_lo) / step > 2 * _MAX_T_NODES:
-        return math.inf
+    forming them."""
     return math.floor(t_hi / step) - math.ceil(t_lo / step) + 1
-
-
-def _halving(level, t_lo, t_hi, step, cfg, control, result, total=None,
-             n_t=0):
-    """The trapezoid loop of both rules on the multiples of step in
-    [t_lo, t_hi], half weight on a node at an end.  level(ts, w) returns
-    the rows' sums over the new t nodes ts with weights w; result(total,
-    err, n_t) makes the QuadResult after n_t t nodes.  total, when given,
-    holds the sums over n_t nodes at twice step, and the loop starts by
-    adding the nodes of step.
-    """
-    while True:
-        ks = np.arange(math.ceil(t_lo / step), math.floor(t_hi / step) + 1)
-        ts = step * (ks if total is None else ks[ks % 2 == 1])  # new nodes
-        w = np.where((ts == t_lo) | (ts == t_hi), 0.5 * step, step)
-        sums = _finite(level(ts, w), t_lo, t_hi)
-        n_t += ts.size
-        if total is None:
-            total = sums
-        else:
-            total, gap = 0.5 * total + sums, np.abs(0.5 * total - sums)
-            res = result(total, gap + 4.0 * _EPS * np.abs(total), n_t)
-            bound = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
-            if np.all(gap[control] <= bound[control]):
-                return res
-            if _n_nodes(t_lo, t_hi, 0.5 * step) > _MAX_T_NODES:
-                raise QuadratureError(
-                    f"trapezoid sums unconverged at {n_t} nodes on "
-                    f"[{t_lo:g}, {t_hi:g}]", best=res)
-        step *= 0.5
-
-
-def integrate_trapezoid(f: Callable, t_lo: float, t_hi: float, step: float,
-                        cfg: QuadConfig = QuadConfig()) -> QuadResult:
-    """Integral of f(t) over t in [t_lo, t_hi], for an f analytic in t and
-    negligible at both ends (or even about an end that is a node).
-
-    The trapezoid rule from step, halved until two sums agree in every
-    row.  f is called as f(ts) on the nodes each step adds and returns
-    shape (n_t,) or (n_rows, n_t).  Raises ValueError unless t_lo < t_hi
-    are finite and step is positive and finite, and QuadratureError (best
-    None) before f is called when the first gap, at step / 2, would take
-    more than _MAX_T_NODES t nodes.
-    """
-    if not -math.inf < t_lo < t_hi < math.inf:
-        raise ValueError(f"t_lo and t_hi must be finite with t_lo < t_hi, "
-                         f"got t_lo = {t_lo!r}, t_hi = {t_hi!r}")
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"step must be positive and finite, got {step!r}")
-    if _n_nodes(t_lo, t_hi, 0.5 * step) > _MAX_T_NODES:
-        raise QuadratureError(
-            f"step {step:g} takes more than {_MAX_T_NODES} nodes on "
-            f"[{t_lo:g}, {t_hi:g}] before its first gap")
-    return _halving(
-        lambda ts, w: _checked(f(ts), ts.size).reshape(-1, ts.size) @ w,
-        t_lo, t_hi, step, cfg, slice(None), QuadResult)
 
 
 @functools.lru_cache(maxsize=None)  # called with _THETA_LEVELS only
@@ -245,8 +180,22 @@ def integrate_exp_sinh(f: Callable, cfg: QuadConfig = QuadConfig(),
         raise QuadratureError(
             f"theta sums unconverged at {n_theta} nodes on [{t_lo:g}, {t_hi:g}]")
 
-    return _halving(
-        lambda ts, w: in_t(ts, n_theta) @ w, t_lo, t_hi, 0.25, cfg, control,
-        lambda total, err, _: QuadResult(total, err + theta_gap + tails,
-                                         evals),
-        total=total, n_t=ts.size)
+    # halve the t step from 0.25, adding the odd multiples of each step:
+    # the ends are multiples of 0.5, so no added node is an end
+    step, n_t = 0.25, ts.size
+    while True:
+        ks = np.arange(math.ceil(t_lo / step), math.floor(t_hi / step) + 1)
+        ts = step * ks[ks % 2 == 1]
+        sums = _finite(in_t(ts, n_theta) @ np.full(ts.size, step), t_lo, t_hi)
+        n_t += ts.size
+        total, gap = 0.5 * total + sums, np.abs(0.5 * total - sums)
+        res = QuadResult(total, (gap + 4.0 * _EPS * np.abs(total)) + theta_gap
+                         + tails, evals)
+        bound = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+        if np.all(gap[control] <= bound[control]):
+            return res
+        if _n_nodes(t_lo, t_hi, 0.5 * step) > _MAX_T_NODES:
+            raise QuadratureError(
+                f"trapezoid sums unconverged at {n_t} nodes on "
+                f"[{t_lo:g}, {t_hi:g}]", best=res)
+        step *= 0.5

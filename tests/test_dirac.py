@@ -315,34 +315,41 @@ def test_spin_connection_matches_four_component_oracle(mass, monkeypatch):
     (hydrogen, lambda: oracle_gamma(CoulombState(Z=80).gamma_c)),
 ])
 def test_report_counts_evaluations(module, run, monkeypatch):
-    # the module's quadrature binding, wrapped to count the grid points its
-    # integrand is called on: the exp-sinh rule for the general functional,
-    # the trapezoid rule for hydrogen's oracle.  The general functional
-    # re-checks its phi pair on the grid of the last call once more.  The
-    # packet's closed form counts the nodes of the four rows of its
-    # trapezoid pass, ceil(T / step) + 1 each for the cutoff T and step of
-    # specfun.bessel_sums.
-    name = {dirac_states: "integrate_exp_sinh", hopfion: "bessel_sums",
-            hydrogen: "integrate_trapezoid"}[module]
+    # the general functional's exp-sinh binding, wrapped to count the grid
+    # points its integrand is called on; the functional re-checks its phi
+    # pair on the grid of the last call once more.  The packet's closed
+    # form counts the nodes of the four rows of its trapezoid pass,
+    # ceil(T / step) + 1 each for the cutoff T and step of
+    # specfun.bessel_sums.  Hydrogen's oracle counts the multiples of 0.05
+    # in its t range, on which it sums its two trapezoid levels.
     points = []
-    integrate = getattr(module, name)
+    if module is hydrogen:
+        g = CoulombState(Z=80).gamma_c
+        t_min = -math.asinh(80.0 / (math.pi * (2.0 * g - 1.0)))
+        t_max = math.asinh(2.0 * math.log(500.0) / math.pi)
+        points.append(math.floor(t_max / 0.05) - math.ceil(t_min / 0.05) + 1)
+    elif module is hopfion:
+        sums = hopfion.bessel_sums
 
-    def summed(z):
-        t_max = 2.0 * math.asinh(math.sqrt(372.5) / math.sqrt(z))
-        nodes = math.ceil(t_max / (0.125 * min(1.0, 1.0 / math.sqrt(z)))) + 1
-        points.extend([nodes] * 4)
-        return integrate(z)
+        def summed(z):
+            t_max = 2.0 * math.asinh(math.sqrt(372.5) / math.sqrt(z))
+            step = 0.125 * min(1.0, 1.0 / math.sqrt(z))
+            points.extend([math.ceil(t_max / step) + 1] * 4)
+            return sums(z)
 
-    def counted(rows, *args, **kwargs):
-        def wrapped(*grid):
-            points.append(np.broadcast(*grid).size)
-            return rows(*grid)
-        res = integrate(wrapped, *args, **kwargs)
-        if module is dirac_states:
+        monkeypatch.setattr(hopfion, "bessel_sums", summed)
+    else:
+        integrate = dirac_states.integrate_exp_sinh
+
+        def counted(rows, *args, **kwargs):
+            def wrapped(*grid):
+                points.append(np.broadcast(*grid).size)
+                return rows(*grid)
+            res = integrate(wrapped, *args, **kwargs)
             points.append(points[-1])
-        return res
+            return res
 
-    monkeypatch.setattr(module, name, summed if module is hopfion else counted)
+        monkeypatch.setattr(dirac_states, "integrate_exp_sinh", counted)
     rep = run()
     assert rep.evaluations == sum(points) > 0
 

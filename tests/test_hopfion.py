@@ -2,7 +2,7 @@
 
 gamma_h is the packet's closed form in K_1, K_2 and Ki_1 at z = 2a.  Two
 oracles live only here, both on the direct component gradients: the rows
-of _rows, integrated over cos(theta) in closed form, on the library's
+of _rows, integrated over cos(theta) in closed form, on a test-held
 trapezoid rule in p = sinh u (_gradient_oracle), and the same integrands
 in (p, theta) on SciPy's adaptive quad_vec in p and fixed Gauss-Legendre
 in theta (_adaptive_reference).  A third route is the decomposition onto
@@ -27,7 +27,6 @@ from relhur import (
     dispersion_functional,
     gamma_estimates,
     gamma_h,
-    integrate_trapezoid,
 )
 
 RNG = np.random.default_rng(42)
@@ -83,6 +82,28 @@ def _rows(a, u):
     return out
 
 
+def _trapezoid(f, u_max, step, cfg):
+    """The integrals of the rows of f(us) over u in [0, u_max] by the
+    trapezoid rule from step, half weight on an end node, the step halved
+    until every row's gap to the coarser sum is within max(abs_tol,
+    rel_tol |sum|).  A reference rule held by the tests alone."""
+    def level(us):
+        w = np.where((us == 0.0) | (us == u_max), 0.5 * step, step)
+        return f(us) @ w
+
+    us = step * np.arange(math.floor(u_max / step) + 1)
+    total, n_u = level(us), us.size
+    while True:
+        step *= 0.5
+        us = step * np.arange(1, math.floor(u_max / step) + 1, 2)
+        assert n_u + us.size <= 30000, "trapezoid sums unconverged"
+        sums, n_u = level(us), n_u + us.size
+        total, gap = 0.5 * total + sums, np.abs(0.5 * total - sums)
+        if np.all(gap <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))):
+            return QuadResult(total, gap + 4.0 * np.finfo(float).eps
+                              * np.abs(total), n_u)
+
+
 def _gradient_oracle(a, cfg=QuadConfig()):
     """The packet's report from its direct momentum gradients: _rows on the
     trapezoid rule in u on [0, U], cosh U = 1 + 40/a, from step
@@ -90,8 +111,8 @@ def _gradient_oracle(a, cfg=QuadConfig()):
     integrated over theta (each odd-in-u term carries an odd power of c),
     so the rule converges geometrically.  Only norm_sq takes e^{-2a} back:
     the rest of the report is made of ratios."""
-    rep = DispersionReport.from_integrals(integrate_trapezoid(
-        lambda u: _rows(a, u), 0.0, math.acosh(1.0 + 40.0 / a),
+    rep = DispersionReport.from_integrals(_trapezoid(
+        lambda u: _rows(a, u), math.acosh(1.0 + 40.0 / a),
         0.2 * min(1.0, a ** -0.5), cfg))
     return rep._replace(norm_sq=rep.norm_sq * math.exp(-2.0 * a))
 

@@ -200,6 +200,19 @@ def test_oracle_matches_closed_form_near_half():
         assert 0.0 < rep.err_est <= 1e-9 * rep.gamma
 
 
+def test_oracle_two_levels_hold_on_the_whole_domain():
+    # oracle_gamma sums at steps 0.1 and 0.05 and tests no convergence
+    # itself; this scan is that test.  With 2g - 1 log-spaced from 2.2e-16
+    # to 1, plus the double next to 1/2 and g = 1, the two levels meet the
+    # closed form to 1e-12 (measured: at most 4.7e-16), their err_est
+    # covers the gap and stays at 1e-9 gamma (measured: at most 2.3e-10)
+    gs = [0.5 + 0.5 * x for x in np.geomspace(2.2e-16, 1.0, 200)]
+    for g in gs + [float(np.nextafter(0.5, 1.0)), 1.0]:
+        rep, closed = oracle_gamma(g), product_closed_gamma(g)
+        assert abs(rep.gamma - closed) <= 1e-12 * closed, g
+        assert abs(rep.gamma - closed) <= rep.err_est <= 1e-9 * rep.gamma, g
+
+
 # oracle_gamma(g): float.hex of (gamma, err_est), frozen from this build
 ORACLE_BITS = {
     1.0: ("0x1.bb67ae8584caap+0", "0x1.b50673d95281cp-32"),

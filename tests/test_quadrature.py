@@ -1,5 +1,5 @@
-"""The exp-sinh x Gauss-Legendre rule on [0, inf) x [0, pi] and the
-trapezoid rule on an interval, against closed forms and cross-checks."""
+"""The exp-sinh x Gauss-Legendre rule on [0, inf) x [0, pi], against
+closed forms and cross-checks."""
 
 import math
 
@@ -13,7 +13,6 @@ from relhur import (
     QuadResult,
     bessel_k,
     integrate_exp_sinh,
-    integrate_trapezoid,
 )
 from relhur import quadrature
 from relhur.quadrature import _THETA_LEVELS, _theta_rule
@@ -260,8 +259,6 @@ def test_one_row_and_rows_give_arrays():
     # one entry per row, also for an integrand of shape (n, m)
     res = integrate_exp_sinh(_radial(lambda x: np.exp(-x)), CFG)
     assert res.value.shape == res.est_abs_error.shape == (1,)
-    res = integrate_trapezoid(lambda t: np.exp(-t * t), -8.0, 8.0, 0.5, CFG)
-    assert res.value.shape == res.est_abs_error.shape == (1,)
 
     res = integrate_exp_sinh(
         lambda p, th: np.stack([np.exp(-p), p * np.exp(-p)])
@@ -333,81 +330,3 @@ def test_exp_sinh_rejects_non_finite_sums():
         integrate_exp_sinh(
             lambda p, th: np.where(p > 1.0, np.inf, 1.0) * np.ones_like(th))
     assert exc_info.value.best is None
-
-
-def test_trapezoid_gaussian_times_cos_polynomial():
-    # e^{-t^2} cos^2(t) is entire and negligible beyond |t| = 8; as
-    # cos^2(t) = (1 + cos 2t)/2, it integrates to sqrt(pi) (1 + e^{-1})/2
-    calls = []
-
-    def f(t):
-        calls.append(t.size)
-        return np.exp(-t * t) * np.cos(t) ** 2
-
-    res = integrate_trapezoid(f, -8.0, 8.0, 0.5, CFG)
-    exact = math.sqrt(math.pi) * (1.0 + math.exp(-1.0)) / 2.0
-    assert res.value == pytest.approx(exact, rel=1e-15)
-    assert abs(res.value - exact) <= res.est_abs_error <= 1e-9 * exact
-    assert res.evaluations == sum(calls)
-    assert len(calls) >= 2  # one halving at least: the gap is measured
-
-
-def test_trapezoid_half_weight_on_an_endpoint_node():
-    # [0, 8] starts at the node t = 0, which carries half weight
-    res = integrate_trapezoid(lambda t: np.exp(-t * t), 0.0, 8.0, 0.25, CFG)
-    assert res.value == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-15)
-
-
-def test_trapezoid_budget_carries_best(monkeypatch):
-    # sqrt(t) is not analytic at t = 0, so the sums converge like h^1.5
-    monkeypatch.setattr(quadrature, "_MAX_T_NODES", 30)
-    cfg = QuadConfig(abs_tol=1e-12, rel_tol=1e-12)
-    with pytest.raises(QuadratureError, match="unconverged") as exc_info:
-        integrate_trapezoid(np.sqrt, 0.0, 1.0, 0.25, cfg)
-    best = exc_info.value.best
-    assert isinstance(best, QuadResult)
-    assert best.value == pytest.approx(2.0 / 3.0, rel=1e-2)
-    assert abs(best.value - 2.0 / 3.0) <= best.est_abs_error
-    assert best.evaluations == 17  # 17 nodes on the 1/16 step
-
-
-def test_trapezoid_budget_holds_for_a_fine_first_step():
-    # a first step of 1e-4 on [-8, 8] would measure its first gap on
-    # 320001 nodes, past the 30000-node budget: the rule raises before it
-    # calls f, with no result to carry
-    calls = []
-
-    def f(t):
-        calls.append(t.size)
-        return np.exp(-t * t)
-
-    with pytest.raises(QuadratureError, match="30000") as exc_info:
-        integrate_trapezoid(f, -8.0, 8.0, 1e-4)
-    assert exc_info.value.best is None
-    assert calls == []
-    # on [-8, 8] the first gap at step 2^-10 takes 32769 nodes, at 2^-9
-    # 16385, which fit
-    with pytest.raises(QuadratureError, match="before its first gap"):
-        integrate_trapezoid(f, -8.0, 8.0, 2.0 ** -10)
-    assert calls == []
-    res = integrate_trapezoid(f, -8.0, 8.0, 2.0 ** -9)
-    assert calls == [8193, 8192]
-    assert res.evaluations == 16385
-
-
-def test_trapezoid_rejects_non_finite_sums():
-    with pytest.raises(QuadratureError, match="not finite") as exc_info:
-        integrate_trapezoid(lambda t: np.where(t > 0.5, np.inf, 1.0),
-                            0.0, 1.0, 0.25)
-    assert exc_info.value.best is None
-
-
-@pytest.mark.parametrize("t_lo,t_hi,step,name", [
-    (-8.0, 8.0, 0.0, "step"), (8.0, -8.0, 0.5, "t_lo"),
-    (-8.0, 8.0, -0.5, "step"), (-8.0, math.inf, 0.5, "t_hi"),
-    (math.nan, 8.0, 0.5, "t_lo"), (-8.0, 8.0, math.nan, "step")])
-def test_trapezoid_rejects_bad_interval_or_step(t_lo, t_hi, step, name):
-    # a ValueError that names the argument, not a ZeroDivisionError or a
-    # reshape failure from inside the rule
-    with pytest.raises(ValueError, match=name):
-        integrate_trapezoid(lambda t: np.exp(-t * t), t_lo, t_hi, step)

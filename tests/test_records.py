@@ -15,7 +15,7 @@ from relhur import (
     AmplitudePair,
     CoulombState,
     QuadConfig,
-    integrate_trapezoid,
+    integrate_exp_sinh,
     make_potential,
 )
 from relhur.hopfion import HopfionState, gamma_h
@@ -24,8 +24,8 @@ from relhur.hopfion import HopfionState, gamma_h
 # public record; the second entry is set for the records that check fields
 _RECORDS = {
     "QuadConfig": (QuadConfig, ({"rel_tol": 1e-12}, {"abs_tol": 0.0})),
-    "QuadResult": (lambda: integrate_trapezoid(
-        lambda t: np.exp(-t * t), -8.0, 8.0, 0.5), None),
+    "QuadResult": (lambda: integrate_exp_sinh(
+        lambda p, th: np.exp(-p) * np.ones_like(th)), None),
     "RadialPotential": (lambda: make_potential(1.0), None),
     "AmplitudePair": (lambda: AmplitudePair(np.exp), None),
     "DispersionReport": (lambda: gamma_h(HopfionState(1.0)), None),

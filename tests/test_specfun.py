@@ -1,14 +1,16 @@
-"""Bessel K and Bickley Ki_1 checks against independent oracles.
+"""Bessel K and Bickley Ki_n checks against independent oracles.
 
 Frozen reference values were produced with mpmath 1.3.0 at 50 digits and
 rounded to double.  They are independent of this package's trapezoid sum
 for K_nu: SciPy's quad integrates the same integral representation as
 bessel_k, so only the frozen values check it from outside.  Ki_1, which
 bessel_sums sums on the same nodes as K_0, K_1 and K_2, and Ki_2 are
-frozen from mpmath's quad at 40 and 50 digits, which agreed to 1e-40.
+frozen from mpmath's quad at 40 and 50 digits, which agreed to 1e-40;
+Ki_3, reached by the recurrences, from mpmath's quad at 45 digits.
 """
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -217,6 +219,32 @@ def test_bickley_recurrence(x):
     # difference loses about log10(x) digits at large x
     ki2 = x * (bessel_k(1, x) - _ki1(x))
     assert abs(ki2 - KI2_FROZEN[x]) <= 1e-13 * KI2_FROZEN[x]
+
+
+# e^x Ki_3(x) = int_0^inf e^{-x (cosh t - 1)} / cosh^3 t dt at 30 digits,
+# by mpmath's quad at 45 digits on [0, 40], split at multiples of x^{-1/2};
+# the recurrence below, fed with that quad's Ki_1 and mpmath's besselk,
+# agreed to 1e-42
+EKI3_FROZEN = {
+    0.1: 0.765378745905124399021240749426,
+    1.0: 0.646529964913186421149160705564,
+    2.0: 0.568688286387959572863035250362,
+    10.0: 0.346436091833017225483503089978,
+    50.0: 0.171820397523715045576651086251,
+    200.0: 0.0879137661503837478041329312609,
+}
+
+
+@pytest.mark.parametrize("x", sorted(EKI3_FROZEN))
+def test_bickley_ki3_recurrence(x):
+    # Ki_2 = x (K_1 - Ki_1) and 2 Ki_3 = Ki_1 + x (K_0 - Ki_2), scaled by
+    # e^x, from one pass.  The nested differences lose about x^2 in
+    # relative accuracy (measured: 3.4e-16 at x = 1, 9.3e-13 at x = 200),
+    # so the bound is 4 eps (1 + x^2)
+    (k0, k1, _, ki1), _, _ = bessel_sums(x)
+    ki3 = 0.5 * (ki1 + x * (k0 - x * (k1 - ki1)))
+    ref = EKI3_FROZEN[x]
+    assert abs(ki3 - ref) <= 4.0 * sys.float_info.epsilon * (1.0 + x * x) * ref
 
 
 def test_bessel_sums_domain_errors():
