@@ -45,10 +45,6 @@ MAX_POINTS = 10000  # grid points per sweep or curve
 _CSV_HEADER = "param,gamma,err_est"
 
 
-class _UsageError(ValueError):
-    pass
-
-
 def _fmt(x) -> str:
     """12-significant-digit text form shared by CSV and JSON.  Adding 0.0
     prints -0.0 as 0.0: no field has a meaningful sign of zero."""
@@ -89,20 +85,20 @@ def _doc(records: Sequence[dict[str, object]], fmt: str | None,
 
 def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
-        raise _UsageError(f"{name} must be finite, got {value!r}")
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
 
 def _grid(lo: float, hi: float, points: int, log: bool) -> list[float]:
     if not 2 <= points <= MAX_POINTS:
-        raise _UsageError(f"--points must lie in [2, {MAX_POINTS}]")
+        raise ValueError(f"--points must lie in [2, {MAX_POINTS}]")
     _require_finite("--d-min/--a-min", lo)
     _require_finite("--d-max/--a-max", hi)
     if not hi > lo:
-        raise _UsageError("upper grid end must exceed the lower end")
+        raise ValueError("upper grid end must exceed the lower end")
     if log:
         if not lo > 0.0:
-            raise _UsageError("--log needs a positive lower end")
+            raise ValueError("--log needs a positive lower end")
         # in logs, so that hi / lo may exceed the float range
         log_lo = math.log(lo)
         step = (math.log(hi) - log_lo) / (points - 1)
@@ -153,14 +149,14 @@ def _cmd_hopfion(args) -> tuple[str, int]:
                    args.points is not None)
     if args.a is not None:
         if any(curve_flags):
-            raise _UsageError("--a conflicts with --a-min/--a-max/--points")
+            raise ValueError("--a conflicts with --a-min/--a-max/--points")
         rep = _hopfion.gamma_h(_hopfion.HopfionState(args.a))
         return _doc([{"a": args.a, "gamma": rep.gamma,
                       "delta_r_sq": rep.delta_r_sq,
                       "delta_p_sq": rep.delta_p_sq, "err_est": rep.err_est}],
                     args.format, grid=False), 0
     if not all(curve_flags):
-        raise _UsageError("provide either --a or all of --a-min/--a-max/--points")
+        raise ValueError("provide either --a or all of --a-min/--a-max/--points")
     a_grid = _grid(args.a_min, args.a_max, args.points, log=False)
     reps = [_hopfion.gamma_h(_hopfion.HopfionState(a)) for a in a_grid]
     rows = [{"param": a, "gamma": r.gamma, "err_est": r.err_est}
@@ -289,7 +285,7 @@ def _parse(argv: Sequence[str], args: SimpleNamespace) -> str | None:
                 unknown.append(tok)
                 continue
             if tok not in _COMMANDS:
-                raise _UsageError(f"invalid subcommand {tok!r}")
+                raise ValueError(f"invalid subcommand {tok!r}")
             args.subcommand = tok
             flags = {**_HELP_FLAGS, **_COMMON_FLAGS, **_COMMANDS[tok][2]}
             vals = {flag: _DEFAULTS.get(flag, False if kind is bool else None)
@@ -299,39 +295,39 @@ def _parse(argv: Sequence[str], args: SimpleNamespace) -> str | None:
         hits = [flag for flag in flags
                 if name.startswith("--") and flag.startswith(name)]
         if name not in flags and len(hits) > 1:
-            raise _UsageError(f"ambiguous option {name}: {', '.join(hits)}")
+            raise ValueError(f"ambiguous option {name}: {', '.join(hits)}")
         flag = name if name in flags else hits[0] if hits else None
         if flag is None:
             unknown.append(tok)
             continue
         kind = flags[flag]
         if eq and kind in (None, bool):
-            raise _UsageError(f"{flag} takes no value")
+            raise ValueError(f"{flag} takes no value")
         if kind is None:
             return _help(args.subcommand)
         if kind is bool:
             value = True
         elif not eq:
             if i == len(argv):
-                raise _UsageError(f"{flag} expects a value")
+                raise ValueError(f"{flag} expects a value")
             value, i = argv[i], i + 1
         if isinstance(kind, tuple) and value not in kind:
-            raise _UsageError(f"{flag} must be one of {', '.join(kind)}")
+            raise ValueError(f"{flag} must be one of {', '.join(kind)}")
         try:
             vals[flag] = value if isinstance(kind, tuple) else kind(value)
         except ValueError:
-            raise _UsageError(f"invalid {flag} value {value!r}") from None
+            raise ValueError(f"invalid {flag} value {value!r}") from None
         if vals.get("--d") is not None and vals.get("--d-inf"):
-            raise _UsageError("--d conflicts with --d-inf")
+            raise ValueError("--d conflicts with --d-inf")
     if args.subcommand is None:
-        raise _UsageError(f"missing subcommand ({', '.join(_COMMANDS)})")
+        raise ValueError(f"missing subcommand ({', '.join(_COMMANDS)})")
     missing = [f for f in _COMMANDS[args.subcommand][3] if vals[f] is None]
     if "--d" in vals and vals["--d"] is None and not vals["--d-inf"]:
         missing.append("--d or --d-inf")
     if missing:
-        raise _UsageError(f"missing {', '.join(missing)}")
+        raise ValueError(f"missing {', '.join(missing)}")
     if unknown:
-        raise _UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+        raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
     vars(args).update((flag[2:].replace("-", "_"), value)
                       for flag, value in vals.items())
     return None

@@ -399,7 +399,7 @@ def dispersion_functional(amp: AmplitudePair, cfg: QuadConfig = QuadConfig(),
             check(t_n, t_n1)
         else:
             (t_n1,) = sums(p, thetas, (n + 1,))
-        last = p, thetas, t_n1.copy()  # a caller may write to what it gets
+        last = p, thetas, t_n1  # integrate_exp_sinh only reads it
         return t_n1
 
     evals = 0

@@ -20,10 +20,11 @@ integral of sum |grad_p psi|^2), integrated by a trapezoid rule in
 p = sinh u.  specfun.bessel_sums(z) takes K_1, K_2 and Ki_1, each times
 e^z, which cancels in every ratio; err_est carries their step-halving gaps
 to first order through the dispersions and gamma, plus 4 eps gamma.
-gamma_h reports on 1.2368e-154 <= a <= 8.9863e307, gamma from sqrt(33)/2
-down to 3/2, and raises ValueError outside, where 11/(4a^2) or 2a
-overflows.  Inside, norm_sq reads inf below a = 3.27e-103, and it is
-subnormal from a = 351 and 0.0 from a = 369.34.
+gamma_h reports on 1.2369e-154 <= a <= 8.9863e307, gamma from sqrt(33)/2
+down to 3/2 (rounding reads 1.4999999999999998 at some a from about 7e14,
+which err_est >= 1.3e-15 covers), and raises ValueError outside, where
+11/(4a^2) or 2a overflows.  Inside, norm_sq reads inf below a = 3.27e-103,
+and it is subnormal from a = 351 and 0.0 from a = 369.34.
 
 An equivalent amplitude decomposition onto the positive-energy bispinor
 basis is exported through amplitude_pair() so the general dispersion

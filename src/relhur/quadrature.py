@@ -78,13 +78,7 @@ class QuadResult(NamedTuple):
 
 
 class QuadratureError(RuntimeError):
-    """Raised when a sum misses its tolerances.  best carries the last
-    QuadResult when the t budget ran out, else None (a non-finite sum, or
-    theta sums that disagree at 64 nodes)."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """Raised when a sum is not finite or misses its tolerances in budget."""
 
 
 def _checked(y, n_p: int, n_theta: int) -> np.ndarray:
@@ -142,7 +136,8 @@ def integrate_exp_sinh(f: Callable, cfg: QuadConfig = QuadConfig(),
     all) pick the t range, the theta rule and the t step; the other rows
     ride along on the same nodes, each with its own error estimate.  The
     first call is the whole first t level at 8 theta nodes, and the last
-    one the new nodes of the level on which the t step converged.
+    one the new nodes of the level on which the t step converged.  The rule
+    only reads what f returns, so f may keep it, or return it read-only.
     """
     control = slice(None) if control_rows is None else list(control_rows)
     evals = 0
@@ -189,13 +184,12 @@ def integrate_exp_sinh(f: Callable, cfg: QuadConfig = QuadConfig(),
         sums = _finite(in_t(ts, n_theta) @ np.full(ts.size, step), t_lo, t_hi)
         n_t += ts.size
         total, gap = 0.5 * total + sums, np.abs(0.5 * total - sums)
-        res = QuadResult(total, (gap + 4.0 * _EPS * np.abs(total)) + theta_gap
-                         + tails, evals)
         bound = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
         if np.all(gap[control] <= bound[control]):
-            return res
+            return QuadResult(total, (gap + 4.0 * _EPS * np.abs(total))
+                              + theta_gap + tails, evals)
         if _n_nodes(t_lo, t_hi, 0.5 * step) > _MAX_T_NODES:
             raise QuadratureError(
                 f"trapezoid sums unconverged at {n_t} nodes on "
-                f"[{t_lo:g}, {t_hi:g}]", best=res)
+                f"[{t_lo:g}, {t_hi:g}]")
         step *= 0.5

@@ -427,6 +427,57 @@ def test_packet_large_width_margins():
         assert abs(a * (pp - floor_pp) - 0.375) <= 0.1 / a, a
 
 
+def test_packet_above_the_curve_on_its_whole_range_to_30():
+    # a finite check that the packet clears the curve at every a <= 30,
+    # under both readings of _family_states.
+    #
+    # Below a = 0.64629 no solve is needed: gamma_H(0.64629) = 2.1180366 is
+    # 2.6e-6 above 1 + sqrt(5)/2, which gamma(d) stays below at every finite
+    # d, and gamma_H falls on a log grid down to the domain's end (to within
+    # err_est: below a ~ 4e-17 it sits at sqrt(33)/2 and its rounding
+    # wobbles by up to 3 ulp).  The <p^2> product is larger still.
+    #
+    # On [0.64629, 30], cells a_{i+1} = a_i (1 + 0.1/max(a_i, 1)).  dr^2
+    # rises and P (dp^2, or <p^2> = dp^2 + 1/(4a^2)) falls at the cell edges;
+    # taking them monotone inside each cell too (checked at the edges, not
+    # proved), the product is at least sqrt(dr^2(a_i) P(a_{i+1})) and d at
+    # most (P(a_i)/dr^2(a_i))^(1/4) on the cell, and gamma rises with d.  So
+    # the cell clears the curve if that product bound exceeds gamma + its
+    # est_error at that d, which stands in for an upper bound of gamma.
+    # Measured: 295 cells per reading; the smallest margins are 5.9e-3
+    # (dp^2) and 1.0e-2 (<p^2>), both in the last cell.  With 0.3 in place
+    # of 0.1 the cell [0.84, 1.09] fails by 0.13.  Beyond a = 30 the margins
+    # rest on test_packet_large_width_margins' measurement.
+    a_floor = 0.64629
+    low = [gamma_h(HopfionState(float(a)))
+           for a in np.geomspace(1.2369e-154, a_floor, 400)]
+    assert low[-1].gamma - low[-1].err_est > GAMMA_AT_INF
+    for left, right in zip(low, low[1:]):
+        assert right.gamma <= left.gamma + left.err_est + right.err_est
+
+    edges = [a_floor]
+    while edges[-1] < 30.0:
+        edges.append(edges[-1] * (1.0 + 0.1 / max(edges[-1], 1.0)))
+    reps = [gamma_h(HopfionState(a)) for a in edges]
+    a = np.array(edges)
+    r_sq = np.array([rep.delta_r_sq for rep in reps])
+    p_sq = np.array([rep.delta_p_sq for rep in reps])
+    # err_est / gamma bounds the relative error of dr^2 and of P
+    rel = max(rep.err_est / rep.gamma for rep in reps)
+    assert np.all(np.diff(r_sq) > 0.0)
+    cells = []
+    for name, p in (("dp^2", p_sq), ("<p^2>", p_sq + 0.25 / (a * a))):
+        assert np.all(np.diff(p) < 0.0), name
+        cells.append((name, np.sqrt(r_sq[:-1] * p[1:]),
+                      (p[:-1] / r_sq[:-1]) ** 0.25))
+    bound = iter(gamma_estimates([d for *_, ds in cells for d in ds],
+                                 tol=1e-8))
+    for name, products, ds in cells:
+        for lo, hi, product, (gamma, err) in zip(edges, edges[1:], products,
+                                                 bound):
+            assert product * (1.0 - 2.0 * rel) > gamma + err, (name, lo, hi)
+
+
 def _c1():
     # C1 = Gamma(s) / (2 Gamma(s + 3/2)), s = (sqrt(5) - 1) / 2
     s = 0.5 * (math.sqrt(5.0) - 1.0)

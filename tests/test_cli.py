@@ -829,7 +829,7 @@ def _outcome_table(argv):
     args = SimpleNamespace(subcommand=None)
     try:
         text = cli._parse(argv, args)
-    except cli._UsageError:
+    except ValueError:
         return "exit", 2
     if text is not None:
         word = text.split()[2]  # "usage: relhur bound [--d X] ..."
