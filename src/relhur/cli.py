@@ -57,24 +57,19 @@ def _fmt(x) -> str:
     return out
 
 
-def _json_value(x) -> str:
-    if isinstance(x, float) and math.isinf(x):
-        return '"inf"'
-    return _fmt(x)
-
-
 def _doc(records: Sequence[dict[str, object]], fmt: str | None,
          grid: bool) -> str:
     """The document of one record, or of a grid's records.
 
-    JSON writes every field, as one object or as an array for a grid.  CSV
-    writes the first field, gamma and err_est (rel_diff if there is no
-    err_est, 0.0 if neither).  Without --format a grid is CSV, a single
-    record JSON.
+    JSON writes every field, an infinite one as the string "inf", as one
+    object or as an array for a grid.  CSV writes the first field, gamma
+    and err_est (rel_diff if there is no err_est, 0.0 if neither).  Without
+    --format a grid is CSV, a single record JSON.
     """
     if fmt == "json" or (fmt is None and not grid):
-        objs = ["{" + ",".join(f'"{k}":{_json_value(v)}' for k, v in r.items())
-                + "}" for r in records]
+        objs = ["{" + ",".join(f'"{k}":' + ('"inf"' if math.isinf(v)
+                                             else _fmt(v))
+                               for k, v in r.items()) + "}" for r in records]
         return "[\n" + ",\n".join(objs) + "\n]\n" if grid else objs[0] + "\n"
     lines = [_CSV_HEADER] + [
         ",".join(_fmt(x) for x in (next(iter(r.values())), r["gamma"],

@@ -147,17 +147,17 @@ class AmplitudePair(NamedTuple):
 
 
 class DispersionReport(NamedTuple):
-    """Dispersions of a state; err_est is the quadrature's error estimate
-    carried into gamma (see from_integrals), evaluations its count of
-    integrand points: (p, theta) points for dispersion_functional,
+    """Dispersions of a state, all floats, the means as (x, y, z) tuples, so
+    reports compare and hash by value.  err_est is the quadrature's error
+    estimate carried into gamma (see from_integrals), evaluations its count
+    of integrand points: (p, theta) points for dispersion_functional,
     counting the re-check of the phi pair and the integrations that a
-    rejected pair ended (module docstring), t nodes for
-    hydrogen.oracle_gamma, and the nodes of the four rows of the
-    specfun.bessel_sums pass behind hopfion.gamma_h's closed form."""
+    rejected pair ended (module docstring), t nodes for hydrogen.oracle_gamma,
+    and the nodes of the four bessel_sums rows behind hopfion.gamma_h."""
 
     norm_sq: float
-    mean_r: np.ndarray
-    mean_p: np.ndarray
+    mean_r: tuple[float, float, float]
+    mean_p: tuple[float, float, float]
     delta_r_sq: float
     delta_p_sq: float
     gamma: float
@@ -198,7 +198,8 @@ class DispersionReport(NamedTuple):
         gamma = math.sqrt(delta_r_sq * delta_p_sq)
         rel_p = spread_err(second_p, mean_p, errs[1], errs[3:6]) / delta_p_sq
         rel_r = spread_err(second_r, mean_r, errs[2], errs[6:9]) / delta_r_sq
-        return cls(norm_sq=norm_sq, mean_r=mean_r, mean_p=mean_p,
+        return cls(norm_sq=norm_sq, mean_r=tuple(mean_r.tolist()),
+                   mean_p=tuple(mean_p.tolist()),
                    delta_r_sq=delta_r_sq, delta_p_sq=delta_p_sq, gamma=gamma,
                    err_est=0.5 * gamma * (rel_p + rel_r),
                    evaluations=res.evaluations)

@@ -114,7 +114,7 @@ def gamma_h(state: HopfionState) -> DispersionReport:
     rel_p = ratio * (g1 / k1 + g2 / k2) / delta_p_sq
     return DispersionReport(
         norm_sq=4.0 * math.pi * k2 * math.exp(-z) / a,
-        mean_r=np.zeros(3), mean_p=np.array([0.0, 0.0, -0.5 / a]),
+        mean_r=(0.0, 0.0, 0.0), mean_p=(0.0, 0.0, -0.5 / a),
         delta_r_sq=delta_r_sq, delta_p_sq=delta_p_sq, gamma=gamma,
         err_est=gamma * (0.5 * (rel_r + rel_p) + 4.0 * math.ulp(1.0)),
         evaluations=4 * nodes)

@@ -98,12 +98,6 @@ def _finite(sums, t_lo, t_hi):
     return sums
 
 
-def _n_nodes(t_lo, t_hi, step):
-    """How many multiples of step lie in [t_lo, t_hi], counted without
-    forming them."""
-    return math.floor(t_hi / step) - math.ceil(t_lo / step) + 1
-
-
 @functools.lru_cache(maxsize=None)  # called with _THETA_LEVELS only
 def _theta_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-node Gauss-Legendre on [0, pi], symmetrized and read-only, as the
@@ -175,8 +169,8 @@ def integrate_exp_sinh(f: Callable, cfg: QuadConfig = QuadConfig(),
         raise QuadratureError(
             f"theta sums unconverged at {n_theta} nodes on [{t_lo:g}, {t_hi:g}]")
 
-    # halve the t step from 0.25, adding the odd multiples of each step:
-    # the ends are multiples of 0.5, so no added node is an end
+    # halve the t step from 0.25, adding its odd multiples; the ends are
+    # multiples of 0.5, so no end is added, and n_t nodes become 2 n_t - 1
     step, n_t = 0.25, ts.size
     while True:
         ks = np.arange(math.ceil(t_lo / step), math.floor(t_hi / step) + 1)
@@ -188,7 +182,7 @@ def integrate_exp_sinh(f: Callable, cfg: QuadConfig = QuadConfig(),
         if np.all(gap[control] <= bound[control]):
             return QuadResult(total, (gap + 4.0 * _EPS * np.abs(total))
                               + theta_gap + tails, evals)
-        if _n_nodes(t_lo, t_hi, 0.5 * step) > _MAX_T_NODES:
+        if 2 * n_t - 1 > _MAX_T_NODES:
             raise QuadratureError(
                 f"trapezoid sums unconverged at {n_t} nodes on "
                 f"[{t_lo:g}, {t_hi:g}]")

@@ -49,19 +49,19 @@ import numpy as np
 
 from .radial_eigensolver import RadialPotential, SolverError, lowest_eigenvalues
 
-__all__ = ["INFINITY", "GAMMA_AT_0", "GAMMA_AT_INF", "ULTRA_EXPONENT",
-           "ULTRA_C1", "D_SWITCH", "SMALL_D_SERIES", "D_SMALL", "potential_v",
-           "make_potential", "gamma_estimates",
-           "gaussian_limit_residual", "ultrarelativistic_limit_residual"]
+__all__ = ["INFINITY", "GAMMA_AT_0", "GAMMA_AT_INF", "ULTRA_C1", "D_SWITCH",
+           "SMALL_D_SERIES", "D_SMALL", "potential_v", "make_potential",
+           "gamma_estimates", "gaussian_limit_residual",
+           "ultrarelativistic_limit_residual"]
 
 INFINITY = math.inf
 
 GAMMA_AT_0 = 1.5
 GAMMA_AT_INF = 1.0 + 0.5 * math.sqrt(5.0)
 
-ULTRA_EXPONENT = 0.5 * (math.sqrt(5.0) - 1.0)
+_ULTRA_EXPONENT = 0.5 * (math.sqrt(5.0) - 1.0)
 # first-order coefficient of gamma(d) = GAMMA_AT_INF - ULTRA_C1/d + O(1/d^2)
-ULTRA_C1 = math.gamma(ULTRA_EXPONENT) / (2.0 * math.gamma(ULTRA_EXPONENT + 1.5))
+ULTRA_C1 = math.gamma(_ULTRA_EXPONENT) / (2.0 * math.gamma(_ULTRA_EXPONENT + 1.5))
 # above D_SWITCH gamma(d) comes from that expansion, not from a solve
 D_SWITCH = 1e5
 
@@ -216,4 +216,4 @@ def ultrarelativistic_limit_residual(gamma_inf: float) -> float:
     Companion to gaussian_limit_residual for V = 1/q^2 + q^2; the exact
     eigenvalue is 1 + sqrt(5)/2.
     """
-    return _limit_residual(gamma_inf, ULTRA_EXPONENT, INFINITY)
+    return _limit_residual(gamma_inf, _ULTRA_EXPONENT, INFINITY)

@@ -52,7 +52,7 @@ def bessel_sums(x: float) -> tuple[list[float], list[float], int]:
     count (module docstring)."""
     x = float(x)
     if not 0.0 < x < math.inf:
-        raise ValueError(f"bessel_sums needs finite x > 0, got {x!r}")
+        raise ValueError(f"needs finite x > 0, got {x!r}")
     t_max = 2.0 * math.asinh(math.sqrt(372.5) / math.sqrt(x))
     step = 0.5 * _H * min(1.0, 1.0 / math.sqrt(x))
     k = np.arange(math.ceil(t_max / step) + 1.0)
@@ -78,8 +78,6 @@ def bessel_k(order: int, x: float) -> float:
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
     x = float(x)
-    if not 0.0 < x < math.inf:
-        raise ValueError(f"bessel_k needs finite x > 0, got {x!r}")
     k = bessel_sums(x)[0][order] * math.exp(-x)
     if not k < math.inf:
         raise ValueError(f"K_{order}({x!r}) overflows double precision")

@@ -6,6 +6,7 @@ installed console script end to end through a real subprocess.
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import math
@@ -752,7 +753,9 @@ def test_cli_property_no_traceback(capsys, case):
 #
 # _build_parser is the argparse parser the CLI used before its flag table,
 # kept here, unchanged, as an independent route to the same namespaces.
+# It is built once: parse_args leaves a parser as it found it.
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default=None,

@@ -302,7 +302,7 @@ def test_spin_connection_matches_four_component_oracle(mass, monkeypatch):
 
     monkeypatch.setattr(dirac_states, "integrate_exp_sinh", with_oracle_rows)
     oracle = dispersion_functional(amp, _COARSE, mass=mass)
-    assert np.max(np.abs(rep.mean_r - oracle.mean_r)) <= 1e-12
+    assert np.max(np.abs(np.subtract(rep.mean_r, oracle.mean_r))) <= 1e-12
     assert rep.delta_r_sq == pytest.approx(oracle.delta_r_sq, rel=1e-12)
     # the spin connection moves <z> away from the shift a_z = 0.5
     assert abs(rep.mean_r[2] - 0.5) > 0.05
@@ -866,7 +866,7 @@ def test_random_states_above_the_curve_with_p_sq(sigma):
     rng = np.random.default_rng([16, int(10 * sigma)])
     reports = [dispersion_functional(_random_two_spin_state(rng, sigma),
                                      _COARSE) for _ in range(30)]
-    readings = [(rep, rep.delta_p_sq + float(rep.mean_p @ rep.mean_p))
+    readings = [(rep, rep.delta_p_sq + float(np.dot(rep.mean_p, rep.mean_p)))
                 for rep in reports]
     readings += [(rep, rep.delta_p_sq) for rep in reports]
     curve = gamma_estimates([(p_sq / rep.delta_r_sq) ** 0.25

@@ -361,7 +361,7 @@ def test_amplitude_route_matches_direct():
     assert amp_rep.mean_p[2] == pytest.approx(direct.mean_p[2], abs=1e-9)
     # gamma_h takes <r> = 0 in closed form; the amplitude route still
     # integrates it
-    assert np.all(direct.mean_r == 0.0)
+    assert direct.mean_r == (0.0, 0.0, 0.0)
     assert np.max(np.abs(amp_rep.mean_r)) < 1e-10
 
 

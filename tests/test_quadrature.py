@@ -112,11 +112,28 @@ def test_integrable_endpoint_singularity():
     assert abs(res.value - math.sqrt(math.pi)) <= res.est_abs_error
 
 
-def test_nonconvergence_raises_at_the_t_budget(monkeypatch):
-    monkeypatch.setattr(quadrature, "_MAX_T_NODES", 15)
+# the t range is [-4, 2]: 13, 25, 49 and 97 nodes at steps 0.5 to 0.0625.
+# The rule gives up at n nodes when the next step's 2 n - 1 pass the budget,
+# and p^{-1/2} e^{-p} converges at 97 nodes
+_T_BUDGETS = pytest.mark.parametrize(
+    "budget, nodes", [(15, 25), (48, 25), (49, 49), (96, 49), (97, None)],
+    ids=["15", "48", "49", "96", "97"])
+
+
+def _at_t_budget(monkeypatch, budget, nodes, f):
+    monkeypatch.setattr(quadrature, "_MAX_T_NODES", budget)
+    if nodes is None:
+        assert integrate_exp_sinh(f, CFG).evaluations == 1300
+        return
     with pytest.raises(QuadratureError,
-                       match=r"unconverged at 25 nodes on \[-4, 2\]"):
-        integrate_exp_sinh(_radial(lambda q: np.exp(-q) / np.sqrt(q)), CFG)
+                       match=rf"unconverged at {nodes} nodes on \[-4, 2\]"):
+        integrate_exp_sinh(f, CFG)
+
+
+@_T_BUDGETS
+def test_nonconvergence_raises_at_the_t_budget(monkeypatch, budget, nodes):
+    _at_t_budget(monkeypatch, budget, nodes,
+                 _radial(lambda q: np.exp(-q) / np.sqrt(q)))
 
 
 def test_config_validation():
@@ -296,12 +313,10 @@ def test_2d_row_error_holds_only_its_own_theta_error():
     assert led.est_abs_error[1] > 1e3 * led.est_abs_error[0]
 
 
-def test_2d_outer_budget_raises_at_the_t_budget(monkeypatch):
-    monkeypatch.setattr(quadrature, "_MAX_T_NODES", 15)
-    with pytest.raises(QuadratureError,
-                       match=r"unconverged at 25 nodes on \[-4, 2\]"):
-        integrate_exp_sinh(
-            lambda p, th: np.exp(-p) / np.sqrt(p) * np.sin(th), CFG)
+@_T_BUDGETS
+def test_2d_outer_budget_raises_at_the_t_budget(monkeypatch, budget, nodes):
+    _at_t_budget(monkeypatch, budget, nodes,
+                 lambda p, th: np.exp(-p) / np.sqrt(p) * np.sin(th))
 
 
 def test_2d_inner_budget_raises():

@@ -15,10 +15,12 @@ from relhur import (
     AmplitudePair,
     CoulombState,
     QuadConfig,
+    dispersion_functional,
     integrate_exp_sinh,
     make_potential,
+    oracle_gamma,
 )
-from relhur.hopfion import HopfionState, gamma_h
+from relhur.hopfion import HopfionState, amplitude_pair, gamma_h
 
 # name: (record factory, None or (valid fields, bad fields)) for every
 # public record; the second entry is set for the records that check fields
@@ -73,3 +75,21 @@ def test_record_immutable_and_validated(name):
     for path, build in _paths(rec, bad).items():
         with pytest.raises(ValueError):
             build()
+
+
+@pytest.mark.parametrize("report", [
+    lambda: gamma_h(HopfionState(1.0)),
+    lambda: oracle_gamma(0.9),
+    lambda: dispersion_functional(amplitude_pair(HopfionState(1.0))),
+], ids=["gamma_h", "oracle_gamma", "dispersion_functional"])
+def test_dispersion_report_is_a_value(report):
+    # every field is a float, an int or a tuple of floats, so two reports
+    # of one state compare equal and hash alike, and neither a field nor a
+    # mean's component can be rewritten
+    first, second = report(), report()
+    assert first == second and hash(first) == hash(second)
+    assert all(type(x) is float for x in first.mean_r + first.mean_p)
+    with pytest.raises(TypeError):
+        first.mean_p[2] = 5.0
+    with pytest.raises(TypeError):
+        first[0] = 1.0
