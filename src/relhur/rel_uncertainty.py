@@ -24,13 +24,13 @@ capped at the largest float: no intermediate overflows, the first two terms
 underflow to exactly 0 at d = 0, and e = 0 at d = INFINITY leaves
 1/q^2 + q^2, the one d that keeps a genuine 1/q^2 core.
 
-gamma(d) is solved, from eigenvalues alone, only on [D_SMALL, D_SWITCH] =
-[0.02, 1e5].  Below D_SMALL it is the exact series SMALL_D_SERIES in d^2
-through d^8, above D_SWITCH the expansion GAMMA_AT_INF - ULTRA_C1/d.  Each
-expansion's error is its remainder against the solve at its switch, scaled
-to d by (d/D_SMALL)^10 or (D_SWITCH/d)^2 and floored at the rounding of
-gamma, so the two limits d = 0 and d = INFINITY, where the scale is 0, are
-exact and take no solve.
+gamma(d) is solved, from eigenvalues alone, on (0, D_SWITCH] = (0, 1e5].
+At d = 0 it is the exact limit GAMMA_AT_0 = 3/2, and above D_SWITCH the
+expansion GAMMA_AT_INF - ULTRA_C1/d.  The expansion's error is its
+remainder against the solve at D_SWITCH, scaled to d by (D_SWITCH/d)^2
+and floored at the rounding of gamma; the two limits d = 0 and
+d = INFINITY, where the scale is 0, are exact, carry that floor as their
+error and take no solve.
 
 The limiting eigenfunctions are exp(-q^2/2) (d = 0) and
 q^s exp(-q^2/2) with s = (sqrt(5)-1)/2 (d = INFINITY); the residual
@@ -50,9 +50,8 @@ import numpy as np
 from .radial_eigensolver import RadialPotential, SolverError, lowest_eigenvalues
 
 __all__ = ["INFINITY", "GAMMA_AT_0", "GAMMA_AT_INF", "ULTRA_C1", "D_SWITCH",
-           "SMALL_D_SERIES", "D_SMALL", "potential_v", "make_potential",
-           "gamma_estimates", "gaussian_limit_residual",
-           "ultrarelativistic_limit_residual"]
+           "potential_v", "make_potential", "gamma_estimates",
+           "gaussian_limit_residual", "ultrarelativistic_limit_residual"]
 
 INFINITY = math.inf
 
@@ -64,22 +63,6 @@ _ULTRA_EXPONENT = 0.5 * (math.sqrt(5.0) - 1.0)
 ULTRA_C1 = math.gamma(_ULTRA_EXPONENT) / (2.0 * math.gamma(_ULTRA_EXPONENT + 1.5))
 # above D_SWITCH gamma(d) comes from that expansion, not from a solve
 D_SWITCH = 1e5
-
-# gamma(d) = 3/2 + (3/8)d^2 - (21/32)d^4 + (255/128)d^6 - (17409/2048)d^8
-# + O(d^10), the coefficients of d^0, d^2, ..., d^8.  For small d, V(q; d)
-# = q^2 + (3/4)d^2 - (7/8)d^4 q^2 + (17/16)d^6 q^4 - (163/128)d^8 q^6
-# + O(d^10) (sympy series of the closed form), and the operator is half of
-# -Laplacian + V.  First-order perturbation of the 3D oscillator ground
-# state, with <q^(2k)> = Gamma(k + 3/2)/Gamma(3/2) = 3/2, 15/4, 105/8,
-# gives 3/8, -21/32, 255/128 and -(163/256)(105/8) = -17115/2048.  The
-# d^4 q^2 term only rescales the frequency, so (3/2) sqrt(1 - (7/8)d^4)
-# gives its second-order part, -147/1024 d^8, exactly; the constant
-# (3/4)d^2 has no off-diagonal part.  The coefficients are dyadic, so the
-# floats are exact.
-SMALL_D_SERIES = (1.5, 3.0 / 8.0, -21.0 / 32.0, 255.0 / 128.0,
-                  -17409.0 / 2048.0)
-# below D_SMALL gamma(d) comes from that series, not from a solve
-D_SMALL = 0.02
 
 
 def _check_d(d: float) -> float:
@@ -119,67 +102,55 @@ def make_potential(d: float) -> RadialPotential:
                            origin_scale=d if finite else 0.0)
 
 
-def _small_d_series(d: float) -> float:
-    """SMALL_D_SERIES at d, by Horner's rule in d^2; exactly 3/2 at d = 0."""
-    x = d * d
-    gamma = 0.0
-    for c in reversed(SMALL_D_SERIES):
-        gamma = gamma * x + c
-    return gamma
-
-
-def _expansion(d: float) -> tuple[float, float, float] | None:
-    """(gamma, switch, scale) where an expansion gives gamma(d), None on
-    [D_SMALL, D_SWITCH], where gamma(d) is solved.  The expansion's
-    remainder is measured at switch and carried to d by scale, which is
-    exactly 0 at d = 0 and d = INFINITY, the ends of the two branches."""
-    if d < D_SMALL:
-        return _small_d_series(d), D_SMALL, (d / D_SMALL) ** 10
+def _expansion(d: float) -> tuple[float, float] | None:
+    """(gamma, scale) where gamma(d) is not solved, None on (0, D_SWITCH].
+    At d = 0 gamma is the exact limit, and above D_SWITCH the expansion,
+    whose remainder is measured at D_SWITCH and carried to d by scale;
+    scale is exactly 0 at d = 0 and d = INFINITY."""
+    if d == 0.0:
+        return GAMMA_AT_0, 0.0
     if d > D_SWITCH:
-        return GAMMA_AT_INF - ULTRA_C1 / d, D_SWITCH, (D_SWITCH / d) ** 2
+        return GAMMA_AT_INF - ULTRA_C1 / d, (D_SWITCH / d) ** 2
     return None
 
 
 def gamma_estimates(ds: Sequence[float],
                     tol: float = 1e-7) -> list[tuple[float, float]]:
     """(gamma(d), est_error) for each d in ds, with est_error <= tol
-    (tol >= 1e-8), in one batched solve.  Below D_SMALL and above D_SWITCH
-    gamma is the expansion of its branch, and every d of a branch shares
-    the one solve at its switch that measures the remainder; a d whose
-    scaled remainder is exactly 0, such as d = 0 and d = INFINITY, needs no
-    solve.  A SolverError names the d that failed."""
+    (tol >= 1e-8), in one batched solve.  Each d in (0, D_SWITCH] is a row
+    of that solve.  Above D_SWITCH gamma is the expansion, and every such d
+    shares the one solve at D_SWITCH that measures its remainder; d = 0
+    and d = INFINITY are exact limits and need no solve.  A SolverError
+    names the d that failed."""
     if tol < 1e-8:
         raise ValueError("tol below 1e-8 is not supported")
     ds = [_check_d(d) for d in ds]
     branches = [_expansion(d) for d in ds]
-    at = list(dict.fromkeys(d if b is None else b[1]
+    at = list(dict.fromkeys(d if b is None else D_SWITCH
                             for d, b in zip(ds, branches)
-                            if b is None or b[2] > 0.0))
+                            if b is None or b[1] > 0.0))
     try:
         solved = dict(zip(at, lowest_eigenvalues(
             [make_potential(d) for d in at], tol=tol)))
     except SolverError as exc:
         raise SolverError(f"d = {at[exc.index]}: {exc}") from exc
 
-    def remainder(switch):
-        # the expansion against the collocation at its switch, plus the
-        # collocation's own error
-        gamma, err = solved[switch]
-        if switch == D_SMALL:
-            return abs(gamma - _small_d_series(D_SMALL)) + err
-        # both steps are exact (Sterbenz); gamma - _expansion(D_SWITCH)[0]
-        # would round the expansion first and move err_est's low bits
-        return abs(gamma - GAMMA_AT_INF + ULTRA_C1 / D_SWITCH) + err
-
     out = []
     for d, branch in zip(ds, branches):
         if branch is None:
             out.append(solved[d])
             continue
-        # the remainder scaled to d, but not below the rounding of gamma,
-        # 4 eps
-        gamma, switch, scale = branch
-        err = remainder(switch) * scale if scale > 0.0 else 0.0
+        gamma, scale = branch
+        err = 0.0
+        if scale > 0.0:
+            # the expansion against the collocation at D_SWITCH, plus the
+            # collocation's own error, scaled to d.  Both steps are exact
+            # (Sterbenz); ref - (GAMMA_AT_INF - ULTRA_C1 / D_SWITCH) would
+            # round the expansion first and move err_est's low bits
+            ref, ref_err = solved[D_SWITCH]
+            err = (abs(ref - GAMMA_AT_INF + ULTRA_C1 / D_SWITCH)
+                   + ref_err) * scale
+        # not below the rounding of gamma, 4 eps
         out.append((gamma, max(err, 4.0 * sys.float_info.epsilon * gamma)))
     return out
 

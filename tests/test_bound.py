@@ -15,7 +15,6 @@ import pytest
 
 from relhur import radial_eigensolver, rel_uncertainty
 from relhur import (
-    D_SMALL,
     D_SWITCH,
     GAMMA_AT_0,
     GAMMA_AT_INF,
@@ -224,14 +223,22 @@ def test_potential_scaling_law(mu):
 @pytest.mark.parametrize("d", [0.01, 0.025, 0.05])
 def test_small_d_expansion(d):
     # first-order perturbation of the Gaussian ground state:
-    # gamma(d) = 3/2 + 3 d^2 / 8 + O(d^4), against the solver, as
-    # gamma_estimates takes d < D_SMALL from the series itself
+    # gamma(d) = 3/2 + 3 d^2 / 8 + O(d^4), against the solver
     [(g, _)] = lowest_eigenvalues([make_potential(d)], tol=1e-8)
     assert abs((g - 1.5) / d ** 2 - 3.0 / 8.0) <= d * d
 
 
 # gamma(d) = 3/2 + (3/8)d^2 - (21/32)d^4 + (255/128)d^6 - (17409/2048)d^8
-# + O(d^10), derived beside rel_uncertainty.SMALL_D_SERIES and pinned here
+# + O(d^10), the coefficients of d^0, d^2, ..., d^8.  For small d, V(q; d)
+# = q^2 + (3/4)d^2 - (7/8)d^4 q^2 + (17/16)d^6 q^4 - (163/128)d^8 q^6
+# + O(d^10) (sympy series of the closed form), and the operator is half of
+# -Laplacian + V.  First-order perturbation of the 3D oscillator ground
+# state, with <q^(2k)> = Gamma(k + 3/2)/Gamma(3/2) = 3/2, 15/4, 105/8,
+# gives 3/8, -21/32, 255/128 and -(163/256)(105/8) = -17115/2048.  The
+# d^4 q^2 term only rescales the frequency, so (3/2) sqrt(1 - (7/8)d^4)
+# gives its second-order part, -147/1024 d^8, exactly; the constant
+# (3/4)d^2 has no off-diagonal part.  The coefficients are dyadic, so the
+# floats are exact.
 SMALL_D_SERIES = (1.5, 3.0 / 8.0, -21.0 / 32.0, 255.0 / 128.0,
                   -17409.0 / 2048.0)
 
@@ -241,9 +248,7 @@ def _through_d6(d):
 
 
 def test_small_d_series_through_d8():
-    # the library's coefficients against the solver, not against the
-    # branch of gamma_estimates that sums them
-    assert rel_uncertainty.SMALL_D_SERIES == SMALL_D_SERIES
+    # the coefficients against the solver
     ds = (0.01, 0.02, 0.05, 0.1)
     (g1, e1), *rest = lowest_eigenvalues([make_potential(d) for d in ds],
                                          tol=1e-8)
@@ -304,8 +309,8 @@ _SMALL_GRID = [float(d) for d in np.geomspace(1e-4, 0.019, 12)]
 
 
 def test_small_d_points_share_one_solve(monkeypatch):
-    # below D_SMALL gamma is the series, with its remainder measured at
-    # D_SMALL: the points share one coarse and one fine collocation there
+    # below 0.02 each d is a row of the one batched solve: every point is
+    # collocated once coarse and once fine, each degree in one call
     calls = []
     collocate = radial_eigensolver._collocate
 
@@ -315,17 +320,18 @@ def test_small_d_points_share_one_solve(monkeypatch):
 
     monkeypatch.setattr(radial_eigensolver, "_collocate", counted)
     gamma_estimates(_SMALL_GRID)
-    assert calls == [D_SMALL] * 2
+    assert calls == _SMALL_GRID * 2
 
 
 def test_small_d_series_against_the_solver():
-    # the series covers the solver at each d within its err_est plus the
-    # solver's own est_error, and both print the same 12 digits
+    # the series through d^8 lies within each solved row's est_error, and
+    # both print the same 12 digits; the d^10 term, 46 d^10, is at most
+    # 2.9e-16 on this grid
     rows = gamma_estimates(_SMALL_GRID)
-    solved = lowest_eigenvalues([make_potential(d) for d in _SMALL_GRID])
-    for d, (gamma, err), (ref, ref_err) in zip(_SMALL_GRID, rows, solved):
-        assert abs(gamma - ref) <= err + ref_err, f"d={d}"
-        assert f"{gamma:.12g}" == f"{ref:.12g}", f"d={d}"
+    for d, (gamma, err) in zip(_SMALL_GRID, rows):
+        series = _through_d6(d) + SMALL_D_SERIES[4] * d ** 8
+        assert abs(gamma - series) <= err, f"d={d}"
+        assert f"{gamma:.12g}" == f"{series:.12g}", f"d={d}"
 
 
 def _reading(name, rep, p_sq, scale=1.0):
@@ -793,7 +799,7 @@ def test_estimate_matches_report_bitwise(d):
     # where gamma(d) is solved, gamma_estimates' row is the solver's own
     # report, lowest_eigenvalues' gamma and est_error, to the last bit
     [(gamma, est_error)] = gamma_estimates([d])
-    if not D_SMALL <= d <= D_SWITCH:
+    if not 0.0 < d <= D_SWITCH:
         return
     [(eig_gamma, eig_error)] = lowest_eigenvalues([make_potential(d)])
     assert eig_gamma.hex() == gamma.hex()
@@ -805,8 +811,8 @@ def test_no_eig_or_eigvals_and_potentials_collocated(monkeypatch):
     # iteration and its refinement, so np.linalg.eig and eigvals are never
     # called.  Each solve collocates its potential twice (coarse and fine),
     # and a call collocates each batch once per degree: a batch solves once
-    # per point on [D_SMALL, D_SWITCH], once at each switch for all the
-    # points beyond it, and not at all at d = 0 and d = INFINITY
+    # per point on (0, D_SWITCH], once at D_SWITCH for all the points
+    # beyond it, and not at all at d = 0 and d = INFINITY
     def no_qr(*_args, **_kwargs):
         raise AssertionError("np.linalg.eig or eigvals called")
 
@@ -826,7 +832,7 @@ def test_no_eig_or_eigvals_and_potentials_collocated(monkeypatch):
             (lambda: gamma_estimates(
                 [0.0, 1.0, D_SWITCH, 2.0 * D_SWITCH, INFINITY]), 2, 2),
             (lambda: gamma_estimates([2.0 * D_SWITCH, 3.0 * D_SWITCH]), 1, 2),
-            (lambda: gamma_estimates([1e-3, 0.01, 1.0]), 2, 2),
+            (lambda: gamma_estimates([1e-3, 0.01, 1.0]), 3, 2),
             # the solver itself, also at both limits
             (lambda: lowest_eigenvalues([make_potential(1.0)]), 1, 2),
             (lambda: lowest_eigenvalues([make_potential(0.0)]), 1, 2),
@@ -888,12 +894,56 @@ def test_batch_failure_names_its_d(monkeypatch):
         gamma_estimates([0.5, 1.0, 2.0])
 
 
-def test_monotone_log_grid():
+_LOG_GRID = [1e-2, *(float(d) for d in np.geomspace(0.02, D_SWITCH, 513))]
+
+
+@pytest.fixture(scope="module")
+def log_grid_rows():
+    return gamma_estimates(_LOG_GRID)
+
+
+def test_monotone_log_grid(log_grid_rows):
     # the monotonicity that test_hydrogen_above_the_curve_with_one_solve
-    # relies on: one expanded point, then 513 where gamma is solved
-    ds = [1e-2, *np.geomspace(D_SMALL, D_SWITCH, 513)]
-    gs = [g for g, _ in gamma_estimates(ds)]
+    # relies on, at 514 solved points
+    gs = [g for g, _ in log_grid_rows]
     assert all(a < b for a, b in zip(gs, gs[1:]))
+
+
+def _upper(d):
+    # U(d) = min(3/2 + 3d^2/8, 1 + sqrt(5)/2) >= gamma(d) at every d: with
+    # w = sqrt(1 + d^2 q^2) >= 1, V(q; d) - q^2 = d^2/(w (1 + w))
+    # + d^2/(4 w^4) <= 3d^2/4, and the min-max principle carries the
+    # operator inequality to the ground state
+    return min(GAMMA_AT_0 + 0.375 * d * d, GAMMA_AT_INF)
+
+
+def test_upper_bound_on_log_grid(log_grid_rows):
+    for d, (gamma, err) in zip(_LOG_GRID, log_grid_rows):
+        assert _upper(d) >= gamma - err, f"d={d}"
+
+
+def test_upper_bound_sharp_to_d4():
+    # U - gamma = (21/32)d^4 - (255/128)d^6 + ... below the cap, so the
+    # bound is sharp to first order.  Over d^4, the terms after d^4 are at
+    # most 2 d^2 for d <= 0.01, and gamma's error and U's rounding (below
+    # one ulp of 3/2, eps) enter divided by d^4
+    ds = [float(d) for d in np.geomspace(1e-3, 1e-2, 5)]
+    rows = lowest_eigenvalues([make_potential(d) for d in ds], tol=1e-8)
+    for d, (gamma, err) in zip(ds, rows):
+        ratio = (_upper(d) - gamma) / d ** 4
+        slack = 2.0 * d * d + (err + sys.float_info.epsilon) / d ** 4
+        assert abs(ratio - 21.0 / 32.0) <= slack, f"d={d}"
+
+
+def test_hydrogen_above_the_upper_bound_without_solve():
+    # the closed product against 3/2 + 3d^2/8, which U never exceeds: no
+    # eigenvalue is needed.  The smallest margin is sqrt(3) - 3/2 at
+    # gamma_c = 1, where d = 0
+    gamma_cs = [math.nextafter(0.5, 1.0),
+                *(float(g) for g in np.linspace(0.5, 1.0, 100_001)[1:])]
+    margin = min(product_closed_gamma(g) - (1.5 + 0.375 * d_parameter(g) ** 2)
+                 for g in gamma_cs)
+    assert margin >= math.sqrt(3.0) - 1.5 - 1e-12
 
 
 def test_sandwich():
