@@ -11,7 +11,8 @@ Subcommands map one-to-one onto the library's main results:
 Documents go to stdout (or --output PATH) as CSV (LF line endings, header
 exactly `param,gamma,err_est`) or JSON with 12 significant digits, both
 serialized manually so identical invocations are byte-identical.  Exit
-codes: 0 success, 1 numerical failure or failed verify anchor, 2 usage
+codes: 0 success, 1 numerical failure (any ArithmeticError, which
+includes SolverError and QuadratureError) or failed verify anchor, 2 usage
 error (bad flags, out-of-domain parameters, unwritable output).
 
 Flags take `--flag value` or `--flag=value` and any unambiguous prefix;
@@ -34,8 +35,6 @@ from . import hopfion as _hopfion
 from . import hydrogen as _hydrogen
 from . import radial_eigensolver as _solver
 from . import rel_uncertainty as _bound
-from .quadrature import QuadratureError
-from .radial_eigensolver import SolverError
 from .specfun import bessel_sums
 
 BOUND_TOL = 1e-7
@@ -347,7 +346,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         msg, code = str(exc), 2
     except OSError as exc:
         msg, code = f"cannot write output: {exc}", 2
-    except (SolverError, QuadratureError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         msg, code = f"numerical failure: {exc}", 1
     prog = "relhur" if args.subcommand is None else f"relhur {args.subcommand}"
     print(f"{prog}: {msg}", file=sys.stderr)

@@ -79,7 +79,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .quadrature import QuadConfig, QuadratureError, QuadResult, integrate_exp_sinh
+from .quadrature import QuadConfig, QuadratureError, integrate_exp_sinh
 
 __all__ = ["AmplitudePair", "DispersionReport", "bispinor_u",
            "dispersion_functional"]
@@ -165,9 +165,10 @@ class DispersionReport(NamedTuple):
     evaluations: int
 
     @classmethod
-    def from_integrals(cls, res: QuadResult) -> "DispersionReport":
-        """Report from the QuadResult of nine integrals over the
-        unnormalized state.
+    def from_integrals(cls, values, est_abs_error,
+                       evaluations: int) -> "DispersionReport":
+        """Report from nine integrals over the unnormalized state, their
+        estimated absolute errors and the count of integrand points.
 
         Rows: 0 norm, 1 p-second-moment, 2 r-second-moment, 3..5 <p> and
         6..8 <r> components.  err_est propagates the estimated absolute
@@ -175,20 +176,19 @@ class DispersionReport(NamedTuple):
         normalization, the mean subtraction and
         gamma = sqrt(delta_r_sq delta_p_sq).
         """
-        vals = res.value
-        norm_sq = float(vals[0])
+        norm_sq = float(values[0])
         if not (norm_sq > 0.0) or not math.isfinite(norm_sq):
             raise ValueError("state is not normalizable (norm integral invalid)")
-        mean_p = np.array(vals[3:6]) / norm_sq
-        mean_r = np.array(vals[6:9]) / norm_sq
-        second_p = float(vals[1]) / norm_sq
-        second_r = float(vals[2]) / norm_sq
+        mean_p = np.array(values[3:6]) / norm_sq
+        mean_r = np.array(values[6:9]) / norm_sq
+        second_p = float(values[1]) / norm_sq
+        second_r = float(values[2]) / norm_sq
         delta_p_sq = second_p - float(mean_p @ mean_p)
         delta_r_sq = second_r - float(mean_r @ mean_r)
         if delta_p_sq <= 0.0 or delta_r_sq <= 0.0:
             raise ValueError("dispersions came out non-positive; state invalid "
                              "or quadrature tolerance too loose")
-        errs = np.abs(np.asarray(res.est_abs_error, dtype=float))
+        errs = np.abs(np.asarray(est_abs_error, dtype=float))
 
         def spread_err(second, mean, e_second, e_mean):
             # d(S/N - |M|^2/N^2) = (dS - (S/N - 2|m|^2) dN - 2 m.dM) / N
@@ -201,8 +201,8 @@ class DispersionReport(NamedTuple):
         return cls(norm_sq=norm_sq, mean_r=tuple(mean_r.tolist()),
                    mean_p=tuple(mean_p.tolist()),
                    delta_r_sq=delta_r_sq, delta_p_sq=delta_p_sq, gamma=gamma,
-                   err_est=0.5 * gamma * (rel_p + rel_r),
-                   evaluations=res.evaluations)
+                   err_est=float(0.5 * gamma * (rel_p + rel_r)),
+                   evaluations=evaluations)
 
 
 def _on_grid(out, shape: tuple[int, int, int]) -> np.ndarray:
@@ -413,5 +413,6 @@ def dispersion_functional(amp: AmplitudePair, cfg: QuadConfig = QuadConfig(),
             check(*sums(p, thetas, (n,)), t_n1)
         except _PairRejected:
             continue
-        return DispersionReport.from_integrals(res._replace(evaluations=evals))
+        return DispersionReport.from_integrals(res.value, res.est_abs_error,
+                                               evals)
     raise QuadratureError(f"phi sums unconverged at {n + 1} nodes")

@@ -35,7 +35,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .dirac_states import DispersionReport
-from .quadrature import QuadResult, QuadratureError
 
 ALPHA_FS = 7.2973525693e-3  # CODATA 2018 fine-structure constant
 
@@ -135,7 +134,10 @@ def oracle_gamma(gamma_c: float) -> DispersionReport:
 
     <r> = 0 by spherical symmetry of the density and <p> = 0 by reality
     of the radial profile: both vanish identically and are not integrated.
-    A norm that misses 1 by more than 1e-8 raises ArithmeticError.
+    Every sum is finite: a node's value is at most pi^2 N^2 cosh(t) < 4e17,
+    times r^k e^(-2r) <= 0.66 (0 < k <= 5), times an angular factor below
+    1e6, over at most 841 nodes.  A norm that misses 1 by more than 1e-8
+    raises ArithmeticError.
     """
     g = _finite_exponent(gamma_c)
     k = math.sqrt((1.0 - g) / (1.0 + g))
@@ -181,15 +183,12 @@ def oracle_gamma(gamma_c: float) -> DispersionReport:
     coarse = rows(0.1 * even) @ np.full(even.size, 0.1)
     added = rows(0.05 * odd) @ np.full(odd.size, 0.05)
     value = 0.5 * coarse + added
-    if not np.all(np.isfinite(value)):
-        raise QuadratureError(
-            f"integrand sum is not finite on [{t_min:g}, {t_max:g}]")
     norm = float(value[0])
     if not abs(norm - 1.0) <= 1e-8:
         raise ArithmeticError(f"normalization integral {norm!r} is not 1")
-    return DispersionReport.from_integrals(QuadResult(
+    return DispersionReport.from_integrals(
         value, np.abs(0.5 * coarse - added)
-        + 4.0 * sys.float_info.epsilon * np.abs(value), ks.size))
+        + 4.0 * sys.float_info.epsilon * np.abs(value), ks.size)
 
 
 def max_z_finite(alpha: float = ALPHA_FS) -> int:

@@ -77,7 +77,7 @@ class QuadResult(NamedTuple):
     evaluations: int
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(ArithmeticError):
     """Raised when a sum is not finite or misses its tolerances in budget."""
 
 

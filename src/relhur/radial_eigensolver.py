@@ -52,7 +52,7 @@ _NODE_NOISE = 1e-3  # sign changes below this share of the peak are rounding
 _Q_MAX = 10.0       # the Dirichlet end of the grid
 
 
-class SolverError(RuntimeError):
+class SolverError(ArithmeticError):
     """Eigenvalue iteration failed to meet its tolerance contract; index is
     the failing potential's position in the call, which lowest_eigenvalues
     always sets."""

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from relhur import cli
+from relhur import QuadratureError, SolverError, cli
 from relhur import hydrogen as _hydrogen
 from relhur.cli import run
 
@@ -470,11 +470,15 @@ def test_oracle_arithmetic_error_exits_1(capsys, monkeypatch, argv):
     assert "Traceback" not in captured.err + captured.out
 
 
-def test_quadrature_error_exits_1(capsys, monkeypatch):
-    from relhur import QuadratureError, hopfion
+@pytest.mark.parametrize("error", [QuadratureError, SolverError,
+                                   OverflowError],
+                         ids=lambda error: error.__name__)
+def test_quadrature_error_exits_1(capsys, monkeypatch, error):
+    # every ArithmeticError is a numerical failure, the library's own too
+    from relhur import hopfion
 
     def broken(*args, **kwargs):
-        raise QuadratureError("trapezoid sums unconverged")
+        raise error("trapezoid sums unconverged")
 
     monkeypatch.setattr(hopfion, "gamma_h", broken)
     code = run(["hopfion", "--a", "1"])
@@ -630,6 +634,29 @@ def test_library_imports_no_private_names_from_siblings():
             and (node.level > 0 or (node.module or "").startswith("relhur"))
             for alias in node.names if alias.name.startswith("_")]
     assert hits == []
+
+
+def test_only_the_dispersion_engine_imports_quadrature():
+    # hydrogen and hopfion build their reports from their own sums, and the
+    # CLI sorts failures by builtin bases: neither needs the error classes
+    import ast
+
+    import relhur
+
+    src = pathlib.Path(relhur.__file__).parent
+    users, cli_names = [], set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            names = {alias.name for alias in node.names}
+            if node.module in ("quadrature", "relhur.quadrature") or (
+                    node.module in (None, "relhur") and "quadrature" in names):
+                users.append(path.name)
+            if path.name == "cli.py":
+                cli_names |= names
+    assert users == ["__init__.py", "dirac_states.py"]
+    assert not cli_names & {"QuadratureError", "SolverError"}
 
 
 def test_each_public_name_recorded_once():

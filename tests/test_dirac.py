@@ -18,7 +18,6 @@ from relhur import (
     DispersionReport,
     HopfionState,
     QuadConfig,
-    QuadResult,
     QuadratureError,
     bispinor_u,
     dispersion_functional,
@@ -1011,7 +1010,7 @@ def test_report_rejects_invalid_integrals():
     # rows: norm, p and r second moments, <p>, <r>
     def report(values):
         return DispersionReport.from_integrals(
-            QuadResult(np.array(values, dtype=float), np.zeros(9), 0))
+            np.array(values, dtype=float), np.zeros(9), 0)
 
     with pytest.raises(ValueError, match="normalizable"):
         report([0.0, 1.0, 1.0] + [0.0] * 6)

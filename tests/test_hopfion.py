@@ -111,7 +111,7 @@ def _gradient_oracle(a, cfg=QuadConfig()):
     integrated over theta (each odd-in-u term carries an odd power of c),
     so the rule converges geometrically.  Only norm_sq takes e^{-2a} back:
     the rest of the report is made of ratios."""
-    rep = DispersionReport.from_integrals(_trapezoid(
+    rep = DispersionReport.from_integrals(*_trapezoid(
         lambda u: _rows(a, u), math.acosh(1.0 + 40.0 / a),
         0.2 * min(1.0, a ** -0.5), cfg))
     return rep._replace(norm_sq=rep.norm_sq * math.exp(-2.0 * a))
@@ -149,7 +149,7 @@ def _adaptive_reference(a):
     values, _ = quad_vec(
         lambda p: fixed_quad(lambda th: rows(p, th), 0.0, math.pi, n=24)[0],
         0.0, math.inf, epsabs=0.0, epsrel=1e-13)
-    return DispersionReport.from_integrals(QuadResult(values, np.zeros(9), 0))
+    return DispersionReport.from_integrals(values, np.zeros(9), 0)
 
 
 def test_state_validation():

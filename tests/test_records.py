@@ -14,7 +14,10 @@ import pytest
 from relhur import (
     AmplitudePair,
     CoulombState,
+    DivergenceError,
     QuadConfig,
+    QuadratureError,
+    SolverError,
     dispersion_functional,
     integrate_exp_sinh,
     make_potential,
@@ -84,12 +87,23 @@ def test_record_immutable_and_validated(name):
 ], ids=["gamma_h", "oracle_gamma", "dispersion_functional"])
 def test_dispersion_report_is_a_value(report):
     # every field is a float, an int or a tuple of floats, so two reports
-    # of one state compare equal and hash alike, and neither a field nor a
-    # mean's component can be rewritten
+    # of one state compare equal and hash alike, print as plain numbers,
+    # and neither a field nor a mean's component can be rewritten
     first, second = report(), report()
     assert first == second and hash(first) == hash(second)
     assert all(type(x) is float for x in first.mean_r + first.mean_p)
+    assert all(type(getattr(first, field)) is float for field in (
+        "gamma", "err_est", "norm_sq", "delta_r_sq", "delta_p_sq"))
+    assert type(first.evaluations) is int
     with pytest.raises(TypeError):
         first.mean_p[2] = 5.0
     with pytest.raises(TypeError):
         first[0] = 1.0
+
+
+def test_error_bases():
+    # numerical failures are ArithmeticErrors and exit 1; an infinite
+    # dispersion is an out-of-domain parameter, a ValueError, and exits 2
+    assert issubclass(QuadratureError, ArithmeticError)
+    assert issubclass(SolverError, ArithmeticError)
+    assert issubclass(DivergenceError, ValueError)
