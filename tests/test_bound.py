@@ -29,7 +29,6 @@ from relhur import (
     gaussian_limit_residual,
     lowest_eigenvalues,
     make_potential,
-    max_z_finite,
     oracle_gamma,
     potential_v,
     product_closed_gamma,
@@ -338,14 +337,21 @@ def _reading(name, rep, p_sq, scale=1.0):
     """(name, product, its error, d) of a family state with p_sq in the
     place of dp^2, in the product and in d = (p_sq/dr^2)^(1/4).  p_sq is
     dp^2 or dp^2 plus an exact term, which leaves err_est's relative error
-    of the product an upper bound."""
+    of the product an upper bound.  err_est carries (rel_p + rel_r)/2
+    into gamma, so d is off by at most d err_est/(2 gamma)."""
     product = math.sqrt(rep.delta_r_sq * p_sq)
     return (name, product, rep.err_est * product / rep.gamma,
             scale * (p_sq / rep.delta_r_sq) ** 0.25)
 
 
 def _family_states(charges, widths):
-    """_reading of each ion, and of each packet under dp^2 and <p^2>."""
+    """_reading of each ion, and of each packet under dp^2 and <p^2>.
+
+    The ions are read in Compton units (the oracle works in decay lengths
+    1/(alpha Z)).  The packet moves, <p_z> = -1/(2a) exactly, so it is also
+    read with <p^2> = dp^2 + 1/(4a^2) in place of dp^2, the form the bound
+    takes for <p> != 0
+    (tests/test_dirac.py::test_bound_needs_zero_mean_momentum)."""
     states = []
     for ion in map(CoulombState, charges):
         rep = oracle_gamma(ion.gamma_c)
@@ -357,28 +363,6 @@ def _family_states(charges, widths):
         states.append(_reading(f"a={a:g}, <p^2>", rep,
                                rep.delta_p_sq + 0.25 / (a * a)))
     return states
-
-
-def test_families_above_the_curve():
-    # every hydrogen-like ion with a finite product and the packet on its
-    # whole a range sit above the curve at their own d = (dp^2/dr^2)^(1/4),
-    # in Compton units (the oracle works in decay lengths 1/(alpha Z)), by
-    # more than every error that could close the margin.  The packet moves,
-    # <p_z> = -1/(2a) exactly, so it is also read with <p^2> = dp^2 +
-    # 1/(4a^2) in place of dp^2, the form the bound takes for <p> != 0
-    # (tests/test_dirac.py::test_bound_needs_zero_mean_momentum).  err_est
-    # carries (rel_p + rel_r)/2 into gamma, so d is off by at most
-    # d err_est/(2 gamma); the slope term is below 1e-10 throughout, so a
-    # secant of the curve serves as gamma'(d).
-    states = _family_states(range(1, max_z_finite() + 1),
-                            np.geomspace(0.05, 100.0, 25))
-    bound = gamma_estimates([x for *_, d in states
-                             for x in (d, 0.99 * d, 1.01 * d)])
-    for k, (name, product, product_err, d) in enumerate(states):
-        (gamma, err), (lo, _), (hi, _) = bound[3 * k:3 * k + 3]
-        d_err = d * product_err / (2.0 * product)
-        slope = abs(hi - lo) / (0.02 * d)
-        assert product - gamma > product_err + err + slope * d_err, name
 
 
 def test_packet_small_d_coefficient():
@@ -425,63 +409,15 @@ def test_packet_large_width_margins():
     # d^2/4 = 1/(4a) under the dp^2 reading, and under the <p^2> reading
     # by 3/(8a), the gap between its 3/2 + 3/(4a) and the curve's
     # 3/2 + 3/(8a).  a times the margin reads 0.2500213 and 0.3750094 at
-    # a = 1e4, and 0.2500021 and 0.3750009 at a = 1e5
+    # a = 1e4, and 0.2500021 and 0.3750009 at a = 1e5.  This measures the
+    # asymptotic margins, which test_packet_above_the_curve_to_1e13 only
+    # shows to be positive; past about 1e14 they fall below the rounding
+    # of 3/2, beyond the reach of that certificate
     for a in (1e4, 1e5):
         (_, dp, _, d_dp), (_, pp, _, d_pp) = _family_states([], [a])
         (floor_dp, _), (floor_pp, _) = gamma_estimates([d_dp, d_pp])
         assert abs(a * (dp - floor_dp) - 0.25) <= 0.3 / a, a
         assert abs(a * (pp - floor_pp) - 0.375) <= 0.1 / a, a
-
-
-def test_packet_above_the_curve_on_its_whole_range_to_30():
-    # a finite check that the packet clears the curve at every a <= 30,
-    # under both readings of _family_states.
-    #
-    # Below a = 0.64629 no solve is needed: gamma_H(0.64629) = 2.1180366 is
-    # 2.6e-6 above 1 + sqrt(5)/2, which gamma(d) stays below at every finite
-    # d, and gamma_H falls on a log grid down to the domain's end (to within
-    # err_est: below a ~ 4e-17 it sits at sqrt(33)/2 and its rounding
-    # wobbles by up to 3 ulp).  The <p^2> product is larger still.
-    #
-    # On [0.64629, 30], cells a_{i+1} = a_i (1 + 0.1/max(a_i, 1)).  dr^2
-    # rises and P (dp^2, or <p^2> = dp^2 + 1/(4a^2)) falls at the cell edges;
-    # taking them monotone inside each cell too (checked at the edges, not
-    # proved), the product is at least sqrt(dr^2(a_i) P(a_{i+1})) and d at
-    # most (P(a_i)/dr^2(a_i))^(1/4) on the cell, and gamma rises with d.  So
-    # the cell clears the curve if that product bound exceeds gamma + its
-    # est_error at that d, which stands in for an upper bound of gamma.
-    # Measured: 295 cells per reading; the smallest margins are 5.9e-3
-    # (dp^2) and 1.0e-2 (<p^2>), both in the last cell.  With 0.3 in place
-    # of 0.1 the cell [0.84, 1.09] fails by 0.13.  Beyond a = 30 the margins
-    # rest on test_packet_large_width_margins' measurement.
-    a_floor = 0.64629
-    low = [gamma_h(HopfionState(float(a)))
-           for a in np.geomspace(1.2369e-154, a_floor, 400)]
-    assert low[-1].gamma - low[-1].err_est > GAMMA_AT_INF
-    for left, right in zip(low, low[1:]):
-        assert right.gamma <= left.gamma + left.err_est + right.err_est
-
-    edges = [a_floor]
-    while edges[-1] < 30.0:
-        edges.append(edges[-1] * (1.0 + 0.1 / max(edges[-1], 1.0)))
-    reps = [gamma_h(HopfionState(a)) for a in edges]
-    a = np.array(edges)
-    r_sq = np.array([rep.delta_r_sq for rep in reps])
-    p_sq = np.array([rep.delta_p_sq for rep in reps])
-    # err_est / gamma bounds the relative error of dr^2 and of P
-    rel = max(rep.err_est / rep.gamma for rep in reps)
-    assert np.all(np.diff(r_sq) > 0.0)
-    cells = []
-    for name, p in (("dp^2", p_sq), ("<p^2>", p_sq + 0.25 / (a * a))):
-        assert np.all(np.diff(p) < 0.0), name
-        cells.append((name, np.sqrt(r_sq[:-1] * p[1:]),
-                      (p[:-1] / r_sq[:-1]) ** 0.25))
-    bound = iter(gamma_estimates([d for *_, ds in cells for d in ds],
-                                 tol=1e-8))
-    for name, products, ds in cells:
-        for lo, hi, product, (gamma, err) in zip(edges, edges[1:], products,
-                                                 bound):
-            assert product * (1.0 - 2.0 * rel) > gamma + err, (name, lo, hi)
 
 
 def _c1():
@@ -711,7 +647,7 @@ def test_duality_maximum_is_the_ground_state_product(d):
 
 
 def test_families_above_the_sharp_floor():
-    # the states of test_families_above_the_curve, a few of each kind, also
+    # four ions and four packet widths, the latter under both readings,
     # lie above the sharp floor G(d) = max over t of 2 t^2/(1 + t^4)
     # gamma(d t) at their own d, by more than every error.  G's error is at
     # most gamma's err_est at d t, as 2 t^2/(1 + t^4) <= 1, and its slope is
@@ -727,24 +663,6 @@ def test_families_above_the_sharp_floor():
         slope = 2.0 * t ** 3 / (1.0 + t ** 4) * abs(hi - lo) / (0.02 * d * t)
         d_err = d * product_err / (2.0 * product)
         assert product - sharp > product_err + err + slope * d_err, name
-
-
-def test_hydrogen_above_the_curve_with_one_solve():
-    # gamma(d) rises with d (min-max principle: dV/dd > 0 at every q) and
-    # stays below its limit 1 + sqrt(5)/2; the closed product and d both
-    # fall as gamma_c rises.  So at gamma_c <= g* the product, 2.118035294949
-    # at g*, is above gamma at every d.  At gamma_c > g*, d < d(g*) =
-    # 0.4470264742, where gamma = 1.557772656994 is below sqrt(3), the
-    # smallest product (gamma_c = 1).  One solve puts every Z at every
-    # alpha above the curve.
-    g_star = 0.870679
-    assert product_closed_gamma(g_star) > GAMMA_AT_INF
-    [(gamma, err)] = gamma_estimates([d_parameter(g_star)])
-    assert gamma + err < product_closed_gamma(1.0) == math.sqrt(3.0)
-    gamma_cs = np.linspace(0.5, 1.0, 100_001)[1:]
-    for closed in (product_closed_gamma, d_parameter):
-        values = [closed(g) for g in gamma_cs]
-        assert all(a > b for a, b in zip(values, values[1:])), closed.__name__
 
 
 def test_sharp_floor_small_delta_coefficients():
@@ -903,8 +821,8 @@ def log_grid_rows():
 
 
 def test_monotone_log_grid(log_grid_rows):
-    # the monotonicity that test_hydrogen_above_the_curve_with_one_solve
-    # relies on, at 514 solved points
+    # the monotonicity that the solved cells of
+    # test_packet_above_the_curve_to_1e13 rely on, at 514 solved points
     gs = [g for g, _ in log_grid_rows]
     assert all(a < b for a, b in zip(gs, gs[1:]))
 
@@ -944,6 +862,54 @@ def test_hydrogen_above_the_upper_bound_without_solve():
     margin = min(product_closed_gamma(g) - (1.5 + 0.375 * d_parameter(g) ** 2)
                  for g in gamma_cs)
     assert margin >= math.sqrt(3.0) - 1.5 - 1e-12
+
+
+def test_packet_above_the_curve_to_1e13():
+    # the packet clears the curve at every a in [1.2369e-154, 1e13], under
+    # both readings of _family_states.
+    #
+    # Below a = 0.64629 no solve is needed: gamma_H(0.64629) = 2.1180366 is
+    # 2.6e-6 above 1 + sqrt(5)/2, which gamma(d) stays below at every finite
+    # d, and gamma_H falls on a log grid down to the domain's end (to within
+    # err_est: below a ~ 4e-17 it sits at sqrt(33)/2 and its rounding
+    # wobbles by up to 3 ulp).  The <p^2> product is larger still.
+    #
+    # On [0.64629, 1e13], cells a_{i+1} = 1.1 a_i, the last edge at 1e13.
+    # The product falls (within its error) and d falls at the cell edges;
+    # taking both monotone inside each cell too (checked at the edges, not
+    # proved), the product is at least product(a_{i+1}) - err and d at most
+    # d(a_i)(1 + err_est/gamma) on the cell, and gamma rises with d
+    # (min-max principle: dV/dd > 0 at every q).  So a cell clears the
+    # curve if that product bound exceeds U at that d, widened by U's
+    # rounding; the cells U leaves take one batched solve, with gamma +
+    # est_error standing in for an upper bound of gamma.
+    # Measured: 319 cells per reading.  U clears 306 (dp^2) and 310
+    # (<p^2>), the smallest margin 2.0e-14 near a = 8.5e12; the 22 solved
+    # cells all lie below a = 2.3 and clear by 0.108 or more.  Past about
+    # 1e14 U's margin falls below the rounding of 3/2.  The cells bound the
+    # product, not dr^2 and P apart: sqrt(dr^2(a_i) P(a_{i+1})) drops to
+    # about 1.5/sqrt(1.1) on a 10% cell and clears none of them.
+    a_floor = 0.64629
+    low = [gamma_h(HopfionState(float(a)))
+           for a in np.geomspace(1.2369e-154, a_floor, 400)]
+    assert low[-1].gamma - low[-1].err_est > GAMMA_AT_INF
+    for left, right in zip(low, low[1:]):
+        assert right.gamma <= left.gamma + left.err_est + right.err_est
+
+    n = math.ceil(math.log(1e13 / a_floor) / math.log(1.1))
+    states = _family_states([], [*(a_floor * 1.1 ** np.arange(n)), 1e13])
+    cells = []
+    for reading in (states[0::2], states[1::2]):
+        names, product, err, d = (np.array(c) for c in zip(*reading))
+        assert np.all(np.diff(d) < 0.0), names[0]
+        assert np.all(np.diff(product) <= err[:-1] + err[1:]), names[0]
+        cells += zip(names[:-1], product[1:] - err[1:],
+                     d[:-1] * (1.0 + err[:-1] / product[:-1]))
+    rounding = 1.0 + 2.0 * sys.float_info.epsilon
+    solve = [cell for cell in cells if cell[1] <= _upper(cell[2]) * rounding]
+    bound = gamma_estimates([d for *_, d in solve], tol=1e-8)
+    for (name, product, _), (gamma, err) in zip(solve, bound):
+        assert product > gamma + err, name
 
 
 def test_sandwich():

@@ -205,12 +205,18 @@ def test_oracle_two_levels_hold_on_the_whole_domain():
     # itself; this scan is that test.  With 2g - 1 log-spaced from 2.2e-16
     # to 1, plus the double next to 1/2 and g = 1, the two levels meet the
     # closed form to 1e-12 (measured: at most 4.7e-16), their err_est
-    # covers the gap and stays at 1e-9 gamma (measured: at most 2.3e-10)
+    # covers the gap and stays at 1e-9 gamma (measured: at most 2.3e-10).
+    # So do the dispersions, dr^2 = (1 + g)(2g + 1)/2 and dp^2 =
+    # (2 - g)/(g(2g - 1)) (measured: at most 4.4e-16 and 6.7e-16 relative)
     gs = [0.5 + 0.5 * x for x in np.geomspace(2.2e-16, 1.0, 200)]
     for g in gs + [float(np.nextafter(0.5, 1.0)), 1.0]:
         rep, closed = oracle_gamma(g), product_closed_gamma(g)
         assert abs(rep.gamma - closed) <= 1e-12 * closed, g
         assert abs(rep.gamma - closed) <= rep.err_est <= 1e-9 * rep.gamma, g
+        assert rep.delta_r_sq == pytest.approx((1 + g) * (2 * g + 1) / 2,
+                                               rel=1e-12), g
+        assert rep.delta_p_sq == pytest.approx((2 - g) / (g * (2 * g - 1)),
+                                               rel=1e-12), g
 
 
 # oracle_gamma(g): float.hex of (gamma, err_est), frozen from this build
