@@ -56,15 +56,15 @@ def _fmt(x) -> str:
     return out
 
 
-def _doc(records: Sequence[dict[str, object]], fmt: str | None,
-         grid: bool) -> str:
-    """The document of one record, or of a grid's records.
+def _doc(records: Sequence[dict[str, object]], fmt: str | None) -> str:
+    """The document of one record, or of a grid's records (two or more).
 
     JSON writes every field, an infinite one as the string "inf", as one
     object or as an array for a grid.  CSV writes the first field, gamma
     and err_est (rel_diff if there is no err_est, 0.0 if neither).  Without
     --format a grid is CSV, a single record JSON.
     """
+    grid = len(records) > 1
     if fmt == "json" or (fmt is None and not grid):
         objs = ["{" + ",".join(f'"{k}":' + ('"inf"' if math.isinf(v)
                                              else _fmt(v))
@@ -110,14 +110,14 @@ def _cmd_bound(args) -> tuple[str, int]:
     d = _bound.INFINITY if args.d_inf else _require_finite("--d", args.d)
     [(gamma, err)] = _bound.gamma_estimates([d], tol=BOUND_TOL)
     return _doc([{"d": d, "gamma": gamma, "err_est": err, "tol": BOUND_TOL}],
-                args.format, grid=False), 0
+                args.format), 0
 
 
 def _cmd_sweep(args) -> tuple[str, int]:
     ds = _grid(args.d_min, args.d_max, args.points, args.log)
     rows = [{"param": d, "gamma": gamma, "err_est": err} for d, (gamma, err)
             in zip(ds, _bound.gamma_estimates(ds, tol=BOUND_TOL))]
-    return _doc(rows, args.format, grid=True), 0
+    return _doc(rows, args.format), 0
 
 
 def _cmd_hydrogen(args) -> tuple[str, int]:
@@ -135,7 +135,7 @@ def _cmd_hydrogen(args) -> tuple[str, int]:
                 f"oracle gamma {_fmt(rep.gamma)} differs from the closed form "
                 f"{_fmt(closed)} by {err:.3g} relative (> {ORACLE_REL_TOL:g})")
         record.update(gamma_oracle=rep.gamma, rel_diff=err)
-    return _doc([record], args.format, grid=False), 0
+    return _doc([record], args.format), 0
 
 
 def _cmd_hopfion(args) -> tuple[str, int]:
@@ -148,14 +148,14 @@ def _cmd_hopfion(args) -> tuple[str, int]:
         return _doc([{"a": args.a, "gamma": rep.gamma,
                       "delta_r_sq": rep.delta_r_sq,
                       "delta_p_sq": rep.delta_p_sq, "err_est": rep.err_est}],
-                    args.format, grid=False), 0
+                    args.format), 0
     if not all(curve_flags):
         raise ValueError("provide either --a or all of --a-min/--a-max/--points")
     a_grid = _grid(args.a_min, args.a_max, args.points, log=False)
     reps = [_hopfion.gamma_h(_hopfion.HopfionState(a)) for a in a_grid]
     rows = [{"param": a, "gamma": r.gamma, "err_est": r.err_est}
             for a, r in zip(a_grid, reps)]
-    return _doc(rows, args.format, grid=True), 0
+    return _doc(rows, args.format), 0
 
 
 def _verify_rows(strict: bool) -> list[tuple[str, float, float, float, float]]:

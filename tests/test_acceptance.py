@@ -1,13 +1,14 @@
 """Acceptance gate: every release criterion, one pass/fail line each.
 
-Run with `pytest -v tests/test_acceptance.py`; the verbose test line is the
-per-criterion record.  Criterion 5a pins the weak-field hydrogen product at
-gamma_c = 1 to sqrt(3) at 1e-9.  At that point the ground state is the
-nonrelativistic 1s state psi ~ e^(-r/a), whose textbook moments are
-<r^2> = 3 a^2 and <p^2> = 1/a^2 with <r> = <p> = 0, so
-sqrt(dr^2 dp^2) = sqrt(3).  5a checks the closed form against that value
-and the bispinor quadrature oracle's two dispersions one by one; 5b carries
-the dual-route consistency evidence over the whole Z range.
+Run with `pytest -rP tests/test_acceptance.py` (or `-s`) to see each
+criterion's `ACCEPTANCE <n>: PASS` record.  Criterion 5a pins the
+weak-field hydrogen product at gamma_c = 1 to sqrt(3) at 1e-9.  At that
+point the ground state is the nonrelativistic 1s state psi ~ e^(-r/a),
+whose textbook moments are <r^2> = 3 a^2 and <p^2> = 1/a^2 with
+<r> = <p> = 0, so sqrt(dr^2 dp^2) = sqrt(3).  5a checks the closed form
+against that value and the bispinor quadrature oracle's two dispersions
+one by one; 5b carries the dual-route consistency evidence over the whole
+Z range.
 """
 
 import math

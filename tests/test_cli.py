@@ -181,9 +181,9 @@ def test_sweep_rows_match_single_points(capsys, monkeypatch, flags):
 
     rows, doc = [], cli._doc
 
-    def recorded(records, fmt, grid):
+    def recorded(records, fmt):
         rows.extend(tuple(r.values()) for r in records)
-        return doc(records, fmt, grid)
+        return doc(records, fmt)
 
     monkeypatch.setattr(cli, "_doc", recorded)
     code, _ = _capture(capsys, ["sweep", *flags])

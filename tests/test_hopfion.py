@@ -25,7 +25,6 @@ from relhur import (
     amplitude_pair,
     bessel_k,
     dispersion_functional,
-    gamma_estimates,
     gamma_h,
 )
 
@@ -35,7 +34,6 @@ GAMMA_H_AT_1 = 1.9649111869950
 DR2_AT_1 = 1.0794334081891
 DP2_AT_1 = 3.5767616079766
 NORM_AT_1 = 3.1888391228859  # equals 4 pi K2(2) to the quadrature tolerance
-REFERENCE_GRID = [0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0]
 
 
 def momentum_bispinor(state, p, theta, phi):
@@ -435,18 +433,6 @@ def test_mean_momentum_closed_form(a):
     assert np.max(np.abs(rep.mean_r)) < 1e-10
 
 
-def test_nonrelativistic_limit():
-    g = gamma_h(HopfionState(50.0)).gamma
-    assert abs(g - 1.5) / 1.5 < 0.02
-    assert g - 1.5 < 0.03
-
-
-def test_curve_strictly_decreasing():
-    gs = [gamma_h(HopfionState(a)).gamma for a in REFERENCE_GRID]
-    assert all(a > b for a, b in zip(gs, gs[1:]))
-    assert all(g > 1.5 for g in gs)
-
-
 def test_curve_tail_approaches_limit():
     # gamma_H(a) - 3/2 falls like 1/a: a (gamma_H(a) - 3/2) rises slowly
     # (measured 0.6066, 0.6156, 0.6212), and gamma_H(50) is converged
@@ -458,11 +444,3 @@ def test_curve_tail_approaches_limit():
     assert all(0.60 <= s <= 0.63 for s in scaled)
     tight = _gradient_oracle(50.0, QuadConfig(abs_tol=1e-300, rel_tol=1e-12))
     assert gs[2] == pytest.approx(tight.gamma, rel=1e-9)
-
-
-def test_bound_consistency():
-    # the packet is a concrete electron state: it must sit above the bound
-    rep = gamma_h(HopfionState(1.0))
-    d_state = (rep.delta_p_sq / rep.delta_r_sq) ** 0.25
-    [(gamma, _)] = gamma_estimates([d_state])
-    assert rep.gamma >= gamma - 1e-3
