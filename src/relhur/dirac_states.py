@@ -344,7 +344,7 @@ def _rows(m, p, thetas):
     st, ct = np.sin(thetas), np.cos(thetas)
     w = p * p * st
     (n, n_c, n_s), r2, (ap, ap_c, ap_s), (at, at_c, at_s), (af, af_c, af_s) = (
-        np.moveaxis(x, (-1, -2), (0, 1)) for x in m)
+        m.transpose(0, 4, 3, 1, 2))
     r2, at, at_c, at_s = r2[0], at / p, at_c / p, at_s / p
     af_c, af_s = af_c / (p * st), af_s / (p * st)
     # <r> components by the spherical frame vectors, from the negated

@@ -45,14 +45,15 @@ __all__ = ["HopfionState", "amplitude_pair", "gamma_h"]
 
 
 class HopfionState(NamedTuple("HopfionState", [("a", float)])):
-    """Width parameter a > 0 in Compton-wavelength units."""
+    """Width parameter a > 0 in Compton-wavelength units, of any real type,
+    stored as a Python float."""
 
     __slots__ = ()
 
     def __new__(cls, a: float):
         if not (a > 0.0) or not math.isfinite(a):
             raise ValueError("a must be a positive finite real")
-        return super().__new__(cls, a)
+        return super().__new__(cls, float(a))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # see QuadConfig
 

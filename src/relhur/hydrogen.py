@@ -57,10 +57,10 @@ class CoulombState(NamedTuple("CoulombState",
                               [("Z", int), ("alpha", float)])):
     """Ground state of a hydrogen-like ion with nuclear charge Z.
 
-    alpha is configurable because the largest Z with a finite uncertainty
-    product depends on its value.  Requires alpha*Z < 1 so the ground-state
-    exponent gamma_c = sqrt(1 - (alpha Z)^2) is real.  Z may be of any
-    integral type but bool and is stored as a Python int.
+    Requires alpha*Z < 1 so the ground-state exponent
+    gamma_c = sqrt(1 - (alpha Z)^2) is real.  Z may be of any integral type
+    but bool and is stored as a Python int; alpha, of any real type, is
+    stored as a Python float.
     """
 
     __slots__ = ()
@@ -74,6 +74,7 @@ class CoulombState(NamedTuple("CoulombState",
             raise ValueError("Z exceeds the float range")
         if not (alpha > 0.0) or not math.isfinite(alpha):
             raise ValueError("alpha must be a positive finite real")
+        alpha = float(alpha)
         if alpha * Z >= 1.0:
             raise ValueError(
                 f"alpha*Z = {alpha * Z:g} >= 1: no real ground-state exponent")
@@ -191,28 +192,8 @@ def oracle_gamma(gamma_c: float) -> DispersionReport:
         + 4.0 * sys.float_info.epsilon * np.abs(value), ks.size)
 
 
-def max_z_finite(alpha: float = ALPHA_FS) -> int:
-    """Largest integer Z whose uncertainty product is finite (g > 1/2).
-
-    g > 1/2 means alpha*Z < sqrt(3)/2; at that limit the float gamma_c of
-    CoulombState decides.  Returns sys.maxsize as an overflow sentinel when
-    the bound exceeds exact float integer range (alpha -> 0 limit).
-    """
-    if not (alpha > 0.0) or not math.isfinite(alpha):
-        raise ValueError("alpha must be a positive finite real")
-    limit = math.sqrt(3.0) / (2.0 * alpha)
-    if limit >= 2.0 ** 53:
-        return sys.maxsize
-
-    def finite(z):
-        try:
-            return CoulombState(z, alpha).gamma_c > 0.5
-        except ValueError:
-            return False
-
-    z = math.floor(limit)
-    while z > 0 and not finite(z):
-        z -= 1
-    while finite(z + 1):
-        z += 1
-    return z
+def max_z_finite() -> int:
+    """Largest integer Z whose uncertainty product is finite, as
+    CoulombState's float gamma_c > 1/2 decides it (118)."""
+    return max(z for z in range(1, math.ceil(1.0 / ALPHA_FS))
+               if CoulombState(z).gamma_c > 0.5)

@@ -49,15 +49,16 @@ _EPS = np.finfo(float).eps
 
 class QuadConfig(NamedTuple("QuadConfig", [("abs_tol", float),
                                              ("rel_tol", float)])):
-    """Tolerances of integrate_exp_sinh, each positive and finite; it gives
-    up when halving the t step again would pass _MAX_T_NODES t nodes."""
+    """Tolerances of integrate_exp_sinh, each positive and finite and
+    stored as a Python float; it gives up when halving the t step again
+    would pass _MAX_T_NODES t nodes."""
 
     __slots__ = ()
 
     def __new__(cls, abs_tol: float = 1e-10, rel_tol: float = 1e-9):
         if not (0.0 < abs_tol < math.inf and 0.0 < rel_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        return super().__new__(cls, abs_tol, rel_tol)
+        return super().__new__(cls, float(abs_tol), float(rel_tol))
 
     # the base's _make, which _replace calls, skips __new__ and its checks;
     # copy and pickle call __new__

@@ -113,10 +113,12 @@ def _collocate(pots: Sequence[RadialPotential], n: int):
     pots as a (k, m, m) stack, and the regular part v = V - c/q^2 of each
     potential at its ascending positive nodes as a (k, m) array."""
     x, d1, d2 = _cheb(n)
-    c = np.array([[pot.singular_strength] for pot in pots])
+    # fields read as Python floats, so a float16 or float32 field does not
+    # set the precision of s or of the stretch b
+    c = np.array([[float(pot.singular_strength)] for pot in pots])
     # a c/q^2 core takes stretch b >= 8, which clusters nodes at the
     # origin; the frozen gamma values depend on that choice
-    b = np.array([[min(max(math.asinh(pot.origin_scale * _Q_MAX),
+    b = np.array([[min(max(math.asinh(float(pot.origin_scale) * _Q_MAX),
                            8.0 if pot.singular_strength else 1e-8), _B_MAX)]
                   for pot in pots])
     sinh_b = np.array([[math.sinh(bi)] for bi in b[:, 0]])

@@ -37,6 +37,7 @@ bessel_k
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -74,8 +75,10 @@ def bessel_sums(x: float) -> tuple[list[float], list[float], int]:
 
 
 def bessel_k(order: int, x: float) -> float:
-    """K_order(x) for order in {0, 1, 2}, x > 0."""
-    if order not in (0, 1, 2):
+    """K_order(x) for order 0, 1 or 2, of any integral type but bool, and
+    x > 0."""
+    if (isinstance(order, bool) or not isinstance(order, numbers.Integral)
+            or order not in (0, 1, 2)):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
     x = float(x)
     k = bessel_sums(x)[0][order] * math.exp(-x)

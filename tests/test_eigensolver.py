@@ -219,14 +219,21 @@ def test_lowest_eigenvalue_matches_eigvals_oracle(d):
     assert abs(gamma - _eigvals_oracle(pot)) <= est_error
 
 
-_S_WEAK = 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * -0.2))
+def _s(c):
+    """The exponent s of f = q^s g, where s(s + 1) = c."""
+    return 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * c))
+
+
 _ORACLE_ANCHORS = [
     # c = l(l+1): the centrifugal oscillator, gamma = l + 3/2
     *[(f"c={l * (l + 1)}", _singular(l * (l + 1.0)), l + 1.5)
       for l in range(4)],
     # attractive cores down to Hardy's -1/4, gamma = s + 3/2
     ("c=-0.25", _singular(-0.25), 1.0),
-    ("c=-0.2", _singular(-0.2), _S_WEAK + 1.5),
+    ("c=-0.2", _singular(-0.2), _s(-0.2) + 1.5),
+    # float16 and float32 cores: the solver reads c as a Python float
+    *[(f"c=0.2-{t.__name__}", _singular(t(0.2)), _s(float(t(0.2))) + 1.5)
+      for t in (np.float16, np.float32)],
     # a negative and a zero ground state, and a double well whose minimum
     # is off q = 0
     ("shifted", RadialPotential(evaluate=lambda q: q * q - 5.0), -1.0),
@@ -243,6 +250,14 @@ def test_anchors_match_eigvals_oracle(pot, exact):
     assert abs(gamma - _eigvals_oracle(pot)) <= est_error
     if exact is not None:
         assert abs(gamma - exact) <= est_error
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32])
+def test_narrow_origin_scale_sets_the_grid_of_its_float(dtype):
+    # the solver reads origin_scale as a Python float, bit for bit
+    narrow = RadialPotential(evaluate=lambda q: q * q, origin_scale=dtype(0.1))
+    wide = narrow._replace(origin_scale=float(narrow.origin_scale))
+    assert lowest_eigenvalues([narrow]) == lowest_eigenvalues([wide])
 
 
 def _start_at_excited_state(monkeypatch, only_scale=None):

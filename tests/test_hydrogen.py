@@ -11,7 +11,6 @@ and gradient density, so agreement checks the whole chain.
 """
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -320,36 +319,10 @@ def test_density_normalized_z80():
 
 
 def test_max_z_finite():
-    assert max_z_finite() == 118
-    assert max_z_finite(0.01) == 86
-    assert max_z_finite(1e-20) == sys.maxsize
-    assert max_z_finite(ALPHA_FS) == max_z_finite()
-    # returned Z is the last finite one: next integer diverges
     z = max_z_finite()
-    assert math.sqrt(3.0) / (2.0 * ALPHA_FS) > z
-    assert math.sqrt(3.0) / (2.0 * ALPHA_FS) < z + 1
-    for alpha in (0.0, math.nan):
-        with pytest.raises(ValueError):
-            max_z_finite(alpha)
-    # at alpha = sqrt(3)/(2k) the limit sqrt(3)/(2 alpha) rounds to about
-    # k: the float product, not the rounded limit, decides which Z is last
-    for k in range(1, 5):
-        alpha = math.sqrt(3.0) / (2.0 * k)
-        z = max_z_finite(alpha)
-        assert math.isfinite(
-            product_closed_gamma(CoulombState(z, alpha).gamma_c))
-        with pytest.raises((DivergenceError, ValueError)):
-            product_closed_gamma(CoulombState(z + 1, alpha).gamma_c)
-
-
-@pytest.mark.parametrize("k, floor, want", [(74, 37, 36), (486, 242, 243)])
-def test_max_z_finite_steps_off_the_floor(k, floor, want):
-    # at alpha = sqrt(3)/k the float limit sqrt(3)/(2 alpha) floors to
-    # 37 for k = 74, whose gamma_c is 0.4999999999999999 (one step down),
-    # and to 242 for k = 486, below 243 with gamma_c 0.5000000000000001
-    # (one step up): each stepping loop of max_z_finite runs
-    alpha = math.sqrt(3.0) / k
-    assert math.floor(math.sqrt(3.0) / (2.0 * alpha)) == floor
-    finite = [z for z in range(1, math.ceil(1.0 / alpha))
-              if CoulombState(z, alpha).gamma_c > 0.5]
-    assert max_z_finite(alpha) == max(finite) == want
+    assert z == 118
+    # returned Z is the last finite one: next integer diverges
+    assert z < math.sqrt(3.0) / (2.0 * ALPHA_FS) < z + 1
+    assert math.isfinite(product_closed_gamma(CoulombState(z).gamma_c))
+    with pytest.raises(DivergenceError):
+        product_closed_gamma(CoulombState(z + 1).gamma_c)

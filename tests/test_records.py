@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from relhur import (
+    ALPHA_FS,
     AmplitudePair,
     CoulombState,
     DivergenceError,
@@ -99,6 +100,31 @@ def test_dispersion_report_is_a_value(report):
         first.mean_p[2] = 5.0
     with pytest.raises(TypeError):
         first[0] = 1.0
+
+
+def _flat(record):
+    """The scalar fields of a record, its tuple fields unpacked."""
+    return [y for x in record for y in (x if isinstance(x, tuple) else (x,))]
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+def test_records_keep_double_precision(dtype):
+    # a NumPy scalar of any width is stored as the Python float of its
+    # value, so a record and the report computed from it are those of that
+    # float, bit for bit, in Python scalars
+    a, alpha, tol = dtype(1.1), dtype(ALPHA_FS), dtype(1e-3)
+    state = HopfionState(a)
+    assert type(state.a) is float and state.a == float(a)
+    got = _flat(gamma_h(state))
+    want = _flat(gamma_h(HopfionState(float(a))))
+    assert [type(x) for x in got] == [float] * (len(got) - 1) + [int]
+    assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+    ion = CoulombState(80, alpha)
+    assert type(ion.alpha) is float and ion.alpha == float(alpha)
+    assert ion.gamma_c.hex() == CoulombState(80, float(alpha)).gamma_c.hex()
+    cfg = QuadConfig(tol, tol)
+    assert [type(t) for t in cfg] == [float, float]
+    assert cfg == (float(tol), float(tol))
 
 
 def test_error_bases():

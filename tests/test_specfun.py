@@ -13,6 +13,7 @@ agreed to 1e-40; Ki_3, reached by the recurrences, from mpmath's quad at
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,10 +130,11 @@ def test_bessel_domain_errors():
         bessel_k(0, 0.0)
     with pytest.raises(ValueError):
         bessel_k(1, -2.0)
-    with pytest.raises(ValueError):
-        bessel_k(3, 1.0)
-    with pytest.raises(ValueError):
-        bessel_k(-1, 1.0)
+    # an order of any integral type but bool, as CoulombState takes Z
+    assert bessel_k(np.int64(2), 1.0) == bessel_k(2, 1.0)
+    for order in (3, -1, 2.0, True, np.float64(1.0)):
+        with pytest.raises(ValueError, match="order must be"):
+            bessel_k(order, 1.0)
 
 
 # Bickley functions Ki_n(x) = int_0^inf e^{-x cosh t} / cosh^n t dt, by
