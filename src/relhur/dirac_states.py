@@ -38,25 +38,46 @@ so the <r> rows need the amplitudes and their partials only, never a
 bispinor on the grid; <p> needs only the amplitude density.  Both means are
 always computed and subtracted from the second moments.
 
-The (p, theta) integral is quadrature.integrate_exp_sinh.  The phi
-integral is a trapezoid sum, exact for harmonics below its node count,
-under a pair of rules of n and n + 1 nodes, n = 8, 16, ..., 256: coprime
-rules alias alike only at multiples of n (n + 1), nested ones (n, 2n) at
-all multiples of 2n.  The pair is picked once per dispersion call, at two
-check points.  On the first integrand call of integrate_exp_sinh, the
-whole first t level at 8 theta nodes, both rules sum every row, and the
-sums must agree to 0.01 rel_tol (n epsilons at least) of the call's
+The (p, theta) integral is one rule, _integrate_exp_sinh: the trapezoid
+rule in t, p = exp((pi/2) sinh t) with t in [-4, 4] (the exp-sinh map of
+Takahasi & Mori, 1974), times Gauss-Legendre in theta itself, not in
+cos(theta), as the rows carry 1/sin(theta) and terms odd in sin(theta).
+So p spans 2e-19 to 4e18, and an integrand that decays at least
+exponentially in p (with integrable endpoint behaviour such as p**-0.5)
+decays doubly exponentially in t.  The first t level (step 0.5, 17 nodes)
+is trimmed to the run of nodes where the norm or a second-moment row
+reaches eps of its peak, plus one node on each side.  The theta node count
+is picked once, on the trimmed first level, from 8, 12, 16, 24, 32, 48,
+64: the first count whose sums agree with the count below it is kept, the
+finer of the two.  Then the t step is halved until two sums agree to
+max(abs_tol, rel_tol |sum|) in those three rows.  On integrands analytic
+in t the trapezoid rule converges geometrically (Trefethen & Weideman,
+SIAM Rev. 56, 2014), so the halving gap, which bounds the coarser sum,
+bounds the kept finer one too.  A row's error estimate adds to that gap
+4 eps |value|, the theta gap, and the end nodes' share of the first t
+level, which estimates the tails beyond [-4, 4].  The rule calls its
+integrand once per t level and theta rule, on all the nodes the level
+adds, and raises QuadratureError on a sum that is not finite or when
+halving the t step again would pass 30000 t nodes.
+
+The phi integral is a trapezoid sum, exact for harmonics below its node
+count, under a pair of rules of n and n + 1 nodes, n = 8, 16, ..., 256:
+coprime rules alias alike only at multiples of n (n + 1), nested ones
+(n, 2n) at all multiples of 2n.  The pair is picked once per dispersion
+call, at two check points.  On the rule's first integrand call, the
+whole first t level at 8 theta nodes, both phi rules sum every row, and
+the sums must agree to 0.01 rel_tol (n epsilons at least) of the call's
 largest norm-plus-second-moment integrand.  Every later call sums the
-n + 1 nodes only.  After the quadrature returns, the n-node rule re-checks
+n + 1 nodes only.  After the rule returns, the n-node phi rule re-checks
 the nodes of its last call, the level on which the t step converged,
 against the (n + 1)-node sums of that call.  A disagreement in either
 check ends the integration, which starts again from the first level at
 the next pair; past 256/257 (a jump in phi) QuadratureError is raised,
 which bounds what such a state costs.  A non-finite n-node sum raises it
-too, as the quadrature sees the n + 1 nodes only.  Smooth states keep
-8/9; the harmonic-15 state of the tests climbs to 32/33 on the first call,
-and a state whose harmonics live only between the first level's p nodes
-climbs at the re-check.
+too, as the rule sees the n + 1 nodes only.  Smooth states keep 8/9; the
+harmonic-15 state of the tests climbs to 32/33 on the first call, and a
+state whose harmonics live only between the first level's p nodes climbs
+at the re-check.
 
 An integrand call evaluates amplitudes and partials in one broadcast NumPy
 pass per chunk of p nodes, at most 16 x 12 x 17 = 3264 (p, theta, phi)
@@ -75,20 +96,43 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .quadrature import QuadConfig, QuadratureError, integrate_exp_sinh
+__all__ = ["AmplitudePair", "DispersionReport", "QuadConfig",
+           "QuadratureError", "bispinor_u", "dispersion_functional"]
 
-__all__ = ["AmplitudePair", "DispersionReport", "bispinor_u",
-           "dispersion_functional"]
-
+_THETA_LEVELS = (8, 12, 16, 24, 32, 48, 64)
+_MAX_T_NODES = 30000
+_EPS = np.finfo(float).eps
 _N_PHI_PAIRS = tuple(8 << k for k in range(6))  # (n, n + 1) for n = 8..256
 _GRID_POINTS = 16 * 12 * 17  # (p, theta, phi) points per amplitude chunk
 
 AmpFunc = Callable[[np.ndarray, np.ndarray, np.ndarray],
                    Union[np.ndarray, tuple]]
+
+
+class QuadConfig(NamedTuple("QuadConfig", [("abs_tol", float),
+                                             ("rel_tol", float)])):
+    """Tolerances of dispersion_functional's (p, theta) rule, each positive
+    and finite and stored as a Python float; the rule gives up when halving
+    the t step again would pass _MAX_T_NODES t nodes."""
+
+    __slots__ = ()
+
+    def __new__(cls, abs_tol: float = 1e-10, rel_tol: float = 1e-9):
+        if not (0.0 < abs_tol < math.inf and 0.0 < rel_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
+        return super().__new__(cls, float(abs_tol), float(rel_tol))
+
+    # the base's _make, which _replace calls, skips __new__ and its checks;
+    # copy and pickle call __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+
+class QuadratureError(ArithmeticError):
+    """Raised when a sum is not finite or misses its tolerances in budget."""
 
 
 def bispinor_u(p: float, theta: float, phi: float, s: int) -> np.ndarray:
@@ -98,7 +142,8 @@ def bispinor_u(p: float, theta: float, phi: float, s: int) -> np.ndarray:
 
     u = [(1 + E + sigma.p) chi_s ; (1 + E - sigma.p) chi_s] / D in the Weyl
     basis, with D = 2 sqrt(E) sqrt(1 + E), chi_+ = (1, 0) and
-    chi_- = (0, 1).  The dispersion functional builds no bispinor.
+    chi_- = (0, 1).  s is +1 or -1 of any numeric type but bool.  The
+    dispersion functional builds no bispinor.
     """
     if not (p >= 0.0) or not math.isfinite(p):
         raise ValueError("p must be a finite non-negative real")
@@ -106,7 +151,7 @@ def bispinor_u(p: float, theta: float, phi: float, s: int) -> np.ndarray:
         raise ValueError("theta must lie in [0, pi]")
     if not math.isfinite(phi):
         raise ValueError("phi must be finite")
-    if s not in (+1, -1):
+    if isinstance(s, (bool, np.bool_)) or s not in (+1, -1):
         raise ValueError("spin must be +1 or -1")
     s = 1 if s == 1 else -1  # an int, to slice with: 1.0 and np.int64 pass
     e = math.hypot(1.0, p)
@@ -174,7 +219,8 @@ class DispersionReport(NamedTuple):
         6..8 <r> components.  err_est propagates the estimated absolute
         errors to first order, in absolute values, through the
         normalization, the mean subtraction and
-        gamma = sqrt(delta_r_sq delta_p_sq).
+        gamma = sqrt(delta_r_sq delta_p_sq).  Raises ValueError unless the
+        norm and both dispersions lie in (0, inf) and every error is finite.
         """
         norm_sq = float(values[0])
         if not (norm_sq > 0.0) or not math.isfinite(norm_sq):
@@ -185,10 +231,13 @@ class DispersionReport(NamedTuple):
         second_r = float(values[2]) / norm_sq
         delta_p_sq = second_p - float(mean_p @ mean_p)
         delta_r_sq = second_r - float(mean_r @ mean_r)
-        if delta_p_sq <= 0.0 or delta_r_sq <= 0.0:
-            raise ValueError("dispersions came out non-positive; state invalid "
-                             "or quadrature tolerance too loose")
+        if not (0.0 < delta_p_sq < math.inf and 0.0 < delta_r_sq < math.inf):
+            raise ValueError("dispersions came out non-positive or not "
+                             "finite; state invalid or quadrature tolerance "
+                             "too loose")
         errs = np.abs(np.asarray(est_abs_error, dtype=float))
+        if not np.all(np.isfinite(errs)):
+            raise ValueError("error estimates must be finite")
 
         def spread_err(second, mean, e_second, e_mean):
             # d(S/N - |M|^2/N^2) = (dS - (S/N - 2|m|^2) dN - 2 m.dM) / N
@@ -358,6 +407,99 @@ def _rows(m, p, thetas):
     ], axis=1)
 
 
+def _finite(sums, t_lo, t_hi):
+    if not np.all(np.isfinite(sums)):
+        raise QuadratureError(
+            f"integrand sum is not finite on [{t_lo:g}, {t_hi:g}]")
+    return sums
+
+
+@functools.lru_cache(maxsize=None)  # called with _THETA_LEVELS only
+def _theta_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-node Gauss-Legendre on [0, pi], symmetrized and read-only, as the
+    cache shares it: Newton's method on the zeros of P_n from Tricomi's
+    guess, and the weights 2 / ((1 - x^2) P_n'(x)^2).  Not Golub-Welsch:
+    OpenBLAS threads np.linalg.eigh from 32 rows on, and a cold call then
+    took 10-48 ms instead of under 1 ms."""
+    x = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(6):  # quadratic convergence: 1e-3 -> 1e-16 in 4 steps
+        p_prev, p = np.ones(n), x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        dp = n * (p_prev - x * p) / (1.0 - x * x)  # P_n'
+        x = x - p / dp
+    w = 1.0 / ((1.0 - x * x) * dp * dp)
+    thetas = 0.5 * math.pi * (1.0 + 0.5 * (x - x[::-1]))
+    weights = 0.5 * math.pi * (w + w[::-1])
+    thetas.flags.writeable = weights.flags.writeable = False
+    return thetas, weights
+
+
+def _integrate_exp_sinh(f: Callable, cfg: QuadConfig,
+                        control_rows: Optional[Sequence[int]] = None):
+    """(value, est_abs_error) of the integral of f(p, theta) over p in
+    [0, inf), theta in [0, pi], measure dp dtheta, one entry per row, by
+    the rule of the module docstring.
+
+    f is called as f(ps[:, None], thetas[None, :]) and returns shape
+    (n_rows, n_p, n_theta), or (n_p, n_theta) for one row.  The control
+    rows (default: all) pick the t range, the theta rule and the t step;
+    the other rows ride along on the same nodes, each with its own error
+    estimate.  The rule only reads what f returns, so f may keep it.
+    """
+    control = slice(None) if control_rows is None else list(control_rows)
+
+    def in_t(ts, n_theta):
+        """The rows' theta sums times dp/dt at the t nodes ts, (n_rows, n_t)."""
+        thetas, w_theta = _theta_rule(n_theta)
+        ps = np.exp(0.5 * math.pi * np.sinh(ts))
+        y = f(ps[:, None], thetas[None, :])
+        return (y.reshape(-1, ts.size, n_theta) @ w_theta) * (
+            0.5 * math.pi * np.cosh(ts) * ps)
+
+    ts = 0.5 * np.arange(-8.0, 9.0)
+    g = _finite(in_t(ts, _THETA_LEVELS[0]), ts[0], ts[-1])
+    mag = np.abs(g[control])
+    kept = np.flatnonzero(np.any(mag >= _EPS * mag.max(axis=1, keepdims=True),
+                                 axis=0))
+    lo, hi = max(kept[0] - 1, 0), min(kept[-1] + 1, ts.size - 1)
+    g, ts = g[:, lo:hi + 1], ts[lo:hi + 1]
+    t_lo, t_hi = ts[0], ts[-1]
+    w = np.where((ts == t_lo) | (ts == t_hi), 0.25, 0.5)
+    tails = w[0] * np.abs(g[:, 0]) + w[-1] * np.abs(g[:, -1])
+
+    coarse = g @ w
+    for n_theta in _THETA_LEVELS[1:]:
+        total = _finite(in_t(ts, n_theta) @ w, t_lo, t_hi)
+        theta_gap = np.abs(total - coarse)
+        bound = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+        if np.all(theta_gap[control] <= bound[control]):
+            break
+        coarse = total
+    else:
+        raise QuadratureError(
+            f"theta sums unconverged at {n_theta} nodes on [{t_lo:g}, {t_hi:g}]")
+
+    # halve the t step from 0.25, adding its odd multiples; the ends are
+    # multiples of 0.5, so no end is added, and n_t nodes become 2 n_t - 1
+    step, n_t = 0.25, ts.size
+    while True:
+        ks = np.arange(math.ceil(t_lo / step), math.floor(t_hi / step) + 1)
+        ts = step * ks[ks % 2 == 1]
+        sums = _finite(in_t(ts, n_theta) @ np.full(ts.size, step), t_lo, t_hi)
+        n_t += ts.size
+        total, gap = 0.5 * total + sums, np.abs(0.5 * total - sums)
+        bound = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+        if np.all(gap[control] <= bound[control]):
+            return total, ((gap + 4.0 * _EPS * np.abs(total))
+                           + theta_gap + tails)
+        if 2 * n_t - 1 > _MAX_T_NODES:
+            raise QuadratureError(
+                f"trapezoid sums unconverged at {n_t} nodes on "
+                f"[{t_lo:g}, {t_hi:g}]")
+        step *= 0.5
+
+
 def dispersion_functional(amp: AmplitudePair, cfg: QuadConfig = QuadConfig(),
                           mass: float = 1.0) -> DispersionReport:
     """Norm and dispersions of the state sum_s u(p,s) f(p,s).
@@ -387,7 +529,7 @@ def dispersion_functional(amp: AmplitudePair, cfg: QuadConfig = QuadConfig(),
         if not np.all(np.isfinite(t_n)):
             raise QuadratureError(f"phi sums at {n} nodes are not finite")
         scale = np.max(np.abs(t_n1[0]) + np.abs(t_n1[1]) + np.abs(t_n1[2]))
-        tol = max(0.01 * cfg.rel_tol, n * np.finfo(float).eps) * scale
+        tol = max(0.01 * cfg.rel_tol, n * _EPS) * scale
         if np.max(np.abs(t_n1 - t_n)) > tol:
             raise _PairRejected
 
@@ -400,19 +542,18 @@ def dispersion_functional(amp: AmplitudePair, cfg: QuadConfig = QuadConfig(),
             check(t_n, t_n1)
         else:
             (t_n1,) = sums(p, thetas, (n + 1,))
-        last = p, thetas, t_n1  # integrate_exp_sinh only reads it
+        last = p, thetas, t_n1  # the rule only reads it
         return t_n1
 
     evals = 0
     for n in _N_PHI_PAIRS:
         last = None
         try:
-            res = integrate_exp_sinh(rows, cfg, control_rows=[0, 1, 2])
+            value, err = _integrate_exp_sinh(rows, cfg, control_rows=[0, 1, 2])
             p, thetas, t_n1 = last
             evals += p.size * thetas.size
             check(*sums(p, thetas, (n,)), t_n1)
         except _PairRejected:
             continue
-        return DispersionReport.from_integrals(res.value, res.est_abs_error,
-                                               evals)
+        return DispersionReport.from_integrals(value, err, evals)
     raise QuadratureError(f"phi sums unconverged at {n + 1} nodes")

@@ -637,8 +637,10 @@ def test_library_imports_no_private_names_from_siblings():
 
 
 def test_only_the_dispersion_engine_imports_quadrature():
-    # hydrogen and hopfion build their reports from their own sums, and the
-    # CLI sorts failures by builtin bases: neither needs the error classes
+    # the (p, theta) rule lives in dirac_states, its one caller, and no
+    # sibling names it; hydrogen and hopfion build their reports from their
+    # own sums, and the CLI sorts failures by builtin bases: neither needs
+    # the error classes
     import ast
 
     import relhur
@@ -647,15 +649,19 @@ def test_only_the_dispersion_engine_imports_quadrature():
     users, cli_names = [], set()
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, ast.ImportFrom):
-                continue
-            names = {alias.name for alias in node.names}
-            if node.module in ("quadrature", "relhur.quadrature") or (
-                    node.module in (None, "relhur") and "quadrature" in names):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                if any("quadrature" in name
+                       for name in [node.module or "", *names]):
+                    users.append(f"{path.name}: imports {node.module}")
+                if path.name == "cli.py":
+                    cli_names |= names
+            name = getattr(node, "id", getattr(node, "attr", getattr(
+                node, "name", None)))
+            if name == "_integrate_exp_sinh":
                 users.append(path.name)
-            if path.name == "cli.py":
-                cli_names |= names
-    assert users == ["__init__.py", "dirac_states.py"]
+    assert not (src / "quadrature.py").exists()
+    assert set(users) == {"dirac_states.py"}
     assert not cli_names & {"QuadratureError", "SolverError"}
 
 
@@ -668,8 +674,8 @@ def test_each_public_name_recorded_once():
     import relhur
 
     modules = [importlib.import_module(f"relhur.{name}") for name in (
-        "specfun", "quadrature", "radial_eigensolver", "rel_uncertainty",
-        "dirac_states", "hydrogen", "hopfion")]
+        "specfun", "radial_eigensolver", "rel_uncertainty", "dirac_states",
+        "hydrogen", "hopfion")]
     names = [name for module in modules for name in module.__all__]
     assert relhur.__all__ == names + ["__version__"]
     assert len(set(relhur.__all__)) == len(relhur.__all__)

@@ -26,7 +26,7 @@ from relhur import (
     oracle_gamma,
     potential_v,
 )
-from relhur import dirac_states, hopfion, hydrogen, quadrature
+from relhur import dirac_states, hopfion, hydrogen
 
 S_ULTRA = 0.5 * (math.sqrt(5.0) - 1.0)
 RNG = np.random.default_rng(20250814)
@@ -86,7 +86,7 @@ def test_momentum_point_validation():
     for phi in (math.inf, math.nan):
         with pytest.raises(ValueError, match="phi"):
             bispinor_u(1.0, 0.5, phi, +1)
-    for s in (0, 2, -2):
+    for s in (0, 2, -2, True, np.True_):
         with pytest.raises(ValueError, match="spin"):
             bispinor_u(1.0, 0.5, 0.0, s)
     # the upper half's weight less the lower's is s p_z / E, E = sqrt(10)
@@ -290,7 +290,7 @@ def test_spin_connection_matches_four_component_oracle(mass, monkeypatch):
     # coarse tolerance loses nothing: they differ by rounding only.
     amp = _shifted_two_spin_state()
     rep = dispersion_functional(amp, _COARSE, mass=mass)
-    integrate = dirac_states.integrate_exp_sinh
+    integrate = dirac_states._integrate_exp_sinh
 
     def with_oracle_rows(rows, cfg, control_rows):
         def replaced(p, thetas):
@@ -299,7 +299,7 @@ def test_spin_connection_matches_four_component_oracle(mass, monkeypatch):
             return out
         return integrate(replaced, cfg, control_rows=control_rows)
 
-    monkeypatch.setattr(dirac_states, "integrate_exp_sinh", with_oracle_rows)
+    monkeypatch.setattr(dirac_states, "_integrate_exp_sinh", with_oracle_rows)
     oracle = dispersion_functional(amp, _COARSE, mass=mass)
     assert np.max(np.abs(np.subtract(rep.mean_r, oracle.mean_r))) <= 1e-12
     assert rep.delta_r_sq == pytest.approx(oracle.delta_r_sq, rel=1e-12)
@@ -338,7 +338,7 @@ def test_report_counts_evaluations(module, run, monkeypatch):
 
         monkeypatch.setattr(hopfion, "bessel_sums", summed)
     else:
-        integrate = dirac_states.integrate_exp_sinh
+        integrate = dirac_states._integrate_exp_sinh
 
         def counted(rows, *args, **kwargs):
             def wrapped(*grid):
@@ -348,7 +348,7 @@ def test_report_counts_evaluations(module, run, monkeypatch):
             points.append(points[-1])
             return res
 
-        monkeypatch.setattr(dirac_states, "integrate_exp_sinh", counted)
+        monkeypatch.setattr(dirac_states, "_integrate_exp_sinh", counted)
     rep = run()
     assert rep.evaluations == sum(points) > 0
 
@@ -420,7 +420,7 @@ def _recorded_calls(monkeypatch, amp):
     functional, the phi widths of the f_plus calls of each integrand call
     in order, and of the re-check after a quadrature that returned."""
     calls = []
-    integrate = dirac_states.integrate_exp_sinh
+    integrate = dirac_states._integrate_exp_sinh
 
     def recorded(rows, *args, **kwargs):
         calls.append([])
@@ -436,7 +436,7 @@ def _recorded_calls(monkeypatch, amp):
         calls[-1][-1].add(np.shape(ph)[-1])
         return amp.f_plus(p, th, ph)
 
-    monkeypatch.setattr(dirac_states, "integrate_exp_sinh", recorded)
+    monkeypatch.setattr(dirac_states, "_integrate_exp_sinh", recorded)
     return amp._replace(f_plus=plus), calls
 
 
@@ -539,7 +539,7 @@ def test_work_counts_pinned(monkeypatch, amp, amp_calls, points, max_points):
     # four later levels) and the re-check of the last on 2740 (p, theta)
     # points, and 24 884 (p, theta, phi) points per field
     calls, sizes, returned = [], [], []
-    integrate = dirac_states.integrate_exp_sinh
+    integrate = dirac_states._integrate_exp_sinh
 
     def counted(rows, *args, **kwargs):
         def call(p, thetas):
@@ -553,7 +553,7 @@ def test_work_counts_pinned(monkeypatch, amp, amp_calls, points, max_points):
         sizes.append(np.broadcast(p, th, ph).size)
         return amp.f_plus(p, th, ph)
 
-    monkeypatch.setattr(dirac_states, "integrate_exp_sinh", counted)
+    monkeypatch.setattr(dirac_states, "_integrate_exp_sinh", counted)
     rep = dispersion_functional(amp._replace(f_plus=plus))
     assert len(calls) == 6
     # the re-check evaluates the points of the last call once more
@@ -1016,6 +1016,16 @@ def test_report_rejects_invalid_integrals():
         report([0.0, 1.0, 1.0] + [0.0] * 6)
     with pytest.raises(ValueError, match="non-positive"):
         report([1.0, -1.0, 1.0] + [0.0] * 6)
+    # a NaN or an infinity in a second moment, and a NaN error
+    for values in ([1.0, 2.0, math.nan] + [0.0] * 6,
+                   [1.0, math.inf, 2.0] + [0.0] * 6):
+        with pytest.raises(ValueError, match="not finite"):
+            report(values)
+    errors = np.zeros(9)
+    errors[4] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        DispersionReport.from_integrals(
+            np.array([1.0, 2.0, 2.0] + [0.0] * 6), errors, 0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1023,7 +1033,7 @@ def test_rejects_non_normalizable(monkeypatch):
     # the divergent norm integrand hits inf*0 internally before the
     # quadrature notices and raises; the warnings are expected noise.  A
     # 900-node budget keeps the run short.
-    monkeypatch.setattr(quadrature, "_MAX_T_NODES", 900)
+    monkeypatch.setattr(dirac_states, "_MAX_T_NODES", 900)
     with pytest.raises((QuadratureError, ValueError)):
         dispersion_functional(
             AmplitudePair(f_plus=lambda p, th, ph: np.ones_like(th,

@@ -14,14 +14,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import fixed_quad, quad_vec
+from scipy.integrate import fixed_quad, quad, quad_vec
 
 from relhur import (
     AmplitudePair,
     DispersionReport,
     HopfionState,
     QuadConfig,
-    QuadResult,
     amplitude_pair,
     bessel_k,
     dispersion_functional,
@@ -81,10 +80,11 @@ def _rows(a, u):
 
 
 def _trapezoid(f, u_max, step, cfg):
-    """The integrals of the rows of f(us) over u in [0, u_max] by the
-    trapezoid rule from step, half weight on an end node, the step halved
-    until every row's gap to the coarser sum is within max(abs_tol,
-    rel_tol |sum|).  A reference rule held by the tests alone."""
+    """The integrals of the rows of f(us) over u in [0, u_max], their
+    error estimates and the node count, by the trapezoid rule from step,
+    half weight on an end node, the step halved until every row's gap to
+    the coarser sum is within max(abs_tol, rel_tol |sum|).  A reference
+    rule held by the tests alone."""
     def level(us):
         w = np.where((us == 0.0) | (us == u_max), 0.5 * step, step)
         return f(us) @ w
@@ -98,8 +98,7 @@ def _trapezoid(f, u_max, step, cfg):
         sums, n_u = level(us), n_u + us.size
         total, gap = 0.5 * total + sums, np.abs(0.5 * total - sums)
         if np.all(gap <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))):
-            return QuadResult(total, gap + 4.0 * np.finfo(float).eps
-                              * np.abs(total), n_u)
+            return total, gap + 4.0 * np.finfo(float).eps * np.abs(total), n_u
 
 
 def _gradient_oracle(a, cfg=QuadConfig()):
@@ -202,6 +201,16 @@ def test_momentum_side_closed_forms():
         assert rep.delta_p_sq == pytest.approx(
             3.0 * k3 / (z * k2) - 0.25 / (a * a), rel=1e-14)
         assert rep.norm_sq == pytest.approx(4.0 * math.pi * k2 / a, rel=1e-14)
+
+
+def test_relativistic_moment_matches_bessel_k2():
+    # integral_0^inf p^2 e^{-beta E_p} dp = (m^2/beta) K2(m beta), m = 1, by
+    # SciPy's adaptive quad: the packet's norm is this integral at beta = 2a
+    beta = 2.0
+    ref, err = quad(lambda p: p * p * math.exp(-beta * math.hypot(1.0, p)),
+                    0.0, 60.0, limit=200, epsabs=1e-13, epsrel=1e-12)
+    k_form = bessel_k(2, beta) / beta
+    assert abs(ref - k_form) <= 1e-9 * k_form + err
 
 
 def test_norm_const_frozen():

@@ -1,22 +1,37 @@
-"""The exp-sinh x Gauss-Legendre rule on [0, inf) x [0, pi], against
-closed forms and cross-checks."""
+"""The exp-sinh x Gauss-Legendre rule on [0, inf) x [0, pi] of
+dirac_states, against closed forms and cross-checks.  SciPy-free."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
-from relhur import (
-    QuadConfig,
-    QuadratureError,
-    bessel_k,
-    integrate_exp_sinh,
-)
-from relhur import quadrature
-from relhur.quadrature import _THETA_LEVELS, _theta_rule
+from relhur import QuadConfig, QuadratureError, bessel_k, dirac_states
+from relhur.dirac_states import _THETA_LEVELS, _theta_rule
 
 CFG = QuadConfig()
+
+
+class _Result(NamedTuple):
+    value: np.ndarray
+    est_abs_error: np.ndarray
+    evaluations: int
+
+
+def integrate_exp_sinh(f, cfg=CFG, control_rows=None):
+    """The rule's value and est_abs_error for f, and the count of (p, theta)
+    points f was called on."""
+    evaluations = 0
+
+    def counted(p, th):
+        nonlocal evaluations
+        evaluations += p.size * th.size
+        return f(p, th)
+
+    return _Result(*dirac_states._integrate_exp_sinh(counted, cfg,
+                                                     control_rows),
+                   evaluations)
 
 
 def _tolerance(cfg, value):
@@ -52,14 +67,9 @@ def test_any_width_without_a_scale(width):
 
 
 def test_relativistic_moment_matches_bessel():
-    # integral_0^inf p^2 e^{-beta E_p} dp = (m^2/beta) K2(m beta), m=1.
-    # Verify the identity itself with an unrelated integrator first.
+    # integral_0^inf p^2 e^{-beta E_p} dp = (m^2/beta) K2(m beta), m = 1;
+    # tests/test_hopfion.py checks the identity itself with SciPy's quad
     beta = 2.0
-    ref, err = quad(lambda p: p * p * math.exp(-beta * math.hypot(1.0, p)),
-                    0.0, 60.0, limit=200, epsabs=1e-13, epsrel=1e-12)
-    k_form = bessel_k(2, beta) / beta
-    assert abs(ref - k_form) <= 1e-9 * k_form + err
-
     res = integrate_exp_sinh(
         _radial(lambda p: p * p * np.exp(-beta * np.hypot(1.0, p))), CFG)
     assert res.value == pytest.approx(0.5 * bessel_k(2, 2.0), rel=1e-9)
@@ -121,7 +131,7 @@ _T_BUDGETS = pytest.mark.parametrize(
 
 
 def _at_t_budget(monkeypatch, budget, nodes, f):
-    monkeypatch.setattr(quadrature, "_MAX_T_NODES", budget)
+    monkeypatch.setattr(dirac_states, "_MAX_T_NODES", budget)
     if nodes is None:
         assert integrate_exp_sinh(f, CFG).evaluations == 1300
         return
@@ -228,44 +238,6 @@ def test_2d_theta_rule_climbs_until_two_levels_agree():
     below = _THETA_LEVELS[_THETA_LEVELS.index(kept) - 1]
     assert below > 12
     assert set(widths) == {n for n in _THETA_LEVELS if n <= kept}
-
-
-_MISSHAPEN = {  # an integrand's values y on the (n_p, n_theta) grid, reshaped
-    "reducing": np.sum,
-    "column": lambda y: y[..., None],
-    "rows_of_columns": lambda y: np.stack([y] * 2)[..., None],
-}
-
-
-@pytest.mark.parametrize("name", sorted(_MISSHAPEN))
-def test_semi_infinite_rejects_misshapen_integrand(name):
-    # every call is checked, not only the first: here the second call, on
-    # the trimmed first t level at 12 theta nodes, returns the wrong shape
-    calls = []
-
-    def f(p, th):
-        calls.append(p.size)
-        y = np.exp(-p) * np.ones_like(th)
-        return y if len(calls) == 1 else _MISSHAPEN[name](y)
-
-    with pytest.raises(ValueError, match="shape"):
-        integrate_exp_sinh(f, CFG)
-    assert len(calls) == 2 and calls[0] == 17
-
-
-_MISSHAPEN_2D = {  # on the (n_p, n_theta) grid of p and theta nodes
-    "reducing": lambda p, th: np.sum(np.exp(-p - th)),
-    "column": lambda p, th: np.exp(-p - th)[..., None],
-    "rows_of_columns": lambda p, th: np.stack([np.exp(-p - th)] * 2)[..., None],
-    "p_only": lambda p, th: np.exp(-p),
-    "theta_only": lambda p, th: np.exp(-th),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_MISSHAPEN_2D))
-def test_2d_rejects_misshapen_integrand(name):
-    with pytest.raises(ValueError, match="shape"):
-        integrate_exp_sinh(_MISSHAPEN_2D[name], CFG)
 
 
 def test_one_row_and_rows_give_arrays():

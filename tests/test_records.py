@@ -20,7 +20,6 @@ from relhur import (
     QuadratureError,
     SolverError,
     dispersion_functional,
-    integrate_exp_sinh,
     make_potential,
     oracle_gamma,
 )
@@ -30,8 +29,6 @@ from relhur.hopfion import HopfionState, amplitude_pair, gamma_h
 # public record; the second entry is set for the records that check fields
 _RECORDS = {
     "QuadConfig": (QuadConfig, ({"rel_tol": 1e-12}, {"abs_tol": 0.0})),
-    "QuadResult": (lambda: integrate_exp_sinh(
-        lambda p, th: np.exp(-p) * np.ones_like(th)), None),
     "RadialPotential": (lambda: make_potential(1.0), None),
     "AmplitudePair": (lambda: AmplitudePair(np.exp), None),
     "DispersionReport": (lambda: gamma_h(HopfionState(1.0)), None),
